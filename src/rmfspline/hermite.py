@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoSolutionError, ValidationError, VanishingDisplacementError
 from .ph import PHQuintic, PreImage, curve_from_preimage
-from .quat import Quaternion, angle_between, bisector, neg_cross, sandwich, star, unit
+from .quat import Quaternion, angle_between, bisector, cross3, neg_cross, sandwich, star, unit
 from .rrmf import RationalFrame, compute_rational_frame
 
 CRITICAL_GAMMA = 0.4 * math.pi
@@ -30,7 +30,7 @@ def _check_right_handed(u: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float)
     g = np.array([u, v, w])
     if np.max(np.abs(g @ g.T - np.eye(3))) > tol:
         raise ValidationError("frame vectors are not orthonormal")
-    if float(np.dot(np.cross(u, v), w)) < 0.0:
+    if float(np.dot(cross3(u, v), w)) < 0.0:
         raise ValidationError("frame must be right-handed")
 
 
@@ -55,7 +55,7 @@ class HermiteData:
         dnorm = float(np.linalg.norm(dp))
         if dnorm <= 1e-14:
             raise ValidationError("displacement must not vanish")
-        if np.linalg.norm(np.cross(self.u, self.u_end)) <= 1e-12:
+        if np.linalg.norm(cross3(self.u, self.u_end)) <= 1e-12:
             raise ValidationError("tangent turning angle must lie strictly inside (0, pi)")
         du = dp / dnorm
         if abs(float(self.u @ du - du @ self.u_end)) > SYMMETRY_TOL:
@@ -72,16 +72,44 @@ class HermiteData:
         return unit(self.delta_p)
 
 
-def scaled_displacement_components(gamma: float, phi2) -> tuple[np.ndarray, np.ndarray]:
+def scaled_displacement_components(gamma: float, phi2):
     """Closed-form components of the scaled displacement along (bisector, normal).
 
     Vectorized over phi2.  Derived by reducing the three displacement terms
     to the bisector/normal plane: the constant chord term, the middle
     ellipse term, and the rotated-bisector term with its explicit modulus.
+
+    A scalar phi2 (the bisection's case) takes a ``math`` branch that repeats
+    the array branch's operations as numpy does them on 0-d input, so it is
+    bit-identical to that.  The one difference from the array branch is the
+    square: ``** 2`` is libm ``pow`` on scalars but a multiplication on
+    arrays, and the two rarely round apart by an ulp.  Where a denominator
+    vanishes (only when cos(gamma/2) rounds to 1) the scalar branch returns
+    nan without a warning.
     """
-    phi2 = np.asarray(phi2, dtype=float)
     cg2 = math.cos(0.5 * gamma)
     sg2 = math.sin(0.5 * gamma)
+    if np.ndim(phi2) == 0:
+        cp = math.cos(phi2)
+        sp = math.sin(phi2)
+        q2b, q2n = cp, sp * sg2
+        q2norm = math.sqrt(max(1.0 - (sp * cg2) ** 2, 0.0))
+        half_sum_sq = 1.0 + cp * cg2
+        if q2norm == 0.0 or half_sum_sq == 0.0:
+            return math.nan, math.nan
+        s02b = (cg2 + cp) / half_sum_sq
+        s02n = sp * sg2 / half_sum_sq
+        smb = s02b + q2b / q2norm
+        smn = s02n + q2n / q2norm
+        # np.hypot, not math.hypot: the two round differently.
+        smnorm = float(np.hypot(smb, smn))
+        if smnorm < 1e-14:
+            smb, smn = q2b / q2norm, q2n / q2norm
+        else:
+            smb, smn = smb / smnorm, smn / smnorm
+        q3mag = math.sqrt(q2norm) * math.sqrt(2.0 * half_sum_sq)
+        return 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
+    phi2 = np.asarray(phi2, dtype=float)
     cp = np.cos(phi2)
     sp = np.sin(phi2)
     q2b, q2n = cp, sp * sg2
@@ -102,10 +130,13 @@ def scaled_displacement_components(gamma: float, phi2) -> tuple[np.ndarray, np.n
     return ib, in_
 
 
-def unit_displacement_b(gamma: float, phi2) -> np.ndarray:
+def unit_displacement_b(gamma: float, phi2):
     """Bisector component of the unit scaled displacement."""
     ib, in_ = scaled_displacement_components(gamma, phi2)
-    return ib / np.hypot(ib, in_)
+    norm = np.hypot(ib, in_)
+    if isinstance(ib, float):  # the scalar branch
+        return ib / float(norm) if norm != 0.0 else math.nan
+    return ib / norm
 
 
 def alpha0(
@@ -154,12 +185,10 @@ class DisplacementAnalysis:
             math.cos(phi2) * self.b + math.sin(phi2) * sg2 * self.n,
         )
 
-    def q2(self, phi2: float) -> np.ndarray:
-        return star(self._u0, self.u2(phi2), self.axes[0])
-
-    def units(self, phi2: float) -> tuple[Quaternion, Quaternion, float]:
-        """(U1, U2, theta1) at the given angle, with the inner phase fixed so
-        the rotated middle direction bisects the two auxiliary points."""
+    def units(self, phi2: float) -> tuple[Quaternion, Quaternion, float, np.ndarray]:
+        """(U1, U2, theta1, q2) at the given angle, with the inner phase fixed
+        so the rotated middle direction bisects the two auxiliary points.
+        q2 = star(U0, U2) is the middle hodograph direction."""
         i = self.axes[0]
         iq = Quaternion.pure(i)
         u0 = self._u0
@@ -184,32 +213,32 @@ class DisplacementAnalysis:
         if float(sm @ target) < 0.0:
             theta1 += math.pi
             u1 = -u1
-        return u1, u2, theta1
+        return u1, u2, theta1, q2
 
-    def q3(self, phi2: float) -> np.ndarray:
-        u1, u2, _ = self.units(phi2)
-        q2 = star(self._u0, u2, self.axes[0])
-        return math.sqrt(np.linalg.norm(q2)) * star(self._u0 + u2, u1, self.axes[0])
+    def displacement_from(self, u1: Quaternion, u2: Quaternion, q2: np.ndarray) -> np.ndarray:
+        """The scaled end-to-end displacement of a configuration from ``units``."""
+        q3 = math.sqrt(np.linalg.norm(q2)) * star(self._u0 + u2, u1, self.axes[0])
+        return self.q1 + q2 + q3
+
+    def polygon_from(self, u1: Quaternion, u2: Quaternion, q2: np.ndarray) -> np.ndarray:
+        """The five spherical control points of a configuration from ``units``."""
+        i = self.axes[0]
+        s1 = unit(star(self._u0, u1, i))
+        s3 = unit(star(u1, u2, i))
+        return np.array([self.u_start, s1, unit(q2), s3, self.u_end])
 
     def displacement(self, phi2: float) -> np.ndarray:
         """The scaled end-to-end displacement vector at the given angle."""
-        u1, u2, _ = self.units(phi2)
-        i = self.axes[0]
-        q2 = star(self._u0, u2, i)
-        q3 = math.sqrt(np.linalg.norm(q2)) * star(self._u0 + u2, u1, i)
-        return self.q1 + q2 + q3
+        u1, u2, _, q2 = self.units(phi2)
+        return self.displacement_from(u1, u2, q2)
 
     def unit_displacement(self, phi2: float) -> np.ndarray:
         return unit(self.displacement(phi2))
 
     def spherical_polygon(self, phi2: float) -> np.ndarray:
         """The five spherical control points the assembled segment would have."""
-        u1, u2, _ = self.units(phi2)
-        i = self.axes[0]
-        s1 = unit(star(self._u0, u1, i))
-        s2 = unit(star(self._u0, u2, i))
-        s3 = unit(star(u1, u2, i))
-        return np.array([self.u_start, s1, s2, s3, self.u_end])
+        u1, u2, _, q2 = self.units(phi2)
+        return self.polygon_from(u1, u2, q2)
 
 
 def analyze(d: HermiteData) -> DisplacementAnalysis:
@@ -299,6 +328,14 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
     if np.linalg.norm(b - du) <= 1e-12:
         phi2_hat = 0.0
         diagnostics["branch"] = "direct-hit-0"
+    elif math.cos(0.5 * gamma) == 1.0:
+        # The closed form sees the turning angle only through cos(gamma/2);
+        # once that rounds to 1 it cannot tell the data from a straight
+        # segment, and its denominators vanish at phi2 = pi/2 and pi.
+        raise NoSolutionError(
+            "turning angle too small to resolve: cos(gamma/2) rounds to 1",
+            diagnostics={"gamma": gamma, "du_dot_b": db, "du_dot_n": dn},
+        )
     elif abs(gamma - CRITICAL_GAMMA) > GAMMA_WINDOW:
         ib_pi, _ = scaled_displacement_components(gamma, math.pi)
         s_pi = math.copysign(1.0, float(ib_pi)) * b
@@ -351,16 +388,20 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
         candidates = []
         for root, iters in roots:
             phi = 2.0 * math.pi - root if mirror else root
-            amplitude = _polygon_amplitude(analysis.spherical_polygon(phi))
-            candidates.append((phi, amplitude, iters))
+            config = analysis.units(phi)
+            u1, u2, _, q2 = config
+            amplitude = _polygon_amplitude(analysis.polygon_from(u1, u2, q2))
+            candidates.append((phi, amplitude, iters, config))
         # Smaller polygon amplitude wins; ties resolve to the smaller angle.
         candidates.sort(key=lambda c: (round(c[1] / 1e-12), min(c[0], 2.0 * math.pi - c[0])))
-        phi2_hat = candidates[0][0]
-        diagnostics["iterations"] = candidates[0][2]
+        phi2_hat, _, diagnostics["iterations"], config = candidates[0]
         diagnostics["candidates"] = [(c[0], c[1]) for c in candidates]
         diagnostics["f_residual"] = abs(f(2.0 * math.pi - phi2_hat if mirror else phi2_hat))
+    else:
+        config = analysis.units(phi2_hat)
 
-    i_vec = analysis.displacement(phi2_hat)
+    u1, u2, theta1, q2 = config
+    i_vec = analysis.displacement_from(u1, u2, q2)
     i_norm = float(np.linalg.norm(i_vec))
     if i_norm <= 1e-12 * max(1.0, float(np.linalg.norm(analysis.q1))):
         raise VanishingDisplacementError(
@@ -371,8 +412,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
     diagnostics["s_residual"] = s_residual
 
     mu = math.sqrt(5.0 * dnorm / i_norm)
-    u1, u2, theta1 = analysis.units(phi2_hat)
-    q2_norm = float(np.linalg.norm(star(Quaternion.pure(d.u), u2, analysis.axes[0])))
+    q2_norm = float(np.linalg.norm(q2))
     a0 = mu * Quaternion.pure(d.u)
     a1 = (mu * math.sqrt(q2_norm)) * u1
     a2 = mu * u2

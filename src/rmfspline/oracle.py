@@ -22,8 +22,6 @@ from .ph import PHQuintic
 from .quat import unit
 from .rrmf import RationalFrame
 
-CRITICAL_GAMMA = 0.4 * math.pi
-
 
 @dataclass
 class NumericFrameTrace:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _bernstein as bern
 from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
-from .quat import Quaternion, orthonormal_completion, sandwich, star, unit, vnorm_sq, vsandwich
+from .quat import Quaternion, orthonormal_completion, sandwich, star, vnorm_sq, vsandwich
 
 DEGENERACY_TOL = 1e-12
 
@@ -246,8 +246,3 @@ def ph_identity_residual(q: PHQuintic) -> float:
     ss = bern.product(q.sigma, q.sigma)
     scale = float(np.max(np.abs(ss))) or 1.0
     return float(np.max(np.abs(hh - ss))) / scale
-
-
-def unit_axis(v: np.ndarray) -> np.ndarray:
-    """Validate-and-normalize helper for axis arguments."""
-    return unit(np.asarray(v, dtype=float))

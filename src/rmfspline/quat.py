@@ -2,7 +2,10 @@
 
 Quaternions are small value objects (scalar part ``w`` plus 3-vector part
 ``v``); pure vectors are identified with numpy arrays of shape (3,).  All
-operations are side-effect free.  Tolerances follow a fixed hierarchy:
+operations are side-effect free.  Cross products of single 3-vectors go
+through ``cross3``, which skips the axis handling that dominates
+``np.cross`` at this size; the batch helpers (``vmul``, ``vsandwich``) keep
+``np.cross``.  Tolerances follow a fixed hierarchy:
 1e-14 for algebraic identities, 1e-12 for unit-norm checks, 1e-10 for
 nonlinear round trips.
 """
@@ -18,6 +21,17 @@ from .errors import DegenerateInputError, ValidationError
 ALG_TOL = 1e-14
 UNIT_TOL = 1e-12
 ROUNDTRIP_TOL = 1e-10
+
+
+def cross3(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors.
+
+    Same products and subtractions, in the same order, as ``np.cross``, so
+    the result is bit-identical to it.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def unit(v: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -58,7 +72,7 @@ def orthonormal_completion(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (j, k) completing unit i to a right-handed triple."""
     i = unit(i)
     j = perpendicular_unit(i)
-    return j, np.cross(i, j)
+    return j, cross3(i, j)
 
 
 class Quaternion:
@@ -93,14 +107,6 @@ class Quaternion:
         arr = np.asarray(arr, dtype=float)
         return cls(arr[0], arr[1:4])
 
-    @property
-    def scal(self) -> float:
-        return self.w
-
-    @property
-    def vect(self) -> np.ndarray:
-        return self.v
-
     def as_wxyz(self) -> np.ndarray:
         return np.array([self.w, self.v[0], self.v[1], self.v[2]])
 
@@ -123,7 +129,7 @@ class Quaternion:
         if isinstance(other, Quaternion):
             return Quaternion(
                 self.w * other.w - float(self.v @ other.v),
-                self.w * other.v + other.w * self.v + np.cross(self.v, other.v),
+                self.w * other.v + other.w * self.v + cross3(self.v, other.v),
             )
         return Quaternion(self.w * other, self.v * other)
 
@@ -156,7 +162,7 @@ def sandwich(q: Quaternion, v: np.ndarray) -> np.ndarray:
     u = q.v
     w = q.w
     v = np.asarray(v, dtype=float)
-    return (w * w - float(u @ u)) * v + 2.0 * float(u @ v) * u + 2.0 * w * np.cross(u, v)
+    return (w * w - float(u @ u)) * v + 2.0 * float(u @ v) * u + 2.0 * w * cross3(u, v)
 
 
 def rotate(u: Quaternion, v: np.ndarray) -> np.ndarray:
@@ -190,7 +196,7 @@ def bisector(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def neg_cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Negatively oriented normalized cross product -(v x w)/|v x w|."""
-    c = np.cross(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
+    c = cross3(v, w)
     n = float(np.linalg.norm(c))
     if n <= 1e-14:
         raise DegenerateInputError("normalized cross product undefined for parallel vectors")
@@ -214,7 +220,7 @@ def quat_sqrt(v: np.ndarray, i: np.ndarray, alpha: float = 0.0) -> Quaternion:
         base = Quaternion.pure(root * bisector(i, v))
     else:
         d1 = perpendicular_unit(v)
-        d2 = np.cross(unit(v), d1)
+        d2 = cross3(unit(v), d1)
         return Quaternion.pure(root * (d1 * math.cos(alpha) + d2 * math.sin(alpha)))
     return base * Quaternion.versor(i, alpha)
 

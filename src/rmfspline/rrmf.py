@@ -19,12 +19,13 @@ import numpy as np
 
 from . import _bernstein as bern
 from .errors import DegenerateInputError, FrameConstructionError, ValidationError
-from .ph import PreImage, hodograph_from_preimage, tangent_indicatrix
+from .ph import PreImage
 from .quat import (
     Quaternion,
     angle_between,
     bisector,
     boxop,
+    cross3,
     neg_cross,
     orthonormal_completion,
     quat_sqrt,
@@ -71,7 +72,7 @@ def hm_ellipse(h_b: np.ndarray, h_e: np.ndarray) -> EllipseLocus:
     """Canonical (orthogonal) parameterization of the middle-point locus."""
     h_b = np.asarray(h_b, dtype=float)
     h_e = np.asarray(h_e, dtype=float)
-    if np.linalg.norm(np.cross(h_b, h_e)) <= 1e-14 * np.linalg.norm(h_b) * np.linalg.norm(h_e):
+    if np.linalg.norm(cross3(h_b, h_e)) <= 1e-14 * np.linalg.norm(h_b) * np.linalg.norm(h_e):
         raise DegenerateInputError("outer control points must not be parallel")
     gamma = angle_between(unit(h_b), unit(h_e))
     scale = math.sqrt(np.linalg.norm(h_b) * np.linalg.norm(h_e))
@@ -199,7 +200,7 @@ def construct_from_spherical(
     s0 = unit(s0)
     s2 = unit(s2)
     s4 = unit(s4)
-    if np.linalg.norm(np.cross(s0, s4)) <= 1e-12:
+    if np.linalg.norm(cross3(s0, s4)) <= 1e-12:
         raise DegenerateInputError("outer spherical points must not be parallel")
     if len0 <= 0 or len4 <= 0:
         raise ValidationError("outer control lengths must be positive")
@@ -241,10 +242,6 @@ def theta1_for_s1(
 
 
 # --- rational rotation-minimizing frame -----------------------------------
-
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
 
 def _quat_poly_mul(a: list[Quaternion], b: list[Quaternion]) -> list[Quaternion]:
     out = [Quaternion(0.0, np.zeros(3)) for _ in range(len(a) + len(b) - 1)]
@@ -456,7 +453,7 @@ def han08_residual(p: PreImage, frame: RationalFrame) -> float:
     polynomial matches the generator's spin rate at all.
     """
     a, b = frame.a, frame.b
-    wnorm = _poly_mul(a, a) + _poly_mul(b, b)
+    wnorm = np.convolve(a, a) + np.convolve(b, b)
     da = np.array([a[1], 2.0 * a[2]])
     db = np.array([b[1], 2.0 * b[2]])
     wron = np.convolve(da, b) - np.convolve(a, db)
@@ -467,16 +464,3 @@ def han08_residual(p: PreImage, frame: RationalFrame) -> float:
     return min(
         float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))
     ) / scale
-
-
-def indicatrix_matches_frame_tangent(p: PreImage, frame: RationalFrame, ts: np.ndarray) -> float:
-    """Max angle between the rational tangent and the frame's first vector."""
-    ind = tangent_indicatrix(p)
-    f1 = frame.frame(ts)[0]
-    tv = ind.evaluate(ts)
-    return float(max(angle_between(x, y) for x, y in zip(tv, f1)))
-
-
-def scaling_covariant_lengths(p: PreImage) -> np.ndarray:
-    """Hodograph control-point lengths (diagnostic helper)."""
-    return np.linalg.norm(hodograph_from_preimage(p), axis=1)

@@ -21,18 +21,17 @@ from .errors import (
     ValidationError,
 )
 from .errors import SplineBuildError
-from .hermite import HermiteData, HermiteSolution, scaled_displacement_components
-from .quat import angle_between, bisector, unit
+from .hermite import CRITICAL_GAMMA, HermiteData, HermiteSolution, scaled_displacement_components
+from .quat import angle_between, bisector, cross3, unit
 
 MAX_TURN = 0.8 * math.pi
-CRITICAL_GAMMA = 0.4 * math.pi
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
 
 
 def _orthonormalized(frame: np.ndarray) -> np.ndarray:
     u = unit(frame[0])
     v = unit(frame[1] - float(frame[1] @ u) * u)
-    return np.array([u, v, np.cross(u, v)])
+    return np.array([u, v, cross3(u, v)])
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class PointStream:
             raise ValidationError("initial frame must be three row vectors")
         if np.max(np.abs(frame @ frame.T - np.eye(3))) > 1e-8:
             raise ValidationError("initial frame must be orthonormal")
-        if float(np.dot(np.cross(frame[0], frame[1]), frame[2])) < 0.0:
+        if float(np.dot(cross3(frame[0], frame[1]), frame[2])) < 0.0:
             raise ValidationError("initial frame must be right-handed")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "initial_frame", _orthonormalized(frame))
@@ -145,12 +144,12 @@ def default_initial_frame(u0: np.ndarray) -> np.ndarray:
         y = np.array([0.0, 1.0, 0.0])
         v = y - float(y @ u) * u
     v = unit(v)
-    return np.array([u, v, np.cross(u, v)])
+    return np.array([u, v, cross3(u, v)])
 
 
 def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
     """Membership in the feasible end-tangent set for the local problem."""
-    cross = np.linalg.norm(np.cross(u_i, u))
+    cross = np.linalg.norm(cross3(u_i, u))
     if cross <= 1e-9:
         return False
     gamma = angle_between(u_i, u)
@@ -197,7 +196,7 @@ def generate_end_tangent(
         )
     sin_tau = math.sin(tau)
     e1 = (u_i - cos_tau * du) / sin_tau
-    e2 = np.cross(du, e1)
+    e2 = cross3(du, e1)
 
     def point(psi: float) -> np.ndarray:
         return cos_tau * du + sin_tau * (math.cos(psi) * e1 + math.sin(psi) * e2)

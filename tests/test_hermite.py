@@ -1,13 +1,14 @@
 """The local solver: displacement analysis, existence branches, assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import conftest as data
 from rmfspline import oracle
-from rmfspline.errors import NoSolutionError, ValidationError
+from rmfspline.errors import GeometryError, NoSolutionError, ValidationError
 from rmfspline.hermite import (
     CRITICAL_GAMMA,
     HermiteData,
@@ -193,6 +194,48 @@ class TestDisplacement:
                 assert crossings == 2
 
 
+class TestScalarBranch:
+    def test_scalar_and_array_branches_agree_bitwise(self):
+        # The scalar branch squares with pow, as numpy scalars do, and the
+        # array branch by multiplication; only where those two round the
+        # square differently may the results part, and then by an ulp or two.
+        rng = np.random.default_rng(13)
+        gammas = np.concatenate([
+            rng.uniform(1e-3, math.pi - 1e-3, 40),
+            [CRITICAL_GAMMA - 1e-9, CRITICAL_GAMMA, CRITICAL_GAMMA + 1e-9],
+        ])
+        half = rng.uniform(0.0, math.pi, 30)
+        grid = [(gamma, np.concatenate([[0.0, TWO_THIRDS, math.pi], half, 2.0 * math.pi - half]))
+                for gamma in gammas]
+        # plus sampled points where pow and multiplication do round apart
+        for gamma, phi in rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), (20000, 2)):
+            x = math.sin(phi) * math.cos(0.5 * gamma)
+            if x ** 2 != x * x:
+                grid.append((gamma, np.array([phi])))
+        assert len(grid) > len(gammas)
+        for gamma, phis in grid:
+            ib, inn = scaled_displacement_components(gamma, phis)
+            ub = unit_displacement_b(gamma, phis)
+            for k, phi in enumerate(phis.tolist()):
+                scalar = np.array([*scaled_displacement_components(gamma, phi),
+                                   unit_displacement_b(gamma, phi)])
+                array = np.array([ib[k], inn[k], ub[k]])
+                x = math.sin(phi) * math.cos(0.5 * gamma)
+                if x ** 2 == x * x:
+                    assert scalar.tobytes() == array.tobytes()
+                else:
+                    assert np.allclose(scalar, array, rtol=1e-15, atol=1e-15)
+
+    def test_scalar_branch_is_nan_where_denominators_vanish(self):
+        # cos(gamma/2) rounds to 1, so the middle modulus vanishes at pi/2
+        # and the half-sum at pi.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi in (0.5 * math.pi, math.pi):
+                assert all(math.isnan(c) for c in scaled_displacement_components(2e-11, phi))
+                assert math.isnan(unit_displacement_b(2e-11, phi))
+
+
 class TestSufficientCondition:
     def test_bisector_chord_always_passes(self):
         for gamma in np.linspace(0.1 * math.pi, 0.9 * math.pi, 9):
@@ -334,6 +377,22 @@ class TestSolve:
             trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
                                          n_samples=200)
             assert oracle.compare_frames(sol.frame, trace) <= 1e-6
+
+    def test_unresolvable_turning_angle_raises_with_diagnostics(self):
+        # cos(gamma/2) rounds to 1 below gamma ~ 3e-8; the closed form then
+        # cannot place the chord, which lies 0.3 rad off the bisector.
+        gamma = 2e-11
+        e1, e2, e3 = np.eye(3)
+        uf = np.array([math.cos(gamma), math.sin(gamma), 0.0])
+        b, n = bisector(e1, uf), neg_cross(e1, uf)
+        d = HermiteData(np.zeros(3), 2.0 * (math.cos(0.3) * b + math.sin(0.3) * n),
+                        e1, e2, e3, uf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError) as info:
+                solve(d)
+        assert info.value.diagnostics["gamma"] == gamma
+        assert info.value.diagnostics["du_dot_n"] == pytest.approx(math.sin(0.3), abs=1e-12)
 
     def test_rotation_minimality_of_solutions(self):
         rng = np.random.RandomState(24)

@@ -13,6 +13,7 @@ from rmfspline.quat import (
     angle_between,
     bisector,
     boxop,
+    cross3,
     neg_cross,
     qmul,
     quat_sqrt,
@@ -172,6 +173,16 @@ class TestBisectorCross:
     def test_neg_cross_parallel_rejected(self):
         with pytest.raises(DegenerateInputError):
             neg_cross(I, 2.0 * I)
+
+    def test_cross3_is_bit_identical_to_np_cross(self):
+        rng = np.random.default_rng(31)
+        scales = rng.choice([1e-8, 1.0, 1e8], size=(600, 2))
+        a = rng.standard_normal((600, 3)) * scales[:, :1]
+        b = rng.standard_normal((600, 3)) * scales[:, 1:]
+        a[0] = 0.0
+        b[1] = 0.0
+        for x, y in zip(a, b):
+            assert cross3(x, y).tobytes() == np.cross(x, y).tobytes()
 
 
 class TestQuatSqrt:
