@@ -26,7 +26,7 @@ from .ph import (
     hodograph_from_preimage,
     tangent_indicatrix,
 )
-from .quat import Quaternion, bisector, neg_cross, qmul, quat_sqrt, rotate
+from .quat import Quaternion, bisector, neg_cross, quat_sqrt, rotate
 from .rrmf import RationalFrame, compute_rational_frame, construct_from_spherical, is_class_I
 from .spline import PointStream, SplinePath, build, chord_knots, minaj2_tangents
 
@@ -56,7 +56,6 @@ __all__ = [
     "Quaternion",
     "bisector",
     "neg_cross",
-    "qmul",
     "quat_sqrt",
     "rotate",
     "RationalFrame",

@@ -48,19 +48,17 @@ def definite_integral(coeffs: np.ndarray):
     return coeffs.sum(axis=0) / coeffs.shape[0]
 
 
+def _binomials(n: int) -> np.ndarray:
+    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+
+
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bernstein coefficients of the product of two scalar polynomials."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m = a.shape[0] - 1
     n = b.shape[0] - 1
-    out = np.zeros(m + n + 1)
-    for k in range(m + n + 1):
-        s = 0.0
-        for i in range(max(0, k - n), min(m, k) + 1):
-            s += math.comb(m, i) * math.comb(n, k - i) * a[i] * b[k - i]
-        out[k] = s / math.comb(m + n, k)
-    return out
+    return np.convolve(_binomials(m) * a, _binomials(n) * b) / _binomials(m + n)
 
 
 def to_power(coeffs: np.ndarray) -> np.ndarray:

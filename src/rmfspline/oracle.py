@@ -34,12 +34,6 @@ class NumericFrameTrace:
     stats: dict
 
 
-def _power_coeffs(coeffs_bern: np.ndarray) -> np.ndarray:
-    if coeffs_bern.ndim == 1:
-        return bern.to_power(coeffs_bern)
-    return np.column_stack([bern.to_power(coeffs_bern[:, c]) for c in range(coeffs_bern.shape[1])])
-
-
 def integrate_rmf(
     q: PHQuintic,
     initial_frame: np.ndarray,
@@ -57,7 +51,7 @@ def integrate_rmf(
     """
     initial_frame = np.asarray(initial_frame, dtype=float)
     f2_0 = initial_frame[1]
-    hp = _power_coeffs(q.h)          # hodograph, power basis, (5, 3)
+    hp = bern.to_power(q.h)          # hodograph, power basis, (5, 3)
     dhp = npoly.polyder(hp)          # (4, 3)
     sp = bern.to_power(q.sigma)      # speed, (5,)
     dsp = npoly.polyder(sp)

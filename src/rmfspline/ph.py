@@ -136,7 +136,7 @@ class PHQuintic:
     def tangent(self, t) -> np.ndarray:
         h = self.hodograph(t)
         s = self.speed(t)
-        return h / (s[..., None] if np.ndim(s) else s)
+        return h / s[..., None]
 
     def arc_length(self) -> float:
         return float(bern.definite_integral(self.sigma))
@@ -176,7 +176,7 @@ class TangentIndicatrix:
     def evaluate(self, t) -> np.ndarray:
         num = bern.decasteljau(self.numerator, t)
         den = bern.decasteljau(self.weights, t)
-        return num / (den[..., None] if np.ndim(den) else den)
+        return num / den[..., None]
 
     __call__ = evaluate
 
@@ -213,7 +213,12 @@ def reparam_map(lam: float, t_tilde) -> np.ndarray:
 
 
 def erf_frame(p: PreImage, t, axes: np.ndarray | None = None) -> np.ndarray:
-    """Euler-Rodrigues frame rows (e1, e2, e3) at parameter t.
+    """Euler-Rodrigues frame rows (e1, e2, e3) at parameter t."""
+    return erf_frame_many(p, [t], axes)[0]
+
+
+def erf_frame_many(p: PreImage, ts: np.ndarray, axes: np.ndarray | None = None) -> np.ndarray:
+    """Euler-Rodrigues frame rows (e1, e2, e3) at each parameter, shape (len(ts), 3, 3).
 
     axes supplies the right-handed (i, j, k) triple conjugated by the
     generator; by default the pre-image axis is completed deterministically.
@@ -221,20 +226,13 @@ def erf_frame(p: PreImage, t, axes: np.ndarray | None = None) -> np.ndarray:
     if axes is None:
         j, k = orthonormal_completion(p.axis)
         axes = np.array([p.axis, j, k])
-    a = p.evaluate(float(t))
-    nsq = a.norm_sq()
-    if nsq <= 1e-28:
-        raise DegenerateCurveError(f"generator vanishes at t = {t}; frame undefined")
-    return np.array([sandwich(a, axes[0]), sandwich(a, axes[1]), sandwich(a, axes[2])]) / nsq
-
-
-def erf_frame_many(p: PreImage, ts: np.ndarray, axes: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized Euler-Rodrigues frame, shape (len(ts), 3, 3)."""
-    if axes is None:
-        j, k = orthonormal_completion(p.axis)
-        axes = np.array([p.axis, j, k])
-    a = p.evaluate_many(np.asarray(ts, dtype=float))
+    ts = np.asarray(ts, dtype=float)
+    a = p.evaluate_many(ts)
     nsq = vnorm_sq(a)
+    vanishing = nsq <= 1e-28
+    if np.any(vanishing):
+        t = float(ts[vanishing][0])
+        raise DegenerateCurveError(f"generator vanishes at t = {t}; frame undefined", root=t)
     return np.stack(
         [vsandwich(a, axes[0]), vsandwich(a, axes[1]), vsandwich(a, axes[2])], axis=1
     ) / nsq[:, None, None]

@@ -4,8 +4,9 @@ Quaternions are small value objects (scalar part ``w`` plus 3-vector part
 ``v``); pure vectors are identified with numpy arrays of shape (3,).  All
 operations are side-effect free.  Cross products of single 3-vectors go
 through ``cross3``, which skips the axis handling that dominates
-``np.cross`` at this size; the batch helpers (``vmul``, ``vsandwich``) keep
-``np.cross``.  Tolerances follow a fixed hierarchy:
+``np.cross`` at this size; ``vsandwich`` writes its cross product out by
+components in the same way, and only ``vmul`` keeps ``np.cross``.
+Tolerances follow a fixed hierarchy:
 1e-14 for algebraic identities, 1e-12 for unit-norm checks, 1e-10 for
 nonlinear round trips.
 """
@@ -152,11 +153,6 @@ class Quaternion:
 ONE = Quaternion(1.0, np.zeros(3))
 
 
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Quaternion product (ab - a.b) + (a b + b a + a x b)."""
-    return a * b
-
-
 def sandwich(q: Quaternion, v: np.ndarray) -> np.ndarray:
     """q v q* for a pure vector v; scales by |q|^2 for non-unit q."""
     u = q.v
@@ -247,12 +243,21 @@ def vnorm_sq(a: np.ndarray) -> np.ndarray:
 
 
 def vsandwich(q: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """q e q* for quaternion rows q (..., 4) and one constant pure vector e."""
+    """q e q* for quaternion rows q (..., 4) and one constant pure vector e.
+
+    u x e repeats the arithmetic of ``np.cross``, so results are bit-identical.
+    """
     w, u = q[..., 0], q[..., 1:]
     e = np.asarray(e, dtype=float)
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    e0, e1, e2 = e.tolist()
     ue = u @ e
+    cross = np.empty_like(u)
+    cross[..., 0] = u1 * e2 - u2 * e1
+    cross[..., 1] = u2 * e0 - u0 * e2
+    cross[..., 2] = u0 * e1 - u1 * e0
     return (
         (w * w - np.sum(u * u, axis=-1))[..., None] * e
         + 2.0 * ue[..., None] * u
-        + 2.0 * w[..., None] * np.cross(u, np.broadcast_to(e, u.shape))
+        + 2.0 * w[..., None] * cross
     )

@@ -85,10 +85,6 @@ def hm_ellipse(h_b: np.ndarray, h_e: np.ndarray) -> EllipseLocus:
     )
 
 
-def hm_at(e: EllipseLocus, phi: float) -> np.ndarray:
-    return e.point(phi)
-
-
 def skew_phase(p_axis: np.ndarray, q_axis: np.ndarray, direction: np.ndarray) -> float:
     """Phase phi with P*cos(phi) + Q*sin(phi) a positive multiple of direction.
 
@@ -359,17 +355,10 @@ class RationalFrame:
     b_bezier: np.ndarray
     residual: float
 
-    def _eval_b(self, t) -> np.ndarray:
-        return bern.decasteljau(self.b_bezier, t)
-
     def frame(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f1, f2, f3) rows at scalar t or arrays of shape (len(t), 3)."""
-        bq = self._eval_b(np.asarray(t, dtype=float))
-        nsq = vnorm_sq(bq)
-        if np.ndim(nsq):
-            den = nsq[..., None]
-        else:
-            den = nsq
+        bq = bern.decasteljau(self.b_bezier, t)
+        den = vnorm_sq(bq)[..., None]
         return (
             vsandwich(bq, self.axes[0]) / den,
             vsandwich(bq, self.axes[1]) / den,
@@ -377,8 +366,7 @@ class RationalFrame:
         )
 
     def frame_matrix(self, t: float) -> np.ndarray:
-        f1, f2, f3 = self.frame(float(t))
-        return np.array([f1, f2, f3])
+        return np.array(self.frame(float(t)))
 
 
 def _build_frame(p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray,
@@ -386,8 +374,7 @@ def _build_frame(p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray,
     i = axes[0]
     w_coeffs = [Quaternion(a[m], b[m] * i) for m in range(3)]
     b_power = _quat_poly_mul(p.power_coeffs(), w_coeffs)
-    b_power_arr = np.array([q.as_wxyz() for q in b_power])
-    b_bez = np.column_stack([bern.from_power(b_power_arr[:, c]) for c in range(4)])
+    b_bez = bern.from_power(np.array([q.as_wxyz() for q in b_power]))
     return RationalFrame(a=a, b=b, axes=axes, b_bezier=b_bez, residual=residual)
 
 

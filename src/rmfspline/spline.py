@@ -165,8 +165,6 @@ def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
 
 def generate_end_tangent(
     u_i: np.ndarray,
-    v_i: np.ndarray,
-    w_i: np.ndarray,
     delta_p: np.ndarray,
     u_ref: np.ndarray,
     grid: int = 720,
@@ -278,30 +276,41 @@ class SplinePath:
     def n_segments(self) -> int:
         return len(self.segments)
 
-    def segment_index(self, u: float) -> tuple[int, float]:
+    def locate(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """Segment indices and local parameters of global parameters.
+
+        Values less than 1e-9 x span outside the knot range are clamped to
+        the end knots; values further out, and NaN, are rejected.
+        """
+        us = np.asarray(us, dtype=float)
         knots = self.knots
         span = knots[-1] - knots[0]
-        if u < knots[0] - 1e-9 * span or u > knots[-1] + 1e-9 * span:
-            raise ValidationError(f"parameter {u} outside [{knots[0]}, {knots[-1]}]")
-        u = min(max(u, knots[0]), knots[-1])
-        k = int(np.searchsorted(knots, u, side="right") - 1)
-        k = min(max(k, 0), len(self.segments) - 1)
-        t = (u - knots[k]) / (knots[k + 1] - knots[k])
-        return k, float(t)
+        bad = ~((us >= knots[0] - 1e-9 * span) & (us <= knots[-1] + 1e-9 * span))
+        if np.any(bad):
+            raise ValidationError(f"parameter {us[bad][0]} outside [{knots[0]}, {knots[-1]}]")
+        us = np.minimum(np.maximum(us, knots[0]), knots[-1])
+        k = np.minimum(np.searchsorted(knots, us, side="right") - 1, len(self.segments) - 1)
+        t = (us - knots[k]) / (knots[k + 1] - knots[k])
+        return k, t
 
     def eval(self, u: float) -> tuple[np.ndarray, np.ndarray]:
         """Point and frame rows (f1, f2, f3) at a global parameter."""
-        k, t = self.segment_index(u)
-        sol = self.segments[k]
-        point = sol.segment.point(t)
-        f1, f2, f3 = sol.frame.frame(t)
-        return point, np.array([f1, f2, f3])
+        pts, frames = self.eval_many([u])
+        return pts[0], frames[0]
 
-    def eval_many(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = np.empty((len(us), 3))
-        frames = np.empty((len(us), 3, 3))
-        for idx, u in enumerate(np.asarray(us, dtype=float)):
-            pts[idx], frames[idx] = self.eval(float(u))
+    def eval_many(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """Points (N, 3) and frame rows (N, 3, 3) at N global parameters,
+        evaluated one segment at a time."""
+        ks, ts = self.locate(us)
+        pts = np.empty((ks.size, 3))
+        frames = np.empty((ks.size, 3, 3))
+        order = np.argsort(ks, kind="stable")
+        starts = np.flatnonzero(np.diff(ks[order], prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [ks.size]):
+            idx = order[lo:hi]
+            sol = self.segments[ks[idx[0]]]
+            pts[idx] = sol.segment.point(ts[idx])
+            frames[idx, 0], frames[idx, 1], frames[idx, 2] = sol.frame.frame(ts[idx])
         return pts, frames
 
 
@@ -352,7 +361,7 @@ def build(
         gap = None if prev_du is None else angle_between(prev_du, du)
         tau = angle_between(frame[0], du)
         try:
-            u_f = generate_end_tangent(frame[0], frame[1], frame[2], dp, refs[k + 1])
+            u_f = generate_end_tangent(frame[0], dp, refs[k + 1])
             data = HermiteData(points[k], points[k + 1], frame[0], frame[1], frame[2], u_f)
             sol = hermite.solve(data, tol=solve_tol)
         except GeometryError as exc:
@@ -387,8 +396,5 @@ def continuity_report(path: SplinePath) -> dict:
 
 def interpolation_residual(path: SplinePath, points: np.ndarray) -> float:
     """Max distance between knot evaluations and the stream points."""
-    worst = 0.0
-    for k, u in enumerate(path.knots):
-        p, _ = path.eval(float(u))
-        worst = max(worst, float(np.linalg.norm(p - points[k])))
-    return worst
+    pts, _ = path.eval_many(path.knots)
+    return float(np.max(np.linalg.norm(pts - points, axis=1)))

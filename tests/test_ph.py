@@ -226,6 +226,21 @@ class TestFrames:
             assert np.max(np.abs(f @ f.T - np.eye(3))) <= 1e-12
             assert np.linalg.det(f) == pytest.approx(1.0, abs=1e-12)
 
+    def test_vanishing_generator_rejected(self):
+        one = Quaternion(1.0, np.zeros(3))
+        p = PreImage(one, -one, one, I)  # (1 - 2t)^2, zero at t = 0.5
+        with pytest.raises(DegenerateCurveError) as err:
+            erf_frame_many(p, [0.1, 0.5, 0.9])
+        assert err.value.root == 0.5
+        with pytest.raises(DegenerateCurveError):
+            erf_frame(p, 0.5)
+
+    def test_single_parameter_matches_batch(self, worked_preimage):
+        ts = np.linspace(0.0, 1.0, 11)
+        frames = erf_frame_many(worked_preimage, ts)
+        for t, f in zip(ts, frames):
+            assert np.array_equal(erf_frame(worked_preimage, t), f)
+
     def test_first_vector_is_tangent(self, worked_preimage):
         ts = np.linspace(0.01, 0.99, 25)
         frames = erf_frame_many(worked_preimage, ts)

@@ -15,7 +15,6 @@ from rmfspline.quat import (
     boxop,
     cross3,
     neg_cross,
-    qmul,
     quat_sqrt,
     rotate,
     sandwich,
@@ -40,31 +39,31 @@ def nonzero(q: Quaternion) -> bool:
 
 class TestProduct:
     def test_i_squared(self):
-        out = qmul(Quaternion.pure(I), Quaternion.pure(I))
+        out = Quaternion.pure(I) * Quaternion.pure(I)
         assert out.w == pytest.approx(-1.0, abs=1e-15)
         assert np.allclose(out.v, 0.0, atol=1e-15)
 
     def test_k_times_i_is_j(self):
-        out = qmul(Quaternion.pure(K), Quaternion.pure(I))
+        out = Quaternion.pure(K) * Quaternion.pure(I)
         assert out.w == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(out.v, J, atol=1e-15)
 
     def test_identity(self):
         a = Quaternion(0.5, [0.1, 0.2, 0.3])
-        out = qmul(a, Quaternion(1.0, np.zeros(3)))
+        out = a * Quaternion(1.0, np.zeros(3))
         assert out.w == a.w and np.array_equal(out.v, a.v)
 
     @given(quaternions, quaternions)
     @settings(max_examples=200)
     def test_norm_multiplicative(self, a, b):
-        prod = qmul(a, b)
+        prod = a * b
         assert prod.norm() == pytest.approx(a.norm() * b.norm(), rel=1e-12, abs=1e-12)
 
     @given(quaternions, quaternions, quaternions)
     @settings(max_examples=100)
     def test_associative(self, a, b, c):
-        lhs = qmul(qmul(a, b), c)
-        rhs = qmul(a, qmul(b, c))
+        lhs = (a * b) * c
+        rhs = a * (b * c)
         scale = max(a.norm() * b.norm() * c.norm(), 1.0)
         assert abs(lhs.w - rhs.w) <= 1e-12 * scale
         assert np.max(np.abs(lhs.v - rhs.v)) <= 1e-12 * scale
@@ -72,8 +71,8 @@ class TestProduct:
     @given(quaternions, quaternions)
     @settings(max_examples=100)
     def test_conjugation_reverses(self, a, b):
-        lhs = qmul(a, b).conj()
-        rhs = qmul(b.conj(), a.conj())
+        lhs = (a * b).conj()
+        rhs = b.conj() * a.conj()
         scale = max(a.norm() * b.norm(), 1.0)
         assert abs(lhs.w - rhs.w) <= 1e-13 * scale
         assert np.max(np.abs(lhs.v - rhs.v)) <= 1e-13 * scale
@@ -226,7 +225,7 @@ class TestVectorized:
         b = rng.randn(17, 4)
         out = vmul(a, b)
         for k in range(17):
-            ref = qmul(Quaternion.from_wxyz(a[k]), Quaternion.from_wxyz(b[k]))
+            ref = Quaternion.from_wxyz(a[k]) * Quaternion.from_wxyz(b[k])
             assert np.allclose(out[k], ref.as_wxyz(), atol=1e-13)
 
     def test_vsandwich_matches_scalar(self):
@@ -236,6 +235,22 @@ class TestVectorized:
         out = vsandwich(q, e)
         for k in range(11):
             assert np.allclose(out[k], sandwich(Quaternion.from_wxyz(q[k]), e), atol=1e-13)
+
+
+    def test_vsandwich_bitwise_with_np_cross(self):
+        rng = np.random.RandomState(6)
+        q = rng.randn(40, 4) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
+        e = unit(rng.randn(3))
+
+        def by_np_cross(q):
+            w, u = q[..., 0], q[..., 1:]
+            return ((w * w - np.sum(u * u, axis=-1))[..., None] * e
+                    + 2.0 * (u @ e)[..., None] * u
+                    + 2.0 * w[..., None] * np.cross(u, np.broadcast_to(e, u.shape)))
+
+        assert np.array_equal(vsandwich(q, e), by_np_cross(q))
+        for row in q:
+            assert np.array_equal(vsandwich(row, e), by_np_cross(row))
 
 
 def test_angle_between_accuracy():

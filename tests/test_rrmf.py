@@ -28,7 +28,6 @@ from rmfspline.rrmf import (
     ellipse_phase,
     frame_from_coefficients,
     han08_residual,
-    hm_at,
     hm_ellipse,
     inner_lengths,
     is_class_I,
@@ -94,7 +93,7 @@ class TestEllipse:
                 continue
             e = hm_ellipse(hb, he)
             scale = math.sqrt(np.linalg.norm(hb) * np.linalg.norm(he))
-            assert np.allclose(hm_at(e, 0.0), scale * bisector(hb, he), atol=1e-12)
+            assert np.allclose(e.point(0.0), scale * bisector(hb, he), atol=1e-12)
 
     def test_axes_orthogonal_and_in_bisecting_plane(self):
         rng = np.random.RandomState(22)
@@ -117,7 +116,7 @@ class TestEllipse:
         he = np.array([-0.5, 0.9, 0.8])
         e = hm_ellipse(hb, he)
         for phi in rng.uniform(0, 2 * math.pi, 25):
-            m = unit(hm_at(e, phi))
+            m = unit(e.point(phi))
             assert float(m @ unit(hb)) == pytest.approx(float(m @ unit(he)), abs=1e-12)
 
     def test_parallel_rejected(self):
@@ -132,7 +131,7 @@ class TestEllipse:
         expected = math.sqrt(math.cos(phi2) ** 2
                              + math.sin(0.5 * gamma) ** 2 * math.sin(phi2) ** 2)
         assert expected == pytest.approx(data.EX_LEN_H2, abs=data.QUOTED_TOL)
-        assert np.linalg.norm(hm_at(e, phi2)) == pytest.approx(expected, abs=1e-12)
+        assert np.linalg.norm(e.point(phi2)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestShiftAngle:
@@ -170,7 +169,7 @@ class TestShiftAngle:
             for theta1 in rng.uniform(0, 2 * math.pi, 4):
                 a1 = a1_hat * Quaternion.versor(s0, theta1)
                 h3 = star(a1, a2, s0)
-                predicted = hm_at(e3, theta1 - shift)
+                predicted = e3.point(theta1 - shift)
                 assert np.allclose(h3, predicted, atol=1e-10)
 
     def test_specific_value_check(self):
@@ -223,7 +222,7 @@ class TestInnerLengths:
             s4 = math.cos(gamma) * s0 + math.sin(gamma) * d
             phi2 = rng.uniform(0.1, 2 * math.pi - 0.1)
             e = hm_ellipse(s0, s4)
-            s2 = unit(hm_at(e, phi2))
+            s2 = unit(e.point(phi2))
             theta1 = rng.uniform(0, 2 * math.pi)
             len0, len4 = rng.uniform(0.5, 2.0, 2)
             p = construct_from_spherical(s0, s2, s4, len0, len4, theta1)
@@ -268,7 +267,7 @@ class TestConstruction:
             d = unit(np.cross(rng.randn(3), s0))
             gamma = rng.uniform(0.1 * math.pi, 0.9 * math.pi)
             s4 = math.cos(gamma) * s0 + math.sin(gamma) * d
-            s2 = unit(hm_at(hm_ellipse(s0, s4), rng.uniform(0, 2 * math.pi)))
+            s2 = unit(hm_ellipse(s0, s4).point(rng.uniform(0, 2 * math.pi)))
             len0, len4 = rng.uniform(0.3, 3.0, 2)
             p = construct_from_spherical(s0, s2, s4, len0, len4,
                                          rng.uniform(0, 2 * math.pi))
