@@ -23,15 +23,11 @@ def decasteljau(coeffs: np.ndarray, t) -> np.ndarray:
     scalar = t.ndim == 0
     ts = np.atleast_1d(t)
     n = coeffs.shape[0] - 1
-    if coeffs.ndim == 1:
-        b = np.broadcast_to(coeffs, (ts.size, n + 1)).copy()
-        tt = ts[:, None]
-    else:
-        b = np.broadcast_to(coeffs, (ts.size,) + coeffs.shape).copy()
-        tt = ts[:, None, None]
+    tt = ts.reshape((-1,) + (1,) * coeffs.ndim)
+    b = coeffs[None]  # the first step broadcasts it over the points; no copy
     for r in range(n):
         b = (1.0 - tt) * b[:, : n - r] + tt * b[:, 1 : n - r + 1]
-    out = b[:, 0]
+    out = b[:, 0] if n else np.repeat(coeffs, ts.size, axis=0)
     return out[0] if scalar else out
 
 

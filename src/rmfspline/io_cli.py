@@ -311,6 +311,14 @@ def read_spline_file(path: str) -> SplinePath:
 
 # --- validation ---------------------------------------------------------------
 
+# Per-segment sample parameters of ``validate_spline``, read-only because
+# every segment shares them.
+_FRAME_SAMPLES = np.linspace(0.0, 1.0, 101)
+_INTERIOR_SAMPLES = np.linspace(0.05, 0.95, 19)
+_FRAME_SAMPLES.flags.writeable = False
+_INTERIOR_SAMPLES.flags.writeable = False
+
+
 def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     """Run the full check suite; failures are entries, not exceptions."""
     tol = tolerances()
@@ -331,8 +339,7 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
         record("class_one_residual", k, is_class_I(pre).rel_residual, tol["class_one"])
         record("rotation_rate_identity", k, han08_residual(pre, sol.frame),
                tol["rotation_rate"])
-        ts = np.linspace(0.0, 1.0, 101)
-        f1, f2, f3 = sol.frame.frame(ts)
+        f1, f2, f3 = sol.frame.frame(_FRAME_SAMPLES)
         ortho = max(
             float(np.max(np.abs(np.sum(f1 * f2, axis=1)))),
             float(np.max(np.abs(np.sum(f2 * f3, axis=1)))),
@@ -344,9 +351,9 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
                                      n_samples=ode_samples)
         record("frame_vs_transport", k, oracle.compare_frames(sol.frame, trace),
                tol["frame_vs_ode"])
-        interior = np.linspace(0.05, 0.95, 19)
         record("tangential_angular_velocity", k,
-               float(np.max(oracle.tangential_angular_velocity(sol.frame, interior))),
+               float(np.max(oracle.tangential_angular_velocity(sol.frame,
+                                                               _INTERIOR_SAMPLES))),
                tol["tangential_velocity"])
 
     rep = spline.continuity_report(path_obj)

@@ -19,7 +19,7 @@ from . import _bernstein as bern
 from .errors import ValidationError
 from .hermite import scaled_displacement_components
 from .ph import PHQuintic
-from .quat import unit
+from .quat import cross3, unit
 from .rrmf import RationalFrame
 
 
@@ -32,6 +32,15 @@ class NumericFrameTrace:
     f2: np.ndarray
     f3: np.ndarray
     stats: dict
+
+
+def _horner(c: list, t: float) -> float:
+    """``numpy.polyval`` of one float coefficient list at one float ``t``,
+    with its products and sums in its order, so the bits are the same."""
+    v = c[-1] + t * 0
+    for ci in c[-2::-1]:
+        v = ci + v * t
+    return v
 
 
 def integrate_rmf(
@@ -48,13 +57,20 @@ def integrate_rmf(
     the curve stays clear of curvature zeros the angular form (the integral
     of torsion times speed against the Frenet pair) is evaluated as a
     cross-check and the tighter error estimate is reported in the stats.
+
+    Both right-hand sides evaluate the power-basis coefficients as Python
+    floats by Horner's rule in ``numpy.polyval``'s order and take cross
+    products through ``cross3``; only the 3-vector dot products stay numpy
+    ``@``.  The integrator therefore sees the values that ``polyval`` and
+    ``np.cross`` would give, bit for bit, without their per-call overhead.
     """
     initial_frame = np.asarray(initial_frame, dtype=float)
     f2_0 = initial_frame[1]
     hp = bern.to_power(q.h)          # hodograph, power basis, (5, 3)
     dhp = npoly.polyder(hp)          # (4, 3)
     sp = bern.to_power(q.sigma)      # speed, (5,)
-    dsp = npoly.polyder(sp)
+    hc, dhc = hp.T.tolist(), dhp.T.tolist()
+    sc, dsc = sp.tolist(), npoly.polyder(sp).tolist()
 
     t0_tan = unit(npoly.polyval(0.0, hp))
     if abs(float(f2_0 @ t0_tan)) > 1e-6:
@@ -62,13 +78,15 @@ def integrate_rmf(
     f2_0 = unit(f2_0 - float(f2_0 @ t0_tan) * t0_tan)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        h = npoly.polyval(t, hp)
-        dh = npoly.polyval(t, dhp)
-        s = npoly.polyval(t, sp)
-        ds = npoly.polyval(t, dsp)
-        that = h / s
-        dthat = (dh * s - h * ds) / (s * s)
-        return -(y @ dthat) * that
+        t = float(t)
+        h = [_horner(c, t) for c in hc]
+        dh = [_horner(c, t) for c in dhc]
+        s = _horner(sc, t)
+        ds = _horner(dsc, t)
+        ss = s * s
+        dthat = np.array([(dhj * s - hj * ds) / ss for hj, dhj in zip(h, dh)])
+        a = -(y @ dthat)
+        return np.array([a * (hj / s) for hj in h])
 
     sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=rtol, atol=atol,
                     dense_output=True)
@@ -93,7 +111,7 @@ def integrate_rmf(
         "max_tangent_leak": float(leak.max()),
     }
 
-    psi_dev = _angular_form_deviation(q, ts, f2, f2_0, hp, dhp, sp, rtol, atol)
+    psi_dev = _angular_form_deviation(ts, hvals, f2, f2_0, dhp, hc, dhc, sc, rtol, atol)
     if psi_dev is not None:
         stats["angular_form_deviation"] = psi_dev
         stats["estimated_error"] = min(psi_dev, max(stats["max_norm_drift"],
@@ -104,25 +122,28 @@ def integrate_rmf(
     return NumericFrameTrace(ts=ts, f1=f1, f2=f2, f3=f3, stats=stats)
 
 
-def _angular_form_deviation(q, ts, f2, f2_0, hp, dhp, sp, rtol, atol):
+def _angular_form_deviation(ts, hvals, f2, f2_0, dhp, hc, dhc, sc, rtol, atol):
     """Max angle between the transported normal and the torsion-integral form,
-    or None when the curvature gets too small for the Frenet pair."""
-    d2hp = npoly.polyder(dhp)
-    r1 = npoly.polyval(ts, hp).T
+    or None when the curvature gets too small for the Frenet pair.
+
+    ``hvals`` is the hodograph at ``ts``; ``hc``, ``dhc`` and ``sc`` are the
+    per-component power coefficients of the hodograph, its derivative and the
+    speed as float lists."""
     r2 = npoly.polyval(ts, dhp).T
-    r3 = npoly.polyval(ts, d2hp).T
-    cross12 = np.cross(r1, r2)
+    cross12 = np.cross(hvals, r2)
     cnorm = np.linalg.norm(cross12, axis=1)
-    scale = np.linalg.norm(r1, axis=1) * np.linalg.norm(r2, axis=1)
+    scale = np.linalg.norm(hvals, axis=1) * np.linalg.norm(r2, axis=1)
     if np.any(cnorm < 1e-6 * np.maximum(scale, 1e-300)):
         return None
+    d2hc = npoly.polyder(dhp).T.tolist()
 
     def tau_sigma(t: float) -> float:
-        h = npoly.polyval(t, hp)
-        dh = npoly.polyval(t, dhp)
-        d2h = npoly.polyval(t, d2hp)
-        c = np.cross(h, dh)
-        s = npoly.polyval(t, sp)
+        t = float(t)
+        h = [_horner(c, t) for c in hc]
+        dh = [_horner(c, t) for c in dhc]
+        d2h = np.array([_horner(c, t) for c in d2hc])
+        c = cross3(h, dh)
+        s = _horner(sc, t)
         return float((c @ d2h) / (c @ c) * s)
 
     sol = solve_ivp(lambda t, y: [-tau_sigma(t)], (0.0, 1.0), [0.0],
@@ -132,7 +153,7 @@ def _angular_form_deviation(q, ts, f2, f2_0, hp, dhp, sp, rtol, atol):
     psi = sol.sol(ts)[0]
 
     binormal = cross12 / cnorm[:, None]
-    tangent = r1 / np.linalg.norm(r1, axis=1)[:, None]
+    tangent = hvals / np.linalg.norm(hvals, axis=1)[:, None]
     normal = np.cross(binormal, tangent)
     psi0 = math.atan2(float(f2_0 @ binormal[0]), float(f2_0 @ normal[0]))
     ang = psi + psi0

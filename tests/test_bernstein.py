@@ -47,3 +47,31 @@ def test_conversions_on_columns_match_per_column():
         for convert in (bern.to_power, bern.from_power):
             per_column = np.column_stack([convert(c[:, j]) for j in range(c.shape[1])])
             assert np.array_equal(convert(c), per_column)
+
+
+def decasteljau_by_copy(coeffs: np.ndarray, t) -> np.ndarray:
+    """Reference: copy the coefficients once per point, then run the steps."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(t)
+    n = coeffs.shape[0] - 1
+    b = np.broadcast_to(coeffs, (ts.size,) + coeffs.shape).copy()
+    tt = ts.reshape((-1,) + (1,) * coeffs.ndim)
+    for r in range(n):
+        b = (1.0 - tt) * b[:, : n - r] + tt * b[:, 1 : n - r + 1]
+    out = b[:, 0]
+    return out[0] if t.ndim == 0 else out
+
+
+def test_decasteljau_matches_copy_then_loop():
+    rng = np.random.RandomState(54)
+    t_sets = [np.float64(0.0), np.float64(1.0), rng.uniform(), -0.25,
+              np.linspace(0.0, 1.0, 77), rng.uniform(size=5), np.empty(0)]
+    for degree in range(7):
+        for item in ((), (3,), (4,)):
+            c = rng.randn(degree + 1, *item) * 10.0 ** rng.uniform(-6, 6)
+            for t in t_sets:
+                got = bern.decasteljau(c, t)
+                ref = decasteljau_by_copy(c, t)
+                assert np.shape(got) == np.shape(ref)
+                assert np.array_equal(got, ref)

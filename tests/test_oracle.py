@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
+from scipy.integrate import solve_ivp
 
 import conftest as data
-from rmfspline import oracle
+from rmfspline import _bernstein as bern
+from rmfspline import io_cli, oracle, spline
 from rmfspline.hermite import scaled_displacement_components, solve
 from rmfspline.ph import PreImage, curve_from_preimage
 from rmfspline.quat import Quaternion, unit
@@ -27,7 +30,107 @@ def planar_preimage() -> PreImage:
     )
 
 
+def integrate_rmf_reference(q, initial_frame, n_samples, rtol, atol=1e-12):
+    """Reference: ``integrate_rmf`` with its right-hand sides written through
+    ``npoly.polyval`` and ``np.cross``, as before they went scalar."""
+    f2_0 = np.asarray(initial_frame, dtype=float)[1]
+    hp = bern.to_power(q.h)
+    dhp = npoly.polyder(hp)
+    sp = bern.to_power(q.sigma)
+    dsp = npoly.polyder(sp)
+    t0_tan = unit(npoly.polyval(0.0, hp))
+    f2_0 = unit(f2_0 - float(f2_0 @ t0_tan) * t0_tan)
+
+    def rhs(t, y):
+        h = npoly.polyval(t, hp)
+        dh = npoly.polyval(t, dhp)
+        s = npoly.polyval(t, sp)
+        ds = npoly.polyval(t, dsp)
+        that = h / s
+        dthat = (dh * s - h * ds) / (s * s)
+        return -(y @ dthat) * that
+
+    sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=rtol, atol=atol,
+                    dense_output=True)
+    ts = np.linspace(0.0, 1.0, n_samples + 1)
+    raw = sol.sol(ts).T
+    hvals = npoly.polyval(ts, hp).T
+    f1 = hvals / npoly.polyval(ts, sp)[:, None]
+    leak = np.abs(np.sum(raw * f1, axis=1))
+    drift = np.abs(np.linalg.norm(raw, axis=1) - 1.0)
+    f2 = raw - np.sum(raw * f1, axis=1)[:, None] * f1
+    f2 /= np.linalg.norm(f2, axis=1)[:, None]
+    stats = {"nfev": int(sol.nfev), "n_steps": int(sol.t.size),
+             "max_norm_drift": float(drift.max()), "max_tangent_leak": float(leak.max())}
+    bound = max(stats["max_norm_drift"], stats["max_tangent_leak"])
+
+    d2hp = npoly.polyder(dhp)
+    r2 = npoly.polyval(ts, dhp).T
+    cross12 = np.cross(hvals, r2)
+    cnorm = np.linalg.norm(cross12, axis=1)
+    scale = np.linalg.norm(hvals, axis=1) * np.linalg.norm(r2, axis=1)
+    psi_sol = None
+    if not np.any(cnorm < 1e-6 * np.maximum(scale, 1e-300)):
+        def tau_sigma(t):
+            h = npoly.polyval(t, hp)
+            dh = npoly.polyval(t, dhp)
+            c = np.cross(h, dh)
+            return float((c @ npoly.polyval(t, d2hp)) / (c @ c) * npoly.polyval(t, sp))
+
+        psi_sol = solve_ivp(lambda t, y: [-tau_sigma(t)], (0.0, 1.0), [0.0],
+                            method="RK45", rtol=rtol, atol=atol, dense_output=True)
+    if psi_sol is None or not psi_sol.success:
+        stats["estimated_error"] = bound
+    else:
+        binormal = cross12 / cnorm[:, None]
+        tangent = hvals / np.linalg.norm(hvals, axis=1)[:, None]
+        normal = np.cross(binormal, tangent)
+        psi0 = math.atan2(float(f2_0 @ binormal[0]), float(f2_0 @ normal[0]))
+        ang = psi_sol.sol(ts)[0] + psi0
+        f2_psi = np.cos(ang)[:, None] * normal + np.sin(ang)[:, None] * binormal
+        chord = np.linalg.norm(f2 - f2_psi, axis=1)
+        dev = float(np.max(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))))
+        stats["angular_form_deviation"] = dev
+        stats["estimated_error"] = min(dev, bound)
+    return oracle.NumericFrameTrace(ts=ts, f1=f1, f2=f2, f3=np.cross(f1, f2), stats=stats)
+
+
+def bitwise_oracle_segments():
+    """(segment, start frame) pairs: random local solves, the spans of an
+    analytic build, and straight and near-straight segments, whose Frenet
+    pair is undefined so that the angular form is skipped."""
+    rng = np.random.RandomState(60)
+    cases = []
+    for _ in range(3):
+        sol = solve(data.random_hermite_data(rng))
+        cases.append((sol.segment, sol.frame.frame_matrix(0.0)))
+    _, pts, tans = io_cli.sample_curve("helix", 4)
+    path = spline.build(spline.PointStream(pts, spline.default_initial_frame(tans[0])))
+    cases += [(sol.segment, sol.frame.frame_matrix(0.0)) for sol in path.segments]
+    one = Quaternion(1.0, np.zeros(3))
+    for bend in (0.0, 1e-9):
+        bent = Quaternion(1.0, [0.0, 0.0, bend])
+        q = curve_from_preimage(np.zeros(3), PreImage(one, bent, one, I))
+        t0 = unit(q.h[0])
+        n0 = unit(np.cross(K, t0))
+        cases.append((q, np.array([t0, n0, np.cross(t0, n0)])))
+    return cases
+
+
 class TestIntegrateRMF:
+    @pytest.mark.parametrize("n_samples", [200, 500])
+    @pytest.mark.parametrize("rtol", [1e-8, 1e-11])
+    def test_bit_identical_to_polyval_reference(self, n_samples, rtol):
+        branches = set()
+        for q, frame0 in bitwise_oracle_segments():
+            got = oracle.integrate_rmf(q, frame0, n_samples=n_samples, rtol=rtol)
+            ref = integrate_rmf_reference(q, frame0, n_samples, rtol)
+            for name in ("ts", "f1", "f2", "f3"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert got.stats == ref.stats
+            branches.add("angular_form_deviation" in got.stats)
+        assert branches == {True, False}
+
     def test_planar_curve_keeps_plane_normal(self):
         q = curve_from_preimage(np.zeros(3), planar_preimage())
         t0 = unit(q.h[0])
