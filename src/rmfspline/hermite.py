@@ -24,6 +24,7 @@ CRITICAL_GAMMA = 0.4 * math.pi
 GAMMA_WINDOW = 1e-9
 SYMMETRY_TOL = 1e-9
 FRAME_TOL = 1e-9
+TWO_THIRDS = 2.0 * math.pi / 3.0
 
 
 def _check_right_handed(u: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float) -> None:
@@ -235,11 +236,6 @@ class DisplacementAnalysis:
     def unit_displacement(self, phi2: float) -> np.ndarray:
         return unit(self.displacement(phi2))
 
-    def spherical_polygon(self, phi2: float) -> np.ndarray:
-        """The five spherical control points the assembled segment would have."""
-        u1, u2, _, q2 = self.units(phi2)
-        return self.polygon_from(u1, u2, q2)
-
 
 def analyze(d: HermiteData) -> DisplacementAnalysis:
     """Displacement geometry of a segment in its start-frame axes."""
@@ -260,7 +256,7 @@ def sufficient_condition(d: HermiteData) -> bool:
     at the two-thirds angle (guarantees a root of the bisection function)."""
     analysis = analyze(d)
     db = float(d.delta_u @ analysis.b)
-    return db > float(unit_displacement_b(analysis.gamma, 2.0 * math.pi / 3.0))
+    return db > float(unit_displacement_b(analysis.gamma, TWO_THIRDS))
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
@@ -319,7 +315,6 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
     dnorm = float(np.linalg.norm(d.delta_p))
     db = float(du @ b)
     dn = float(du @ n)
-    two_thirds = 2.0 * math.pi / 3.0
 
     diagnostics: dict = {"gamma": gamma, "branch": None, "iterations": 0, "candidates": []}
 
@@ -361,16 +356,16 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
             roots.append(_bisect(f, 0.0, math.pi, f0, tol, max_iter))
         elif abs(gamma - CRITICAL_GAMMA) <= GAMMA_WINDOW:
             diagnostics["branch"] = "critical"
-            f23 = f(two_thirds)
+            f23 = f(TWO_THIRDS)
             if f23 >= 0.0:
                 raise NoSolutionError(
                     "no sign change on the reduced interval at the critical turning angle",
                     diagnostics={"gamma": gamma, "du_dot_b": db, "f_two_thirds": f23},
                 )
-            roots.append(_bisect(f, 0.0, two_thirds, f0, tol, max_iter))
+            roots.append(_bisect(f, 0.0, TWO_THIRDS, f0, tol, max_iter))
         else:
             diagnostics["branch"] = "small-angle"
-            f23 = f(two_thirds)
+            f23 = f(TWO_THIRDS)
             if f23 >= 0.0:
                 raise NoSolutionError(
                     "chord direction is outside the attainable arc for this turning angle",
@@ -382,8 +377,8 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
                             gamma, np.linspace(0.0, math.pi, 2001)))),
                     },
                 )
-            roots.append(_bisect(f, 0.0, two_thirds, f0, tol, max_iter))
-            roots.append(_bisect(f, two_thirds, math.pi, f23, tol, max_iter))
+            roots.append(_bisect(f, 0.0, TWO_THIRDS, f0, tol, max_iter))
+            roots.append(_bisect(f, TWO_THIRDS, math.pi, f23, tol, max_iter))
 
         candidates = []
         for root, iters in roots:

@@ -3,8 +3,7 @@
 Subcommands: ``sample`` (analytic test curves), ``interpolate`` (stream to
 spline), ``eval`` (spline to CSV table), ``validate`` (machine-readable
 check report).  Exit codes: 0 success, 2 validation failure, 3
-infeasibility, 4 I/O or parse errors.  Tolerances may be overridden through
-environment variables with the ``RMFSPLINE_`` prefix.
+infeasibility, 4 I/O or parse errors.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,31 +28,19 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-ENV_PREFIX = "RMFSPLINE_"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise StreamFormatError(f"bad value for {ENV_PREFIX + name}: {raw!r}") from exc
-
 
 def tolerances() -> dict:
-    """Effective tolerances after environment overrides."""
+    """The pinned solver and validation tolerances."""
     return {
-        "solve_tol": _env_float("SOLVE_TOL", 1e-12),
-        "ph_identity": _env_float("VALIDATE_PH_TOL", 1e-10),
-        "class_one": _env_float("VALIDATE_CLASS1_TOL", 1e-10),
-        "rotation_rate": _env_float("VALIDATE_HAN08_TOL", 1e-8),
-        "frame_vs_ode": _env_float("VALIDATE_ODE_TOL", 1e-6),
-        "tangential_velocity": _env_float("VALIDATE_OMEGA_TOL", 1e-4),
-        "g1_continuity": _env_float("VALIDATE_G1_TOL", 1e-9),
-        "frame_continuity": _env_float("VALIDATE_FRAME_TOL", 1e-8),
-        "interpolation": _env_float("VALIDATE_INTERP_TOL", 1e-9),
+        "solve_tol": 1e-12,
+        "ph_identity": 1e-10,
+        "class_one": 1e-10,
+        "rotation_rate": 1e-8,
+        "frame_vs_ode": 1e-6,
+        "tangential_velocity": 1e-4,
+        "g1_continuity": 1e-9,
+        "frame_continuity": 1e-8,
+        "interpolation": 1e-9,
     }
 
 

@@ -1,9 +1,8 @@
 """Numerical ground truth, independent of the rational constructions.
 
 The frame oracle transports the normal vector along the curve by the
-minimal-rotation ODE and cross-checks the angular form driven by torsion
-times speed; sweep utilities validate the displacement-direction coverage
-claims by dense sampling.
+minimal-rotation ODE; sweep utilities validate the displacement-direction
+coverage claims by dense sampling.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from . import _bernstein as bern
 from .errors import ValidationError
 from .hermite import scaled_displacement_components
 from .ph import PHQuintic
-from .quat import cross3, unit
+from .quat import unit
 from .rrmf import RationalFrame
 
 
@@ -53,16 +52,14 @@ def integrate_rmf(
     """Minimal-rotation transport of the start normal along the segment.
 
     Integrates f2' = -(f2 . t')t with an adaptive 4/5-order pair and dense
-    output, then projects each sample back onto the exact normal plane.  When
-    the curve stays clear of curvature zeros the angular form (the integral
-    of torsion times speed against the Frenet pair) is evaluated as a
-    cross-check and the tighter error estimate is reported in the stats.
+    output, then projects each sample back onto the exact normal plane.  The
+    stats report the largest norm drift and tangent leak of the raw samples
+    before projection; ``estimated_error`` is the larger of the two.
 
-    Both right-hand sides evaluate the power-basis coefficients as Python
-    floats by Horner's rule in ``numpy.polyval``'s order and take cross
-    products through ``cross3``; only the 3-vector dot products stay numpy
-    ``@``.  The integrator therefore sees the values that ``polyval`` and
-    ``np.cross`` would give, bit for bit, without their per-call overhead.
+    The right-hand side evaluates the power-basis coefficients as Python
+    floats by Horner's rule in ``numpy.polyval``'s order; only the 3-vector
+    dot product stays numpy ``@``.  The integrator therefore sees the values
+    that ``polyval`` would give, bit for bit, without its per-call overhead.
     """
     initial_frame = np.asarray(initial_frame, dtype=float)
     f2_0 = initial_frame[1]
@@ -110,56 +107,8 @@ def integrate_rmf(
         "max_norm_drift": float(drift.max()),
         "max_tangent_leak": float(leak.max()),
     }
-
-    psi_dev = _angular_form_deviation(ts, hvals, f2, f2_0, dhp, hc, dhc, sc, rtol, atol)
-    if psi_dev is not None:
-        stats["angular_form_deviation"] = psi_dev
-        stats["estimated_error"] = min(psi_dev, max(stats["max_norm_drift"],
-                                                    stats["max_tangent_leak"]))
-    else:
-        stats["estimated_error"] = max(stats["max_norm_drift"], stats["max_tangent_leak"])
-
+    stats["estimated_error"] = max(stats["max_norm_drift"], stats["max_tangent_leak"])
     return NumericFrameTrace(ts=ts, f1=f1, f2=f2, f3=f3, stats=stats)
-
-
-def _angular_form_deviation(ts, hvals, f2, f2_0, dhp, hc, dhc, sc, rtol, atol):
-    """Max angle between the transported normal and the torsion-integral form,
-    or None when the curvature gets too small for the Frenet pair.
-
-    ``hvals`` is the hodograph at ``ts``; ``hc``, ``dhc`` and ``sc`` are the
-    per-component power coefficients of the hodograph, its derivative and the
-    speed as float lists."""
-    r2 = npoly.polyval(ts, dhp).T
-    cross12 = np.cross(hvals, r2)
-    cnorm = np.linalg.norm(cross12, axis=1)
-    scale = np.linalg.norm(hvals, axis=1) * np.linalg.norm(r2, axis=1)
-    if np.any(cnorm < 1e-6 * np.maximum(scale, 1e-300)):
-        return None
-    d2hc = npoly.polyder(dhp).T.tolist()
-
-    def tau_sigma(t: float) -> float:
-        t = float(t)
-        h = [_horner(c, t) for c in hc]
-        dh = [_horner(c, t) for c in dhc]
-        d2h = np.array([_horner(c, t) for c in d2hc])
-        c = cross3(h, dh)
-        s = _horner(sc, t)
-        return float((c @ d2h) / (c @ c) * s)
-
-    sol = solve_ivp(lambda t, y: [-tau_sigma(t)], (0.0, 1.0), [0.0],
-                    method="RK45", rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        return None
-    psi = sol.sol(ts)[0]
-
-    binormal = cross12 / cnorm[:, None]
-    tangent = hvals / np.linalg.norm(hvals, axis=1)[:, None]
-    normal = np.cross(binormal, tangent)
-    psi0 = math.atan2(float(f2_0 @ binormal[0]), float(f2_0 @ normal[0]))
-    ang = psi + psi0
-    f2_psi = np.cos(ang)[:, None] * normal + np.sin(ang)[:, None] * binormal
-    chord = np.linalg.norm(f2 - f2_psi, axis=1)
-    return float(np.max(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))))
 
 
 def compare_frames(rational: RationalFrame, trace: NumericFrameTrace) -> float:
@@ -181,16 +130,6 @@ class SweepReport:
     winding: int
     min_b_component: float
     vanishing_flagged: bool
-
-    @property
-    def s_b(self) -> np.ndarray:
-        mag = np.hypot(self.i_b, self.i_n)
-        return np.where(self.valid, self.i_b / np.where(self.valid, mag, 1.0), np.nan)
-
-    @property
-    def s_n(self) -> np.ndarray:
-        mag = np.hypot(self.i_b, self.i_n)
-        return np.where(self.valid, self.i_n / np.where(self.valid, mag, 1.0), np.nan)
 
 
 def sweep_S(gamma: float, grid_size: int = 10000) -> SweepReport:

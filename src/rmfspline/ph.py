@@ -55,9 +55,6 @@ class PreImage:
         """Quaternion values as wxyz rows for an array of parameters."""
         return bern.decasteljau(self.coeffs_wxyz, t)
 
-    def derivative(self, t: float) -> Quaternion:
-        return 2.0 * ((1.0 - t) * (self.a1 - self.a0) + t * (self.a2 - self.a1))
-
 
 def hodograph_from_preimage(p: PreImage) -> np.ndarray:
     """Degree-4 hodograph control points, shape (5, 3)."""
@@ -177,8 +174,6 @@ class TangentIndicatrix:
         num = bern.decasteljau(self.numerator, t)
         den = bern.decasteljau(self.weights, t)
         return num / den[..., None]
-
-    __call__ = evaluate
 
 
 def tangent_indicatrix(p: PreImage) -> TangentIndicatrix:

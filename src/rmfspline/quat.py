@@ -5,10 +5,7 @@ Quaternions are small value objects (scalar part ``w`` plus 3-vector part
 operations are side-effect free.  Cross products of single 3-vectors go
 through ``cross3``, which skips the axis handling that dominates
 ``np.cross`` at this size; ``vsandwich`` writes its cross product out by
-components in the same way, and only ``vmul`` keeps ``np.cross``.
-Tolerances follow a fixed hierarchy:
-1e-14 for algebraic identities, 1e-12 for unit-norm checks, 1e-10 for
-nonlinear round trips.
+components in the same way.
 """
 
 from __future__ import annotations
@@ -18,10 +15,6 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-
-ALG_TOL = 1e-14
-UNIT_TOL = 1e-12
-ROUNDTRIP_TOL = 1e-10
 
 
 def cross3(a, b) -> np.ndarray:
@@ -120,12 +113,6 @@ class Quaternion:
     def norm_sq(self) -> float:
         return self.w * self.w + float(self.v @ self.v)
 
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n <= 1e-14:
-            raise DegenerateInputError("cannot normalize a zero quaternion")
-        return Quaternion(self.w / n, self.v / n)
-
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return Quaternion(
@@ -148,9 +135,6 @@ class Quaternion:
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w:.6g}, [{self.v[0]:.6g}, {self.v[1]:.6g}, {self.v[2]:.6g}])"
-
-
-ONE = Quaternion(1.0, np.zeros(3))
 
 
 def sandwich(q: Quaternion, v: np.ndarray) -> np.ndarray:
@@ -222,21 +206,6 @@ def quat_sqrt(v: np.ndarray, i: np.ndarray, alpha: float = 0.0) -> Quaternion:
 
 
 # Vectorized helpers operating on arrays of wxyz rows, for dense sampling.
-
-def vmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion product for arrays shaped (..., 4)."""
-    aw, av = a[..., 0], a[..., 1:]
-    bw, bv = b[..., 0], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1)
-    v = aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv)
-    return np.concatenate([w[..., None], v], axis=-1)
-
-
-def vconj(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] *= -1.0
-    return out
-
 
 def vnorm_sq(a: np.ndarray) -> np.ndarray:
     return np.sum(a * a, axis=-1)

@@ -21,7 +21,13 @@ from .errors import (
     ValidationError,
 )
 from .errors import SplineBuildError
-from .hermite import CRITICAL_GAMMA, HermiteData, HermiteSolution, scaled_displacement_components
+from .hermite import (
+    CRITICAL_GAMMA,
+    TWO_THIRDS,
+    HermiteData,
+    HermiteSolution,
+    scaled_displacement_components,
+)
 from .quat import angle_between, bisector, cross3, unit
 
 MAX_TURN = 0.8 * math.pi
@@ -158,7 +164,7 @@ def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
     if gamma > CRITICAL_GAMMA:
         return True
     b = bisector(u_i, u)
-    ib, in_ = scaled_displacement_components(gamma, 2.0 * math.pi / 3.0)
+    ib, in_ = scaled_displacement_components(gamma, TWO_THIRDS)
     s_b = float(ib / math.hypot(float(ib), float(in_)))
     return float(b @ du) - s_b > 0.0
 

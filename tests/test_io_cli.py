@@ -16,7 +16,6 @@ from rmfspline.io_cli import (
     read_spline_file,
     read_stream_file,
     sample_curve,
-    tolerances,
     validate_spline,
     write_spline_file,
     write_stream_file,
@@ -246,14 +245,3 @@ class TestValidateCommand:
         report = validate_spline(path, ode_samples=120)
         per_segment = [c for c in report["checks"] if c["name"] == "ph_identity"]
         assert len(per_segment) == path.n_segments
-
-
-class TestEnvironmentOverrides:
-    def test_tolerance_override(self, monkeypatch):
-        monkeypatch.setenv("RMFSPLINE_VALIDATE_ODE_TOL", "1e-3")
-        assert tolerances()["frame_vs_ode"] == 1e-3
-
-    def test_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("RMFSPLINE_VALIDATE_ODE_TOL", "soon")
-        with pytest.raises(StreamFormatError):
-            tolerances()

@@ -31,8 +31,8 @@ def planar_preimage() -> PreImage:
 
 
 def integrate_rmf_reference(q, initial_frame, n_samples, rtol, atol=1e-12):
-    """Reference: ``integrate_rmf`` with its right-hand sides written through
-    ``npoly.polyval`` and ``np.cross``, as before they went scalar."""
+    """Reference: ``integrate_rmf`` with its right-hand side written through
+    ``npoly.polyval``, as before it went scalar."""
     f2_0 = np.asarray(initial_frame, dtype=float)[1]
     hp = bern.to_power(q.h)
     dhp = npoly.polyder(hp)
@@ -62,43 +62,14 @@ def integrate_rmf_reference(q, initial_frame, n_samples, rtol, atol=1e-12):
     f2 /= np.linalg.norm(f2, axis=1)[:, None]
     stats = {"nfev": int(sol.nfev), "n_steps": int(sol.t.size),
              "max_norm_drift": float(drift.max()), "max_tangent_leak": float(leak.max())}
-    bound = max(stats["max_norm_drift"], stats["max_tangent_leak"])
-
-    d2hp = npoly.polyder(dhp)
-    r2 = npoly.polyval(ts, dhp).T
-    cross12 = np.cross(hvals, r2)
-    cnorm = np.linalg.norm(cross12, axis=1)
-    scale = np.linalg.norm(hvals, axis=1) * np.linalg.norm(r2, axis=1)
-    psi_sol = None
-    if not np.any(cnorm < 1e-6 * np.maximum(scale, 1e-300)):
-        def tau_sigma(t):
-            h = npoly.polyval(t, hp)
-            dh = npoly.polyval(t, dhp)
-            c = np.cross(h, dh)
-            return float((c @ npoly.polyval(t, d2hp)) / (c @ c) * npoly.polyval(t, sp))
-
-        psi_sol = solve_ivp(lambda t, y: [-tau_sigma(t)], (0.0, 1.0), [0.0],
-                            method="RK45", rtol=rtol, atol=atol, dense_output=True)
-    if psi_sol is None or not psi_sol.success:
-        stats["estimated_error"] = bound
-    else:
-        binormal = cross12 / cnorm[:, None]
-        tangent = hvals / np.linalg.norm(hvals, axis=1)[:, None]
-        normal = np.cross(binormal, tangent)
-        psi0 = math.atan2(float(f2_0 @ binormal[0]), float(f2_0 @ normal[0]))
-        ang = psi_sol.sol(ts)[0] + psi0
-        f2_psi = np.cos(ang)[:, None] * normal + np.sin(ang)[:, None] * binormal
-        chord = np.linalg.norm(f2 - f2_psi, axis=1)
-        dev = float(np.max(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))))
-        stats["angular_form_deviation"] = dev
-        stats["estimated_error"] = min(dev, bound)
+    stats["estimated_error"] = max(stats["max_norm_drift"], stats["max_tangent_leak"])
     return oracle.NumericFrameTrace(ts=ts, f1=f1, f2=f2, f3=np.cross(f1, f2), stats=stats)
 
 
 def bitwise_oracle_segments():
     """(segment, start frame) pairs: random local solves, the spans of an
     analytic build, and straight and near-straight segments, whose Frenet
-    pair is undefined so that the angular form is skipped."""
+    pair is undefined."""
     rng = np.random.RandomState(60)
     cases = []
     for _ in range(3):
@@ -121,15 +92,28 @@ class TestIntegrateRMF:
     @pytest.mark.parametrize("n_samples", [200, 500])
     @pytest.mark.parametrize("rtol", [1e-8, 1e-11])
     def test_bit_identical_to_polyval_reference(self, n_samples, rtol):
-        branches = set()
         for q, frame0 in bitwise_oracle_segments():
             got = oracle.integrate_rmf(q, frame0, n_samples=n_samples, rtol=rtol)
             ref = integrate_rmf_reference(q, frame0, n_samples, rtol)
             for name in ("ts", "f1", "f2", "f3"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             assert got.stats == ref.stats
-            branches.add("angular_form_deviation" in got.stats)
-        assert branches == {True, False}
+
+    def test_one_solve_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+        sol = solve(data.random_hermite_data(np.random.RandomState(45)))
+        trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
+                                     n_samples=100)
+        assert len(calls) == 1
+        stats = trace.stats
+        assert stats["estimated_error"] == max(stats["max_norm_drift"],
+                                               stats["max_tangent_leak"])
 
     def test_planar_curve_keeps_plane_normal(self):
         q = curve_from_preimage(np.zeros(3), planar_preimage())

@@ -21,7 +21,7 @@ from rmfspline.ph import (
     spherical_control_points,
     tangent_indicatrix,
 )
-from rmfspline.quat import Quaternion, sandwich
+from rmfspline.quat import Quaternion, sandwich, vnorm_sq
 
 I = np.array([1.0, 0.0, 0.0])
 
@@ -279,7 +279,7 @@ class TestDegeneracy:
                 r = (1.0 - t0) / t0
                 a2 = (-r * r) * a0 + (-2.0 * r) * a1
                 p = PreImage(a0, a1, a2, data.random_unit(rng))
-            sampled_min = float(np.min([p.evaluate(t).norm_sq() for t in ts]))
+            sampled_min = float(np.min(vnorm_sq(p.evaluate_many(ts))))
             flag, _ = is_degenerate(p)
             scale = max(p.a0.norm_sq(), p.a1.norm_sq(), p.a2.norm_sq())
             if flag:

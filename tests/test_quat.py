@@ -20,7 +20,6 @@ from rmfspline.quat import (
     sandwich,
     star,
     unit,
-    vmul,
     vsandwich,
 )
 
@@ -219,15 +218,6 @@ class TestQuatSqrt:
 
 
 class TestVectorized:
-    def test_vmul_matches_scalar(self):
-        rng = np.random.RandomState(4)
-        a = rng.randn(17, 4)
-        b = rng.randn(17, 4)
-        out = vmul(a, b)
-        for k in range(17):
-            ref = Quaternion.from_wxyz(a[k]) * Quaternion.from_wxyz(b[k])
-            assert np.allclose(out[k], ref.as_wxyz(), atol=1e-13)
-
     def test_vsandwich_matches_scalar(self):
         rng = np.random.RandomState(5)
         q = rng.randn(11, 4)
