@@ -73,24 +73,27 @@ class HermiteData:
         return unit(self.delta_p)
 
 
-def scaled_displacement_components(gamma: float, phi2):
+def scaled_displacement_components(gamma, phi2):
     """Closed-form components of the scaled displacement along (bisector, normal).
 
-    Vectorized over phi2.  Derived by reducing the three displacement terms
-    to the bisector/normal plane: the constant chord term, the middle
-    ellipse term, and the rotated-bisector term with its explicit modulus.
+    Vectorized over phi2 and over a gamma given as an ndarray, which
+    broadcast against each other: the bisection's diagnostics pass one
+    gamma and many phi2, the end-tangent scan many gamma at the two-thirds
+    angle.  Derived by reducing the three displacement terms to the
+    bisector/normal plane: the constant chord term, the middle ellipse
+    term, and the rotated-bisector term with its explicit modulus.
 
-    A scalar phi2 (the bisection's case) takes a ``math`` branch that repeats
-    the array branch's operations as numpy does them on 0-d input, so it is
-    bit-identical to that.  The one difference from the array branch is the
-    square: ``** 2`` is libm ``pow`` on scalars but a multiplication on
-    arrays, and the two rarely round apart by an ulp.  Where a denominator
-    vanishes (only when cos(gamma/2) rounds to 1) the scalar branch returns
-    nan without a warning.
+    A scalar gamma and phi2 (the bisection's case) take a ``math`` branch
+    that repeats the array branch's operations as numpy does them on 0-d
+    input, so it is bit-identical to that.  The one difference from the
+    array branch is the square: ``** 2`` is libm ``pow`` on scalars but a
+    multiplication on arrays, and the two rarely round apart by an ulp.
+    Where a denominator vanishes (only when cos(gamma/2) rounds to 1) the
+    scalar branch returns nan without a warning.
     """
-    cg2 = math.cos(0.5 * gamma)
-    sg2 = math.sin(0.5 * gamma)
-    if np.ndim(phi2) == 0:
+    if np.ndim(phi2) == 0 and not isinstance(gamma, np.ndarray):
+        cg2 = math.cos(0.5 * gamma)
+        sg2 = math.sin(0.5 * gamma)
         cp = math.cos(phi2)
         sp = math.sin(phi2)
         q2b, q2n = cp, sp * sg2
@@ -110,6 +113,9 @@ def scaled_displacement_components(gamma: float, phi2):
             smb, smn = smb / smnorm, smn / smnorm
         q3mag = math.sqrt(q2norm) * math.sqrt(2.0 * half_sum_sq)
         return 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
+    half_gamma = 0.5 * np.asarray(gamma, dtype=float)
+    cg2 = np.cos(half_gamma)
+    sg2 = np.sin(half_gamma)
     phi2 = np.asarray(phi2, dtype=float)
     cp = np.cos(phi2)
     sp = np.sin(phi2)
@@ -131,7 +137,7 @@ def scaled_displacement_components(gamma: float, phi2):
     return ib, in_
 
 
-def unit_displacement_b(gamma: float, phi2):
+def unit_displacement_b(gamma, phi2):
     """Bisector component of the unit scaled displacement."""
     ib, in_ = scaled_displacement_components(gamma, phi2)
     norm = np.hypot(ib, in_)

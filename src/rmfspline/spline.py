@@ -2,7 +2,10 @@
 
 Segments are built one after another; each start frame is the previous end
 frame, and each end tangent is generated on the admissible circle around
-the chord by constrained optimization against a reference tangent.
+the chord by constrained optimization against a reference tangent.  When
+the closed-form optimum is not admissible, the circle is scanned at a fixed
+set of angles in one array pass of the admissibility predicate, and each
+feasible arc's ends are then refined one scalar predicate call at a time.
 """
 
 from __future__ import annotations
@@ -27,11 +30,29 @@ from .hermite import (
     HermiteData,
     HermiteSolution,
     scaled_displacement_components,
+    unit_displacement_b,
 )
 from .quat import angle_between, bisector, cross3, unit
 
 MAX_TURN = 0.8 * math.pi
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
+
+# Angles of the end-tangent scan and their cosines and sines, read-only
+# because every scan shares them.  ``math`` computes the trigonometry, as
+# ``generate_end_tangent``'s scalar ``point`` does, so each scan point is
+# that point bit for bit.
+_SCAN_SIZE = 720
+_SCAN_STEP = 2.0 * math.pi / _SCAN_SIZE
+_SCAN_PSI = np.linspace(0.0, 2.0 * math.pi, _SCAN_SIZE, endpoint=False)
+_SCAN_COS = np.array([math.cos(p) for p in _SCAN_PSI.tolist()])
+_SCAN_SIN = np.array([math.sin(p) for p in _SCAN_PSI.tolist()])
+_SCAN_PSI.flags.writeable = False
+_SCAN_COS.flags.writeable = False
+_SCAN_SIN.flags.writeable = False
+# Half-width of the band around each threshold of the admissibility
+# predicate inside which ``_admissible_many`` defers to ``_admissible``:
+# far wider than the ulps by which its array arithmetic can differ.
+_TIE_BAND = 1e-12
 
 
 def _orthonormalized(frame: np.ndarray) -> np.ndarray:
@@ -154,7 +175,11 @@ def default_initial_frame(u0: np.ndarray) -> np.ndarray:
 
 
 def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
-    """Membership in the feasible end-tangent set for the local problem."""
+    """Membership in the feasible end-tangent set for the local problem.
+
+    ``_admissible_many`` is the array form of this predicate; a change to
+    one is a change to both.
+    """
     cross = np.linalg.norm(cross3(u_i, u))
     if cross <= 1e-9:
         return False
@@ -169,11 +194,59 @@ def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
     return float(b @ du) - s_b > 0.0
 
 
+def _admissible_many(u_i: np.ndarray, us: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """``_admissible`` of every row of ``us`` (N, 3), in one array pass.
+
+    The same guards in the same order: a cross-product norm of at most 1e-9
+    or a turning angle of at least pi - 1e-9 is inadmissible, an angle above
+    ``CRITICAL_GAMMA`` is admissible, and the rest must clear the two-thirds
+    displacement value, taken from the array branch of
+    ``scaled_displacement_components``.  Only the rows that reach a step are
+    computed there, so a row near -u_i never reaches the bisector.
+
+    Array sums, arcsines and squares may round an ulp or two apart from the
+    scalar ones, and scan points can sit on a threshold: at tau = pi/2 the
+    scan angles 0.4 pi and 1.6 pi turn by exactly ``CRITICAL_GAMMA``.  A row
+    whose value lies within ``_TIE_BAND`` of the threshold it is tested
+    against is therefore decided by ``_admissible`` itself, so the flags
+    equal the scalar predicate's.
+    """
+    u_i = np.asarray(u_i, dtype=float)
+    us = np.asarray(us, dtype=float)
+    a0, a1, a2 = u_i.tolist()
+    b0, b1, b2 = us[:, 0], us[:, 1], us[:, 2]
+    cross = np.sqrt((a1 * b2 - a2 * b1) ** 2 + (a2 * b0 - a0 * b2) ** 2
+                    + (a0 * b1 - a1 * b0) ** 2)
+    # angle_between, row by row
+    chord = np.linalg.norm(u_i - us, axis=1)
+    near = chord <= 1.0
+    gamma = np.empty_like(chord)
+    gamma[near] = 2.0 * np.arcsin(0.5 * chord[near])
+    anti = np.linalg.norm(u_i + us[~near], axis=1)
+    gamma[~near] = math.pi - 2.0 * np.arcsin(0.5 * np.minimum(anti, 2.0))
+
+    ok = (cross > 1e-9) & (gamma < math.pi - 1e-9)
+    flags = ok & (gamma > CRITICAL_GAMMA)
+    tie = ((np.abs(cross - 1e-9) <= _TIE_BAND)
+           | (np.abs(gamma - (math.pi - 1e-9)) <= _TIE_BAND)
+           | (np.abs(gamma - CRITICAL_GAMMA) <= _TIE_BAND))
+    # bisector(u_i, u) and the displacement test of the remaining rows
+    low = np.flatnonzero(ok & ~flags)
+    rows = us[low] / np.linalg.norm(us[low], axis=1)[:, None]
+    s = unit(u_i) + rows
+    b = s / np.linalg.norm(s, axis=1)[:, None]
+    margin = b @ du - unit_displacement_b(gamma[low], TWO_THIRDS)
+    flags[low] = margin > 0.0
+    tie[low] |= np.abs(margin) <= _TIE_BAND
+    for k in np.flatnonzero(tie).tolist():
+        flags[k] = _admissible(u_i, us[k], du)
+    return flags
+
+
 def generate_end_tangent(
     u_i: np.ndarray,
     delta_p: np.ndarray,
     u_ref: np.ndarray,
-    grid: int = 720,
 ) -> np.ndarray:
     """Admissible end tangent closest to the reference direction.
 
@@ -181,8 +254,11 @@ def generate_end_tangent(
     the chord direction (which enforces the symmetry condition exactly).
     The unconstrained maximizer of the alignment with the reference is
     closed-form; when it violates the admissibility predicate, the feasible
-    arcs are located by bisection on the predicate and the objective is
-    maximized over arc endpoints.
+    arcs are located by one ``_admissible_many`` pass over 720 equally
+    spaced angles, each arc end is refined by a scalar bisection on the
+    predicate down to adjacent floats, and the objective is maximized over
+    arc endpoints.  Only the scalar predicate decides the returned tangent;
+    the scan decides which grid cells are refined.
     """
     u_i = unit(u_i)
     du = unit(np.asarray(delta_p, dtype=float))
@@ -216,9 +292,12 @@ def generate_end_tangent(
         if feasible(psi_star):
             return unit(point(psi_star))
 
-    # Locate feasible arcs on the circle by scanning plus boolean bisection.
-    psis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    flags = np.array([feasible(p) for p in psis])
+    # Locate feasible arcs on the circle by one scan plus boolean bisection.
+    # The scan starts at psi = 0, which is u_i itself and fails the
+    # cross-product guard, so it starts in an infeasible region and every
+    # arc is bracketed by a rising and a falling cell.
+    circle = cos_tau * du + sin_tau * (_SCAN_COS[:, None] * e1 + _SCAN_SIN[:, None] * e2)
+    flags = _admissible_many(u_i, circle, du)
     if not np.any(flags):
         raise NoSolutionError(
             "no admissible end tangent on the chord circle",
@@ -228,27 +307,22 @@ def generate_end_tangent(
     def refine(lo: float, hi: float, lo_state: bool) -> float:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                # Adjacent floats: further steps keep the bracket or
+                # collapse it onto mid, and would end at mid.
+                return mid
             if feasible(mid) == lo_state:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    arcs: list[tuple[float, float]] = []
-    if np.all(flags):
-        arcs.append((0.0, 2.0 * math.pi))
-    else:
-        # Rotate so the scan starts in an infeasible region.
-        start = int(np.argmin(flags))
-        order = np.roll(np.arange(grid), -start)
-        starts, ends = [], []
-        for a, bidx in zip(order, np.roll(order, -1)):
-            if not flags[a] and flags[bidx]:
-                starts.append(refine(psis[a], psis[a] + 2.0 * math.pi / grid, False))
-            if flags[a] and not flags[bidx]:
-                ends.append(refine(psis[a], psis[a] + 2.0 * math.pi / grid, True))
-        for s, e in zip(starts, ends):
-            arcs.append((s, e if e > s else e + 2.0 * math.pi))
+    following = np.roll(flags, -1)
+    starts = [refine(_SCAN_PSI[a], _SCAN_PSI[a] + _SCAN_STEP, False)
+              for a in np.flatnonzero(~flags & following)]
+    ends = [refine(_SCAN_PSI[a], _SCAN_PSI[a] + _SCAN_STEP, True)
+            for a in np.flatnonzero(flags & ~following)]
+    arcs = [(s, e if e > s else e + 2.0 * math.pi) for s, e in zip(starts, ends)]
 
     candidates: list[float] = []
     for s, e in arcs:

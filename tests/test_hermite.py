@@ -199,6 +199,9 @@ class TestScalarBranch:
         # The scalar branch squares with pow, as numpy scalars do, and the
         # array branch by multiplication; only where those two round the
         # square differently may the results part, and then by an ulp or two.
+        # Both array inputs are checked: many phi2 at one gamma (the
+        # bisection's diagnostics) and many gamma at the two-thirds angle
+        # (the end-tangent scan).
         rng = np.random.default_rng(13)
         gammas = np.concatenate([
             rng.uniform(1e-3, math.pi - 1e-3, 40),
@@ -225,6 +228,25 @@ class TestScalarBranch:
                     assert scalar.tobytes() == array.tobytes()
                 else:
                     assert np.allclose(scalar, array, rtol=1e-15, atol=1e-15)
+        scan_gammas = np.concatenate([
+            gammas, rng.uniform(1e-8, CRITICAL_GAMMA, 2000),
+            CRITICAL_GAMMA + np.array([-1e-7, -1e-12, 0.0, 1e-12, 1e-7]),
+        ])
+        ib, inn = scaled_displacement_components(scan_gammas, TWO_THIRDS)
+        ub = unit_displacement_b(scan_gammas, TWO_THIRDS)
+        assert ib.shape == inn.shape == ub.shape == scan_gammas.shape
+        rounded_apart = 0
+        for k, gamma in enumerate(scan_gammas.tolist()):
+            scalar = np.array([*scaled_displacement_components(gamma, TWO_THIRDS),
+                               unit_displacement_b(gamma, TWO_THIRDS)])
+            array = np.array([ib[k], inn[k], ub[k]])
+            x = math.sin(TWO_THIRDS) * math.cos(0.5 * gamma)
+            if x ** 2 == x * x:
+                assert scalar.tobytes() == array.tobytes()
+            else:
+                rounded_apart += 1
+                assert np.allclose(scalar, array, rtol=1e-15, atol=1e-15)
+        assert 0 < rounded_apart < scan_gammas.size
 
     def test_scalar_branch_is_nan_where_denominators_vanish(self):
         # cos(gamma/2) rounds to 1, so the middle modulus vanishes at pi/2

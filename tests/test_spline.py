@@ -1,23 +1,28 @@
 """Spline chaining: knots, reference tangents, end-tangent generation, build."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import conftest as data
+from rmfspline import spline
 from rmfspline.errors import (
     DegenerateInputError,
     InfeasibleTurnError,
+    NoSolutionError,
     SplineBuildError,
     ValidationError,
 )
+from rmfspline.hermite import CRITICAL_GAMMA
 from rmfspline.io_cli import sample_curve
-from rmfspline.quat import angle_between, unit
+from rmfspline.quat import angle_between, cross3, unit
 from rmfspline.rrmf import is_class_I
 from rmfspline.spline import (
     PointStream,
     _admissible,
+    _admissible_many,
     build,
     chord_knots,
     continuity_report,
@@ -168,7 +173,7 @@ class TestGenerateEndTangent:
             psis = np.linspace(0, 2 * math.pi, 20000, endpoint=False)
             circle = (cos_tau * du + sin_tau * (np.cos(psis)[:, None] * e1
                                                 + np.sin(psis)[:, None] * e2))
-            feas = np.array([_admissible(u, c, du) for c in circle])
+            feas = _admissible_many(u, circle, du)
             assert feas.any()
             best = float(np.max(circle[feas] @ u_ref))
             assert float(got @ u_ref) >= best - 1e-5
@@ -214,6 +219,207 @@ class TestGenerateEndTangent:
             got = generate_end_tangent(u, du, data.random_unit(rng))
             gamma_max = 2 * tau if tau <= math.pi / 2 else 2 * (math.pi - tau)
             assert angle_between(u, got) <= gamma_max + 1e-10
+
+
+def _reference_end_tangent(u_i, delta_p, u_ref, grid=720):
+    """``generate_end_tangent`` as it was before the array scan: one scalar
+    predicate call per scan angle and 80-step boundary bisections.  Kept
+    as the bitwise reference of the current search."""
+    u_i = unit(u_i)
+    du = unit(np.asarray(delta_p, dtype=float))
+    u_ref = unit(u_ref)
+    cos_tau = max(-1.0, min(1.0, float(u_i @ du)))
+    tau = math.acos(cos_tau)
+    if tau >= spline.MAX_TURN:
+        raise InfeasibleTurnError("turning angle exceeds the 4/5 pi bound", tau=tau)
+    if tau <= 1e-9:
+        raise DegenerateInputError("chord is aligned with the start tangent")
+    sin_tau = math.sin(tau)
+    e1 = (u_i - cos_tau * du) / sin_tau
+    e2 = cross3(du, e1)
+
+    def point(psi):
+        return cos_tau * du + sin_tau * (math.cos(psi) * e1 + math.sin(psi) * e2)
+
+    def feasible(psi):
+        return spline._admissible(u_i, point(psi), du)
+
+    g1 = float(u_ref @ e1)
+    g2 = float(u_ref @ e2)
+    degenerate_objective = math.hypot(g1, g2) <= 1e-13
+    if not degenerate_objective:
+        psi_star = math.atan2(g2, g1)
+        if feasible(psi_star):
+            return unit(point(psi_star))
+
+    psis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    flags = np.array([feasible(p) for p in psis])
+    if not np.any(flags):
+        raise NoSolutionError("no admissible end tangent on the chord circle",
+                              diagnostics={"tau": tau})
+
+    def refine(lo, hi, lo_state):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid) == lo_state:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    arcs = []
+    if np.all(flags):
+        arcs.append((0.0, 2.0 * math.pi))
+    else:
+        start = int(np.argmin(flags))
+        order = np.roll(np.arange(grid), -start)
+        starts, ends = [], []
+        for a, bidx in zip(order, np.roll(order, -1)):
+            if not flags[a] and flags[bidx]:
+                starts.append(refine(psis[a], psis[a] + 2.0 * math.pi / grid, False))
+            if flags[a] and not flags[bidx]:
+                ends.append(refine(psis[a], psis[a] + 2.0 * math.pi / grid, True))
+        for s, e in zip(starts, ends):
+            arcs.append((s, e if e > s else e + 2.0 * math.pi))
+
+    candidates = []
+    for s, e in arcs:
+        margin = min(1e-6, 0.125 * (e - s))
+        candidates.extend([s + margin, e - margin])
+        if not degenerate_objective:
+            for shift in (0.0, 2.0 * math.pi):
+                if s + margin <= psi_star + shift <= e - margin:
+                    candidates.append(psi_star + shift)
+        else:
+            candidates.append(0.5 * (s + e))
+    candidates = [c for c in candidates if feasible(c)]
+    if not candidates:
+        raise NoSolutionError("feasible arcs collapsed below the boundary margin",
+                              diagnostics={"tau": tau, "arcs": arcs})
+    best = max(candidates, key=lambda p: float(point(p) @ u_ref))
+    return unit(point(best))
+
+
+def _chord(u, tau, rng=None):
+    """A unit chord at angle tau from u: in the x-y plane when rng is None."""
+    d = np.array([0.0, 1.0, 0.0]) if rng is None else unit(np.cross(rng.randn(3), u))
+    return math.cos(tau) * u + math.sin(tau) * d
+
+
+def _scan_circle(u, du):
+    """The scan points of ``generate_end_tangent`` for unit u and chord du."""
+    cos_tau = max(-1.0, min(1.0, float(u @ du)))
+    sin_tau = math.sin(math.acos(cos_tau))
+    e1 = (u - cos_tau * du) / sin_tau
+    e2 = cross3(du, e1)
+    return cos_tau * du + sin_tau * (spline._SCAN_COS[:, None] * e1
+                                     + spline._SCAN_SIN[:, None] * e2)
+
+
+class TestEndTangentScan:
+    """The array scan must flag exactly the scan points the scalar predicate
+    accepts, and the search must return the scalar search's bits."""
+
+    X = np.array([1.0, 0.0, 0.0])
+
+    def test_array_predicate_matches_scalar(self):
+        rng = np.random.RandomState(35)
+        circles = [(self.X, _chord(self.X, 0.5 * math.pi))]
+        for _ in range(2):
+            u = data.random_unit(rng)
+            circles.append((u, unit(_chord(u, 0.5 * math.pi, rng))))
+        for tau in (3e-8, 1e-6):
+            u = data.random_unit(rng)
+            circles.append((u, unit(_chord(u, tau, rng))))
+        for tau in np.linspace(0.01, 0.8 - 1e-6, 24) * math.pi:
+            u = data.random_unit(rng)
+            circles.append((u, unit(_chord(u, tau, rng))))
+        near_critical = 0
+        for u, du in circles:
+            pts = [_scan_circle(u, du)]
+            cos_tau = float(u @ du)
+            sin_sq = 1.0 - cos_tau ** 2
+            e1 = (u - cos_tau * du) / math.sqrt(sin_sq)
+            e2 = cross3(du, e1)
+            # points that turn by 0.4 pi + delta: cos(gamma) = cos^2 + sin^2 cos(psi)
+            for delta in (-1e-7, -1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 1e-7):
+                c = (math.cos(CRITICAL_GAMMA + delta) - cos_tau ** 2) / sin_sq
+                if abs(c) < 1.0:
+                    for psi in (math.acos(c), -math.acos(c)):
+                        pts.append((cos_tau * du + math.sqrt(sin_sq)
+                                    * (math.cos(psi) * e1 + math.sin(psi) * e2))[None])
+                        near_critical += 1
+            pts = np.concatenate(pts)
+            got = _admissible_many(u, pts, du)
+            want = np.array([_admissible(u, p, du) for p in pts])
+            assert np.array_equal(got, want)
+            # psi = 0 is u itself, rejected by the cross-product guard
+            assert np.linalg.norm(cross3(u, pts[0])) <= 1e-9 and not got[0]
+        assert near_critical >= 100
+
+    def test_bit_identical_to_scalar_scan_reference(self, monkeypatch):
+        arcs_per_scan = []
+        array_scan = spline._admissible_many
+
+        def counting(u_i, us, du):
+            flags = array_scan(u_i, us, du)
+            arcs_per_scan.append(int(np.sum(flags & ~np.roll(flags, -1))))
+            return flags
+
+        monkeypatch.setattr(spline, "_admissible_many", counting)
+        rng = np.random.RandomState(36)
+        cases = []  # (start tangent, chord, reference, takes the scan for sure)
+        # At a quarter turn psi = pi is -u itself, which splits the feasible
+        # set into two arcs; just off it, the gap is narrower than the scan.
+        for tau in (0.5 * math.pi, 0.5 * math.pi - 1e-10, 0.5 * math.pi + 1e-10):
+            du = _chord(self.X, tau)
+            cases += [(self.X, 2.0 * du, self.X, True), (self.X, du, du, True)]
+        for tau in np.concatenate([[3e-8, 1e-6, 1e-3],
+                                   rng.uniform(0.01, 0.8, 20)]) * math.pi:
+            u = data.random_unit(rng)
+            du = _chord(u, tau, rng)
+            # A random reference, one with psi* = 0 (never admissible), and
+            # one along the chord: a degenerate objective once tau is large
+            # enough that the circle's axes are exact to rounding.
+            cases += [(u, 3.0 * du, data.random_unit(rng), False), (u, du, u, True),
+                      (u, du, unit(du), tau >= 0.01 * math.pi)]
+        for u, dp, ref, scans in cases:
+            n_scans = len(arcs_per_scan)
+            got = spline.generate_end_tangent(u, dp, ref)
+            want = _reference_end_tangent(u, dp, ref)
+            assert got.tobytes() == want.tobytes()
+            if scans:
+                assert len(arcs_per_scan) == n_scans + 1
+        assert set(arcs_per_scan) == {1, 2}
+        assert len(arcs_per_scan) >= 45
+
+    def test_no_solution_matches_reference(self, monkeypatch):
+        # For a valid input some scan point is always admissible (psi = pi,
+        # or its neighbours at a quarter turn), so both predicates are made
+        # to reject everything to reach the error.
+        monkeypatch.setattr(spline, "_admissible", lambda u_i, u, du: False)
+        monkeypatch.setattr(spline, "_admissible_many",
+                            lambda u_i, us, du: np.zeros(len(us), dtype=bool))
+        du = _chord(self.X, 0.3 * math.pi)
+        with pytest.raises(NoSolutionError) as got:
+            spline.generate_end_tangent(self.X, du, self.X)
+        with pytest.raises(NoSolutionError) as want:
+            _reference_end_tangent(self.X, du, self.X)
+        assert str(got.value) == str(want.value)
+        assert got.value.diagnostics == want.value.diagnostics
+
+    def test_quarter_turn_scan_raises_no_warning(self):
+        # At tau = pi/2 exactly the scan passes within an ulp of -u, where an
+        # unmasked bisector would divide 0 by 0.
+        du = _chord(self.X, 0.5 * math.pi)
+        circle = _scan_circle(self.X, du)
+        assert np.min(np.linalg.norm(circle + self.X, axis=1)) <= 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = _admissible_many(self.X, circle, du)
+            got = spline.generate_end_tangent(self.X, du, self.X)
+        assert not flags[spline._SCAN_SIZE // 2]
+        assert got.tobytes() == _reference_end_tangent(self.X, du, self.X).tobytes()
 
 
 class TestBuild:
