@@ -219,10 +219,15 @@ def test_c06_rotation_minimality(random_solutions, experiment_paths):
         for path in experiment_paths.values():
             segments.extend(path.segments)
         interior = np.linspace(0.05, 0.95, 19)
-        for sol in segments:
+        _, reflected = oracle.reflect_rmf([sol.segment for sol in segments],
+                                          [sol.frame.frame_matrix(0.0)[1] for sol in segments],
+                                          n_samples=1000)
+        for sol, normals in zip(segments, reflected):
             trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
                                          n_samples=1000)
             assert oracle.compare_frames(sol.frame, trace) <= 1e-6
+            # the double-reflection oracle of validate_spline agrees with RK45
+            assert oracle.max_unit_angle(normals, trace.f2) <= 1e-9
             omega = oracle.tangential_angular_velocity(sol.frame, interior)
             assert float(np.max(omega)) <= 1e-4
 

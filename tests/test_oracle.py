@@ -1,6 +1,8 @@
 """Ground-truth machinery: frame transport, sweeps, finite differences."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from scipy.integrate import solve_ivp
 import conftest as data
 from rmfspline import _bernstein as bern
 from rmfspline import io_cli, oracle, spline
+from rmfspline.errors import ValidationError
 from rmfspline.hermite import scaled_displacement_components, solve
 from rmfspline.ph import PreImage, curve_from_preimage
 from rmfspline.quat import Quaternion, unit
-from rmfspline.rrmf import compute_rational_frame
+from rmfspline.rrmf import compute_rational_frame, frame_from_coefficients
 
 I = np.array([1.0, 0.0, 0.0])
 J = np.array([0.0, 1.0, 0.0])
@@ -186,6 +189,100 @@ class TestIntegrateRMF:
         assert "estimated_error" in trace.stats
 
 
+def reflect_rmf_looped(q, normal0, n_samples):
+    """Reference: the double-reflection recurrence of Wang et al. stepped
+    one sample at a time."""
+    ts = np.linspace(0.0, 1.0, n_samples + 1)
+    x = q.point(ts) - q.r[0]
+    h = q.hodograph(ts)
+    t = h / np.linalg.norm(h, axis=1)[:, None]
+    r = unit(normal0 - float(normal0 @ t[0]) * t[0])
+    out = [r]
+    for i in range(n_samples):
+        v1 = x[i + 1] - x[i]
+        c1 = v1 @ v1
+        r_l = r - (2.0 / c1) * (v1 @ r) * v1
+        t_l = t[i] - (2.0 / c1) * (v1 @ t[i]) * v1
+        v2 = t[i + 1] - t_l
+        r = r_l - (2.0 / (v2 @ v2)) * (v2 @ r_l) * v2
+        out.append(r)
+    return np.array(out)
+
+
+class TestReflectRMF:
+    def test_matches_looped_recurrence(self):
+        cases = bitwise_oracle_segments()
+        ts, normals = oracle.reflect_rmf([q for q, _ in cases],
+                                         [f0[1] for _, f0 in cases], n_samples=300)
+        assert normals.shape == (len(cases), 301, 3)
+        assert np.array_equal(ts, np.linspace(0.0, 1.0, 301))
+        for (q, f0), got in zip(cases, normals):
+            ref = reflect_rmf_looped(q, f0[1], 300)
+            assert oracle.max_unit_angle(got, ref) <= 1e-12
+
+    def test_blocks_do_not_change_values(self):
+        # more segments than one block: each segment's normals equal a call
+        # with that segment alone
+        rng = np.random.RandomState(47)
+        sols = [solve(data.random_hermite_data(rng)) for _ in range(2 * oracle._REFLECT_BLOCK + 3)]
+        _, normals = oracle.reflect_rmf([s.segment for s in sols],
+                                        [s.frame.frame_matrix(0.0)[1] for s in sols], 100)
+        for sol, got in zip(sols, normals):
+            _, alone = oracle.reflect_rmf([sol.segment], [sol.frame.frame_matrix(0.0)[1]], 100)
+            assert np.array_equal(got, alone[0])
+
+    def test_straight_segment_keeps_normal(self):
+        one = Quaternion(1.0, np.zeros(3))
+        q = curve_from_preimage(np.zeros(3), PreImage(one, one, one, I))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, normals = oracle.reflect_rmf([q], [J], n_samples=100)
+        assert np.max(np.linalg.norm(normals[0] - J, axis=1)) <= 1e-12
+
+    def test_planar_segment_keeps_plane_normal(self):
+        q = curve_from_preimage(np.zeros(3), planar_preimage())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, normals = oracle.reflect_rmf([q], [K], n_samples=400)
+        assert np.max(np.linalg.norm(normals[0] - K, axis=1)) <= 1e-9
+
+    def test_non_orthogonal_start_normal_rejected(self):
+        q = curve_from_preimage(np.zeros(3), planar_preimage())
+        t0 = unit(q.h[0])
+        with pytest.raises(ValidationError):
+            oracle.reflect_rmf([q], [unit(K + 1e-3 * t0)], n_samples=100)
+
+    def test_validate_runs_no_ode_solve(self, monkeypatch):
+        calls = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+        _, pts, tans = io_cli.sample_curve("helix", 4)
+        path = spline.build(spline.PointStream(pts, spline.default_initial_frame(tans[0])))
+        report = io_cli.validate_spline(path)
+        assert report["pass"]
+        assert calls == []
+
+    def test_non_rmf_frame_fails_transport_check(self):
+        _, pts, tans = io_cli.sample_curve("helix", 12)
+        path = spline.build(spline.PointStream(pts, spline.default_initial_frame(tans[0])))
+        sol = path.segments[3]
+        spun = frame_from_coefficients(sol.segment.preimage, [1.0, 0.0, 0.0],
+                                       [0.0, 0.0, 0.0], sol.frame.axes)
+        path.segments[3] = dataclasses.replace(sol, frame=spun)
+        report = io_cli.validate_spline(path)
+        checks = {(c["name"], c["segment"]): c for c in report["checks"]}
+        bad = checks[("frame_vs_transport", 3)]
+        assert not bad["pass"] and not report["pass"]
+        assert all(checks[("frame_vs_transport", k)]["pass"] for k in range(12) if k != 3)
+        trace = oracle.integrate_rmf(sol.segment, spun.frame_matrix(0.0), n_samples=500)
+        assert bad["value"] == pytest.approx(oracle.compare_frames(spun, trace), abs=1e-9)
+        assert bad["value"] == pytest.approx(0.2925, abs=5e-5)
+
+
 class TestCompareFrames:
     def test_zero_against_own_resampling(self):
         rng = np.random.RandomState(44)
@@ -242,6 +339,21 @@ class TestFiniteDifferences:
         for _ in range(5):
             q = curve_from_preimage(rng.randn(3), data.random_preimage(rng))
             assert oracle.fd_hodograph_error(q) <= 1e-6
+
+    def test_tangential_velocity_one_frame_call_bit_identical(self):
+        def three_calls(frame, ts, step=1e-5):
+            fm, fp, f0 = frame.frame(ts - step), frame.frame(ts + step), frame.frame(ts)
+            omega = np.zeros((ts.size, 3))
+            for m in range(3):
+                omega += 0.5 * np.cross(f0[m], (fp[m] - fm[m]) / (2.0 * step))
+            return np.abs(np.sum(omega * f0[0], axis=1))
+
+        rng = np.random.RandomState(48)
+        for _ in range(20):
+            frame = solve(data.random_hermite_data(rng)).frame
+            for ts in (np.linspace(0.05, 0.95, 19), rng.uniform(1e-4, 1.0 - 1e-4, 37)):
+                assert np.array_equal(oracle.tangential_angular_velocity(frame, ts),
+                                      three_calls(frame, ts))
 
     def test_tangential_velocity_margin_enforced(self):
         rng = np.random.RandomState(46)
