@@ -20,15 +20,33 @@ def decasteljau(coeffs: np.ndarray, t) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
     ts = np.atleast_1d(t)
-    n = coeffs.shape[0] - 1
-    tt = ts.reshape((-1,) + (1,) * coeffs.ndim)
-    b = coeffs[None]  # the first step broadcasts it over the points; no copy
+    if coeffs.shape[0] == 1:
+        out = np.repeat(coeffs, ts.size, axis=0)
+    else:
+        flat = decasteljau_stacked(coeffs.reshape(coeffs.shape[0], -1), ts)
+        out = flat.reshape((-1,) + coeffs.shape[1:])
+    return out[0] if t.ndim == 0 else out
+
+
+def decasteljau_stacked(coeffs: np.ndarray, t) -> np.ndarray:
+    """Evaluate stacked Bernstein polynomials, each at its own parameter.
+
+    coeffs has shape (..., n+1, d) with n >= 1, and t broadcasts against
+    its leading axes; the result has their broadcast shape plus (d,).  Every
+    value is computed by the same arithmetic whatever the stack or batch
+    around it, so it is bit-identical to the one-polynomial ``decasteljau``.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    tt = np.asarray(t, dtype=float)[..., None, None]
+    st = 1.0 - tt
+    n = coeffs.shape[-2] - 1
+    b = coeffs  # the first step broadcasts it over the parameters; no copy
     for r in range(n):
-        b = (1.0 - tt) * b[:, : n - r] + tt * b[:, 1 : n - r + 1]
-    out = b[:, 0] if n else np.repeat(coeffs, ts.size, axis=0)
-    return out[0] if scalar else out
+        step = st * b[..., : n - r, :]
+        step += tt * b[..., 1 : n - r + 1, :]
+        b = step
+    return b[..., 0, :]
 
 
 def derivative(coeffs: np.ndarray) -> np.ndarray:

@@ -15,12 +15,19 @@ import sys
 
 import numpy as np
 
+from . import _bernstein as bern
 from . import oracle, spline
 from .errors import GeometryError, SplineBuildError, StreamFormatError, ValidationError
 from .hermite import HermiteSolution
 from .ph import PreImage, curve_from_preimage, ph_identity_residual
 from .quat import Quaternion, angle_between, unit
-from .rrmf import frame_from_coefficients, han08_residual, is_class_I
+from .rrmf import (
+    _STACKED_ROWS,
+    _frame_rows,
+    frame_from_coefficients,
+    han08_residual,
+    is_class_I,
+)
 from .spline import PointStream, SplinePath, build, chord_knots, default_initial_frame
 
 EXIT_OK = 0
@@ -305,12 +312,28 @@ _FRAME_SAMPLES.flags.writeable = False
 _INTERIOR_SAMPLES.flags.writeable = False
 
 
+def _orthonormality(frames: np.ndarray) -> np.ndarray:
+    """Largest deviation of frame rows (..., N, 3, 3) from orthonormal, over
+    the N samples: the pairwise products and the first row's length."""
+    f1, f2, f3 = frames[..., 0, :], frames[..., 1, :], frames[..., 2, :]
+    return np.max(np.maximum.reduce([
+        np.abs(np.sum(f1 * f2, axis=-1)),
+        np.abs(np.sum(f2 * f3, axis=-1)),
+        np.abs(np.sum(f3 * f1, axis=-1)),
+        np.abs(np.linalg.norm(f1, axis=-1) - 1.0),
+    ]), axis=-1)
+
+
 def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     """Run the full check suite; failures are entries, not exceptions.
 
-    ``frame_vs_transport`` is the largest angle between each segment's
-    rational normal and the double-reflection RMF (``oracle.reflect_rmf``,
-    one call for all segments) at ``ode_samples`` + 1 uniform parameters.
+    The frame checks run on blocks of segments, each block one stacked
+    evaluation of its frames (``SplinePath.frame_bezier``) at every sample
+    of every frame check.  ``frame_vs_transport`` is the largest angle
+    between each segment's rational normal and the double-reflection RMF
+    (``oracle.reflect_rmf``, one call per block) at ``ode_samples`` + 1
+    uniform parameters.  The curve and frame-polynomial identities are
+    checked one segment at a time.
     """
     tol = tolerances()
     checks: list[dict] = []
@@ -325,30 +348,40 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
         })
 
     segments = path_obj.segments
-    ts, normals = oracle.reflect_rmf([sol.segment for sol in segments],
-                                     [sol.frame.frame_matrix(0.0)[1] for sol in segments],
-                                     ode_samples)
+    ts = np.linspace(0.0, 1.0, ode_samples + 1)
+    step = oracle.VELOCITY_STEP
+    # One parameter row for all frame checks; its first entry is t = 0,
+    # whose normal starts the transport.
+    params = np.concatenate([_FRAME_SAMPLES, ts,
+                             oracle.velocity_samples(_INTERIOR_SAMPLES, step)])
+    # Bernstein basis of the frame quaternions at the parameters: a block's
+    # samples are then one matmul, as in ``oracle.reflect_rmf``.
+    basis = bern.decasteljau(np.eye(5), params)
+    transport = slice(_FRAME_SAMPLES.size, _FRAME_SAMPLES.size + ts.size)
+    ortho = np.empty(len(segments))
+    vs_transport = np.empty(len(segments))
+    spin = np.empty(len(segments))
+    per_block = max(1, _STACKED_ROWS // params.size)
+    for lo in range(0, len(segments), per_block):
+        block = slice(lo, lo + per_block)
+        frames = _frame_rows(basis @ path_obj.frame_bezier[block],
+                             path_obj.frame_axes[block, None])
+        ortho[block] = _orthonormality(frames[:, :_FRAME_SAMPLES.size])
+        _, normals = oracle.reflect_rmf([sol.segment for sol in segments[block]],
+                                        frames[:, 0, 1], ode_samples)
+        vs_transport[block] = oracle.max_unit_angle(frames[:, transport, 1], normals)
+        spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.stop:], step),
+                             axis=-1)
+
     for k, sol in enumerate(segments):
         pre = sol.segment.preimage
         record("ph_identity", k, ph_identity_residual(sol.segment), tol["ph_identity"])
         record("class_one_residual", k, is_class_I(pre).rel_residual, tol["class_one"])
         record("rotation_rate_identity", k, han08_residual(pre, sol.frame),
                tol["rotation_rate"])
-        f1, f2, f3 = sol.frame.frame(_FRAME_SAMPLES)
-        ortho = max(
-            float(np.max(np.abs(np.sum(f1 * f2, axis=1)))),
-            float(np.max(np.abs(np.sum(f2 * f3, axis=1)))),
-            float(np.max(np.abs(np.sum(f3 * f1, axis=1)))),
-            float(np.max(np.abs(np.linalg.norm(f1, axis=1) - 1.0))),
-        )
-        record("frame_orthonormality", k, ortho, 1e-9)
-        record("frame_vs_transport", k,
-               oracle.max_unit_angle(sol.frame.frame(ts)[1], normals[k]),
-               tol["frame_vs_ode"])
-        record("tangential_angular_velocity", k,
-               float(np.max(oracle.tangential_angular_velocity(sol.frame,
-                                                               _INTERIOR_SAMPLES))),
-               tol["tangential_velocity"])
+        record("frame_orthonormality", k, ortho[k], 1e-9)
+        record("frame_vs_transport", k, vs_transport[k], tol["frame_vs_ode"])
+        record("tangential_angular_velocity", k, spin[k], tol["tangential_velocity"])
 
     rep = spline.continuity_report(path_obj)
     record("g1_continuity", None, rep["max_tangent_angle"], tol["g1_continuity"])

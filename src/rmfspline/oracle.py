@@ -117,10 +117,8 @@ def integrate_rmf(
 
 # Segments per block of ``reflect_rmf``.  Its dozen (block, samples, 3)
 # temporaries grow with the block, its speed does not beyond a few
-# segments.  On a 100-segment spline at 501 samples, ``validate_spline``
-# peaks at 1.9 MB of traced memory with blocks of 4 (0.6 MB with the
-# RK45 oracle) and at 15 MB with one block of 100, and ``reflect_rmf``
-# takes about 21 ms for blocks of 4 to 16.
+# segments: on 100 segments at 501 samples it takes about 21 ms for
+# blocks of 4 to 16.
 _REFLECT_BLOCK = 4
 
 
@@ -197,16 +195,16 @@ def reflect_rmf(curves, initial_normals, n_samples: int) -> tuple[np.ndarray, np
     return ts, normals
 
 
-def max_unit_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest angle between corresponding unit rows of a and b, computed
-    from their chord length."""
-    chord = np.linalg.norm(a - b, axis=1)
-    return float(np.max(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))))
+def max_unit_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest angle between corresponding unit rows of a and b (..., N, 3),
+    computed from their chord length: one value per leading index."""
+    chord = np.linalg.norm(a - b, axis=-1)
+    return np.max(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)), axis=-1)
 
 
 def compare_frames(rational: RationalFrame, trace: NumericFrameTrace) -> float:
     """Max angle between the rational and the transported normal vectors."""
-    return max_unit_angle(rational.frame(trace.ts)[1], trace.f2)
+    return float(max_unit_angle(rational.frame(trace.ts)[1], trace.f2))
 
 
 @dataclass
@@ -258,27 +256,42 @@ def sweep_S(gamma: float, grid_size: int = 10000) -> SweepReport:
     )
 
 
-def tangential_angular_velocity(frame: RationalFrame, ts: np.ndarray,
-                                step: float = 1e-5) -> np.ndarray:
-    """|omega . f1| from centered finite differences of the frame.
+# Default step of the centered frame differences of
+# ``tangential_angular_velocity``, which ``validate_spline`` also takes.
+VELOCITY_STEP = 1e-5
 
-    The three sample sets go through one ``frame`` call; each sample's
-    value does not depend on the others in the call, so the slices equal
-    three separate calls bit for bit.
-    """
+
+def velocity_samples(ts: np.ndarray, step: float) -> np.ndarray:
+    """The parameters ``ts - step``, ``ts + step`` and ``ts``, concatenated,
+    at which ``velocity_from_frames`` needs the frame."""
     ts = np.asarray(ts, dtype=float).ravel()
     if np.any(ts - step < 0.0) or np.any(ts + step > 1.0):
         raise ValidationError("samples must stay inside the step margin")
-    n = ts.size
-    f = frame.frame(np.concatenate([ts - step, ts + step, ts]))
-    fm = [c[:n] for c in f]
-    fp = [c[n:2 * n] for c in f]
-    f0 = [c[2 * n:] for c in f]
-    omega = np.zeros((ts.size, 3))
+    return np.concatenate([ts - step, ts + step, ts])
+
+
+def velocity_from_frames(frames: np.ndarray, step: float) -> np.ndarray:
+    """|omega . f1| (..., n) from centered finite differences of the frame
+    rows (..., 3n, 3, 3) at the ``velocity_samples`` of n parameters."""
+    n = frames.shape[-3] // 3
+    fm, fp, f0 = frames[..., :n, :, :], frames[..., n:2 * n, :, :], frames[..., 2 * n:, :, :]
+    omega = np.zeros(f0.shape[:-2] + (3,))
     for m in range(3):
-        fdot = (fp[m] - fm[m]) / (2.0 * step)
-        omega += 0.5 * np.cross(f0[m], fdot)
-    return np.abs(np.sum(omega * f0[0], axis=1))
+        fdot = (fp[..., m, :] - fm[..., m, :]) / (2.0 * step)
+        omega += 0.5 * np.cross(f0[..., m, :], fdot)
+    return np.abs(np.sum(omega * f0[..., 0, :], axis=-1))
+
+
+def tangential_angular_velocity(frame: RationalFrame, ts: np.ndarray,
+                                step: float = VELOCITY_STEP) -> np.ndarray:
+    """|omega . f1| from centered finite differences of the frame.
+
+    The three sample sets go through one ``frame`` call; each sample's
+    value does not depend on the others in the call, so this equals three
+    separate calls bit for bit.
+    """
+    samples = velocity_samples(ts, step)
+    return velocity_from_frames(np.stack(frame.frame(samples), axis=-2), step)
 
 
 def fd_hodograph_error(q: PHQuintic, h: float = 1e-6, n: int = 200) -> float:

@@ -369,6 +369,36 @@ class RationalFrame:
         return np.array(self.frame(float(t)))
 
 
+# Rows per stacked frame evaluation.  ``SplinePath.eval_many`` evaluates its
+# parameters in chunks of this many, and ``validate_spline`` takes as many
+# segments at a time as fit with all their samples, so that the temporaries
+# of one pass stay at a few MB whatever the spline's size or the batch's.
+_STACKED_ROWS = 4096
+
+
+def _frame_rows(q: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Frame rows (..., 3, 3) from samples q (..., 4) of frame quaternions.
+
+    axes (..., 3, 3) broadcasts against the samples' leading axes and holds
+    the axis rows of each sample's frame, as ``RationalFrame.axes``.  Row m
+    is q e_m q* / |q|^2, the three sandwiches of ``RationalFrame.frame``,
+    here sharing w^2 - |u|^2, 2w and |q|^2 of each sample q = (w, u).  The
+    products u . e_m are summed in a fixed order instead of by ``@``, so a
+    row agrees with ``RationalFrame.frame`` to rounding and does not depend
+    on the other rows of the call.
+    """
+    w, u = q[..., 0], q[..., 1:]
+    u0, u1, u2 = u[..., 0, None], u[..., 1, None], u[..., 2, None]
+    e0, e1, e2 = axes[..., 0], axes[..., 1], axes[..., 2]
+    ue = u0 * e0 + u1 * e1 + u2 * e2
+    cross = np.stack([u1 * e2 - u2 * e1, u2 * e0 - u0 * e2, u0 * e1 - u1 * e0], axis=-1)
+    rows = (w * w - np.sum(u * u, axis=-1))[..., None, None] * axes
+    rows += (2.0 * ue)[..., None] * u[..., None, :]
+    rows += (2.0 * w)[..., None, None] * cross
+    rows /= vnorm_sq(q)[..., None, None]
+    return rows
+
+
 def _build_frame(p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray,
                  residual: float) -> RationalFrame:
     i = axes[0]

@@ -11,10 +11,11 @@ feasible arc's ends are then refined one scalar predicate call at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _bernstein as bern
 from . import hermite
 from .errors import (
     DegenerateInputError,
@@ -32,7 +33,8 @@ from .hermite import (
     scaled_displacement_components,
     unit_displacement_b,
 )
-from .quat import angle_between, bisector, cross3, unit
+from .quat import angle_between, angles_between, bisector, cross3, unit
+from .rrmf import _STACKED_ROWS, _frame_rows
 
 MAX_TURN = 0.8 * math.pi
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
@@ -217,13 +219,7 @@ def _admissible_many(u_i: np.ndarray, us: np.ndarray, du: np.ndarray) -> np.ndar
     b0, b1, b2 = us[:, 0], us[:, 1], us[:, 2]
     cross = np.sqrt((a1 * b2 - a2 * b1) ** 2 + (a2 * b0 - a0 * b2) ** 2
                     + (a0 * b1 - a1 * b0) ** 2)
-    # angle_between, row by row
-    chord = np.linalg.norm(u_i - us, axis=1)
-    near = chord <= 1.0
-    gamma = np.empty_like(chord)
-    gamma[near] = 2.0 * np.arcsin(0.5 * chord[near])
-    anti = np.linalg.norm(u_i + us[~near], axis=1)
-    gamma[~near] = math.pi - 2.0 * np.arcsin(0.5 * np.minimum(anti, 2.0))
+    gamma = angles_between(u_i, us)
 
     ok = (cross > 1e-9) & (gamma < math.pi - 1e-9)
     flags = ok & (gamma > CRITICAL_GAMMA)
@@ -344,13 +340,35 @@ def generate_end_tangent(
     return unit(point(best))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplinePath:
-    """Knots, segments, and the frame triple carried across every knot."""
+    """Knots, segments, and the frame triple carried across every knot.
+
+    The segments are kept as a tuple, and their data are stacked once, on
+    construction, into read-only arrays: ``control_points`` (S, 6, 3),
+    ``frame_bezier`` (S, 5, 4), the Bezier coefficients of each segment's
+    frame quaternion, and ``frame_axes`` (S, 3, 3).  ``eval_many``,
+    ``continuity_report`` and ``validate_spline`` evaluate all segments
+    from these arrays at once.  A changed segment means a new path, for
+    example by ``dataclasses.replace(path, segments=...)``.
+    """
 
     knots: np.ndarray
-    segments: list[HermiteSolution]
+    segments: tuple[HermiteSolution, ...]
     frames: np.ndarray
+    control_points: np.ndarray = field(init=False, repr=False)
+    frame_bezier: np.ndarray = field(init=False, repr=False)
+    frame_axes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        for name, rows in (("control_points", [s.segment.r for s in segments]),
+                           ("frame_bezier", [s.frame.b_bezier for s in segments]),
+                           ("frame_axes", [s.frame.axes for s in segments])):
+            packed = np.array(rows, dtype=float)
+            packed.flags.writeable = False
+            object.__setattr__(self, name, packed)
 
     @property
     def n_segments(self) -> int:
@@ -379,18 +397,23 @@ class SplinePath:
         return pts[0], frames[0]
 
     def eval_many(self, us) -> tuple[np.ndarray, np.ndarray]:
-        """Points (N, 3) and frame rows (N, 3, 3) at N global parameters,
-        evaluated one segment at a time."""
+        """Points (N, 3) and frame rows (N, 3, 3) at N global parameters.
+
+        Each parameter's segment rows are gathered from the packed arrays,
+        and one de Casteljau pass over the control points and one over the
+        frame quaternions, with the frame rows built from it, evaluate all
+        of them; chunks of ``rrmf._STACKED_ROWS`` parameters bound the
+        memory of a large batch.  Points equal ``PHQuintic.point`` bit for
+        bit; frames agree with ``RationalFrame.frame`` to rounding.
+        """
         ks, ts = self.locate(us)
         pts = np.empty((ks.size, 3))
         frames = np.empty((ks.size, 3, 3))
-        order = np.argsort(ks, kind="stable")
-        starts = np.flatnonzero(np.diff(ks[order], prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [ks.size]):
-            idx = order[lo:hi]
-            sol = self.segments[ks[idx[0]]]
-            pts[idx] = sol.segment.point(ts[idx])
-            frames[idx, 0], frames[idx, 1], frames[idx, 2] = sol.frame.frame(ts[idx])
+        for lo in range(0, ks.size, _STACKED_ROWS):
+            k, t = ks[lo:lo + _STACKED_ROWS], ts[lo:lo + _STACKED_ROWS]
+            pts[lo:lo + k.size] = bern.decasteljau_stacked(self.control_points[k], t)
+            frames[lo:lo + k.size] = _frame_rows(
+                bern.decasteljau_stacked(self.frame_bezier[k], t), self.frame_axes[k])
         return pts, frames
 
 
@@ -463,15 +486,17 @@ def build(
 
 
 def continuity_report(path: SplinePath) -> dict:
-    """Max tangent and frame mismatches across the interior knots."""
-    g1 = 0.0
-    frame_gap = 0.0
-    for k in range(len(path.segments) - 1):
-        end = path.segments[k].frame.frame_matrix(1.0)
-        start = path.segments[k + 1].frame.frame_matrix(0.0)
-        g1 = max(g1, angle_between(end[0], start[0]))
-        frame_gap = max(frame_gap, *(angle_between(end[m], start[m]) for m in range(3)))
-    return {"max_tangent_angle": g1, "max_frame_angle": frame_gap}
+    """Max tangent and frame mismatches across the interior knots.
+
+    Every segment's end frame and the next one's start frame come from two
+    stacked evaluations, at t = 1 and t = 0, where a Bezier polynomial takes
+    its last and its first coefficient (de Casteljau's value, bit for bit).
+    """
+    ends = _frame_rows(path.frame_bezier[:-1, -1], path.frame_axes[:-1])
+    starts = _frame_rows(path.frame_bezier[1:, 0], path.frame_axes[1:])
+    angles = angles_between(ends, starts)
+    return {"max_tangent_angle": float(np.max(angles[:, 0], initial=0.0)),
+            "max_frame_angle": float(np.max(angles, initial=0.0))}
 
 
 def interpolation_residual(path: SplinePath, points: np.ndarray) -> float:

@@ -7,9 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from rmfspline.errors import SplineBuildError
 from rmfspline.hermite import HermiteData
+from rmfspline.io_cli import sample_curve
 from rmfspline.ph import PreImage
 from rmfspline.quat import Quaternion, bisector, neg_cross, unit
+from rmfspline.spline import (
+    PointStream,
+    build,
+    chord_knots,
+    default_initial_frame,
+    minaj2_tangents,
+)
 
 # The worked configuration used throughout: quoted to four decimals.
 EX_A0 = [0.0, 1.0, 0.0, 0.0]
@@ -89,3 +98,62 @@ def random_hermite_data(
     dist = 10.0 ** rng.uniform(-1.0, 1.0)
     p0 = rng.randn(3)
     return HermiteData(p0, p0 + dist * du, frame[0], frame[1], frame[2], u_end)
+
+
+@pytest.fixture(scope="session")
+def experiment_paths():
+    """The full set of reproduced experiments (analytic and data streams)."""
+    paths = {}
+    for curve, n in [("helix", 5), ("helix", 10), ("helix", 15),
+                     ("torus", 7), ("torus", 15), ("spiral", 7), ("spiral", 15)]:
+        params, pts, tans = sample_curve(curve, n)
+        stream = PointStream(points=pts, initial_frame=default_initial_frame(tans[0]))
+        paths[f"{curve}-{n + 1}pts"] = build(stream, reference_tangents=tans,
+                                             knots=params)
+    for name, pts in [
+        ("generic1", np.array([[0, 0, 0], [-5, 5, 2], [0, 10, -2], [8, 12, 5],
+                               [15, 2, 3], [2, 0, 7]], dtype=float)),
+        ("generic2", np.array([[0, 0, 0], [5, 5, 10], [8, 11, 9], [5, 14, 3],
+                               [2, 20, 7]], dtype=float)),
+    ]:
+        refs = minaj2_tangents(pts, chord_knots(pts))
+        stream = PointStream(points=pts, initial_frame=default_initial_frame(refs[0]))
+        paths[name] = build(stream, mode="chord")
+    return paths
+
+
+def rigid_torus_path(seed: int, spans: int = 100):
+    """The benchmark's reload spline: the sampled torus under the seeded
+    rigid motion of ``bench/workloads.py``, built with chord knots."""
+    rng = np.random.default_rng(seed)
+    _, pts, tans = sample_curve("torus", spans)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    shift = rng.normal(scale=10.0, size=3)
+    stream = PointStream(points=pts @ q.T + shift,
+                         initial_frame=default_initial_frame(q @ tans[0]))
+    return build(stream, mode="chord")
+
+
+@pytest.fixture(scope="session")
+def torus_path():
+    """The seed-1 100-segment reload spline of the benchmark."""
+    return rigid_torus_path(1)
+
+
+def walk_paths(seed: int, count: int) -> list:
+    """The splines of the first ``count`` seeded 8-point Gaussian walks of
+    ``bench/workloads.py``, leaving out the walks whose build fails."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for _ in range(count):
+        pts = np.cumsum(rng.normal(size=(8, 3)), axis=0)
+        refs = minaj2_tangents(pts, chord_knots(pts))
+        try:
+            paths.append(build(PointStream(points=pts,
+                                           initial_frame=default_initial_frame(refs[0]))))
+        except SplineBuildError:
+            pass
+    return paths

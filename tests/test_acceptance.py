@@ -63,28 +63,6 @@ def random_solutions():
     return out
 
 
-@pytest.fixture(scope="module")
-def experiment_paths():
-    """The full set of reproduced experiments (analytic and data streams)."""
-    paths = {}
-    for curve, n in [("helix", 5), ("helix", 10), ("helix", 15),
-                     ("torus", 7), ("torus", 15), ("spiral", 7), ("spiral", 15)]:
-        params, pts, tans = sample_curve(curve, n)
-        stream = PointStream(points=pts, initial_frame=default_initial_frame(tans[0]))
-        paths[f"{curve}-{n + 1}pts"] = build(stream, reference_tangents=tans,
-                                             knots=params)
-    for name, pts in [
-        ("generic1", np.array([[0, 0, 0], [-5, 5, 2], [0, 10, -2], [8, 12, 5],
-                               [15, 2, 3], [2, 0, 7]], dtype=float)),
-        ("generic2", np.array([[0, 0, 0], [5, 5, 10], [8, 11, 9], [5, 14, 3],
-                               [2, 20, 7]], dtype=float)),
-    ]:
-        refs = minaj2_tangents(pts, chord_knots(pts))
-        stream = PointStream(points=pts, initial_frame=default_initial_frame(refs[0]))
-        paths[name] = build(stream, mode="chord")
-    return paths
-
-
 def test_c01_worked_example_reconstruction():
     with criterion("C01 spherical-data reconstruction of the worked example"):
         start = time.perf_counter()

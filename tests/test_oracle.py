@@ -272,7 +272,8 @@ class TestReflectRMF:
         sol = path.segments[3]
         spun = frame_from_coefficients(sol.segment.preimage, [1.0, 0.0, 0.0],
                                        [0.0, 0.0, 0.0], sol.frame.axes)
-        path.segments[3] = dataclasses.replace(sol, frame=spun)
+        segments = path.segments[:3] + (dataclasses.replace(sol, frame=spun),) + path.segments[4:]
+        path = dataclasses.replace(path, segments=segments)
         report = io_cli.validate_spline(path)
         checks = {(c["name"], c["segment"]): c for c in report["checks"]}
         bad = checks[("frame_vs_transport", 3)]

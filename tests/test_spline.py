@@ -1,13 +1,15 @@
 """Spline chaining: knots, reference tangents, end-tangent generation, build."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import conftest as data
-from rmfspline import spline
+from rmfspline import rrmf, spline
 from rmfspline.errors import (
     DegenerateInputError,
     InfeasibleTurnError,
@@ -16,7 +18,7 @@ from rmfspline.errors import (
     ValidationError,
 )
 from rmfspline.hermite import CRITICAL_GAMMA
-from rmfspline.io_cli import sample_curve
+from rmfspline.io_cli import read_spline_file, sample_curve, write_spline_file
 from rmfspline.quat import angle_between, cross3, unit
 from rmfspline.rrmf import is_class_I
 from rmfspline.spline import (
@@ -540,23 +542,13 @@ class TestEval:
             path.eval_many([0.0, bad])
 
     def test_batch_matches_single_points(self, path):
-        knots = path.knots
-        eps = 1e-10 * float(knots[-1] - knots[0])
-        rng = np.random.RandomState(41)
-        inside = rng.uniform(knots[0], knots[-1], 12)
-        us = np.concatenate([
-            inside[::-1], inside[:4],                  # unsorted and repeated
-            knots[::-1],                               # every knot, both ends
-            [knots[0] - eps, knots[-1] + eps],         # inside the end clamp
-        ])
+        us = edge_params(path, 41)
         pts, frames = path.eval_many(us)
         assert pts.shape == (us.size, 3) and frames.shape == (us.size, 3, 3)
-        scale = float(np.max(np.abs(pts)))
         for u, p_batch, f_batch in zip(us, pts, frames):
             p, f = path.eval(float(u))
-            assert np.max(np.abs(p_batch - p)) <= 1e-15 * scale
-            assert np.max(np.abs(f_batch - f)) <= 1e-15
-        ends, _ = path.eval_many(knots[[0, -1]])
+            assert np.array_equal(p_batch, p) and np.array_equal(f_batch, f)
+        ends, _ = path.eval_many(path.knots[[0, -1]])
         assert np.array_equal(pts[-2:], ends)
 
     def test_empty_batch(self, path):
@@ -565,3 +557,101 @@ class TestEval:
 
     def test_interpolates_stream(self, path):
         assert interpolation_residual(path, GENERIC1) <= 1e-9 * float(path.knots[-1])
+
+
+def edge_params(path, seed: int) -> np.ndarray:
+    """Parameters unsorted and repeated, every knot, and two inside the end
+    clamps."""
+    knots = path.knots
+    eps = 1e-10 * float(knots[-1] - knots[0])
+    inside = np.random.RandomState(seed).uniform(knots[0], knots[-1], 12)
+    return np.concatenate([
+        inside[::-1], inside[:4],                  # unsorted and repeated
+        knots[::-1],                               # every knot, both ends
+        [knots[0] - eps, knots[-1] + eps],         # inside the end clamp
+    ])
+
+
+def eval_many_looped(path, us):
+    """Reference: ``eval_many`` one segment at a time, through
+    ``PHQuintic.point`` and ``RationalFrame.frame``, as before the packed
+    arrays."""
+    ks, ts = path.locate(us)
+    pts = np.empty((ks.size, 3))
+    frames = np.empty((ks.size, 3, 3))
+    order = np.argsort(ks, kind="stable")
+    starts = np.flatnonzero(np.diff(ks[order], prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [ks.size]):
+        idx = order[lo:hi]
+        sol = path.segments[ks[idx[0]]]
+        pts[idx] = sol.segment.point(ts[idx])
+        frames[idx, 0], frames[idx, 1], frames[idx, 2] = sol.frame.frame(ts[idx])
+    return pts, frames
+
+
+def traced_peak(fn) -> int:
+    """Peak traced memory in bytes while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPackedPath:
+    @pytest.fixture(params=["generic1", "torus"])
+    def path(self, request, generic1_path, torus_path):
+        return generic1_path if request.param == "generic1" else torus_path
+
+    def test_eval_many_matches_per_segment_reference(self, path):
+        rng = np.random.RandomState(43)
+        us = np.concatenate([edge_params(path, 42),
+                             rng.uniform(path.knots[0], path.knots[-1], 1000)])
+        pts, frames = path.eval_many(us)
+        ref_pts, ref_frames = eval_many_looped(path, us)
+        assert np.array_equal(pts, ref_pts)
+        assert np.max(np.abs(frames - ref_frames)) <= 1e-15
+
+    def test_chunked_batch_matches_reference(self, torus_path):
+        # one full chunk and a short one; rows do not depend on their chunk
+        path = torus_path
+        us = np.random.RandomState(44).uniform(path.knots[0], path.knots[-1],
+                                               rrmf._STACKED_ROWS + 7)
+        pts, frames = path.eval_many(us)
+        ref_pts, ref_frames = eval_many_looped(path, us)
+        assert np.array_equal(pts, ref_pts)
+        assert np.max(np.abs(frames - ref_frames)) <= 1e-15
+        tail_pts, tail_frames = path.eval_many(us[-9:])
+        assert np.array_equal(pts[-9:], tail_pts) and np.array_equal(frames[-9:], tail_frames)
+
+    def test_packed_arrays_match_segments(self, path, tmp_path):
+        f = tmp_path / "spline.json"
+        write_spline_file(str(f), path)
+        for p in (path, read_spline_file(str(f))):
+            assert p.control_points.shape == (p.n_segments, 6, 3)
+            assert p.frame_bezier.shape == (p.n_segments, 5, 4)
+            assert p.frame_axes.shape == (p.n_segments, 3, 3)
+            for k, sol in enumerate(p.segments):
+                assert np.array_equal(p.control_points[k], sol.segment.r)
+                assert np.array_equal(p.frame_bezier[k], sol.frame.b_bezier)
+                assert np.array_equal(p.frame_axes[k], sol.frame.axes)
+
+    def test_packed_arrays_cannot_go_stale(self, generic1_path):
+        path = generic1_path
+        assert isinstance(path.segments, tuple)
+        with pytest.raises(TypeError):
+            path.segments[0] = path.segments[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.segments = path.segments[::-1]
+        with pytest.raises(ValueError):
+            path.control_points[0, 0, 0] = 1.0
+        reversed_path = dataclasses.replace(path, segments=path.segments[::-1])
+        assert np.array_equal(reversed_path.control_points, path.control_points[::-1])
+        assert np.array_equal(reversed_path.frame_bezier, path.frame_bezier[::-1])
+
+    def test_batch_memory_within_reference(self, torus_path):
+        path = torus_path
+        us = np.random.RandomState(45).uniform(path.knots[0], path.knots[-1], 100_000)
+        reference = traced_peak(lambda: eval_many_looped(path, us))
+        assert traced_peak(lambda: path.eval_many(us)) <= 1.5 * reference
