@@ -20,14 +20,8 @@ from . import oracle, spline
 from .errors import GeometryError, SplineBuildError, StreamFormatError, ValidationError
 from .hermite import HermiteSolution
 from .ph import PreImage, curve_from_preimage, ph_identity_residual
-from .quat import Quaternion, angle_between, unit
-from .rrmf import (
-    _STACKED_ROWS,
-    _frame_rows,
-    frame_from_coefficients,
-    han08_residual,
-    is_class_I,
-)
+from .quat import Quaternion, angle_between, frame_rows, unit
+from .rrmf import _STACKED_ROWS, frame_from_coefficients, han08_residual, is_class_I
 from .spline import PointStream, SplinePath, build, chord_knots, default_initial_frame
 
 EXIT_OK = 0
@@ -261,7 +255,6 @@ def spline_from_dict(doc: dict) -> SplinePath:
         if len(seg_docs) != knots.size - 1 or not len(seg_docs):
             raise StreamFormatError("segment count must match the knot vector")
         segments = []
-        frames = []
         for seg in seg_docs:
             axes = np.array([_vec3(seg["axes"]["i"], "axes.i"),
                              _vec3(seg["axes"]["j"], "axes.j"),
@@ -282,9 +275,7 @@ def spline_from_dict(doc: dict) -> SplinePath:
                 phi2=float(seg["phi2"]), theta1=float(seg.get("theta1", 0.0)),
                 diagnostics={},
             ))
-            frames.append(frame.frame_matrix(0.0))
-        frames.append(segments[-1].frame.frame_matrix(1.0))
-        return SplinePath(knots=knots, segments=segments, frames=np.array(frames))
+        return SplinePath(knots=knots, segments=segments)
     except (KeyError, TypeError, IndexError) as exc:
         raise StreamFormatError(f"malformed spline file: {exc!r}") from exc
 
@@ -331,8 +322,8 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     evaluation of its frames (``SplinePath.frame_bezier``) at every sample
     of every frame check.  ``frame_vs_transport`` is the largest angle
     between each segment's rational normal and the double-reflection RMF
-    (``oracle.reflect_rmf``, one call per block) at ``ode_samples`` + 1
-    uniform parameters.  The curve and frame-polynomial identities are
+    (``oracle.reflect_rmf``, one call for all segments) at ``ode_samples``
+    + 1 uniform parameters.  The curve and frame-polynomial identities are
     checked one segment at a time.
     """
     tol = tolerances()
@@ -348,10 +339,14 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
         })
 
     segments = path_obj.segments
-    ts = np.linspace(0.0, 1.0, ode_samples + 1)
+    # The transport starts from each segment's normal at t = 0, where a
+    # Bezier polynomial takes its first coefficient.  The normals of all
+    # segments, (S, ode_samples + 1, 3), are held through the block loop.
+    ts, normals = oracle.reflect_rmf(
+        [sol.segment for sol in segments],
+        frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes)[:, 1], ode_samples)
     step = oracle.VELOCITY_STEP
-    # One parameter row for all frame checks; its first entry is t = 0,
-    # whose normal starts the transport.
+    # One parameter row for all frame checks.
     params = np.concatenate([_FRAME_SAMPLES, ts,
                              oracle.velocity_samples(_INTERIOR_SAMPLES, step)])
     # Bernstein basis of the frame quaternions at the parameters: a block's
@@ -364,12 +359,10 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     per_block = max(1, _STACKED_ROWS // params.size)
     for lo in range(0, len(segments), per_block):
         block = slice(lo, lo + per_block)
-        frames = _frame_rows(basis @ path_obj.frame_bezier[block],
-                             path_obj.frame_axes[block, None])
+        frames = frame_rows(basis @ path_obj.frame_bezier[block],
+                            path_obj.frame_axes[block, None])
         ortho[block] = _orthonormality(frames[:, :_FRAME_SAMPLES.size])
-        _, normals = oracle.reflect_rmf([sol.segment for sol in segments[block]],
-                                        frames[:, 0, 1], ode_samples)
-        vs_transport[block] = oracle.max_unit_angle(frames[:, transport, 1], normals)
+        vs_transport[block] = oracle.max_unit_angle(frames[:, transport, 1], normals[block])
         spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.stop:], step),
                              axis=-1)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _bernstein as bern
 from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
-from .quat import Quaternion, orthonormal_completion, sandwich, star, vnorm_sq, vsandwich
+from .quat import Quaternion, frame_rows, orthonormal_completion, sandwich, star, vgram, vnorm_sq
 
 DEGENERACY_TOL = 1e-12
 
@@ -39,12 +39,10 @@ class PreImage:
         """Bezier coefficients as wxyz rows, shape (3, 4)."""
         return np.array([self.a0.as_wxyz(), self.a1.as_wxyz(), self.a2.as_wxyz()])
 
-    def power_coeffs(self) -> list[Quaternion]:
-        """Power-basis quaternion coefficients [C0, C1, C2]."""
-        c0 = self.a0
-        c1 = 2.0 * (self.a1 - self.a0)
-        c2 = (self.a0 - 2.0 * self.a1) + self.a2
-        return [c0, c1, c2]
+    def power_coeffs(self) -> np.ndarray:
+        """Power-basis coefficients [C0, C1, C2] as wxyz rows, shape (3, 4)."""
+        a0, a1, a2 = self.coeffs_wxyz
+        return np.array([a0, 2.0 * (a1 - a0), (a0 - 2.0 * a1) + a2])
 
     def evaluate(self, t: float) -> Quaternion:
         u = 1.0 - t
@@ -70,18 +68,8 @@ def hodograph_from_preimage(p: PreImage) -> np.ndarray:
 
 def parametric_speed(p: PreImage) -> np.ndarray:
     """Bernstein coefficients (degree 4) of the parametric speed polynomial."""
-    a0, a1, a2 = p.a0, p.a1, p.a2
-
-    def dot(x: Quaternion, y: Quaternion) -> float:
-        return x.w * y.w + float(x.v @ y.v)
-
-    return np.array([
-        dot(a0, a0),
-        dot(a0, a1),
-        (dot(a0, a2) + 2.0 * dot(a1, a1)) / 3.0,
-        dot(a1, a2),
-        dot(a2, a2),
-    ])
+    g = vgram(p.coeffs_wxyz)
+    return np.array([g[0, 0], g[0, 1], (g[0, 2] + 2.0 * g[1, 1]) / 3.0, g[1, 2], g[2, 2]])
 
 
 def arc_length(p: PreImage) -> float:
@@ -119,21 +107,8 @@ class PHQuintic:
     def hodograph(self, t) -> np.ndarray:
         return bern.decasteljau(self.h, t)
 
-    def derivative(self, t, order: int = 1) -> np.ndarray:
-        if order == 0:
-            return self.point(t)
-        coeffs = self.h
-        for _ in range(order - 1):
-            coeffs = bern.derivative(coeffs)
-        return bern.decasteljau(coeffs, t)
-
     def speed(self, t) -> np.ndarray:
         return bern.decasteljau(self.sigma, t)
-
-    def tangent(self, t) -> np.ndarray:
-        h = self.hodograph(t)
-        s = self.speed(t)
-        return h / s[..., None]
 
     def arc_length(self) -> float:
         return float(bern.definite_integral(self.sigma))
@@ -223,14 +198,11 @@ def erf_frame_many(p: PreImage, ts: np.ndarray, axes: np.ndarray | None = None) 
         axes = np.array([p.axis, j, k])
     ts = np.asarray(ts, dtype=float)
     a = p.evaluate_many(ts)
-    nsq = vnorm_sq(a)
-    vanishing = nsq <= 1e-28
+    vanishing = vnorm_sq(a) <= 1e-28
     if np.any(vanishing):
         t = float(ts[vanishing][0])
         raise DegenerateCurveError(f"generator vanishes at t = {t}; frame undefined", root=t)
-    return np.stack(
-        [vsandwich(a, axes[0]), vsandwich(a, axes[1]), vsandwich(a, axes[2])], axis=1
-    ) / nsq[:, None, None]
+    return frame_rows(a, axes)
 
 
 def ph_identity_residual(q: PHQuintic) -> float:

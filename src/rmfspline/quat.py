@@ -1,11 +1,15 @@
 """Coordinate-free quaternion algebra and the vector operators built on it.
 
-Quaternions are small value objects (scalar part ``w`` plus 3-vector part
-``v``); pure vectors are identified with numpy arrays of shape (3,).  All
-operations are side-effect free.  Cross products of single 3-vectors go
-through ``cross3``, which skips the axis handling that dominates
-``np.cross`` at this size; ``vsandwich`` writes its cross product out by
-components in the same way.
+Two forms of the same algebra.  ``Quaternion`` is a small value object
+(scalar part ``w`` plus 3-vector part ``v``) for constructing one segment;
+pure vectors are numpy arrays of shape (3,).  The wxyz-array kernel
+(``vmul``, ``vpoly_mul``, ``vgram``, ``vsandwich``, ``frame_rows``) works
+on quaternion rows of shape (..., 4) that broadcast against each other,
+for frame polynomials and dense frame evaluation.  Its dot products are
+``np.vecdot``, which rounds each one exactly as 1-D ``@`` does, and its
+cross products repeat ``np.cross``'s arithmetic, as ``cross3`` does for
+single 3-vectors; so a kernel row equals the value-object result bit for
+bit, whatever the batch around it.  All operations are side-effect free.
 """
 
 from __future__ import annotations
@@ -216,28 +220,64 @@ def quat_sqrt(v: np.ndarray, i: np.ndarray, alpha: float = 0.0) -> Quaternion:
     return base * Quaternion.versor(i, alpha)
 
 
-# Vectorized helpers operating on arrays of wxyz rows, for dense sampling.
+# The wxyz-array kernel.
 
 def vnorm_sq(a: np.ndarray) -> np.ndarray:
     return np.sum(a * a, axis=-1)
 
 
-def vsandwich(q: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """q e q* for quaternion rows q (..., 4) and one constant pure vector e.
+def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of 3-vector rows, which broadcast, by ``np.cross``'s
+    products and subtractions."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
-    u x e repeats the arithmetic of ``np.cross``, so results are bit-identical.
+
+def vmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a b of quaternion rows (..., 4), which broadcast; each row
+    equals ``Quaternion.__mul__`` bit for bit."""
+    aw, au = a[..., :1], a[..., 1:]
+    bw, bu = b[..., :1], b[..., 1:]
+    return np.concatenate([aw * bw - np.vecdot(au, bu)[..., None],
+                           aw * bu + bw * au + _vcross(au, bu)], axis=-1)
+
+
+def vpoly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two quaternion polynomials given as ascending coefficient
+    rows (m, 4) and (n, 4); returns (m + n - 1, 4).  Each coefficient sums
+    its terms a_i b_j from zero in increasing i."""
+    prod = vmul(a[:, None], b[None, :])
+    out = np.zeros((len(a) + len(b) - 1, 4))
+    for i, row in enumerate(prod):
+        out[i:i + len(b)] += row
+    return out
+
+
+def vgram(rows: np.ndarray) -> np.ndarray:
+    """Inner products w_m w_n + u_m . u_n of every pair of quaternion rows
+    (k, 4), as a (k, k) matrix."""
+    return rows[:, None, 0] * rows[None, :, 0] + np.vecdot(rows[:, None, 1:], rows[None, :, 1:])
+
+
+def vsandwich(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """q e q* for quaternion rows q (..., 4) and pure vectors e (..., 3),
+    which broadcast; scales by |q|^2 for non-unit q.
+
+    |u|^2 is summed by ``np.sum``, not by ``@`` as in ``sandwich``: the
+    frames that ``build`` chains from segment to segment come from here.
     """
-    w, u = q[..., 0], q[..., 1:]
+    w, u = q[..., :1], q[..., 1:]
     e = np.asarray(e, dtype=float)
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    e0, e1, e2 = e.tolist()
-    ue = u @ e
-    cross = np.empty_like(u)
-    cross[..., 0] = u1 * e2 - u2 * e1
-    cross[..., 1] = u2 * e0 - u0 * e2
-    cross[..., 2] = u0 * e1 - u1 * e0
-    return (
-        (w * w - np.sum(u * u, axis=-1))[..., None] * e
-        + 2.0 * ue[..., None] * u
-        + 2.0 * w[..., None] * cross
-    )
+    return ((w * w - np.sum(u * u, axis=-1, keepdims=True)) * e
+            + 2.0 * np.vecdot(u, e)[..., None] * u
+            + 2.0 * w * _vcross(u, e))
+
+
+def frame_rows(q: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Frame rows (..., 3, 3) from samples q (..., 4) of frame quaternions.
+
+    axes (..., 3, 3) broadcasts against the samples' leading axes and holds
+    the axis rows e_m of each sample's frame; row m is q e_m q* / |q|^2.
+    """
+    return vsandwich(q[..., None, :], axes) / vnorm_sq(q)[..., None, None]

@@ -26,14 +26,15 @@ from .quat import (
     bisector,
     boxop,
     cross3,
+    frame_rows,
     neg_cross,
     orthonormal_completion,
     quat_sqrt,
     sandwich,
     star,
     unit,
-    vnorm_sq,
-    vsandwich,
+    vgram,
+    vpoly_mul,
 )
 
 CLASS_ONE_REL_TOL = 1e-9
@@ -239,40 +240,18 @@ def theta1_for_s1(
 
 # --- rational rotation-minimizing frame -----------------------------------
 
-def _quat_poly_mul(a: list[Quaternion], b: list[Quaternion]) -> list[Quaternion]:
-    out = [Quaternion(0.0, np.zeros(3)) for _ in range(len(a) + len(b) - 1)]
-    for m, am in enumerate(a):
-        for n, bn in enumerate(b):
-            out[m + n] = out[m + n] + am * bn
-    return out
-
-
 def _rotation_rate_coeffs(p: PreImage) -> np.ndarray:
     """Power coefficients (ascending, degree 3) of scal(A' i A*)."""
     c = p.power_coeffs()
-    dc = [c[1], 2.0 * c[2]]
-    qi = Quaternion.pure(p.axis)
-    prod = _quat_poly_mul(_quat_poly_mul(dc, [qi]), [x.conj() for x in c])
-    out = np.zeros(4)
-    for m, q in enumerate(prod):
-        out[m] = q.w
-    return out
+    dc = np.array([c[1], 2.0 * c[2]])
+    qi = np.concatenate([[0.0], p.axis])[None]
+    return vpoly_mul(vpoly_mul(dc, qi), c * [1.0, -1.0, -1.0, -1.0])[:, 0]
 
 
 def _speed_power_coeffs(p: PreImage) -> np.ndarray:
     """Power coefficients (ascending, degree 4) of the speed polynomial."""
-    c = p.power_coeffs()
-
-    def dot(x: Quaternion, y: Quaternion) -> float:
-        return x.w * y.w + float(x.v @ y.v)
-
-    return np.array([
-        dot(c[0], c[0]),
-        2.0 * dot(c[0], c[1]),
-        2.0 * dot(c[0], c[2]) + dot(c[1], c[1]),
-        2.0 * dot(c[1], c[2]),
-        dot(c[2], c[2]),
-    ])
+    g = vgram(p.power_coeffs())
+    return np.array([g[0, 0], 2.0 * g[0, 1], 2.0 * g[0, 2] + g[1, 1], 2.0 * g[1, 2], g[2, 2]])
 
 
 def _conjugate_pairs(roots: np.ndarray) -> list[complex]:
@@ -357,13 +336,8 @@ class RationalFrame:
 
     def frame(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f1, f2, f3) rows at scalar t or arrays of shape (len(t), 3)."""
-        bq = bern.decasteljau(self.b_bezier, t)
-        den = vnorm_sq(bq)[..., None]
-        return (
-            vsandwich(bq, self.axes[0]) / den,
-            vsandwich(bq, self.axes[1]) / den,
-            vsandwich(bq, self.axes[2]) / den,
-        )
+        rows = frame_rows(bern.decasteljau(self.b_bezier, t), self.axes)
+        return rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
 
     def frame_matrix(self, t: float) -> np.ndarray:
         return np.array(self.frame(float(t)))
@@ -376,35 +350,10 @@ class RationalFrame:
 _STACKED_ROWS = 4096
 
 
-def _frame_rows(q: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Frame rows (..., 3, 3) from samples q (..., 4) of frame quaternions.
-
-    axes (..., 3, 3) broadcasts against the samples' leading axes and holds
-    the axis rows of each sample's frame, as ``RationalFrame.axes``.  Row m
-    is q e_m q* / |q|^2, the three sandwiches of ``RationalFrame.frame``,
-    here sharing w^2 - |u|^2, 2w and |q|^2 of each sample q = (w, u).  The
-    products u . e_m are summed in a fixed order instead of by ``@``, so a
-    row agrees with ``RationalFrame.frame`` to rounding and does not depend
-    on the other rows of the call.
-    """
-    w, u = q[..., 0], q[..., 1:]
-    u0, u1, u2 = u[..., 0, None], u[..., 1, None], u[..., 2, None]
-    e0, e1, e2 = axes[..., 0], axes[..., 1], axes[..., 2]
-    ue = u0 * e0 + u1 * e1 + u2 * e2
-    cross = np.stack([u1 * e2 - u2 * e1, u2 * e0 - u0 * e2, u0 * e1 - u1 * e0], axis=-1)
-    rows = (w * w - np.sum(u * u, axis=-1))[..., None, None] * axes
-    rows += (2.0 * ue)[..., None] * u[..., None, :]
-    rows += (2.0 * w)[..., None, None] * cross
-    rows /= vnorm_sq(q)[..., None, None]
-    return rows
-
-
 def _build_frame(p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray,
                  residual: float) -> RationalFrame:
-    i = axes[0]
-    w_coeffs = [Quaternion(a[m], b[m] * i) for m in range(3)]
-    b_power = _quat_poly_mul(p.power_coeffs(), w_coeffs)
-    b_bez = bern.from_power(np.array([q.as_wxyz() for q in b_power]))
+    w = np.column_stack([a, b[:, None] * axes[0]])
+    b_bez = bern.from_power(vpoly_mul(p.power_coeffs(), w))
     return RationalFrame(a=a, b=b, axes=axes, b_bezier=b_bez, residual=residual)
 
 

@@ -33,8 +33,8 @@ from .hermite import (
     scaled_displacement_components,
     unit_displacement_b,
 )
-from .quat import angle_between, angles_between, bisector, cross3, unit
-from .rrmf import _STACKED_ROWS, _frame_rows
+from .quat import angle_between, angles_between, bisector, cross3, frame_rows, unit
+from .rrmf import _STACKED_ROWS
 
 MAX_TURN = 0.8 * math.pi
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
@@ -351,11 +351,16 @@ class SplinePath:
     ``continuity_report`` and ``validate_spline`` evaluate all segments
     from these arrays at once.  A changed segment means a new path, for
     example by ``dataclasses.replace(path, segments=...)``.
+
+    ``frames`` (S + 1, 3, 3), also read-only, holds the start frame of each
+    segment, (u, v, w) of its algebra axes (u, -v, -w), and the last
+    segment's end frame, orthonormalized as ``build`` does between
+    segments; a saved and reloaded path therefore has the same frames.
     """
 
     knots: np.ndarray
     segments: tuple[HermiteSolution, ...]
-    frames: np.ndarray
+    frames: np.ndarray = field(init=False, repr=False)
     control_points: np.ndarray = field(init=False, repr=False)
     frame_bezier: np.ndarray = field(init=False, repr=False)
     frame_axes: np.ndarray = field(init=False, repr=False)
@@ -369,6 +374,10 @@ class SplinePath:
             packed = np.array(rows, dtype=float)
             packed.flags.writeable = False
             object.__setattr__(self, name, packed)
+        end = _orthonormalized(segments[-1].frame.frame_matrix(1.0))
+        frames = np.concatenate([self.frame_axes * [[1.0], [-1.0], [-1.0]], end[None]])
+        frames.flags.writeable = False
+        object.__setattr__(self, "frames", frames)
 
     @property
     def n_segments(self) -> int:
@@ -403,8 +412,8 @@ class SplinePath:
         and one de Casteljau pass over the control points and one over the
         frame quaternions, with the frame rows built from it, evaluate all
         of them; chunks of ``rrmf._STACKED_ROWS`` parameters bound the
-        memory of a large batch.  Points equal ``PHQuintic.point`` bit for
-        bit; frames agree with ``RationalFrame.frame`` to rounding.
+        memory of a large batch.  Points equal ``PHQuintic.point`` and
+        frames equal ``RationalFrame.frame`` bit for bit.
         """
         ks, ts = self.locate(us)
         pts = np.empty((ks.size, 3))
@@ -412,7 +421,7 @@ class SplinePath:
         for lo in range(0, ks.size, _STACKED_ROWS):
             k, t = ks[lo:lo + _STACKED_ROWS], ts[lo:lo + _STACKED_ROWS]
             pts[lo:lo + k.size] = bern.decasteljau_stacked(self.control_points[k], t)
-            frames[lo:lo + k.size] = _frame_rows(
+            frames[lo:lo + k.size] = frame_rows(
                 bern.decasteljau_stacked(self.frame_bezier[k], t), self.frame_axes[k])
         return pts, frames
 
@@ -456,7 +465,6 @@ def build(
 
     frame = stream.initial_frame
     segments: list[HermiteSolution] = []
-    frames = [frame]
     prev_du: np.ndarray | None = None
     for k in range(n):
         dp = points[k + 1] - points[k]
@@ -479,10 +487,9 @@ def build(
             ) from exc
         segments.append(sol)
         frame = _orthonormalized(sol.frame.frame_matrix(1.0))
-        frames.append(frame)
         prev_du = du
 
-    return SplinePath(knots=knots, segments=segments, frames=np.array(frames))
+    return SplinePath(knots=knots, segments=segments)
 
 
 def continuity_report(path: SplinePath) -> dict:
@@ -492,8 +499,8 @@ def continuity_report(path: SplinePath) -> dict:
     stacked evaluations, at t = 1 and t = 0, where a Bezier polynomial takes
     its last and its first coefficient (de Casteljau's value, bit for bit).
     """
-    ends = _frame_rows(path.frame_bezier[:-1, -1], path.frame_axes[:-1])
-    starts = _frame_rows(path.frame_bezier[1:, 0], path.frame_axes[1:])
+    ends = frame_rows(path.frame_bezier[:-1, -1], path.frame_axes[:-1])
+    starts = frame_rows(path.frame_bezier[1:, 0], path.frame_axes[1:])
     angles = angles_between(ends, starts)
     return {"max_tangent_angle": float(np.max(angles[:, 0], initial=0.0)),
             "max_frame_angle": float(np.max(angles, initial=0.0))}

@@ -210,6 +210,17 @@ class TestSplineFiles:
         assert np.array_equal(p1, p2)
         assert np.array_equal(f1, f2)
 
+    @pytest.mark.parametrize("curve", ["helix", "torus", "spiral"])
+    def test_save_load_save_byte_identical(self, tmp_path, curve):
+        _, pts, tans = sample_curve(curve, 12)
+        built = build(PointStream(points=pts, initial_frame=default_initial_frame(tans[0])))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_spline_file(str(first), built)
+        loaded = read_spline_file(str(first))
+        write_spline_file(str(second), loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert np.array_equal(loaded.frames, built.frames)
+
     def test_empty_file_is_schema_error(self, tmp_path):
         f = tmp_path / "empty.json"
         f.write_text("")

@@ -19,7 +19,12 @@ from rmfspline.quat import (
     rotate,
     sandwich,
     star,
+    frame_rows,
     unit,
+    vgram,
+    vmul,
+    vnorm_sq,
+    vpoly_mul,
     vsandwich,
 )
 
@@ -238,9 +243,63 @@ class TestVectorized:
                     + 2.0 * (u @ e)[..., None] * u
                     + 2.0 * w[..., None] * np.cross(u, np.broadcast_to(e, u.shape)))
 
-        assert np.array_equal(vsandwich(q, e), by_np_cross(q))
+        # The batched u @ e is a matrix-vector product, which rounds
+        # differently from 1-D @ in some rows; a batch row must equal its row
+        # alone.
+        assert np.array_equal(vsandwich(q, e), np.array([by_np_cross(row) for row in q]))
         for row in q:
             assert np.array_equal(vsandwich(row, e), by_np_cross(row))
+
+
+def quat_poly_mul_looped(a: list[Quaternion], b: list[Quaternion]) -> list[Quaternion]:
+    """Reference: the product of quaternion polynomials as a double loop
+    over ``Quaternion`` coefficients."""
+    out = [Quaternion(0.0, np.zeros(3)) for _ in range(len(a) + len(b) - 1)]
+    for m, am in enumerate(a):
+        for n, bn in enumerate(b):
+            out[m + n] = out[m + n] + am * bn
+    return out
+
+
+def scaled_rows(rng: np.random.RandomState, n: int) -> np.ndarray:
+    return rng.randn(n, 4) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+
+
+class TestArrayKernel:
+    def test_vmul_bitwise_with_quaternion_product(self):
+        rng = np.random.RandomState(7)
+        a, b = scaled_rows(rng, 200), scaled_rows(rng, 200)
+        ref = [(Quaternion.from_wxyz(x) * Quaternion.from_wxyz(y)).as_wxyz()
+               for x, y in zip(a, b)]
+        assert np.array_equal(vmul(a, b), np.array(ref))
+        # broadcast: every row of a against one quaternion
+        assert np.array_equal(vmul(a, b[0]), vmul(a, np.tile(b[0], (200, 1))))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 3), (3, 3), (3, 2)])
+    def test_vpoly_mul_bitwise_with_double_loop(self, m, n):
+        rng = np.random.RandomState(8 + 10 * m + n)
+        for _ in range(50):
+            a, b = scaled_rows(rng, m), scaled_rows(rng, n)
+            ref = quat_poly_mul_looped([Quaternion.from_wxyz(x) for x in a],
+                                       [Quaternion.from_wxyz(y) for y in b])
+            assert np.array_equal(vpoly_mul(a, b), np.array([q.as_wxyz() for q in ref]))
+
+    def test_vgram_bitwise_with_scalar_products(self):
+        rng = np.random.RandomState(9)
+        rows = scaled_rows(rng, 5)
+        qs = [Quaternion.from_wxyz(x) for x in rows]
+        ref = [[x.w * y.w + float(x.v @ y.v) for y in qs] for x in qs]
+        assert np.array_equal(vgram(rows), np.array(ref))
+
+    def test_frame_rows_bitwise_with_one_axis_sandwiches(self):
+        rng = np.random.RandomState(10)
+        q = scaled_rows(rng, 30)
+        axes = np.array([I, J, K]) @ np.linalg.qr(rng.randn(3, 3))[0]
+        rows = frame_rows(q, axes)
+        assert rows.shape == (30, 3, 3)
+        for k in range(30):
+            for m in range(3):
+                assert np.array_equal(rows[k, m], vsandwich(q[k], axes[m]) / vnorm_sq(q[k]))
 
 
 def test_angle_between_accuracy():

@@ -613,6 +613,14 @@ class TestPackedPath:
         assert np.array_equal(pts, ref_pts)
         assert np.max(np.abs(frames - ref_frames)) <= 1e-15
 
+    def test_eval_many_frames_equal_rational_frame(self, torus_path):
+        path = torus_path
+        us = np.random.RandomState(46).uniform(path.knots[0], path.knots[-1], 3000)
+        _, frames = path.eval_many(us)
+        ks, ts = path.locate(us)
+        for k, t, got in zip(ks.tolist(), ts.tolist(), frames):
+            assert np.array_equal(got, np.array(path.segments[k].frame.frame(t)))
+
     def test_chunked_batch_matches_reference(self, torus_path):
         # one full chunk and a short one; rows do not depend on their chunk
         path = torus_path
