@@ -7,6 +7,7 @@ serialized.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,8 +63,15 @@ def definite_integral(coeffs: np.ndarray):
     return coeffs.sum(axis=0) / coeffs.shape[0]
 
 
-def _binomials(n: int) -> np.ndarray:
-    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+@functools.lru_cache(maxsize=16)
+def _conversion_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n+1, n+1) tables: C(i, k) at [i, k], and the exact factors
+    (-1)^(k-i) C(n, i) C(n-i, k-i) of ``to_power`` at [k, i]."""
+    comb = np.array([[math.comb(i, k) for k in range(n + 1)] for i in range(n + 1)], dtype=float)
+    signed = np.array([[((-1.0) ** (k - i)) * math.comb(n, i) * math.comb(n - i, k - i)
+                        if i <= k else 0.0 for i in range(n + 1)] for k in range(n + 1)])
+    comb.flags.writeable = signed.flags.writeable = False
+    return comb, signed
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,33 +80,34 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     m = a.shape[0] - 1
     n = b.shape[0] - 1
-    return np.convolve(_binomials(m) * a, _binomials(n) * b) / _binomials(m + n)
+    cm, cn, cmn = (_conversion_tables(k)[0][k] for k in (m, n, m + n))
+    return np.convolve(cm * a, cn * b) / cmn
+
+
+def _lower_sums(terms: np.ndarray, first) -> np.ndarray:
+    """Row sums of the lower triangle of terms (m, m, ...), each started at
+    0 * first and added left to right, as a loop over the columns would."""
+    out = np.broadcast_to(0.0 * first, terms.shape[1:]).copy()
+    for col in range(len(terms)):
+        out[col:] += terms[col:, col]
+    return out
 
 
 def to_power(coeffs: np.ndarray) -> np.ndarray:
     """Power-basis coefficients (ascending) of a Bernstein polynomial."""
     coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[0] - 1
-    out = np.zeros_like(coeffs)
-    for k in range(n + 1):
-        s = 0.0 * coeffs[0]
-        for i in range(k + 1):
-            s = s + ((-1.0) ** (k - i)) * math.comb(n, i) * math.comb(n - i, k - i) * coeffs[i]
-        out[k] = s
-    return out
+    signed = _conversion_tables(coeffs.shape[0] - 1)[1]
+    return _lower_sums(signed.reshape(signed.shape + (1,) * (coeffs.ndim - 1)) * coeffs,
+                       coeffs[0])
 
 
 def from_power(pcoeffs: np.ndarray) -> np.ndarray:
     """Bernstein coefficients from ascending power-basis coefficients."""
     pcoeffs = np.asarray(pcoeffs, dtype=float)
-    n = pcoeffs.shape[0] - 1
-    out = np.zeros_like(pcoeffs)
-    for i in range(n + 1):
-        s = 0.0 * pcoeffs[0]
-        for k in range(i + 1):
-            s = s + pcoeffs[k] * math.comb(i, k) / math.comb(n, k)
-        out[i] = s
-    return out
+    comb = _conversion_tables(pcoeffs.shape[0] - 1)[0]
+    comb = comb.reshape(comb.shape + (1,) * (pcoeffs.ndim - 1))
+    # Term [i, k] is (p_k C(i, k)) / C(n, k).
+    return _lower_sums(pcoeffs * comb / comb[-1], pcoeffs[0])
 
 
 def _subdivide(coeffs: np.ndarray, t: float = 0.5) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import NoSolutionError, ValidationError, VanishingDisplacementError
 from .ph import PHQuintic, PreImage, curve_from_preimage
-from .quat import Quaternion, angle_between, bisector, cross3, neg_cross, sandwich, star, unit
+from .quat import (Quaternion, angle_between, bisector, cross3, neg_cross, norm3, sandwich, star,
+                   unit)
 from .rrmf import RationalFrame, compute_rational_frame
 
 CRITICAL_GAMMA = 0.4 * math.pi
@@ -50,13 +51,13 @@ class HermiteData:
         for name in ("p_start", "p_end", "u", "v", "w", "u_end"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         _check_right_handed(self.u, self.v, self.w, FRAME_TOL)
-        if abs(np.linalg.norm(self.u_end) - 1.0) > FRAME_TOL:
+        if abs(norm3(self.u_end) - 1.0) > FRAME_TOL:
             raise ValidationError("end tangent must be a unit vector")
         dp = self.p_end - self.p_start
-        dnorm = float(np.linalg.norm(dp))
+        dnorm = norm3(dp)
         if dnorm <= 1e-14:
             raise ValidationError("displacement must not vanish")
-        if np.linalg.norm(cross3(self.u, self.u_end)) <= 1e-12:
+        if norm3(cross3(self.u, self.u_end)) <= 1e-12:
             raise ValidationError("tangent turning angle must lie strictly inside (0, pi)")
         du = dp / dnorm
         if abs(float(self.u @ du - du @ self.u_end)) > SYMMETRY_TOL:
@@ -71,6 +72,35 @@ class HermiteData:
     @property
     def delta_u(self) -> np.ndarray:
         return unit(self.delta_p)
+
+
+def _half_angle_components(cg2: float, sg2: float, phi2: float) -> tuple[float, float]:
+    """``scaled_displacement_components`` of scalars from cos and sin of gamma/2."""
+    cp = math.cos(phi2)
+    sp = math.sin(phi2)
+    q2b, q2n = cp, sp * sg2
+    q2norm = math.sqrt(max(1.0 - (sp * cg2) ** 2, 0.0))
+    half_sum_sq = 1.0 + cp * cg2
+    if q2norm == 0.0 or half_sum_sq == 0.0:
+        return math.nan, math.nan
+    s02b = (cg2 + cp) / half_sum_sq
+    s02n = sp * sg2 / half_sum_sq
+    smb = s02b + q2b / q2norm
+    smn = s02n + q2n / q2norm
+    # np.hypot, not math.hypot: the two round differently.
+    smnorm = float(np.hypot(smb, smn))
+    if smnorm < 1e-14:
+        smb, smn = q2b / q2norm, q2n / q2norm
+    else:
+        smb, smn = smb / smnorm, smn / smnorm
+    q3mag = math.sqrt(q2norm) * math.sqrt(2.0 * half_sum_sq)
+    return 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
+
+
+def _unit_b(ib: float, in_: float) -> float:
+    """The scalar branch of ``unit_displacement_b``: ib / hypot(ib, in_)."""
+    norm = float(np.hypot(ib, in_))
+    return ib / norm if norm != 0.0 else math.nan
 
 
 def scaled_displacement_components(gamma, phi2):
@@ -95,27 +125,7 @@ def scaled_displacement_components(gamma, phi2):
     """
     if ((isinstance(phi2, float) or np.ndim(phi2) == 0)
             and not isinstance(gamma, np.ndarray)):
-        cg2 = math.cos(0.5 * gamma)
-        sg2 = math.sin(0.5 * gamma)
-        cp = math.cos(phi2)
-        sp = math.sin(phi2)
-        q2b, q2n = cp, sp * sg2
-        q2norm = math.sqrt(max(1.0 - (sp * cg2) ** 2, 0.0))
-        half_sum_sq = 1.0 + cp * cg2
-        if q2norm == 0.0 or half_sum_sq == 0.0:
-            return math.nan, math.nan
-        s02b = (cg2 + cp) / half_sum_sq
-        s02n = sp * sg2 / half_sum_sq
-        smb = s02b + q2b / q2norm
-        smn = s02n + q2n / q2norm
-        # np.hypot, not math.hypot: the two round differently.
-        smnorm = float(np.hypot(smb, smn))
-        if smnorm < 1e-14:
-            smb, smn = q2b / q2norm, q2n / q2norm
-        else:
-            smb, smn = smb / smnorm, smn / smnorm
-        q3mag = math.sqrt(q2norm) * math.sqrt(2.0 * half_sum_sq)
-        return 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
+        return _half_angle_components(math.cos(0.5 * gamma), math.sin(0.5 * gamma), phi2)
     half_gamma = 0.5 * np.asarray(gamma, dtype=float)
     cg2 = np.cos(half_gamma)
     sg2 = np.sin(half_gamma)
@@ -143,10 +153,9 @@ def scaled_displacement_components(gamma, phi2):
 def unit_displacement_b(gamma, phi2):
     """Bisector component of the unit scaled displacement."""
     ib, in_ = scaled_displacement_components(gamma, phi2)
-    norm = np.hypot(ib, in_)
     if isinstance(ib, float):  # the scalar branch
-        return ib / float(norm) if norm != 0.0 else math.nan
-    return ib / norm
+        return _unit_b(ib, in_)
+    return ib / np.hypot(ib, in_)
 
 
 def alpha0(
@@ -218,7 +227,7 @@ class DisplacementAnalysis:
         nsum_sq = usum.norm_sq()
         s02 = sandwich(usum, i) / nsum_sq
         ssum = s02 + s2
-        target = s2 if np.linalg.norm(ssum) < 1e-12 else ssum / np.linalg.norm(ssum)
+        target = s2 if norm3(ssum) < 1e-12 else ssum / norm3(ssum)
         sm = ((usum * iq) * u1.conj()).v / math.sqrt(nsum_sq)
         if float(sm @ target) < 0.0:
             theta1 += math.pi
@@ -227,7 +236,7 @@ class DisplacementAnalysis:
 
     def displacement_from(self, u1: Quaternion, u2: Quaternion, q2: np.ndarray) -> np.ndarray:
         """The scaled end-to-end displacement of a configuration from ``units``."""
-        q3 = math.sqrt(np.linalg.norm(q2)) * star(self._u0 + u2, u1, self.axes[0])
+        q3 = math.sqrt(norm3(q2)) * star(self._u0 + u2, u1, self.axes[0])
         return self.q1 + q2 + q3
 
     def polygon_from(self, u1: Quaternion, u2: Quaternion, q2: np.ndarray) -> np.ndarray:
@@ -321,7 +330,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
     gamma = analysis.gamma
     b, n = analysis.b, analysis.n
     du = d.delta_u
-    dnorm = float(np.linalg.norm(d.delta_p))
+    dnorm = norm3(d.delta_p)
     db = float(du @ b)
     dn = float(du @ n)
 
@@ -329,7 +338,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
 
     phi2_hat: float | None = None
     # Direct hits at the two symmetric angles first.
-    if np.linalg.norm(b - du) <= 1e-12:
+    if norm3(b - du) <= 1e-12:
         phi2_hat = 0.0
         diagnostics["branch"] = "direct-hit-0"
     elif math.cos(0.5 * gamma) == 1.0:
@@ -343,7 +352,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
     elif abs(gamma - CRITICAL_GAMMA) > GAMMA_WINDOW:
         ib_pi, _ = scaled_displacement_components(gamma, math.pi)
         s_pi = math.copysign(1.0, float(ib_pi)) * b
-        if np.linalg.norm(s_pi - du) <= 1e-12:
+        if norm3(s_pi - du) <= 1e-12:
             phi2_hat = math.pi
             diagnostics["branch"] = "direct-hit-pi"
 
@@ -354,9 +363,10 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
                 diagnostics={"gamma": gamma, "du_dot_b": db},
             )
         mirror = dn < 0.0
+        cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)  # once for every f
 
         def f(phi: float) -> float:
-            return float(unit_displacement_b(gamma, phi)) - db
+            return _unit_b(*_half_angle_components(cg2, sg2, phi)) - db
 
         f0 = 1.0 - db
         roots: list[tuple[float, int]] = []
@@ -406,17 +416,17 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
 
     u1, u2, theta1, q2 = config
     i_vec = analysis.displacement_from(u1, u2, q2)
-    i_norm = float(np.linalg.norm(i_vec))
-    if i_norm <= 1e-12 * max(1.0, float(np.linalg.norm(analysis.q1))):
+    i_norm = norm3(i_vec)
+    if i_norm <= 1e-12 * max(1.0, norm3(analysis.q1)):
         raise VanishingDisplacementError(
             "scaled displacement vanishes; the segment scale is undefined",
             gamma=gamma, phi2=phi2_hat,
         )
-    s_residual = float(np.linalg.norm(i_vec / i_norm - du))
+    s_residual = norm3(i_vec / i_norm - du)
     diagnostics["s_residual"] = s_residual
 
     mu = math.sqrt(5.0 * dnorm / i_norm)
-    q2_norm = float(np.linalg.norm(q2))
+    q2_norm = norm3(q2)
     a0 = mu * Quaternion.pure(d.u)
     a1 = (mu * math.sqrt(q2_norm)) * u1
     a2 = mu * u2
@@ -426,9 +436,8 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
                                    axes=analysis.axes)
 
     diagnostics["mu"] = mu
-    diagnostics["endpoint_residual"] = float(
-        np.linalg.norm(segment.point(1.0) - d.p_end)
-    )
+    # The last control point is the curve at t = 1, as de Casteljau gives it.
+    diagnostics["endpoint_residual"] = norm3(segment.r[-1] - d.p_end)
     return HermiteSolution(
         segment=segment, frame=frame, mu=mu, phi2=phi2_hat, theta1=theta1,
         diagnostics=diagnostics,

@@ -322,7 +322,7 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     evaluation of its frames (``SplinePath.frame_bezier``) at every sample
     of every frame check.  ``frame_vs_transport`` is the largest angle
     between each segment's rational normal and the double-reflection RMF
-    (``oracle.reflect_rmf``, one call for all segments) at ``ode_samples``
+    (``oracle.reflect_rmf``, one call per block) at ``ode_samples``
     + 1 uniform parameters.  The curve and frame-polynomial identities are
     checked one segment at a time.
     """
@@ -340,11 +340,9 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
 
     segments = path_obj.segments
     # The transport starts from each segment's normal at t = 0, where a
-    # Bezier polynomial takes its first coefficient.  The normals of all
-    # segments, (S, ode_samples + 1, 3), are held through the block loop.
-    ts, normals = oracle.reflect_rmf(
-        [sol.segment for sol in segments],
-        frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes)[:, 1], ode_samples)
+    # Bezier polynomial takes its first coefficient.
+    starts = frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes)[:, 1]
+    ts = np.linspace(0.0, 1.0, ode_samples + 1)  # the samples of ``oracle.reflect_rmf``
     step = oracle.VELOCITY_STEP
     # One parameter row for all frame checks.
     params = np.concatenate([_FRAME_SAMPLES, ts,
@@ -362,7 +360,9 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
         frames = frame_rows(basis @ path_obj.frame_bezier[block],
                             path_obj.frame_axes[block, None])
         ortho[block] = _orthonormality(frames[:, :_FRAME_SAMPLES.size])
-        vs_transport[block] = oracle.max_unit_angle(frames[:, transport, 1], normals[block])
+        _, normals = oracle.reflect_rmf([sol.segment for sol in segments[block]],
+                                        starts[block], ode_samples)
+        vs_transport[block] = oracle.max_unit_angle(frames[:, transport, 1], normals)
         spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.stop:], step),
                              axis=-1)
 

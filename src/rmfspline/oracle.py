@@ -11,6 +11,7 @@ dense sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,12 +128,23 @@ def _reflect(v: np.ndarray, vv: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u - (2.0 / vv) * np.sum(v * u, axis=-1, keepdims=True) * v
 
 
+@functools.lru_cache(maxsize=4)
+def _reflect_bases(n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only sample parameters and the point and hodograph Bernstein
+    bases there, (samples, degree + 1), for one matmul per block."""
+    ts = np.linspace(0.0, 1.0, n_samples + 1)
+    bases = (ts, bern.decasteljau(np.eye(6), ts), bern.decasteljau(np.eye(5), ts))
+    for arr in bases:
+        arr.flags.writeable = False
+    return bases
+
+
 def reflect_rmf(curves, initial_normals, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Rotation-minimizing normals of many segments by double reflection.
 
-    Returns the sample parameters ``ts`` (n_samples + 1,) and the normals
-    (S, n_samples + 1, 3) of the S ``PHQuintic`` curves, each started from
-    its row of ``initial_normals`` (S, 3).  The method is that of Wang,
+    Returns the read-only sample parameters ``ts`` (n_samples + 1,) and the
+    normals (S, n_samples + 1, 3) of the S ``PHQuintic`` curves, each started
+    from its row of ``initial_normals`` (S, 3).  The method is that of Wang,
     Juttler, Zheng and Liu, "Computation of rotation minimizing frames"
     (ACM TOG 27(1), 2008), fourth-order accurate in the sample spacing.
     Between samples i and i + 1 it reflects in the plane bisecting the
@@ -155,12 +167,7 @@ def reflect_rmf(curves, initial_normals, n_samples: int) -> tuple[np.ndarray, np
     raises ``ValidationError``; it is projected onto the normal plane
     otherwise, as in ``integrate_rmf``.
     """
-    ts = np.linspace(0.0, 1.0, n_samples + 1)
-    # Bernstein bases at ts, (samples, degree + 1): each block's points and
-    # hodographs are then one matmul, with no (samples, degree + 1, block, 3)
-    # de Casteljau intermediates.
-    point_basis = bern.decasteljau(np.eye(6), ts)
-    hodograph_basis = bern.decasteljau(np.eye(5), ts)
+    ts, point_basis, hodograph_basis = _reflect_bases(n_samples)
     initial_normals = np.asarray(initial_normals, dtype=float).reshape(-1, 3)
     normals = np.empty((len(curves), ts.size, 3))
     for lo in range(0, len(curves), _REFLECT_BLOCK):

@@ -8,13 +8,15 @@ scalar factor in the hodograph representation is fixed to one throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _bernstein as bern
 from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
-from .quat import Quaternion, frame_rows, orthonormal_completion, sandwich, star, vgram, vnorm_sq
+from .quat import (Quaternion, _vcross, frame_rows, norm3, orthonormal_completion, vgram, vmul,
+                   vnorm_sq)
 
 DEGENERACY_TOL = 1e-12
 
@@ -30,19 +32,25 @@ class PreImage:
 
     def __post_init__(self):
         ax = np.asarray(self.axis, dtype=float)
-        if abs(np.linalg.norm(ax) - 1.0) > 1e-10:
+        if abs(norm3(ax) - 1.0) > 1e-10:
             raise ValidationError("pre-image axis must be a unit vector")
         object.__setattr__(self, "axis", ax)
 
     @property
     def coeffs_wxyz(self) -> np.ndarray:
         """Bezier coefficients as wxyz rows, shape (3, 4)."""
-        return np.array([self.a0.as_wxyz(), self.a1.as_wxyz(), self.a2.as_wxyz()])
+        return np.array([[q.w, *q.v.tolist()] for q in (self.a0, self.a1, self.a2)])
 
     def power_coeffs(self) -> np.ndarray:
-        """Power-basis coefficients [C0, C1, C2] as wxyz rows, shape (3, 4)."""
+        """Power-basis coefficients [C0, C1, C2] as wxyz rows (3, 4); cached, read-only."""
+        return self._power
+
+    @functools.cached_property
+    def _power(self) -> np.ndarray:
         a0, a1, a2 = self.coeffs_wxyz
-        return np.array([a0, 2.0 * (a1 - a0), (a0 - 2.0 * a1) + a2])
+        power = np.array([a0, 2.0 * (a1 - a0), (a0 - 2.0 * a1) + a2])
+        power.flags.writeable = False
+        return power
 
     def evaluate(self, t: float) -> Quaternion:
         u = 1.0 - t
@@ -55,15 +63,19 @@ class PreImage:
 
 
 def hodograph_from_preimage(p: PreImage) -> np.ndarray:
-    """Degree-4 hodograph control points, shape (5, 3)."""
+    """Degree-4 hodograph control points, shape (5, 3), by array passes that
+    repeat the arithmetic of ``sandwich`` and ``star`` on the coefficients."""
     i = p.axis
-    a0, a1, a2 = p.a0, p.a1, p.a2
-    h0 = sandwich(a0, i)
-    h1 = star(a0, a1, i)
-    h2 = (star(a0, a2, i) + 2.0 * sandwich(a1, i)) / 3.0
-    h3 = star(a1, a2, i)
-    h4 = sandwich(a2, i)
-    return np.array([h0, h1, h2, h3, h4])
+    rows = p.coeffs_wxyz
+    grid = vmul(vmul(rows, np.concatenate([[0.0], i]))[:, None],
+                rows * [1.0, -1.0, -1.0, -1.0])[..., 1:]
+    stars = 0.5 * (grid + grid.transpose(1, 0, 2))
+    w, u = rows[:, :1], rows[:, 1:]
+    sandwiches = ((w * w - np.vecdot(u, u)[:, None]) * i
+                  + 2.0 * np.vecdot(u, i)[:, None] * u
+                  + 2.0 * w * _vcross(u, i))
+    return np.array([sandwiches[0], stars[0, 1], (stars[0, 2] + 2.0 * sandwiches[1]) / 3.0,
+                     stars[1, 2], sandwiches[2]])
 
 
 def parametric_speed(p: PreImage) -> np.ndarray:
@@ -118,10 +130,8 @@ def curve_from_preimage(r0: np.ndarray, p: PreImage) -> PHQuintic:
     """Integrate the hodograph into the degree-5 control polygon."""
     r0 = np.asarray(r0, dtype=float)
     h = hodograph_from_preimage(p)
-    r = np.empty((6, 3))
-    r[0] = r0
-    for k in range(5):
-        r[k + 1] = r[k] + h[k] / 5.0
+    # r[k + 1] = r[k] + h[k] / 5, summed in order.
+    r = np.cumsum(np.concatenate([r0[None], h / 5.0]), axis=0)
     return PHQuintic(r0=r0, preimage=p, h=h, r=r, sigma=parametric_speed(p))
 
 

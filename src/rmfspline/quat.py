@@ -32,10 +32,15 @@ def cross3(a, b) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+def norm3(v: np.ndarray) -> float:
+    """|v| of a 1-D array, bit for bit as ``np.linalg.norm`` computes it."""
+    return math.sqrt(float(v @ v))
+
+
 def unit(v: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Return v / |v|, raising on (near-)zero input."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    n = norm3(v)
     if n <= tol:
         raise DegenerateInputError("cannot normalize a zero vector")
     return v / n
@@ -46,10 +51,10 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     # 2*arcsin(|a-b|/2) avoids the arccos precision cliff near alignment.
-    chord = float(np.linalg.norm(a - b))
+    chord = norm3(a - b)
     if chord <= 1.0:
         return 2.0 * math.asin(0.5 * chord)
-    anti = float(np.linalg.norm(a + b))
+    anti = norm3(a + b)
     return math.pi - 2.0 * math.asin(0.5 * min(anti, 2.0))
 
 
@@ -100,6 +105,13 @@ class Quaternion:
             raise ValidationError(f"vector part must have shape (3,), got {self.v.shape}")
 
     @classmethod
+    def _of(cls, w: float, v: np.ndarray) -> "Quaternion":
+        """Unchecked constructor: w a float, v a float array of shape (3,)."""
+        q = object.__new__(cls)
+        q.w, q.v = w, v
+        return q
+
+    @classmethod
     def pure(cls, v) -> "Quaternion":
         return cls(0.0, v)
 
@@ -107,7 +119,7 @@ class Quaternion:
     def versor(cls, axis: np.ndarray, angle: float) -> "Quaternion":
         """cos(angle) + axis*sin(angle) for a unit axis."""
         axis = np.asarray(axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-10:
+        if abs(norm3(axis) - 1.0) > 1e-10:
             raise ValidationError("versor axis must be a unit vector")
         return cls(math.cos(angle), math.sin(angle) * axis)
 
@@ -120,7 +132,7 @@ class Quaternion:
         return np.array([self.w, self.v[0], self.v[1], self.v[2]])
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.v)
+        return Quaternion._of(self.w, -self.v)
 
     def norm(self) -> float:
         return math.sqrt(self.w * self.w + float(self.v @ self.v))
@@ -130,9 +142,14 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(
-                self.w * other.w - float(self.v @ other.v),
-                self.w * other.v + other.w * self.v + cross3(self.v, other.v),
+            # w1 v2 + w2 v1 + cross3(v1, v2) by components; the dot stays ``@``.
+            w1, w2 = self.w, other.w
+            (a0, a1, a2), (b0, b1, b2) = self.v.tolist(), other.v.tolist()
+            return Quaternion._of(
+                w1 * w2 - float(self.v @ other.v),
+                np.array([w1 * b0 + w2 * a0 + (a1 * b2 - a2 * b1),
+                          w1 * b1 + w2 * a1 + (a2 * b0 - a0 * b2),
+                          w1 * b2 + w2 * a2 + (a0 * b1 - a1 * b0)]),
             )
         return Quaternion(self.w * other, self.v * other)
 
@@ -140,13 +157,13 @@ class Quaternion:
         return Quaternion(self.w * other, self.v * other)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.v + other.v)
+        return Quaternion._of(self.w + other.w, self.v + other.v)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.v - other.v)
+        return Quaternion._of(self.w - other.w, self.v - other.v)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.v)
+        return Quaternion._of(-self.w, -self.v)
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w:.6g}, [{self.v[0]:.6g}, {self.v[1]:.6g}, {self.v[2]:.6g}])"
@@ -183,7 +200,7 @@ def boxop(a: Quaternion, b: Quaternion) -> np.ndarray:
 def bisector(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unit bisector of two nonzero vectors."""
     s = unit(v) + unit(w)
-    n = float(np.linalg.norm(s))
+    n = norm3(s)
     if n <= 1e-12:
         raise DegenerateInputError("bisector undefined for antipodal directions")
     return s / n
@@ -192,7 +209,7 @@ def bisector(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 def neg_cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Negatively oriented normalized cross product -(v x w)/|v x w|."""
     c = cross3(v, w)
-    n = float(np.linalg.norm(c))
+    n = norm3(c)
     if n <= 1e-14:
         raise DegenerateInputError("normalized cross product undefined for parallel vectors")
     return -c / n
@@ -231,7 +248,9 @@ def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     products and subtractions."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    out = np.empty(np.broadcast(a, b).shape)
+    out[..., 0], out[..., 1], out[..., 2] = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return out
 
 
 def vmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

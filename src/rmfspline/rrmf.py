@@ -28,12 +28,14 @@ from .quat import (
     cross3,
     frame_rows,
     neg_cross,
+    norm3,
     orthonormal_completion,
     quat_sqrt,
     sandwich,
     star,
     unit,
     vgram,
+    vmul,
     vpoly_mul,
 )
 
@@ -51,7 +53,7 @@ def is_class_I(p: PreImage, rel_tol: float = CLASS_ONE_REL_TOL) -> ClassICheck:
     i = p.axis
     lhs = sandwich(p.a1, i)
     rhs = ((p.a2 * Quaternion.pure(i)) * p.a0.conj()).v
-    residual = float(np.linalg.norm(lhs - rhs))
+    residual = norm3(lhs - rhs)
     scale = max(p.a0.norm_sq(), p.a1.norm_sq(), p.a2.norm_sq(), 1e-300)
     rel = residual / scale
     return ClassICheck(rel <= rel_tol, residual, rel)
@@ -241,11 +243,16 @@ def theta1_for_s1(
 # --- rational rotation-minimizing frame -----------------------------------
 
 def _rotation_rate_coeffs(p: PreImage) -> np.ndarray:
-    """Power coefficients (ascending, degree 3) of scal(A' i A*)."""
+    """Power coefficients (ascending, degree 3) of scal(A' i A*), summed from
+    the scalar parts of the row products of A' i and A* in ``vpoly_mul``'s order."""
     c = p.power_coeffs()
-    dc = np.array([c[1], 2.0 * c[2]])
-    qi = np.concatenate([[0.0], p.axis])[None]
-    return vpoly_mul(vpoly_mul(dc, qi), c * [1.0, -1.0, -1.0, -1.0])[:, 0]
+    x = vmul(np.array([c[1], 2.0 * c[2]]), np.concatenate([[0.0], p.axis]))
+    y = c * [1.0, -1.0, -1.0, -1.0]
+    terms = x[:, None, 0] * y[None, :, 0] - np.vecdot(x[:, None, 1:], y[None, :, 1:])
+    out = np.zeros(4)
+    out[:3] += terms[0]
+    out[1:] += terms[1]
+    return out
 
 
 def _speed_power_coeffs(p: PreImage) -> np.ndarray:
@@ -299,24 +306,21 @@ def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]
     roots = np.roots(q[::-1])
     z1, z2 = _conjugate_pairs(roots)
     lead = math.sqrt(q[4])
-
-    candidates = [(np.array([math.sqrt(scale), 0.0, 0.0]), np.zeros(3))]
-    for r1 in (z1, np.conj(z1)):
-        for r2 in (z2, np.conj(z2)):
-            pc = lead * np.array([r1 * r2, -(r1 + r2), 1.0])
-            candidates.append((pc.real.astype(float), pc.imag.astype(float)))
-
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for a, b in candidates:
-        da = np.array([a[1], 2.0 * a[2]])
-        db = np.array([b[1], 2.0 * b[2]])
-        wron = np.convolve(da, b) - np.convolve(a, db)
-        wron = np.pad(wron, (0, 4 - wron.size))
-        resid = float(np.max(np.abs(wron - target)))
-        if best is None or resid < best[0]:
-            best = (resid, a, b)
-    resid, a, b = best
-    return a, b, resid / scale
+    factors = lead * np.array([[r1 * r2, -(r1 + r2), 1.0]
+                               for r1 in (z1, np.conj(z1)) for r2 in (z2, np.conj(z2))])
+    a = np.concatenate([[[math.sqrt(scale), 0.0, 0.0]], factors.real])
+    b = np.concatenate([np.zeros((1, 3)), factors.imag])
+    # Wronskians a'b - ab' of all five candidates, (5, 4): each coefficient
+    # is np.convolve's sum of at most two products, written out.
+    da0, da1 = a[:, 1], 2.0 * a[:, 2]
+    db0, db1 = b[:, 1], 2.0 * b[:, 2]
+    wron = np.stack([da0 * b[:, 0] - a[:, 0] * db0,
+                     (da0 * b[:, 1] + da1 * b[:, 0]) - (a[:, 0] * db1 + a[:, 1] * db0),
+                     (da0 * b[:, 2] + da1 * b[:, 1]) - (a[:, 1] * db1 + a[:, 2] * db0),
+                     da1 * b[:, 2] - a[:, 2] * db1], axis=1)
+    resid = np.max(np.abs(wron - target), axis=1)
+    k = int(np.argmin(resid))  # the first of equal residuals wins
+    return a[k], b[k], float(resid[k]) / scale
 
 
 @dataclass(frozen=True)

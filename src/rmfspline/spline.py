@@ -33,7 +33,7 @@ from .hermite import (
     scaled_displacement_components,
     unit_displacement_b,
 )
-from .quat import angle_between, angles_between, bisector, cross3, frame_rows, unit
+from .quat import angle_between, angles_between, bisector, cross3, frame_rows, norm3, unit
 from .rrmf import _STACKED_ROWS
 
 MAX_TURN = 0.8 * math.pi
@@ -374,7 +374,8 @@ class SplinePath:
             packed = np.array(rows, dtype=float)
             packed.flags.writeable = False
             object.__setattr__(self, name, packed)
-        end = _orthonormalized(segments[-1].frame.frame_matrix(1.0))
+        # The end frame at t = 1, where de Casteljau gives the last coefficient.
+        end = _orthonormalized(frame_rows(self.frame_bezier[-1, -1], self.frame_axes[-1]))
         frames = np.concatenate([self.frame_axes * [[1.0], [-1.0], [-1.0]], end[None]])
         frames.flags.writeable = False
         object.__setattr__(self, "frames", frames)
@@ -468,7 +469,7 @@ def build(
     prev_du: np.ndarray | None = None
     for k in range(n):
         dp = points[k + 1] - points[k]
-        du = dp / np.linalg.norm(dp)
+        du = dp / norm3(dp)
         gap = None if prev_du is None else angle_between(prev_du, du)
         tau = angle_between(frame[0], du)
         try:
@@ -486,7 +487,7 @@ def build(
                 hint=MIDPOINT_HINT,
             ) from exc
         segments.append(sol)
-        frame = _orthonormalized(sol.frame.frame_matrix(1.0))
+        frame = _orthonormalized(frame_rows(sol.frame.b_bezier[-1], sol.frame.axes))
         prev_du = du
 
     return SplinePath(knots=knots, segments=segments)

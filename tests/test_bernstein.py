@@ -75,3 +75,54 @@ def test_decasteljau_matches_copy_then_loop():
                 ref = decasteljau_by_copy(c, t)
                 assert np.shape(got) == np.shape(ref)
                 assert np.array_equal(got, ref)
+
+
+def to_power_looped(coeffs: np.ndarray) -> np.ndarray:
+    """Reference: the double loop ``to_power`` replaced."""
+    n = coeffs.shape[0] - 1
+    out = np.zeros_like(coeffs)
+    for k in range(n + 1):
+        s = 0.0 * coeffs[0]
+        for i in range(k + 1):
+            s = s + ((-1.0) ** (k - i)) * math.comb(n, i) * math.comb(n - i, k - i) * coeffs[i]
+        out[k] = s
+    return out
+
+
+def from_power_looped(pcoeffs: np.ndarray) -> np.ndarray:
+    """Reference: the double loop ``from_power`` replaced."""
+    n = pcoeffs.shape[0] - 1
+    out = np.zeros_like(pcoeffs)
+    for i in range(n + 1):
+        s = 0.0 * pcoeffs[0]
+        for k in range(i + 1):
+            s = s + pcoeffs[k] * math.comb(i, k) / math.comb(n, k)
+        out[i] = s
+    return out
+
+
+def test_conversion_tables_bitwise_with_double_loops():
+    rng = np.random.RandomState(55)
+    for degree in range(9):
+        for item in ((), (3,), (4,), (2, 3)):
+            for _ in range(20):
+                c = rng.randn(degree + 1, *item) * 10.0 ** rng.uniform(-8, 8, size=(degree + 1,)
+                                                                       + (1,) * len(item))
+                c[rng.rand(*c.shape) < 0.2] = 0.0
+                c[rng.rand(*c.shape) < 0.1] = -0.0
+                assert bern.to_power(c).tobytes() == to_power_looped(c).tobytes()
+                assert bern.from_power(c).tobytes() == from_power_looped(c).tobytes()
+                assert bern.to_power(c).shape == c.shape == bern.from_power(c).shape
+
+
+def test_product_bitwise_with_binomial_rows():
+    def binomials(n: int) -> np.ndarray:
+        return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+
+    rng = np.random.RandomState(56)
+    for _ in range(200):
+        m, n = rng.randint(0, 7, size=2)
+        a = rng.randn(m + 1) * 10.0 ** rng.uniform(-8, 8)
+        b = rng.randn(n + 1) * 10.0 ** rng.uniform(-8, 8)
+        ref = np.convolve(binomials(m) * a, binomials(n) * b) / binomials(m + n)
+        assert bern.product(a, b).tobytes() == ref.tobytes()

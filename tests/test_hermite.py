@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conftest as data
-from rmfspline import oracle
+from rmfspline import hermite, oracle
 from rmfspline.errors import GeometryError, NoSolutionError, ValidationError
 from rmfspline.hermite import (
     CRITICAL_GAMMA,
@@ -426,3 +426,65 @@ class TestSolve:
             trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
                                          n_samples=300)
             assert oracle.compare_frames(sol.frame, trace) <= 1e-6
+
+
+def unit_b_reference(gamma: float, phi2: float) -> float:
+    """Reference: the scalar branch of ``unit_displacement_b`` as it was
+    written before the bisection took cos and sin of gamma/2 once."""
+    cg2 = math.cos(0.5 * gamma)
+    sg2 = math.sin(0.5 * gamma)
+    cp = math.cos(phi2)
+    sp = math.sin(phi2)
+    q2b, q2n = cp, sp * sg2
+    q2norm = math.sqrt(max(1.0 - (sp * cg2) ** 2, 0.0))
+    half_sum_sq = 1.0 + cp * cg2
+    if q2norm == 0.0 or half_sum_sq == 0.0:
+        return math.nan
+    s02b = (cg2 + cp) / half_sum_sq
+    s02n = sp * sg2 / half_sum_sq
+    smb = s02b + q2b / q2norm
+    smn = s02n + q2n / q2norm
+    smnorm = float(np.hypot(smb, smn))
+    if smnorm < 1e-14:
+        smb, smn = q2b / q2norm, q2n / q2norm
+    else:
+        smb, smn = smb / smnorm, smn / smnorm
+    q3mag = math.sqrt(q2norm) * math.sqrt(2.0 * half_sum_sq)
+    ib, in_ = 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
+    norm = np.hypot(ib, in_)
+    return ib / float(norm) if norm != 0.0 else math.nan
+
+
+class TestBisectionFunction:
+    def test_half_angle_form_bitwise_with_reference(self):
+        rng = np.random.default_rng(81)
+        cases = [(g, phi) for g, phi in rng.uniform((1e-8, 0.0), (math.pi, 2.0 * math.pi),
+                                                     (5000, 2)).tolist()]
+        cases += [(2e-11, 0.5 * math.pi), (2e-11, math.pi), (1e-3, TWO_THIRDS), (1.0, 0.0)]
+        for gamma, phi in cases:
+            db = math.cos(phi + gamma)
+            ref = unit_b_reference(gamma, phi) - db
+            got = hermite._unit_b(*hermite._half_angle_components(
+                math.cos(0.5 * gamma), math.sin(0.5 * gamma), phi)) - db
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            assert (np.float64(float(unit_displacement_b(gamma, phi)) - db).tobytes()
+                    == np.float64(ref).tobytes())
+
+    def test_solve_residual_is_the_reference_function(self):
+        # ``f_residual`` is |f| at the chosen root, so it shows the function
+        # the bisection ran.
+        checked = 0
+        for seed, (gamma, beta) in enumerate([(0.3, 0.2), (0.9, -0.4), (1.5, 0.7),
+                                              (2.2, -1.0), (0.05, 0.01)]):
+            d = data_with(gamma, beta, seed=seed + 3)
+            sol = solve(d)
+            if "f_residual" not in sol.diagnostics:
+                continue
+            g = sol.diagnostics["gamma"]
+            du = d.delta_u
+            db = float(du @ bisector(d.u, d.u_end))
+            phi = sol.phi2
+            root = 2.0 * math.pi - phi if float(du @ neg_cross(d.u, d.u_end)) < 0.0 else phi
+            assert sol.diagnostics["f_residual"] == abs(unit_b_reference(g, root) - db)
+            checked += 1
+        assert checked >= 4

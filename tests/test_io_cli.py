@@ -412,3 +412,18 @@ class TestValidateBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6
+
+    def test_traced_memory_bounded_on_long_splines(self):
+        # The double-reflection normals are computed one block at a time, so
+        # the peak does not grow with the number of segments.
+        _, pts, tans = sample_curve("helix", 800)
+        path = build(PointStream(pts, default_initial_frame(tans[0])))
+        validate_spline(dataclasses.replace(path, knots=path.knots[:3],
+                                            segments=path.segments[:2]))
+        tracemalloc.start()
+        try:
+            validate_spline(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6

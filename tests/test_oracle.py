@@ -231,6 +231,15 @@ class TestReflectRMF:
             _, alone = oracle.reflect_rmf([sol.segment], [sol.frame.frame_matrix(0.0)[1]], 100)
             assert np.array_equal(got, alone[0])
 
+    def test_bases_built_once_per_sample_count(self):
+        bases = oracle._reflect_bases(123)
+        assert all(x is y for x, y in zip(oracle._reflect_bases(123), bases))
+        assert not any(arr.flags.writeable for arr in bases)
+        ts, point_basis, hodograph_basis = bases
+        assert np.array_equal(ts, np.linspace(0.0, 1.0, 124))
+        assert np.array_equal(point_basis, bern.decasteljau(np.eye(6), ts))
+        assert np.array_equal(hodograph_basis, bern.decasteljau(np.eye(5), ts))
+
     def test_straight_segment_keeps_normal(self):
         one = Quaternion(1.0, np.zeros(3))
         q = curve_from_preimage(np.zeros(3), PreImage(one, one, one, I))

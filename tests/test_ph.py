@@ -21,7 +21,7 @@ from rmfspline.ph import (
     spherical_control_points,
     tangent_indicatrix,
 )
-from rmfspline.quat import Quaternion, sandwich, vnorm_sq
+from rmfspline.quat import Quaternion, sandwich, star, unit, vnorm_sq
 
 I = np.array([1.0, 0.0, 0.0])
 
@@ -286,3 +286,32 @@ class TestDegeneracy:
                 assert sampled_min <= 1e-6 * scale
             else:
                 assert sampled_min > 1e-13 * scale
+
+
+def curve_by_star_and_loop(r0: np.ndarray, p: PreImage) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the hodograph from ``sandwich`` and ``star`` one point at a
+    time, and the control points summed by an explicit loop."""
+    i = p.axis
+    h = np.array([sandwich(p.a0, i), star(p.a0, p.a1, i),
+                  (star(p.a0, p.a2, i) + 2.0 * sandwich(p.a1, i)) / 3.0,
+                  star(p.a1, p.a2, i), sandwich(p.a2, i)])
+    r = np.empty((6, 3))
+    r[0] = r0
+    for k in range(5):
+        r[k + 1] = r[k] + h[k] / 5.0
+    return h, r
+
+
+def test_curve_bitwise_with_star_sandwich_and_loop():
+    rng = np.random.default_rng(71)
+    for k in range(300):
+        rows = rng.standard_normal((3, 4)) * 10.0 ** rng.uniform(-8, 8, size=(3, 1))
+        axis = I if k % 5 == 0 else unit(rng.standard_normal(3))
+        if k % 5 == 0:
+            rows[:, 2:] = 0.0
+        p = PreImage(*(Quaternion.from_wxyz(r) for r in rows), axis)
+        r0 = rng.standard_normal(3) * 10.0 ** rng.uniform(-8, 8)
+        q = curve_from_preimage(r0, p)
+        h, r = curve_by_star_and_loop(r0, p)
+        assert q.h.tobytes() == h.tobytes() == hodograph_from_preimage(p).tobytes()
+        assert q.r.tobytes() == r.tobytes()

@@ -20,6 +20,7 @@ from rmfspline.quat import (
     sandwich,
     star,
     frame_rows,
+    norm3,
     unit,
     vgram,
     vmul,
@@ -307,3 +308,55 @@ def test_angle_between_accuracy():
     assert angle_between(I, -I) == pytest.approx(math.pi, abs=1e-12)
     tiny = unit([1.0, 1e-9, 0.0])
     assert angle_between(I, tiny) == pytest.approx(1e-9, rel=1e-6)
+
+
+def scaled_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Gaussian 3-vectors scaled by 10^-8, 1 or 10^8, with zero and
+    negative-zero components among them."""
+    v = rng.standard_normal((n, 3)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 1))
+    v[0] = 0.0
+    v[1] = -0.0
+    v[2, 1:] = 0.0
+    v[3, :2] = -0.0
+    return v
+
+
+class TestComponentKernels:
+    """Kernels that take their numbers from Python floats against the array
+    code they replaced, which stays here as the reference."""
+
+    def test_product_and_conj_bitwise_with_array_form(self):
+        def product_by_arrays(a: Quaternion, b: Quaternion) -> tuple[float, np.ndarray]:
+            return (a.w * b.w - float(a.v @ b.v),
+                    a.w * b.v + b.w * a.v + cross3(a.v, b.v))
+
+        rng = np.random.default_rng(41)
+        vs = scaled_vectors(rng, 400)
+        ws = rng.standard_normal(400) * rng.choice([1e-8, 1.0, 1e8], size=400)
+        ws[:3] = [0.0, -0.0, 0.0]
+        qs = [Quaternion(w, v) for w, v in zip(ws, vs)]
+        for a, b in zip(qs, qs[1:] + qs[:1]):
+            out = a * b
+            w, v = product_by_arrays(a, b)
+            assert type(out.w) is float and out.v.shape == (3,) and out.v.dtype == float
+            assert np.float64(out.w).tobytes() == np.float64(w).tobytes()
+            assert out.v.tobytes() == v.tobytes()
+            c = a.conj()
+            assert np.float64(c.w).tobytes() == np.float64(a.w).tobytes()
+            assert c.v.tobytes() == (-a.v).tobytes()
+
+    def test_norm3_bitwise_with_linalg_norm(self):
+        rng = np.random.default_rng(42)
+        vs = scaled_vectors(rng, 3000)
+        for v in vs:
+            assert np.float64(norm3(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+        # and the functions that now use it, against their np.linalg.norm form
+        for a, b in zip(vs[4:100], vs[5:101]):
+            assert unit(a).tobytes() == (a / float(np.linalg.norm(a))).tobytes()
+            ua, ub = a / float(np.linalg.norm(a)), b / float(np.linalg.norm(b))
+            s = ua + ub
+            assert bisector(a, b).tobytes() == (s / float(np.linalg.norm(s))).tobytes()
+            chord = float(np.linalg.norm(ua - ub))
+            ref = (2.0 * math.asin(0.5 * chord) if chord <= 1.0 else
+                   math.pi - 2.0 * math.asin(0.5 * min(float(np.linalg.norm(ua + ub)), 2.0)))
+            assert angle_between(ua, ub) == ref

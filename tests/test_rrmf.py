@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import conftest as data
-from rmfspline import oracle
+from rmfspline import oracle, rrmf
 from rmfspline.errors import (
     DegenerateInputError,
     FrameConstructionError,
@@ -20,7 +20,7 @@ from rmfspline.ph import (
     spherical_control_points,
     tangent_indicatrix,
 )
-from rmfspline.quat import Quaternion, angle_between, bisector, boxop, star, unit
+from rmfspline.quat import Quaternion, angle_between, bisector, boxop, star, unit, vpoly_mul
 from rmfspline.rrmf import (
     check_admissible_configuration,
     compute_rational_frame,
@@ -430,3 +430,86 @@ class TestScalingCovariance:
             ind_s.evaluate(ts) - ind.evaluate(reparam_map(lam, ts)), axis=1)) <= 1e-10
         assert np.allclose(p_scaled.a1.as_wxyz(), lam * p.a1.as_wxyz(), atol=1e-12)
         assert np.allclose(p_scaled.a2.as_wxyz(), lam * lam * p.a2.as_wxyz(), atol=1e-12)
+
+
+def rotation_rate_by_vpoly_mul(p: PreImage) -> np.ndarray:
+    """Reference: the scalar part of the full product (A' i) A* by two
+    ``vpoly_mul`` calls, as ``_rotation_rate_coeffs`` computed it before."""
+    c = p.power_coeffs()
+    dc = np.array([c[1], 2.0 * c[2]])
+    qi = np.concatenate([[0.0], p.axis])[None]
+    return vpoly_mul(vpoly_mul(dc, qi), c * [1.0, -1.0, -1.0, -1.0])[:, 0]
+
+
+def frame_polynomials_looped(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]:
+    """Reference: ``solve_frame_polynomials`` scoring its five candidates one
+    at a time with ``np.convolve``, keeping the first of equal residuals."""
+    q = rrmf._speed_power_coeffs(p)
+    scale = float(np.max(np.abs(q)))
+    target = -rrmf._rotation_rate_coeffs(p)
+    z1, z2 = rrmf._conjugate_pairs(np.roots(q[::-1]))
+    lead = math.sqrt(q[4])
+    candidates = [(np.array([math.sqrt(scale), 0.0, 0.0]), np.zeros(3))]
+    for r1 in (z1, np.conj(z1)):
+        for r2 in (z2, np.conj(z2)):
+            pc = lead * np.array([r1 * r2, -(r1 + r2), 1.0])
+            candidates.append((pc.real.astype(float), pc.imag.astype(float)))
+    best = None
+    for a, b in candidates:
+        da = np.array([a[1], 2.0 * a[2]])
+        db = np.array([b[1], 2.0 * b[2]])
+        wron = np.convolve(da, b) - np.convolve(a, db)
+        wron = np.pad(wron, (0, 4 - wron.size))
+        resid = float(np.max(np.abs(wron - target)))
+        if best is None or resid < best[0]:
+            best = (resid, a, b)
+    resid, a, b = best
+    return a, b, resid / scale
+
+
+def random_preimages(seed: int, n: int):
+    """Generators with Gaussian coefficients scaled by 10^-8 to 10^8 and
+    random unit axes, one in five on a coordinate axis."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        scale = 10.0 ** rng.uniform(-8, 8)
+        rows = rng.standard_normal((3, 4)) * scale * 10.0 ** rng.uniform(-1, 1, size=(3, 1))
+        axis = I if k % 5 == 0 else unit(rng.standard_normal(3))
+        if k % 5 == 0:
+            rows[:, 2:] = 0.0
+        yield PreImage(*(Quaternion.from_wxyz(r) for r in rows), axis)
+
+
+class TestFrameSolveKernels:
+    """The array forms of the frame solve against the loops they replaced."""
+
+    def test_rotation_rate_bitwise_with_two_vpoly_mul(self):
+        for p in random_preimages(61, 400):
+            assert (rrmf._rotation_rate_coeffs(p).tobytes()
+                    == rotation_rate_by_vpoly_mul(p).tobytes())
+
+    def test_candidate_scoring_bitwise_with_loop(self):
+        count = 0
+        for p in random_preimages(62, 400):
+            q = rrmf._speed_power_coeffs(p)
+            if q[4] <= 1e-10 * float(np.max(np.abs(q))):
+                continue  # degree collapse: the early return, not scored
+            ref = frame_polynomials_looped(p)
+            a, b, resid = solve_frame_polynomials(p)
+            assert a.tobytes() == ref[0].tobytes() and b.tobytes() == ref[1].tobytes()
+            assert resid == ref[2]
+            count += 1
+        assert count > 300
+
+    def test_tie_goes_to_the_first_candidate(self, monkeypatch):
+        # Real root pairs make every quadratic factor real, so all five
+        # Wronskians vanish; with a spin-free target all residuals are 0.
+        p = next(random_preimages(63, 1))
+        monkeypatch.setattr(rrmf, "_rotation_rate_coeffs", lambda p: np.zeros(4))
+        monkeypatch.setattr(rrmf, "_conjugate_pairs", lambda roots: [0.5 + 0j, 2.0 + 0j])
+        a, b, resid = solve_frame_polynomials(p)
+        ref = frame_polynomials_looped(p)
+        assert resid == ref[2] == 0.0
+        assert a.tobytes() == ref[0].tobytes() and b.tobytes() == ref[1].tobytes()
+        scale = float(np.max(np.abs(rrmf._speed_power_coeffs(p))))
+        assert a.tobytes() == np.array([math.sqrt(scale), 0.0, 0.0]).tobytes()
