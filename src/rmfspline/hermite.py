@@ -97,10 +97,13 @@ def _half_angle_components(cg2: float, sg2: float, phi2: float) -> tuple[float, 
     return 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
 
 
-def _unit_b(ib: float, in_: float) -> float:
-    """The scalar branch of ``unit_displacement_b``: ib / hypot(ib, in_)."""
-    norm = float(np.hypot(ib, in_))
-    return ib / norm if norm != 0.0 else math.nan
+def _two_thirds_b(gamma: float) -> float:
+    """s_b(gamma), the bisector component of the unit scaled displacement at
+    the two-thirds angle: the threshold of ``sufficient_condition`` and of
+    the end-tangent admissibility test, written once so that they round
+    alike."""
+    ib, in_ = _half_angle_components(math.cos(0.5 * gamma), math.sin(0.5 * gamma), TWO_THIRDS)
+    return ib / math.hypot(ib, in_)
 
 
 def scaled_displacement_components(gamma, phi2):
@@ -108,8 +111,8 @@ def scaled_displacement_components(gamma, phi2):
 
     Vectorized over phi2 and over a gamma given as an ndarray, which
     broadcast against each other: the bisection's diagnostics pass one
-    gamma and many phi2, the end-tangent scan many gamma at the two-thirds
-    angle.  Derived by reducing the three displacement terms to the
+    gamma and many phi2; no end-tangent scan passes many gamma any more.
+    Derived by reducing the three displacement terms to the
     bisector/normal plane: the constant chord term, the middle ellipse
     term, and the rotated-bisector term with its explicit modulus.
 
@@ -154,7 +157,8 @@ def unit_displacement_b(gamma, phi2):
     """Bisector component of the unit scaled displacement."""
     ib, in_ = scaled_displacement_components(gamma, phi2)
     if isinstance(ib, float):  # the scalar branch
-        return _unit_b(ib, in_)
+        norm = float(np.hypot(ib, in_))
+        return ib / norm if norm != 0.0 else math.nan
     return ib / np.hypot(ib, in_)
 
 
@@ -274,7 +278,7 @@ def sufficient_condition(d: HermiteData) -> bool:
     at the two-thirds angle (guarantees a root of the bisection function)."""
     analysis = analyze(d)
     db = float(d.delta_u @ analysis.b)
-    return db > float(unit_displacement_b(analysis.gamma, TWO_THIRDS))
+    return db > _two_thirds_b(analysis.gamma)
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
@@ -321,10 +325,12 @@ def _polygon_amplitude(poly: np.ndarray) -> float:
 def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSolution:
     """Construct the segment interpolating the given data.
 
-    Picks the free angle by bisection on the bisector component of the unit
-    scaled displacement, using the half-range selected by the sign of the
-    chord's normal component; for small turning angles with two admissible
-    roots, the one with the smaller spherical-polygon amplitude wins.
+    Picks the free angle by bisection on the angle of the scaled
+    displacement from the bisector, atan2(i_n, i_b), against the chord's,
+    using the half-range selected by the sign of the chord's normal
+    component; for small turning angles with two admissible roots, the one
+    with the smaller spherical-polygon amplitude wins.  The angle, unlike
+    its cosine, keeps its digits where the chord lies near the bisector.
     """
     analysis = analyze(d)
     gamma = analysis.gamma
@@ -364,11 +370,13 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
             )
         mirror = dn < 0.0
         cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)  # once for every f
+        target = math.atan2(abs(dn), db)
 
         def f(phi: float) -> float:
-            return _unit_b(*_half_angle_components(cg2, sg2, phi)) - db
+            ib, in_ = _half_angle_components(cg2, sg2, phi)
+            return math.atan2(in_, ib) - target
 
-        f0 = 1.0 - db
+        f0 = -target  # the displacement at phi2 = 0 points along the bisector
         roots: list[tuple[float, int]] = []
         if gamma > CRITICAL_GAMMA + GAMMA_WINDOW:
             diagnostics["branch"] = "full-range"
@@ -376,7 +384,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
         elif abs(gamma - CRITICAL_GAMMA) <= GAMMA_WINDOW:
             diagnostics["branch"] = "critical"
             f23 = f(TWO_THIRDS)
-            if f23 >= 0.0:
+            if f23 <= 0.0:
                 raise NoSolutionError(
                     "no sign change on the reduced interval at the critical turning angle",
                     diagnostics={"gamma": gamma, "du_dot_b": db, "f_two_thirds": f23},
@@ -385,7 +393,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
         else:
             diagnostics["branch"] = "small-angle"
             f23 = f(TWO_THIRDS)
-            if f23 >= 0.0:
+            if f23 <= 0.0:
                 raise NoSolutionError(
                     "chord direction is outside the attainable arc for this turning angle",
                     diagnostics={

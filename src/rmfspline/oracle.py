@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import solve_ivp
 
 from . import _bernstein as bern
 from .errors import ValidationError
@@ -89,6 +88,8 @@ def integrate_rmf(
         dthat = np.array([(dhj * s - hj * ds) / ss for hj, dhj in zip(h, dh)])
         a = -(y @ dthat)
         return np.array([a * (hj / s) for hj in h])
+
+    from scipy.integrate import solve_ivp  # here: it slows every CLI start
 
     sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=rtol, atol=atol,
                     dense_output=True)

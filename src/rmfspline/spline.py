@@ -1,11 +1,18 @@
 """Global spline extension: chaining local segments over a point stream.
 
 Segments are built one after another; each start frame is the previous end
-frame, and each end tangent is generated on the admissible circle around
-the chord by constrained optimization against a reference tangent.  When
-the closed-form optimum is not admissible, the circle is scanned at a fixed
-set of angles in one array pass of the admissibility predicate, and each
-feasible arc's ends are then refined one scalar predicate call at a time.
+frame, and each end tangent is chosen on the symmetry circle around the
+chord: u(psi) turns the start tangent u_i about the chord direction du by
+psi, so du . u(psi) = du . u_i = cos(tau) holds on all of it.  On that
+circle the admissibility test depends on the turning angle gamma alone:
+
+- u_i . u(psi) = cos^2(tau) + sin^2(tau) cos(psi), which gives
+  sin(gamma/2) = sin(tau) |sin(psi/2)|;
+- |u_i x u(psi)| = sin(gamma);
+- b . du = cos(tau) / cos(gamma/2) for the bisector b of u_i and u(psi).
+
+So the feasible arcs follow in closed form from one feasible interval of
+gamma, whose lower end is the sign change of one scalar function of gamma.
 """
 
 from __future__ import annotations
@@ -25,37 +32,12 @@ from .errors import (
     ValidationError,
 )
 from .errors import SplineBuildError
-from .hermite import (
-    CRITICAL_GAMMA,
-    TWO_THIRDS,
-    HermiteData,
-    HermiteSolution,
-    scaled_displacement_components,
-    unit_displacement_b,
-)
+from .hermite import CRITICAL_GAMMA, HermiteData, HermiteSolution, _two_thirds_b
 from .quat import angle_between, angles_between, bisector, cross3, frame_rows, norm3, unit
 from .rrmf import _STACKED_ROWS
 
 MAX_TURN = 0.8 * math.pi
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
-
-# Angles of the end-tangent scan and their cosines and sines, read-only
-# because every scan shares them.  ``math`` computes the trigonometry, as
-# ``generate_end_tangent``'s scalar ``point`` does, so each scan point is
-# that point bit for bit.
-_SCAN_SIZE = 720
-_SCAN_STEP = 2.0 * math.pi / _SCAN_SIZE
-_SCAN_PSI = np.linspace(0.0, 2.0 * math.pi, _SCAN_SIZE, endpoint=False)
-_SCAN_COS = np.array([math.cos(p) for p in _SCAN_PSI.tolist()])
-_SCAN_SIN = np.array([math.sin(p) for p in _SCAN_PSI.tolist()])
-_SCAN_PSI.flags.writeable = False
-_SCAN_COS.flags.writeable = False
-_SCAN_SIN.flags.writeable = False
-# Half-width of the band around each threshold of the admissibility
-# predicate inside which ``_admissible_many`` defers to ``_admissible``:
-# far wider than the ulps by which its array arithmetic can differ.
-_TIE_BAND = 1e-12
-
 
 def _orthonormalized(frame: np.ndarray) -> np.ndarray:
     u = unit(frame[0])
@@ -177,11 +159,7 @@ def default_initial_frame(u0: np.ndarray) -> np.ndarray:
 
 
 def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
-    """Membership in the feasible end-tangent set for the local problem.
-
-    ``_admissible_many`` is the array form of this predicate; a change to
-    one is a change to both.
-    """
+    """Membership in the feasible end-tangent set for the local problem."""
     cross = np.linalg.norm(cross3(u_i, u))
     if cross <= 1e-9:
         return False
@@ -190,53 +168,50 @@ def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
         return False
     if gamma > CRITICAL_GAMMA:
         return True
-    b = bisector(u_i, u)
-    ib, in_ = scaled_displacement_components(gamma, TWO_THIRDS)
-    s_b = float(ib / math.hypot(float(ib), float(in_)))
-    return float(b @ du) - s_b > 0.0
+    return float(bisector(u_i, u) @ du) - _two_thirds_b(gamma) > 0.0
 
 
-def _admissible_many(u_i: np.ndarray, us: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """``_admissible`` of every row of ``us`` (N, 3), in one array pass.
+def _feasible_arcs(tau: float) -> list[tuple[float, float]]:
+    """Arcs (start, end) of psi in (0, 2 pi) on which ``_admissible`` holds
+    on the symmetry circle of turning angle tau, for 1e-9 < tau < pi.
 
-    The same guards in the same order: a cross-product norm of at most 1e-9
-    or a turning angle of at least pi - 1e-9 is inadmissible, an angle above
-    ``CRITICAL_GAMMA`` is admissible, and the rest must clear the two-thirds
-    displacement value, taken from the array branch of
-    ``scaled_displacement_components``.  Only the rows that reach a step are
-    computed there, so a row near -u_i never reaches the bisector.
-
-    Array sums, arcsines and squares may round an ulp or two apart from the
-    scalar ones, and scan points can sit on a threshold: at tau = pi/2 the
-    scan angles 0.4 pi and 1.6 pi turn by exactly ``CRITICAL_GAMMA``.  A row
-    whose value lies within ``_TIE_BAND`` of the threshold it is tested
-    against is therefore decided by ``_admissible`` itself, so the flags
-    equal the scalar predicate's.
+    The arcs are symmetric about psi = pi, where gamma takes its largest
+    value min(2 tau, 2 pi - 2 tau).  The feasible gamma run from gamma_lo
+    up to that maximum, short of pi - 1e-9, where the cross-product and
+    angle guards reject: then psi = pi is cut out and there are two arcs.
+    gamma_lo is CRITICAL_GAMMA, or below it the sign change of
+    h(gamma) = cos(tau) / cos(gamma/2) - s_b(gamma), which turns positive
+    once on (0, CRITICAL_GAMMA] if at all, or 1e-9, where the
+    cross-product guard starts to accept.  The psi of a gamma comes from
+    tan(psi/2) = sin(gamma/2) / sqrt(sin(tau - gamma/2) sin(tau + gamma/2)),
+    which keeps its digits near psi = pi, where acos would lose them.
     """
-    u_i = np.asarray(u_i, dtype=float)
-    us = np.asarray(us, dtype=float)
-    a0, a1, a2 = u_i.tolist()
-    b0, b1, b2 = us[:, 0], us[:, 1], us[:, 2]
-    cross = np.sqrt((a1 * b2 - a2 * b1) ** 2 + (a2 * b0 - a0 * b2) ** 2
-                    + (a0 * b1 - a1 * b0) ** 2)
-    gamma = angles_between(u_i, us)
+    cos_tau = math.cos(tau)
+    gamma_max = min(2.0 * tau, 2.0 * math.pi - 2.0 * tau)
 
-    ok = (cross > 1e-9) & (gamma < math.pi - 1e-9)
-    flags = ok & (gamma > CRITICAL_GAMMA)
-    tie = ((np.abs(cross - 1e-9) <= _TIE_BAND)
-           | (np.abs(gamma - (math.pi - 1e-9)) <= _TIE_BAND)
-           | (np.abs(gamma - CRITICAL_GAMMA) <= _TIE_BAND))
-    # bisector(u_i, u) and the displacement test of the remaining rows
-    low = np.flatnonzero(ok & ~flags)
-    rows = us[low] / np.linalg.norm(us[low], axis=1)[:, None]
-    s = unit(u_i) + rows
-    b = s / np.linalg.norm(s, axis=1)[:, None]
-    margin = b @ du - unit_displacement_b(gamma[low], TWO_THIRDS)
-    flags[low] = margin > 0.0
-    tie[low] |= np.abs(margin) <= _TIE_BAND
-    for k in np.flatnonzero(tie).tolist():
-        flags[k] = _admissible(u_i, us[k], du)
-    return flags
+    def h(gamma: float) -> float:
+        return cos_tau / math.cos(0.5 * gamma) - _two_thirds_b(gamma)
+
+    def psi(gamma: float) -> float:
+        half = 0.5 * gamma
+        return 2.0 * math.atan2(math.sin(half), math.sqrt(
+            max(math.sin(tau - half) * math.sin(tau + half), 0.0)))
+
+    lo, hi = 1e-9, min(CRITICAL_GAMMA, gamma_max)
+    h_lo, h_hi = h(lo), h(hi)
+    if h_lo > 0.0:
+        gamma_lo = lo
+    elif h_hi > 0.0:
+        gamma_lo, _ = hermite._bisect(h, lo, hi, h_lo, tol=0.0, max_iter=200)
+    elif hi < gamma_max:
+        gamma_lo = CRITICAL_GAMMA
+    else:
+        return []
+    start = psi(gamma_lo)
+    if gamma_max < math.pi - 1e-9:
+        return [(start, 2.0 * math.pi - start)]
+    end = psi(math.pi - 1e-9)
+    return [(start, end), (2.0 * math.pi - end, 2.0 * math.pi - start)]
 
 
 def generate_end_tangent(
@@ -246,15 +221,19 @@ def generate_end_tangent(
 ) -> np.ndarray:
     """Admissible end tangent closest to the reference direction.
 
-    Candidates live on the circle swept by rotating the start tangent about
-    the chord direction (which enforces the symmetry condition exactly).
-    The unconstrained maximizer of the alignment with the reference is
-    closed-form; when it violates the admissibility predicate, the feasible
-    arcs are located by one ``_admissible_many`` pass over 720 equally
-    spaced angles, each arc end is refined by a scalar bisection on the
-    predicate down to adjacent floats, and the objective is maximized over
-    arc endpoints.  Only the scalar predicate decides the returned tangent;
-    the scan decides which grid cells are refined.
+    Candidates live on the circle u(psi) swept by turning the start tangent
+    about the chord direction, which meets the symmetry condition exactly.
+    The alignment with the reference is a sinusoid in psi, so its
+    unconstrained maximizer psi* is closed-form.  When psi* is not
+    admissible, the feasible arcs come from ``_feasible_arcs``: on the
+    circle the turning angle gamma fixes everything ``_admissible`` tests,
+    since sin(gamma/2) = sin(tau) |sin(psi/2)|, |u_i x u| = sin(gamma) and
+    b . du = cos(tau) / cos(gamma/2).  Each arc end is pinned to a float
+    where ``_admissible`` changes state, a few bisection steps from the
+    closed-form value.  The objective is then maximized over points a small
+    margin inside each arc's ends, and over psi* where an arc holds it.
+    ``_admissible`` checks every candidate, so it alone decides the
+    returned tangent.
     """
     u_i = unit(u_i)
     du = unit(np.asarray(delta_p, dtype=float))
@@ -271,7 +250,8 @@ def generate_end_tangent(
             "chord is aligned with the start tangent; the admissible circle degenerates"
         )
     sin_tau = math.sin(tau)
-    e1 = (u_i - cos_tau * du) / sin_tau
+    radial = u_i - cos_tau * du
+    e1 = radial / sin_tau
     e2 = cross3(du, e1)
 
     def point(psi: float) -> np.ndarray:
@@ -288,37 +268,33 @@ def generate_end_tangent(
         if feasible(psi_star):
             return unit(point(psi_star))
 
-    # Locate feasible arcs on the circle by one scan plus boolean bisection.
-    # The scan starts at psi = 0, which is u_i itself and fails the
-    # cross-product guard, so it starts in an infeasible region and every
-    # arc is bracketed by a rising and a falling cell.
-    circle = cos_tau * du + sin_tau * (_SCAN_COS[:, None] * e1 + _SCAN_SIN[:, None] * e2)
-    flags = _admissible_many(u_i, circle, du)
-    if not np.any(flags):
-        raise NoSolutionError(
-            "no admissible end tangent on the chord circle",
-            diagnostics={"tau": tau},
-        )
-
-    def refine(lo: float, hi: float, lo_state: bool) -> float:
-        for _ in range(80):
+    def pin(psi: float, lo_state: bool) -> float:
+        # Bisection down to adjacent floats within 1e-13 of a closed-form
+        # arc end.  Near an end the predicate can change state back and
+        # forth over a few floats, and a segment whose gamma ends up within
+        # about 1e-6 of CRITICAL_GAMMA can turn an ulp of its end tangent
+        # into a change of 1e-4 in its curve, so the ends stay where the
+        # predicate itself flips.
+        lo, hi = psi - 1e-13, psi + 1e-13
+        while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
-                # Adjacent floats: further steps keep the bracket or
-                # collapse it onto mid, and would end at mid.
                 return mid
             if feasible(mid) == lo_state:
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
 
-    following = np.roll(flags, -1)
-    starts = [refine(_SCAN_PSI[a], _SCAN_PSI[a] + _SCAN_STEP, False)
-              for a in np.flatnonzero(~flags & following)]
-    ends = [refine(_SCAN_PSI[a], _SCAN_PSI[a] + _SCAN_STEP, True)
-            for a in np.flatnonzero(flags & ~following)]
-    arcs = [(s, e if e > s else e + 2.0 * math.pi) for s, e in zip(starts, ends)]
+    # point(psi) = cos_tau du + cos(psi) radial + sin(psi) du x radial, so
+    # the circle's radius is |radial|, which keeps the digits of a small tau
+    # that acos loses.
+    arcs = [(pin(s, False), pin(e, True))
+            for s, e in _feasible_arcs(math.atan2(norm3(radial), cos_tau))]
+    if not arcs:
+        raise NoSolutionError(
+            "no admissible end tangent on the chord circle",
+            diagnostics={"tau": tau},
+        )
 
     candidates: list[float] = []
     for s, e in arcs:

@@ -200,8 +200,7 @@ class TestScalarBranch:
         # array branch by multiplication; only where those two round the
         # square differently may the results part, and then by an ulp or two.
         # Both array inputs are checked: many phi2 at one gamma (the
-        # bisection's diagnostics) and many gamma at the two-thirds angle
-        # (the end-tangent scan).
+        # bisection's diagnostics) and many gamma at the two-thirds angle.
         rng = np.random.default_rng(13)
         gammas = np.concatenate([
             rng.uniform(1e-3, math.pi - 1e-3, 40),
@@ -428,9 +427,9 @@ class TestSolve:
             assert oracle.compare_frames(sol.frame, trace) <= 1e-6
 
 
-def unit_b_reference(gamma: float, phi2: float) -> float:
-    """Reference: the scalar branch of ``unit_displacement_b`` as it was
-    written before the bisection took cos and sin of gamma/2 once."""
+def components_reference(gamma: float, phi2: float) -> tuple[float, float]:
+    """Reference: the scalar branch of ``scaled_displacement_components`` as
+    it was written before the bisection took cos and sin of gamma/2 once."""
     cg2 = math.cos(0.5 * gamma)
     sg2 = math.sin(0.5 * gamma)
     cp = math.cos(phi2)
@@ -439,7 +438,7 @@ def unit_b_reference(gamma: float, phi2: float) -> float:
     q2norm = math.sqrt(max(1.0 - (sp * cg2) ** 2, 0.0))
     half_sum_sq = 1.0 + cp * cg2
     if q2norm == 0.0 or half_sum_sq == 0.0:
-        return math.nan
+        return math.nan, math.nan
     s02b = (cg2 + cp) / half_sum_sq
     s02n = sp * sg2 / half_sum_sq
     smb = s02b + q2b / q2norm
@@ -450,7 +449,12 @@ def unit_b_reference(gamma: float, phi2: float) -> float:
     else:
         smb, smn = smb / smnorm, smn / smnorm
     q3mag = math.sqrt(q2norm) * math.sqrt(2.0 * half_sum_sq)
-    ib, in_ = 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
+    return 2.0 * cg2 + q2b + q3mag * smb, q2n + q3mag * smn
+
+
+def unit_b_reference(gamma: float, phi2: float) -> float:
+    """Reference: the scalar branch of ``unit_displacement_b``."""
+    ib, in_ = components_reference(gamma, phi2)
     norm = np.hypot(ib, in_)
     return ib / float(norm) if norm != 0.0 else math.nan
 
@@ -464,15 +468,17 @@ class TestBisectionFunction:
         for gamma, phi in cases:
             db = math.cos(phi + gamma)
             ref = unit_b_reference(gamma, phi) - db
-            got = hermite._unit_b(*hermite._half_angle_components(
-                math.cos(0.5 * gamma), math.sin(0.5 * gamma), phi)) - db
-            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            got = hermite._half_angle_components(math.cos(0.5 * gamma),
+                                                 math.sin(0.5 * gamma), phi)
+            want = components_reference(gamma, phi)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
             assert (np.float64(float(unit_displacement_b(gamma, phi)) - db).tobytes()
                     == np.float64(ref).tobytes())
 
     def test_solve_residual_is_the_reference_function(self):
         # ``f_residual`` is |f| at the chosen root, so it shows the function
-        # the bisection ran.
+        # the bisection ran: the angle of the displacement from the bisector
+        # less the chord's.
         checked = 0
         for seed, (gamma, beta) in enumerate([(0.3, 0.2), (0.9, -0.4), (1.5, 0.7),
                                               (2.2, -1.0), (0.05, 0.01)]):
@@ -483,8 +489,34 @@ class TestBisectionFunction:
             g = sol.diagnostics["gamma"]
             du = d.delta_u
             db = float(du @ bisector(d.u, d.u_end))
+            dn = float(du @ neg_cross(d.u, d.u_end))
             phi = sol.phi2
-            root = 2.0 * math.pi - phi if float(du @ neg_cross(d.u, d.u_end)) < 0.0 else phi
-            assert sol.diagnostics["f_residual"] == abs(unit_b_reference(g, root) - db)
+            root = 2.0 * math.pi - phi if dn < 0.0 else phi
+            ib, in_ = components_reference(g, root)
+            want = abs(math.atan2(in_, ib) - math.atan2(abs(dn), db))
+            assert sol.diagnostics["f_residual"] == want
             checked += 1
         assert checked >= 4
+
+    def test_chord_near_the_bisector(self):
+        # Segments 34 and 99 of the seed-1 benchmark torus streams: the chord
+        # lies near the bisector, where an error e in the bisector component
+        # leaves an angle error of about sqrt(2 e).
+        cases = [
+            ([29.616018202431125, -15.195912563692321, -3.8300378963949595],
+             [29.46293784935469, -13.15092427178217, -3.3733721211678436],
+             [0.018499219288288044, 0.9758871995335927, 0.21749012086116803],
+             [0.3649541116064396, 0.1959273530829728, -0.9101763393625736],
+             [-0.9308417026043033, 0.09621146553494428, -0.3525295428646228],
+             [-0.16361606156720226, 0.9627171544757246, 0.21541927693547175]),
+            ([-22.2925233979478, 10.32567189954459, -44.97211078220785],
+             [-23.892440796954883, 10.582709514096315, -43.630584385340455],
+             [-0.8160286272999395, 0.1208661727740162, 0.5652332683998158],
+             [-0.1996170013718531, 0.8587966970111767, -0.47182760195436096],
+             [-0.5424484603999592, -0.49785500045862247, -0.6766757468153111],
+             [-0.6986940581523894, 0.12248422703634594, 0.7048575935817492]),
+        ]
+        for case in cases:
+            sol = solve(HermiteData(*case))
+            assert sol.diagnostics["branch"] == "small-angle"
+            assert sol.diagnostics["s_residual"] <= 1e-10

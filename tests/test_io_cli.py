@@ -3,12 +3,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conftest as data
+import rmfspline
 from rmfspline import io_cli, oracle, rrmf
 from rmfspline.io_cli import (
     CURVES,
@@ -427,3 +432,27 @@ class TestValidateBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 3e6
+
+
+CLI_RUN = """
+import sys
+from rmfspline.io_cli import main
+for argv in (["sample", "--curve", "helix", "--n", "4", "--out", "s.csv"],
+             ["interpolate", "--in", "s.csv", "--out", "p.json"],
+             ["eval", "--in", "p.json", "--samples", "5", "--out", "e.csv"],
+             ["validate", "--in", "p.json", "--report", "r.json"]):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_cli_leaves_scipy_integrate_unimported(tmp_path):
+    # Only the RK45 reference oracle needs scipy.integrate, and no command
+    # runs it; a fresh interpreter shows what a command-line start imports.
+    env = dict(os.environ)
+    package_root = str(Path(rmfspline.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CLI_RUN], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "scipy.integrate" not in proc.stdout

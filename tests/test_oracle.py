@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
@@ -109,7 +110,7 @@ class TestIntegrateRMF:
             calls.append(1)
             return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
         sol = solve(data.random_hermite_data(np.random.RandomState(45)))
         trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
                                      n_samples=100)
@@ -268,7 +269,7 @@ class TestReflectRMF:
             calls.append(1)
             return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
         _, pts, tans = io_cli.sample_curve("helix", 4)
         path = spline.build(spline.PointStream(pts, spline.default_initial_frame(tans[0])))
         report = io_cli.validate_spline(path)

@@ -12,19 +12,20 @@ import conftest as data
 from rmfspline import rrmf, spline
 from rmfspline.errors import (
     DegenerateInputError,
+    GeometryError,
     InfeasibleTurnError,
     NoSolutionError,
     SplineBuildError,
     ValidationError,
 )
-from rmfspline.hermite import CRITICAL_GAMMA
+from rmfspline.hermite import CRITICAL_GAMMA, TWO_THIRDS, _two_thirds_b, unit_displacement_b
 from rmfspline.io_cli import read_spline_file, sample_curve, write_spline_file
-from rmfspline.quat import angle_between, cross3, unit
+from rmfspline.quat import angle_between, angles_between, cross3, unit
 from rmfspline.rrmf import is_class_I
 from rmfspline.spline import (
     PointStream,
     _admissible,
-    _admissible_many,
+    _feasible_arcs,
     build,
     chord_knots,
     continuity_report,
@@ -136,6 +137,20 @@ class TestDefaultFrame:
         assert abs(f[1] @ np.array([0.0, 1.0, 0.0])) > 0.99
 
 
+def admissible_rows(u_i, us, du):
+    """``_admissible`` of every unit row of ``us`` (N, 3) in one array pass,
+    up to rounding at its thresholds: the same guards, with the two-thirds
+    value from the array branch of ``unit_displacement_b``."""
+    cross = np.linalg.norm(np.cross(u_i, us), axis=1)
+    gamma = angles_between(u_i, us)
+    flags = (cross > 1e-9) & (gamma < math.pi - 1e-9) & (gamma > CRITICAL_GAMMA)
+    low = np.flatnonzero((cross > 1e-9) & (gamma <= CRITICAL_GAMMA))
+    b = u_i + us[low]
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    flags[low] = b @ du > unit_displacement_b(gamma[low], TWO_THIRDS)
+    return flags
+
+
 class TestGenerateEndTangent:
     def test_feasible_reference_returned_unchanged(self):
         rng = np.random.RandomState(30)
@@ -175,7 +190,7 @@ class TestGenerateEndTangent:
             psis = np.linspace(0, 2 * math.pi, 20000, endpoint=False)
             circle = (cos_tau * du + sin_tau * (np.cos(psis)[:, None] * e1
                                                 + np.sin(psis)[:, None] * e2))
-            feas = _admissible_many(u, circle, du)
+            feas = admissible_rows(u, circle, du)
             assert feas.any()
             best = float(np.max(circle[feas] @ u_ref))
             assert float(got @ u_ref) >= best - 1e-5
@@ -226,7 +241,7 @@ class TestGenerateEndTangent:
 def _reference_end_tangent(u_i, delta_p, u_ref, grid=720):
     """``generate_end_tangent`` as it was before the array scan: one scalar
     predicate call per scan angle and 80-step boundary bisections.  Kept
-    as the bitwise reference of the current search."""
+    as the reference of the closed-form search."""
     u_i = unit(u_i)
     du = unit(np.asarray(delta_p, dtype=float))
     u_ref = unit(u_ref)
@@ -308,69 +323,70 @@ def _chord(u, tau, rng=None):
     return math.cos(tau) * u + math.sin(tau) * d
 
 
-def _scan_circle(u, du):
-    """The scan points of ``generate_end_tangent`` for unit u and chord du."""
-    cos_tau = max(-1.0, min(1.0, float(u @ du)))
-    sin_tau = math.sin(math.acos(cos_tau))
-    e1 = (u - cos_tau * du) / sin_tau
-    e2 = cross3(du, e1)
-    return cos_tau * du + sin_tau * (spline._SCAN_COS[:, None] * e1
-                                     + spline._SCAN_SIN[:, None] * e2)
+def _outcome(fn, *args):
+    """The tangent ``fn`` returns, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (GeometryError, ValidationError) as exc:
+        return type(exc)
+
+
+def _gamma_admissible(tau, psi):
+    """``_admissible`` on the symmetry circle as a function of the turning
+    angle alone: sin(gamma/2) = sin(tau) |sin(psi/2)| sets gamma, the
+    cross-product norm is sin(gamma) and b . du = cos(tau) / cos(gamma/2)."""
+    sin_half = math.sin(tau) * abs(math.sin(0.5 * psi))
+    gamma = 2.0 * math.atan2(sin_half, math.hypot(math.cos(0.5 * psi),
+                                                  math.cos(tau) * math.sin(0.5 * psi)))
+    if math.sin(gamma) <= 1e-9 or gamma >= math.pi - 1e-9:
+        return False
+    if gamma > CRITICAL_GAMMA:
+        return True
+    return math.cos(tau) / math.cos(0.5 * gamma) - _two_thirds_b(gamma) > 0.0
 
 
 class TestEndTangentScan:
-    """The array scan must flag exactly the scan points the scalar predicate
-    accepts, and the search must return the scalar search's bits."""
+    """The closed-form arcs must agree with the scalar scan reference and
+    with the vector predicate on both sides of every arc end."""
 
     X = np.array([1.0, 0.0, 0.0])
 
-    def test_array_predicate_matches_scalar(self):
+    def test_predicate_depends_on_gamma_alone(self):
         rng = np.random.RandomState(35)
-        circles = [(self.X, _chord(self.X, 0.5 * math.pi))]
-        for _ in range(2):
+        taus = np.concatenate([[3e-8, 1e-6, 0.2 * math.pi, 0.5 * math.pi,
+                                0.5 * math.pi - 1e-10, 0.5 * math.pi + 1e-10],
+                               rng.uniform(0.01, 0.8 - 1e-6, 40) * math.pi]).tolist()
+        near_ends = 0
+        for tau in taus:
             u = data.random_unit(rng)
-            circles.append((u, unit(_chord(u, 0.5 * math.pi, rng))))
-        for tau in (3e-8, 1e-6):
-            u = data.random_unit(rng)
-            circles.append((u, unit(_chord(u, tau, rng))))
-        for tau in np.linspace(0.01, 0.8 - 1e-6, 24) * math.pi:
-            u = data.random_unit(rng)
-            circles.append((u, unit(_chord(u, tau, rng))))
-        near_critical = 0
-        for u, du in circles:
-            pts = [_scan_circle(u, du)]
+            du = unit(_chord(u, tau, rng))
             cos_tau = float(u @ du)
-            sin_sq = 1.0 - cos_tau ** 2
-            e1 = (u - cos_tau * du) / math.sqrt(sin_sq)
+            radial = u - cos_tau * du  # of length sin(tau), exact to rounding
+            tau = math.atan2(np.linalg.norm(radial), cos_tau)
+            e1 = radial / math.sin(tau)
             e2 = cross3(du, e1)
-            # points that turn by 0.4 pi + delta: cos(gamma) = cos^2 + sin^2 cos(psi)
-            for delta in (-1e-7, -1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 1e-7):
-                c = (math.cos(CRITICAL_GAMMA + delta) - cos_tau ** 2) / sin_sq
-                if abs(c) < 1.0:
-                    for psi in (math.acos(c), -math.acos(c)):
-                        pts.append((cos_tau * du + math.sqrt(sin_sq)
-                                    * (math.cos(psi) * e1 + math.sin(psi) * e2))[None])
-                        near_critical += 1
-            pts = np.concatenate(pts)
-            got = _admissible_many(u, pts, du)
-            want = np.array([_admissible(u, p, du) for p in pts])
-            assert np.array_equal(got, want)
-            # psi = 0 is u itself, rejected by the cross-product guard
-            assert np.linalg.norm(cross3(u, pts[0])) <= 1e-9 and not got[0]
-        assert near_critical >= 100
+            psis = rng.uniform(0.0, 2.0 * math.pi, 100).tolist()
+            # points 1e-12 and 1e-9 away from each arc end, on both sides
+            for end in [e for arc in _feasible_arcs(tau) for e in arc]:
+                psis += [end + d / math.sin(tau) for d in (-1e-9, -1e-12, 1e-12, 1e-9)]
+                near_ends += 4
+            for psi in psis:
+                point = cos_tau * du + math.sin(tau) * (math.cos(psi) * e1 + math.sin(psi) * e2)
+                assert _admissible(u, point, du) == _gamma_admissible(tau, psi)
+        assert near_ends >= 8 * len(taus)
 
-    def test_bit_identical_to_scalar_scan_reference(self, monkeypatch):
-        arcs_per_scan = []
-        array_scan = spline._admissible_many
+    def test_agrees_with_scalar_scan_reference(self, monkeypatch):
+        arcs_per_call = []
+        closed_form = spline._feasible_arcs
 
-        def counting(u_i, us, du):
-            flags = array_scan(u_i, us, du)
-            arcs_per_scan.append(int(np.sum(flags & ~np.roll(flags, -1))))
-            return flags
+        def counting(tau):
+            arcs = closed_form(tau)
+            arcs_per_call.append(len(arcs))
+            return arcs
 
-        monkeypatch.setattr(spline, "_admissible_many", counting)
+        monkeypatch.setattr(spline, "_feasible_arcs", counting)
         rng = np.random.RandomState(36)
-        cases = []  # (start tangent, chord, reference, takes the scan for sure)
+        cases = []  # (start tangent, chord, reference, needs the arcs for sure)
         # At a quarter turn psi = pi is -u itself, which splits the feasible
         # set into two arcs; just off it, the gap is narrower than the scan.
         for tau in (0.5 * math.pi, 0.5 * math.pi - 1e-10, 0.5 * math.pi + 1e-10):
@@ -385,24 +401,44 @@ class TestEndTangentScan:
             # enough that the circle's axes are exact to rounding.
             cases += [(u, 3.0 * du, data.random_unit(rng), False), (u, du, u, True),
                       (u, du, unit(du), tau >= 0.01 * math.pi)]
-        for u, dp, ref, scans in cases:
-            n_scans = len(arcs_per_scan)
-            got = spline.generate_end_tangent(u, dp, ref)
-            want = _reference_end_tangent(u, dp, ref)
-            assert got.tobytes() == want.tobytes()
-            if scans:
-                assert len(arcs_per_scan) == n_scans + 1
-        assert set(arcs_per_scan) == {1, 2}
-        assert len(arcs_per_scan) >= 45
+        cases += [(self.X, _chord(self.X, 0.85 * math.pi), self.X, False),
+                  (self.X, self.X, self.X, False)]
+        agreed = 0
+        for u, dp, ref, needs_arcs in cases:
+            n_calls = len(arcs_per_call)
+            got = _outcome(spline.generate_end_tangent, u, dp, ref)
+            want = _outcome(_reference_end_tangent, u, dp, ref)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            if needs_arcs:
+                assert len(arcs_per_call) == n_calls + 1
+            if angle_between(got, want) <= 1e-12:
+                agreed += 1
+                continue
+            # A reference in the plane of u and the chord makes the objective
+            # even in psi, or constant, so candidates tie and rounding picks
+            # one of them: the search must find an equally good tangent.
+            du = unit(dp)
+            assert abs(float(ref @ cross3(u, du))) <= 1e-12
+            assert abs(float((got - want) @ ref)) <= 1e-12
+            assert _admissible(u, got, du)
+        assert agreed >= 0.8 * len(cases)
+        assert set(arcs_per_call) == {1, 2}
+        assert len(arcs_per_call) >= 45
 
     def test_no_solution_matches_reference(self, monkeypatch):
-        # For a valid input some scan point is always admissible (psi = pi,
-        # or its neighbours at a quarter turn), so both predicates are made
-        # to reject everything to reach the error.
+        # For a valid input some point of the circle is always admissible,
+        # so the predicate is made to reject everything to reach the errors.
         monkeypatch.setattr(spline, "_admissible", lambda u_i, u, du: False)
-        monkeypatch.setattr(spline, "_admissible_many",
-                            lambda u_i, us, du: np.zeros(len(us), dtype=bool))
         du = _chord(self.X, 0.3 * math.pi)
+        tau = math.acos(float(self.X @ du))
+        with pytest.raises(NoSolutionError, match="collapsed") as collapsed:
+            spline.generate_end_tangent(self.X, du, self.X)
+        assert collapsed.value.diagnostics["tau"] == tau
+        assert np.allclose(collapsed.value.diagnostics["arcs"], _feasible_arcs(tau),
+                           rtol=0.0, atol=1e-12)
+        monkeypatch.setattr(spline, "_feasible_arcs", lambda tau: [])
         with pytest.raises(NoSolutionError) as got:
             spline.generate_end_tangent(self.X, du, self.X)
         with pytest.raises(NoSolutionError) as want:
@@ -411,17 +447,15 @@ class TestEndTangentScan:
         assert got.value.diagnostics == want.value.diagnostics
 
     def test_quarter_turn_scan_raises_no_warning(self):
-        # At tau = pi/2 exactly the scan passes within an ulp of -u, where an
-        # unmasked bisector would divide 0 by 0.
+        # At tau = pi/2 exactly psi = pi is -u, where a bisector would
+        # divide 0 by 0.
         du = _chord(self.X, 0.5 * math.pi)
-        circle = _scan_circle(self.X, du)
-        assert np.min(np.linalg.norm(circle + self.X, axis=1)) <= 1e-15
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flags = _admissible_many(self.X, circle, du)
             got = spline.generate_end_tangent(self.X, du, self.X)
-        assert not flags[spline._SCAN_SIZE // 2]
-        assert got.tobytes() == _reference_end_tangent(self.X, du, self.X).tobytes()
+            arcs = _feasible_arcs(0.5 * math.pi)
+        assert len(arcs) == 2 and arcs[0][1] < math.pi < arcs[1][0]
+        assert angle_between(got, _reference_end_tangent(self.X, du, self.X)) <= 1e-12
 
 
 class TestBuild:
