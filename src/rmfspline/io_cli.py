@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from . import _bernstein as bern
-from . import oracle, spline
+from . import oracle, ph, rrmf, spline
 from .errors import GeometryError, SplineBuildError, StreamFormatError, ValidationError
 from .hermite import HermiteSolution
-from .ph import PreImage, curve_from_preimage, ph_identity_residual
+from .ph import PHQuintic, PreImage
 from .quat import Quaternion, angle_between, frame_rows, unit
-from .rrmf import _STACKED_ROWS, frame_from_coefficients, han08_residual, is_class_I
+from .rrmf import _STACKED_ROWS, RationalFrame
 from .spline import PointStream, SplinePath, build, chord_knots, default_initial_frame
 
 EXIT_OK = 0
@@ -246,38 +246,78 @@ def write_spline_file(path: str, path_obj: SplinePath) -> None:
         f.write("\n")
 
 
+def _stacked(values: list, field: str, shape: tuple) -> np.ndarray:
+    """One field of every segment as a float array (S, *shape), checked for
+    shape and finite values; a bad entry raises ``StreamFormatError`` naming
+    the field and the first segment that has it."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (len(values),) + shape:
+        for k, value in enumerate(values):
+            try:
+                got = np.asarray(value, dtype=float).shape
+            except (TypeError, ValueError) as exc:
+                raise StreamFormatError(f"segment {k}: {field} is not numeric ({exc})") from exc
+            if got != shape:
+                raise StreamFormatError(f"segment {k}: {field} must have shape {shape}, got {got}")
+        raise StreamFormatError(f"{field} entries cannot be stacked")
+    finite = np.isfinite(arr.reshape(len(values), -1)).all(axis=1)
+    if not finite.all():
+        raise StreamFormatError(f"segment {int(np.argmin(finite))}: {field} is not finite")
+    return arr
+
+
 def spline_from_dict(doc: dict) -> SplinePath:
+    """Rebuild a spline from a version "1" spline document.
+
+    Every field is stacked over the segments and checked: shapes, finite
+    values, and strictly increasing knots; a malformed document raises
+    ``StreamFormatError`` naming the field and the segment.  The curves
+    (``ph.curves``) and the frame quaternions (``rrmf.frame_beziers``) of
+    all segments are then assembled in one array pass each, bit for bit as
+    ``build`` assembles one segment, and each segment's objects are cut from
+    their rows.
+    """
     try:
         if doc.get("version") != "1":
             raise StreamFormatError(f"unsupported spline file version {doc.get('version')!r}")
-        knots = np.asarray(doc["knots"], dtype=float)
         seg_docs = doc["segments"]
-        if len(seg_docs) != knots.size - 1 or not len(seg_docs):
+        try:
+            knots = np.asarray(doc["knots"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise StreamFormatError(f"knots are not numeric ({exc})") from exc
+        if knots.ndim != 1 or len(seg_docs) != knots.size - 1 or not len(seg_docs):
             raise StreamFormatError("segment count must match the knot vector")
-        segments = []
-        for seg in seg_docs:
-            axes = np.array([_vec3(seg["axes"]["i"], "axes.i"),
-                             _vec3(seg["axes"]["j"], "axes.j"),
-                             _vec3(seg["axes"]["k"], "axes.k")])
-            pre = PreImage(
-                Quaternion.from_wxyz(seg["A0"]),
-                Quaternion.from_wxyz(seg["A1"]),
-                Quaternion.from_wxyz(seg["A2"]),
-                axes[0],
-            )
-            segment = curve_from_preimage(_vec3(seg["r0"], "r0"), pre)
-            frame = frame_from_coefficients(
-                pre, np.asarray(seg["W_a"], dtype=float),
-                np.asarray(seg["W_b"], dtype=float), axes,
-            )
-            segments.append(HermiteSolution(
-                segment=segment, frame=frame, mu=float(seg["mu"]),
-                phi2=float(seg["phi2"]), theta1=float(seg.get("theta1", 0.0)),
-                diagnostics={},
-            ))
-        return SplinePath(knots=knots, segments=segments)
+        if not np.all(np.isfinite(knots)) or not np.all(np.diff(knots) > 0.0):
+            raise StreamFormatError("knots must be finite and strictly increasing")
+        r0 = _stacked([seg["r0"] for seg in seg_docs], "r0", (3,))
+        rows = np.stack([_stacked([seg[key] for seg in seg_docs], key, (4,))
+                         for key in ("A0", "A1", "A2")], axis=1)
+        axes = _stacked([[seg["axes"]["i"], seg["axes"]["j"], seg["axes"]["k"]]
+                         for seg in seg_docs], "axes", (3, 3))
+        w_a = _stacked([seg["W_a"] for seg in seg_docs], "W_a", (3,))
+        w_b = _stacked([seg["W_b"] for seg in seg_docs], "W_b", (3,))
+        mu = _stacked([seg["mu"] for seg in seg_docs], "mu", ()).tolist()
+        phi2 = _stacked([seg["phi2"] for seg in seg_docs], "phi2", ()).tolist()
+        theta1 = _stacked([seg.get("theta1", 0.0) for seg in seg_docs], "theta1", ()).tolist()
     except (KeyError, TypeError, IndexError) as exc:
         raise StreamFormatError(f"malformed spline file: {exc!r}") from exc
+
+    h, r, sigma = ph.curves(r0, rows, axes[:, 0])
+    b_bezier = rrmf.frame_beziers(ph.power_rows(rows), w_a, w_b, axes[:, 0])
+    segments = []
+    for k, ws in enumerate(rows[..., 0].tolist()):
+        pre = PreImage(*(Quaternion._of(w, rows[k, m, 1:]) for m, w in enumerate(ws)),
+                       axes[k, 0])
+        frame = RationalFrame(a=w_a[k], b=w_b[k], axes=axes[k], b_bezier=b_bezier[k],
+                              residual=0.0)
+        segments.append(HermiteSolution(
+            segment=PHQuintic(r0=r0[k], preimage=pre, h=h[k], r=r[k], sigma=sigma[k]),
+            frame=frame, mu=mu[k], phi2=phi2[k], theta1=theta1[k], diagnostics={},
+        ))
+    return SplinePath(knots=knots, segments=segments)
 
 
 def read_spline_file(path: str) -> SplinePath:
@@ -301,6 +341,10 @@ _FRAME_SAMPLES = np.linspace(0.0, 1.0, 101)
 _INTERIOR_SAMPLES = np.linspace(0.05, 0.95, 19)
 _FRAME_SAMPLES.flags.writeable = False
 _INTERIOR_SAMPLES.flags.writeable = False
+# Segments per array pass of the identity checks.  The largest temporaries
+# are the convolution terms of ``ph_identity_residuals``, 4 x 9 rows per
+# segment; chunks of this size keep them at ``rrmf._STACKED_ROWS`` rows.
+_IDENTITY_CHUNK = _STACKED_ROWS // 36
 
 
 def _orthonormality(frames: np.ndarray) -> np.ndarray:
@@ -318,13 +362,18 @@ def _orthonormality(frames: np.ndarray) -> np.ndarray:
 def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     """Run the full check suite; failures are entries, not exceptions.
 
-    The frame checks run on blocks of segments, each block one stacked
-    evaluation of its frames (``SplinePath.frame_bezier``) at every sample
-    of every frame check.  ``frame_vs_transport`` is the largest angle
-    between each segment's rational normal and the double-reflection RMF
-    (``oracle.reflect_rmf``, one call per block) at ``ode_samples``
-    + 1 uniform parameters.  The curve and frame-polynomial identities are
-    checked one segment at a time.
+    The curve and frame-polynomial identities (``ph.ph_identity_residuals``,
+    ``rrmf.class_one_residuals``, ``rrmf.rotation_rate_residuals``) are
+    checked in one array pass each over chunks of ``_IDENTITY_CHUNK``
+    segments, so that memory stays bounded.  The frame checks run
+    on blocks of segments, each block one stacked evaluation of its frame
+    quaternions (``SplinePath.frame_bezier``) at every sample of every frame
+    check; all three frame rows are formed at the orthonormality and
+    angular-velocity samples, and only the normal at the transport samples.
+    ``frame_vs_transport`` is the largest angle between each segment's
+    rational normal and the double-reflection RMF (``oracle.reflect_rmf``,
+    one call per block) at ``ode_samples`` + 1 uniform parameters.  Every
+    value equals the one-segment check's bit for bit.
     """
     tol = tolerances()
     checks: list[dict] = []
@@ -339,9 +388,24 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
         })
 
     segments = path_obj.segments
+    curves = [sol.segment for sol in segments]
+    ph_identity = np.empty(len(segments))
+    class_one = np.empty(len(segments))
+    rotation_rate = np.empty(len(segments))
+    for lo in range(0, len(segments), _IDENTITY_CHUNK):
+        chunk = slice(lo, lo + _IDENTITY_CHUNK)
+        rows = np.array([q.preimage.coeffs_wxyz for q in curves[chunk]])
+        axis = np.array([q.preimage.axis for q in curves[chunk]])
+        ph_identity[chunk] = ph.ph_identity_residuals(np.array([q.h for q in curves[chunk]]),
+                                                      np.array([q.sigma for q in curves[chunk]]))
+        class_one[chunk] = rrmf.class_one_residuals(rows, axis)[1]
+        rotation_rate[chunk] = rrmf.rotation_rate_residuals(
+            ph.power_rows(rows), axis, np.array([sol.frame.a for sol in segments[chunk]]),
+            np.array([sol.frame.b for sol in segments[chunk]]))
+
     # The transport starts from each segment's normal at t = 0, where a
     # Bezier polynomial takes its first coefficient.
-    starts = frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes)[:, 1]
+    starts = frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes[:, 1:2])[:, 0]
     ts = np.linspace(0.0, 1.0, ode_samples + 1)  # the samples of ``oracle.reflect_rmf``
     step = oracle.VELOCITY_STEP
     # One parameter row for all frame checks.
@@ -357,21 +421,21 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     per_block = max(1, _STACKED_ROWS // params.size)
     for lo in range(0, len(segments), per_block):
         block = slice(lo, lo + per_block)
-        frames = frame_rows(basis @ path_obj.frame_bezier[block],
-                            path_obj.frame_axes[block, None])
-        ortho[block] = _orthonormality(frames[:, :_FRAME_SAMPLES.size])
-        _, normals = oracle.reflect_rmf([sol.segment for sol in segments[block]],
-                                        starts[block], ode_samples)
-        vs_transport[block] = oracle.max_unit_angle(frames[:, transport, 1], normals)
-        spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.stop:], step),
+        quats = basis @ path_obj.frame_bezier[block]
+        axes = path_obj.frame_axes[block, None]
+        frames = frame_rows(np.concatenate([quats[:, :transport.start],
+                                            quats[:, transport.stop:]], axis=1), axes)
+        normals = frame_rows(quats[:, transport], axes[..., 1:2, :])[..., 0, :]
+        ortho[block] = _orthonormality(frames[:, :transport.start])
+        _, reflected = oracle.reflect_rmf(curves[block], starts[block], ode_samples)
+        vs_transport[block] = oracle.max_unit_angle(normals, reflected)
+        spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.start:], step),
                              axis=-1)
 
-    for k, sol in enumerate(segments):
-        pre = sol.segment.preimage
-        record("ph_identity", k, ph_identity_residual(sol.segment), tol["ph_identity"])
-        record("class_one_residual", k, is_class_I(pre).rel_residual, tol["class_one"])
-        record("rotation_rate_identity", k, han08_residual(pre, sol.frame),
-               tol["rotation_rate"])
+    for k in range(len(segments)):
+        record("ph_identity", k, ph_identity[k], tol["ph_identity"])
+        record("class_one_residual", k, class_one[k], tol["class_one"])
+        record("rotation_rate_identity", k, rotation_rate[k], tol["rotation_rate"])
         record("frame_orthonormality", k, ortho[k], 1e-9)
         record("frame_vs_transport", k, vs_transport[k], tol["frame_vs_ode"])
         record("tangential_angular_velocity", k, spin[k], tol["tangential_velocity"])

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _bernstein as bern
 from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
-from .quat import (Quaternion, _vcross, frame_rows, norm3, orthonormal_completion, vgram, vmul,
-                   vnorm_sq)
+from .quat import (_CONJ, Quaternion, _vcross, frame_rows, norm3, orthonormal_completion, vgram,
+                   vmul, vnorm_sq)
 
 DEGENERACY_TOL = 1e-12
 
@@ -36,10 +36,12 @@ class PreImage:
             raise ValidationError("pre-image axis must be a unit vector")
         object.__setattr__(self, "axis", ax)
 
-    @property
+    @functools.cached_property
     def coeffs_wxyz(self) -> np.ndarray:
-        """Bezier coefficients as wxyz rows, shape (3, 4)."""
-        return np.array([[q.w, *q.v.tolist()] for q in (self.a0, self.a1, self.a2)])
+        """Bezier coefficients as wxyz rows, shape (3, 4); cached, read-only."""
+        rows = np.array([[q.w, *q.v.tolist()] for q in (self.a0, self.a1, self.a2)])
+        rows.flags.writeable = False
+        return rows
 
     def power_coeffs(self) -> np.ndarray:
         """Power-basis coefficients [C0, C1, C2] as wxyz rows (3, 4); cached, read-only."""
@@ -47,8 +49,7 @@ class PreImage:
 
     @functools.cached_property
     def _power(self) -> np.ndarray:
-        a0, a1, a2 = self.coeffs_wxyz
-        power = np.array([a0, 2.0 * (a1 - a0), (a0 - 2.0 * a1) + a2])
+        power = power_rows(self.coeffs_wxyz)
         power.flags.writeable = False
         return power
 
@@ -62,26 +63,64 @@ class PreImage:
         return bern.decasteljau(self.coeffs_wxyz, t)
 
 
+# The array kernels below take generators as stacks of Bezier coefficient
+# rows (..., 3, 4) with their axes (..., 3); every row of a stack equals the
+# one-row call bit for bit.  The ``PreImage`` functions are the one-row case.
+
+_SPEED_TERMS = np.array([0, 1, 4, 5, 8])
+
+
+def power_rows(rows: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients [C0, C1, C2] (..., 3, 4) of generators."""
+    a0, a1, a2 = rows[..., 0:1, :], rows[..., 1:2, :], rows[..., 2:3, :]
+    return np.concatenate([a0, 2.0 * (a1 - a0), (a0 - 2.0 * a1) + a2], axis=-2)
+
+
+def hodographs(rows: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Degree-4 hodograph control points (..., 5, 3) of generators, by array
+    passes that repeat the arithmetic of ``sandwich`` and ``star`` on the
+    coefficients."""
+    w, u, i = rows[..., :1], rows[..., 1:], axis[..., None, :]
+    ui, uxi = np.vecdot(u, i)[..., None], _vcross(u, i)
+    # The products A_k (0, i) as ``vmul`` forms them, zero terms included.
+    ai = np.concatenate([w * 0.0 - ui, w * i + 0.0 * u + uxi], axis=-1)
+    grid = vmul(ai[..., :, None, :], (rows * _CONJ)[..., None, :, :])[..., 1:]
+    stars = 0.5 * (grid + grid.swapaxes(-3, -2))
+    sandwiches = (w * w - np.vecdot(u, u)[..., None]) * i + 2.0 * ui * u + 2.0 * w * uxi
+    h = np.empty(rows.shape[:-2] + (5, 3))
+    h[..., ::2, :] = sandwiches
+    h[..., 1, :] = stars[..., 0, 1, :]
+    h[..., 3, :] = stars[..., 1, 2, :]
+    h[..., 2, :] = (stars[..., 0, 2, :] + 2.0 * sandwiches[..., 1, :]) / 3.0
+    return h
+
+
+def speeds(rows: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients (..., 5) of the parametric speed polynomials."""
+    g = vgram(rows).reshape(rows.shape[:-2] + (9,))
+    # g00, g01, (g02 + 2 g11) / 3, g12, g22 of the flattened Gram matrices.
+    sigma = g.take(_SPEED_TERMS, axis=-1)
+    sigma[..., 2] = (g[..., 2] + 2.0 * sigma[..., 2]) / 3.0
+    return sigma
+
+
+def curves(r0: np.ndarray, rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Hodographs (..., 5, 3), control points (..., 6, 3) and speeds
+    (..., 5) of the curves with start points r0 (..., 3)."""
+    h = hodographs(rows, axis)
+    # r[k + 1] = r[k] + h[k] / 5, summed in order.
+    r = np.cumsum(np.concatenate([r0[..., None, :], h / 5.0], axis=-2), axis=-2)
+    return h, r, speeds(rows)
+
+
 def hodograph_from_preimage(p: PreImage) -> np.ndarray:
-    """Degree-4 hodograph control points, shape (5, 3), by array passes that
-    repeat the arithmetic of ``sandwich`` and ``star`` on the coefficients."""
-    i = p.axis
-    rows = p.coeffs_wxyz
-    grid = vmul(vmul(rows, np.concatenate([[0.0], i]))[:, None],
-                rows * [1.0, -1.0, -1.0, -1.0])[..., 1:]
-    stars = 0.5 * (grid + grid.transpose(1, 0, 2))
-    w, u = rows[:, :1], rows[:, 1:]
-    sandwiches = ((w * w - np.vecdot(u, u)[:, None]) * i
-                  + 2.0 * np.vecdot(u, i)[:, None] * u
-                  + 2.0 * w * _vcross(u, i))
-    return np.array([sandwiches[0], stars[0, 1], (stars[0, 2] + 2.0 * sandwiches[1]) / 3.0,
-                     stars[1, 2], sandwiches[2]])
+    """Degree-4 hodograph control points, shape (5, 3)."""
+    return hodographs(p.coeffs_wxyz, p.axis)
 
 
 def parametric_speed(p: PreImage) -> np.ndarray:
     """Bernstein coefficients (degree 4) of the parametric speed polynomial."""
-    g = vgram(p.coeffs_wxyz)
-    return np.array([g[0, 0], g[0, 1], (g[0, 2] + 2.0 * g[1, 1]) / 3.0, g[1, 2], g[2, 2]])
+    return speeds(p.coeffs_wxyz)
 
 
 def arc_length(p: PreImage) -> float:
@@ -129,10 +168,8 @@ class PHQuintic:
 def curve_from_preimage(r0: np.ndarray, p: PreImage) -> PHQuintic:
     """Integrate the hodograph into the degree-5 control polygon."""
     r0 = np.asarray(r0, dtype=float)
-    h = hodograph_from_preimage(p)
-    # r[k + 1] = r[k] + h[k] / 5, summed in order.
-    r = np.cumsum(np.concatenate([r0[None], h / 5.0]), axis=0)
-    return PHQuintic(r0=r0, preimage=p, h=h, r=r, sigma=parametric_speed(p))
+    h, r, sigma = curves(r0, p.coeffs_wxyz, p.axis)
+    return PHQuintic(r0=r0, preimage=p, h=h, r=r, sigma=sigma)
 
 
 def spherical_control_points(q: PHQuintic, tol: float = 1e-12) -> np.ndarray:
@@ -215,9 +252,17 @@ def erf_frame_many(p: PreImage, ts: np.ndarray, axes: np.ndarray | None = None) 
     return frame_rows(a, axes)
 
 
+def ph_identity_residuals(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Relative coefficient mismatch (...,) between |r'|^2 and the speed
+    squared, for hodographs h (..., 5, 3) and speeds sigma (..., 5)."""
+    factors = np.concatenate([np.swapaxes(h, -1, -2), sigma[..., None, :]], axis=-2)
+    squares = bern.product(factors, factors)
+    hh = sum(squares[..., c, :] for c in range(3))
+    ss = squares[..., 3, :]
+    scale = np.max(np.abs(ss), axis=-1)
+    return np.max(np.abs(hh - ss), axis=-1) / np.where(scale == 0.0, 1.0, scale)
+
+
 def ph_identity_residual(q: PHQuintic) -> float:
     """Relative coefficient mismatch between |r'|^2 and the speed squared."""
-    hh = sum(bern.product(q.h[:, c], q.h[:, c]) for c in range(3))
-    ss = bern.product(q.sigma, q.sigma)
-    scale = float(np.max(np.abs(ss))) or 1.0
-    return float(np.max(np.abs(hh - ss))) / scale
+    return float(ph_identity_residuals(q.h, q.sigma))

@@ -6,10 +6,12 @@ pure vectors are numpy arrays of shape (3,).  The wxyz-array kernel
 (``vmul``, ``vpoly_mul``, ``vgram``, ``vsandwich``, ``frame_rows``) works
 on quaternion rows of shape (..., 4) that broadcast against each other,
 for frame polynomials and dense frame evaluation.  Its dot products are
-``np.vecdot``, which rounds each one exactly as 1-D ``@`` does, and its
-cross products repeat ``np.cross``'s arithmetic, as ``cross3`` does for
-single 3-vectors; so a kernel row equals the value-object result bit for
-bit, whatever the batch around it.  All operations are side-effect free.
+``np.vecdot``, which rounds each one exactly as 1-D ``@`` does on
+contiguous vectors (the BLAS dot may fuse multiply-adds there, and sums
+strided vectors another way), and its cross products repeat ``np.cross``'s
+arithmetic, as ``cross3`` does for single 3-vectors; so a kernel row equals
+the value-object result bit for bit, whatever the batch around it.  All
+operations are side-effect free.
 """
 
 from __future__ import annotations
@@ -253,6 +255,11 @@ def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# Multiplies quaternion rows (..., 4) into their conjugates.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_CONJ.flags.writeable = False
+
+
 def vmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products a b of quaternion rows (..., 4), which broadcast; each row
     equals ``Quaternion.__mul__`` bit for bit."""
@@ -263,20 +270,23 @@ def vmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def vpoly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two quaternion polynomials given as ascending coefficient
-    rows (m, 4) and (n, 4); returns (m + n - 1, 4).  Each coefficient sums
-    its terms a_i b_j from zero in increasing i."""
-    prod = vmul(a[:, None], b[None, :])
-    out = np.zeros((len(a) + len(b) - 1, 4))
-    for i, row in enumerate(prod):
-        out[i:i + len(b)] += row
+    """Products of quaternion polynomials given as ascending coefficient
+    rows (..., m, 4) and (..., n, 4), whose leading axes broadcast; returns
+    (..., m + n - 1, 4).  Each coefficient sums its terms a_i b_j from zero
+    in increasing i."""
+    m, n = a.shape[-2], b.shape[-2]
+    prod = vmul(a[..., :, None, :], b[..., None, :, :])
+    out = np.zeros(prod.shape[:-3] + (m + n - 1, 4))
+    for i in range(m):
+        out[..., i:i + n, :] += prod[..., i, :, :]
     return out
 
 
 def vgram(rows: np.ndarray) -> np.ndarray:
     """Inner products w_m w_n + u_m . u_n of every pair of quaternion rows
-    (k, 4), as a (k, k) matrix."""
-    return rows[:, None, 0] * rows[None, :, 0] + np.vecdot(rows[:, None, 1:], rows[None, :, 1:])
+    (..., k, 4), as (..., k, k) matrices."""
+    return (rows[..., :, None, 0] * rows[..., None, :, 0]
+            + np.vecdot(rows[..., :, None, 1:], rows[..., None, :, 1:]))
 
 
 def vsandwich(q: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ from . import _bernstein as bern
 from .errors import DegenerateInputError, FrameConstructionError, ValidationError
 from .ph import PreImage
 from .quat import (
+    _CONJ,
     Quaternion,
+    _vcross,
     angle_between,
     bisector,
     boxop,
@@ -48,8 +50,40 @@ class ClassICheck(NamedTuple):
     rel_residual: float
 
 
+def class_one_residuals(rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``is_class_I``'s residual |A1 i A1* - A2 i A0*| (...,) and its ratio to
+    the largest |A_k|^2, for generators with Bezier coefficient rows
+    (..., 3, 4) and axes (..., 3).
+
+    The arithmetic is that of ``sandwich`` and of the two ``Quaternion``
+    products, zero terms included, so every row equals ``is_class_I`` bit
+    for bit.
+    """
+    w, v = rows[..., 0], rows[..., 1:]
+    i = axis[..., None, :]
+    vv, vi = np.vecdot(v, v), np.vecdot(v, i)
+    vxi = _vcross(v[..., 1:, :], i)
+    w1, w2 = w[..., 1, None], w[..., 2, None]
+    lhs = ((w1 * w1 - vv[..., 1, None]) * axis + 2.0 * vi[..., 1, None] * v[..., 1, :]
+           + 2.0 * w1 * vxi[..., 0, :])
+    # A2 i = (pw, pv), then its product with A0* = (w0, b).
+    pw = w2 * 0.0 - vi[..., 2, None]
+    pv = w2 * axis + 0.0 * v[..., 2, :] + vxi[..., 1, :]
+    b = -v[..., 0, :]
+    d = lhs - (pw * b + w[..., 0, None] * pv + _vcross(pv, b))
+    residual = np.sqrt(np.vecdot(d, d))
+    scale = np.maximum(np.max(w * w + vv, axis=-1), 1e-300)
+    return residual, residual / scale
+
+
 def is_class_I(p: PreImage, rel_tol: float = CLASS_ONE_REL_TOL) -> ClassICheck:
-    """Test the middle-coefficient identity that admits a rational RMF."""
+    """Test the middle-coefficient identity that admits a rational RMF.
+
+    ``class_one_residuals`` computes the same values for stacks of
+    generators; this one-generator form keeps the ``Quaternion`` products,
+    which take about half the time of a one-row array pass, because
+    ``build`` calls it once per segment.
+    """
     i = p.axis
     lhs = sandwich(p.a1, i)
     rhs = ((p.a2 * Quaternion.pure(i)) * p.a0.conj()).v
@@ -242,23 +276,48 @@ def theta1_for_s1(
 
 # --- rational rotation-minimizing frame -----------------------------------
 
-def _rotation_rate_coeffs(p: PreImage) -> np.ndarray:
-    """Power coefficients (ascending, degree 3) of scal(A' i A*), summed from
-    the scalar parts of the row products of A' i and A* in ``vpoly_mul``'s order."""
-    c = p.power_coeffs()
-    x = vmul(np.array([c[1], 2.0 * c[2]]), np.concatenate([[0.0], p.axis]))
-    y = c * [1.0, -1.0, -1.0, -1.0]
-    terms = x[:, None, 0] * y[None, :, 0] - np.vecdot(x[:, None, 1:], y[None, :, 1:])
-    out = np.zeros(4)
-    out[:3] += terms[0]
-    out[1:] += terms[1]
+# The speed coefficients g00, 2 g01, 2 g02 + g11, 2 g12, g22 from the
+# flattened Gram matrix g of the power coefficients.
+_SPEED_POWER_TERMS = np.array([0, 1, 2, 5, 8])
+_SPEED_POWER_FACTORS = np.array([1.0, 2.0, 2.0, 2.0, 1.0])
+# Power coefficients C1, C2 to those of the derivative A' = C1 + 2 C2 t.
+_DERIVATIVE_FACTORS = np.array([[1.0], [2.0]])
+
+
+def _rotation_rates(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Power coefficients (..., 4), ascending, of scal(A' i A*) for generator
+    power coefficients (..., 3, 4) and axes (..., 3), summed from the scalar
+    parts of the row products of A' i and A* in ``vpoly_mul``'s order."""
+    # x = A' (0, i) as ``vmul`` forms it, zero terms included.
+    dc = power[..., 1:, :] * _DERIVATIVE_FACTORS
+    w, u, i = dc[..., :1], dc[..., 1:], axis[..., None, :]
+    xw = w * 0.0 - np.vecdot(u, i)[..., None]
+    xu = w * i + 0.0 * u + _vcross(u, i)
+    y = power * _CONJ
+    terms = xw * y[..., None, :, 0] - np.vecdot(xu[..., :, None, :], y[..., None, :, 1:])
+    out = np.zeros(terms.shape[:-2] + (4,))
+    out[..., :3] += terms[..., 0, :]
+    out[..., 1:] += terms[..., 1, :]
     return out
 
 
+def _speed_powers(power: np.ndarray) -> np.ndarray:
+    """Power coefficients (..., 5), ascending, of the speed polynomials."""
+    g = vgram(power).reshape(power.shape[:-2] + (9,))
+    q = g.take(_SPEED_POWER_TERMS, axis=-1)
+    q *= _SPEED_POWER_FACTORS
+    q[..., 2] += g[..., 4]
+    return q
+
+
+def _rotation_rate_coeffs(p: PreImage) -> np.ndarray:
+    """``_rotation_rates`` of one generator."""
+    return _rotation_rates(p.power_coeffs(), p.axis)
+
+
 def _speed_power_coeffs(p: PreImage) -> np.ndarray:
-    """Power coefficients (ascending, degree 4) of the speed polynomial."""
-    g = vgram(p.power_coeffs())
-    return np.array([g[0, 0], 2.0 * g[0, 1], 2.0 * g[0, 2] + g[1, 1], 2.0 * g[1, 2], g[2, 2]])
+    """``_speed_powers`` of one generator."""
+    return _speed_powers(p.power_coeffs())
 
 
 def _conjugate_pairs(roots: np.ndarray) -> list[complex]:
@@ -354,10 +413,20 @@ class RationalFrame:
 _STACKED_ROWS = 4096
 
 
+def frame_beziers(power: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  axis: np.ndarray) -> np.ndarray:
+    """Bezier coefficients (..., 5, 4) of the frame quaternions A (a + b i)
+    for generator power coefficients (..., 3, 4), frame polynomials a and b
+    (..., 3) and axes i (..., 3); each row equals the one-row call bit for
+    bit."""
+    w = np.concatenate([a[..., None], b[..., None] * axis[..., None, :]], axis=-1)
+    # ``from_power`` takes the degree on its first axis.
+    return bern.from_power(vpoly_mul(power, w).swapaxes(0, -2)).swapaxes(0, -2)
+
+
 def _build_frame(p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray,
                  residual: float) -> RationalFrame:
-    w = np.column_stack([a, b[:, None] * axes[0]])
-    b_bez = bern.from_power(vpoly_mul(p.power_coeffs(), w))
+    b_bez = frame_beziers(p.power_coeffs(), a, b, axes[0])
     return RationalFrame(a=a, b=b, axes=axes, b_bezier=b_bez, residual=residual)
 
 
@@ -415,22 +484,34 @@ def compute_rational_frame(
     return _build_frame(p, a, b, axes, resid)
 
 
+def rotation_rate_residuals(power: np.ndarray, axis: np.ndarray, a: np.ndarray,
+                            b: np.ndarray) -> np.ndarray:
+    """``han08_residual`` (...,) of generators with power coefficients
+    (..., 3, 4) and axes (..., 3) and their frame polynomials a and b
+    (..., 3); each row equals the one-row call bit for bit."""
+    ab = np.stack([a, b], axis=-2)
+    squares = bern.convolve(ab, ab)
+    wnorm = squares[..., 0, :] + squares[..., 1, :]
+    da = np.stack([a[..., 1], 2.0 * a[..., 2]], axis=-1)
+    db = np.stack([b[..., 1], 2.0 * b[..., 2]], axis=-1)
+    # np.convolve(da, b) - np.convolve(a, db); both sum in the longer factor.
+    terms = bern.convolve(np.stack([b, a], axis=-2), np.stack([da, db], axis=-2))
+    wron = terms[..., 0, :] - terms[..., 1, :]
+    q = _speed_powers(power)
+    lhs = bern.convolve(_rotation_rates(power, axis), wnorm)
+    padded = np.concatenate([wron, np.zeros(wron.shape[:-1] + (1,))], axis=-1)
+    rhs = bern.convolve(padded, q)[..., : lhs.shape[-1]]
+    scale = np.maximum(np.max(np.abs(q), axis=-1) * np.max(np.abs(wnorm), axis=-1), 1e-300)
+    return np.minimum(np.max(np.abs(lhs - rhs), axis=-1),
+                      np.max(np.abs(lhs + rhs), axis=-1)) / scale
+
+
 def han08_residual(p: PreImage, frame: RationalFrame) -> float:
     """Relative coefficient residual of the full rotation-rate identity.
 
     Orientation-agnostic: the smaller residual over the two Wronskian sign
     conventions is reported, so the value measures whether the frame
-    polynomial matches the generator's spin rate at all.
+    polynomial matches the generator's spin rate at all.  The convolutions
+    are ``np.convolve``'s, by ``_bernstein.convolve``.
     """
-    a, b = frame.a, frame.b
-    wnorm = np.convolve(a, a) + np.convolve(b, b)
-    da = np.array([a[1], 2.0 * a[2]])
-    db = np.array([b[1], 2.0 * b[2]])
-    wron = np.convolve(da, b) - np.convolve(a, db)
-    q = _speed_power_coeffs(p)
-    lhs = np.convolve(_rotation_rate_coeffs(p), wnorm)
-    rhs = np.convolve(np.pad(wron, (0, 1)), q)[: lhs.size]
-    scale = max(float(np.max(np.abs(q)) * np.max(np.abs(wnorm))), 1e-300)
-    return min(
-        float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))
-    ) / scale
+    return float(rotation_rate_residuals(p.power_coeffs(), p.axis, frame.a, frame.b))

@@ -11,7 +11,8 @@ from rmfspline.errors import SplineBuildError
 from rmfspline.hermite import HermiteData
 from rmfspline.io_cli import sample_curve
 from rmfspline.ph import PreImage
-from rmfspline.quat import Quaternion, bisector, neg_cross, unit
+from rmfspline.quat import Quaternion, bisector, neg_cross, norm3, sandwich, unit
+from rmfspline.rrmf import _rotation_rate_coeffs, _speed_power_coeffs
 from rmfspline.spline import (
     PointStream,
     build,
@@ -157,3 +158,43 @@ def walk_paths(seed: int, count: int) -> list:
         except SplineBuildError:
             pass
     return paths
+
+
+# The per-segment identity checks as ``validate_spline`` ran them before the
+# stacked kernels, with ``np.convolve``: references for bit-for-bit tests.
+
+def bernstein_product_by_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference: ``_bernstein.product`` of two scalar polynomials by
+    ``np.convolve``."""
+    m, n = len(a) - 1, len(b) - 1
+    cm, cn, cmn = (np.array([math.comb(k, i) for i in range(k + 1)], dtype=float)
+                   for k in (m, n, m + n))
+    return np.convolve(cm * a, cn * b) / cmn
+
+
+def ph_identity_residual_looped(q) -> float:
+    hh = sum(bernstein_product_by_convolve(q.h[:, c], q.h[:, c]) for c in range(3))
+    ss = bernstein_product_by_convolve(q.sigma, q.sigma)
+    scale = float(np.max(np.abs(ss))) or 1.0
+    return float(np.max(np.abs(hh - ss))) / scale
+
+
+def class_one_residual_looped(p: PreImage) -> float:
+    i = p.axis
+    lhs = sandwich(p.a1, i)
+    rhs = ((p.a2 * Quaternion.pure(i)) * p.a0.conj()).v
+    scale = max(p.a0.norm_sq(), p.a1.norm_sq(), p.a2.norm_sq(), 1e-300)
+    return norm3(lhs - rhs) / scale
+
+
+def han08_residual_looped(p: PreImage, frame) -> float:
+    a, b = frame.a, frame.b
+    wnorm = np.convolve(a, a) + np.convolve(b, b)
+    da = np.array([a[1], 2.0 * a[2]])
+    db = np.array([b[1], 2.0 * b[2]])
+    wron = np.convolve(da, b) - np.convolve(a, db)
+    q = _speed_power_coeffs(p)
+    lhs = np.convolve(_rotation_rate_coeffs(p), wnorm)
+    rhs = np.convolve(np.pad(wron, (0, 1)), q)[: lhs.size]
+    scale = max(float(np.max(np.abs(q)) * np.max(np.abs(wnorm))), 1e-300)
+    return min(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))) / scale

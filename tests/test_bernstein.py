@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from rmfspline import _bernstein as bern
 
@@ -126,3 +127,24 @@ def test_product_bitwise_with_binomial_rows():
         b = rng.randn(n + 1) * 10.0 ** rng.uniform(-8, 8)
         ref = np.convolve(binomials(m) * a, binomials(n) * b) / binomials(m + n)
         assert bern.product(a, b).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (4, 5), (5, 4), (3, 3), (2, 3), (3, 2), (9, 1), (1, 1),
+                                  (11, 11)])
+def test_convolve_bitwise_with_numpy(m, n):
+    """``convolve`` rounds as ``np.convolve`` does, on stacks of rows too;
+    numpy sums the ends of a convolution through its dot kernel, which may
+    fuse multiply-adds, and the middle in plain order."""
+    rng = np.random.default_rng(10 * m + n)
+    a = rng.standard_normal((40, m)) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
+    b = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
+    ref = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+    assert bern.convolve(a, b).tobytes() == ref.tobytes()
+    assert all(bern.convolve(x, y).tobytes() == z.tobytes() for x, y, z in zip(a, b, ref))
+
+
+def test_product_rows_bitwise_with_one_row_calls():
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((7, 5)), rng.standard_normal((7, 4))
+    stacked = bern.product(a, b)
+    assert all(stacked[k].tobytes() == bern.product(a[k], b[k]).tobytes() for k in range(7))

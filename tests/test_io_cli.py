@@ -30,9 +30,8 @@ from rmfspline.io_cli import (
     write_stream_file,
 )
 from rmfspline.errors import StreamFormatError
-from rmfspline.ph import ph_identity_residual
 from rmfspline.quat import angle_between
-from rmfspline.rrmf import frame_from_coefficients, han08_residual, is_class_I
+from rmfspline.rrmf import frame_from_coefficients
 from rmfspline.spline import PointStream, build, default_initial_frame
 
 BAD = "0,0,0\n-5,5,2\n2,2,0\n"
@@ -239,6 +238,55 @@ class TestSplineFiles:
         with pytest.raises(StreamFormatError):
             read_spline_file(str(f))
 
+    @pytest.mark.parametrize("path", [
+        pytest.param(lambda: data.rigid_torus_path(1), id="torus"),
+        pytest.param(lambda: data.walk_paths(1, 12)[-1], id="walk"),
+    ])
+    def test_reload_assembles_the_built_arrays(self, tmp_path, path):
+        built = path()
+        f = tmp_path / "spline.json"
+        write_spline_file(str(f), built)
+        loaded = read_spline_file(str(f))
+        for got, ref in zip(loaded.segments, built.segments):
+            for name in ("r", "h", "sigma"):
+                assert getattr(got.segment, name).tobytes() == getattr(ref.segment, name).tobytes()
+            assert got.frame.b_bezier.tobytes() == ref.frame.b_bezier.tobytes()
+
+
+def _set(seg: int, key: str, value):
+    def corrupt(doc):
+        doc["segments"][seg][key] = value
+    return corrupt
+
+
+def _reverse_knots(doc):
+    doc["knots"] = doc["knots"][::-1]
+
+
+MALFORMED = [
+    ("A0 with five entries", lambda doc: doc["segments"][1]["A0"].append(0.5), "segment 1: A0"),
+    ("A0 with three entries", lambda doc: doc["segments"][0]["A0"].pop(), "segment 0: A0"),
+    ("A1 all NaN", _set(2, "A1", [math.nan] * 4), "segment 2: A1"),
+    ("reversed knots", _reverse_knots, "knots"),
+    ("W_a with two entries", _set(3, "W_a", [1.0, 0.0]), "segment 3: W_a"),
+    ("W_b of strings", _set(0, "W_b", ["x", "y", "z"]), "segment 0: W_b"),
+    ("mu a string", _set(4, "mu", "abc"), "segment 4: mu"),
+]
+
+
+class TestMalformedSplineFiles:
+    @pytest.mark.parametrize("corrupt, message", [(c, m) for _, c, m in MALFORMED],
+                             ids=[name for name, _, _ in MALFORMED])
+    def test_rejected_with_field_and_segment(self, tmp_path, helix_spline, corrupt, message):
+        doc = json.loads(helix_spline.read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(StreamFormatError, match=message):
+            read_spline_file(str(bad))
+        assert main(["eval", "--in", str(bad), "--samples", "4",
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_IO
+
 
 class TestValidateCommand:
     def test_fresh_spline_passes(self, tmp_path, helix_spline):
@@ -284,9 +332,9 @@ def continuity_report_looped(path) -> dict:
 
 
 def validate_spline_looped(path_obj, ode_samples: int = 500) -> dict:
-    """Reference: ``validate_spline`` with every frame check evaluated one
-    segment at a time through ``RationalFrame.frame``, as before the stacked
-    blocks."""
+    """Reference: ``validate_spline`` with every check run one segment at a
+    time: the identities by their ``np.convolve`` bodies, the frame checks
+    through ``RationalFrame.frame``."""
     tol = io_cli.tolerances()
     checks = []
 
@@ -300,9 +348,10 @@ def validate_spline_looped(path_obj, ode_samples: int = 500) -> dict:
                                      ode_samples)
     for k, sol in enumerate(segments):
         pre = sol.segment.preimage
-        record("ph_identity", k, ph_identity_residual(sol.segment), tol["ph_identity"])
-        record("class_one_residual", k, is_class_I(pre).rel_residual, tol["class_one"])
-        record("rotation_rate_identity", k, han08_residual(pre, sol.frame),
+        record("ph_identity", k, data.ph_identity_residual_looped(sol.segment),
+               tol["ph_identity"])
+        record("class_one_residual", k, data.class_one_residual_looped(pre), tol["class_one"])
+        record("rotation_rate_identity", k, data.han08_residual_looped(pre, sol.frame),
                tol["rotation_rate"])
         f1, f2, f3 = sol.frame.frame(io_cli._FRAME_SAMPLES)
         ortho = max(

@@ -285,6 +285,15 @@ class TestArrayKernel:
                                        [Quaternion.from_wxyz(y) for y in b])
             assert np.array_equal(vpoly_mul(a, b), np.array([q.as_wxyz() for q in ref]))
 
+    def test_stacked_vpoly_mul_and_vgram_rows_match_one_row_calls(self):
+        rng = np.random.RandomState(11)
+        a = np.array([scaled_rows(rng, 3) for _ in range(7)])
+        b = np.array([scaled_rows(rng, 3) for _ in range(7)])
+        products, grams = vpoly_mul(a, b), vgram(a)
+        for k in range(7):
+            assert products[k].tobytes() == vpoly_mul(a[k], b[k]).tobytes()
+            assert grams[k].tobytes() == vgram(a[k]).tobytes()
+
     def test_vgram_bitwise_with_scalar_products(self):
         rng = np.random.RandomState(9)
         rows = scaled_rows(rng, 5)

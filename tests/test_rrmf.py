@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import conftest as data
-from rmfspline import oracle, rrmf
+from rmfspline import oracle, ph, rrmf
 from rmfspline.errors import (
     DegenerateInputError,
     FrameConstructionError,
@@ -20,7 +20,8 @@ from rmfspline.ph import (
     spherical_control_points,
     tangent_indicatrix,
 )
-from rmfspline.quat import Quaternion, angle_between, bisector, boxop, star, unit, vpoly_mul
+from rmfspline.quat import (Quaternion, angle_between, bisector, boxop, orthonormal_completion,
+                            star, unit, vpoly_mul)
 from rmfspline.rrmf import (
     check_admissible_configuration,
     compute_rational_frame,
@@ -513,3 +514,35 @@ class TestFrameSolveKernels:
         assert a.tobytes() == ref[0].tobytes() and b.tobytes() == ref[1].tobytes()
         scale = float(np.max(np.abs(rrmf._speed_power_coeffs(p))))
         assert a.tobytes() == np.array([math.sqrt(scale), 0.0, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 100])
+def test_stacked_kernels_match_one_row_calls(batch):
+    """Every row of the stacked assembly and identity kernels equals the
+    one-generator call, and the identities equal their per-segment bodies
+    of ``np.convolve``, bit for bit."""
+    preimages = list(random_preimages(80 + batch, batch))
+    rng = np.random.default_rng(batch)
+    rows = np.array([p.coeffs_wxyz for p in preimages])
+    axis = np.array([p.axis for p in preimages])
+    r0 = rng.standard_normal((batch, 3)) * 10.0 ** rng.uniform(-4, 4, size=(batch, 1))
+    a, b = rng.standard_normal((2, batch, 3))
+    power = ph.power_rows(rows)
+    h, r, sigma = ph.curves(r0, rows, axis)
+    beziers = rrmf.frame_beziers(power, a, b, axis)
+    ph_identity = ph.ph_identity_residuals(h, sigma)
+    residual, class_one = rrmf.class_one_residuals(rows, axis)
+    rotation_rate = rrmf.rotation_rate_residuals(power, axis, a, b)
+    for k, p in enumerate(preimages):
+        q = curve_from_preimage(r0[k], p)
+        axes = np.array([p.axis, *orthonormal_completion(p.axis)])
+        frame = frame_from_coefficients(p, a[k], b[k], axes)
+        assert power[k].tobytes() == p.power_coeffs().tobytes()
+        assert (h[k].tobytes(), r[k].tobytes(), sigma[k].tobytes()) \
+            == (q.h.tobytes(), q.r.tobytes(), q.sigma.tobytes())
+        assert beziers[k].tobytes() == frame.b_bezier.tobytes()
+        assert ph_identity[k] == ph.ph_identity_residual(q) == data.ph_identity_residual_looped(q)
+        check = is_class_I(p)
+        assert residual[k] == check.residual
+        assert class_one[k] == check.rel_residual == data.class_one_residual_looped(p)
+        assert rotation_rate[k] == han08_residual(p, frame) == data.han08_residual_looped(p, frame)
