@@ -50,6 +50,21 @@ def decasteljau_stacked(coeffs: np.ndarray, t) -> np.ndarray:
     return b[..., 0, :]
 
 
+# The one-polynomial case of ``decasteljau_stacked`` on Python floats, kept
+# beside it because the two must round alike: s * x + t * y is its
+# st * b, then += tt * b', and one point costs no numpy call.
+def decasteljau_list(coeffs: list, t: float, dim: int) -> list:
+    """Evaluate one Bernstein polynomial at a float t; coeffs holds its n+1
+    coefficients of ``dim`` floats each, flattened into one list.  Returns
+    ``dim`` floats, equal to ``decasteljau_stacked``'s bit for bit."""
+    s = 1.0 - t
+    b = list(coeffs)
+    for end in range(len(b) - dim, 0, -dim):
+        for i in range(end):
+            b[i] = s * b[i] + t * b[i + dim]
+    return b[:dim]
+
+
 def derivative(coeffs: np.ndarray) -> np.ndarray:
     """Control coefficients of the derivative (degree drops by one)."""
     coeffs = np.asarray(coeffs, dtype=float)

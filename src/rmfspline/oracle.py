@@ -22,7 +22,7 @@ from . import _bernstein as bern
 from .errors import ValidationError
 from .hermite import scaled_displacement_components
 from .ph import PHQuintic
-from .quat import unit
+from .quat import _vcross, unit
 from .rrmf import RationalFrame
 
 
@@ -187,9 +187,9 @@ def reflect_rmf(curves, initial_normals, n_samples: int) -> tuple[np.ndarray, np
         r0 = r0 - lean * t[:, 0]
         r0 = r0 / np.linalg.norm(r0, axis=-1, keepdims=True)
 
-        n = np.cross(t, np.eye(3)[np.argmin(np.abs(t), axis=-1)])
+        n = _vcross(t, np.eye(3)[np.argmin(np.abs(t), axis=-1)])
         n /= np.linalg.norm(n, axis=-1, keepdims=True)
-        tn = np.cross(t, n)
+        tn = _vcross(t, n)
 
         v1 = x[:, 1:] - x[:, :-1]
         vv1 = np.sum(v1 * v1, axis=-1, keepdims=True)
@@ -286,7 +286,7 @@ def velocity_from_frames(frames: np.ndarray, step: float) -> np.ndarray:
     omega = np.zeros(f0.shape[:-2] + (3,))
     for m in range(3):
         fdot = (fp[..., m, :] - fm[..., m, :]) / (2.0 * step)
-        omega += 0.5 * np.cross(f0[..., m, :], fdot)
+        omega += 0.5 * _vcross(f0[..., m, :], fdot)
     return np.abs(np.sum(omega * f0[..., 0, :], axis=-1))
 
 

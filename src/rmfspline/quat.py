@@ -10,8 +10,9 @@ for frame polynomials and dense frame evaluation.  Its dot products are
 contiguous vectors (the BLAS dot may fuse multiply-adds there, and sums
 strided vectors another way), and its cross products repeat ``np.cross``'s
 arithmetic, as ``cross3`` does for single 3-vectors; so a kernel row equals
-the value-object result bit for bit, whatever the batch around it.  All
-operations are side-effect free.
+the value-object result bit for bit, whatever the batch around it.
+``frame_rows_list`` is the one-sample case of ``frame_rows`` on Python
+floats, for one-point evaluation.  All operations are side-effect free.
 """
 
 from __future__ import annotations
@@ -310,3 +311,26 @@ def frame_rows(q: np.ndarray, axes: np.ndarray) -> np.ndarray:
     the axis rows e_m of each sample's frame; row m is q e_m q* / |q|^2.
     """
     return vsandwich(q[..., None, :], axes) / vnorm_sq(q)[..., None, None]
+
+
+# The one-sample case of ``frame_rows`` on Python floats, kept beside it
+# because the two must round alike.  The dot products u . e_m stay one
+# ``np.vecdot`` call, since its BLAS dot may fuse multiply-adds, which
+# Python floats cannot repeat; the sums of squares are ``np.sum``'s, added
+# left to right.
+def frame_rows_list(q: list, axes: np.ndarray) -> list:
+    """The nine entries, row by row, of the frame rows of one frame
+    quaternion sample q = [w, x, y, z] (floats) with axis rows ``axes``
+    (3, 3); equal to ``frame_rows``'s bit for bit."""
+    w, x, y, z = q
+    dots = np.vecdot(axes, np.array(q[1:])).tolist()
+    a = w * w - (x * x + y * y + z * z)
+    nsq = w * w + x * x + y * y + z * z
+    ww = 2.0 * w
+    out = []
+    for (e0, e1, e2), d in zip(axes.tolist(), dots):
+        dd = 2.0 * d
+        out += [(a * e0 + dd * x + ww * (y * e2 - z * e1)) / nsq,
+                (a * e1 + dd * y + ww * (z * e0 - x * e2)) / nsq,
+                (a * e2 + dd * z + ww * (x * e1 - y * e0)) / nsq]
+    return out

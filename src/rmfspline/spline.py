@@ -17,7 +17,10 @@ gamma, whose lower end is the sign change of one scalar function of gamma.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,8 @@ from .errors import (
 )
 from .errors import SplineBuildError
 from .hermite import CRITICAL_GAMMA, HermiteData, HermiteSolution, _two_thirds_b
-from .quat import angle_between, angles_between, bisector, cross3, frame_rows, norm3, unit
+from .quat import (angle_between, angles_between, bisector, cross3, frame_rows,
+                   frame_rows_list, norm3, unit)
 from .rrmf import _STACKED_ROWS
 
 MAX_TURN = 0.8 * math.pi
@@ -323,10 +327,14 @@ class SplinePath:
     The segments are kept as a tuple, and their data are stacked once, on
     construction, into read-only arrays: ``control_points`` (S, 6, 3),
     ``frame_bezier`` (S, 5, 4), the Bezier coefficients of each segment's
-    frame quaternion, and ``frame_axes`` (S, 3, 3).  ``eval_many``,
-    ``continuity_report`` and ``validate_spline`` evaluate all segments
-    from these arrays at once.  A changed segment means a new path, for
-    example by ``dataclasses.replace(path, segments=...)``.
+    frame quaternion, and ``frame_axes`` (S, 3, 3); ``knots`` is kept as a
+    read-only copy.  ``eval_many``, ``continuity_report`` and
+    ``validate_spline`` evaluate all segments from these arrays at once.
+    ``eval`` is the one-point path, on Python floats, bit for bit as
+    ``eval_many``; it reads list copies of the arrays that its first call
+    makes.  A changed segment means a new path, for example by
+    ``dataclasses.replace(path, segments=...)``, so neither the arrays nor
+    the lists can go stale.
 
     ``frames`` (S + 1, 3, 3), also read-only, holds the start frame of each
     segment, (u, v, w) of its algebra axes (u, -v, -w), and the last
@@ -344,6 +352,9 @@ class SplinePath:
     def __post_init__(self):
         segments = tuple(self.segments)
         object.__setattr__(self, "segments", segments)
+        knots = np.array(self.knots, dtype=float)
+        knots.flags.writeable = False
+        object.__setattr__(self, "knots", knots)
         for name, rows in (("control_points", [s.segment.r for s in segments]),
                            ("frame_bezier", [s.frame.b_bezier for s in segments]),
                            ("frame_axes", [s.frame.axes for s in segments])):
@@ -377,10 +388,45 @@ class SplinePath:
         t = (us - knots[k]) / (knots[k + 1] - knots[k])
         return k, t
 
-    def eval(self, u: float) -> tuple[np.ndarray, np.ndarray]:
-        """Point and frame rows (f1, f2, f3) at a global parameter."""
-        pts, frames = self.eval_many([u])
-        return pts[0], frames[0]
+    @functools.cached_property
+    def _lists(self) -> tuple[list, list, list]:
+        """``knots`` as a list of floats, and each segment's control points
+        and frame coefficients as one flat list of floats, for ``eval``;
+        made by its first call."""
+        return (self.knots.tolist(),
+                self.control_points.reshape(len(self.segments), -1).tolist(),
+                self.frame_bezier.reshape(len(self.segments), -1).tolist())
+
+    def eval(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Point (3,) and frame rows (f1, f2, f3) (3, 3) at one global
+        parameter u: a Python or numpy real scalar other than a bool, or a
+        0-d integer or float array; anything else raises ``ValidationError``.
+
+        ``locate``, de Casteljau and ``frame_rows`` of ``eval_many`` on
+        Python floats (``bisect``, ``_bernstein.decasteljau_list`` and
+        ``quat.frame_rows_list``), which spares some forty numpy calls on
+        one-element arrays.  The result equals row 0 of ``eval_many([u])``
+        bit for bit, and an out-of-range or non-finite u raises the same
+        ``ValidationError``.
+        """
+        if type(u) is not float:
+            if not (isinstance(u, numbers.Real) and not isinstance(u, bool)
+                    or isinstance(u, np.ndarray) and u.shape == () and u.dtype.kind in "iuf"):
+                raise ValidationError(f"eval takes one real parameter, got {u!r}")
+            u = float(u)
+        knots, points, quats = self._lists
+        lo, hi = knots[0], knots[-1]
+        span = hi - lo
+        if not lo - 1e-9 * span <= u <= hi + 1e-9 * span:
+            raise ValidationError(f"parameter {u} outside [{lo}, {hi}]")
+        # np.maximum and np.minimum return their second argument on a tie,
+        # so u = -0.0 clamps to a first knot of 0.0, as in ``locate``.
+        u = u if u > lo else lo
+        u = u if u < hi else hi
+        k = min(bisect.bisect_right(knots, u) - 1, len(points) - 1)
+        t = (u - knots[k]) / (knots[k + 1] - knots[k])
+        rows = frame_rows_list(bern.decasteljau_list(quats[k], t, 4), self.frame_axes[k])
+        return np.array(bern.decasteljau_list(points[k], t, 3)), np.array(rows).reshape(3, 3)
 
     def eval_many(self, us) -> tuple[np.ndarray, np.ndarray]:
         """Points (N, 3) and frame rows (N, 3, 3) at N global parameters.
@@ -390,7 +436,8 @@ class SplinePath:
         frame quaternions, with the frame rows built from it, evaluate all
         of them; chunks of ``rrmf._STACKED_ROWS`` parameters bound the
         memory of a large batch.  Points equal ``PHQuintic.point`` and
-        frames equal ``RationalFrame.frame`` bit for bit.
+        frames equal ``RationalFrame.frame`` bit for bit, and each row
+        equals the one-point ``eval`` bit for bit.
         """
         ks, ts = self.locate(us)
         pts = np.empty((ks.size, 3))

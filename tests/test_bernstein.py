@@ -78,6 +78,19 @@ def test_decasteljau_matches_copy_then_loop():
                 assert np.array_equal(got, ref)
 
 
+
+def test_decasteljau_list_bitwise_with_stacked():
+    rng = np.random.RandomState(55)
+    ts = [0.0, 1.0, -0.0, 0.5, 1e-300] + rng.uniform(size=40).tolist()
+    for degree in range(1, 7):
+        for dim in (1, 3, 4):
+            c = rng.randn(degree + 1, dim) * 10.0 ** rng.uniform(-6, 6)
+            flat = c.ravel().tolist()
+            for t in ts:
+                want = bern.decasteljau_stacked(c, t)
+                assert np.array(bern.decasteljau_list(flat, t, dim)).tobytes() == want.tobytes()
+            assert flat == c.ravel().tolist()   # the coefficients are left alone
+
 def to_power_looped(coeffs: np.ndarray) -> np.ndarray:
     """Reference: the double loop ``to_power`` replaced."""
     n = coeffs.shape[0] - 1

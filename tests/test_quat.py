@@ -19,7 +19,9 @@ from rmfspline.quat import (
     rotate,
     sandwich,
     star,
+    _vcross,
     frame_rows,
+    frame_rows_list,
     norm3,
     unit,
     vgram,
@@ -251,6 +253,28 @@ class TestVectorized:
         for row in q:
             assert np.array_equal(vsandwich(row, e), by_np_cross(row))
 
+
+    def test_vcross_bitwise_with_np_cross(self):
+        # the broadcast shapes of the RMF oracle: sample rows against basis
+        # rows, and frame rows against their differences
+        rng = np.random.RandomState(8)
+        t = rng.randn(3, 50, 3) * 10.0 ** rng.uniform(-8, 8, size=(3, 50, 1))
+        e = np.eye(3)[np.argmin(np.abs(t), axis=-1)]
+        for a, b in ((t, e), (t, rng.randn(3, 50, 3)), (rng.randn(7, 3), rng.randn(3))):
+            assert _vcross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    def test_frame_rows_list_bitwise_with_frame_rows(self):
+        rng = np.random.RandomState(9)
+        q = rng.randn(400, 4)
+        q[:200] /= np.linalg.norm(q[:200], axis=1, keepdims=True)   # unit
+        q[200:] *= 10.0 ** rng.uniform(-6, 6, size=(200, 1))         # non-unit
+        axes = np.array([np.linalg.qr(m)[0] for m in rng.randn(400, 3, 3)])
+        axes[::3] = rng.randn(134, 3, 3)                               # any rows
+        batch = frame_rows(q, axes)
+        for row, ax, want in zip(q, axes, batch):
+            got = np.array(frame_rows_list(row.tolist(), ax)).reshape(3, 3)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == (vsandwich(row[None, :], ax) / vnorm_sq(row)).tobytes()
 
 def quat_poly_mul_looped(a: list[Quaternion], b: list[Quaternion]) -> list[Quaternion]:
     """Reference: the product of quaternion polynomials as a double loop

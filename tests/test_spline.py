@@ -1,12 +1,15 @@
 """Spline chaining: knots, reference tangents, end-tangent generation, build."""
 
 import dataclasses
+import fractions
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as data
 from rmfspline import rrmf, spline
@@ -697,3 +700,99 @@ class TestPackedPath:
         us = np.random.RandomState(45).uniform(path.knots[0], path.knots[-1], 100_000)
         reference = traced_peak(lambda: eval_many_looped(path, us))
         assert traced_peak(lambda: path.eval_many(us)) <= 1.5 * reference
+
+
+@pytest.fixture(scope="module")
+def one_segment_path():
+    pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    u0 = unit(np.array([1.0, 0.8, 0.0]))
+    return build(PointStream(points=pts, initial_frame=default_initial_frame(u0)), mode="chord")
+
+
+@pytest.fixture(scope="module")
+def reloaded_torus_path(torus_path, tmp_path_factory):
+    f = tmp_path_factory.mktemp("scalar-eval") / "torus.json"
+    write_spline_file(str(f), torus_path)
+    return read_spline_file(str(f))
+
+
+def assert_eval_is_row_of_eval_many(path, u):
+    """``eval(u)`` and row 0 of ``eval_many([u])`` are the same bytes, signed
+    zeros included."""
+    p, f = path.eval(u)
+    pts, frames = path.eval_many([u])
+    assert p.shape == (3,) and f.shape == (3, 3)
+    assert p.tobytes() == pts[0].tobytes() and f.tobytes() == frames[0].tobytes()
+
+
+def validation_message(fn) -> str:
+    with pytest.raises(ValidationError) as err:
+        fn()
+    return str(err.value)
+
+
+class TestScalarEval:
+    """The one-point ``eval`` runs on Python floats and must equal
+    ``eval_many`` bit for bit."""
+
+    @pytest.fixture(params=["generic1", "torus", "torus-reloaded", "one-segment"])
+    def path(self, request):
+        return request.getfixturevalue({"generic1": "generic1_path",
+                                        "torus": "torus_path",
+                                        "torus-reloaded": "reloaded_torus_path",
+                                        "one-segment": "one_segment_path"}[request.param])
+
+    def test_bit_identical_to_eval_many(self, path):
+        knots = path.knots
+        eps = 1e-10 * float(knots[-1] - knots[0])
+        us = knots.tolist() + [float(knots[0]) - eps, float(knots[-1]) + eps]
+        if knots[0] == 0.0:
+            us.append(-0.0)
+        us += np.random.default_rng(48).uniform(knots[0], knots[-1], 1000).tolist()
+        for u in us:
+            assert_eval_is_row_of_eval_many(path, u)
+
+    def test_rejections_match_eval_many(self, path):
+        span = float(path.knots[-1] - path.knots[0])
+        for u in (math.nan, math.inf, -math.inf, float(path.knots[-1]) + 1e-8 * span,
+                  float(path.knots[0]) - 1.0):
+            assert (validation_message(lambda: path.eval(u))
+                    == validation_message(lambda: path.eval_many([u])))
+
+    def test_lists_do_not_outlive_the_path(self, generic1_path):
+        path = generic1_path
+        path.eval(1.0)
+        with pytest.raises(ValueError):
+            path.knots[1] = 0.5
+        reversed_path = dataclasses.replace(path, segments=path.segments[::-1])
+        for u in np.linspace(path.knots[0], path.knots[-1], 11).tolist():
+            assert_eval_is_row_of_eval_many(reversed_path, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0))
+def test_scalar_eval_is_row_of_eval_many(torus_path, fraction):
+    knots = torus_path.knots
+    u = min(float(knots[0]) + fraction * float(knots[-1] - knots[0]), float(knots[-1]))
+    assert_eval_is_row_of_eval_many(torus_path, u)
+
+
+@pytest.mark.parametrize("u", [
+    np.array([1.0, 2.0]), np.array([1.0]), [1.0], (1.0,), "1.0", None, 1.0 + 0.0j,
+    np.array(1.0 + 0.0j), np.array(True), True, np.True_,
+], ids=["array-2", "array-1", "list", "tuple", "string", "none", "complex",
+        "complex-0d", "bool-0d", "bool", "numpy-bool"])
+def test_eval_takes_one_real_parameter(generic1_path, u):
+    with pytest.raises(ValidationError, match="one real parameter") as err:
+        generic1_path.eval(u)
+    assert repr(u) in str(err.value)
+
+
+@pytest.mark.parametrize("u", [3, np.int64(3), np.float32(2.5), np.float64(2.5), np.array(2.5),
+                               np.array(3), fractions.Fraction(5, 2)],
+                         ids=["int", "int64", "float32", "float64", "0d-float", "0d-int",
+                              "fraction"])
+def test_eval_accepts_real_scalars(generic1_path, u):
+    p, f = generic1_path.eval(u)
+    pts, frames = generic1_path.eval_many([float(u)])
+    assert np.array_equal(p, pts[0]) and np.array_equal(f, frames[0])
