@@ -195,26 +195,26 @@ def _sign_variations(coeffs: np.ndarray, tol: float) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def roots_unit_interval(coeffs: np.ndarray, tol: float = 1e-13) -> list[float]:
+def roots_unit_interval(coeffs: np.ndarray) -> list[float]:
     """Real roots in [0, 1] by sign-variation subdivision with bisection polish.
 
     Suitable for the low degrees used here; even-multiplicity touches are
     found via the vanishing of subdivided control polygons.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    scale = float(np.max(np.abs(coeffs))) or 1.0
+    zero = 1e-13 * (float(np.max(np.abs(coeffs))) or 1.0)
     found: list[float] = []
 
     def recurse(c: np.ndarray, a: float, b: float, depth: int) -> None:
-        if np.all(np.abs(c) <= tol * scale):
+        if np.all(np.abs(c) <= zero):
             # Identically-zero stretch: record the midpoint once.
             found.append(0.5 * (a + b))
             return
-        var = _sign_variations(c, tol * scale)
+        var = _sign_variations(c, zero)
         if var == 0:
-            if abs(c[0]) <= tol * scale:
+            if abs(c[0]) <= zero:
                 found.append(a)
-            if abs(c[-1]) <= tol * scale:
+            if abs(c[-1]) <= zero:
                 found.append(b)
             return
         if b - a < 1e-14 or depth > 60:

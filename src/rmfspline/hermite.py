@@ -26,6 +26,11 @@ GAMMA_WINDOW = 1e-9
 SYMMETRY_TOL = 1e-9
 FRAME_TOL = 1e-9
 TWO_THIRDS = 2.0 * math.pi / 3.0
+# solve's bisections stop once the bracket is SOLVE_TOL wide and the angle
+# residual is at most F_TARGET, or after MAX_BISECTIONS halvings.
+SOLVE_TOL = 1e-12
+F_TARGET = 1e-11
+MAX_BISECTIONS = 200
 
 
 def _check_right_handed(u: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float) -> None:
@@ -75,7 +80,10 @@ class HermiteData:
 
 
 def _half_angle_components(cg2: float, sg2: float, phi2: float) -> tuple[float, float]:
-    """``scaled_displacement_components`` of scalars from cos and sin of gamma/2."""
+    """The scaled displacement along (bisector, normal) in closed form, from
+    cos and sin of gamma/2: its chord, middle ellipse and rotated-bisector
+    terms reduced to that plane.  Where a denominator vanishes (only when
+    cos(gamma/2) rounds to 1) both are nan."""
     cp = math.cos(phi2)
     sp = math.sin(phi2)
     q2b, q2n = cp, sp * sg2
@@ -107,59 +115,35 @@ def _two_thirds_b(gamma: float) -> float:
 
 
 def scaled_displacement_components(gamma, phi2):
-    """Closed-form components of the scaled displacement along (bisector, normal).
+    """Components (i_b, i_n) of the scaled displacement at turning angle
+    gamma and free angle phi2.
 
-    Vectorized over phi2 and over a gamma given as an ndarray, which
-    broadcast against each other: the bisection's diagnostics pass one
-    gamma and many phi2; no end-tangent scan passes many gamma any more.
-    Derived by reducing the three displacement terms to the
-    bisector/normal plane: the constant chord term, the middle ellipse
-    term, and the rotated-bisector term with its explicit modulus.
-
-    A scalar gamma and phi2 (the bisection's case) take a ``math`` branch
-    that repeats the array branch's operations as numpy does them on 0-d
-    input, so it is bit-identical to that.  The one difference from the
-    array branch is the square: ``** 2`` is libm ``pow`` on scalars but a
-    multiplication on arrays, and the two rarely round apart by an ulp.
-    Where a denominator vanishes (only when cos(gamma/2) rounds to 1) the
-    scalar branch returns nan without a warning.  The branch test tries
-    ``isinstance(phi2, float)`` before ``np.ndim``, which costs about 30
-    times as much on a float; a 0-d array still takes the scalar branch.
+    Scalars give floats.  Arrays broadcast against each other, and each
+    entry is the scalar call, bit for bit, nan included.
     """
-    if ((isinstance(phi2, float) or np.ndim(phi2) == 0)
-            and not isinstance(gamma, np.ndarray)):
+    # type() first: np.ndim takes some 2 us, and np.vectorize passes floats.
+    if type(gamma) is float and type(phi2) is float or np.ndim(gamma) == np.ndim(phi2) == 0:
         return _half_angle_components(math.cos(0.5 * gamma), math.sin(0.5 * gamma), phi2)
-    half_gamma = 0.5 * np.asarray(gamma, dtype=float)
-    cg2 = np.cos(half_gamma)
-    sg2 = np.sin(half_gamma)
-    phi2 = np.asarray(phi2, dtype=float)
-    cp = np.cos(phi2)
-    sp = np.sin(phi2)
-    q2b, q2n = cp, sp * sg2
-    q2norm = np.sqrt(np.maximum(1.0 - (sp * cg2) ** 2, 0.0))
-    half_sum_sq = 1.0 + cp * cg2
-    s02b = (cg2 + cp) / half_sum_sq
-    s02n = sp * sg2 / half_sum_sq
-    smb = s02b + q2b / q2norm
-    smn = s02n + q2n / q2norm
-    smnorm = np.hypot(smb, smn)
-    tiny = smnorm < 1e-14
-    safe = np.where(tiny, 1.0, smnorm)
-    smb = np.where(tiny, q2b / q2norm, smb / safe)
-    smn = np.where(tiny, q2n / q2norm, smn / safe)
-    q3mag = np.sqrt(q2norm) * np.sqrt(2.0 * half_sum_sq)
-    ib = 2.0 * cg2 + q2b + q3mag * smb
-    in_ = q2n + q3mag * smn
-    return ib, in_
+    return _components_many(gamma, phi2)
 
 
 def unit_displacement_b(gamma, phi2):
-    """Bisector component of the unit scaled displacement."""
-    ib, in_ = scaled_displacement_components(gamma, phi2)
-    if isinstance(ib, float):  # the scalar branch
-        norm = float(np.hypot(ib, in_))
-        return ib / norm if norm != 0.0 else math.nan
-    return ib / np.hypot(ib, in_)
+    """Bisector component of the unit scaled displacement, broadcast as
+    ``scaled_displacement_components``."""
+    if type(gamma) is float and type(phi2) is float or np.ndim(gamma) == np.ndim(phi2) == 0:
+        ib, in_ = scaled_displacement_components(gamma, phi2)
+        # nan is tested before any comparison: once the interpreter
+        # specializes a float comparison, nan raises the invalid flag, which
+        # np.vectorize reports as a RuntimeWarning.
+        if math.isnan(ib) or ib == in_ == 0.0:
+            return math.nan
+        return ib / float(np.hypot(ib, in_))
+    return _unit_b_many(gamma, phi2)
+
+
+# Each array entry is the scalar call.
+_components_many = np.vectorize(scaled_displacement_components, otypes=[float, float])
+_unit_b_many = np.vectorize(unit_displacement_b, otypes=[float])
 
 
 def alpha0(
@@ -282,18 +266,18 @@ def sufficient_condition(d: HermiteData) -> bool:
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
-            tol: float, max_iter: int, f_target: float = 1e-11) -> tuple[float, int]:
+            tol: float) -> tuple[float, int]:
     """Plain bisection; keeps halving past the width tolerance while the
-    function residual stays above target, up to the iteration cap.  Roots
-    sitting where the displacement direction turns steeply (its magnitude
-    nearly vanishing) need the extra digits."""
+    function residual stays above ``F_TARGET``, up to ``MAX_BISECTIONS``.
+    Roots sitting where the displacement direction turns steeply (its
+    magnitude nearly vanishing) need the extra digits."""
     iters = 0
     f_mid = f_lo
-    while iters < max_iter:
+    while iters < MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if hi - lo <= tol and abs(f_mid) <= f_target:
+        if hi - lo <= tol and abs(f_mid) <= F_TARGET:
             break
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -322,7 +306,7 @@ def _polygon_amplitude(poly: np.ndarray) -> float:
     return float(sum(angle_between(poly[i], poly[i + 1]) for i in range(4)))
 
 
-def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSolution:
+def solve(d: HermiteData) -> HermiteSolution:
     """Construct the segment interpolating the given data.
 
     Picks the free angle by bisection on the angle of the scaled
@@ -342,12 +326,13 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
 
     diagnostics: dict = {"gamma": gamma, "branch": None, "iterations": 0, "candidates": []}
 
+    cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)  # once for every f
     phi2_hat: float | None = None
     # Direct hits at the two symmetric angles first.
     if norm3(b - du) <= 1e-12:
         phi2_hat = 0.0
         diagnostics["branch"] = "direct-hit-0"
-    elif math.cos(0.5 * gamma) == 1.0:
+    elif cg2 == 1.0:
         # The closed form sees the turning angle only through cos(gamma/2);
         # once that rounds to 1 it cannot tell the data from a straight
         # segment, and its denominators vanish at phi2 = pi/2 and pi.
@@ -356,8 +341,8 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
             diagnostics={"gamma": gamma, "du_dot_b": db, "du_dot_n": dn},
         )
     elif abs(gamma - CRITICAL_GAMMA) > GAMMA_WINDOW:
-        ib_pi, _ = scaled_displacement_components(gamma, math.pi)
-        s_pi = math.copysign(1.0, float(ib_pi)) * b
+        ib_pi, _ = _half_angle_components(cg2, sg2, math.pi)
+        s_pi = math.copysign(1.0, ib_pi) * b
         if norm3(s_pi - du) <= 1e-12:
             phi2_hat = math.pi
             diagnostics["branch"] = "direct-hit-pi"
@@ -369,7 +354,6 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
                 diagnostics={"gamma": gamma, "du_dot_b": db},
             )
         mirror = dn < 0.0
-        cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)  # once for every f
         target = math.atan2(abs(dn), db)
 
         def f(phi: float) -> float:
@@ -380,7 +364,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
         roots: list[tuple[float, int]] = []
         if gamma > CRITICAL_GAMMA + GAMMA_WINDOW:
             diagnostics["branch"] = "full-range"
-            roots.append(_bisect(f, 0.0, math.pi, f0, tol, max_iter))
+            roots.append(_bisect(f, 0.0, math.pi, f0, SOLVE_TOL))
         elif abs(gamma - CRITICAL_GAMMA) <= GAMMA_WINDOW:
             diagnostics["branch"] = "critical"
             f23 = f(TWO_THIRDS)
@@ -389,7 +373,7 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
                     "no sign change on the reduced interval at the critical turning angle",
                     diagnostics={"gamma": gamma, "du_dot_b": db, "f_two_thirds": f23},
                 )
-            roots.append(_bisect(f, 0.0, TWO_THIRDS, f0, tol, max_iter))
+            roots.append(_bisect(f, 0.0, TWO_THIRDS, f0, SOLVE_TOL))
         else:
             diagnostics["branch"] = "small-angle"
             f23 = f(TWO_THIRDS)
@@ -404,8 +388,8 @@ def solve(d: HermiteData, tol: float = 1e-12, max_iter: int = 200) -> HermiteSol
                             gamma, np.linspace(0.0, math.pi, 2001)))),
                     },
                 )
-            roots.append(_bisect(f, 0.0, TWO_THIRDS, f0, tol, max_iter))
-            roots.append(_bisect(f, TWO_THIRDS, math.pi, f23, tol, max_iter))
+            roots.append(_bisect(f, 0.0, TWO_THIRDS, f0, SOLVE_TOL))
+            roots.append(_bisect(f, TWO_THIRDS, math.pi, f23, SOLVE_TOL))
 
         candidates = []
         for root, iters in roots:

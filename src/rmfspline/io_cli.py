@@ -31,9 +31,8 @@ EXIT_IO = 4
 
 
 def tolerances() -> dict:
-    """The pinned solver and validation tolerances."""
+    """The pinned validation bounds."""
     return {
-        "solve_tol": 1e-12,
         "ph_identity": 1e-10,
         "class_one": 1e-10,
         "rotation_rate": 1e-8,
@@ -465,6 +464,7 @@ def _cmd_sample(args) -> int:
 def _cmd_interpolate(args) -> int:
     doc = read_stream_file(args.infile)
     points = doc["points"]
+    spline._require_finite(points, "stream point")  # before the default frame uses them
     refs = doc.get("reference_tangents")
     params = doc.get("params")
 
@@ -488,8 +488,7 @@ def _cmd_interpolate(args) -> int:
     if args.mode == "uniform" and params is not None:
         knots = params
     stream = PointStream(points=points, initial_frame=frame)
-    path_obj = build(stream, mode=args.mode, reference_tangents=refs, knots=knots,
-                     solve_tol=tolerances()["solve_tol"])
+    path_obj = build(stream, mode=args.mode, reference_tangents=refs, knots=knots)
     write_spline_file(args.out, path_obj)
 
     print(f"built {path_obj.n_segments} segments over [{path_obj.knots[0]:g}, "

@@ -128,7 +128,7 @@ def arc_length(p: PreImage) -> float:
     return float(bern.definite_integral(parametric_speed(p)))
 
 
-def is_degenerate(p: PreImage, tol: float = DEGENERACY_TOL) -> tuple[bool, float | None]:
+def is_degenerate(p: PreImage) -> tuple[bool, float | None]:
     """Whether the generator vanishes somewhere on [0, 1], with a witness root.
 
     Classified by the sign of the minimum of the quartic speed polynomial,
@@ -137,7 +137,7 @@ def is_degenerate(p: PreImage, tol: float = DEGENERACY_TOL) -> tuple[bool, float
     sigma = parametric_speed(p)
     scale = float(np.max(np.abs(sigma))) or 1.0
     vmin, tmin = bern.minimum_unit_interval(sigma)
-    if vmin <= tol * scale:
+    if vmin <= DEGENERACY_TOL * scale:
         return True, tmin
     return False, None
 
@@ -172,12 +172,12 @@ def curve_from_preimage(r0: np.ndarray, p: PreImage) -> PHQuintic:
     return PHQuintic(r0=r0, preimage=p, h=h, r=r, sigma=sigma)
 
 
-def spherical_control_points(q: PHQuintic, tol: float = 1e-12) -> np.ndarray:
+def spherical_control_points(q: PHQuintic) -> np.ndarray:
     """Normalized hodograph control points, shape (5, 3)."""
     norms = np.linalg.norm(q.h, axis=1)
     scale = float(norms.max()) or 1.0
     for k, n in enumerate(norms):
-        if n <= tol * scale:
+        if n <= 1e-12 * scale:
             raise DegenerateInputError(
                 f"hodograph control point {k} vanishes; spherical point undefined"
             )

@@ -40,11 +40,11 @@ def norm3(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-def unit(v: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def unit(v: np.ndarray) -> np.ndarray:
     """Return v / |v|, raising on (near-)zero input."""
     v = np.asarray(v, dtype=float)
     n = norm3(v)
-    if n <= tol:
+    if n <= 1e-14:
         raise DegenerateInputError("cannot normalize a zero vector")
     return v / n
 

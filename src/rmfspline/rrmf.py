@@ -42,6 +42,7 @@ from .quat import (
 )
 
 CLASS_ONE_REL_TOL = 1e-9
+FRAME_REL_TOL = 1e-6  # compute_rational_frame's bound on both relative residuals
 
 
 class ClassICheck(NamedTuple):
@@ -76,7 +77,7 @@ def class_one_residuals(rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray,
     return residual, residual / scale
 
 
-def is_class_I(p: PreImage, rel_tol: float = CLASS_ONE_REL_TOL) -> ClassICheck:
+def is_class_I(p: PreImage) -> ClassICheck:
     """Test the middle-coefficient identity that admits a rational RMF.
 
     ``class_one_residuals`` computes the same values for stacks of
@@ -90,7 +91,7 @@ def is_class_I(p: PreImage, rel_tol: float = CLASS_ONE_REL_TOL) -> ClassICheck:
     residual = norm3(lhs - rhs)
     scale = max(p.a0.norm_sq(), p.a1.norm_sq(), p.a2.norm_sq(), 1e-300)
     rel = residual / scale
-    return ClassICheck(rel <= rel_tol, residual, rel)
+    return ClassICheck(rel <= CLASS_ONE_REL_TOL, residual, rel)
 
 
 @dataclass(frozen=True)
@@ -441,18 +442,17 @@ def compute_rational_frame(
     p: PreImage,
     initial_frame: np.ndarray | None = None,
     axes: np.ndarray | None = None,
-    rel_tol: float = 1e-6,
 ) -> RationalFrame:
     """Rotation-minimizing rational frame of an admissible generator.
 
     The free rotation about the axis is fixed so that the second frame
     vector at t=0 matches initial_frame[1] (when a frame is prescribed).
     """
-    check = is_class_I(p)
-    if not check.ok and check.rel_residual > rel_tol:
+    rel = is_class_I(p).rel_residual
+    if rel > FRAME_REL_TOL:
         raise FrameConstructionError(
-            f"generator does not admit a rational RMF (relative residual {check.rel_residual:.3e})",
-            residual=check.rel_residual,
+            f"generator does not admit a rational RMF (relative residual {rel:.3e})",
+            residual=rel,
         )
     if axes is None:
         j, k = orthonormal_completion(p.axis)
@@ -460,7 +460,7 @@ def compute_rational_frame(
     else:
         axes = np.asarray(axes, dtype=float)
     a, b, resid = solve_frame_polynomials(p)
-    if resid > rel_tol:
+    if resid > FRAME_REL_TOL:
         raise FrameConstructionError(
             f"no frame polynomial matched the rotation rate (relative residual {resid:.3e})",
             residual=resid,

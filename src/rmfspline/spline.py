@@ -43,6 +43,13 @@ from .rrmf import _STACKED_ROWS
 MAX_TURN = 0.8 * math.pi
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
 
+def _require_finite(rows: np.ndarray, what: str) -> None:
+    """Raise ``ValidationError`` naming the first row that holds a NaN or inf."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{what} {int(np.argmin(finite))} is not finite")
+
+
 def _orthonormalized(frame: np.ndarray) -> np.ndarray:
     u = unit(frame[0])
     v = unit(frame[1] - float(frame[1] @ u) * u)
@@ -60,6 +67,7 @@ class PointStream:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise ValidationError("a stream needs at least two 3D points")
+        _require_finite(pts, "stream point")
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(steps <= 1e-14):
             k = int(np.argmax(steps <= 1e-14))
@@ -67,6 +75,7 @@ class PointStream:
         frame = np.asarray(self.initial_frame, dtype=float)
         if frame.shape != (3, 3):
             raise ValidationError("initial frame must be three row vectors")
+        _require_finite(frame, "initial frame row")
         if np.max(np.abs(frame @ frame.T - np.eye(3))) > 1e-8:
             raise ValidationError("initial frame must be orthonormal")
         if float(np.dot(cross3(frame[0], frame[1]), frame[2])) < 0.0:
@@ -206,7 +215,7 @@ def _feasible_arcs(tau: float) -> list[tuple[float, float]]:
     if h_lo > 0.0:
         gamma_lo = lo
     elif h_hi > 0.0:
-        gamma_lo, _ = hermite._bisect(h, lo, hi, h_lo, tol=0.0, max_iter=200)
+        gamma_lo, _ = hermite._bisect(h, lo, hi, h_lo, tol=0.0)
     elif hi < gamma_max:
         gamma_lo = CRITICAL_GAMMA
     else:
@@ -455,7 +464,6 @@ def build(
     mode: str = "chord",
     reference_tangents: np.ndarray | None = None,
     knots: np.ndarray | None = None,
-    solve_tol: float = 1e-12,
 ) -> SplinePath:
     """Construct the full spline over a stream, chaining frames across knots.
 
@@ -467,8 +475,9 @@ def build(
     n = stream.n_segments
     if knots is not None:
         knots = np.asarray(knots, dtype=float)
-        if knots.shape != (n + 1,) or np.any(np.diff(knots) <= 0.0):
-            raise ValidationError("knots must be strictly increasing, one per point")
+        if (knots.shape != (n + 1,) or not np.all(np.isfinite(knots))
+                or np.any(np.diff(knots) <= 0.0)):
+            raise ValidationError("knots must be finite and strictly increasing, one per point")
     elif mode == "chord":
         knots = chord_knots(points)
     elif mode == "uniform":
@@ -480,7 +489,11 @@ def build(
         refs = np.asarray(reference_tangents, dtype=float)
         if refs.shape != points.shape:
             raise ValidationError("need one reference tangent per stream point")
-        refs = refs / np.linalg.norm(refs, axis=1)[:, None]
+        norms = np.linalg.norm(refs, axis=1)
+        ok = np.isfinite(norms) & (norms > 1e-12)
+        if not ok.all():
+            raise ValidationError(f"reference tangent {int(np.argmin(ok))} is zero or not finite")
+        refs = refs / norms[:, None]
     elif n >= 2:
         refs = minaj2_tangents(points, knots)
     else:
@@ -498,7 +511,7 @@ def build(
         try:
             u_f = generate_end_tangent(frame[0], dp, refs[k + 1])
             data = HermiteData(points[k], points[k + 1], frame[0], frame[1], frame[2], u_f)
-            sol = hermite.solve(data, tol=solve_tol)
+            sol = hermite.solve(data)
         except GeometryError as exc:
             tau_val = getattr(exc, "tau", None)
             raise SplineBuildError(

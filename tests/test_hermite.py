@@ -196,11 +196,11 @@ class TestDisplacement:
 
 class TestScalarBranch:
     def test_scalar_and_array_branches_agree_bitwise(self):
-        # The scalar branch squares with pow, as numpy scalars do, and the
-        # array branch by multiplication; only where those two round the
-        # square differently may the results part, and then by an ulp or two.
-        # Both array inputs are checked: many phi2 at one gamma (the
-        # bisection's diagnostics) and many gamma at the two-thirds angle.
+        # Every array entry is the float call, bit for bit.  The grid holds
+        # many phi2 at one gamma (the bisection's diagnostics), many gamma at
+        # the two-thirds angle, and sampled points where libm pow and a
+        # multiplication round the square apart, where an earlier numpy
+        # branch of the closed form parted from the float one by an ulp.
         rng = np.random.default_rng(13)
         gammas = np.concatenate([
             rng.uniform(1e-3, math.pi - 1e-3, 40),
@@ -209,7 +209,6 @@ class TestScalarBranch:
         half = rng.uniform(0.0, math.pi, 30)
         grid = [(gamma, np.concatenate([[0.0, TWO_THIRDS, math.pi], half, 2.0 * math.pi - half]))
                 for gamma in gammas]
-        # plus sampled points where pow and multiplication do round apart
         for gamma, phi in rng.uniform((0.0, 0.0), (math.pi, 2.0 * math.pi), (20000, 2)):
             x = math.sin(phi) * math.cos(0.5 * gamma)
             if x ** 2 != x * x:
@@ -221,12 +220,7 @@ class TestScalarBranch:
             for k, phi in enumerate(phis.tolist()):
                 scalar = np.array([*scaled_displacement_components(gamma, phi),
                                    unit_displacement_b(gamma, phi)])
-                array = np.array([ib[k], inn[k], ub[k]])
-                x = math.sin(phi) * math.cos(0.5 * gamma)
-                if x ** 2 == x * x:
-                    assert scalar.tobytes() == array.tobytes()
-                else:
-                    assert np.allclose(scalar, array, rtol=1e-15, atol=1e-15)
+                assert scalar.tobytes() == np.array([ib[k], inn[k], ub[k]]).tobytes()
         scan_gammas = np.concatenate([
             gammas, rng.uniform(1e-8, CRITICAL_GAMMA, 2000),
             CRITICAL_GAMMA + np.array([-1e-7, -1e-12, 0.0, 1e-12, 1e-7]),
@@ -234,18 +228,23 @@ class TestScalarBranch:
         ib, inn = scaled_displacement_components(scan_gammas, TWO_THIRDS)
         ub = unit_displacement_b(scan_gammas, TWO_THIRDS)
         assert ib.shape == inn.shape == ub.shape == scan_gammas.shape
-        rounded_apart = 0
         for k, gamma in enumerate(scan_gammas.tolist()):
             scalar = np.array([*scaled_displacement_components(gamma, TWO_THIRDS),
                                unit_displacement_b(gamma, TWO_THIRDS)])
-            array = np.array([ib[k], inn[k], ub[k]])
-            x = math.sin(TWO_THIRDS) * math.cos(0.5 * gamma)
-            if x ** 2 == x * x:
-                assert scalar.tobytes() == array.tobytes()
-            else:
-                rounded_apart += 1
-                assert np.allclose(scalar, array, rtol=1e-15, atol=1e-15)
-        assert 0 < rounded_apart < scan_gammas.size
+            assert scalar.tobytes() == np.array([ib[k], inn[k], ub[k]]).tobytes()
+
+    def test_array_inputs_broadcast(self):
+        gammas = np.array([[0.3], [1.1], [2.5]])
+        phis = np.array([0.0, 0.7, math.pi, 4.0])
+        ib, inn = scaled_displacement_components(gammas, phis)
+        ub = unit_displacement_b(gammas, phis)
+        assert ib.shape == inn.shape == ub.shape == (3, 4)
+        for r, gamma in enumerate(gammas[:, 0].tolist()):
+            for c, phi in enumerate(phis.tolist()):
+                assert (ib[r, c], inn[r, c]) == scaled_displacement_components(gamma, phi)
+                assert ub[r, c] == unit_displacement_b(gamma, phi)
+        assert isinstance(scaled_displacement_components(0.3, 0.7)[0], float)
+        assert isinstance(unit_displacement_b(0.3, 0.7), float)
 
     def test_scalar_branch_is_nan_where_denominators_vanish(self):
         # cos(gamma/2) rounds to 1, so the middle modulus vanishes at pi/2
@@ -255,6 +254,18 @@ class TestScalarBranch:
             for phi in (0.5 * math.pi, math.pi):
                 assert all(math.isnan(c) for c in scaled_displacement_components(2e-11, phi))
                 assert math.isnan(unit_displacement_b(2e-11, phi))
+
+    def test_array_calls_are_nan_where_denominators_vanish(self):
+        # Enough entries that the interpreter specializes the scalar code
+        # within one call, and a nan entry last.
+        phis = np.tile([1.0, 0.5 * math.pi, math.pi], 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ib, inn = scaled_displacement_components(2e-11, phis)
+            ub = unit_displacement_b(np.array([2e-11]), phis)
+        vanishing = phis != 1.0
+        for values in (ib, inn, ub):
+            assert np.array_equal(np.isnan(values), vanishing)
 
 
 class TestSufficientCondition:
@@ -428,7 +439,7 @@ class TestSolve:
 
 
 def components_reference(gamma: float, phi2: float) -> tuple[float, float]:
-    """Reference: the scalar branch of ``scaled_displacement_components`` as
+    """Reference: the float call of ``scaled_displacement_components`` as
     it was written before the bisection took cos and sin of gamma/2 once."""
     cg2 = math.cos(0.5 * gamma)
     sg2 = math.sin(0.5 * gamma)
@@ -453,7 +464,7 @@ def components_reference(gamma: float, phi2: float) -> tuple[float, float]:
 
 
 def unit_b_reference(gamma: float, phi2: float) -> float:
-    """Reference: the scalar branch of ``unit_displacement_b``."""
+    """Reference: the float call of ``unit_displacement_b``."""
     ib, in_ = components_reference(gamma, phi2)
     norm = np.hypot(ib, in_)
     return ib / float(norm) if norm != 0.0 else math.nan

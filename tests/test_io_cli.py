@@ -139,6 +139,28 @@ class TestInterpolateCommand:
                    "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_IO
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_stream_exit_code(self, tmp_path, capsys, bad):
+        src = tmp_path / "bad.csv"
+        src.write_text(GENERIC1.replace("8,12,5", f"8,{bad},5"))
+        out = tmp_path / "bad_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--mode", "chord", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "stream point 3 is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_params_exit_code(self, tmp_path, capsys):
+        params, points, tangents = sample_curve("helix", 5)
+        params[2] = math.nan
+        src = tmp_path / "helix.json"
+        write_stream_file(str(src), points, initial_frame=default_initial_frame(tangents[0]),
+                          params=params)
+        out = tmp_path / "helix_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--mode", "uniform", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "knots must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_frame_file(self, tmp_path):
         src = tmp_path / "g1.csv"
         src.write_text(GENERIC1)

@@ -143,7 +143,7 @@ class TestDefaultFrame:
 def admissible_rows(u_i, us, du):
     """``_admissible`` of every unit row of ``us`` (N, 3) in one array pass,
     up to rounding at its thresholds: the same guards, with the two-thirds
-    value from the array branch of ``unit_displacement_b``."""
+    value from an array call of ``unit_displacement_b``."""
     cross = np.linalg.norm(np.cross(u_i, us), axis=1)
     gamma = angles_between(u_i, us)
     flags = (cross > 1e-9) & (gamma < math.pi - 1e-9) & (gamma > CRITICAL_GAMMA)
@@ -523,6 +523,52 @@ class TestBuild:
     def test_uniform_mode(self):
         path = build(stream_for(GENERIC2), mode="uniform")
         assert np.allclose(path.knots, np.arange(len(GENERIC2)))
+
+
+class TestNonFiniteInput:
+    FRAME = default_initial_frame(np.array([-0.7, 0.6, 0.3]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stream_point_rejected_by_index(self, bad):
+        pts = GENERIC1.copy()
+        pts[3, 1] = bad
+        with pytest.raises(ValidationError, match="stream point 3 is not finite"):
+            PointStream(points=pts, initial_frame=self.FRAME)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_initial_frame_rejected(self, bad):
+        frame = self.FRAME.copy()
+        frame[1, 2] = bad
+        with pytest.raises(ValidationError, match="initial frame row 1 is not finite"):
+            PointStream(points=GENERIC1, initial_frame=frame)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_knots_rejected(self, bad):
+        knots = np.arange(len(GENERIC1), dtype=float)
+        knots[2] = bad
+        with pytest.raises(ValidationError, match="knots must be finite"):
+            build(stream_for(GENERIC1), knots=knots)
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [math.nan, 0.0, 1.0],
+                                     [1.0, math.inf, 0.0]])
+    def test_reference_tangents_rejected(self, row):
+        refs = minaj2_tangents(GENERIC1, chord_knots(GENERIC1))
+        refs[2] = row
+        with pytest.raises(ValidationError, match="reference tangent 2 is zero or not finite"):
+            build(stream_for(GENERIC1), reference_tangents=refs)
+
+    def test_reference_tangents_normalized_row_by_row(self, monkeypatch):
+        # build hands generate_end_tangent rows of refs / np.linalg.norm(refs, axis=1).
+        params, pts, tans = sample_curve("helix", 8)
+        refs = tans * np.linspace(0.5, 3.0, len(tans))[:, None]
+        seen = []
+        original = spline.generate_end_tangent
+        monkeypatch.setattr(spline, "generate_end_tangent",
+                            lambda u_i, dp, u_ref: seen.append(u_ref) or original(u_i, dp, u_ref))
+        build(PointStream(points=pts, initial_frame=default_initial_frame(tans[0])),
+              reference_tangents=refs, knots=params)
+        want = refs / np.linalg.norm(refs, axis=1)[:, None]
+        assert np.array(seen).tobytes() == want[1:].tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""One SHA-256 over everything ``spline.build`` returns on the benchmark inputs.
+"""One SHA-256 over everything ``spline.build`` returns on the benchmark inputs,
+and one over what the ``reload-query`` spline gives after a save and load.
 
 Run from anywhere:
 
@@ -11,6 +12,12 @@ hodograph ``h``, speed ``sigma``, frame coefficients ``a`` and ``b``, frame
 Bezier coefficients ``b_bezier`` and the ``repr`` of its diagnostics; a
 stream that fails adds its ``SplineBuildError``.  A change that claims a
 bit-identical ``build`` prints the same digest as its parent commit.
+
+The second digest covers the seed-1 ``reload-query`` torus, saved, loaded,
+saved and loaded again as the benchmark does: every value of
+``io_cli.validate_spline`` and the points and frames of ``eval_many`` at the
+benchmark's batch parameters.  A change that claims unchanged load, eval
+and validate prints the same digest as its parent commit.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import hashlib
 import itertools
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -27,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from rmfspline import spline  # noqa: E402
+from rmfspline import io_cli, spline  # noqa: E402
 from rmfspline.errors import SplineBuildError  # noqa: E402
 
 SEEDS = (1, 2)
@@ -56,6 +64,25 @@ def update(h, stream) -> tuple[int, int]:
     return path.n_segments, 0
 
 
+def reload_digest(seed: int = 1) -> str:
+    """SHA-256 of the validation values and batch evaluations of the
+    ``reload-query`` spline of ``seed``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "reload.json")
+        io_cli.write_spline_file(out, workloads.ReloadQuery._build(seed, workloads.RELOAD_SPANS))
+        io_cli.write_spline_file(out, io_cli.read_spline_file(out))
+        path = io_cli.read_spline_file(out)
+    report = io_cli.validate_spline(path)
+    h = hashlib.sha256(np.array([c["value"] for c in report["checks"]]).tobytes())
+    rng = np.random.default_rng(seed)
+    for _ in range(workloads.ReloadQuery.inputs):
+        pts, frames = path.eval_many(
+            rng.uniform(path.knots[0], path.knots[-1], workloads.BATCH_POINTS))
+        h.update(pts.tobytes())
+        h.update(frames.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     h = hashlib.sha256()
     segments = failed = builds = 0
@@ -67,6 +94,7 @@ def main() -> int:
             builds += 1
     print(f"{builds} builds, {failed} SplineBuildError, {segments} segments")
     print(f"sha256 {h.hexdigest()}")
+    print(f"reload-query seed 1: sha256 {reload_digest()}")
     return 0
 
 
