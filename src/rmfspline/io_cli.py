@@ -464,8 +464,11 @@ def _cmd_sample(args) -> int:
 def _cmd_interpolate(args) -> int:
     doc = read_stream_file(args.infile)
     points = doc["points"]
-    spline._require_finite(points, "stream point")  # before the default frame uses them
+    # Checked before the default frame is derived from them.
+    spline._require_stream_points(points)
     refs = doc.get("reference_tangents")
+    if refs is not None:
+        spline._unit_reference_tangents(refs, points.shape[0])
     params = doc.get("params")
 
     if args.frame is not None:

@@ -30,14 +30,12 @@ from .quat import (
     cross3,
     frame_rows,
     neg_cross,
-    norm3,
     orthonormal_completion,
     quat_sqrt,
     sandwich,
     star,
     unit,
     vgram,
-    vmul,
     vpoly_mul,
 )
 
@@ -52,13 +50,13 @@ class ClassICheck(NamedTuple):
 
 
 def class_one_residuals(rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``is_class_I``'s residual |A1 i A1* - A2 i A0*| (...,) and its ratio to
+    """The class-I residual |A1 i A1* - A2 i A0*| (...,) and its ratio to
     the largest |A_k|^2, for generators with Bezier coefficient rows
     (..., 3, 4) and axes (..., 3).
 
-    The arithmetic is that of ``sandwich`` and of the two ``Quaternion``
-    products, zero terms included, so every row equals ``is_class_I`` bit
-    for bit.
+    ``is_class_I`` is its one-row call.  The arithmetic is that of
+    ``sandwich`` and of the products A2 i A0*, zero terms included, so the
+    values match the quaternion form of the identity bit for bit.
     """
     w, v = rows[..., 0], rows[..., 1:]
     i = axis[..., None, :]
@@ -78,20 +76,10 @@ def class_one_residuals(rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray,
 
 
 def is_class_I(p: PreImage) -> ClassICheck:
-    """Test the middle-coefficient identity that admits a rational RMF.
-
-    ``class_one_residuals`` computes the same values for stacks of
-    generators; this one-generator form keeps the ``Quaternion`` products,
-    which take about half the time of a one-row array pass, because
-    ``build`` calls it once per segment.
-    """
-    i = p.axis
-    lhs = sandwich(p.a1, i)
-    rhs = ((p.a2 * Quaternion.pure(i)) * p.a0.conj()).v
-    residual = norm3(lhs - rhs)
-    scale = max(p.a0.norm_sq(), p.a1.norm_sq(), p.a2.norm_sq(), 1e-300)
-    rel = residual / scale
-    return ClassICheck(rel <= CLASS_ONE_REL_TOL, residual, rel)
+    """Test the middle-coefficient identity that admits a rational RMF:
+    the one-row ``class_one_residuals``."""
+    residual, rel = class_one_residuals(p.coeffs_wxyz, p.axis)
+    return ClassICheck(bool(rel <= CLASS_ONE_REL_TOL), float(residual), float(rel))
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,41 @@ from .rrmf import _STACKED_ROWS
 
 MAX_TURN = 0.8 * math.pi
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
+# The largest stream coordinate magnitude accepted.  The interior tangent
+# rule takes fifth powers of chords: in build and validate, helix, torus,
+# spiral and walk streams overflow from 4.5e61, streams on the corners of a
+# cube from 1e61 (with reference tangents given, from 4e149); none at 1e60.
+MAX_COORDINATE = 1e60
+
 
 def _require_finite(rows: np.ndarray, what: str) -> None:
     """Raise ``ValidationError`` naming the first row that holds a NaN or inf."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise ValidationError(f"{what} {int(np.argmin(finite))} is not finite")
+
+
+def _require_stream_points(points: np.ndarray) -> None:
+    """Raise ``ValidationError`` naming the first stream point that is not
+    finite or has a coordinate beyond ``MAX_COORDINATE``."""
+    _require_finite(points, "stream point")
+    inside = (np.abs(points) <= MAX_COORDINATE).all(axis=1)
+    if not inside.all():
+        raise ValidationError(f"stream point {int(np.argmin(inside))} has a coordinate "
+                              f"beyond {MAX_COORDINATE:g}")
+
+
+def _unit_reference_tangents(refs: np.ndarray, n_points: int) -> np.ndarray:
+    """Reference tangents, one per stream point, each divided by its norm;
+    raises ``ValidationError`` naming the first that is zero or not finite."""
+    refs = np.asarray(refs, dtype=float)
+    if refs.shape != (n_points, 3):
+        raise ValidationError("need one reference tangent per stream point")
+    norms = np.linalg.norm(refs, axis=1)
+    ok = np.isfinite(norms) & (norms > 1e-12)
+    if not ok.all():
+        raise ValidationError(f"reference tangent {int(np.argmin(ok))} is zero or not finite")
+    return refs / norms[:, None]
 
 
 def _orthonormalized(frame: np.ndarray) -> np.ndarray:
@@ -67,7 +96,7 @@ class PointStream:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise ValidationError("a stream needs at least two 3D points")
-        _require_finite(pts, "stream point")
+        _require_stream_points(pts)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(steps <= 1e-14):
             k = int(np.argmax(steps <= 1e-14))
@@ -486,14 +515,7 @@ def build(
         raise ValidationError(f"unknown parameterization mode: {mode!r}")
 
     if reference_tangents is not None:
-        refs = np.asarray(reference_tangents, dtype=float)
-        if refs.shape != points.shape:
-            raise ValidationError("need one reference tangent per stream point")
-        norms = np.linalg.norm(refs, axis=1)
-        ok = np.isfinite(norms) & (norms > 1e-12)
-        if not ok.all():
-            raise ValidationError(f"reference tangent {int(np.argmin(ok))} is zero or not finite")
-        refs = refs / norms[:, None]
+        refs = _unit_reference_tangents(reference_tangents, n + 1)
     elif n >= 2:
         refs = minaj2_tangents(points, knots)
     else:

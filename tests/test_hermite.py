@@ -1,5 +1,6 @@
 """The local solver: displacement analysis, existence branches, assembly."""
 
+import itertools
 import math
 import warnings
 
@@ -19,8 +20,8 @@ from rmfspline.hermite import (
     sufficient_condition,
     unit_displacement_b,
 )
-from rmfspline.ph import erf_frame
-from rmfspline.quat import angle_between, bisector, neg_cross, unit
+from rmfspline.ph import PreImage, curve_from_preimage, erf_frame
+from rmfspline.quat import Quaternion, angle_between, bisector, neg_cross, norm3, star, unit
 from rmfspline.rrmf import is_class_I
 
 TWO_THIRDS = 2.0 * math.pi / 3.0
@@ -254,6 +255,11 @@ class TestScalarBranch:
             for phi in (0.5 * math.pi, math.pi):
                 assert all(math.isnan(c) for c in scaled_displacement_components(2e-11, phi))
                 assert math.isnan(unit_displacement_b(2e-11, phi))
+            # An infinite angle has no cosine; it is nan too, not a ValueError.
+            for gamma, phi in [(math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf),
+                               (1.0, -math.inf), (math.inf, math.inf)]:
+                assert all(math.isnan(c) for c in scaled_displacement_components(gamma, phi))
+                assert math.isnan(unit_displacement_b(gamma, phi))
 
     def test_array_calls_are_nan_where_denominators_vanish(self):
         # Enough entries that the interpreter specializes the scalar code
@@ -266,6 +272,14 @@ class TestScalarBranch:
         vanishing = phis != 1.0
         for values in (ib, inn, ub):
             assert np.array_equal(np.isnan(values), vanishing)
+        gammas = np.array([1.0, math.inf, -math.inf, 1.0, 1.0])
+        phis = np.array([1.0, 1.0, 1.0, math.inf, -math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ib, inn = scaled_displacement_components(gammas, phis)
+            ub = unit_displacement_b(gammas, phis)
+        for values in (ib, inn, ub):
+            assert np.array_equal(np.isnan(values), [False, True, True, True, True])
 
 
 class TestSufficientCondition:
@@ -356,19 +370,50 @@ class TestSolve:
             changes = int(np.sum(signs[1:] != signs[:-1]))
             assert changes == 1
 
-    def test_two_root_selection_minimizes_amplitude(self):
-        d = data_with(0.3 * math.pi, 0.12, seed=20)
-        sol = solve(d)
-        cands = sol.diagnostics["candidates"]
-        assert len(cands) == 2
-        amplitudes = [c[1] for c in cands]
-        chosen = sol.phi2
-        assert amplitudes[0] == min(amplitudes)
-        assert chosen == cands[0][0]
-        an = analyze(d)
-        # both candidates really solve the direction equation
-        for phi, _ in cands:
-            assert np.linalg.norm(an.unit_displacement(phi) - d.delta_u) <= 1e-9
+    def test_one_bisection_and_one_units_call_per_segment(self, monkeypatch):
+        calls = {"bisect": 0, "units": 0}
+        bisect, units = hermite._bisect, hermite.DisplacementAnalysis.units
+
+        def counting_bisect(*args):
+            calls["bisect"] += 1
+            return bisect(*args)
+
+        def counting_units(self, phi2):
+            calls["units"] += 1
+            return units(self, phi2)
+
+        monkeypatch.setattr(hermite, "_bisect", counting_bisect)
+        monkeypatch.setattr(hermite.DisplacementAnalysis, "units", counting_units)
+        cases = [(0.3 * math.pi, 0.12, "small-angle"), (0.3 * math.pi, -0.12, "small-angle"),
+                 (CRITICAL_GAMMA, 0.05, "critical"), (0.6 * math.pi, 0.4, "full-range"),
+                 (0.6 * math.pi, -2.0, "full-range"), (0.5 * math.pi, 0.0, "direct-hit-0"),
+                 (0.7 * math.pi, math.pi, "direct-hit-pi")]
+        for gamma, beta, branch in cases:
+            d = data_with(gamma, beta, seed=20)
+            calls.update(bisect=0, units=0)
+            sol = solve(d)
+            assert sol.diagnostics["branch"] == branch
+            assert calls == {"bisect": 0 if branch.startswith("direct") else 1, "units": 1}
+
+    def test_root_is_the_two_root_rules_choice(self):
+        # On small-angle and critical data, with chords from near the
+        # bisector to near the end of the attainable arc on both sides of
+        # it, the one root solve seeks is the one the two-root rule keeps.
+        gammas = [1e-7, 1e-5, 1e-3, 0.1 * math.pi, 0.3 * math.pi, CRITICAL_GAMMA - 1e-6,
+                  CRITICAL_GAMMA + 0.5 * hermite.GAMMA_WINDOW]
+        branches = set()
+        for k, gamma in enumerate(gammas):
+            beta_max = math.acos(hermite._two_thirds_b(gamma))
+            for frac, seed in itertools.product(
+                    (0.02, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.98, 0.999), (k, k + 10)):
+                for sign in (1.0, -1.0):
+                    d = data_with(gamma, sign * frac * beta_max, dist=1.0 + frac, seed=seed)
+                    sol = solve(d)
+                    branches.add(sol.diagnostics["branch"])
+                    phi2, r = two_root_reference(d)
+                    assert np.float64(sol.phi2).tobytes() == np.float64(phi2).tobytes()
+                    assert sol.segment.r.tobytes() == r.tobytes()
+        assert branches == {"small-angle", "critical"}
 
     def test_mirrored_half_selected_by_normal_sign(self):
         d_pos = data_with(0.6 * math.pi, 0.4, seed=21)
@@ -436,6 +481,43 @@ class TestSolve:
             trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
                                          n_samples=300)
             assert oracle.compare_frames(sol.frame, trace) <= 1e-6
+
+
+def two_root_reference(d: HermiteData) -> tuple[float, np.ndarray]:
+    """Reference: ``solve``'s root selection at and below the critical
+    turning angle as it was before it sought one root.  Below the critical
+    window it bisected (0, 2 pi/3) and (2 pi/3, pi) and kept the root whose
+    spherical control polygon has the smaller amplitude, ties (to 1e-12)
+    going to the smaller angle.  Returns phi2 and the control points."""
+    an = analyze(d)
+    gamma = an.gamma
+    du = d.delta_u
+    dn = float(du @ an.n)
+    cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+    mirror = dn < 0.0
+    target = math.atan2(abs(dn), float(du @ an.b))
+
+    def f(phi: float) -> float:
+        ib, in_ = hermite._half_angle_components(cg2, sg2, phi)
+        return math.atan2(in_, ib) - target
+
+    roots = [hermite._bisect(f, 0.0, TWO_THIRDS, -target, hermite.SOLVE_TOL)[0]]
+    if abs(gamma - CRITICAL_GAMMA) > hermite.GAMMA_WINDOW:
+        roots.append(hermite._bisect(f, TWO_THIRDS, math.pi, f(TWO_THIRDS),
+                                     hermite.SOLVE_TOL)[0])
+    i, u0 = an.axes[0], Quaternion.pure(d.u)
+    candidates = []
+    for root in roots:
+        phi = 2.0 * math.pi - root if mirror else root
+        u1, u2, _, q2 = an.units(phi)
+        poly = [d.u, unit(star(u0, u1, i)), unit(q2), unit(star(u1, u2, i)), d.u_end]
+        amplitude = float(sum(angle_between(poly[k], poly[k + 1]) for k in range(4)))
+        candidates.append((phi, amplitude, (u1, u2, q2)))
+    candidates.sort(key=lambda c: (round(c[1] / 1e-12), min(c[0], 2.0 * math.pi - c[0])))
+    phi2, _, (u1, u2, q2) = candidates[0]
+    mu = math.sqrt(5.0 * norm3(d.delta_p) / norm3(an.displacement_from(u1, u2, q2)))
+    pre = PreImage(mu * Quaternion.pure(d.u), (mu * math.sqrt(norm3(q2))) * u1, mu * u2, d.u)
+    return phi2, curve_from_preimage(d.p_start, pre).r
 
 
 def components_reference(gamma: float, phi2: float) -> tuple[float, float]:

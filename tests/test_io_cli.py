@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,30 @@ class TestInterpolateCommand:
         rc = main(["interpolate", "--in", str(src), "--mode", "uniform", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "knots must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_reference_tangent_exit_code(self, tmp_path, capsys):
+        # No initial frame: the default one would be derived from tangent 0.
+        _, points, tangents = sample_curve("helix", 5)
+        tangents[0, 1] = math.nan
+        src = tmp_path / "helix.json"
+        write_stream_file(str(src), points, reference_tangents=tangents)
+        out = tmp_path / "helix_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--mode", "chord", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "reference tangent 0 is zero or not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_coordinate_exit_code(self, tmp_path, capsys):
+        _, points, _ = sample_curve("helix", 5)
+        src = tmp_path / "huge.json"
+        write_stream_file(str(src), points * 1e200)
+        out = tmp_path / "huge_spline.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["interpolate", "--in", str(src), "--mode", "chord", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "stream point 0 has a coordinate beyond" in capsys.readouterr().err
         assert not out.exists()
 
     def test_explicit_frame_file(self, tmp_path):

@@ -22,7 +22,7 @@ from rmfspline.errors import (
     ValidationError,
 )
 from rmfspline.hermite import CRITICAL_GAMMA, TWO_THIRDS, _two_thirds_b, unit_displacement_b
-from rmfspline.io_cli import read_spline_file, sample_curve, write_spline_file
+from rmfspline.io_cli import read_spline_file, sample_curve, validate_spline, write_spline_file
 from rmfspline.quat import angle_between, angles_between, cross3, unit
 from rmfspline.rrmf import is_class_I
 from rmfspline.spline import (
@@ -569,6 +569,35 @@ class TestNonFiniteInput:
               reference_tangents=refs, knots=params)
         want = refs / np.linalg.norm(refs, axis=1)[:, None]
         assert np.array(seen).tobytes() == want[1:].tobytes()
+
+
+class TestHugeCoordinates:
+    def helix_at(self, size):
+        _, pts, tans = sample_curve("helix", 4)
+        pts = pts * (size / np.max(np.abs(pts)))
+        return pts, tans
+
+    @pytest.mark.parametrize("given_refs", [False, True])
+    def test_builds_and_validates_at_the_bound(self, given_refs):
+        pts, tans = self.helix_at(spline.MAX_COORDINATE)
+        assert np.max(np.abs(pts)) == spline.MAX_COORDINATE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = build(PointStream(points=pts, initial_frame=default_initial_frame(tans[0])),
+                         reference_tangents=tans if given_refs else None)
+            report = validate_spline(path, ode_samples=50)
+        assert report["pass"]
+
+    def test_rejected_beyond_the_bound_by_index(self):
+        pts, tans = self.helix_at(1.0)
+        pts[2, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="stream point 2 has a coordinate beyond"):
+                PointStream(points=pts, initial_frame=default_initial_frame(tans[0]))
+        pts, tans = self.helix_at(1e200)
+        with pytest.raises(ValidationError, match="stream point 0 has a coordinate beyond"):
+            PointStream(points=pts, initial_frame=default_initial_frame(tans[0]))
 
 
 @pytest.fixture(scope="module")
