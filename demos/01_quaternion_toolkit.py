@@ -10,13 +10,12 @@ import numpy as np
 from rmfspline.quat import (
     Quaternion,
     bisector,
-    boxop,
     neg_cross,
-    quat_sqrt,
     rotate,
     sandwich,
     star,
 )
+from rmfspline.spherical import boxop, quat_sqrt
 
 i = np.array([1.0, 0.0, 0.0])
 j = np.array([0.0, 1.0, 0.0])

@@ -10,15 +10,17 @@ Run:  python3 demos/02_segment_from_sphere_data.py
 
 import numpy as np
 
-from rmfspline.ph import (
-    curve_from_preimage,
+from rmfspline.ph import curve_from_preimage
+from rmfspline.quat import unit
+from rmfspline.rrmf import is_class_I
+from rmfspline.spherical import (
+    construct_from_spherical,
     reparam_map,
     reparam_scaled_preimage,
     spherical_control_points,
     tangent_indicatrix,
+    theta1_for_s1,
 )
-from rmfspline.quat import unit
-from rmfspline.rrmf import construct_from_spherical, is_class_I, theta1_for_s1
 
 s0 = np.array([1.0, 0.0, 0.0])
 s4 = unit(np.array([-0.4330, 0.7500, 0.5000]))

@@ -12,7 +12,8 @@ import numpy as np
 from rmfspline import oracle
 from rmfspline.ph import curve_from_preimage
 from rmfspline.quat import unit
-from rmfspline.rrmf import compute_rational_frame, construct_from_spherical, han08_residual
+from rmfspline.rrmf import compute_rational_frame, han08_residual
+from rmfspline.spherical import construct_from_spherical
 
 s0 = np.array([1.0, 0.0, 0.0])
 s4 = unit(np.array([-0.4330, 0.7500, 0.5000]))

@@ -18,16 +18,10 @@ from .errors import (
     VanishingDisplacementError,
 )
 from .hermite import HermiteData, HermiteSolution, analyze, solve
-from .ph import (
-    PHQuintic,
-    PreImage,
-    TangentIndicatrix,
-    curve_from_preimage,
-    hodograph_from_preimage,
-    tangent_indicatrix,
-)
-from .quat import Quaternion, bisector, neg_cross, quat_sqrt, rotate
-from .rrmf import RationalFrame, compute_rational_frame, construct_from_spherical, is_class_I
+from .ph import PHQuintic, PreImage, curve_from_preimage, hodograph_from_preimage
+from .quat import Quaternion, bisector, neg_cross, rotate
+from .rrmf import RationalFrame, compute_rational_frame, is_class_I
+from .spherical import TangentIndicatrix, construct_from_spherical, quat_sqrt, tangent_indicatrix
 from .spline import PointStream, SplinePath, build, chord_knots, minaj2_tangents
 
 __version__ = "0.1.0"

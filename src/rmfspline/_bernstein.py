@@ -174,90 +174,3 @@ def from_power(pcoeffs: np.ndarray) -> np.ndarray:
     comb = comb.reshape(comb.shape + (1,) * (pcoeffs.ndim - 1))
     # Term [i, k] is (p_k C(i, k)) / C(n, k).
     return _lower_sums(pcoeffs * comb / comb[-1], pcoeffs[0])
-
-
-def _subdivide(coeffs: np.ndarray, t: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    n = coeffs.shape[0] - 1
-    left = np.empty_like(coeffs)
-    right = np.empty_like(coeffs)
-    b = coeffs.copy()
-    left[0] = b[0]
-    right[n] = b[n]
-    for r in range(1, n + 1):
-        b = (1.0 - t) * b[:-1] + t * b[1:]
-        left[r] = b[0]
-        right[n - r] = b[-1]
-    return left, right
-
-
-def _sign_variations(coeffs: np.ndarray, tol: float) -> int:
-    signs = [s for s in np.sign(np.where(np.abs(coeffs) <= tol, 0.0, coeffs)) if s != 0.0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def roots_unit_interval(coeffs: np.ndarray) -> list[float]:
-    """Real roots in [0, 1] by sign-variation subdivision with bisection polish.
-
-    Suitable for the low degrees used here; even-multiplicity touches are
-    found via the vanishing of subdivided control polygons.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    zero = 1e-13 * (float(np.max(np.abs(coeffs))) or 1.0)
-    found: list[float] = []
-
-    def recurse(c: np.ndarray, a: float, b: float, depth: int) -> None:
-        if np.all(np.abs(c) <= zero):
-            # Identically-zero stretch: record the midpoint once.
-            found.append(0.5 * (a + b))
-            return
-        var = _sign_variations(c, zero)
-        if var == 0:
-            if abs(c[0]) <= zero:
-                found.append(a)
-            if abs(c[-1]) <= zero:
-                found.append(b)
-            return
-        if b - a < 1e-14 or depth > 60:
-            found.append(0.5 * (a + b))
-            return
-        if var == 1 and np.sign(c[0]) * np.sign(c[-1]) < 0:
-            lo, hi = a, b
-            flo = decasteljau(coeffs, lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = decasteljau(coeffs, mid)
-                if fm == 0.0 or hi - lo < 1e-16:
-                    break
-                if np.sign(fm) == np.sign(flo):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            found.append(0.5 * (lo + hi))
-            return
-        left, right = _subdivide(c)
-        mid = 0.5 * (a + b)
-        recurse(left, a, mid, depth + 1)
-        recurse(right, mid, b, depth + 1)
-
-    recurse(coeffs, 0.0, 1.0, 0)
-    found.sort()
-    dedup: list[float] = []
-    for r in found:
-        if not dedup or abs(r - dedup[-1]) > 1e-10:
-            dedup.append(r)
-    return dedup
-
-
-def minimum_unit_interval(coeffs: np.ndarray) -> tuple[float, float]:
-    """(min value, argmin) of a Bernstein polynomial over [0, 1].
-
-    Critical points come from the derivative's roots isolated by
-    subdivision, so no complex arithmetic is involved.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    candidates = [0.0, 1.0]
-    if coeffs.shape[0] > 1:
-        candidates.extend(roots_unit_interval(derivative(coeffs)))
-    values = [float(decasteljau(coeffs, t)) for t in candidates]
-    k = int(np.argmin(values))
-    return values[k], candidates[k]

@@ -150,23 +150,6 @@ _components_many = np.vectorize(scaled_displacement_components, otypes=[float, f
 _unit_b_many = np.vectorize(unit_displacement_b, otypes=[float])
 
 
-def alpha0(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray,
-    i: np.ndarray, j: np.ndarray, k: np.ndarray,
-) -> float:
-    """Rotation angle of the first generator coefficient that makes the
-    degree-zero frame reproduce (u, v, w) for the given algebra axes."""
-    _check_right_handed(u, v, w, FRAME_TOL)
-    _check_right_handed(i, j, k, FRAME_TOL)
-    b0 = bisector(u, i)
-    k0 = 2.0 * float(k @ b0) * b0 - k
-    j0 = 2.0 * float(j @ b0) * b0 - j
-    s = -float(j0 @ w)
-    if abs(s) < 1e-12:
-        s = 0.0  # lands the atan2 branch cut on +pi; the gauge sign is free there
-    return 0.5 * math.atan2(s, float(k0 @ w))
-
-
 @dataclass
 class DisplacementAnalysis:
     """Quaternion-built evaluators for one segment's displacement geometry.
@@ -181,7 +164,6 @@ class DisplacementAnalysis:
     q1: np.ndarray
     axes: np.ndarray
     u_start: np.ndarray
-    u_end: np.ndarray
     _u0: Quaternion = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -236,9 +218,6 @@ class DisplacementAnalysis:
         u1, u2, _, q2 = self.units(phi2)
         return self.displacement_from(u1, u2, q2)
 
-    def unit_displacement(self, phi2: float) -> np.ndarray:
-        return unit(self.displacement(phi2))
-
 
 def analyze(d: HermiteData) -> DisplacementAnalysis:
     """Displacement geometry of a segment in its start-frame axes."""
@@ -250,7 +229,6 @@ def analyze(d: HermiteData) -> DisplacementAnalysis:
         q1=d.u + d.u_end,
         axes=np.array([d.u, -d.v, -d.w]),
         u_start=d.u,
-        u_end=d.u_end,
     )
 
 

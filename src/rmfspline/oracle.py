@@ -301,11 +301,3 @@ def tangential_angular_velocity(frame: RationalFrame, ts: np.ndarray,
     samples = velocity_samples(ts, step)
     return velocity_from_frames(np.stack(frame.frame(samples), axis=-2), step)
 
-
-def fd_hodograph_error(q: PHQuintic, h: float = 1e-6, n: int = 200) -> float:
-    """Max relative deviation of centered differences from the hodograph."""
-    ts = np.linspace(h, 1.0 - h, n)
-    fd = (q.point(ts + h) - q.point(ts - h)) / (2.0 * h)
-    exact = q.hodograph(ts)
-    return float(np.max(np.linalg.norm(fd - exact, axis=1)
-                        / np.linalg.norm(exact, axis=1)))

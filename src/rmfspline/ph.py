@@ -1,9 +1,10 @@
 """Quintic Pythagorean-hodograph curve machinery.
 
 A quadratic quaternion generator drives everything: the degree-4 hodograph,
-the curve control points, the polynomial parametric speed, the rational
-tangent indicatrix with its weights, and the Euler-Rodrigues frame.  The
-scalar factor in the hodograph representation is fixed to one throughout.
+the curve control points, the polynomial parametric speed and the
+Euler-Rodrigues frame.  The scalar factor in the hodograph representation
+is fixed to one throughout.  The tangent indicatrix, the degeneracy test
+and the reparametrization are in ``spherical``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bernstein as bern
-from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
+from .errors import DegenerateCurveError, ValidationError
 from .quat import (_CONJ, Quaternion, _vcross, frame_rows, norm3, orthonormal_completion, vgram,
                    vmul, vnorm_sq)
-
-DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,20 +127,6 @@ def arc_length(p: PreImage) -> float:
     return float(bern.definite_integral(parametric_speed(p)))
 
 
-def is_degenerate(p: PreImage) -> tuple[bool, float | None]:
-    """Whether the generator vanishes somewhere on [0, 1], with a witness root.
-
-    Classified by the sign of the minimum of the quartic speed polynomial,
-    located by subdivision root isolation of its derivative.
-    """
-    sigma = parametric_speed(p)
-    scale = float(np.max(np.abs(sigma))) or 1.0
-    vmin, tmin = bern.minimum_unit_interval(sigma)
-    if vmin <= DEGENERACY_TOL * scale:
-        return True, tmin
-    return False, None
-
-
 @dataclass(frozen=True)
 class PHQuintic:
     """A quintic PH curve: generator, hodograph, control points and speed."""
@@ -170,63 +155,6 @@ def curve_from_preimage(r0: np.ndarray, p: PreImage) -> PHQuintic:
     r0 = np.asarray(r0, dtype=float)
     h, r, sigma = curves(r0, p.coeffs_wxyz, p.axis)
     return PHQuintic(r0=r0, preimage=p, h=h, r=r, sigma=sigma)
-
-
-def spherical_control_points(q: PHQuintic) -> np.ndarray:
-    """Normalized hodograph control points, shape (5, 3)."""
-    norms = np.linalg.norm(q.h, axis=1)
-    scale = float(norms.max()) or 1.0
-    for k, n in enumerate(norms):
-        if n <= 1e-12 * scale:
-            raise DegenerateInputError(
-                f"hodograph control point {k} vanishes; spherical point undefined"
-            )
-    return q.h / norms[:, None]
-
-
-@dataclass(frozen=True)
-class TangentIndicatrix:
-    """Degree-4 rational form of the unit tangent on the sphere."""
-
-    weights: np.ndarray
-    numerator: np.ndarray
-    points: np.ndarray | None
-
-    def evaluate(self, t) -> np.ndarray:
-        num = bern.decasteljau(self.numerator, t)
-        den = bern.decasteljau(self.weights, t)
-        return num / den[..., None]
-
-
-def tangent_indicatrix(p: PreImage) -> TangentIndicatrix:
-    """Rational tangent of a non-degenerate generator; weights may be negative
-    but the denominator stays positive on [0, 1]."""
-    degenerate, root = is_degenerate(p)
-    if degenerate:
-        raise DegenerateCurveError(
-            f"generator vanishes near t = {root:.6g}; tangent undefined there", root=root
-        )
-    h = hodograph_from_preimage(p)
-    w = parametric_speed(p)
-    points = h / w[:, None] if np.all(np.abs(w) > 1e-12 * np.max(np.abs(w))) else None
-    return TangentIndicatrix(weights=w, numerator=h, points=points)
-
-
-def reparam_scaled_preimage(p: PreImage, mu: float, lam: float) -> PreImage:
-    """Scale the generator coefficients by (mu, mu*lam, mu*lam^2).
-
-    The tangent image on the sphere is unchanged; parameters correspond
-    through the linear rational map ``reparam_map``.
-    """
-    if mu <= 0 or lam <= 0:
-        raise ValidationError("scaling factors must be positive")
-    return PreImage(mu * p.a0, (mu * lam) * p.a1, (mu * lam * lam) * p.a2, p.axis)
-
-
-def reparam_map(lam: float, t_tilde) -> np.ndarray:
-    """The linear rational parameter map lam*t / ((lam-1)*t + 1) on [0, 1]."""
-    t_tilde = np.asarray(t_tilde, dtype=float)
-    return lam * t_tilde / ((lam - 1.0) * t_tilde + 1.0)
 
 
 def erf_frame(p: PreImage, t, axes: np.ndarray | None = None) -> np.ndarray:

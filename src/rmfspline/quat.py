@@ -194,12 +194,6 @@ def star(a: Quaternion, b: Quaternion, i: np.ndarray) -> np.ndarray:
     return 0.5 * s.v
 
 
-def boxop(a: Quaternion, b: Quaternion) -> np.ndarray:
-    """Antisymmetric binary operator (A B* - B A*)/2; always a pure vector."""
-    s = a * b.conj() - b * a.conj()
-    return 0.5 * s.v
-
-
 def bisector(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Unit bisector of two nonzero vectors."""
     s = unit(v) + unit(w)
@@ -216,28 +210,6 @@ def neg_cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     if n <= 1e-14:
         raise DegenerateInputError("normalized cross product undefined for parallel vectors")
     return -c / n
-
-
-def quat_sqrt(v: np.ndarray, i: np.ndarray, alpha: float = 0.0) -> Quaternion:
-    """A quaternion A with A i A* = v, from the one-parameter family in alpha.
-
-    Generic branch: sqrt(|v|) * bisector(i, v) * e^{i alpha}.  When v is
-    anti-parallel to i the bisector degenerates and an orthonormal pair
-    built deterministically from the standard basis replaces it.
-    """
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv <= 1e-14:
-        raise DegenerateInputError("quaternion square root of the zero vector is undefined")
-    i = unit(i)
-    root = math.sqrt(nv)
-    if float(unit(v) @ i) > -1.0 + 1e-12:
-        base = Quaternion.pure(root * bisector(i, v))
-    else:
-        d1 = perpendicular_unit(v)
-        d2 = cross3(unit(v), d1)
-        return Quaternion.pure(root * (d1 * math.cos(alpha) + d2 * math.sin(alpha)))
-    return base * Quaternion.versor(i, alpha)
 
 
 # The wxyz-array kernel.

@@ -1,12 +1,10 @@
-"""Construction and framing of quintic PH curves with rational RMFs.
+"""Rational rotation-minimizing frames of quintic PH curves.
 
 The admissible curves are characterized by an algebraic identity on the
-generator coefficients.  Geometry on the unit sphere does the constructive
-work: middle hodograph control points live on an ellipse in the bisecting
-plane of the outer ones, and fixing phases on that ellipse pins the whole
-configuration.  The rational frame itself comes from a quadratic polynomial
-with components only along the generator axis, found by splitting the speed
-polynomial into conjugate quadratic factors.
+generator coefficients (``is_class_I``).  The rational frame itself comes
+from a quadratic polynomial with components only along the generator axis,
+found by splitting the speed polynomial into conjugate quadratic factors.
+The spherical construction of admissible generators is in ``spherical``.
 """
 
 from __future__ import annotations
@@ -18,26 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _bernstein as bern
-from .errors import DegenerateInputError, FrameConstructionError, ValidationError
+from .errors import FrameConstructionError, ValidationError
 from .ph import PreImage
-from .quat import (
-    _CONJ,
-    Quaternion,
-    _vcross,
-    angle_between,
-    bisector,
-    boxop,
-    cross3,
-    frame_rows,
-    neg_cross,
-    orthonormal_completion,
-    quat_sqrt,
-    sandwich,
-    star,
-    unit,
-    vgram,
-    vpoly_mul,
-)
+from .quat import (_CONJ, Quaternion, _vcross, frame_rows, orthonormal_completion, sandwich, unit,
+                   vgram, vpoly_mul)
 
 CLASS_ONE_REL_TOL = 1e-9
 FRAME_REL_TOL = 1e-6  # compute_rational_frame's bound on both relative residuals
@@ -80,187 +62,6 @@ def is_class_I(p: PreImage) -> ClassICheck:
     the one-row ``class_one_residuals``."""
     residual, rel = class_one_residuals(p.coeffs_wxyz, p.axis)
     return ClassICheck(bool(rel <= CLASS_ONE_REL_TOL), float(residual), float(rel))
-
-
-@dataclass(frozen=True)
-class EllipseLocus:
-    """Locus of admissible middle control points between two outer ones."""
-
-    axis_major: np.ndarray
-    axis_minor: np.ndarray
-    gamma: float
-
-    def point(self, phi: float) -> np.ndarray:
-        return math.cos(phi) * self.axis_major + math.sin(phi) * self.axis_minor
-
-
-def hm_ellipse(h_b: np.ndarray, h_e: np.ndarray) -> EllipseLocus:
-    """Canonical (orthogonal) parameterization of the middle-point locus."""
-    h_b = np.asarray(h_b, dtype=float)
-    h_e = np.asarray(h_e, dtype=float)
-    if np.linalg.norm(cross3(h_b, h_e)) <= 1e-14 * np.linalg.norm(h_b) * np.linalg.norm(h_e):
-        raise DegenerateInputError("outer control points must not be parallel")
-    gamma = angle_between(unit(h_b), unit(h_e))
-    scale = math.sqrt(np.linalg.norm(h_b) * np.linalg.norm(h_e))
-    b = bisector(h_b, h_e)
-    n = neg_cross(h_b, h_e)
-    return EllipseLocus(
-        axis_major=scale * b,
-        axis_minor=scale * math.sin(0.5 * gamma) * n,
-        gamma=gamma,
-    )
-
-
-def skew_phase(p_axis: np.ndarray, q_axis: np.ndarray, direction: np.ndarray) -> float:
-    """Phase phi with P*cos(phi) + Q*sin(phi) a positive multiple of direction.
-
-    P and Q are conjugate (not necessarily perpendicular) ellipse diameters.
-    The direction's in-plane component decides the phase; a direction
-    (nearly) orthogonal to the plane is rejected.
-    """
-    direction = np.asarray(direction, dtype=float)
-    m = np.column_stack([p_axis, q_axis])
-    coeffs, *_ = np.linalg.lstsq(m, direction, rcond=None)
-    inplane = float(np.linalg.norm(m @ coeffs))
-    if inplane <= 1e-6 * max(float(np.linalg.norm(direction)), 1e-300):
-        raise DegenerateInputError("direction is orthogonal to the ellipse plane")
-    return math.atan2(coeffs[1], coeffs[0])
-
-
-def ellipse_phase(e: EllipseLocus, direction: np.ndarray) -> float:
-    """Phase whose locus point is a positive multiple of the given direction."""
-    return skew_phase(e.axis_major, e.axis_minor, direction)
-
-
-def shift_angle(gamma: float, phi2: float) -> float:
-    """Parametric shift between the skewed and canonical phases of the
-    second inner ellipse, as a closed form in the two driving angles."""
-    cg = math.cos(gamma)
-    sg2 = math.sin(0.5 * gamma)
-    x = (
-        4.0
-        * math.sin(phi2)
-        * math.cos(0.5 * gamma)
-        * sg2 * sg2
-        * math.sqrt(max(3.0 - cg + (1.0 + cg) * math.cos(2.0 * phi2), 0.0))
-    )
-    y = math.cos(2.0 * phi2) * math.sin(gamma) ** 2 + 4.0 * sg2 ** 4
-    return 0.5 * math.atan2(x, y)
-
-
-def _axis_ratio(half_angle_sin: float, phase: float) -> float:
-    return math.sqrt(math.cos(phase) ** 2 + (half_angle_sin * math.sin(phase)) ** 2)
-
-
-def inner_lengths(
-    len0: float, len4: float, gamma: float, phi2: float, theta1: float
-) -> tuple[float, float, float]:
-    """Lengths of the three inner hodograph control points.
-
-    Valid in the reference position where the first spherical point is the
-    generator axis; theta1 is then the canonical phase of the first inner
-    ellipse and the second one is shifted by ``shift_angle``.
-    """
-    if len0 <= 0 or len4 <= 0:
-        raise ValidationError("outer control lengths must be positive")
-    sg2 = math.sin(0.5 * gamma)
-    l2 = math.sqrt(len0 * len4) * _axis_ratio(sg2, phi2)
-    # angular distance from either outer spherical point to the middle one
-    q2norm = math.sqrt(1.0 - (math.sin(phi2) * math.cos(0.5 * gamma)) ** 2)
-    cos_delta = math.cos(phi2) * math.cos(0.5 * gamma) / q2norm
-    delta = math.acos(max(-1.0, min(1.0, cos_delta)))
-    sd2 = math.sin(0.5 * delta)
-    l1 = math.sqrt(len0 * l2) * _axis_ratio(sd2, theta1)
-    l3 = math.sqrt(l2 * len4) * _axis_ratio(sd2, theta1 - shift_angle(gamma, phi2))
-    return l1, l2, l3
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Equidistance residuals of the three great-circle membership conditions."""
-
-    middle: float
-    first: float
-    third: float
-
-    def ok(self, tol: float = 1e-9) -> bool:
-        return max(self.middle, self.first, self.third) <= tol
-
-    def residuals(self) -> np.ndarray:
-        return np.array([self.middle, self.first, self.third])
-
-
-def check_admissible_configuration(
-    s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray, s4: np.ndarray
-) -> AdmissibilityReport:
-    """Per-condition residuals for a spherical control-point configuration."""
-    s0, s1, s2, s3, s4 = (unit(s) for s in (s0, s1, s2, s3, s4))
-    return AdmissibilityReport(
-        middle=abs(float(s2 @ s0 - s2 @ s4)),
-        first=abs(float(s1 @ s0 - s1 @ s2)),
-        third=abs(float(s3 @ s4 - s3 @ s2)),
-    )
-
-
-def construct_from_spherical(
-    s0: np.ndarray,
-    s2: np.ndarray,
-    s4: np.ndarray,
-    len0: float,
-    len4: float,
-    theta1: float,
-    axis: np.ndarray | None = None,
-    admissibility_tol: float = 1e-9,
-) -> PreImage:
-    """Generator with prescribed outer spherical points, outer lengths, middle
-    direction, and inner phase.
-
-    By default the axis is the first spherical point, which makes the phase
-    arguments canonical ellipse phases.  The result satisfies the rational-RMF
-    identity by construction and reproduces (s0, s2, s4) exactly.
-    """
-    s0 = unit(s0)
-    s2 = unit(s2)
-    s4 = unit(s4)
-    if np.linalg.norm(cross3(s0, s4)) <= 1e-12:
-        raise DegenerateInputError("outer spherical points must not be parallel")
-    if len0 <= 0 or len4 <= 0:
-        raise ValidationError("outer control lengths must be positive")
-    if abs(float(s2 @ s0 - s2 @ s4)) > admissibility_tol:
-        raise ValidationError(
-            "middle spherical point is not equidistant from the outer ones"
-        )
-    i = s0 if axis is None else unit(axis)
-
-    a0 = quat_sqrt(len0 * s0, i, 0.0)
-    a2_hat = quat_sqrt(len4 * s4, i, 0.0)
-    p_axis = star(a0, a2_hat, i)
-    q_axis = boxop(a0, a2_hat)
-    phi2 = skew_phase(p_axis, q_axis, s2)
-    a2 = a2_hat * Quaternion.versor(i, phi2)
-
-    h2 = math.cos(phi2) * p_axis + math.sin(phi2) * q_axis
-    a1 = quat_sqrt(h2, i, 0.0) * Quaternion.versor(i, theta1)
-    return PreImage(a0, a1, a2, i)
-
-
-def theta1_for_s1(
-    s0: np.ndarray,
-    s2: np.ndarray,
-    s4: np.ndarray,
-    len0: float,
-    len4: float,
-    s1: np.ndarray,
-    axis: np.ndarray | None = None,
-    admissibility_tol: float = 1e-9,
-) -> float:
-    """Inner phase that places the first inner spherical point at s1."""
-    base = construct_from_spherical(s0, s2, s4, len0, len4, 0.0, axis=axis,
-                                    admissibility_tol=admissibility_tol)
-    a1_hat = base.a1  # theta1 = 0 representative
-    p_axis = star(base.a0, a1_hat, base.axis)
-    q_axis = boxop(base.a0, a1_hat)
-    return skew_phase(p_axis, q_axis, unit(s1))
 
 
 # --- rational rotation-minimizing frame -----------------------------------

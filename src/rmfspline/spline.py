@@ -72,11 +72,18 @@ def _unit_reference_tangents(refs: np.ndarray, n_points: int) -> np.ndarray:
     refs = np.asarray(refs, dtype=float)
     if refs.shape != (n_points, 3):
         raise ValidationError("need one reference tangent per stream point")
-    norms = np.linalg.norm(refs, axis=1)
-    ok = np.isfinite(norms) & (norms > 1e-12)
+    # Each finite row is scaled by the power of two that brings its largest
+    # component into [0.5, 1), exactly, so that its norm cannot overflow;
+    # the quotient keeps the bits of the unscaled one.  Only rows scaled
+    # up can have a norm near the zero test, so only they are scaled back.
+    finite = np.isfinite(refs).all(axis=1)
+    _, exps = np.frexp(np.max(np.abs(refs), axis=1))
+    scaled = np.ldexp(np.where(finite[:, None], refs, 0.0), -exps[:, None])
+    norms = np.linalg.norm(scaled, axis=1)
+    ok = finite & (np.ldexp(norms, np.minimum(exps, 0)) > 1e-12)
     if not ok.all():
         raise ValidationError(f"reference tangent {int(np.argmin(ok))} is zero or not finite")
-    return refs / norms[:, None]
+    return scaled / norms[:, None]
 
 
 def _orthonormalized(frame: np.ndarray) -> np.ndarray:

@@ -22,13 +22,17 @@ from rmfspline.ph import (
     curve_from_preimage,
     hodograph_from_preimage,
     ph_identity_residual,
+)
+from rmfspline.quat import angle_between, unit
+from rmfspline.rrmf import is_class_I
+from rmfspline.spherical import (
+    construct_from_spherical,
     reparam_map,
     reparam_scaled_preimage,
     spherical_control_points,
     tangent_indicatrix,
+    theta1_for_s1,
 )
-from rmfspline.quat import angle_between, unit
-from rmfspline.rrmf import construct_from_spherical, is_class_I, theta1_for_s1
 from rmfspline.spline import (
     PointStream,
     build,
@@ -128,7 +132,7 @@ def test_c03_critical_angle_root():
         from rmfspline.quat import bisector, neg_cross
         an = DisplacementAnalysis(gamma=gamma, b=bisector(u, uf), n=neg_cross(u, uf),
                                   q1=u + uf, axes=np.array([u, -v, -w]),
-                                  u_start=u, u_end=uf)
+                                  u_start=u)
         assert np.linalg.norm(an.displacement(math.pi)) <= 1e-10
 
 

@@ -13,14 +13,13 @@ from rmfspline.errors import GeometryError, NoSolutionError, ValidationError
 from rmfspline.hermite import (
     CRITICAL_GAMMA,
     HermiteData,
-    alpha0,
     analyze,
     scaled_displacement_components,
     solve,
     sufficient_condition,
     unit_displacement_b,
 )
-from rmfspline.ph import PreImage, curve_from_preimage, erf_frame
+from rmfspline.ph import PreImage, curve_from_preimage
 from rmfspline.quat import Quaternion, angle_between, bisector, neg_cross, norm3, star, unit
 from rmfspline.rrmf import is_class_I
 
@@ -71,45 +70,6 @@ class TestValidation:
             HermiteData(np.zeros(3), np.array([1.0, 1.0, 0.0]), u, v, w, uf)
 
 
-class TestAlpha0:
-    def test_segment_local_axes_zero(self):
-        rng = np.random.RandomState(2)
-        for _ in range(10):
-            u = unit(rng.randn(3))
-            v = unit(np.cross(rng.randn(3), u))
-            w = np.cross(u, v)
-            assert abs(alpha0(u, v, w, u, -v, -w)) <= 1e-12
-
-    def test_same_axes_quarter_turn(self):
-        rng = np.random.RandomState(3)
-        u = unit(rng.randn(3))
-        v = unit(np.cross(rng.randn(3), u))
-        w = np.cross(u, v)
-        assert alpha0(u, v, w, u, v, w) == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_base_frame_reproduces_prescription(self):
-        # The rotated start coefficient must make the degree-zero frame equal
-        # the prescribed triple, whatever axes are used.
-        from rmfspline.ph import PreImage
-
-        rng = np.random.RandomState(4)
-        for _ in range(10):
-            u = unit(rng.randn(3))
-            v = unit(np.cross(rng.randn(3), u))
-            w = np.cross(u, v)
-            i = unit(u + 0.3 * rng.randn(3))
-            j = unit(np.cross(rng.randn(3), i))
-            k = np.cross(i, j)
-            a0 = alpha0(u, v, w, i, j, k)
-            from rmfspline.quat import Quaternion as Q
-            u0 = Q.pure(bisector(u, i)) * Q.versor(i, a0)
-            p = PreImage(u0, u0, u0, i)
-            f = erf_frame(p, 0.0, axes=np.array([i, j, k]))
-            assert angle_between(f[0], u) <= 1e-9
-            assert angle_between(f[1], v) <= 1e-9
-            assert angle_between(f[2], w) <= 1e-9
-
-
 class TestDisplacement:
     def test_closed_form_matches_quaternion_route(self):
         rng = np.random.RandomState(5)
@@ -125,7 +85,7 @@ class TestDisplacement:
         for gamma in np.linspace(0.1 * math.pi, 0.9 * math.pi, 9):
             d = data_with(gamma, 0.2, seed=7)
             an = analyze(d)
-            assert np.linalg.norm(an.unit_displacement(0.0) - an.b) <= 1e-10
+            assert np.linalg.norm(unit(an.displacement(0.0)) - an.b) <= 1e-10
 
     def test_half_turn_value(self):
         # At the half-turn angle the displacement collapses onto the bisector

@@ -13,15 +13,17 @@ from rmfspline.ph import (
     erf_frame,
     erf_frame_many,
     hodograph_from_preimage,
-    is_degenerate,
     parametric_speed,
     ph_identity_residual,
+)
+from rmfspline.quat import Quaternion, sandwich, star, unit, vnorm_sq
+from rmfspline.spherical import (
+    is_degenerate,
     reparam_map,
     reparam_scaled_preimage,
     spherical_control_points,
     tangent_indicatrix,
 )
-from rmfspline.quat import Quaternion, sandwich, star, unit, vnorm_sq
 
 I = np.array([1.0, 0.0, 0.0])
 

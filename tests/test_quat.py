@@ -12,10 +12,8 @@ from rmfspline.quat import (
     Quaternion,
     angle_between,
     bisector,
-    boxop,
     cross3,
     neg_cross,
-    quat_sqrt,
     rotate,
     sandwich,
     star,
@@ -30,6 +28,7 @@ from rmfspline.quat import (
     vpoly_mul,
     vsandwich,
 )
+from rmfspline.spherical import boxop, quat_sqrt
 
 I = np.array([1.0, 0.0, 0.0])
 J = np.array([0.0, 1.0, 0.0])

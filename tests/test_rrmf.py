@@ -16,24 +16,27 @@ from rmfspline.ph import (
     PreImage,
     curve_from_preimage,
     hodograph_from_preimage,
-    reparam_map,
-    spherical_control_points,
-    tangent_indicatrix,
 )
-from rmfspline.quat import (Quaternion, angle_between, bisector, boxop, orthonormal_completion,
-                            star, unit, vpoly_mul)
+from rmfspline.quat import (Quaternion, angle_between, bisector, orthonormal_completion, star,
+                            unit, vpoly_mul)
 from rmfspline.rrmf import (
-    check_admissible_configuration,
     compute_rational_frame,
-    construct_from_spherical,
-    ellipse_phase,
     frame_from_coefficients,
     han08_residual,
+    is_class_I,
+    solve_frame_polynomials,
+)
+from rmfspline.spherical import (
+    boxop,
+    check_admissible_configuration,
+    construct_from_spherical,
+    ellipse_phase,
     hm_ellipse,
     inner_lengths,
-    is_class_I,
+    reparam_map,
     shift_angle,
-    solve_frame_polynomials,
+    spherical_control_points,
+    tangent_indicatrix,
     theta1_for_s1,
 )
 

@@ -550,7 +550,7 @@ class TestNonFiniteInput:
             build(stream_for(GENERIC1), knots=knots)
 
     @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [math.nan, 0.0, 1.0],
-                                     [1.0, math.inf, 0.0]])
+                                     [1.0, math.inf, 0.0], [1e300, math.inf, 0.0]])
     def test_reference_tangents_rejected(self, row):
         refs = minaj2_tangents(GENERIC1, chord_knots(GENERIC1))
         refs[2] = row
@@ -598,6 +598,27 @@ class TestHugeCoordinates:
         pts, tans = self.helix_at(1e200)
         with pytest.raises(ValidationError, match="stream point 0 has a coordinate beyond"):
             PointStream(points=pts, initial_frame=default_initial_frame(tans[0]))
+
+    def test_huge_reference_tangents(self):
+        # Their squared components overflow; a power-of-two scale must not
+        # change a bit of what build returns.
+        params, pts, tans = sample_curve("helix", 8)
+        stream = PointStream(points=pts, initial_frame=default_initial_frame(tans[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = build(stream, reference_tangents=tans, knots=params)
+            got = build(stream, reference_tangents=tans * 2.0**900, knots=params)
+            for name in ("frames", "control_points", "frame_bezier", "frame_axes"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            for scale in (1e200, 1e300):
+                path = build(stream, reference_tangents=tans * scale, knots=params)
+                assert validate_spline(path, ode_samples=50)["pass"]
+            for row in ([0.0, 0.0, 0.0], [math.nan, 0.0, 1.0]):
+                refs = tans * 1e300
+                refs[2] = row
+                with pytest.raises(ValidationError,
+                                   match="reference tangent 2 is zero or not finite"):
+                    build(stream, reference_tangents=refs, knots=params)
 
 
 @pytest.fixture(scope="module")
