@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from rmfspline import oracle
-from rmfspline.hermite import HermiteData, analyze, solve, sufficient_condition
+from rmfspline.hermite import HermiteData, solve, sufficient_condition
 from rmfspline.quat import angle_between, bisector, neg_cross, unit
 
 u = unit(np.array([1.0, 0.2, -0.1]))

@@ -51,10 +51,9 @@ class VanishingDisplacementError(GeometryError):
 class InfeasibleTurnError(GeometryError):
     """The chord turns too sharply against the incoming tangent."""
 
-    def __init__(self, message: str, tau: float, gap: float | None = None):
+    def __init__(self, message: str, tau: float):
         super().__init__(message)
         self.tau = tau
-        self.gap = gap
 
 
 class SplineBuildError(GeometryError):

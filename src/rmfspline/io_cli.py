@@ -22,7 +22,7 @@ from .hermite import HermiteSolution
 from .ph import PHQuintic, PreImage
 from .quat import Quaternion, angle_between, frame_rows, unit
 from .rrmf import _STACKED_ROWS, RationalFrame
-from .spline import PointStream, SplinePath, build, chord_knots, default_initial_frame
+from .spline import PointStream, SplinePath, build, default_initial_frame
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -310,8 +310,7 @@ def spline_from_dict(doc: dict) -> SplinePath:
     for k, ws in enumerate(rows[..., 0].tolist()):
         pre = PreImage(*(Quaternion._of(w, rows[k, m, 1:]) for m, w in enumerate(ws)),
                        axes[k, 0])
-        frame = RationalFrame(a=w_a[k], b=w_b[k], axes=axes[k], b_bezier=b_bezier[k],
-                              residual=0.0)
+        frame = RationalFrame(a=w_a[k], b=w_b[k], axes=axes[k], b_bezier=b_bezier[k])
         segments.append(HermiteSolution(
             segment=PHQuintic(r0=r0[k], preimage=pre, h=h[k], r=r[k], sigma=sigma[k]),
             frame=frame, mu=mu[k], phi2=phi2[k], theta1=theta1[k], diagnostics={},
@@ -335,10 +334,13 @@ def read_spline_file(path: str) -> SplinePath:
 # --- validation ---------------------------------------------------------------
 
 # Per-segment sample parameters of ``validate_spline``, read-only because
-# every segment shares them.
+# every segment shares them: the orthonormality samples, the samples of
+# ``oracle.reflect_rmf``, and the angular-velocity samples.
 _FRAME_SAMPLES = np.linspace(0.0, 1.0, 101)
+_TRANSPORT_SAMPLES = np.linspace(0.0, 1.0, 501)
 _INTERIOR_SAMPLES = np.linspace(0.05, 0.95, 19)
 _FRAME_SAMPLES.flags.writeable = False
+_TRANSPORT_SAMPLES.flags.writeable = False
 _INTERIOR_SAMPLES.flags.writeable = False
 # Segments per array pass of the identity checks.  The largest temporaries
 # are the convolution terms of ``ph_identity_residuals``, 4 x 9 rows per
@@ -358,7 +360,7 @@ def _orthonormality(frames: np.ndarray) -> np.ndarray:
     ]), axis=-1)
 
 
-def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
+def validate_spline(path_obj: SplinePath) -> dict:
     """Run the full check suite; failures are entries, not exceptions.
 
     The curve and frame-polynomial identities (``ph.ph_identity_residuals``,
@@ -371,7 +373,7 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     angular-velocity samples, and only the normal at the transport samples.
     ``frame_vs_transport`` is the largest angle between each segment's
     rational normal and the double-reflection RMF (``oracle.reflect_rmf``,
-    one call per block) at ``ode_samples`` + 1 uniform parameters.  Every
+    one call per block) at the 501 ``_TRANSPORT_SAMPLES``.  Every
     value equals the one-segment check's bit for bit.
     """
     tol = tolerances()
@@ -405,15 +407,13 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
     # The transport starts from each segment's normal at t = 0, where a
     # Bezier polynomial takes its first coefficient.
     starts = frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes[:, 1:2])[:, 0]
-    ts = np.linspace(0.0, 1.0, ode_samples + 1)  # the samples of ``oracle.reflect_rmf``
-    step = oracle.VELOCITY_STEP
     # One parameter row for all frame checks.
-    params = np.concatenate([_FRAME_SAMPLES, ts,
-                             oracle.velocity_samples(_INTERIOR_SAMPLES, step)])
+    params = np.concatenate([_FRAME_SAMPLES, _TRANSPORT_SAMPLES,
+                             oracle.velocity_samples(_INTERIOR_SAMPLES)])
     # Bernstein basis of the frame quaternions at the parameters: a block's
     # samples are then one matmul, as in ``oracle.reflect_rmf``.
     basis = bern.decasteljau(np.eye(5), params)
-    transport = slice(_FRAME_SAMPLES.size, _FRAME_SAMPLES.size + ts.size)
+    transport = slice(_FRAME_SAMPLES.size, _FRAME_SAMPLES.size + _TRANSPORT_SAMPLES.size)
     ortho = np.empty(len(segments))
     vs_transport = np.empty(len(segments))
     spin = np.empty(len(segments))
@@ -426,10 +426,10 @@ def validate_spline(path_obj: SplinePath, ode_samples: int = 500) -> dict:
                                             quats[:, transport.stop:]], axis=1), axes)
         normals = frame_rows(quats[:, transport], axes[..., 1:2, :])[..., 0, :]
         ortho[block] = _orthonormality(frames[:, :transport.start])
-        _, reflected = oracle.reflect_rmf(curves[block], starts[block], ode_samples)
+        _, reflected = oracle.reflect_rmf(curves[block], starts[block],
+                                          _TRANSPORT_SAMPLES.size - 1)
         vs_transport[block] = oracle.max_unit_angle(normals, reflected)
-        spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.start:], step),
-                             axis=-1)
+        spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.start:]), axis=-1)
 
     for k in range(len(segments)):
         record("ph_identity", k, ph_identity[k], tol["ph_identity"])
@@ -467,9 +467,7 @@ def _cmd_interpolate(args) -> int:
     # Checked before the default frame is derived from them.
     spline._require_stream_points(points)
     refs = doc.get("reference_tangents")
-    if refs is not None:
-        spline._unit_reference_tangents(refs, points.shape[0])
-    params = doc.get("params")
+    knots = doc.get("params") if args.mode == "uniform" else None
 
     if args.frame is not None:
         with open(args.frame, "r", encoding="utf-8") as f:
@@ -477,19 +475,10 @@ def _cmd_interpolate(args) -> int:
     elif "initial_frame" in doc:
         frame = doc["initial_frame"]
     else:
-        if refs is not None:
-            u0 = refs[0]
-        elif points.shape[0] >= 3:
-            knots0 = chord_knots(points) if args.mode == "chord" else spline.uniform_knots(
-                points.shape[0])
-            u0 = spline.minaj2_tangents(points, knots0)[0]
-        else:
-            u0 = points[1] - points[0]
-        frame = default_initial_frame(u0)
+        # The start tangent is the first reference tangent that build uses.
+        _, build_refs = spline.knots_and_tangents(points, args.mode, refs, knots)
+        frame = default_initial_frame(build_refs[0])
 
-    knots = None
-    if args.mode == "uniform" and params is not None:
-        knots = params
     stream = PointStream(points=points, initial_frame=frame)
     path_obj = build(stream, mode=args.mode, reference_tangents=refs, knots=knots)
     write_spline_file(args.out, path_obj)

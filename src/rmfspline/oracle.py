@@ -46,19 +46,20 @@ def _horner(c: list, t: float) -> float:
     return v
 
 
-def integrate_rmf(
-    q: PHQuintic,
-    initial_frame: np.ndarray,
-    n_samples: int = 1000,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> NumericFrameTrace:
+# Relative and absolute tolerances of ``integrate_rmf``'s RK45 solve.
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
+
+
+def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
+                  n_samples: int = 1000) -> NumericFrameTrace:
     """Minimal-rotation transport of the start normal along the segment.
 
-    Integrates f2' = -(f2 . t')t with an adaptive 4/5-order pair and dense
-    output, then projects each sample back onto the exact normal plane.  The
-    stats report the largest norm drift and tangent leak of the raw samples
-    before projection; ``estimated_error`` is the larger of the two.
+    Integrates f2' = -(f2 . t')t with an adaptive 4/5-order pair at
+    ``ODE_RTOL`` and ``ODE_ATOL`` and dense output, then projects each
+    sample back onto the exact normal plane.  The stats report the largest
+    norm drift and tangent leak of the raw samples before projection;
+    ``estimated_error`` is the larger of the two.
 
     The right-hand side evaluates the power-basis coefficients as Python
     floats by Horner's rule in ``numpy.polyval``'s order; only the 3-vector
@@ -91,7 +92,7 @@ def integrate_rmf(
 
     from scipy.integrate import solve_ivp  # here: it slows every CLI start
 
-    sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL,
                     dense_output=True)
     if not sol.success:
         raise ValidationError(f"frame transport integration failed: {sol.message}")
@@ -264,40 +265,38 @@ def sweep_S(gamma: float, grid_size: int = 10000) -> SweepReport:
     )
 
 
-# Default step of the centered frame differences of
-# ``tangential_angular_velocity``, which ``validate_spline`` also takes.
+# Step of the centered frame differences of ``tangential_angular_velocity``
+# and ``validate_spline``.
 VELOCITY_STEP = 1e-5
 
 
-def velocity_samples(ts: np.ndarray, step: float) -> np.ndarray:
-    """The parameters ``ts - step``, ``ts + step`` and ``ts``, concatenated,
-    at which ``velocity_from_frames`` needs the frame."""
+def velocity_samples(ts: np.ndarray) -> np.ndarray:
+    """The parameters ``ts - VELOCITY_STEP``, ``ts + VELOCITY_STEP`` and
+    ``ts``, concatenated, at which ``velocity_from_frames`` needs the frame."""
     ts = np.asarray(ts, dtype=float).ravel()
-    if np.any(ts - step < 0.0) or np.any(ts + step > 1.0):
+    if np.any(ts - VELOCITY_STEP < 0.0) or np.any(ts + VELOCITY_STEP > 1.0):
         raise ValidationError("samples must stay inside the step margin")
-    return np.concatenate([ts - step, ts + step, ts])
+    return np.concatenate([ts - VELOCITY_STEP, ts + VELOCITY_STEP, ts])
 
 
-def velocity_from_frames(frames: np.ndarray, step: float) -> np.ndarray:
+def velocity_from_frames(frames: np.ndarray) -> np.ndarray:
     """|omega . f1| (..., n) from centered finite differences of the frame
     rows (..., 3n, 3, 3) at the ``velocity_samples`` of n parameters."""
     n = frames.shape[-3] // 3
     fm, fp, f0 = frames[..., :n, :, :], frames[..., n:2 * n, :, :], frames[..., 2 * n:, :, :]
     omega = np.zeros(f0.shape[:-2] + (3,))
     for m in range(3):
-        fdot = (fp[..., m, :] - fm[..., m, :]) / (2.0 * step)
+        fdot = (fp[..., m, :] - fm[..., m, :]) / (2.0 * VELOCITY_STEP)
         omega += 0.5 * _vcross(f0[..., m, :], fdot)
     return np.abs(np.sum(omega * f0[..., 0, :], axis=-1))
 
 
-def tangential_angular_velocity(frame: RationalFrame, ts: np.ndarray,
-                                step: float = VELOCITY_STEP) -> np.ndarray:
+def tangential_angular_velocity(frame: RationalFrame, ts: np.ndarray) -> np.ndarray:
     """|omega . f1| from centered finite differences of the frame.
 
     The three sample sets go through one ``frame`` call; each sample's
     value does not depend on the others in the call, so this equals three
     separate calls bit for bit.
     """
-    samples = velocity_samples(ts, step)
-    return velocity_from_frames(np.stack(frame.frame(samples), axis=-2), step)
+    return velocity_from_frames(np.stack(frame.frame(velocity_samples(ts)), axis=-2))
 

@@ -1,10 +1,10 @@
 """Quintic Pythagorean-hodograph curve machinery.
 
 A quadratic quaternion generator drives everything: the degree-4 hodograph,
-the curve control points, the polynomial parametric speed and the
-Euler-Rodrigues frame.  The scalar factor in the hodograph representation
-is fixed to one throughout.  The tangent indicatrix, the degeneracy test
-and the reparametrization are in ``spherical``.
+the curve control points and the polynomial parametric speed.  The scalar
+factor in the hodograph representation is fixed to one throughout.  The
+tangent indicatrix, the degeneracy test and the reparametrization are in
+``spherical``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bernstein as bern
-from .errors import DegenerateCurveError, ValidationError
-from .quat import (_CONJ, Quaternion, _vcross, frame_rows, norm3, orthonormal_completion, vgram,
-                   vmul, vnorm_sq)
+from .errors import ValidationError
+from .quat import _CONJ, Quaternion, _vcross, norm3, vgram, vmul
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,6 @@ class PreImage:
         u = 1.0 - t
         q = (u * u) * self.a0 + (2.0 * u * t) * self.a1 + (t * t) * self.a2
         return q
-
-    def evaluate_many(self, t: np.ndarray) -> np.ndarray:
-        """Quaternion values as wxyz rows for an array of parameters."""
-        return bern.decasteljau(self.coeffs_wxyz, t)
 
 
 # The array kernels below take generators as stacks of Bezier coefficient
@@ -122,11 +117,6 @@ def parametric_speed(p: PreImage) -> np.ndarray:
     return speeds(p.coeffs_wxyz)
 
 
-def arc_length(p: PreImage) -> float:
-    """Closed-form arc length: the average of the speed coefficients."""
-    return float(bern.definite_integral(parametric_speed(p)))
-
-
 @dataclass(frozen=True)
 class PHQuintic:
     """A quintic PH curve: generator, hodograph, control points and speed."""
@@ -155,29 +145,6 @@ def curve_from_preimage(r0: np.ndarray, p: PreImage) -> PHQuintic:
     r0 = np.asarray(r0, dtype=float)
     h, r, sigma = curves(r0, p.coeffs_wxyz, p.axis)
     return PHQuintic(r0=r0, preimage=p, h=h, r=r, sigma=sigma)
-
-
-def erf_frame(p: PreImage, t, axes: np.ndarray | None = None) -> np.ndarray:
-    """Euler-Rodrigues frame rows (e1, e2, e3) at parameter t."""
-    return erf_frame_many(p, [t], axes)[0]
-
-
-def erf_frame_many(p: PreImage, ts: np.ndarray, axes: np.ndarray | None = None) -> np.ndarray:
-    """Euler-Rodrigues frame rows (e1, e2, e3) at each parameter, shape (len(ts), 3, 3).
-
-    axes supplies the right-handed (i, j, k) triple conjugated by the
-    generator; by default the pre-image axis is completed deterministically.
-    """
-    if axes is None:
-        j, k = orthonormal_completion(p.axis)
-        axes = np.array([p.axis, j, k])
-    ts = np.asarray(ts, dtype=float)
-    a = p.evaluate_many(ts)
-    vanishing = vnorm_sq(a) <= 1e-28
-    if np.any(vanishing):
-        t = float(ts[vanishing][0])
-        raise DegenerateCurveError(f"generator vanishes at t = {t}; frame undefined", root=t)
-    return frame_rows(a, axes)
 
 
 def ph_identity_residuals(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:

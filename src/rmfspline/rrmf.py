@@ -185,7 +185,6 @@ class RationalFrame:
     b: np.ndarray
     axes: np.ndarray
     b_bezier: np.ndarray
-    residual: float
 
     def frame(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(f1, f2, f3) rows at scalar t or arrays of shape (len(t), 3)."""
@@ -214,17 +213,13 @@ def frame_beziers(power: np.ndarray, a: np.ndarray, b: np.ndarray,
     return bern.from_power(vpoly_mul(power, w).swapaxes(0, -2)).swapaxes(0, -2)
 
 
-def _build_frame(p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray,
-                 residual: float) -> RationalFrame:
-    b_bez = frame_beziers(p.power_coeffs(), a, b, axes[0])
-    return RationalFrame(a=a, b=b, axes=axes, b_bezier=b_bez, residual=residual)
-
-
 def frame_from_coefficients(
     p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray
 ) -> RationalFrame:
-    """Rebuild a frame from stored polynomial coefficients (no re-solve)."""
-    return _build_frame(p, np.asarray(a, float), np.asarray(b, float), np.asarray(axes, float), 0.0)
+    """The frame of a generator with frame polynomials a and b and axes."""
+    a, b, axes = np.asarray(a, float), np.asarray(b, float), np.asarray(axes, float)
+    b_bez = frame_beziers(p.power_coeffs(), a, b, axes[0])
+    return RationalFrame(a=a, b=b, axes=axes, b_bezier=b_bez)
 
 
 def compute_rational_frame(
@@ -270,7 +265,7 @@ def compute_rational_frame(
         ca, sa = math.cos(phi), math.sin(phi)
         a, b = ca * a - sa * b, sa * a + ca * b
 
-    return _build_frame(p, a, b, axes, resid)
+    return frame_from_coefficients(p, a, b, axes)
 
 
 def rotation_rate_residuals(power: np.ndarray, axis: np.ndarray, a: np.ndarray,

@@ -41,6 +41,10 @@ from .quat import (angle_between, angles_between, bisector, cross3, frame_rows,
 from .rrmf import _STACKED_ROWS
 
 MAX_TURN = 0.8 * math.pi
+# The guards of the end-tangent set: a turning angle (or |u_i x u|, its
+# sine) at or below TURN_FLOOR, or at or above TURN_CEILING, is rejected.
+TURN_FLOOR = 1e-9
+TURN_CEILING = math.pi - TURN_FLOOR
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
 # The largest stream coordinate magnitude accepted.  The interior tangent
 # rule takes fifth powers of chords: in build and validate, helix, torus,
@@ -133,10 +137,6 @@ def chord_knots(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def uniform_knots(n_points: int) -> np.ndarray:
-    return np.arange(n_points, dtype=float)
-
-
 def minaj2_coefficients(h_k: float, h_k1: float) -> tuple[float, float, float, float, float]:
     """Weights (A, B, C, D, E) of the interior reference-tangent rule."""
     a = -h_k1 ** 2 * (2.0 * h_k1 ** 2 + 6.0 * h_k1 * h_k + 3.0 * h_k ** 2)
@@ -210,10 +210,10 @@ def default_initial_frame(u0: np.ndarray) -> np.ndarray:
 def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
     """Membership in the feasible end-tangent set for the local problem."""
     cross = np.linalg.norm(cross3(u_i, u))
-    if cross <= 1e-9:
+    if cross <= TURN_FLOOR:
         return False
     gamma = angle_between(u_i, u)
-    if gamma >= math.pi - 1e-9:
+    if gamma >= TURN_CEILING:
         return False
     if gamma > CRITICAL_GAMMA:
         return True
@@ -222,15 +222,15 @@ def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
 
 def _feasible_arcs(tau: float) -> list[tuple[float, float]]:
     """Arcs (start, end) of psi in (0, 2 pi) on which ``_admissible`` holds
-    on the symmetry circle of turning angle tau, for 1e-9 < tau < pi.
+    on the symmetry circle of turning angle tau, for TURN_FLOOR < tau < pi.
 
     The arcs are symmetric about psi = pi, where gamma takes its largest
     value min(2 tau, 2 pi - 2 tau).  The feasible gamma run from gamma_lo
-    up to that maximum, short of pi - 1e-9, where the cross-product and
+    up to that maximum, short of TURN_CEILING, where the cross-product and
     angle guards reject: then psi = pi is cut out and there are two arcs.
     gamma_lo is CRITICAL_GAMMA, or below it the sign change of
     h(gamma) = cos(tau) / cos(gamma/2) - s_b(gamma), which turns positive
-    once on (0, CRITICAL_GAMMA] if at all, or 1e-9, where the
+    once on (0, CRITICAL_GAMMA] if at all, or TURN_FLOOR, where the
     cross-product guard starts to accept.  The psi of a gamma comes from
     tan(psi/2) = sin(gamma/2) / sqrt(sin(tau - gamma/2) sin(tau + gamma/2)),
     which keeps its digits near psi = pi, where acos would lose them.
@@ -246,7 +246,7 @@ def _feasible_arcs(tau: float) -> list[tuple[float, float]]:
         return 2.0 * math.atan2(math.sin(half), math.sqrt(
             max(math.sin(tau - half) * math.sin(tau + half), 0.0)))
 
-    lo, hi = 1e-9, min(CRITICAL_GAMMA, gamma_max)
+    lo, hi = TURN_FLOOR, min(CRITICAL_GAMMA, gamma_max)
     h_lo, h_hi = h(lo), h(hi)
     if h_lo > 0.0:
         gamma_lo = lo
@@ -257,9 +257,9 @@ def _feasible_arcs(tau: float) -> list[tuple[float, float]]:
     else:
         return []
     start = psi(gamma_lo)
-    if gamma_max < math.pi - 1e-9:
+    if gamma_max < TURN_CEILING:
         return [(start, 2.0 * math.pi - start)]
-    end = psi(math.pi - 1e-9)
+    end = psi(TURN_CEILING)
     return [(start, end), (2.0 * math.pi - end, 2.0 * math.pi - start)]
 
 
@@ -294,7 +294,7 @@ def generate_end_tangent(
             f"turning angle tau = {tau / math.pi:.3f} pi exceeds the 4/5 pi bound",
             tau=tau,
         )
-    if tau <= 1e-9:
+    if tau <= TURN_FLOOR:
         raise DegenerateInputError(
             "chord is aligned with the start tangent; the admissible circle degenerates"
         )
@@ -495,20 +495,11 @@ class SplinePath:
         return pts, frames
 
 
-def build(
-    stream: PointStream,
-    mode: str = "chord",
-    reference_tangents: np.ndarray | None = None,
-    knots: np.ndarray | None = None,
-) -> SplinePath:
-    """Construct the full spline over a stream, chaining frames across knots.
-
-    Reference tangents default to the local finite-difference rules on the
-    chosen knot spacing; analytic callers may pass exact unit tangents.
-    Failures carry the segment index and a midpoint-insertion hint.
-    """
-    points = stream.points
-    n = stream.n_segments
+def knots_and_tangents(points: np.ndarray, mode: str, reference_tangents: np.ndarray | None,
+                       knots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The knots and unit reference tangents of ``build``'s arguments: those
+    given, checked, or the knots of ``mode`` and the local rules' tangents."""
+    n = points.shape[0] - 1
     if knots is not None:
         knots = np.asarray(knots, dtype=float)
         if (knots.shape != (n + 1,) or not np.all(np.isfinite(knots))
@@ -517,7 +508,7 @@ def build(
     elif mode == "chord":
         knots = chord_knots(points)
     elif mode == "uniform":
-        knots = uniform_knots(n + 1)
+        knots = np.arange(n + 1, dtype=float)
     else:
         raise ValidationError(f"unknown parameterization mode: {mode!r}")
 
@@ -528,6 +519,24 @@ def build(
     else:
         du = unit(points[1] - points[0])
         refs = np.array([du, du])
+    return knots, refs
+
+
+def build(
+    stream: PointStream,
+    mode: str = "chord",
+    reference_tangents: np.ndarray | None = None,
+    knots: np.ndarray | None = None,
+) -> SplinePath:
+    """Construct the full spline over a stream, chaining frames across knots.
+
+    Knots and reference tangents are set up by ``knots_and_tangents``;
+    analytic callers may pass exact unit tangents.  Failures carry the
+    segment index and a midpoint-insertion hint.
+    """
+    points = stream.points
+    n = stream.n_segments
+    knots, refs = knots_and_tangents(points, mode, reference_tangents, knots)
 
     frame = stream.initial_frame
     segments: list[HermiteSolution] = []

@@ -33,7 +33,7 @@ from rmfspline.io_cli import (
 from rmfspline.errors import StreamFormatError
 from rmfspline.quat import angle_between
 from rmfspline.rrmf import frame_from_coefficients
-from rmfspline.spline import PointStream, build, default_initial_frame
+from rmfspline.spline import PointStream, build, default_initial_frame, minaj2_tangents
 
 BAD = "0,0,0\n-5,5,2\n2,2,0\n"
 FIXED = "0,0,0\n-5,5,2\n-4,6,-2\n2,2,0\n"
@@ -199,6 +199,24 @@ class TestInterpolateCommand:
         path = read_spline_file(str(out))
         assert np.allclose(path.frames[0], frame, atol=1e-9)
 
+    def test_default_frame_on_the_knots_build_uses(self, tmp_path):
+        # Uniform mode on a stream with a params grid and no frame: the
+        # default frame starts from build's first reference tangent, which
+        # is on the grid, not on integer knots.
+        params, points, _ = sample_curve("spiral", 6)
+        knots = params ** 1.5
+        u0 = minaj2_tangents(points, knots)[0]
+        assert angle_between(u0, minaj2_tangents(points, np.arange(7.0))[0]) > 0.05
+        src = tmp_path / "spiral.json"
+        write_stream_file(str(src), points, params=knots)
+        out = tmp_path / "spiral_spline.json"
+        assert main(["interpolate", "--in", str(src), "--mode", "uniform",
+                     "--out", str(out)]) == EXIT_OK
+        want = tmp_path / "want.json"
+        write_spline_file(str(want), build(PointStream(points, default_initial_frame(u0)),
+                                           mode="uniform", knots=knots))
+        assert out.read_bytes() == want.read_bytes()
+
 
 @pytest.fixture
 def helix_spline(tmp_path):
@@ -360,7 +378,7 @@ class TestValidateCommand:
 
     def test_validate_spline_reports_every_segment(self, tmp_path, helix_spline):
         path = read_spline_file(str(helix_spline))
-        report = validate_spline(path, ode_samples=120)
+        report = validate_spline(path)
         per_segment = [c for c in report["checks"] if c["name"] == "ph_identity"]
         assert len(per_segment) == path.n_segments
 
@@ -378,7 +396,7 @@ def continuity_report_looped(path) -> dict:
     return {"max_tangent_angle": g1, "max_frame_angle": frame_gap}
 
 
-def validate_spline_looped(path_obj, ode_samples: int = 500) -> dict:
+def validate_spline_looped(path_obj) -> dict:
     """Reference: ``validate_spline`` with every check run one segment at a
     time: the identities by their ``np.convolve`` bodies, the frame checks
     through ``RationalFrame.frame``."""
@@ -392,7 +410,7 @@ def validate_spline_looped(path_obj, ode_samples: int = 500) -> dict:
     segments = path_obj.segments
     ts, normals = oracle.reflect_rmf([sol.segment for sol in segments],
                                      [sol.frame.frame_matrix(0.0)[1] for sol in segments],
-                                     ode_samples)
+                                     500)
     for k, sol in enumerate(segments):
         pre = sol.segment.preimage
         record("ph_identity", k, data.ph_identity_residual_looped(sol.segment),
@@ -466,8 +484,6 @@ class TestValidateBlocks:
     def test_experiments_match_per_segment_reference(self, experiment_paths):
         for path in experiment_paths.values():
             assert_matches_reference(validate_spline(path), validate_spline_looped(path))
-            assert_matches_reference(validate_spline(path, ode_samples=120),
-                                     validate_spline_looped(path, ode_samples=120))
 
     def test_walks_match_per_segment_reference(self):
         paths = data.walk_paths(1, 30)

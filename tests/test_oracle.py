@@ -34,7 +34,7 @@ def planar_preimage() -> PreImage:
     )
 
 
-def integrate_rmf_reference(q, initial_frame, n_samples, rtol, atol=1e-12):
+def integrate_rmf_reference(q, initial_frame, n_samples):
     """Reference: ``integrate_rmf`` with its right-hand side written through
     ``npoly.polyval``, as before it went scalar."""
     f2_0 = np.asarray(initial_frame, dtype=float)[1]
@@ -54,7 +54,7 @@ def integrate_rmf_reference(q, initial_frame, n_samples, rtol, atol=1e-12):
         dthat = (dh * s - h * ds) / (s * s)
         return -(y @ dthat) * that
 
-    sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=1e-10, atol=1e-12,
                     dense_output=True)
     ts = np.linspace(0.0, 1.0, n_samples + 1)
     raw = sol.sol(ts).T
@@ -94,11 +94,10 @@ def bitwise_oracle_segments():
 
 class TestIntegrateRMF:
     @pytest.mark.parametrize("n_samples", [200, 500])
-    @pytest.mark.parametrize("rtol", [1e-8, 1e-11])
-    def test_bit_identical_to_polyval_reference(self, n_samples, rtol):
+    def test_bit_identical_to_polyval_reference(self, n_samples):
         for q, frame0 in bitwise_oracle_segments():
-            got = oracle.integrate_rmf(q, frame0, n_samples=n_samples, rtol=rtol)
-            ref = integrate_rmf_reference(q, frame0, n_samples, rtol)
+            got = oracle.integrate_rmf(q, frame0, n_samples=n_samples)
+            ref = integrate_rmf_reference(q, frame0, n_samples)
             for name in ("ts", "f1", "f2", "f3"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             assert got.stats == ref.stats
@@ -169,16 +168,6 @@ class TestIntegrateRMF:
         t_b = oracle.integrate_rmf(sol.segment, f0, n_samples=500)
         chord = np.linalg.norm(t_a.f2 - t_b.f2[::2], axis=1)
         assert float(np.max(2 * np.arcsin(np.clip(0.5 * chord, 0, 1)))) <= 1e-8
-
-    def test_tolerance_refinement_consistency(self):
-        rng = np.random.RandomState(42)
-        d = data.random_hermite_data(rng)
-        sol = solve(d)
-        f0 = sol.frame.frame_matrix(0.0)
-        loose = oracle.integrate_rmf(sol.segment, f0, n_samples=200, rtol=1e-8)
-        tight = oracle.integrate_rmf(sol.segment, f0, n_samples=200, rtol=1e-11)
-        chord = np.linalg.norm(loose.f2 - tight.f2, axis=1)
-        assert float(np.max(chord)) <= 1e-7
 
     def test_stats_reported(self):
         rng = np.random.RandomState(43)

@@ -5,18 +5,17 @@ import pytest
 from scipy.integrate import quad
 
 import conftest as data
+from rmfspline import _bernstein as bern
 from rmfspline.errors import DegenerateCurveError, DegenerateInputError
 from rmfspline.ph import (
     PreImage,
-    arc_length,
     curve_from_preimage,
-    erf_frame,
-    erf_frame_many,
     hodograph_from_preimage,
     parametric_speed,
     ph_identity_residual,
 )
-from rmfspline.quat import Quaternion, sandwich, star, unit, vnorm_sq
+from rmfspline.quat import (Quaternion, frame_rows, orthonormal_completion, sandwich, star, unit,
+                            vnorm_sq)
 from rmfspline.spherical import (
     is_degenerate,
     reparam_map,
@@ -91,7 +90,8 @@ class TestParametricSpeed:
     def test_constant(self):
         sigma = parametric_speed(constant_preimage())
         assert np.allclose(sigma, 1.0)
-        assert arc_length(constant_preimage()) == pytest.approx(1.0)
+        q = curve_from_preimage(np.zeros(3), constant_preimage())
+        assert q.arc_length() == pytest.approx(1.0)
 
     def test_scalar_preimage_midpoint(self):
         one = Quaternion(1.0, np.zeros(3))
@@ -214,38 +214,31 @@ class TestReparameterization:
         assert np.allclose(lengths, data.EX_SCALED_LENGTHS, atol=data.QUOTED_TOL)
 
 
+def erf_frames(p: PreImage, ts) -> np.ndarray:
+    """Euler-Rodrigues frame rows (len(ts), 3, 3): the generator values
+    conjugating the pre-image axis completed to a right-handed triple."""
+    j, k = orthonormal_completion(p.axis)
+    return frame_rows(bern.decasteljau(p.coeffs_wxyz, np.asarray(ts, dtype=float)),
+                      np.array([p.axis, j, k]))
+
+
 class TestFrames:
     def test_constant_matches_axes(self):
-        f = erf_frame(constant_preimage(), 0.37)
+        f = erf_frames(constant_preimage(), [0.37])[0]
         j, k = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
         assert np.allclose(f, [I, j, k], atol=1e-15)
 
     def test_orthonormal_at_random_parameters(self, worked_preimage):
         rng = np.random.RandomState(13)
         ts = rng.uniform(0, 1, 100)
-        frames = erf_frame_many(worked_preimage, ts)
+        frames = erf_frames(worked_preimage, ts)
         for f in frames:
             assert np.max(np.abs(f @ f.T - np.eye(3))) <= 1e-12
             assert np.linalg.det(f) == pytest.approx(1.0, abs=1e-12)
 
-    def test_vanishing_generator_rejected(self):
-        one = Quaternion(1.0, np.zeros(3))
-        p = PreImage(one, -one, one, I)  # (1 - 2t)^2, zero at t = 0.5
-        with pytest.raises(DegenerateCurveError) as err:
-            erf_frame_many(p, [0.1, 0.5, 0.9])
-        assert err.value.root == 0.5
-        with pytest.raises(DegenerateCurveError):
-            erf_frame(p, 0.5)
-
-    def test_single_parameter_matches_batch(self, worked_preimage):
-        ts = np.linspace(0.0, 1.0, 11)
-        frames = erf_frame_many(worked_preimage, ts)
-        for t, f in zip(ts, frames):
-            assert np.array_equal(erf_frame(worked_preimage, t), f)
-
     def test_first_vector_is_tangent(self, worked_preimage):
         ts = np.linspace(0.01, 0.99, 25)
-        frames = erf_frame_many(worked_preimage, ts)
+        frames = erf_frames(worked_preimage, ts)
         ind = tangent_indicatrix(worked_preimage)
         assert np.max(np.linalg.norm(frames[:, 0] - ind.evaluate(ts), axis=1)) <= 1e-12
 
@@ -281,7 +274,7 @@ class TestDegeneracy:
                 r = (1.0 - t0) / t0
                 a2 = (-r * r) * a0 + (-2.0 * r) * a1
                 p = PreImage(a0, a1, a2, data.random_unit(rng))
-            sampled_min = float(np.min(vnorm_sq(p.evaluate_many(ts))))
+            sampled_min = float(np.min(vnorm_sq(bern.decasteljau(p.coeffs_wxyz, ts))))
             flag, _ = is_degenerate(p)
             scale = max(p.a0.norm_sq(), p.a1.norm_sq(), p.a2.norm_sq())
             if flag:
