@@ -221,14 +221,18 @@ class DisplacementAnalysis:
 
 def analyze(d: HermiteData) -> DisplacementAnalysis:
     """Displacement geometry of a segment in its start-frame axes."""
-    gamma = angle_between(d.u, d.u_end)
+    return _analysis(d.u, d.v, d.w, d.u_end)
+
+
+def _analysis(u: np.ndarray, v: np.ndarray, w: np.ndarray,
+              u_end: np.ndarray) -> DisplacementAnalysis:
     return DisplacementAnalysis(
-        gamma=gamma,
-        b=bisector(d.u, d.u_end),
-        n=neg_cross(d.u, d.u_end),
-        q1=d.u + d.u_end,
-        axes=np.array([d.u, -d.v, -d.w]),
-        u_start=d.u,
+        gamma=angle_between(u, u_end),
+        b=bisector(u, u_end),
+        n=neg_cross(u, u_end),
+        q1=u + u_end,
+        axes=np.array([u, -v, -w]),
+        u_start=u,
     )
 
 
@@ -292,12 +296,36 @@ def solve(d: HermiteData) -> HermiteSolution:
     about 38,000 random small-angle data (gamma from 3e-8 to 0.4 pi - 1e-9,
     chords on both sides of the bisector), ties to 1e-12 at tiny gamma
     included.  ``tests/test_hermite.py`` keeps that rule as a reference.
+
+    The local solve is ``_solve_generator``; the curve and the frame follow
+    from its generator by ``curve_from_preimage`` and
+    ``compute_rational_frame``.
     """
-    analysis = analyze(d)
+    axes, generator, mu, phi2, theta1, diagnostics = _solve_generator(
+        d.u, d.v, d.w, d.u_end, d.delta_p)
+    pre = PreImage(*generator, d.u)
+    segment = curve_from_preimage(d.p_start, pre)
+    frame = compute_rational_frame(pre, initial_frame=np.array([d.u, d.v, d.w]), axes=axes)
+    # The last control point is the curve at t = 1, as de Casteljau gives it.
+    diagnostics["endpoint_residual"] = norm3(segment.r[-1] - d.p_end)
+    return HermiteSolution(
+        segment=segment, frame=frame, mu=mu, phi2=phi2, theta1=theta1,
+        diagnostics=diagnostics,
+    )
+
+
+def _solve_generator(u: np.ndarray, v: np.ndarray, w: np.ndarray, u_end: np.ndarray,
+                     dp: np.ndarray) -> tuple[np.ndarray, tuple[Quaternion, Quaternion, Quaternion],
+                                              float, float, float, dict]:
+    """``solve`` up to the generator, on data that meet ``HermiteData``'s
+    checks: start frame rows u, v, w, end tangent u_end and displacement
+    dp.  Returns the algebra axes (u, -v, -w), the generator's Bezier
+    coefficients, mu, phi2, theta1 and the diagnostics."""
+    analysis = _analysis(u, v, w, u_end)
     gamma = analysis.gamma
     b, n = analysis.b, analysis.n
-    du = d.delta_u
-    dnorm = norm3(d.delta_p)
+    dnorm = norm3(dp)
+    du = dp / dnorm
     db = float(du @ b)
     dn = float(du @ n)
 
@@ -379,19 +407,7 @@ def solve(d: HermiteData) -> HermiteSolution:
     diagnostics["s_residual"] = s_residual
 
     mu = math.sqrt(5.0 * dnorm / i_norm)
-    q2_norm = norm3(q2)
-    a0 = mu * Quaternion.pure(d.u)
-    a1 = (mu * math.sqrt(q2_norm)) * u1
-    a2 = mu * u2
-    pre = PreImage(a0, a1, a2, d.u)
-    segment = curve_from_preimage(d.p_start, pre)
-    frame = compute_rational_frame(pre, initial_frame=np.array([d.u, d.v, d.w]),
-                                   axes=analysis.axes)
-
     diagnostics["mu"] = mu
-    # The last control point is the curve at t = 1, as de Casteljau gives it.
-    diagnostics["endpoint_residual"] = norm3(segment.r[-1] - d.p_end)
-    return HermiteSolution(
-        segment=segment, frame=frame, mu=mu, phi2=phi2_hat, theta1=theta1,
-        diagnostics=diagnostics,
-    )
+    q2_norm = norm3(q2)
+    generator = (mu * Quaternion.pure(u), (mu * math.sqrt(q2_norm)) * u1, mu * u2)
+    return analysis.axes, generator, mu, phi2_hat, theta1, diagnostics

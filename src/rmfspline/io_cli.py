@@ -18,10 +18,8 @@ import numpy as np
 from . import _bernstein as bern
 from . import oracle, ph, rrmf, spline
 from .errors import GeometryError, SplineBuildError, StreamFormatError, ValidationError
-from .hermite import HermiteSolution
-from .ph import PHQuintic, PreImage
-from .quat import Quaternion, angle_between, frame_rows, unit
-from .rrmf import _STACKED_ROWS, RationalFrame
+from .quat import angle_between, frame_rows, unit
+from .rrmf import _STACKED_ROWS
 from .spline import PointStream, SplinePath, build, default_initial_frame
 
 EXIT_OK = 0
@@ -273,11 +271,8 @@ def spline_from_dict(doc: dict) -> SplinePath:
 
     Every field is stacked over the segments and checked: shapes, finite
     values, and strictly increasing knots; a malformed document raises
-    ``StreamFormatError`` naming the field and the segment.  The curves
-    (``ph.curves``) and the frame quaternions (``rrmf.frame_beziers``) of
-    all segments are then assembled in one array pass each, bit for bit as
-    ``build`` assembles one segment, and each segment's objects are cut from
-    their rows.
+    ``StreamFormatError`` naming the field and the segment.  The segments
+    are then assembled by ``spline.assemble``, as ``build`` assembles them.
     """
     try:
         if doc.get("version") != "1":
@@ -304,18 +299,8 @@ def spline_from_dict(doc: dict) -> SplinePath:
     except (KeyError, TypeError, IndexError) as exc:
         raise StreamFormatError(f"malformed spline file: {exc!r}") from exc
 
-    h, r, sigma = ph.curves(r0, rows, axes[:, 0])
-    b_bezier = rrmf.frame_beziers(ph.power_rows(rows), w_a, w_b, axes[:, 0])
-    segments = []
-    for k, ws in enumerate(rows[..., 0].tolist()):
-        pre = PreImage(*(Quaternion._of(w, rows[k, m, 1:]) for m, w in enumerate(ws)),
-                       axes[k, 0])
-        frame = RationalFrame(a=w_a[k], b=w_b[k], axes=axes[k], b_bezier=b_bezier[k])
-        segments.append(HermiteSolution(
-            segment=PHQuintic(r0=r0[k], preimage=pre, h=h[k], r=r[k], sigma=sigma[k]),
-            frame=frame, mu=mu[k], phi2=phi2[k], theta1=theta1[k], diagnostics={},
-        ))
-    return SplinePath(knots=knots, segments=segments)
+    return spline.assemble(knots, r0, rows, axes, w_a, w_b, mu, phi2, theta1,
+                           [{} for _ in seg_docs])
 
 
 def read_spline_file(path: str) -> SplinePath:

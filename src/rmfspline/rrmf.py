@@ -22,7 +22,7 @@ from .quat import (_CONJ, Quaternion, _vcross, frame_rows, orthonormal_completio
                    vgram, vpoly_mul)
 
 CLASS_ONE_REL_TOL = 1e-9
-FRAME_REL_TOL = 1e-6  # compute_rational_frame's bound on both relative residuals
+FRAME_REL_TOL = 1e-6  # the bound on both relative residuals of a frame: class-I and polynomial
 
 
 class ClassICheck(NamedTuple):
@@ -110,16 +110,35 @@ def _speed_power_coeffs(p: PreImage) -> np.ndarray:
     return _speed_powers(p.power_coeffs())
 
 
-def _conjugate_pairs(roots: np.ndarray) -> list[complex]:
-    """Representatives (imag >= 0) of the two conjugate root pairs."""
-    pool = list(roots)
-    reps: list[complex] = []
+def _conjugate_pairs(roots: np.ndarray) -> list:
+    """Representatives (imag >= 0) of the two conjugate root pairs, as
+    Python complex numbers (floats where every root is real), with the
+    arithmetic of numpy's complex scalars."""
+    pool = roots.tolist()
+    reps = []
     while pool:
         r = pool.pop(0)
-        k = int(np.argmin([abs(np.conj(r) - s) for s in pool]))
-        s = pool.pop(k)
+        conj = r.conjugate()
+        s = pool.pop(min(range(len(pool)), key=lambda m: abs(conj - pool[m])))
         reps.append(r if r.imag >= s.imag else s)
     return reps
+
+
+# The companion matrix of a monic quartic, less its first row.
+_COMPANION = np.diag(np.ones(3), -1)
+_COMPANION.flags.writeable = False
+
+
+def _quartic_roots(q: np.ndarray) -> np.ndarray:
+    """``np.roots(q[::-1])`` of ascending coefficients q (5,) with q[4] != 0:
+    the eigenvalues of the companion matrix ``np.roots`` builds, without its
+    checks.  A zero constant term, whose root ``np.roots`` splits off, goes
+    through ``np.roots``."""
+    if q[0] == 0.0:
+        return np.roots(q[::-1])
+    companion = _COMPANION.copy()
+    companion[0] = -q[3::-1] / q[4]
+    return np.linalg.eigvals(companion)
 
 
 def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]:
@@ -134,14 +153,18 @@ def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]
     ascending power coefficients and the residual relative to the speed
     coefficient scale.
     """
-    q = _speed_power_coeffs(p)
-    scale = float(np.max(np.abs(q)))
-    if scale <= 0.0:
-        raise FrameConstructionError("zero generator")
     # The frame must cancel the base frame's tangential spin, whose rate is
     # -2 scal(A' i A*)/(A A*); hence the Wronskian must equal the negated
     # rotation-rate coefficients.
-    target = -_rotation_rate_coeffs(p)
+    return _factor_speed(_speed_power_coeffs(p), -_rotation_rate_coeffs(p))
+
+
+def _factor_speed(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``solve_frame_polynomials`` from the speed coefficients q (5,) and the
+    Wronskian target (4,)."""
+    scale = float(np.max(np.abs(q)))
+    if scale <= 0.0:
+        raise FrameConstructionError("zero generator")
     if q[4] <= 1e-10 * scale:
         # Nearly linear generator (nearly straight curve).  Spin-free cases
         # are carried by a constant polynomial; a genuinely spinning one has
@@ -152,11 +175,10 @@ def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]
         raise FrameConstructionError(
             "speed polynomial degree collapse; frame polynomial is not quadratic"
         )
-    roots = np.roots(q[::-1])
-    z1, z2 = _conjugate_pairs(roots)
+    z1, z2 = _conjugate_pairs(_quartic_roots(q))
     lead = math.sqrt(q[4])
     factors = lead * np.array([[r1 * r2, -(r1 + r2), 1.0]
-                               for r1 in (z1, np.conj(z1)) for r2 in (z2, np.conj(z2))])
+                               for r1 in (z1, z1.conjugate()) for r2 in (z2, z2.conjugate())])
     a = np.concatenate([[[math.sqrt(scale), 0.0, 0.0]], factors.real])
     b = np.concatenate([np.zeros((1, 3)), factors.imag])
     # Wronskians a'b - ab' of all five candidates, (5, 4): each coefficient
@@ -222,49 +244,99 @@ def frame_from_coefficients(
     return RationalFrame(a=a, b=b, axes=axes, b_bezier=b_bez)
 
 
-def compute_rational_frame(
-    p: PreImage,
-    initial_frame: np.ndarray | None = None,
-    axes: np.ndarray | None = None,
-) -> RationalFrame:
-    """Rotation-minimizing rational frame of an admissible generator.
+# C(4, k): ``from_power`` forms the last Bezier coefficient of a quartic
+# from its power coefficients p_k as the sum of (p_k C(4, k)) / C(4, k).
+_QUARTIC_BINOMIALS = (1.0, 4.0, 6.0, 4.0, 1.0)
 
-    The free rotation about the axis is fixed so that the second frame
-    vector at t=0 matches initial_frame[1] (when a frame is prescribed).
+
+def _end_quaternion(power: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   axis: np.ndarray) -> list[float]:
+    """``frame_beziers(power, a, b, axis)[-1]``, the frame quaternion at
+    t = 1, of one generator, as four floats, bit for bit.
+
+    The products and sums of ``vpoly_mul`` and the last row of
+    ``from_power`` are repeated on Python floats, each in numpy's order;
+    the dot products stay one ``np.vecdot`` call, which may fuse
+    multiply-adds.
     """
-    rel = is_class_I(p).rel_residual
+    w = np.concatenate([a[:, None], b[:, None] * axis], axis=-1)
+    dots = np.vecdot(power[:, None, 1:], w[None, :, 1:]).tolist()
+    coeffs = [[0.0] * 4 for _ in range(5)]
+    for i, (pw, p1, p2, p3) in enumerate(power.tolist()):
+        for j, (aw, x, y, z) in enumerate(w.tolist()):
+            c = coeffs[i + j]
+            c[0] += pw * aw - dots[i][j]
+            c[1] += (pw * x + aw * p1) + (p2 * z - p3 * y)
+            c[2] += (pw * y + aw * p2) + (p3 * x - p1 * z)
+            c[3] += (pw * z + aw * p3) + (p1 * y - p2 * x)
+    out = [0.0 * v for v in coeffs[0]]
+    for c, binomial in zip(coeffs, _QUARTIC_BINOMIALS):
+        out = [o + (v * binomial) / binomial for o, v in zip(out, c)]
+    return out
+
+
+def _require_class_one(rel: float) -> None:
+    """Raise ``FrameConstructionError`` when a generator's relative class-I
+    residual is above ``FRAME_REL_TOL``."""
     if rel > FRAME_REL_TOL:
         raise FrameConstructionError(
             f"generator does not admit a rational RMF (relative residual {rel:.3e})",
             residual=rel,
         )
-    if axes is None:
-        j, k = orthonormal_completion(p.axis)
-        axes = np.array([p.axis, j, k])
-    else:
-        axes = np.asarray(axes, dtype=float)
-    a, b, resid = solve_frame_polynomials(p)
+
+
+def _rmf_polynomials(power: np.ndarray, axis: np.ndarray, a0: Quaternion, axes: np.ndarray,
+                    normal: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The frame polynomials (a, b) of a class-I generator with power
+    coefficients (3, 4), axis and first coefficient a0, and frame axes.
+
+    ``_factor_speed`` finds them; their relative residual must be at most
+    ``FRAME_REL_TOL``.  The free rotation about the axis is fixed so that
+    the second frame vector at t = 0 matches the normal, when one is given.
+    """
+    a, b, resid = _factor_speed(_speed_powers(power), -_rotation_rates(power, axis))
     if resid > FRAME_REL_TOL:
         raise FrameConstructionError(
             f"no frame polynomial matched the rotation rate (relative residual {resid:.3e})",
             residual=resid,
         )
+    if normal is None:
+        return a, b
+    target = unit(np.asarray(normal, dtype=float))
+    b0 = a0 * Quaternion(a[0], b[0] * axes[0])
+    nsq = b0.norm_sq()
+    if nsq <= 1e-28:
+        raise FrameConstructionError("frame quaternion vanishes at the start point")
+    e2 = sandwich(b0, axes[1]) / nsq
+    e3 = sandwich(b0, axes[2]) / nsq
+    f1 = sandwich(b0, axes[0]) / nsq
+    if abs(float(target @ f1)) > 1e-6:
+        raise ValidationError("prescribed normal is not orthogonal to the start tangent")
+    phi = 0.5 * math.atan2(float(target @ e3), float(target @ e2))
+    ca, sa = math.cos(phi), math.sin(phi)
+    return ca * a - sa * b, sa * a + ca * b
 
-    if initial_frame is not None:
-        target = unit(np.asarray(initial_frame, dtype=float)[1])
-        b0 = p.a0 * Quaternion(a[0], b[0] * axes[0])
-        nsq = b0.norm_sq()
-        if nsq <= 1e-28:
-            raise FrameConstructionError("frame quaternion vanishes at the start point")
-        e2 = sandwich(b0, axes[1]) / nsq
-        e3 = sandwich(b0, axes[2]) / nsq
-        f1 = sandwich(b0, axes[0]) / nsq
-        if abs(float(target @ f1)) > 1e-6:
-            raise ValidationError("prescribed normal is not orthogonal to the start tangent")
-        phi = 0.5 * math.atan2(float(target @ e3), float(target @ e2))
-        ca, sa = math.cos(phi), math.sin(phi)
-        a, b = ca * a - sa * b, sa * a + ca * b
 
+def compute_rational_frame(
+    p: PreImage,
+    initial_frame: np.ndarray | None = None,
+    axes: np.ndarray | None = None,
+) -> RationalFrame:
+    """Rotation-minimizing rational frame of an admissible generator:
+    ``_require_class_one``, ``_rmf_polynomials`` and
+    ``frame_from_coefficients``.
+
+    The free rotation about the axis is fixed so that the second frame
+    vector at t=0 matches initial_frame[1] (when a frame is prescribed).
+    """
+    _require_class_one(is_class_I(p).rel_residual)
+    if axes is None:
+        j, k = orthonormal_completion(p.axis)
+        axes = np.array([p.axis, j, k])
+    else:
+        axes = np.asarray(axes, dtype=float)
+    normal = None if initial_frame is None else np.asarray(initial_frame, dtype=float)[1]
+    a, b = _rmf_polynomials(p.power_coeffs(), p.axis, p.a0, axes, normal)
     return frame_from_coefficients(p, a, b, axes)
 
 

@@ -1,10 +1,13 @@
 """Global spline extension: chaining local segments over a point stream.
 
-Segments are built one after another; each start frame is the previous end
-frame, and each end tangent is chosen on the symmetry circle around the
-chord: u(psi) turns the start tangent u_i about the chord direction du by
-psi, so du . u(psi) = du . u_i = cos(tau) holds on all of it.  On that
-circle the admissibility test depends on the turning angle gamma alone:
+Each segment's start frame is the previous segment's end frame, so ``build``
+finds the end tangents, generators and frame polynomials one segment after
+another, then checks and assembles all segments at once (``assemble``,
+which loading a spline file shares).  Each end tangent is chosen on the
+symmetry circle around the chord: u(psi) turns the start tangent u_i about
+the chord direction du by psi, so du . u(psi) = du . u_i = cos(tau) holds
+on all of it.  On that circle the admissibility test depends on the turning
+angle gamma alone:
 
 - u_i . u(psi) = cos^2(tau) + sin^2(tau) cos(psi), which gives
   sin(gamma/2) = sin(tau) |sin(psi/2)|;
@@ -26,19 +29,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _bernstein as bern
-from . import hermite
+from . import hermite, ph, rrmf
 from .errors import (
     DegenerateInputError,
+    FrameConstructionError,
     GeometryError,
     InfeasibleTurnError,
     NoSolutionError,
+    SplineBuildError,
     ValidationError,
 )
-from .errors import SplineBuildError
-from .hermite import CRITICAL_GAMMA, HermiteData, HermiteSolution, _two_thirds_b
-from .quat import (angle_between, angles_between, bisector, cross3, frame_rows,
+from .hermite import CRITICAL_GAMMA, HermiteSolution, _two_thirds_b
+from .ph import PHQuintic, PreImage
+from .quat import (Quaternion, angle_between, angles_between, bisector, cross3, frame_rows,
                    frame_rows_list, norm3, unit)
-from .rrmf import _STACKED_ROWS
+from .rrmf import _STACKED_ROWS, RationalFrame
 
 MAX_TURN = 0.8 * math.pi
 # The guards of the end-tangent set: a turning angle (or |u_i x u|, its
@@ -499,6 +504,8 @@ def knots_and_tangents(points: np.ndarray, mode: str, reference_tangents: np.nda
                        knots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The knots and unit reference tangents of ``build``'s arguments: those
     given, checked, or the knots of ``mode`` and the local rules' tangents."""
+    if points.shape[0] < 2:
+        raise ValidationError("a stream needs at least two 3D points")
     n = points.shape[0] - 1
     if knots is not None:
         knots = np.asarray(knots, dtype=float)
@@ -531,39 +538,118 @@ def build(
     """Construct the full spline over a stream, chaining frames across knots.
 
     Knots and reference tangents are set up by ``knots_and_tangents``;
-    analytic callers may pass exact unit tangents.  Failures carry the
-    segment index and a midpoint-insertion hint.
+    analytic callers may pass exact unit tangents.  The segments are built
+    in two passes, with ``hermite.solve``'s arithmetic:
+
+    1. Segment after segment, since each start frame is the previous end
+       frame: the end tangent (``generate_end_tangent``), the local solve up
+       to the generator (``hermite._solve_generator``), the frame
+       polynomials in the start frame's gauge (``rrmf._rmf_polynomials``)
+       and the frame at t = 1 (``rrmf._end_quaternion``), orthonormalized.
+    2. Over all segments at once: the class-I check of every generator
+       (``rrmf.class_one_residuals``), ``assemble``, and the endpoint
+       residuals.
+
+    A failure raises ``SplineBuildError`` with the segment index and a
+    midpoint-insertion hint.  It names the first failing segment of either
+    pass; within one segment the class-I check comes before the frame
+    polynomials, as in ``rrmf.compute_rational_frame``.
     """
     points = stream.points
-    n = stream.n_segments
     knots, refs = knots_and_tangents(points, mode, reference_tangents, knots)
 
-    frame = stream.initial_frame
-    segments: list[HermiteSolution] = []
-    prev_du: np.ndarray | None = None
-    for k in range(n):
+    frames = [stream.initial_frame]
+    rows, axes, a_rows, b_rows, solved = [], [], [], [], []
+    failure = None
+    for k in range(stream.n_segments):
+        frame = frames[k]
         dp = points[k + 1] - points[k]
-        du = dp / norm3(dp)
-        gap = None if prev_du is None else angle_between(prev_du, du)
-        tau = angle_between(frame[0], du)
         try:
-            u_f = generate_end_tangent(frame[0], dp, refs[k + 1])
-            data = HermiteData(points[k], points[k + 1], frame[0], frame[1], frame[2], u_f)
-            sol = hermite.solve(data)
+            u_end = generate_end_tangent(frame[0], dp, refs[k + 1])
+            seg_axes, generator, mu, phi2, theta1, diagnostics = hermite._solve_generator(
+                frame[0], frame[1], frame[2], u_end, dp)
+            gen_rows = ph.coefficient_rows(generator)
+            power = ph.power_rows(gen_rows)
+            rows.append(gen_rows)
+            axes.append(seg_axes)
+            a, b = rrmf._rmf_polynomials(power, frame[0], generator[0], seg_axes, frame[1])
         except GeometryError as exc:
-            tau_val = getattr(exc, "tau", None)
-            raise SplineBuildError(
-                f"segment {k}: {exc} ({MIDPOINT_HINT})",
-                segment_index=k,
-                cause=exc,
-                tau=tau_val if tau_val is not None else tau,
-                gap=gap,
-                hint=MIDPOINT_HINT,
-            ) from exc
-        segments.append(sol)
-        frame = _orthonormalized(frame_rows(sol.frame.b_bezier[-1], sol.frame.axes))
-        prev_du = du
+            failure = (k, exc)
+            break
+        a_rows.append(a)
+        b_rows.append(b)
+        solved.append((mu, phi2, theta1, diagnostics))
+        end = frame_rows_list(rrmf._end_quaternion(power, a, b, seg_axes[0]), seg_axes)
+        frames.append(_orthonormalized(np.array(end).reshape(3, 3)))
 
+    # Pass 1 may have stopped before its first generator.
+    rows = np.array(rows).reshape(-1, 3, 4)
+    axes = np.array(axes).reshape(-1, 3, 3)
+    try:
+        for k, rel in enumerate(rrmf.class_one_residuals(rows, axes[:, 0])[1].tolist()):
+            rrmf._require_class_one(rel)
+    except FrameConstructionError as exc:
+        failure = (k, exc)
+    if failure is not None:
+        k, exc = failure
+        raise _segment_error(k, exc, points, frames[k]) from exc
+
+    mu, phi2, theta1, diagnostics = zip(*solved)
+    path = assemble(knots, points[:-1], rows, axes, np.array(a_rows), np.array(b_rows),
+                    mu, phi2, theta1, diagnostics)
+    # The last control point is the curve at t = 1, as de Casteljau gives it.
+    ends = path.control_points[:, -1] - points[1:]
+    for diag, residual in zip(diagnostics, np.sqrt(np.vecdot(ends, ends)).tolist()):
+        diag["endpoint_residual"] = residual
+    return path
+
+
+def _segment_error(k: int, exc: GeometryError, points: np.ndarray,
+                   frame: np.ndarray) -> SplineBuildError:
+    """The ``SplineBuildError`` of segment k, whose start frame is ``frame``:
+    its turning angle tau from the start tangent to the chord (the cause's,
+    if it has one) and the gap, the angle between the previous chord and
+    this one."""
+    def chord(m: int) -> np.ndarray:
+        dp = points[m + 1] - points[m]
+        return dp / norm3(dp)
+
+    du = chord(k)
+    tau = getattr(exc, "tau", None)
+    return SplineBuildError(
+        f"segment {k}: {exc} ({MIDPOINT_HINT})",
+        segment_index=k,
+        cause=exc,
+        tau=angle_between(frame[0], du) if tau is None else tau,
+        gap=None if k == 0 else angle_between(chord(k - 1), du),
+        hint=MIDPOINT_HINT,
+    )
+
+
+def assemble(knots: np.ndarray, r0: np.ndarray, rows: np.ndarray, axes: np.ndarray,
+             a: np.ndarray, b: np.ndarray, mu, phi2, theta1, diagnostics) -> SplinePath:
+    """A path from its segments' data: start points r0 (S, 3), generator
+    Bezier coefficient rows (S, 3, 4), frame axes (S, 3, 3), frame
+    polynomials a and b (S, 3), and mu, phi2, theta1 and diagnostics
+    dictionaries, S of each.
+
+    The curves (``ph.curves``) and the frame quaternions
+    (``rrmf.frame_beziers``) of all segments are assembled in one array
+    pass each, bit for bit as one segment's, and each segment's objects are
+    cut from their rows.  ``build`` and ``io_cli.spline_from_dict`` both
+    assemble through here.
+    """
+    h, r, sigma = ph.curves(r0, rows, axes[:, 0])
+    b_bezier = rrmf.frame_beziers(ph.power_rows(rows), a, b, axes[:, 0])
+    segments = []
+    for k, ws in enumerate(rows[..., 0].tolist()):
+        pre = PreImage(*(Quaternion._of(w, rows[k, m, 1:]) for m, w in enumerate(ws)),
+                       axes[k, 0])
+        segments.append(HermiteSolution(
+            segment=PHQuintic(r0=r0[k], preimage=pre, h=h[k], r=r[k], sigma=sigma[k]),
+            frame=RationalFrame(a=a[k], b=b[k], axes=axes[k], b_bezier=b_bezier[k]),
+            mu=mu[k], phi2=phi2[k], theta1=theta1[k], diagnostics=diagnostics[k],
+        ))
     return SplinePath(knots=knots, segments=segments)
 
 

@@ -144,17 +144,25 @@ def torus_path():
     return rigid_torus_path(1)
 
 
-def walk_paths(seed: int, count: int) -> list:
-    """The splines of the first ``count`` seeded 8-point Gaussian walks of
-    ``bench/workloads.py``, leaving out the walks whose build fails."""
+def walk_streams(seed: int, count: int) -> list:
+    """The first ``count`` seeded 8-point Gaussian walks of
+    ``bench/workloads.py``."""
     rng = np.random.default_rng(seed)
-    paths = []
+    streams = []
     for _ in range(count):
         pts = np.cumsum(rng.normal(size=(8, 3)), axis=0)
         refs = minaj2_tangents(pts, chord_knots(pts))
+        streams.append(PointStream(points=pts, initial_frame=default_initial_frame(refs[0])))
+    return streams
+
+
+def walk_paths(seed: int, count: int) -> list:
+    """The splines of the first ``count`` seeded walks of ``walk_streams``,
+    leaving out the walks whose build fails."""
+    paths = []
+    for stream in walk_streams(seed, count):
         try:
-            paths.append(build(PointStream(points=pts,
-                                           initial_frame=default_initial_frame(refs[0]))))
+            paths.append(build(stream))
         except SplineBuildError:
             pass
     return paths

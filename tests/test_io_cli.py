@@ -174,6 +174,18 @@ class TestInterpolateCommand:
         assert "reference tangent 0 is zero or not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["chord", "uniform"])
+    def test_one_point_stream_exit_code(self, tmp_path, capsys, mode):
+        # No initial frame: the default one would be derived from the stream.
+        _, points, _ = sample_curve("helix", 5)
+        src = tmp_path / "one.json"
+        write_stream_file(str(src), points[:1])
+        out = tmp_path / "one_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--mode", mode, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "a stream needs at least two 3D points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_coordinate_exit_code(self, tmp_path, capsys):
         _, points, _ = sample_curve("helix", 5)
         src = tmp_path / "huge.json"

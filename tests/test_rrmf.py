@@ -504,6 +504,22 @@ class TestFrameSolveKernels:
             count += 1
         assert count > 300
 
+    def test_vanishing_first_coefficient_bitwise_with_loop(self):
+        # A0 = 0 zeroes the speed's constant term, whose root np.roots splits
+        # off before it takes the eigenvalues of a smaller companion matrix.
+        count = 0
+        for p in random_preimages(64, 100):
+            p = PreImage(Quaternion.from_wxyz(np.zeros(4)), p.a1, p.a2, p.axis)
+            q = rrmf._speed_power_coeffs(p)
+            if q[0] != 0.0 or q[4] <= 1e-10 * float(np.max(np.abs(q))):
+                continue
+            ref = frame_polynomials_looped(p)
+            a, b, resid = solve_frame_polynomials(p)
+            assert a.tobytes() == ref[0].tobytes() and b.tobytes() == ref[1].tobytes()
+            assert resid == ref[2]
+            count += 1
+        assert count > 90
+
     def test_tie_goes_to_the_first_candidate(self, monkeypatch):
         # Real root pairs make every quadratic factor real, so all five
         # Wronskians vanish; with a spin-free target all residuals are 0.

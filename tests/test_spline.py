@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest as data
-from rmfspline import rrmf, spline
+from rmfspline import hermite, rrmf, spline
 from rmfspline.errors import (
     DegenerateInputError,
+    FrameConstructionError,
     GeometryError,
     InfeasibleTurnError,
     NoSolutionError,
@@ -23,10 +24,12 @@ from rmfspline.errors import (
 )
 from rmfspline.hermite import CRITICAL_GAMMA, TWO_THIRDS, _two_thirds_b, unit_displacement_b
 from rmfspline.io_cli import read_spline_file, sample_curve, validate_spline, write_spline_file
-from rmfspline.quat import angle_between, angles_between, cross3, unit
+from rmfspline.hermite import HermiteData
+from rmfspline.quat import angle_between, angles_between, cross3, frame_rows, norm3, unit
 from rmfspline.rrmf import is_class_I
 from rmfspline.spline import (
     PointStream,
+    SplinePath,
     _admissible,
     _feasible_arcs,
     build,
@@ -74,6 +77,12 @@ class TestKnots:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValidationError):
             chord_knots(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("mode", ["chord", "uniform"])
+def test_knots_and_tangents_need_two_points(mode):
+    with pytest.raises(ValidationError, match="a stream needs at least two 3D points"):
+        spline.knots_and_tangents(np.array([[1.0, 2.0, 3.0]]), mode, None, None)
 
 
 class TestMinAJ2:
@@ -523,6 +532,144 @@ class TestBuild:
     def test_uniform_mode(self):
         path = build(stream_for(GENERIC2), mode="uniform")
         assert np.allclose(path.knots, np.arange(len(GENERIC2)))
+
+
+def sequential_reference(stream: PointStream, mode: str = "chord",
+                         reference_tangents=None, knots=None) -> SplinePath:
+    """Reference: ``build`` as it was before its two passes, one segment at a
+    time: a checked ``HermiteData`` and ``hermite.solve`` per segment, which
+    assembles the curve and the frame, and the next start frame from the
+    orthonormalized frame rows at t = 1."""
+    points = stream.points
+    knots, refs = spline.knots_and_tangents(points, mode, reference_tangents, knots)
+    frame = stream.initial_frame
+    segments = []
+    prev_du = None
+    for k in range(stream.n_segments):
+        dp = points[k + 1] - points[k]
+        du = dp / norm3(dp)
+        gap = None if prev_du is None else angle_between(prev_du, du)
+        tau = angle_between(frame[0], du)
+        try:
+            u_f = generate_end_tangent(frame[0], dp, refs[k + 1])
+            sol = hermite.solve(HermiteData(points[k], points[k + 1], frame[0], frame[1],
+                                            frame[2], u_f))
+        except GeometryError as exc:
+            tau_val = getattr(exc, "tau", None)
+            raise SplineBuildError(
+                f"segment {k}: {exc} ({spline.MIDPOINT_HINT})", segment_index=k, cause=exc,
+                tau=tau_val if tau_val is not None else tau, gap=gap,
+                hint=spline.MIDPOINT_HINT) from exc
+        segments.append(sol)
+        frame = spline._orthonormalized(frame_rows(sol.frame.b_bezier[-1], sol.frame.axes))
+        prev_du = du
+    return SplinePath(knots=knots, segments=segments)
+
+
+def _bits(value):
+    """A value as what must match bit for bit: floats by their bytes."""
+    if isinstance(value, float):
+        return type(value), np.float64(value).tobytes()
+    return type(value), value
+
+
+def _build_outcome(fn, stream, **kwargs):
+    try:
+        return fn(stream, **kwargs), None
+    except SplineBuildError as exc:
+        return None, exc
+
+
+def _reference_streams():
+    for curve in ("helix", "torus", "spiral"):
+        params, pts, tans = sample_curve(curve, 24)
+        stream = PointStream(points=pts, initial_frame=default_initial_frame(tans[0]))
+        yield f"{curve}-given", stream, {"reference_tangents": tans, "knots": params}
+        yield f"{curve}-chord", stream, {}
+    for k, stream in enumerate(data.walk_streams(1, 24)):
+        yield f"walk-{k}", stream, {}
+
+
+REFERENCE_STREAMS = list(_reference_streams())
+
+
+class TestTwoPassBuild:
+    @pytest.mark.parametrize("stream,kwargs", [(s, kw) for _, s, kw in REFERENCE_STREAMS],
+                             ids=[name for name, _, _ in REFERENCE_STREAMS])
+    def test_bit_identical_to_sequential_reference(self, stream, kwargs):
+        path, exc = _build_outcome(build, stream, **kwargs)
+        ref, ref_exc = _build_outcome(sequential_reference, stream, **kwargs)
+        if ref_exc is not None:
+            assert exc is not None
+            assert (exc.segment_index, type(exc.cause), str(exc), str(exc.cause)) \
+                == (ref_exc.segment_index, type(ref_exc.cause), str(ref_exc), str(ref_exc.cause))
+            assert _bits(exc.tau) == _bits(ref_exc.tau)
+            assert _bits(exc.gap) == _bits(ref_exc.gap)
+            return
+        assert exc is None
+        assert path.knots.tobytes() == ref.knots.tobytes()
+        assert path.frames.tobytes() == ref.frames.tobytes()
+        for sol, want in zip(path.segments, ref.segments, strict=True):
+            for got, exp in ((sol.segment.r, want.segment.r), (sol.segment.h, want.segment.h),
+                             (sol.segment.sigma, want.segment.sigma),
+                             (sol.segment.r0, want.segment.r0),
+                             (sol.segment.preimage.coeffs_wxyz, want.segment.preimage.coeffs_wxyz),
+                             (sol.segment.preimage.axis, want.segment.preimage.axis),
+                             (sol.frame.a, want.frame.a), (sol.frame.b, want.frame.b),
+                             (sol.frame.b_bezier, want.frame.b_bezier),
+                             (sol.frame.axes, want.frame.axes)):
+                assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
+            for got, exp in ((sol.mu, want.mu), (sol.phi2, want.phi2),
+                             (sol.theta1, want.theta1)):
+                assert _bits(got) == _bits(exp)
+            assert list(sol.diagnostics) == list(want.diagnostics)
+            assert [_bits(v) for v in sol.diagnostics.values()] \
+                == [_bits(v) for v in want.diagnostics.values()]
+
+    def test_reference_streams_cover_failures_and_branches(self):
+        failures, branches = set(), set()
+        for _, stream, kwargs in REFERENCE_STREAMS:
+            try:
+                path = sequential_reference(stream, **kwargs)
+            except SplineBuildError as exc:
+                failures.add(type(exc.cause).__name__)
+                continue
+            branches.update(sol.diagnostics["branch"] for sol in path.segments)
+        assert "InfeasibleTurnError" in failures
+        assert {"small-angle", "full-range"} <= branches
+
+    def test_class_one_failure_beats_a_later_turn_error(self, monkeypatch):
+        stream = stream_for(BAD_STREAM)
+        with pytest.raises(SplineBuildError) as err:
+            build(stream, mode="chord")
+        assert err.value.segment_index == 1
+        assert isinstance(err.value.cause, InfeasibleTurnError)
+
+        def flag_every_row(rows, axis):
+            ones = np.ones(np.shape(rows)[:-2])
+            return ones, ones
+
+        monkeypatch.setattr(rrmf, "class_one_residuals", flag_every_row)
+        with pytest.raises(SplineBuildError) as err:
+            build(stream, mode="chord")
+        e = err.value
+        assert e.segment_index == 0
+        assert isinstance(e.cause, FrameConstructionError)
+        assert "does not admit a rational RMF" in str(e.cause)
+        assert e.cause.residual == 1.0
+        du = unit(BAD_STREAM[1] - BAD_STREAM[0])
+        assert e.tau == angle_between(stream.initial_frame[0], du)
+        assert e.gap is None
+
+    def test_class_one_message_beats_the_frame_polynomial_message(self, monkeypatch):
+        monkeypatch.setattr(rrmf, "FRAME_REL_TOL", -1.0)
+        with pytest.raises(SplineBuildError) as err:
+            build(stream_for(GENERIC1), mode="chord")
+        e = err.value
+        assert e.segment_index == 0
+        assert isinstance(e.cause, FrameConstructionError)
+        assert "does not admit a rational RMF" in str(e.cause)
+        assert e.tau is not None and e.gap is None
 
 
 class TestNonFiniteInput:

@@ -12,8 +12,10 @@ hodograph ``h``, speed ``sigma``, frame coefficients ``a`` and ``b``, frame
 Bezier coefficients ``b_bezier`` and the ``repr`` of the named diagnostics
 values in ``DIAGNOSTICS`` (None where a branch sets no such value), so that
 a key the solver stops recording does not move the digest; a stream that
-fails adds its ``SplineBuildError``.  A change that claims a
-bit-identical ``build`` prints the same digest as its parent commit.
+fails adds every field of its ``SplineBuildError``: the segment index, the
+message, the hint, ``tau`` and ``gap``, and the type and ``residual`` (None
+where it has none) of its cause.  A change that claims a bit-identical
+``build`` prints the same digest as its parent commit.
 
 The second digest covers the seed-1 ``reload-query`` torus, saved, loaded,
 saved and loaded again as the benchmark does: every value of
@@ -56,7 +58,8 @@ def update(h, stream) -> tuple[int, int]:
     try:
         path = spline.build(stream, mode="chord")
     except SplineBuildError as exc:
-        h.update(repr((exc.segment_index, type(exc.cause).__name__, str(exc))).encode())
+        h.update(repr((exc.segment_index, type(exc.cause).__name__, str(exc), exc.hint,
+                       exc.tau, exc.gap, getattr(exc.cause, "residual", None))).encode())
         return 0, 1
     h.update(np.asarray(path.knots).tobytes())
     h.update(path.frames.tobytes())
