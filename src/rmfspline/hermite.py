@@ -11,15 +11,15 @@ which of its roots, and why).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NoSolutionError, ValidationError, VanishingDisplacementError
 from .ph import PHQuintic, PreImage, curve_from_preimage
-from .quat import (Quaternion, angle_between, bisector, cross3, neg_cross, norm3, sandwich, star,
-                   unit)
+from .quat import (Quaternion, angle_from_squares, bisector_list, cross3, cross_list, dots,
+                   neg_cross_list, norm3, product_vector, sandwich_list, unit, unit_list)
 from .rrmf import RationalFrame, compute_rational_frame
 
 CRITICAL_GAMMA = 0.4 * math.pi
@@ -150,9 +150,10 @@ _components_many = np.vectorize(scaled_displacement_components, otypes=[float, f
 _unit_b_many = np.vectorize(unit_displacement_b, otypes=[float])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplacementAnalysis:
-    """Quaternion-built evaluators for one segment's displacement geometry.
+    """One segment's displacement geometry: the turning angle gamma, the
+    unit bisector b and normal n of the two tangents, and q1 = u + u_end.
 
     Everything is expressed with the algebra axes (u, -v, -w) of the start
     frame, which zeroes the start-gauge angle; outputs are world vectors.
@@ -163,77 +164,109 @@ class DisplacementAnalysis:
     n: np.ndarray
     q1: np.ndarray
     axes: np.ndarray
-    u_start: np.ndarray
-    _u0: Quaternion = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._u0 is None:
-            self._u0 = Quaternion.pure(self.u_start)
-
-    def u2(self, phi2: float) -> Quaternion:
-        cg2 = math.cos(0.5 * self.gamma)
-        sg2 = math.sin(0.5 * self.gamma)
-        return Quaternion(
-            -math.sin(phi2) * cg2,
-            math.cos(phi2) * self.b + math.sin(phi2) * sg2 * self.n,
-        )
-
-    def units(self, phi2: float) -> tuple[Quaternion, Quaternion, float, np.ndarray]:
-        """(U1, U2, theta1, q2) at the given angle, with the inner phase fixed
-        so the rotated middle direction bisects the two auxiliary points.
-        q2 = star(U0, U2) is the middle hodograph direction."""
-        i = self.axes[0]
-        iq = Quaternion.pure(i)
-        u0 = self._u0
-        u2 = self.u2(phi2)
-        q2 = star(u0, u2, i)
-        s2 = unit(q2)
-        u1_hat = Quaternion.pure(bisector(i, s2))
-        x1 = ((u0 * iq) * u1_hat.conj() - (u1_hat * iq) * u2.conj()).w
-        y1 = -((u0 * u1_hat.conj()) + (u1_hat * u2.conj())).w
-        if abs(x1) < 1e-15 and abs(y1) < 1e-15:
-            theta1 = 0.0
-        else:
-            theta1 = math.atan2(x1, y1)
-        u1 = u1_hat * Quaternion.versor(i, theta1)
-
-        usum = u0 + u2
-        nsum_sq = usum.norm_sq()
-        s02 = sandwich(usum, i) / nsum_sq
-        ssum = s02 + s2
-        target = s2 if norm3(ssum) < 1e-12 else ssum / norm3(ssum)
-        sm = ((usum * iq) * u1.conj()).v / math.sqrt(nsum_sq)
-        if float(sm @ target) < 0.0:
-            theta1 += math.pi
-            u1 = -u1
-        return u1, u2, theta1, q2
-
-    def displacement_from(self, u1: Quaternion, u2: Quaternion, q2: np.ndarray) -> np.ndarray:
-        """The scaled end-to-end displacement of a configuration from ``units``."""
-        q3 = math.sqrt(norm3(q2)) * star(self._u0 + u2, u1, self.axes[0])
-        return self.q1 + q2 + q3
 
     def displacement(self, phi2: float) -> np.ndarray:
         """The scaled end-to-end displacement vector at the given angle."""
-        u1, u2, _, q2 = self.units(phi2)
-        return self.displacement_from(u1, u2, q2)
+        geometry = (self.gamma, self.axes[0].tolist(), self.b.tolist(), self.n.tolist(),
+                    self.q1.tolist())
+        return np.array(_units(geometry, phi2)[-1])
 
 
 def analyze(d: HermiteData) -> DisplacementAnalysis:
     """Displacement geometry of a segment in its start-frame axes."""
-    return _analysis(d.u, d.v, d.w, d.u_end)
+    gamma, _, b, n, q1 = _analysis(d.u.tolist(), d.u_end.tolist())
+    return DisplacementAnalysis(gamma=gamma, b=np.array(b), n=np.array(n), q1=np.array(q1),
+                                axes=np.array([d.u, -d.v, -d.w]))
 
 
-def _analysis(u: np.ndarray, v: np.ndarray, w: np.ndarray,
-              u_end: np.ndarray) -> DisplacementAnalysis:
-    return DisplacementAnalysis(
-        gamma=angle_between(u, u_end),
-        b=bisector(u, u_end),
-        n=neg_cross(u, u_end),
-        q1=u + u_end,
-        axes=np.array([u, -v, -w]),
-        u_start=u,
-    )
+# ``_analysis`` and ``_units`` are the local solve's quaternion algebra on
+# Python floats (see the float forms in ``quat``): 3-vectors are lists of
+# floats, quaternions [w, x, y, z] lists or a scalar part and a 3-vector.
+
+def _analysis(u: list, u_end: list) -> tuple:
+    """The geometry of start and end tangents u and u_end: gamma, u, the
+    unit bisector b, the normal n = -(u x u_end) / |u x u_end| and
+    q1 = u + u_end."""
+    c = cross_list(u, u_end)
+    chord_sq, anti_sq, uu, ee, cc = dots([[x - y for x, y in zip(u, u_end)],
+                                          [x + y for x, y in zip(u, u_end)], u, u_end, c])
+    gamma = angle_from_squares(chord_sq, anti_sq)
+    return (gamma, u, bisector_list(u, u_end, uu, ee), neg_cross_list(c, cc),
+            [x + y for x, y in zip(u, u_end)])
+
+
+def _units(geometry: tuple, phi2: float) -> tuple:
+    """The configuration of a segment with ``_analysis`` geometry at the free
+    angle phi2: (U1, U2, theta1, q2, |q2|, displacement).
+
+    U0 = (0, i) is fixed by the start tangent i.  U2 turns with phi2 about
+    the bisector, and q2 = star(U0, U2) is the middle hodograph direction.
+    U1 = U1^ exp(i theta1), where U1^ is the bisector of i and q2 / |q2|;
+    the inner phase theta1 makes the rotated middle direction bisect the two
+    auxiliary points.  The displacement is the scaled end-to-end one,
+    q1 + q2 + sqrt(|q2|) star(U0 + U2, U1).  U1 and U2 are [w, x, y, z].
+    """
+    gamma, i, b, n, q1 = geometry
+    cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+    sp, cp = math.sin(phi2), math.cos(phi2)
+    u2w = -sp * cg2
+    u2v = [cp * x + (sp * sg2) * y for x, y in zip(b, n)]
+    ni, nu2v = [-x for x in i], [-x for x in u2v]
+    ii, u2i = dots([i, u2v], [i, i])
+
+    # q2 = star(U0, U2) = ((U0 (0, i)) U2* + (U2 (0, i)) U0*).v / 2.
+    aw, av = 0.0 * 0.0 - ii, product_vector(0.0, i, 0.0, i)  # U0 (0, i)
+    cw, cv = u2w * 0.0 - u2i, product_vector(u2w, u2v, 0.0, i)  # U2 (0, i)
+    q2 = [0.5 * (x + y) for x, y in zip(product_vector(aw, av, u2w, nu2v),
+                                        product_vector(cw, cv, 0.0, ni))]
+    q2q2, = dots([q2])
+    s2 = unit_list(q2, q2q2)
+    u1h = bisector_list(i, s2, ii, dots([s2])[0])
+
+    # theta1 = atan2(x1, y1) with x1 = (U0 (0, i) U1^* - U1^ (0, i) U2*).w
+    # and y1 = -(U0 U1^* + U1^ U2*).w; then the sums with U0 + U2.
+    nu1h = [-x for x in u1h]
+    ev = product_vector(0.0, u1h, 0.0, i)  # U1^ (0, i)
+    usw, usv = 0.0 + u2w, [x + y for x, y in zip(i, u2v)]  # U0 + U2
+    a_u1h, u1h_i, e_u2, i_u1h, u1h_u2, usus, usi = dots(
+        [av, u1h, ev, i, u1h, usv, usv], [nu1h, i, nu2v, nu1h, nu2v, usv, i])
+    x1 = (aw * 0.0 - a_u1h) - ((0.0 * 0.0 - u1h_i) * u2w - e_u2)
+    y1 = -((0.0 * 0.0 - i_u1h) + (0.0 * u2w - u1h_u2))
+    if abs(x1) < 1e-15 and abs(y1) < 1e-15:
+        theta1 = 0.0
+    else:
+        theta1 = math.atan2(x1, y1)
+    if abs(math.sqrt(ii) - 1.0) > 1e-10:
+        raise ValidationError("versor axis must be a unit vector")
+    ct, st = math.cos(theta1), math.sin(theta1)
+    rv = [st * x for x in i]
+    u1v = product_vector(0.0, u1h, ct, rv)
+    nu1v = [-x for x in u1v]
+
+    # The sign of U1: sm = ((U0 + U2) (0, i) U1*).v / |U0 + U2| must not
+    # point away from the bisector of s2 and sandwich(U0 + U2, i).
+    nsum_sq = usw * usw + usus
+    s02 = [x / nsum_sq for x in sandwich_list(usw, usv, i, usus, usi)]
+    ssum = [x + y for x, y in zip(s02, s2)]
+    u1h_r, ssss, u1_i, nu1_i = dots([u1h, ssum, u1v, nu1v], [rv, ssum, i, i])
+    u1w = 0.0 * ct - u1h_r
+    fw, fv = usw * 0.0 - usi, product_vector(usw, usv, 0.0, i)  # (U0 + U2) (0, i)
+    sn = math.sqrt(ssss)
+    target = s2 if sn < 1e-12 else [x / sn for x in ssum]
+    root = math.sqrt(nsum_sq)
+    sm = [x / root for x in product_vector(fw, fv, u1w, nu1v)]
+    if dots([sm], [target])[0] < 0.0:
+        theta1 += math.pi
+        u1w, u1v, nu1v, u1_i = -u1w, nu1v, u1v, nu1_i
+
+    # star(U0 + U2, U1) = (((U0 + U2) (0, i)) U1* + (U1 (0, i)) (U0 + U2)*).v / 2.
+    gw, gv = u1w * 0.0 - u1_i, product_vector(u1w, u1v, 0.0, i)  # U1 (0, i)
+    h = [0.5 * (x + y) for x, y in zip(product_vector(fw, fv, u1w, nu1v),
+                                       product_vector(gw, gv, usw, [-x for x in usv]))]
+    q2_norm = math.sqrt(q2q2)
+    scale = math.sqrt(q2_norm)
+    displacement = [(a + q) + scale * x for a, q, x in zip(q1, q2, h)]
+    return [u1w, *u1v], [u2w, *u2v], theta1, q2, q2_norm, displacement
 
 
 def sufficient_condition(d: HermiteData) -> bool:
@@ -297,15 +330,16 @@ def solve(d: HermiteData) -> HermiteSolution:
     chords on both sides of the bisector), ties to 1e-12 at tiny gamma
     included.  ``tests/test_hermite.py`` keeps that rule as a reference.
 
-    The local solve is ``_solve_generator``; the curve and the frame follow
-    from its generator by ``curve_from_preimage`` and
+    The local solve is ``_solve_generator``, on Python floats; the curve
+    and the frame follow from its generator by ``curve_from_preimage`` and
     ``compute_rational_frame``.
     """
-    axes, generator, mu, phi2, theta1, diagnostics = _solve_generator(
-        d.u, d.v, d.w, d.u_end, d.delta_p)
-    pre = PreImage(*generator, d.u)
+    axes, rows, mu, phi2, theta1, diagnostics = _solve_generator(
+        d.u.tolist(), d.v.tolist(), d.w.tolist(), d.u_end.tolist(), d.delta_p.tolist())
+    pre = PreImage(*(Quaternion.from_wxyz(row) for row in rows), d.u)
     segment = curve_from_preimage(d.p_start, pre)
-    frame = compute_rational_frame(pre, initial_frame=np.array([d.u, d.v, d.w]), axes=axes)
+    frame = compute_rational_frame(pre, initial_frame=np.array([d.u, d.v, d.w]),
+                                   axes=np.array(axes))
     # The last control point is the curve at t = 1, as de Casteljau gives it.
     diagnostics["endpoint_residual"] = norm3(segment.r[-1] - d.p_end)
     return HermiteSolution(
@@ -314,27 +348,30 @@ def solve(d: HermiteData) -> HermiteSolution:
     )
 
 
-def _solve_generator(u: np.ndarray, v: np.ndarray, w: np.ndarray, u_end: np.ndarray,
-                     dp: np.ndarray) -> tuple[np.ndarray, tuple[Quaternion, Quaternion, Quaternion],
-                                              float, float, float, dict]:
+def _solve_generator(u: list, v: list, w: list, u_end: list,
+                     dp: list) -> tuple[list, list, float, float, float, dict]:
     """``solve`` up to the generator, on data that meet ``HermiteData``'s
-    checks: start frame rows u, v, w, end tangent u_end and displacement
-    dp.  Returns the algebra axes (u, -v, -w), the generator's Bezier
-    coefficients, mu, phi2, theta1 and the diagnostics."""
-    analysis = _analysis(u, v, w, u_end)
-    gamma = analysis.gamma
-    b, n = analysis.b, analysis.n
-    dnorm = norm3(dp)
-    du = dp / dnorm
-    db = float(du @ b)
-    dn = float(du @ n)
+    checks, as lists of floats: start frame rows u, v, w, end tangent u_end
+    and displacement dp.  Returns the algebra axes (u, -v, -w), the
+    generator's Bezier coefficients as [w, x, y, z] rows, mu, phi2, theta1
+    and the diagnostics."""
+    geometry = _analysis(u, u_end)
+    gamma, _, b, n, q1 = geometry
+    dnorm = math.sqrt(dots([dp])[0])
+    du = [x / dnorm for x in dp]
+    cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)  # once for every f
+    # The chord against the attainable ends at phi2 = 0 and pi: the bisector
+    # and, signed by the closed form at pi, its opposite.
+    sign_pi = math.copysign(1.0, _half_angle_components(cg2, sg2, math.pi)[0])
+    off_0 = [x - y for x, y in zip(b, du)]
+    off_pi = [sign_pi * x - y for x, y in zip(b, du)]
+    db, dn, miss_0, miss_pi, q1q1 = dots([du, du, off_0, off_pi, q1], [b, n, off_0, off_pi, q1])
 
     diagnostics: dict = {"gamma": gamma, "branch": None, "iterations": 0}
 
-    cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)  # once for every f
     phi2_hat: float | None = None
     # Direct hits at the two symmetric angles first.
-    if norm3(b - du) <= 1e-12:
+    if math.sqrt(miss_0) <= 1e-12:
         phi2_hat = 0.0
         diagnostics["branch"] = "direct-hit-0"
     elif cg2 == 1.0:
@@ -345,12 +382,9 @@ def _solve_generator(u: np.ndarray, v: np.ndarray, w: np.ndarray, u_end: np.ndar
             "turning angle too small to resolve: cos(gamma/2) rounds to 1",
             diagnostics={"gamma": gamma, "du_dot_b": db, "du_dot_n": dn},
         )
-    elif abs(gamma - CRITICAL_GAMMA) > GAMMA_WINDOW:
-        ib_pi, _ = _half_angle_components(cg2, sg2, math.pi)
-        s_pi = math.copysign(1.0, ib_pi) * b
-        if norm3(s_pi - du) <= 1e-12:
-            phi2_hat = math.pi
-            diagnostics["branch"] = "direct-hit-pi"
+    elif abs(gamma - CRITICAL_GAMMA) > GAMMA_WINDOW and math.sqrt(miss_pi) <= 1e-12:
+        phi2_hat = math.pi
+        diagnostics["branch"] = "direct-hit-pi"
 
     if phi2_hat is None:
         if abs(dn) < 1e-13:
@@ -395,19 +429,18 @@ def _solve_generator(u: np.ndarray, v: np.ndarray, w: np.ndarray, u_end: np.ndar
         # Not f(root): in floats 2 pi - (2 pi - root) need not be root.
         diagnostics["f_residual"] = abs(f(2.0 * math.pi - phi2_hat if mirror else phi2_hat))
 
-    u1, u2, theta1, q2 = analysis.units(phi2_hat)
-    i_vec = analysis.displacement_from(u1, u2, q2)
-    i_norm = norm3(i_vec)
-    if i_norm <= 1e-12 * max(1.0, norm3(analysis.q1)):
+    u1, u2, theta1, _, q2_norm, i_vec = _units(geometry, phi2_hat)
+    i_norm = math.sqrt(dots([i_vec])[0])
+    if i_norm <= 1e-12 * max(1.0, math.sqrt(q1q1)):
         raise VanishingDisplacementError(
             "scaled displacement vanishes; the segment scale is undefined",
             gamma=gamma, phi2=phi2_hat,
         )
-    s_residual = norm3(i_vec / i_norm - du)
+    s_residual = math.sqrt(dots([[x / i_norm - y for x, y in zip(i_vec, du)]])[0])
     diagnostics["s_residual"] = s_residual
 
     mu = math.sqrt(5.0 * dnorm / i_norm)
     diagnostics["mu"] = mu
-    q2_norm = norm3(q2)
-    generator = (mu * Quaternion.pure(u), (mu * math.sqrt(q2_norm)) * u1, mu * u2)
-    return analysis.axes, generator, mu, phi2_hat, theta1, diagnostics
+    scale = mu * math.sqrt(q2_norm)
+    rows = [[0.0 * mu, *(x * mu for x in u)], [x * scale for x in u1], [x * mu for x in u2]]
+    return [list(u), [-x for x in v], [-x for x in w]], rows, mu, phi2_hat, theta1, diagnostics

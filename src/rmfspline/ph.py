@@ -37,7 +37,7 @@ class PreImage:
     @functools.cached_property
     def coeffs_wxyz(self) -> np.ndarray:
         """Bezier coefficients as wxyz rows, shape (3, 4); cached, read-only."""
-        rows = coefficient_rows((self.a0, self.a1, self.a2))
+        rows = np.array([[q.w, *q.v.tolist()] for q in (self.a0, self.a1, self.a2)])
         rows.flags.writeable = False
         return rows
 
@@ -55,12 +55,6 @@ class PreImage:
         u = 1.0 - t
         q = (u * u) * self.a0 + (2.0 * u * t) * self.a1 + (t * t) * self.a2
         return q
-
-
-def coefficient_rows(coeffs) -> np.ndarray:
-    """A generator's Bezier coefficients (three ``Quaternion``s) as wxyz
-    rows (3, 4)."""
-    return np.array([[q.w, *q.v.tolist()] for q in coeffs])
 
 
 # The array kernels below take generators as stacks of Bezier coefficient

@@ -1,18 +1,23 @@
 """Coordinate-free quaternion algebra and the vector operators built on it.
 
-Two forms of the same algebra.  ``Quaternion`` is a small value object
-(scalar part ``w`` plus 3-vector part ``v``) for constructing one segment;
-pure vectors are numpy arrays of shape (3,).  The wxyz-array kernel
-(``vmul``, ``vpoly_mul``, ``vgram``, ``vsandwich``, ``frame_rows``) works
-on quaternion rows of shape (..., 4) that broadcast against each other,
-for frame polynomials and dense frame evaluation.  Its dot products are
-``np.vecdot``, which rounds each one exactly as 1-D ``@`` does on
-contiguous vectors (the BLAS dot may fuse multiply-adds there, and sums
-strided vectors another way), and its cross products repeat ``np.cross``'s
-arithmetic, as ``cross3`` does for single 3-vectors; so a kernel row equals
-the value-object result bit for bit, whatever the batch around it.
-``frame_rows_list`` is the one-sample case of ``frame_rows`` on Python
-floats, for one-point evaluation.  All operations are side-effect free.
+One algebra in three forms.  ``Quaternion`` is a small value object (scalar
+part ``w`` plus 3-vector part ``v``) for the public API and the spherical
+construction; pure vectors are numpy arrays of shape (3,).  The wxyz-array
+kernel (``vmul``, ``vpoly_mul``, ``vgram``, ``vsandwich``, ``frame_rows``)
+works on quaternion rows of shape (..., 4) that broadcast against each
+other, for stacks of segments and dense frame evaluation.  The one-segment
+forms on Python floats (``dots``, ``cross_list``, ``product_vector``,
+``unit_list``, ``bisector_list``, and ``frame_rows_list``, the one-sample
+case of ``frame_rows``) carry ``build``'s sequential chain, where numpy's
+cost per call on 3- and 4-element arrays outweighs the arithmetic.
+
+The three round alike.  Dot products are numpy's: ``@`` in the value
+object, ``np.vecdot`` elsewhere, which rounds each one exactly as 1-D ``@``
+does on contiguous vectors (the BLAS dot may fuse multiply-adds there, and
+sums strided vectors another way).  Cross products repeat ``np.cross``'s
+arithmetic, and products and sums keep one order, zero terms included, so a
+kernel row or a float result equals the value-object result bit for bit,
+whatever the batch around it.  All operations are side-effect free.
 """
 
 from __future__ import annotations
@@ -25,14 +30,9 @@ from .errors import DegenerateInputError, ValidationError
 
 
 def cross3(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors.
-
-    Same products and subtractions, in the same order, as ``np.cross``, so
-    the result is bit-identical to it.
-    """
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """Cross product of two 3-vectors: ``cross_list`` as an array."""
+    return np.array(cross_list(np.asarray(a, dtype=float).tolist(),
+                               np.asarray(b, dtype=float).tolist()))
 
 
 def norm3(v: np.ndarray) -> float:
@@ -43,22 +43,23 @@ def norm3(v: np.ndarray) -> float:
 def unit(v: np.ndarray) -> np.ndarray:
     """Return v / |v|, raising on (near-)zero input."""
     v = np.asarray(v, dtype=float)
-    n = norm3(v)
-    if n <= 1e-14:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return v / n
+    return np.array(unit_list(v.tolist(), float(v @ v)))
 
 
-def angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle in radians between two unit vectors, accurate near 0 and pi."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def angle_between(a, b) -> float:
+    """Angle in radians between two unit 3-vectors, arrays or sequences of
+    floats, accurate near 0 and pi."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return angle_from_squares(*dots([[a0 - b0, a1 - b1, a2 - b2], [a0 + b0, a1 + b1, a2 + b2]]))
+
+
+def angle_from_squares(chord_sq: float, anti_sq: float) -> float:
+    """``angle_between`` of unit vectors a and b from |a - b|^2 and |a + b|^2."""
     # 2*arcsin(|a-b|/2) avoids the arccos precision cliff near alignment.
-    chord = norm3(a - b)
+    chord = math.sqrt(chord_sq)
     if chord <= 1.0:
         return 2.0 * math.asin(0.5 * chord)
-    anti = norm3(a + b)
-    return math.pi - 2.0 * math.asin(0.5 * min(anti, 2.0))
+    return math.pi - 2.0 * math.asin(0.5 * min(math.sqrt(anti_sq), 2.0))
 
 
 def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,14 +146,9 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            # w1 v2 + w2 v1 + cross3(v1, v2) by components; the dot stays ``@``.
-            w1, w2 = self.w, other.w
-            (a0, a1, a2), (b0, b1, b2) = self.v.tolist(), other.v.tolist()
             return Quaternion._of(
-                w1 * w2 - float(self.v @ other.v),
-                np.array([w1 * b0 + w2 * a0 + (a1 * b2 - a2 * b1),
-                          w1 * b1 + w2 * a1 + (a2 * b0 - a0 * b2),
-                          w1 * b2 + w2 * a2 + (a0 * b1 - a1 * b0)]),
+                self.w * other.w - float(self.v @ other.v),
+                np.array(product_vector(self.w, self.v.tolist(), other.w, other.v.tolist())),
             )
         return Quaternion(self.w * other, self.v * other)
 
@@ -174,10 +170,8 @@ class Quaternion:
 
 def sandwich(q: Quaternion, v: np.ndarray) -> np.ndarray:
     """q v q* for a pure vector v; scales by |q|^2 for non-unit q."""
-    u = q.v
-    w = q.w
-    v = np.asarray(v, dtype=float)
-    return (w * w - float(u @ u)) * v + 2.0 * float(u @ v) * u + 2.0 * w * cross3(u, v)
+    u, v = q.v.tolist(), np.asarray(v, dtype=float).tolist()
+    return np.array(sandwich_list(q.w, u, v, *dots([u, u], [u, v])))
 
 
 def rotate(u: Quaternion, v: np.ndarray) -> np.ndarray:
@@ -195,21 +189,16 @@ def star(a: Quaternion, b: Quaternion, i: np.ndarray) -> np.ndarray:
 
 
 def bisector(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit bisector of two nonzero vectors."""
-    s = unit(v) + unit(w)
-    n = norm3(s)
-    if n <= 1e-12:
-        raise DegenerateInputError("bisector undefined for antipodal directions")
-    return s / n
+    """Unit bisector of two nonzero vectors: ``bisector_list`` as an array."""
+    v, w = np.asarray(v, dtype=float).tolist(), np.asarray(w, dtype=float).tolist()
+    return np.array(bisector_list(v, w, *dots([v, w])))
 
 
 def neg_cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Negatively oriented normalized cross product -(v x w)/|v x w|."""
+    """Negatively oriented normalized cross product -(v x w)/|v x w|:
+    ``neg_cross_list`` as an array."""
     c = cross3(v, w)
-    n = norm3(c)
-    if n <= 1e-14:
-        raise DegenerateInputError("normalized cross product undefined for parallel vectors")
-    return -c / n
+    return np.array(neg_cross_list(c.tolist(), float(c @ c)))
 
 
 # The wxyz-array kernel.
@@ -306,3 +295,69 @@ def frame_rows_list(q: list, axes: np.ndarray) -> list:
                 (a * e1 + dd * y + ww * (z * e0 - x * e2)) / nsq,
                 (a * e2 + dd * z + ww * (x * e1 - y * e0)) / nsq]
     return out
+
+
+# The one-segment forms on Python floats: 3-vectors are sequences of three
+# floats.  Python floats cannot repeat a fused multiply-add, so every dot
+# product goes through ``dots``, and each step of a caller takes its
+# independent dot products in one call.
+
+def dots(xs: list, ys: list | None = None) -> list[float]:
+    """x . y of corresponding 3-vectors (sequences of floats) of xs and ys,
+    or x . x when ys is None, by one ``np.vecdot`` call: each equals the
+    1-D ``@`` of the two vectors as arrays."""
+    x = np.array(xs)
+    return np.vecdot(x, x if ys is None else np.array(ys)).tolist()
+
+
+def cross_list(a, b) -> list[float]:
+    """Cross product of two 3-vectors of floats, by ``np.cross``'s products
+    and subtractions, in its order."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def product_vector(w1: float, a, w2: float, b) -> list[float]:
+    """Vector part w1 b + w2 a + a x b, by components, of the product of
+    quaternions (w1, a) and (w2, b).  The scalar part w1 w2 - a . b needs a
+    dot product, which callers take from ``dots``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [w1 * b0 + w2 * a0 + (a1 * b2 - a2 * b1),
+            w1 * b1 + w2 * a1 + (a2 * b0 - a0 * b2),
+            w1 * b2 + w2 * a2 + (a0 * b1 - a1 * b0)]
+
+
+def sandwich_list(w: float, u, e, uu: float, ue: float) -> list[float]:
+    """q e q* for the quaternion q = (w, u) and a 3-vector e of floats, with
+    u . u = uu and u . e = ue; scales by |q|^2 for non-unit q."""
+    return [((w * w - uu) * x + (2.0 * ue) * y) + (2.0 * w) * z
+            for x, y, z in zip(e, u, cross_list(u, e))]
+
+
+def neg_cross_list(c, cc: float) -> list[float]:
+    """-c / |c| for the cross product c of two 3-vectors, with c . c = cc."""
+    n = math.sqrt(cc)
+    if n <= 1e-14:
+        raise DegenerateInputError("normalized cross product undefined for parallel vectors")
+    return [-x / n for x in c]
+
+
+def unit_list(v, vv: float) -> list[float]:
+    """v / |v| for a 3-vector v of floats with v . v = vv, raising on
+    (near-)zero input."""
+    n = math.sqrt(vv)
+    if n <= 1e-14:
+        raise DegenerateInputError("cannot normalize a zero vector")
+    return [x / n for x in v]
+
+
+def bisector_list(v, w, vv: float, ww: float) -> list[float]:
+    """Unit bisector of nonzero 3-vectors v and w of floats with v . v = vv
+    and w . w = ww."""
+    s = [a + b for a, b in zip(unit_list(v, vv), unit_list(w, ww))]
+    n = math.sqrt(dots([s])[0])
+    if n <= 1e-12:
+        raise DegenerateInputError("bisector undefined for antipodal directions")
+    return [x / n for x in s]

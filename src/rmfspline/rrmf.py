@@ -18,8 +18,8 @@ import numpy as np
 from . import _bernstein as bern
 from .errors import FrameConstructionError, ValidationError
 from .ph import PreImage
-from .quat import (_CONJ, Quaternion, _vcross, frame_rows, orthonormal_completion, sandwich, unit,
-                   vgram, vpoly_mul)
+from .quat import (_CONJ, _vcross, cross_list, dots, frame_rows, orthonormal_completion,
+                   product_vector, sandwich_list, unit_list, vgram, vpoly_mul)
 
 CLASS_ONE_REL_TOL = 1e-9
 FRAME_REL_TOL = 1e-6  # the bound on both relative residuals of a frame: class-I and polynomial
@@ -100,14 +100,26 @@ def _speed_powers(power: np.ndarray) -> np.ndarray:
     return q
 
 
-def _rotation_rate_coeffs(p: PreImage) -> np.ndarray:
-    """``_rotation_rates`` of one generator."""
-    return _rotation_rates(p.power_coeffs(), p.axis)
-
-
-def _speed_power_coeffs(p: PreImage) -> np.ndarray:
-    """``_speed_powers`` of one generator."""
-    return _speed_powers(p.power_coeffs())
+def _speed_and_rates(power: list, axis: list) -> tuple[list, list]:
+    """The speed coefficients (5) and rotation-rate coefficients (4) of one
+    generator, as ``_speed_powers`` and ``_rotation_rates`` give their rows,
+    on Python floats: power coefficients as [w, x, y, z] rows and the axis
+    as lists of floats."""
+    (w0, *v0), (w1, *v1), (w2, *v2) = power
+    # A' = C1 + 2 C2 t; x = A' (0, i) as ``vmul`` forms it, zero terms included.
+    dc = [[c * 1.0 for c in power[1]], [c * 2.0 for c in power[2]]]
+    g00, g01, g02, g11, g12, g22, *ui = dots([v0, v0, v0, v1, v1, v2, dc[0][1:], dc[1][1:]],
+                                             [v0, v1, v2, v1, v2, v2, axis, axis])
+    xs = [(w * 0.0 - d, [(w * i + 0.0 * c) + x for i, c, x in zip(axis, u, cross_list(u, axis))])
+          for (w, *u), d in zip(dc, ui)]
+    y = [[pw * 1.0, p1 * -1.0, p2 * -1.0, p3 * -1.0] for pw, p1, p2, p3 in power]  # A*
+    xy = dots([xu for _, xu in xs for _ in y], [yc[1:] for _ in xs for yc in y])
+    t = [[xw * yc[0] - xy[3 * m + c] for c, yc in enumerate(y)] for m, (xw, _) in enumerate(xs)]
+    speed = [(w0 * w0 + g00) * 1.0, (w0 * w1 + g01) * 2.0,
+             (w0 * w2 + g02) * 2.0 + (w1 * w1 + g11), (w1 * w2 + g12) * 2.0,
+             (w2 * w2 + g22) * 1.0]
+    return speed, [0.0 + t[0][0], (0.0 + t[0][1]) + t[1][0], (0.0 + t[0][2]) + t[1][1],
+                   0.0 + t[1][2]]
 
 
 def _conjugate_pairs(roots: np.ndarray) -> list:
@@ -129,15 +141,15 @@ _COMPANION = np.diag(np.ones(3), -1)
 _COMPANION.flags.writeable = False
 
 
-def _quartic_roots(q: np.ndarray) -> np.ndarray:
-    """``np.roots(q[::-1])`` of ascending coefficients q (5,) with q[4] != 0:
-    the eigenvalues of the companion matrix ``np.roots`` builds, without its
-    checks.  A zero constant term, whose root ``np.roots`` splits off, goes
-    through ``np.roots``."""
+def _quartic_roots(q: list) -> np.ndarray:
+    """``np.roots(q[::-1])`` of ascending coefficients q (5 floats) with
+    q[4] != 0: the eigenvalues of the companion matrix ``np.roots`` builds,
+    without its checks.  A zero constant term, whose root ``np.roots``
+    splits off, goes through ``np.roots``."""
     if q[0] == 0.0:
         return np.roots(q[::-1])
     companion = _COMPANION.copy()
-    companion[0] = -q[3::-1] / q[4]
+    companion[0] = [-x / q[4] for x in q[3::-1]]
     return np.linalg.eigvals(companion)
 
 
@@ -153,25 +165,28 @@ def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]
     ascending power coefficients and the residual relative to the speed
     coefficient scale.
     """
+    a, b, resid = _factor_speed(*_speed_and_rates(p.power_coeffs().tolist(), p.axis.tolist()))
+    return np.array(a), np.array(b), resid
+
+
+def _factor_speed(q: list, rates: list) -> tuple[list, list, float]:
+    """``solve_frame_polynomials`` from the speed coefficients q (5 floats)
+    and the rotation-rate coefficients (4), on Python floats; the quadratic
+    factors come from numpy's complex arithmetic."""
     # The frame must cancel the base frame's tangential spin, whose rate is
     # -2 scal(A' i A*)/(A A*); hence the Wronskian must equal the negated
     # rotation-rate coefficients.
-    return _factor_speed(_speed_power_coeffs(p), -_rotation_rate_coeffs(p))
-
-
-def _factor_speed(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``solve_frame_polynomials`` from the speed coefficients q (5,) and the
-    Wronskian target (4,)."""
-    scale = float(np.max(np.abs(q)))
+    target = [-r for r in rates]
+    scale = max(abs(x) for x in q)
     if scale <= 0.0:
         raise FrameConstructionError("zero generator")
     if q[4] <= 1e-10 * scale:
         # Nearly linear generator (nearly straight curve).  Spin-free cases
         # are carried by a constant polynomial; a genuinely spinning one has
         # no quadratic factorization to offer.
-        spin = float(np.max(np.abs(target)))
+        spin = max(abs(x) for x in target)
         if spin <= 1e-9 * scale:
-            return np.array([math.sqrt(scale), 0.0, 0.0]), np.zeros(3), spin / scale
+            return [math.sqrt(scale), 0.0, 0.0], [0.0, 0.0, 0.0], spin / scale
         raise FrameConstructionError(
             "speed polynomial degree collapse; frame polynomial is not quadratic"
         )
@@ -179,19 +194,20 @@ def _factor_speed(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nda
     lead = math.sqrt(q[4])
     factors = lead * np.array([[r1 * r2, -(r1 + r2), 1.0]
                                for r1 in (z1, z1.conjugate()) for r2 in (z2, z2.conjugate())])
-    a = np.concatenate([[[math.sqrt(scale), 0.0, 0.0]], factors.real])
-    b = np.concatenate([np.zeros((1, 3)), factors.imag])
-    # Wronskians a'b - ab' of all five candidates, (5, 4): each coefficient
-    # is np.convolve's sum of at most two products, written out.
-    da0, da1 = a[:, 1], 2.0 * a[:, 2]
-    db0, db1 = b[:, 1], 2.0 * b[:, 2]
-    wron = np.stack([da0 * b[:, 0] - a[:, 0] * db0,
-                     (da0 * b[:, 1] + da1 * b[:, 0]) - (a[:, 0] * db1 + a[:, 1] * db0),
-                     (da0 * b[:, 2] + da1 * b[:, 1]) - (a[:, 1] * db1 + a[:, 2] * db0),
-                     da1 * b[:, 2] - a[:, 2] * db1], axis=1)
-    resid = np.max(np.abs(wron - target), axis=1)
-    k = int(np.argmin(resid))  # the first of equal residuals wins
-    return a[k], b[k], float(resid[k]) / scale
+    a = [[math.sqrt(scale), 0.0, 0.0], *factors.real.tolist()]
+    b = [[0.0, 0.0, 0.0], *factors.imag.tolist()]
+    # The Wronskians a'b - ab' of all five candidates, each coefficient
+    # np.convolve's sum of at most two products.
+    t0, t1, t2, t3 = target
+    resid = []
+    for (a0, a1, a2), (b0, b1, b2) in zip(a, b):
+        da0, da1, db0, db1 = a1, 2.0 * a2, b1, 2.0 * b2
+        resid.append(max(abs((da0 * b0 - a0 * db0) - t0),
+                         abs(((da0 * b1 + da1 * b0) - (a0 * db1 + a1 * db0)) - t1),
+                         abs(((da0 * b2 + da1 * b1) - (a1 * db1 + a2 * db0)) - t2),
+                         abs((da1 * b2 - a2 * db1) - t3)))
+    k = min(range(5), key=resid.__getitem__)  # the first of equal residuals wins
+    return a[k], b[k], resid[k] / scale
 
 
 @dataclass(frozen=True)
@@ -249,23 +265,22 @@ def frame_from_coefficients(
 _QUARTIC_BINOMIALS = (1.0, 4.0, 6.0, 4.0, 1.0)
 
 
-def _end_quaternion(power: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   axis: np.ndarray) -> list[float]:
+def _end_quaternion(power: list, a: list, b: list, axis: list) -> list[float]:
     """``frame_beziers(power, a, b, axis)[-1]``, the frame quaternion at
-    t = 1, of one generator, as four floats, bit for bit.
+    t = 1, of one generator, as four floats, bit for bit, from lists of
+    floats: power coefficients as [w, x, y, z] rows, frame polynomials a
+    and b, and the axis.
 
     The products and sums of ``vpoly_mul`` and the last row of
-    ``from_power`` are repeated on Python floats, each in numpy's order;
-    the dot products stay one ``np.vecdot`` call, which may fuse
-    multiply-adds.
+    ``from_power`` are repeated on Python floats, each in numpy's order.
     """
-    w = np.concatenate([a[:, None], b[:, None] * axis], axis=-1)
-    dots = np.vecdot(power[:, None, 1:], w[None, :, 1:]).tolist()
+    w = [[aj, bj * axis[0], bj * axis[1], bj * axis[2]] for aj, bj in zip(a, b)]
+    pw_dots = dots([p[1:] for p in power for _ in w], [wj[1:] for _ in power for wj in w])
     coeffs = [[0.0] * 4 for _ in range(5)]
-    for i, (pw, p1, p2, p3) in enumerate(power.tolist()):
-        for j, (aw, x, y, z) in enumerate(w.tolist()):
+    for i, (pw, p1, p2, p3) in enumerate(power):
+        for j, (aw, x, y, z) in enumerate(w):
             c = coeffs[i + j]
-            c[0] += pw * aw - dots[i][j]
+            c[0] += pw * aw - pw_dots[3 * i + j]
             c[1] += (pw * x + aw * p1) + (p2 * z - p3 * y)
             c[2] += (pw * y + aw * p2) + (p3 * x - p1 * z)
             c[3] += (pw * z + aw * p3) + (p1 * y - p2 * x)
@@ -285,16 +300,19 @@ def _require_class_one(rel: float) -> None:
         )
 
 
-def _rmf_polynomials(power: np.ndarray, axis: np.ndarray, a0: Quaternion, axes: np.ndarray,
-                    normal: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _rmf_polynomials(power: list, axis: list, axes: list,
+                     normal: list | None) -> tuple[list, list]:
     """The frame polynomials (a, b) of a class-I generator with power
-    coefficients (3, 4), axis and first coefficient a0, and frame axes.
+    coefficients ([w, x, y, z] rows) and axis, and frame axes, on Python
+    floats.
 
     ``_factor_speed`` finds them; their relative residual must be at most
     ``FRAME_REL_TOL``.  The free rotation about the axis is fixed so that
-    the second frame vector at t = 0 matches the normal, when one is given.
+    the second frame vector at t = 0 matches the normal, when one is given:
+    the frame quaternion there is B0 = A0 (a0 + b0 i), since A(0) = A0 is
+    the first power coefficient, and its frame vectors are B0 e B0* / |B0|^2.
     """
-    a, b, resid = _factor_speed(_speed_powers(power), -_rotation_rates(power, axis))
+    a, b, resid = _factor_speed(*_speed_and_rates(power, axis))
     if resid > FRAME_REL_TOL:
         raise FrameConstructionError(
             f"no frame polynomial matched the rotation rate (relative residual {resid:.3e})",
@@ -302,19 +320,23 @@ def _rmf_polynomials(power: np.ndarray, axis: np.ndarray, a0: Quaternion, axes: 
         )
     if normal is None:
         return a, b
-    target = unit(np.asarray(normal, dtype=float))
-    b0 = a0 * Quaternion(a[0], b[0] * axes[0])
-    nsq = b0.norm_sq()
+    (a0w, *a0v), bw = power[0], a[0]
+    bv = [b[0] * x for x in axes[0]]
+    nn, a0b = dots([normal, a0v], [normal, bv])
+    target = unit_list(normal, nn)
+    b0w, b0v = a0w * bw - a0b, product_vector(a0w, a0v, bw, bv)
+    vv, v1, v2, v0 = dots([b0v] * 4, [b0v, axes[1], axes[2], axes[0]])
+    nsq = b0w * b0w + vv
     if nsq <= 1e-28:
         raise FrameConstructionError("frame quaternion vanishes at the start point")
-    e2 = sandwich(b0, axes[1]) / nsq
-    e3 = sandwich(b0, axes[2]) / nsq
-    f1 = sandwich(b0, axes[0]) / nsq
-    if abs(float(target @ f1)) > 1e-6:
+    e2, e3, f1 = ([x / nsq for x in sandwich_list(b0w, b0v, e, vv, d)]
+                  for e, d in ((axes[1], v1), (axes[2], v2), (axes[0], v0)))
+    t_f1, t_e3, t_e2 = dots([target] * 3, [f1, e3, e2])
+    if abs(t_f1) > 1e-6:
         raise ValidationError("prescribed normal is not orthogonal to the start tangent")
-    phi = 0.5 * math.atan2(float(target @ e3), float(target @ e2))
+    phi = 0.5 * math.atan2(t_e3, t_e2)
     ca, sa = math.cos(phi), math.sin(phi)
-    return ca * a - sa * b, sa * a + ca * b
+    return [ca * x - sa * y for x, y in zip(a, b)], [sa * x + ca * y for x, y in zip(a, b)]
 
 
 def compute_rational_frame(
@@ -335,8 +357,8 @@ def compute_rational_frame(
         axes = np.array([p.axis, j, k])
     else:
         axes = np.asarray(axes, dtype=float)
-    normal = None if initial_frame is None else np.asarray(initial_frame, dtype=float)[1]
-    a, b = _rmf_polynomials(p.power_coeffs(), p.axis, p.a0, axes, normal)
+    normal = None if initial_frame is None else np.asarray(initial_frame, dtype=float)[1].tolist()
+    a, b = _rmf_polynomials(p.power_coeffs().tolist(), p.axis.tolist(), axes.tolist(), normal)
     return frame_from_coefficients(p, a, b, axes)
 
 

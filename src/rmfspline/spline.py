@@ -41,8 +41,8 @@ from .errors import (
 )
 from .hermite import CRITICAL_GAMMA, HermiteSolution, _two_thirds_b
 from .ph import PHQuintic, PreImage
-from .quat import (Quaternion, angle_between, angles_between, bisector, cross3, frame_rows,
-                   frame_rows_list, norm3, unit)
+from .quat import (Quaternion, angle_between, angles_between, bisector_list, cross3, cross_list,
+                   dots, frame_rows, frame_rows_list, norm3, unit, unit_list)
 from .rrmf import _STACKED_ROWS, RationalFrame
 
 MAX_TURN = 0.8 * math.pi
@@ -95,10 +95,16 @@ def _unit_reference_tangents(refs: np.ndarray, n_points: int) -> np.ndarray:
     return scaled / norms[:, None]
 
 
-def _orthonormalized(frame: np.ndarray) -> np.ndarray:
-    u = unit(frame[0])
-    v = unit(frame[1] - float(frame[1] @ u) * u)
-    return np.array([u, v, cross3(u, v)])
+def _orthonormalized(frame) -> list:
+    """Rows u = f0 / |f0|, v, the unit part of f1 orthogonal to u, and
+    u x v, from the first two rows f0 and f1 of frame (sequences of
+    floats), as lists of floats."""
+    f0, f1 = frame[0], frame[1]
+    u = unit_list(f0, dots([f0])[0])
+    d, = dots([f1], [u])
+    v = [x - d * y for x, y in zip(f1, u)]
+    v = unit_list(v, dots([v])[0])
+    return [u, v, cross_list(u, v)]
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,7 @@ class PointStream:
         if float(np.dot(cross3(frame[0], frame[1]), frame[2])) < 0.0:
             raise ValidationError("initial frame must be right-handed")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "initial_frame", _orthonormalized(frame))
+        object.__setattr__(self, "initial_frame", np.array(_orthonormalized(frame.tolist())))
 
     @property
     def n_segments(self) -> int:
@@ -152,17 +158,11 @@ def minaj2_coefficients(h_k: float, h_k1: float) -> tuple[float, float, float, f
     return a, b, c, d, e
 
 
-def minaj2_interior(
-    p_prev: np.ndarray,
-    u_prev: np.ndarray,
-    p_k: np.ndarray,
-    p_next: np.ndarray,
-    h_k: float,
-    h_k1: float,
-) -> np.ndarray:
-    """Raw (unnormalized) interior reference tangent."""
+def minaj2_interior(p_prev, u_prev, p_k, p_next, h_k: float, h_k1: float) -> list[float]:
+    """Raw (unnormalized) interior reference tangent, from 3-vectors and
+    spacings of floats."""
     a, b, c, d, e = minaj2_coefficients(h_k, h_k1)
-    return (a * p_prev + b * u_prev + c * p_k + d * p_next) / e
+    return [(a * w + b * x + c * y + d * z) / e for w, x, y, z in zip(p_prev, u_prev, p_k, p_next)]
 
 
 def minaj2_tangents(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
@@ -170,33 +170,31 @@ def minaj2_tangents(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
     The recursion consumes the already-normalized previous reference, which
     keeps the estimates scale-consistent with unit tangents; each result is
-    normalized before use.
+    normalized before use.  It runs on Python floats, one point after
+    another.
     """
     points = np.asarray(points, dtype=float)
-    knots = np.asarray(knots, dtype=float)
     n = points.shape[0] - 1
     if n < 2:
         raise ValidationError("reference-tangent rules need at least three points")
-    h = np.diff(knots)
-    refs = np.zeros_like(points)
-
-    raw0 = ((points[1] - points[0]) * (h[1] + h[0]) ** 2
-            + (points[1] - points[2]) * h[0] ** 2) / (h[0] * h[1] * (h[1] + h[0]))
-    refs[0] = _ref_unit(raw0, 0)
+    h = np.diff(np.asarray(knots, dtype=float)).tolist()
+    p = points.tolist()
+    h0, h1 = h[0], h[1]
+    refs = [_ref_unit([((y - x) * (h1 + h0) ** 2 + (y - z) * h0 ** 2) / (h0 * h1 * (h1 + h0))
+                       for x, y, z in zip(p[0], p[1], p[2])], 0)]
     for k in range(1, n):
-        raw = minaj2_interior(points[k - 1], refs[k - 1], points[k], points[k + 1],
-                              h[k - 1], h[k])
-        refs[k] = _ref_unit(raw, k)
-    raw_n = 2.0 * (points[n] - points[n - 1]) / h[n - 1] - refs[n - 1]
-    refs[n] = _ref_unit(raw_n, n)
-    return refs
+        refs.append(_ref_unit(minaj2_interior(p[k - 1], refs[k - 1], p[k], p[k + 1],
+                                              h[k - 1], h[k]), k))
+    refs.append(_ref_unit([2.0 * (y - x) / h[n - 1] - r
+                           for x, y, r in zip(p[n - 1], p[n], refs[n - 1])], n))
+    return np.array(refs)
 
 
-def _ref_unit(raw: np.ndarray, index: int) -> np.ndarray:
-    norm = float(np.linalg.norm(raw))
+def _ref_unit(raw: list, index: int) -> list[float]:
+    norm = math.sqrt(dots([raw])[0])
     if norm <= 1e-12:
         raise DegenerateInputError(f"reference tangent at point {index} degenerates to zero")
-    return raw / norm
+    return [x / norm for x in raw]
 
 
 def default_initial_frame(u0: np.ndarray) -> np.ndarray:
@@ -212,17 +210,19 @@ def default_initial_frame(u0: np.ndarray) -> np.ndarray:
     return np.array([u, v, cross3(u, v)])
 
 
-def _admissible(u_i: np.ndarray, u: np.ndarray, du: np.ndarray) -> bool:
-    """Membership in the feasible end-tangent set for the local problem."""
-    cross = np.linalg.norm(cross3(u_i, u))
-    if cross <= TURN_FLOOR:
+def _admissible(u_i, u, du) -> bool:
+    """Membership in the feasible end-tangent set for the local problem, of
+    3-vectors of floats."""
+    c = cross_list(u_i, u)
+    cc, ii, uu = dots([c, u_i, u])
+    if math.sqrt(cc) <= TURN_FLOOR:
         return False
     gamma = angle_between(u_i, u)
     if gamma >= TURN_CEILING:
         return False
     if gamma > CRITICAL_GAMMA:
         return True
-    return float(bisector(u_i, u) @ du) - _two_thirds_b(gamma) > 0.0
+    return dots([bisector_list(u_i, u, ii, uu)], [du])[0] - _two_thirds_b(gamma) > 0.0
 
 
 def _feasible_arcs(tau: float) -> list[tuple[float, float]]:
@@ -287,12 +287,11 @@ def generate_end_tangent(
     closed-form value.  The objective is then maximized over points a small
     margin inside each arc's ends, and over psi* where an arc holds it.
     ``_admissible`` checks every candidate, so it alone decides the
-    returned tangent.
+    returned tangent.  The search runs on Python floats.
     """
-    u_i = unit(u_i)
-    du = unit(np.asarray(delta_p, dtype=float))
-    u_ref = unit(u_ref)
-    cos_tau = max(-1.0, min(1.0, float(u_i @ du)))
+    ii, dd, rr = dots([u_i, delta_p, u_ref])
+    u_i, du, u_ref = unit_list(u_i, ii), unit_list(delta_p, dd), unit_list(u_ref, rr)
+    cos_tau = max(-1.0, min(1.0, dots([u_i], [du])[0]))
     tau = math.acos(cos_tau)
     if tau >= MAX_TURN:
         raise InfeasibleTurnError(
@@ -304,23 +303,27 @@ def generate_end_tangent(
             "chord is aligned with the start tangent; the admissible circle degenerates"
         )
     sin_tau = math.sin(tau)
-    radial = u_i - cos_tau * du
-    e1 = radial / sin_tau
-    e2 = cross3(du, e1)
+    radial = [x - cos_tau * y for x, y in zip(u_i, du)]
+    e1 = [x / sin_tau for x in radial]
+    e2 = cross_list(du, e1)
 
-    def point(psi: float) -> np.ndarray:
-        return cos_tau * du + sin_tau * (math.cos(psi) * e1 + math.sin(psi) * e2)
+    def point(psi: float) -> list[float]:
+        c, s = math.cos(psi), math.sin(psi)
+        return [cos_tau * x + sin_tau * (c * y + s * z) for x, y, z in zip(du, e1, e2)]
 
     def feasible(psi: float) -> bool:
         return _admissible(u_i, point(psi), du)
 
-    g1 = float(u_ref @ e1)
-    g2 = float(u_ref @ e2)
+    def unit_point(psi: float) -> np.ndarray:
+        u = point(psi)
+        return np.array(unit_list(u, dots([u])[0]))
+
+    g1, g2, radial_sq = dots([u_ref, u_ref, radial], [e1, e2, radial])
     degenerate_objective = math.hypot(g1, g2) <= 1e-13
     if not degenerate_objective:
         psi_star = math.atan2(g2, g1)
         if feasible(psi_star):
-            return unit(point(psi_star))
+            return unit_point(psi_star)
 
     def pin(psi: float, lo_state: bool) -> float:
         # Bisection down to adjacent floats within 1e-13 of a closed-form
@@ -343,7 +346,7 @@ def generate_end_tangent(
     # the circle's radius is |radial|, which keeps the digits of a small tau
     # that acos loses.
     arcs = [(pin(s, False), pin(e, True))
-            for s, e in _feasible_arcs(math.atan2(norm3(radial), cos_tau))]
+            for s, e in _feasible_arcs(math.atan2(math.sqrt(radial_sq), cos_tau))]
     if not arcs:
         raise NoSolutionError(
             "no admissible end tangent on the chord circle",
@@ -366,8 +369,9 @@ def generate_end_tangent(
             "feasible arcs collapsed below the boundary margin",
             diagnostics={"tau": tau, "arcs": arcs},
         )
-    best = max(candidates, key=lambda p: float(point(p) @ u_ref))
-    return unit(point(best))
+    # The first of equal alignments wins, as with ``max``.
+    alignment = dots([point(c) for c in candidates], [u_ref] * len(candidates))
+    return unit_point(candidates[max(range(len(candidates)), key=alignment.__getitem__)])
 
 
 @dataclass(frozen=True)
@@ -412,8 +416,8 @@ class SplinePath:
             packed.flags.writeable = False
             object.__setattr__(self, name, packed)
         # The end frame at t = 1, where de Casteljau gives the last coefficient.
-        end = _orthonormalized(frame_rows(self.frame_bezier[-1, -1], self.frame_axes[-1]))
-        frames = np.concatenate([self.frame_axes * [[1.0], [-1.0], [-1.0]], end[None]])
+        end = _orthonormalized(frame_rows(self.frame_bezier[-1, -1], self.frame_axes[-1]).tolist())
+        frames = np.concatenate([self.frame_axes * [[1.0], [-1.0], [-1.0]], [end]])
         frames.flags.writeable = False
         object.__setattr__(self, "frames", frames)
 
@@ -546,6 +550,8 @@ def build(
        to the generator (``hermite._solve_generator``), the frame
        polynomials in the start frame's gauge (``rrmf._rmf_polynomials``)
        and the frame at t = 1 (``rrmf._end_quaternion``), orthonormalized.
+       This chain runs on Python floats (the one-segment forms of
+       ``quat``), bit for bit as on ``Quaternion`` objects and arrays.
     2. Over all segments at once: the class-I check of every generator
        (``rrmf.class_one_residuals``), ``assemble``, and the endpoint
        residuals.
@@ -558,29 +564,33 @@ def build(
     points = stream.points
     knots, refs = knots_and_tangents(points, mode, reference_tangents, knots)
 
-    frames = [stream.initial_frame]
+    # Pass 1 runs on Python floats.
+    pts, refs = points.tolist(), refs.tolist()
+    frames = [stream.initial_frame.tolist()]
     rows, axes, a_rows, b_rows, solved = [], [], [], [], []
     failure = None
     for k in range(stream.n_segments):
         frame = frames[k]
-        dp = points[k + 1] - points[k]
+        dp = [y - x for x, y in zip(pts[k], pts[k + 1])]
         try:
-            u_end = generate_end_tangent(frame[0], dp, refs[k + 1])
-            seg_axes, generator, mu, phi2, theta1, diagnostics = hermite._solve_generator(
+            u_end = generate_end_tangent(frame[0], dp, refs[k + 1]).tolist()
+            seg_axes, gen_rows, mu, phi2, theta1, diagnostics = hermite._solve_generator(
                 frame[0], frame[1], frame[2], u_end, dp)
-            gen_rows = ph.coefficient_rows(generator)
-            power = ph.power_rows(gen_rows)
             rows.append(gen_rows)
             axes.append(seg_axes)
-            a, b = rrmf._rmf_polynomials(power, frame[0], generator[0], seg_axes, frame[1])
+            # ``ph.power_rows`` of the generator.
+            a0, a1, a2 = gen_rows
+            power = [a0, [2.0 * (y - x) for x, y in zip(a0, a1)],
+                     [(x - 2.0 * y) + z for x, y, z in zip(a0, a1, a2)]]
+            a, b = rrmf._rmf_polynomials(power, frame[0], seg_axes, frame[1])
         except GeometryError as exc:
             failure = (k, exc)
             break
         a_rows.append(a)
         b_rows.append(b)
         solved.append((mu, phi2, theta1, diagnostics))
-        end = frame_rows_list(rrmf._end_quaternion(power, a, b, seg_axes[0]), seg_axes)
-        frames.append(_orthonormalized(np.array(end).reshape(3, 3)))
+        end = frame_rows_list(rrmf._end_quaternion(power, a, b, seg_axes[0]), np.array(seg_axes))
+        frames.append(_orthonormalized((end[:3], end[3:6])))
 
     # Pass 1 may have stopped before its first generator.
     rows = np.array(rows).reshape(-1, 3, 4)

@@ -12,7 +12,7 @@ from rmfspline.hermite import HermiteData
 from rmfspline.io_cli import sample_curve
 from rmfspline.ph import PreImage
 from rmfspline.quat import Quaternion, bisector, neg_cross, norm3, sandwich, unit
-from rmfspline.rrmf import _rotation_rate_coeffs, _speed_power_coeffs
+from rmfspline.rrmf import _rotation_rates, _speed_powers
 from rmfspline.spline import (
     PointStream,
     build,
@@ -201,8 +201,8 @@ def han08_residual_looped(p: PreImage, frame) -> float:
     da = np.array([a[1], 2.0 * a[2]])
     db = np.array([b[1], 2.0 * b[2]])
     wron = np.convolve(da, b) - np.convolve(a, db)
-    q = _speed_power_coeffs(p)
-    lhs = np.convolve(_rotation_rate_coeffs(p), wnorm)
+    q = _speed_powers(p.power_coeffs())
+    lhs = np.convolve(_rotation_rates(p.power_coeffs(), p.axis), wnorm)
     rhs = np.convolve(np.pad(wron, (0, 1)), q)[: lhs.size]
     scale = max(float(np.max(np.abs(q)) * np.max(np.abs(wnorm))), 1e-300)
     return min(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))) / scale

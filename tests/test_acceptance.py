@@ -131,8 +131,7 @@ def test_c03_critical_angle_root():
         from rmfspline.hermite import DisplacementAnalysis
         from rmfspline.quat import bisector, neg_cross
         an = DisplacementAnalysis(gamma=gamma, b=bisector(u, uf), n=neg_cross(u, uf),
-                                  q1=u + uf, axes=np.array([u, -v, -w]),
-                                  u_start=u)
+                                  q1=u + uf, axes=np.array([u, -v, -w]))
         assert np.linalg.norm(an.displacement(math.pi)) <= 1e-10
 
 

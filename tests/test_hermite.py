@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import conftest as data
+import quaternion_reference as ref
 from rmfspline import hermite, oracle
 from rmfspline.errors import GeometryError, NoSolutionError, ValidationError
 from rmfspline.hermite import (
@@ -332,18 +333,18 @@ class TestSolve:
 
     def test_one_bisection_and_one_units_call_per_segment(self, monkeypatch):
         calls = {"bisect": 0, "units": 0}
-        bisect, units = hermite._bisect, hermite.DisplacementAnalysis.units
+        bisect, units = hermite._bisect, hermite._units
 
         def counting_bisect(*args):
             calls["bisect"] += 1
             return bisect(*args)
 
-        def counting_units(self, phi2):
+        def counting_units(geometry, phi2):
             calls["units"] += 1
-            return units(self, phi2)
+            return units(geometry, phi2)
 
         monkeypatch.setattr(hermite, "_bisect", counting_bisect)
-        monkeypatch.setattr(hermite.DisplacementAnalysis, "units", counting_units)
+        monkeypatch.setattr(hermite, "_units", counting_units)
         cases = [(0.3 * math.pi, 0.12, "small-angle"), (0.3 * math.pi, -0.12, "small-angle"),
                  (CRITICAL_GAMMA, 0.05, "critical"), (0.6 * math.pi, 0.4, "full-range"),
                  (0.6 * math.pi, -2.0, "full-range"), (0.5 * math.pi, 0.0, "direct-hit-0"),
@@ -448,8 +449,9 @@ def two_root_reference(d: HermiteData) -> tuple[float, np.ndarray]:
     turning angle as it was before it sought one root.  Below the critical
     window it bisected (0, 2 pi/3) and (2 pi/3, pi) and kept the root whose
     spherical control polygon has the smaller amplitude, ties (to 1e-12)
-    going to the smaller angle.  Returns phi2 and the control points."""
-    an = analyze(d)
+    going to the smaller angle.  Returns phi2 and the control points.  The
+    configurations come from the ``Quaternion``-object reference."""
+    an = ref.analysis(d.u, d.v, d.w, d.u_end)
     gamma = an.gamma
     du = d.delta_u
     dn = float(du @ an.n)

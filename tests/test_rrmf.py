@@ -437,19 +437,25 @@ class TestScalingCovariance:
 
 def rotation_rate_by_vpoly_mul(p: PreImage) -> np.ndarray:
     """Reference: the scalar part of the full product (A' i) A* by two
-    ``vpoly_mul`` calls, as ``_rotation_rate_coeffs`` computed it before."""
+    ``vpoly_mul`` calls, as the rotation-rate coefficients were computed
+    before ``_rotation_rates``."""
     c = p.power_coeffs()
     dc = np.array([c[1], 2.0 * c[2]])
     qi = np.concatenate([[0.0], p.axis])[None]
     return vpoly_mul(vpoly_mul(dc, qi), c * [1.0, -1.0, -1.0, -1.0])[:, 0]
 
 
-def frame_polynomials_looped(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]:
+def frame_polynomials_looped(p: PreImage, rates: np.ndarray | None = None
+                             ) -> tuple[np.ndarray, np.ndarray, float]:
     """Reference: ``solve_frame_polynomials`` scoring its five candidates one
-    at a time with ``np.convolve``, keeping the first of equal residuals."""
-    q = rrmf._speed_power_coeffs(p)
+    at a time with ``np.convolve``, keeping the first of equal residuals;
+    the rotation-rate coefficients are the stacked ``_rotation_rates`` row
+    unless given."""
+    q = rrmf._speed_powers(p.power_coeffs())
     scale = float(np.max(np.abs(q)))
-    target = -rrmf._rotation_rate_coeffs(p)
+    if rates is None:
+        rates = rrmf._rotation_rates(p.power_coeffs(), p.axis)
+    target = -rates
     z1, z2 = rrmf._conjugate_pairs(np.roots(q[::-1]))
     lead = math.sqrt(q[4])
     candidates = [(np.array([math.sqrt(scale), 0.0, 0.0]), np.zeros(3))]
@@ -488,13 +494,13 @@ class TestFrameSolveKernels:
 
     def test_rotation_rate_bitwise_with_two_vpoly_mul(self):
         for p in random_preimages(61, 400):
-            assert (rrmf._rotation_rate_coeffs(p).tobytes()
-                    == rotation_rate_by_vpoly_mul(p).tobytes())
+            rates = rrmf._speed_and_rates(p.power_coeffs().tolist(), p.axis.tolist())[1]
+            assert np.array(rates).tobytes() == rotation_rate_by_vpoly_mul(p).tobytes()
 
     def test_candidate_scoring_bitwise_with_loop(self):
         count = 0
         for p in random_preimages(62, 400):
-            q = rrmf._speed_power_coeffs(p)
+            q = rrmf._speed_powers(p.power_coeffs())
             if q[4] <= 1e-10 * float(np.max(np.abs(q))):
                 continue  # degree collapse: the early return, not scored
             ref = frame_polynomials_looped(p)
@@ -510,7 +516,7 @@ class TestFrameSolveKernels:
         count = 0
         for p in random_preimages(64, 100):
             p = PreImage(Quaternion.from_wxyz(np.zeros(4)), p.a1, p.a2, p.axis)
-            q = rrmf._speed_power_coeffs(p)
+            q = rrmf._speed_powers(p.power_coeffs())
             if q[0] != 0.0 or q[4] <= 1e-10 * float(np.max(np.abs(q))):
                 continue
             ref = frame_polynomials_looped(p)
@@ -524,13 +530,15 @@ class TestFrameSolveKernels:
         # Real root pairs make every quadratic factor real, so all five
         # Wronskians vanish; with a spin-free target all residuals are 0.
         p = next(random_preimages(63, 1))
-        monkeypatch.setattr(rrmf, "_rotation_rate_coeffs", lambda p: np.zeros(4))
+        speed_and_rates = rrmf._speed_and_rates
+        monkeypatch.setattr(rrmf, "_speed_and_rates",
+                            lambda power, axis: (speed_and_rates(power, axis)[0], [0.0] * 4))
         monkeypatch.setattr(rrmf, "_conjugate_pairs", lambda roots: [0.5 + 0j, 2.0 + 0j])
         a, b, resid = solve_frame_polynomials(p)
-        ref = frame_polynomials_looped(p)
+        ref = frame_polynomials_looped(p, rates=np.zeros(4))
         assert resid == ref[2] == 0.0
         assert a.tobytes() == ref[0].tobytes() and b.tobytes() == ref[1].tobytes()
-        scale = float(np.max(np.abs(rrmf._speed_power_coeffs(p))))
+        scale = float(np.max(np.abs(rrmf._speed_powers(p.power_coeffs()))))
         assert a.tobytes() == np.array([math.sqrt(scale), 0.0, 0.0]).tobytes()
 
 
