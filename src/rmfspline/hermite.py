@@ -302,7 +302,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
     return 0.5 * (lo + hi), iters
 
 
-@dataclass
+@dataclass(frozen=True)
 class HermiteSolution:
     """One assembled segment: curve, rational frame, and solve diagnostics."""
 

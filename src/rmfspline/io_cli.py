@@ -207,24 +207,12 @@ def write_stream_file(path: str, points: np.ndarray, initial_frame: np.ndarray |
 
 def spline_to_dict(path_obj: SplinePath) -> dict:
     segments = []
-    for sol in path_obj.segments:
-        pre = sol.segment.preimage
-        segments.append({
-            "r0": [float(x) for x in sol.segment.r0],
-            "A0": [float(x) for x in pre.a0.as_wxyz()],
-            "A1": [float(x) for x in pre.a1.as_wxyz()],
-            "A2": [float(x) for x in pre.a2.as_wxyz()],
-            "axes": {
-                "i": [float(x) for x in sol.frame.axes[0]],
-                "j": [float(x) for x in sol.frame.axes[1]],
-                "k": [float(x) for x in sol.frame.axes[2]],
-            },
-            "W_a": [float(x) for x in sol.frame.a],
-            "W_b": [float(x) for x in sol.frame.b],
-            "mu": float(sol.mu),
-            "phi2": float(sol.phi2),
-            "theta1": float(sol.theta1),
-        })
+    for r0, (a0, a1, a2), (i, j, k), w_a, w_b, mu, phi2, theta1 in zip(
+            *(getattr(path_obj, name).tolist() for name in (
+                "r0", "generators", "frame_axes", "a", "b", "mu", "phi2", "theta1"))):
+        segments.append({"r0": r0, "A0": a0, "A1": a1, "A2": a2,
+                         "axes": {"i": i, "j": j, "k": k},
+                         "W_a": w_a, "W_b": w_b, "mu": mu, "phi2": phi2, "theta1": theta1})
     return {
         "version": "1",
         "knots": [float(u) for u in path_obj.knots],
@@ -271,8 +259,8 @@ def spline_from_dict(doc: dict) -> SplinePath:
 
     Every field is stacked over the segments and checked: shapes, finite
     values, and strictly increasing knots; a malformed document raises
-    ``StreamFormatError`` naming the field and the segment.  The segments
-    are then assembled by ``spline.assemble``, as ``build`` assembles them.
+    ``StreamFormatError`` naming the field and the segment.  The stacked
+    fields then make the ``SplinePath``, as ``build``'s rows do.
     """
     try:
         if doc.get("version") != "1":
@@ -293,14 +281,14 @@ def spline_from_dict(doc: dict) -> SplinePath:
                          for seg in seg_docs], "axes", (3, 3))
         w_a = _stacked([seg["W_a"] for seg in seg_docs], "W_a", (3,))
         w_b = _stacked([seg["W_b"] for seg in seg_docs], "W_b", (3,))
-        mu = _stacked([seg["mu"] for seg in seg_docs], "mu", ()).tolist()
-        phi2 = _stacked([seg["phi2"] for seg in seg_docs], "phi2", ()).tolist()
-        theta1 = _stacked([seg.get("theta1", 0.0) for seg in seg_docs], "theta1", ()).tolist()
+        mu = _stacked([seg["mu"] for seg in seg_docs], "mu", ())
+        phi2 = _stacked([seg["phi2"] for seg in seg_docs], "phi2", ())
+        theta1 = _stacked([seg.get("theta1", 0.0) for seg in seg_docs], "theta1", ())
     except (KeyError, TypeError, IndexError) as exc:
         raise StreamFormatError(f"malformed spline file: {exc!r}") from exc
 
-    return spline.assemble(knots, r0, rows, axes, w_a, w_b, mu, phi2, theta1,
-                           [{} for _ in seg_docs])
+    return SplinePath(knots=knots, r0=r0, generators=rows, frame_axes=axes, a=w_a, b=w_b, mu=mu,
+                      phi2=phi2, theta1=theta1, diagnostics=[{} for _ in seg_docs])
 
 
 def read_spline_file(path: str) -> SplinePath:
@@ -373,21 +361,16 @@ def validate_spline(path_obj: SplinePath) -> dict:
             "pass": bool(value <= bound),
         })
 
-    segments = path_obj.segments
-    curves = [sol.segment for sol in segments]
-    ph_identity = np.empty(len(segments))
-    class_one = np.empty(len(segments))
-    rotation_rate = np.empty(len(segments))
-    for lo in range(0, len(segments), _IDENTITY_CHUNK):
+    n = path_obj.n_segments
+    ph_identity, class_one, rotation_rate = np.empty((3, n))
+    for lo in range(0, n, _IDENTITY_CHUNK):
         chunk = slice(lo, lo + _IDENTITY_CHUNK)
-        rows = np.array([q.preimage.coeffs_wxyz for q in curves[chunk]])
-        axis = np.array([q.preimage.axis for q in curves[chunk]])
-        ph_identity[chunk] = ph.ph_identity_residuals(np.array([q.h for q in curves[chunk]]),
-                                                      np.array([q.sigma for q in curves[chunk]]))
+        rows, axis = path_obj.generators[chunk], path_obj.frame_axes[chunk, 0]
+        ph_identity[chunk] = ph.ph_identity_residuals(path_obj.hodographs[chunk],
+                                                      path_obj.speeds[chunk])
         class_one[chunk] = rrmf.class_one_residuals(rows, axis)[1]
         rotation_rate[chunk] = rrmf.rotation_rate_residuals(
-            ph.power_rows(rows), axis, np.array([sol.frame.a for sol in segments[chunk]]),
-            np.array([sol.frame.b for sol in segments[chunk]]))
+            ph.power_rows(rows), axis, path_obj.a[chunk], path_obj.b[chunk])
 
     # The transport starts from each segment's normal at t = 0, where a
     # Bezier polynomial takes its first coefficient.
@@ -399,11 +382,9 @@ def validate_spline(path_obj: SplinePath) -> dict:
     # samples are then one matmul, as in ``oracle.reflect_rmf``.
     basis = bern.decasteljau(np.eye(5), params)
     transport = slice(_FRAME_SAMPLES.size, _FRAME_SAMPLES.size + _TRANSPORT_SAMPLES.size)
-    ortho = np.empty(len(segments))
-    vs_transport = np.empty(len(segments))
-    spin = np.empty(len(segments))
+    ortho, vs_transport, spin = np.empty((3, n))
     per_block = max(1, _STACKED_ROWS // params.size)
-    for lo in range(0, len(segments), per_block):
+    for lo in range(0, n, per_block):
         block = slice(lo, lo + per_block)
         quats = basis @ path_obj.frame_bezier[block]
         axes = path_obj.frame_axes[block, None]
@@ -411,12 +392,13 @@ def validate_spline(path_obj: SplinePath) -> dict:
                                             quats[:, transport.stop:]], axis=1), axes)
         normals = frame_rows(quats[:, transport], axes[..., 1:2, :])[..., 0, :]
         ortho[block] = _orthonormality(frames[:, :transport.start])
-        _, reflected = oracle.reflect_rmf(curves[block], starts[block],
+        _, reflected = oracle.reflect_rmf(path_obj.control_points[block],
+                                          path_obj.hodographs[block], starts[block],
                                           _TRANSPORT_SAMPLES.size - 1)
         vs_transport[block] = oracle.max_unit_angle(normals, reflected)
         spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.start:]), axis=-1)
 
-    for k in range(len(segments)):
+    for k in range(n):
         record("ph_identity", k, ph_identity[k], tol["ph_identity"])
         record("class_one_residual", k, class_one[k], tol["class_one"])
         record("rotation_rate_identity", k, rotation_rate[k], tol["rotation_rate"])
@@ -471,12 +453,11 @@ def _cmd_interpolate(args) -> int:
     print(f"built {path_obj.n_segments} segments over [{path_obj.knots[0]:g}, "
           f"{path_obj.knots[-1]:g}]")
     print("  k   gamma/pi     tau/pi    phi2/pi         mu     |S-du|   endpoint")
-    for k, sol in enumerate(path_obj.segments):
+    for k, d in enumerate(path_obj.diagnostics):
         du = unit(points[k + 1] - points[k])
         tau = angle_between(path_obj.frames[k][0], du)
-        d = sol.diagnostics
         print(f"  {k:2d}  {d['gamma'] / math.pi:9.6f}  {tau / math.pi:9.6f}"
-              f"  {sol.phi2 / math.pi:9.6f}  {sol.mu:9.5f}"
+              f"  {path_obj.phi2[k] / math.pi:9.6f}  {path_obj.mu[k]:9.5f}"
               f"  {d.get('s_residual', 0.0):9.2e}  {d.get('endpoint_residual', 0.0):9.2e}")
     rep = spline.continuity_report(path_obj)
     print(f"continuity: tangent {rep['max_tangent_angle']:.2e} rad, "
@@ -485,6 +466,8 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     path_obj = read_spline_file(args.infile)
     us = np.linspace(path_obj.knots[0], path_obj.knots[-1], args.samples + 1)
     pts, frames = path_obj.eval_many(us)

@@ -141,14 +141,17 @@ def _reflect_bases(n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bases
 
 
-def reflect_rmf(curves, initial_normals, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+def reflect_rmf(points, hodographs, initial_normals,
+                n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Rotation-minimizing normals of many segments by double reflection.
 
     Returns the read-only sample parameters ``ts`` (n_samples + 1,) and the
-    normals (S, n_samples + 1, 3) of the S ``PHQuintic`` curves, each started
-    from its row of ``initial_normals`` (S, 3).  The method is that of Wang,
-    Juttler, Zheng and Liu, "Computation of rotation minimizing frames"
-    (ACM TOG 27(1), 2008), fourth-order accurate in the sample spacing.
+    normals (S, n_samples + 1, 3) of S quintic curves, given by the arrays
+    of their control points (S, 6, 3) and hodographs (S, 5, 3), each
+    started from its row of ``initial_normals`` (S, 3).  The method is that
+    of Wang, Juttler, Zheng and Liu, "Computation of rotation minimizing
+    frames" (ACM TOG 27(1), 2008), fourth-order accurate in the sample
+    spacing.
     Between samples i and i + 1 it reflects in the plane bisecting the
     chord x_i x_{i+1}, then in the plane that carries the reflected t_i
     onto t_{i+1}.  Only the exact points and hodograph are used, so the
@@ -171,17 +174,17 @@ def reflect_rmf(curves, initial_normals, n_samples: int) -> tuple[np.ndarray, np
     """
     ts, point_basis, hodograph_basis = _reflect_bases(n_samples)
     initial_normals = np.asarray(initial_normals, dtype=float).reshape(-1, 3)
-    normals = np.empty((len(curves), ts.size, 3))
-    for lo in range(0, len(curves), _REFLECT_BLOCK):
-        block = curves[lo:lo + _REFLECT_BLOCK]
+    normals = np.empty((len(points), ts.size, 3))
+    for lo in range(0, len(points), _REFLECT_BLOCK):
+        block = slice(lo, lo + _REFLECT_BLOCK)
         # Axes (segment, sample, xyz).  Points are relative to each start
         # point, so that the chords between samples lose no digits to the
         # segment's offset.
-        x = point_basis @ np.array([q.r - q.r[0] for q in block])
-        h = hodograph_basis @ np.array([q.h for q in block])
+        x = point_basis @ (points[block] - points[block, :1])
+        h = hodograph_basis @ hodographs[block]
         t = h / np.linalg.norm(h, axis=-1, keepdims=True)
 
-        r0 = initial_normals[lo:lo + len(block)]
+        r0 = initial_normals[block]
         lean = np.sum(r0 * t[:, 0], axis=-1, keepdims=True)
         if np.any(np.abs(lean) > 1e-6):
             raise ValidationError("initial normal is not orthogonal to the start tangent")
@@ -200,7 +203,7 @@ def reflect_rmf(curves, initial_normals, n_samples: int) -> tuple[np.ndarray, np
         delta = np.arctan2(np.sum(m * tn[:, 1:], axis=-1), np.sum(m * n[:, 1:], axis=-1))
         theta0 = np.arctan2(np.sum(r0 * tn[:, 0], axis=-1), np.sum(r0 * n[:, 0], axis=-1))
         theta = np.cumsum(np.concatenate([theta0[:, None], delta], axis=1), axis=1)[..., None]
-        normals[lo:lo + len(block)] = np.cos(theta) * n + np.sin(theta) * tn
+        normals[block] = np.cos(theta) * n + np.sin(theta) * tn
     return ts, normals
 
 

@@ -2,8 +2,8 @@
 
 Each segment's start frame is the previous segment's end frame, so ``build``
 finds the end tangents, generators and frame polynomials one segment after
-another, then checks and assembles all segments at once (``assemble``,
-which loading a spline file shares).  Each end tangent is chosen on the
+another, then checks them all at once and makes a ``SplinePath`` of their
+rows, as loading a spline file does.  Each end tangent is chosen on the
 symmetry circle around the chord: u(psi) turns the start tangent u_i about
 the chord direction du by psi, so du . u(psi) = du . u_i = cos(tau) holds
 on all of it.  On that circle the admissibility test depends on the turning
@@ -376,19 +376,25 @@ def generate_end_tangent(
 
 @dataclass(frozen=True)
 class SplinePath:
-    """Knots, segments, and the frame triple carried across every knot.
+    """Knots, the stacked rows of S segments, and the frame triple carried
+    across every knot.
 
-    The segments are kept as a tuple, and their data are stacked once, on
-    construction, into read-only arrays: ``control_points`` (S, 6, 3),
-    ``frame_bezier`` (S, 5, 4), the Bezier coefficients of each segment's
-    frame quaternion, and ``frame_axes`` (S, 3, 3); ``knots`` is kept as a
-    read-only copy.  ``eval_many``, ``continuity_report`` and
+    A segment is fixed by its start point ``r0`` (S, 3), its generator's
+    Bezier coefficients as [w, x, y, z] rows ``generators`` (S, 3, 4), its
+    frame ``frame_axes`` (S, 3, 3), the first row the generator axis, and
+    its frame polynomials ``a`` and ``b`` (S, 3); ``mu``, ``phi2``,
+    ``theta1`` and ``diagnostics`` hold the solve's values.  They are kept
+    as read-only copies, every axis is checked to be a unit vector, and one
+    call each derives ``hodographs`` (S, 5, 3), ``control_points``
+    (S, 6, 3) and ``speeds`` (S, 5) (``ph.curves``) and ``frame_bezier``
+    (S, 5, 4), the Bezier coefficients of the frame quaternions
+    (``rrmf.frame_beziers``).  ``eval_many``, ``continuity_report`` and
     ``validate_spline`` evaluate all segments from these arrays at once.
     ``eval`` is the one-point path, on Python floats, bit for bit as
     ``eval_many``; it reads list copies of the arrays that its first call
-    makes.  A changed segment means a new path, for example by
-    ``dataclasses.replace(path, segments=...)``, so neither the arrays nor
-    the lists can go stale.
+    makes, as ``segments`` cuts segment objects from the rows on its first
+    read.  A changed segment means a new path, for example by
+    ``dataclasses.replace(path, a=..., b=...)``, so nothing can go stale.
 
     ``frames`` (S + 1, 3, 3), also read-only, holds the start frame of each
     segment, (u, v, w) of its algebra axes (u, -v, -w), and the last
@@ -397,33 +403,65 @@ class SplinePath:
     """
 
     knots: np.ndarray
-    segments: tuple[HermiteSolution, ...]
-    frames: np.ndarray = field(init=False, repr=False)
+    r0: np.ndarray
+    generators: np.ndarray
+    frame_axes: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    mu: np.ndarray
+    phi2: np.ndarray
+    theta1: np.ndarray
+    diagnostics: tuple[dict, ...]
+    hodographs: np.ndarray = field(init=False, repr=False)
     control_points: np.ndarray = field(init=False, repr=False)
+    speeds: np.ndarray = field(init=False, repr=False)
     frame_bezier: np.ndarray = field(init=False, repr=False)
-    frame_axes: np.ndarray = field(init=False, repr=False)
+    frames: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
-        knots = np.array(self.knots, dtype=float)
-        knots.flags.writeable = False
-        object.__setattr__(self, "knots", knots)
-        for name, rows in (("control_points", [s.segment.r for s in segments]),
-                           ("frame_bezier", [s.frame.b_bezier for s in segments]),
-                           ("frame_axes", [s.frame.axes for s in segments])):
-            packed = np.array(rows, dtype=float)
+        arrays = {name: np.array(getattr(self, name), dtype=float)
+                  for name in ("knots", "r0", "generators", "frame_axes", "a", "b", "mu", "phi2",
+                               "theta1")}
+        axis = arrays["frame_axes"][:, 0]
+        # ``PreImage``'s test, on every segment at once.
+        off = np.abs(np.sqrt(np.vecdot(axis, axis)) - 1.0) > 1e-10
+        if off.any():
+            raise ValidationError(
+                f"segment {int(np.argmax(off))}: pre-image axis must be a unit vector")
+        rows = arrays["generators"]
+        arrays["hodographs"], arrays["control_points"], arrays["speeds"] = ph.curves(
+            arrays["r0"], rows, axis)
+        arrays["frame_bezier"] = rrmf.frame_beziers(ph.power_rows(rows), arrays["a"],
+                                                    arrays["b"], axis)
+        # The end frame at t = 1, where de Casteljau gives the last coefficient.
+        end = frame_rows(arrays["frame_bezier"][-1, -1], arrays["frame_axes"][-1])
+        arrays["frames"] = np.concatenate([arrays["frame_axes"] * [[1.0], [-1.0], [-1.0]],
+                                           [_orthonormalized(end.tolist())]])
+        for name, packed in arrays.items():
             packed.flags.writeable = False
             object.__setattr__(self, name, packed)
-        # The end frame at t = 1, where de Casteljau gives the last coefficient.
-        end = _orthonormalized(frame_rows(self.frame_bezier[-1, -1], self.frame_axes[-1]).tolist())
-        frames = np.concatenate([self.frame_axes * [[1.0], [-1.0], [-1.0]], [end]])
-        frames.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+
+    @functools.cached_property
+    def segments(self) -> tuple[HermiteSolution, ...]:
+        """Each segment as a ``HermiteSolution`` whose arrays are views of
+        the rows; made by its first read.  No method of the path reads it."""
+        mu, phi2, theta1 = self.mu.tolist(), self.phi2.tolist(), self.theta1.tolist()
+        segments = []
+        for k, rows in enumerate(self.generators):
+            pre = PreImage(*map(Quaternion.from_wxyz, rows), self.frame_axes[k, 0])
+            segments.append(HermiteSolution(
+                segment=PHQuintic(r0=self.r0[k], preimage=pre, h=self.hodographs[k],
+                                  r=self.control_points[k], sigma=self.speeds[k]),
+                frame=RationalFrame(a=self.a[k], b=self.b[k], axes=self.frame_axes[k],
+                                    b_bezier=self.frame_bezier[k]),
+                mu=mu[k], phi2=phi2[k], theta1=theta1[k], diagnostics=self.diagnostics[k],
+            ))
+        return tuple(segments)
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
+        return len(self.r0)
 
     def locate(self, us) -> tuple[np.ndarray, np.ndarray]:
         """Segment indices and local parameters of global parameters.
@@ -438,7 +476,7 @@ class SplinePath:
         if np.any(bad):
             raise ValidationError(f"parameter {us[bad][0]} outside [{knots[0]}, {knots[-1]}]")
         us = np.minimum(np.maximum(us, knots[0]), knots[-1])
-        k = np.minimum(np.searchsorted(knots, us, side="right") - 1, len(self.segments) - 1)
+        k = np.minimum(np.searchsorted(knots, us, side="right") - 1, self.n_segments - 1)
         t = (us - knots[k]) / (knots[k + 1] - knots[k])
         return k, t
 
@@ -448,8 +486,8 @@ class SplinePath:
         and frame coefficients as one flat list of floats, for ``eval``;
         made by its first call."""
         return (self.knots.tolist(),
-                self.control_points.reshape(len(self.segments), -1).tolist(),
-                self.frame_bezier.reshape(len(self.segments), -1).tolist())
+                self.control_points.reshape(self.n_segments, -1).tolist(),
+                self.frame_bezier.reshape(self.n_segments, -1).tolist())
 
     def eval(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Point (3,) and frame rows (f1, f2, f3) (3, 3) at one global
@@ -553,8 +591,8 @@ def build(
        This chain runs on Python floats (the one-segment forms of
        ``quat``), bit for bit as on ``Quaternion`` objects and arrays.
     2. Over all segments at once: the class-I check of every generator
-       (``rrmf.class_one_residuals``), ``assemble``, and the endpoint
-       residuals.
+       (``rrmf.class_one_residuals``), the ``SplinePath`` of the rows, and
+       the endpoint residuals.
 
     A failure raises ``SplineBuildError`` with the segment index and a
     midpoint-insertion hint.  It names the first failing segment of either
@@ -605,8 +643,8 @@ def build(
         raise _segment_error(k, exc, points, frames[k]) from exc
 
     mu, phi2, theta1, diagnostics = zip(*solved)
-    path = assemble(knots, points[:-1], rows, axes, np.array(a_rows), np.array(b_rows),
-                    mu, phi2, theta1, diagnostics)
+    path = SplinePath(knots=knots, r0=points[:-1], generators=rows, frame_axes=axes, a=a_rows,
+                      b=b_rows, mu=mu, phi2=phi2, theta1=theta1, diagnostics=diagnostics)
     # The last control point is the curve at t = 1, as de Casteljau gives it.
     ends = path.control_points[:, -1] - points[1:]
     for diag, residual in zip(diagnostics, np.sqrt(np.vecdot(ends, ends)).tolist()):
@@ -634,33 +672,6 @@ def _segment_error(k: int, exc: GeometryError, points: np.ndarray,
         gap=None if k == 0 else angle_between(chord(k - 1), du),
         hint=MIDPOINT_HINT,
     )
-
-
-def assemble(knots: np.ndarray, r0: np.ndarray, rows: np.ndarray, axes: np.ndarray,
-             a: np.ndarray, b: np.ndarray, mu, phi2, theta1, diagnostics) -> SplinePath:
-    """A path from its segments' data: start points r0 (S, 3), generator
-    Bezier coefficient rows (S, 3, 4), frame axes (S, 3, 3), frame
-    polynomials a and b (S, 3), and mu, phi2, theta1 and diagnostics
-    dictionaries, S of each.
-
-    The curves (``ph.curves``) and the frame quaternions
-    (``rrmf.frame_beziers``) of all segments are assembled in one array
-    pass each, bit for bit as one segment's, and each segment's objects are
-    cut from their rows.  ``build`` and ``io_cli.spline_from_dict`` both
-    assemble through here.
-    """
-    h, r, sigma = ph.curves(r0, rows, axes[:, 0])
-    b_bezier = rrmf.frame_beziers(ph.power_rows(rows), a, b, axes[:, 0])
-    segments = []
-    for k, ws in enumerate(rows[..., 0].tolist()):
-        pre = PreImage(*(Quaternion._of(w, rows[k, m, 1:]) for m, w in enumerate(ws)),
-                       axes[k, 0])
-        segments.append(HermiteSolution(
-            segment=PHQuintic(r0=r0[k], preimage=pre, h=h[k], r=r[k], sigma=sigma[k]),
-            frame=RationalFrame(a=a[k], b=b[k], axes=axes[k], b_bezier=b_bezier[k]),
-            mu=mu[k], phi2=phi2[k], theta1=theta1[k], diagnostics=diagnostics[k],
-        ))
-    return SplinePath(knots=knots, segments=segments)
 
 
 def continuity_report(path: SplinePath) -> dict:

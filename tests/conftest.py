@@ -15,6 +15,7 @@ from rmfspline.quat import Quaternion, bisector, neg_cross, norm3, sandwich, uni
 from rmfspline.rrmf import _rotation_rates, _speed_powers
 from rmfspline.spline import (
     PointStream,
+    SplinePath,
     build,
     chord_knots,
     default_initial_frame,
@@ -154,6 +155,23 @@ def walk_streams(seed: int, count: int) -> list:
         refs = minaj2_tangents(pts, chord_knots(pts))
         streams.append(PointStream(points=pts, initial_frame=default_initial_frame(refs[0])))
     return streams
+
+
+def path_from_solutions(knots, solutions) -> SplinePath:
+    """The path whose rows are those of ``HermiteSolution`` objects."""
+    return SplinePath(knots=knots, r0=[s.segment.r0 for s in solutions],
+                      generators=[s.segment.preimage.coeffs_wxyz for s in solutions],
+                      frame_axes=[s.frame.axes for s in solutions],
+                      a=[s.frame.a for s in solutions], b=[s.frame.b for s in solutions],
+                      mu=[s.mu for s in solutions], phi2=[s.phi2 for s in solutions],
+                      theta1=[s.theta1 for s in solutions],
+                      diagnostics=[s.diagnostics for s in solutions])
+
+
+def curve_rows(curves) -> tuple[np.ndarray, np.ndarray]:
+    """The control points and hodographs of ``PHQuintic`` curves, stacked as
+    ``oracle.reflect_rmf`` takes them."""
+    return np.array([q.r for q in curves]), np.array([q.h for q in curves])
 
 
 def walk_paths(seed: int, count: int) -> list:

@@ -200,7 +200,7 @@ def test_c06_rotation_minimality(random_solutions, experiment_paths):
         for path in experiment_paths.values():
             segments.extend(path.segments)
         interior = np.linspace(0.05, 0.95, 19)
-        _, reflected = oracle.reflect_rmf([sol.segment for sol in segments],
+        _, reflected = oracle.reflect_rmf(*data.curve_rows([sol.segment for sol in segments]),
                                           [sol.frame.frame_matrix(0.0)[1] for sol in segments],
                                           n_samples=1000)
         for sol, normals in zip(segments, reflected):

@@ -30,7 +30,7 @@ from rmfspline.io_cli import (
     write_spline_file,
     write_stream_file,
 )
-from rmfspline.errors import StreamFormatError
+from rmfspline.errors import StreamFormatError, ValidationError
 from rmfspline.quat import angle_between
 from rmfspline.rrmf import frame_from_coefficients
 from rmfspline.spline import PointStream, build, default_initial_frame, minaj2_tangents
@@ -266,6 +266,14 @@ class TestEvalCommand:
         assert np.array_equal(rows[:, 1:4], pts)
         assert np.array_equal(rows[:, 4:13].reshape(-1, 3, 3), frames)
 
+    @pytest.mark.parametrize("samples", ["-3", "-1", "0"])
+    def test_sample_count_below_one_rejected(self, tmp_path, helix_spline, capsys, samples):
+        out = tmp_path / "table.csv"
+        assert main(["eval", "--in", str(helix_spline), "--samples", samples,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"--samples must be at least 1, got {samples}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_frame_rows_orthonormal(self, tmp_path, helix_spline):
         out = tmp_path / "table.csv"
         assert main(["eval", "--in", str(helix_spline), "--samples", "40",
@@ -365,6 +373,17 @@ class TestMalformedSplineFiles:
                      "--out", str(tmp_path / "out.csv")]) == EXIT_IO
 
 
+    def test_non_unit_axis_rejected_with_segment(self, tmp_path, helix_spline):
+        doc = json.loads(helix_spline.read_text())
+        doc["segments"][2]["axes"]["i"] = [2.0 * x for x in doc["segments"][2]["axes"]["i"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="segment 2: .*unit vector"):
+            read_spline_file(str(bad))
+        assert main(["eval", "--in", str(bad), "--samples", "4",
+                     "--out", str(tmp_path / "out.csv")]) == EXIT_VALIDATION
+
+
 class TestValidateCommand:
     def test_fresh_spline_passes(self, tmp_path, helix_spline):
         report = tmp_path / "report.json"
@@ -420,7 +439,7 @@ def validate_spline_looped(path_obj) -> dict:
                        "tolerance": float(bound), "pass": bool(value <= bound)})
 
     segments = path_obj.segments
-    ts, normals = oracle.reflect_rmf([sol.segment for sol in segments],
+    ts, normals = oracle.reflect_rmf(*data.curve_rows([sol.segment for sol in segments]),
                                      [sol.frame.frame_matrix(0.0)[1] for sol in segments],
                                      500)
     for k, sol in enumerate(segments):
@@ -513,7 +532,7 @@ class TestValidateBlocks:
                                        [0.0, 0.0, 0.0], sol.frame.axes)
         segments = list(path.segments)
         segments[block] = dataclasses.replace(sol, frame=spun)
-        path = dataclasses.replace(path, segments=segments)
+        path = data.path_from_solutions(path.knots, segments)
         report = validate_spline(path)
         assert_matches_reference(report, validate_spline_looped(path))
         failing = {(c["name"], c["segment"]) for c in report["checks"] if not c["pass"]}
@@ -547,8 +566,7 @@ class TestValidateBlocks:
         # the peak does not grow with the number of segments.
         _, pts, tans = sample_curve("helix", 800)
         path = build(PointStream(pts, default_initial_frame(tans[0])))
-        validate_spline(dataclasses.replace(path, knots=path.knots[:3],
-                                            segments=path.segments[:2]))
+        validate_spline(data.path_from_solutions(path.knots[:3], path.segments[:2]))
         tracemalloc.start()
         try:
             validate_spline(path)

@@ -202,7 +202,7 @@ def reflect_rmf_looped(q, normal0, n_samples):
 class TestReflectRMF:
     def test_matches_looped_recurrence(self):
         cases = bitwise_oracle_segments()
-        ts, normals = oracle.reflect_rmf([q for q, _ in cases],
+        ts, normals = oracle.reflect_rmf(*data.curve_rows([q for q, _ in cases]),
                                          [f0[1] for _, f0 in cases], n_samples=300)
         assert normals.shape == (len(cases), 301, 3)
         assert np.array_equal(ts, np.linspace(0.0, 1.0, 301))
@@ -215,10 +215,11 @@ class TestReflectRMF:
         # with that segment alone
         rng = np.random.RandomState(47)
         sols = [solve(data.random_hermite_data(rng)) for _ in range(2 * oracle._REFLECT_BLOCK + 3)]
-        _, normals = oracle.reflect_rmf([s.segment for s in sols],
+        _, normals = oracle.reflect_rmf(*data.curve_rows([s.segment for s in sols]),
                                         [s.frame.frame_matrix(0.0)[1] for s in sols], 100)
         for sol, got in zip(sols, normals):
-            _, alone = oracle.reflect_rmf([sol.segment], [sol.frame.frame_matrix(0.0)[1]], 100)
+            _, alone = oracle.reflect_rmf(*data.curve_rows([sol.segment]),
+                                          [sol.frame.frame_matrix(0.0)[1]], 100)
             assert np.array_equal(got, alone[0])
 
     def test_bases_built_once_per_sample_count(self):
@@ -235,21 +236,21 @@ class TestReflectRMF:
         q = curve_from_preimage(np.zeros(3), PreImage(one, one, one, I))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, normals = oracle.reflect_rmf([q], [J], n_samples=100)
+            _, normals = oracle.reflect_rmf(*data.curve_rows([q]), [J], n_samples=100)
         assert np.max(np.linalg.norm(normals[0] - J, axis=1)) <= 1e-12
 
     def test_planar_segment_keeps_plane_normal(self):
         q = curve_from_preimage(np.zeros(3), planar_preimage())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, normals = oracle.reflect_rmf([q], [K], n_samples=400)
+            _, normals = oracle.reflect_rmf(*data.curve_rows([q]), [K], n_samples=400)
         assert np.max(np.linalg.norm(normals[0] - K, axis=1)) <= 1e-9
 
     def test_non_orthogonal_start_normal_rejected(self):
         q = curve_from_preimage(np.zeros(3), planar_preimage())
         t0 = unit(q.h[0])
         with pytest.raises(ValidationError):
-            oracle.reflect_rmf([q], [unit(K + 1e-3 * t0)], n_samples=100)
+            oracle.reflect_rmf(*data.curve_rows([q]), [unit(K + 1e-3 * t0)], n_samples=100)
 
     def test_validate_runs_no_ode_solve(self, monkeypatch):
         calls = []
@@ -272,7 +273,7 @@ class TestReflectRMF:
         spun = frame_from_coefficients(sol.segment.preimage, [1.0, 0.0, 0.0],
                                        [0.0, 0.0, 0.0], sol.frame.axes)
         segments = path.segments[:3] + (dataclasses.replace(sol, frame=spun),) + path.segments[4:]
-        path = dataclasses.replace(path, segments=segments)
+        path = data.path_from_solutions(path.knots, segments)
         report = io_cli.validate_spline(path)
         checks = {(c["name"], c["segment"]): c for c in report["checks"]}
         bad = checks[("frame_vs_transport", 3)]

@@ -534,12 +534,13 @@ class TestBuild:
         assert np.allclose(path.knots, np.arange(len(GENERIC2)))
 
 
-def sequential_reference(stream: PointStream, mode: str = "chord",
-                         reference_tangents=None, knots=None) -> SplinePath:
+def sequential_reference(stream: PointStream, mode: str = "chord", reference_tangents=None,
+                         knots=None) -> tuple[SplinePath, list]:
     """Reference: ``build`` as it was before its two passes, one segment at a
     time: a checked ``HermiteData`` and ``hermite.solve`` per segment, which
     assembles the curve and the frame, and the next start frame from the
-    orthonormalized frame rows at t = 1."""
+    orthonormalized frame rows at t = 1.  Returns the path of the solved
+    segments' rows and ``hermite.solve``'s own objects."""
     points = stream.points
     knots, refs = spline.knots_and_tangents(points, mode, reference_tangents, knots)
     frame = stream.initial_frame
@@ -563,7 +564,7 @@ def sequential_reference(stream: PointStream, mode: str = "chord",
         segments.append(sol)
         frame = spline._orthonormalized(frame_rows(sol.frame.b_bezier[-1], sol.frame.axes))
         prev_du = du
-    return SplinePath(knots=knots, segments=segments)
+    return data.path_from_solutions(knots, segments), segments
 
 
 def _bits(value):
@@ -607,9 +608,10 @@ class TestTwoPassBuild:
             assert _bits(exc.gap) == _bits(ref_exc.gap)
             return
         assert exc is None
+        ref, ref_segments = ref
         assert path.knots.tobytes() == ref.knots.tobytes()
         assert path.frames.tobytes() == ref.frames.tobytes()
-        for sol, want in zip(path.segments, ref.segments, strict=True):
+        for sol, want in zip(path.segments, ref_segments, strict=True):
             for got, exp in ((sol.segment.r, want.segment.r), (sol.segment.h, want.segment.h),
                              (sol.segment.sigma, want.segment.sigma),
                              (sol.segment.r0, want.segment.r0),
@@ -630,11 +632,11 @@ class TestTwoPassBuild:
         failures, branches = set(), set()
         for _, stream, kwargs in REFERENCE_STREAMS:
             try:
-                path = sequential_reference(stream, **kwargs)
+                _, segments = sequential_reference(stream, **kwargs)
             except SplineBuildError as exc:
                 failures.add(type(exc.cause).__name__)
                 continue
-            branches.update(sol.diagnostics["branch"] for sol in path.segments)
+            branches.update(sol.diagnostics["branch"] for sol in segments)
         assert "InfeasibleTurnError" in failures
         assert {"small-angle", "full-range"} <= branches
 
@@ -920,10 +922,25 @@ class TestPackedPath:
             assert p.control_points.shape == (p.n_segments, 6, 3)
             assert p.frame_bezier.shape == (p.n_segments, 5, 4)
             assert p.frame_axes.shape == (p.n_segments, 3, 3)
+            assert p.r0.shape == (p.n_segments, 3)
+            assert p.generators.shape == (p.n_segments, 3, 4)
+            assert p.a.shape == p.b.shape == (p.n_segments, 3)
+            assert p.hodographs.shape == (p.n_segments, 5, 3)
+            assert p.speeds.shape == (p.n_segments, 5)
+            assert p.mu.shape == p.phi2.shape == p.theta1.shape == (p.n_segments,)
+            assert len(p.diagnostics) == p.n_segments
             for k, sol in enumerate(p.segments):
                 assert np.array_equal(p.control_points[k], sol.segment.r)
                 assert np.array_equal(p.frame_bezier[k], sol.frame.b_bezier)
                 assert np.array_equal(p.frame_axes[k], sol.frame.axes)
+                assert np.array_equal(p.r0[k], sol.segment.r0)
+                assert np.array_equal(p.generators[k], sol.segment.preimage.coeffs_wxyz)
+                assert np.array_equal(p.a[k], sol.frame.a)
+                assert np.array_equal(p.b[k], sol.frame.b)
+                assert np.array_equal(p.hodographs[k], sol.segment.h)
+                assert np.array_equal(p.speeds[k], sol.segment.sigma)
+                assert (p.mu[k], p.phi2[k], p.theta1[k]) == (sol.mu, sol.phi2, sol.theta1)
+                assert p.diagnostics[k] is sol.diagnostics
 
     def test_packed_arrays_cannot_go_stale(self, generic1_path):
         path = generic1_path
@@ -934,9 +951,26 @@ class TestPackedPath:
             path.segments = path.segments[::-1]
         with pytest.raises(ValueError):
             path.control_points[0, 0, 0] = 1.0
-        reversed_path = dataclasses.replace(path, segments=path.segments[::-1])
+        reversed_path = data.path_from_solutions(path.knots, path.segments[::-1])
         assert np.array_equal(reversed_path.control_points, path.control_points[::-1])
         assert np.array_equal(reversed_path.frame_bezier, path.frame_bezier[::-1])
+
+    def test_segment_objects_are_frozen(self, generic1_path):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            generic1_path.segments[0].mu = 1.0
+
+    def test_segments_are_a_view_that_no_step_reads(self, tmp_path):
+        path = build(stream_for(GENERIC1))
+        f = tmp_path / "spline.json"
+        write_spline_file(str(f), path)
+        loaded = read_spline_file(str(f))
+        for p in (path, loaded):
+            assert validate_spline(p)["pass"]
+            p.eval(float(p.knots[1]))
+            p.eval_many(p.knots)
+            continuity_report(p)
+            assert interpolation_residual(p, GENERIC1) <= 1e-9
+            assert "segments" not in vars(p)
 
     def test_batch_memory_within_reference(self, torus_path):
         path = torus_path
@@ -1007,7 +1041,7 @@ class TestScalarEval:
         path.eval(1.0)
         with pytest.raises(ValueError):
             path.knots[1] = 0.5
-        reversed_path = dataclasses.replace(path, segments=path.segments[::-1])
+        reversed_path = data.path_from_solutions(path.knots, path.segments[::-1])
         for u in np.linspace(path.knots[0], path.knots[-1], 11).tolist():
             assert_eval_is_row_of_eval_many(reversed_path, u)
 
