@@ -37,10 +37,9 @@ path = build(stream, mode="chord")
 print(f"built {path.n_segments} segments over chord parameter [0, {knots[-1]:.4f}]")
 print("per-segment summary:")
 print("   k  gamma/pi   phi2/pi        mu   |S - du|")
-for k, sol in enumerate(path.segments):
-    d = sol.diagnostics
-    print(f"  {k:2d}  {d['gamma'] / np.pi:8.4f}  {sol.phi2 / np.pi:8.4f}"
-          f"  {sol.mu:8.4f}  {d.get('s_residual', 0.0):9.2e}")
+for k, d in enumerate(path.diagnostics):
+    print(f"  {k:2d}  {d['gamma'] / np.pi:8.4f}  {path.phi2[k] / np.pi:8.4f}"
+          f"  {path.mu[k]:8.4f}  {d.get('s_residual', 0.0):9.2e}")
 
 rep = continuity_report(path)
 print(f"tangent continuity across knots: {rep['max_tangent_angle']:.2e} rad")

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import NoSolutionError, ValidationError, VanishingDisplacementError
 from .ph import PHQuintic, PreImage, curve_from_preimage
-from .quat import (Quaternion, angle_from_squares, bisector_list, cross3, cross_list, dots,
-                   neg_cross_list, norm3, product_vector, sandwich_list, unit, unit_list)
+from .quat import (UNIT_TOL, Quaternion, angle_from_squares, bisector_list, cross3, cross_list,
+                   dots, neg_cross_list, norm3, product_vector, require_finite, require_frame,
+                   require_unit, sandwich_list, unit, unit_list)
 from .rrmf import RationalFrame, compute_rational_frame
 
 CRITICAL_GAMMA = 0.4 * math.pi
@@ -32,14 +33,6 @@ TWO_THIRDS = 2.0 * math.pi / 3.0
 SOLVE_TOL = 1e-12
 F_TARGET = 1e-11
 MAX_BISECTIONS = 200
-
-
-def _check_right_handed(u: np.ndarray, v: np.ndarray, w: np.ndarray, tol: float) -> None:
-    g = np.array([u, v, w])
-    if np.max(np.abs(g @ g.T - np.eye(3))) > tol:
-        raise ValidationError("frame vectors are not orthonormal")
-    if float(np.dot(cross3(u, v), w)) < 0.0:
-        raise ValidationError("frame must be right-handed")
 
 
 @dataclass(frozen=True)
@@ -56,9 +49,10 @@ class HermiteData:
     def __post_init__(self):
         for name in ("p_start", "p_end", "u", "v", "w", "u_end"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        _check_right_handed(self.u, self.v, self.w, FRAME_TOL)
-        if abs(norm3(self.u_end) - 1.0) > FRAME_TOL:
-            raise ValidationError("end tangent must be a unit vector")
+            require_finite(getattr(self, name), f"{name} is not finite")
+        require_frame(np.array([self.u, self.v, self.w]), "frame", FRAME_TOL)
+        require_unit(norm3(self.u), "start tangent must be a unit vector")
+        require_unit(norm3(self.u_end), "end tangent must be a unit vector", FRAME_TOL)
         dp = self.p_end - self.p_start
         dnorm = norm3(dp)
         if dnorm <= 1e-14:
@@ -236,7 +230,7 @@ def _units(geometry: tuple, phi2: float) -> tuple:
         theta1 = 0.0
     else:
         theta1 = math.atan2(x1, y1)
-    if abs(math.sqrt(ii) - 1.0) > 1e-10:
+    if not abs(math.sqrt(ii) - 1.0) <= UNIT_TOL:  # no numpy call per segment
         raise ValidationError("versor axis must be a unit vector")
     ct, st = math.cos(theta1), math.sin(theta1)
     rv = [st * x for x in i]

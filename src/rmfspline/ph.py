@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bernstein as bern
-from .errors import ValidationError
-from .quat import _CONJ, Quaternion, _vcross, norm3, vgram, vmul
+from .quat import _CONJ, Quaternion, _vcross, norm3, require_unit, vgram, vmul
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,7 @@ class PreImage:
 
     def __post_init__(self):
         ax = np.asarray(self.axis, dtype=float)
-        if abs(norm3(ax) - 1.0) > 1e-10:
-            raise ValidationError("pre-image axis must be a unit vector")
+        require_unit(norm3(ax), "pre-image axis must be a unit vector")
         object.__setattr__(self, "axis", ax)
 
     @functools.cached_property

@@ -18,6 +18,7 @@ sums strided vectors another way).  Cross products repeat ``np.cross``'s
 arithmetic, and products and sums keep one order, zero terms included, so a
 kernel row or a float result equals the value-object result bit for bit,
 whatever the batch around it.  All operations are side-effect free.
+``require_finite``, ``require_unit`` and ``require_frame`` check inputs.
 """
 
 from __future__ import annotations
@@ -93,6 +94,36 @@ def orthonormal_completion(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j, cross3(i, j)
 
 
+# The input checks of every entry point test ``not (err <= tol)``, so that
+# NaN fails; a message's ``{}`` becomes the index of the first bad row.
+UNIT_TOL = 1e-10  # on the norms of axes, versors and start tangents
+
+
+def require_finite(rows: np.ndarray, message: str) -> None:
+    """Raise ``ValidationError(message)`` unless rows (N, m), or one row
+    (m,), are all finite."""
+    finite = np.isfinite(rows).all(axis=-1)
+    if not finite.all():
+        raise ValidationError(message.format(int(np.argmin(finite))))
+
+
+def require_unit(norms, message: str, tol: float = UNIT_TOL) -> None:
+    """Raise ``ValidationError(message)`` unless the norm, or each of a
+    stack of norms (N,), is within tol of 1."""
+    ok = np.abs(norms - 1.0) <= tol
+    if not ok.all():
+        raise ValidationError(message.format(int(np.argmin(ok))))
+
+
+def require_frame(rows: np.ndarray, what: str, tol: float) -> None:
+    """Raise ``ValidationError`` unless the finite rows (3, 3) are a right-handed
+    frame, orthonormal to tol in every entry of their Gram matrix."""
+    if not np.max(np.abs(rows @ rows.T - np.eye(3))) <= tol:
+        raise ValidationError(f"{what} must be orthonormal")
+    if not float(np.dot(cross3(rows[0], rows[1]), rows[2])) >= 0.0:
+        raise ValidationError(f"{what} must be right-handed")
+
+
 class Quaternion:
     """Plain quaternion value: scalar part ``w`` and vector part ``v``.
 
@@ -123,8 +154,7 @@ class Quaternion:
     def versor(cls, axis: np.ndarray, angle: float) -> "Quaternion":
         """cos(angle) + axis*sin(angle) for a unit axis."""
         axis = np.asarray(axis, dtype=float)
-        if abs(norm3(axis) - 1.0) > 1e-10:
-            raise ValidationError("versor axis must be a unit vector")
+        require_unit(norm3(axis), "versor axis must be a unit vector")
         return cls(math.cos(angle), math.sin(angle) * axis)
 
     @classmethod
@@ -176,8 +206,7 @@ def sandwich(q: Quaternion, v: np.ndarray) -> np.ndarray:
 
 def rotate(u: Quaternion, v: np.ndarray) -> np.ndarray:
     """Rotate v by the unit quaternion u (u v u*)."""
-    if abs(u.norm() - 1.0) > 1e-10:
-        raise ValidationError("rotate requires a unit quaternion")
+    require_unit(u.norm(), "rotate requires a unit quaternion")
     return sandwich(u, v)
 
 

@@ -332,7 +332,7 @@ def _rmf_polynomials(power: list, axis: list, axes: list,
     e2, e3, f1 = ([x / nsq for x in sandwich_list(b0w, b0v, e, vv, d)]
                   for e, d in ((axes[1], v1), (axes[2], v2), (axes[0], v0)))
     t_f1, t_e3, t_e2 = dots([target] * 3, [f1, e3, e2])
-    if abs(t_f1) > 1e-6:
+    if not abs(t_f1) <= 1e-6:
         raise ValidationError("prescribed normal is not orthogonal to the start tangent")
     phi = 0.5 * math.atan2(t_e3, t_e2)
     ca, sa = math.cos(phi), math.sin(phi)

@@ -354,14 +354,13 @@ def construct_from_spherical(
     len0: float,
     len4: float,
     theta1: float,
-    axis: np.ndarray | None = None,
     admissibility_tol: float = 1e-9,
 ) -> PreImage:
     """Generator with prescribed outer spherical points, outer lengths, middle
     direction, and inner phase.
 
-    By default the axis is the first spherical point, which makes the phase
-    arguments canonical ellipse phases.  The result satisfies the rational-RMF
+    The axis is the first spherical point, which makes the phase arguments
+    canonical ellipse phases.  The result satisfies the rational-RMF
     identity by construction and reproduces (s0, s2, s4) exactly.
     """
     s0 = unit(s0)
@@ -375,18 +374,17 @@ def construct_from_spherical(
         raise ValidationError(
             "middle spherical point is not equidistant from the outer ones"
         )
-    i = s0 if axis is None else unit(axis)
 
-    a0 = quat_sqrt(len0 * s0, i, 0.0)
-    a2_hat = quat_sqrt(len4 * s4, i, 0.0)
-    p_axis = star(a0, a2_hat, i)
+    a0 = quat_sqrt(len0 * s0, s0, 0.0)
+    a2_hat = quat_sqrt(len4 * s4, s0, 0.0)
+    p_axis = star(a0, a2_hat, s0)
     q_axis = boxop(a0, a2_hat)
     phi2 = skew_phase(p_axis, q_axis, s2)
-    a2 = a2_hat * Quaternion.versor(i, phi2)
+    a2 = a2_hat * Quaternion.versor(s0, phi2)
 
     h2 = math.cos(phi2) * p_axis + math.sin(phi2) * q_axis
-    a1 = quat_sqrt(h2, i, 0.0) * Quaternion.versor(i, theta1)
-    return PreImage(a0, a1, a2, i)
+    a1 = quat_sqrt(h2, s0, 0.0) * Quaternion.versor(s0, theta1)
+    return PreImage(a0, a1, a2, s0)
 
 
 def theta1_for_s1(
@@ -396,11 +394,10 @@ def theta1_for_s1(
     len0: float,
     len4: float,
     s1: np.ndarray,
-    axis: np.ndarray | None = None,
     admissibility_tol: float = 1e-9,
 ) -> float:
     """Inner phase that places the first inner spherical point at s1."""
-    base = construct_from_spherical(s0, s2, s4, len0, len4, 0.0, axis=axis,
+    base = construct_from_spherical(s0, s2, s4, len0, len4, 0.0,
                                     admissibility_tol=admissibility_tol)
     a1_hat = base.a1  # theta1 = 0 representative
     p_axis = star(base.a0, a1_hat, base.axis)

@@ -42,7 +42,8 @@ from .errors import (
 from .hermite import CRITICAL_GAMMA, HermiteSolution, _two_thirds_b
 from .ph import PHQuintic, PreImage
 from .quat import (Quaternion, angle_between, angles_between, bisector_list, cross3, cross_list,
-                   dots, frame_rows, frame_rows_list, norm3, unit, unit_list)
+                   dots, frame_rows, frame_rows_list, norm3, require_finite, require_frame,
+                   require_unit, unit, unit_list)
 from .rrmf import _STACKED_ROWS, RationalFrame
 
 MAX_TURN = 0.8 * math.pi
@@ -58,17 +59,10 @@ MIDPOINT_HINT = "insert a middle point between the offending stream points"
 MAX_COORDINATE = 1e60
 
 
-def _require_finite(rows: np.ndarray, what: str) -> None:
-    """Raise ``ValidationError`` naming the first row that holds a NaN or inf."""
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ValidationError(f"{what} {int(np.argmin(finite))} is not finite")
-
-
 def _require_stream_points(points: np.ndarray) -> None:
     """Raise ``ValidationError`` naming the first stream point that is not
     finite or has a coordinate beyond ``MAX_COORDINATE``."""
-    _require_finite(points, "stream point")
+    require_finite(points, "stream point {} is not finite")
     inside = (np.abs(points) <= MAX_COORDINATE).all(axis=1)
     if not inside.all():
         raise ValidationError(f"stream point {int(np.argmin(inside))} has a coordinate "
@@ -126,11 +120,8 @@ class PointStream:
         frame = np.asarray(self.initial_frame, dtype=float)
         if frame.shape != (3, 3):
             raise ValidationError("initial frame must be three row vectors")
-        _require_finite(frame, "initial frame row")
-        if np.max(np.abs(frame @ frame.T - np.eye(3))) > 1e-8:
-            raise ValidationError("initial frame must be orthonormal")
-        if float(np.dot(cross3(frame[0], frame[1]), frame[2])) < 0.0:
-            raise ValidationError("initial frame must be right-handed")
+        require_finite(frame, "initial frame row {} is not finite")
+        require_frame(frame, "initial frame", 1e-8)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "initial_frame", np.array(_orthonormalized(frame.tolist())))
 
@@ -284,10 +275,10 @@ def generate_end_tangent(
     since sin(gamma/2) = sin(tau) |sin(psi/2)|, |u_i x u| = sin(gamma) and
     b . du = cos(tau) / cos(gamma/2).  Each arc end is pinned to a float
     where ``_admissible`` changes state, a few bisection steps from the
-    closed-form value.  The objective is then maximized over points a small
-    margin inside each arc's ends, and over psi* where an arc holds it.
-    ``_admissible`` checks every candidate, so it alone decides the
-    returned tangent.  The search runs on Python floats.
+    closed-form value.  No arc holds psi*, so the objective peaks at an arc
+    end: the candidates are a small margin inside each arc's ends, and the
+    midpoints if the objective is constant.  ``_admissible`` checks every
+    candidate, so it alone decides the tangent.  It runs on Python floats.
     """
     ii, dd, rr = dots([u_i, delta_p, u_ref])
     u_i, du, u_ref = unit_list(u_i, ii), unit_list(delta_p, dd), unit_list(u_ref, rr)
@@ -357,11 +348,7 @@ def generate_end_tangent(
     for s, e in arcs:
         margin = min(1e-6, 0.125 * (e - s))
         candidates.extend([s + margin, e - margin])
-        if not degenerate_objective:
-            for shift in (0.0, 2.0 * math.pi):
-                if s + margin <= psi_star + shift <= e - margin:
-                    candidates.append(psi_star + shift)
-        else:
+        if degenerate_objective:
             candidates.append(0.5 * (s + e))
     candidates = [c for c in candidates if feasible(c)]
     if not candidates:
@@ -423,11 +410,8 @@ class SplinePath:
                   for name in ("knots", "r0", "generators", "frame_axes", "a", "b", "mu", "phi2",
                                "theta1")}
         axis = arrays["frame_axes"][:, 0]
-        # ``PreImage``'s test, on every segment at once.
-        off = np.abs(np.sqrt(np.vecdot(axis, axis)) - 1.0) > 1e-10
-        if off.any():
-            raise ValidationError(
-                f"segment {int(np.argmax(off))}: pre-image axis must be a unit vector")
+        require_unit(np.sqrt(np.vecdot(axis, axis)),
+                     "segment {}: pre-image axis must be a unit vector")
         rows = arrays["generators"]
         arrays["hodographs"], arrays["control_points"], arrays["speeds"] = ph.curves(
             arrays["r0"], rows, axis)

@@ -25,6 +25,7 @@ from rmfspline.quat import Quaternion, angle_between, bisector, neg_cross, norm3
 from rmfspline.rrmf import is_class_I
 
 TWO_THIRDS = 2.0 * math.pi / 3.0
+FIELDS = ("p_start", "p_end", "u", "v", "w", "u_end")
 
 
 def frame_for(u: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -67,8 +68,35 @@ class TestValidation:
         v = np.array([0.1, 1.0, 0.0])
         w = np.array([0.0, 0.0, 1.0])
         uf = np.array([0.0, 1.0, 0.0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="frame must be orthonormal"):
             HermiteData(np.zeros(3), np.array([1.0, 1.0, 0.0]), u, v, w, uf)
+
+    def test_left_handed_frame_rejected(self):
+        d = data_with(0.3 * math.pi, 0.2)
+        with pytest.raises(ValidationError, match="frame must be right-handed"):
+            HermiteData(d.p_start, d.p_end, d.u, d.v, -d.w, d.u_end)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_non_finite_field_rejected_by_name(self, name, bad):
+        # Before, solve raised numpy's LinAlgError on such data, or returned
+        # a segment whose frame polynomials were NaN.
+        fields = {f: getattr(data_with(0.3 * math.pi, 0.2), f).copy() for f in FIELDS}
+        fields[name][1] = bad
+        with pytest.raises(ValidationError, match=f"^{name} is not finite$"):
+            HermiteData(**fields)
+
+    @pytest.mark.parametrize("excess, accepted", [(5e-11, True), (3e-10, False)])
+    def test_start_tangent_held_to_the_generator_axis_bound(self, excess, accepted):
+        # The start tangent is the generator axis, which solve holds to
+        # 1e-10; the frame test alone, at 1e-9, let 1 + 3e-10 through.
+        d = data_with(0.3 * math.pi, 0.2)
+        args = (d.p_start, d.p_end, d.u * (1.0 + excess), d.v, d.w, d.u_end)
+        if accepted:
+            assert solve(HermiteData(*args)).diagnostics["s_residual"] <= 1e-9
+        else:
+            with pytest.raises(ValidationError, match="start tangent must be a unit vector"):
+                HermiteData(*args)
 
 
 class TestDisplacement:

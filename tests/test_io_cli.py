@@ -74,6 +74,34 @@ class TestSample:
         assert doc["reference_tangents"].shape == (6, 3)
         assert "initial_frame" in doc and doc["params"].shape == (6,)
 
+    def test_cli_rejects_one_span(self, tmp_path, capsys):
+        out = tmp_path / "helix.json"
+        assert main(["sample", "--curve", "helix", "--n", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "need at least two spans" in capsys.readouterr().err
+        assert not out.exists()
+
+
+TWO_POINTS = "[[0, 0, 0], [1, 2, 3]]"
+FRAME_UV = '"u": [1, 0, 0], "v": [0, 1, 0]'
+MALFORMED_STREAMS = [
+    ("invalid JSON", '{"points": [[0, 0, 0]', "invalid JSON"),
+    ("no points", '{"pts": %s}' % TWO_POINTS, "missing required key 'points'"),
+    ("2-vector points", '{"points": [[0, 0], [1, 2]]}', "'points' must be an array of 3-vectors"),
+    ("reference count", '{"points": %s, "reference_tangents": [[1, 0, 0]]}' % TWO_POINTS,
+     "one reference tangent per point required"),
+    ("parameter count", '{"points": %s, "params": [0, 1, 2]}' % TWO_POINTS,
+     "one parameter per point required"),
+    ("non-numeric CSV", "0,0,0\n1,x,2\n", ":2: could not convert string to float"),
+    ("empty", "", "no points found"),
+    ("comments only", "# no points\n\n", "no points found"),
+    ("frame key missing", '{"points": %s, "initial_frame": {%s}}' % (TWO_POINTS, FRAME_UV),
+     "frame object is missing key 'w'"),
+    ("frame 2-vector",
+     '{"points": %s, "initial_frame": {%s, "w": [0, 1]}}' % (TWO_POINTS, FRAME_UV),
+     r"frame\.w must be a 3-vector"),
+]
+
 
 class TestStreamFiles:
     def test_csv_round_trip(self, tmp_path):
@@ -101,6 +129,18 @@ class TestStreamFiles:
     def test_missing_file(self):
         with pytest.raises(StreamFormatError):
             read_stream_file("/nonexistent/stream.csv")
+
+    @pytest.mark.parametrize("text, message", [(t, m) for _, t, m in MALFORMED_STREAMS],
+                             ids=[name for name, _, _ in MALFORMED_STREAMS])
+    def test_malformed_stream_rejected(self, tmp_path, capsys, text, message):
+        f = tmp_path / "stream.txt"
+        f.write_text(text)
+        with pytest.raises(StreamFormatError, match=message):
+            read_stream_file(str(f))
+        out = tmp_path / "spline.json"
+        assert main(["interpolate", "--in", str(f), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestInterpolateCommand:
@@ -196,6 +236,28 @@ class TestInterpolateCommand:
             rc = main(["interpolate", "--in", str(src), "--mode", "chord", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "stream point 0 has a coordinate beyond" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_frame_file_exit_code(self, tmp_path, capsys):
+        # open() of --frame raises OSError itself, not StreamFormatError.
+        src = tmp_path / "g1.csv"
+        src.write_text(GENERIC1)
+        out = tmp_path / "g1_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--frame", str(tmp_path / "none.json"),
+                   "--out", str(out)])
+        assert rc == EXIT_IO
+        assert "none.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_degenerate_reference_tangent_exit_code(self, tmp_path, capsys):
+        # On uniform knots with p2 - p1 = 4 (p1 - p0) the local rule's first
+        # tangent vanishes: a GeometryError before any segment is built.
+        src = tmp_path / "line.csv"
+        src.write_text("0,0,0\n1,0,0\n5,0,0\n6,1,0\n")
+        out = tmp_path / "line_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--mode", "uniform", "--out", str(out)])
+        assert rc == EXIT_INFEASIBLE
+        assert "reference tangent at point 0 degenerates to zero" in capsys.readouterr().err
         assert not out.exists()
 
     def test_explicit_frame_file(self, tmp_path):
@@ -317,6 +379,13 @@ class TestSplineFiles:
             read_spline_file(str(f))
         assert main(["validate", "--in", str(f)]) == EXIT_IO
 
+    def test_non_object_file_is_schema_error(self, tmp_path):
+        f = tmp_path / "array.json"
+        f.write_text("[0, 1]")
+        with pytest.raises(StreamFormatError, match="expected a JSON object"):
+            read_spline_file(str(f))
+        assert main(["validate", "--in", str(f)]) == EXIT_IO
+
     def test_wrong_version_rejected(self, tmp_path):
         f = tmp_path / "v2.json"
         f.write_text(json.dumps({"version": "2", "knots": [0, 1], "segments": []}))
@@ -356,6 +425,12 @@ MALFORMED = [
     ("W_a with two entries", _set(3, "W_a", [1.0, 0.0]), "segment 3: W_a"),
     ("W_b of strings", _set(0, "W_b", ["x", "y", "z"]), "segment 0: W_b"),
     ("mu a string", _set(4, "mu", "abc"), "segment 4: mu"),
+    ("knots of strings", lambda doc: doc.update(knots=["a"] * len(doc["knots"])),
+     "knots are not numeric"),
+    ("one segment short", lambda doc: doc["segments"].pop(),
+     "segment count must match the knot vector"),
+    ("mu missing", lambda doc: doc["segments"][1].pop("mu"),
+     r"malformed spline file: KeyError\('mu'\)"),
 ]
 
 

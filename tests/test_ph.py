@@ -1,12 +1,14 @@
 """Quintic PH machinery: hodograph, control points, speed, indicatrix, frames."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import conftest as data
 from rmfspline import _bernstein as bern
-from rmfspline.errors import DegenerateCurveError, DegenerateInputError
+from rmfspline.errors import DegenerateCurveError, DegenerateInputError, ValidationError
 from rmfspline.ph import (
     PreImage,
     curve_from_preimage,
@@ -30,6 +32,14 @@ I = np.array([1.0, 0.0, 0.0])
 def constant_preimage() -> PreImage:
     one = Quaternion(1.0, np.zeros(3))
     return PreImage(one, one, one, I)
+
+
+@pytest.mark.parametrize("axis", [2.0 * I, [math.nan, 0.0, 1.0], [1.0, math.inf, 0.0]],
+                         ids=["double", "nan", "inf"])
+def test_preimage_axis_must_be_unit(axis):
+    one = Quaternion(1.0, np.zeros(3))
+    with pytest.raises(ValidationError, match="pre-image axis must be a unit vector"):
+        PreImage(one, one, one, np.array(axis))
 
 
 def hodograph_by_quadrature(p: PreImage) -> np.ndarray:

@@ -101,6 +101,19 @@ class TestRotate:
         with pytest.raises(ValidationError):
             rotate(Quaternion(2.0, np.zeros(3)), I)
 
+    @pytest.mark.parametrize("q", [Quaternion(math.nan, I), Quaternion(0.0, [math.nan, 1.0, 0.0])],
+                             ids=["scalar", "vector"])
+    def test_nan_quaternion_rejected(self, q):
+        with pytest.raises(ValidationError, match="rotate requires a unit quaternion"):
+            rotate(q, I)
+
+    @pytest.mark.parametrize("axis", [2.0 * I, I * (1.0 + 2e-10), [math.nan, 0.0, 1.0],
+                                      [math.inf, 0.0, 0.0]],
+                             ids=["double", "near-unit", "nan", "inf"])
+    def test_versor_axis_must_be_unit(self, axis):
+        with pytest.raises(ValidationError, match="versor axis must be a unit vector"):
+            Quaternion.versor(axis, 0.3)
+
     def test_preserves_norms_and_dots(self):
         rng = np.random.RandomState(0)
         for _ in range(50):

@@ -380,6 +380,16 @@ class TestRationalFrame:
         with pytest.raises(ValidationError):
             compute_rational_frame(p, initial_frame=np.array([t0, bad, np.cross(t0, bad)]))
 
+    def test_nan_normal_rejected(self):
+        # Before, the frame polynomials a and b came out all NaN.
+        p = exact_worked_preimage()
+        t0 = unit(hodograph_from_preimage(p)[0])
+        v = unit(np.cross(np.array([0.0, 0.0, 1.0]), t0))
+        frame = np.array([t0, v, np.cross(t0, v)])
+        frame[1, 0] = math.nan
+        with pytest.raises(ValidationError, match="prescribed normal is not orthogonal"):
+            compute_rational_frame(p, initial_frame=frame)
+
     def test_planar_non_admissible_rejected(self):
         # generic planar generator (components only along 1 and k) fails the
         # middle-coefficient identity and is rejected up front

@@ -674,19 +674,59 @@ class TestTwoPassBuild:
         assert e.tau is not None and e.gap is None
 
 
-class TestNonFiniteInput:
-    FRAME = default_initial_frame(np.array([-0.7, 0.6, 0.3]))
+FRAME = default_initial_frame(np.array([-0.7, 0.6, 0.3]))
 
+
+def _with_row(rows: np.ndarray, k: int, row) -> np.ndarray:
+    rows = rows.copy()
+    rows[k] = row
+    return rows
+
+
+class TestRejectedStreams:
+    @pytest.mark.parametrize("points, frame, message", [
+        (GENERIC1[:1], FRAME, "a stream needs at least two 3D points"),
+        (_with_row(GENERIC1, 3, GENERIC1[2]), FRAME, "consecutive stream points 2 and 3 coincide"),
+        (GENERIC1, FRAME[:2], "initial frame must be three row vectors"),
+        (GENERIC1, _with_row(FRAME, 1, 1.01 * FRAME[1]), "initial frame must be orthonormal"),
+        (GENERIC1, _with_row(FRAME, 1, (1.0 + 6e-9) * FRAME[1]),
+         "initial frame must be orthonormal"),
+        (GENERIC1, FRAME[[0, 2, 1]], "initial frame must be right-handed"),
+    ], ids=["one-point", "coincident", "two-rows", "scaled-row", "just-beyond-1e-8",
+            "left-handed"])
+    def test_point_stream_rejects(self, points, frame, message):
+        with pytest.raises(ValidationError, match=message):
+            PointStream(points=points, initial_frame=frame)
+
+    def test_frame_within_its_tolerance_is_orthonormalized(self):
+        stream = PointStream(points=GENERIC1,
+                             initial_frame=_with_row(FRAME, 1, (1.0 + 4e-9) * FRAME[1]))
+        gram = stream.initial_frame @ stream.initial_frame.T
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "spline"}, "unknown parameterization mode: 'spline'"),
+        ({"reference_tangents": np.ones((len(GENERIC1) - 1, 3))},
+         "need one reference tangent per stream point"),
+        ({"reference_tangents": np.ones((len(GENERIC1), 2))},
+         "need one reference tangent per stream point"),
+    ], ids=["unknown-mode", "one-tangent-short", "two-vectors"])
+    def test_build_rejects_arguments(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            build(stream_for(GENERIC1), **kwargs)
+
+
+class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_stream_point_rejected_by_index(self, bad):
         pts = GENERIC1.copy()
         pts[3, 1] = bad
         with pytest.raises(ValidationError, match="stream point 3 is not finite"):
-            PointStream(points=pts, initial_frame=self.FRAME)
+            PointStream(points=pts, initial_frame=FRAME)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_initial_frame_rejected(self, bad):
-        frame = self.FRAME.copy()
+        frame = FRAME.copy()
         frame[1, 2] = bad
         with pytest.raises(ValidationError, match="initial frame row 1 is not finite"):
             PointStream(points=GENERIC1, initial_frame=frame)
@@ -705,6 +745,14 @@ class TestNonFiniteInput:
         refs[2] = row
         with pytest.raises(ValidationError, match="reference tangent 2 is zero or not finite"):
             build(stream_for(GENERIC1), reference_tangents=refs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_generator_axis_rejected_by_segment(self, generic1_path, bad):
+        axes = generic1_path.frame_axes.copy()
+        axes[1, 0, 2] = bad
+        with pytest.raises(ValidationError,
+                           match="segment 1: pre-image axis must be a unit vector"):
+            dataclasses.replace(generic1_path, frame_axes=axes)
 
     def test_reference_tangents_normalized_row_by_row(self, monkeypatch):
         # build hands generate_end_tangent rows of refs / np.linalg.norm(refs, axis=1).

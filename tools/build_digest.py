@@ -7,9 +7,9 @@ Run from anywhere:
 
 The inputs are the 9 ``analytic-dense`` streams and the 120 ``random-walk``
 walks of ``bench/workloads.py`` at seeds 1 and 2.  Each built spline adds
-its knots and frames, and each of its segments its control points ``r``,
-hodograph ``h``, speed ``sigma``, frame coefficients ``a`` and ``b``, frame
-Bezier coefficients ``b_bezier`` and the ``repr`` of the named diagnostics
+its knots and frames, and each of its segments its rows of control points,
+hodographs, speeds, frame coefficients ``a`` and ``b`` and frame Bezier
+coefficients (``frame_bezier``) and the ``repr`` of the named diagnostics
 values in ``DIAGNOSTICS`` (None where a branch sets no such value), so that
 a key the solver stops recording does not move the digest; a stream that
 fails adds every field of its ``SplineBuildError``: the segment index, the
@@ -63,11 +63,11 @@ def update(h, stream) -> tuple[int, int]:
         return 0, 1
     h.update(np.asarray(path.knots).tobytes())
     h.update(path.frames.tobytes())
-    for sol in path.segments:
-        for arr in (sol.segment.r, sol.segment.h, sol.segment.sigma,
-                    sol.frame.a, sol.frame.b, sol.frame.b_bezier):
-            h.update(np.asarray(arr).tobytes())
-        h.update(repr(tuple(sol.diagnostics.get(k) for k in DIAGNOSTICS)).encode())
+    for k, diagnostics in enumerate(path.diagnostics):
+        for rows in (path.control_points, path.hodographs, path.speeds, path.a, path.b,
+                     path.frame_bezier):
+            h.update(rows[k].tobytes())
+        h.update(repr(tuple(diagnostics.get(key) for key in DIAGNOSTICS)).encode())
     return path.n_segments, 0
 
 
