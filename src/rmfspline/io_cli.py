@@ -118,52 +118,68 @@ def sample_curve(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # --- stream and spline files -------------------------------------------------
 
-def _vec3(obj, what: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape != (3,):
-        raise StreamFormatError(f"{what} must be a 3-vector, got shape {arr.shape}")
+def _floats(value, shape: tuple, message: str) -> np.ndarray:
+    """A value read from a file as a float array of ``shape``, where -1
+    stands for any length; a value that is ragged, not numeric or of
+    another shape raises ``StreamFormatError(message)``."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise StreamFormatError(message) from None
+    if arr.ndim != len(shape) or any(m not in (-1, n) for n, m in zip(arr.shape, shape)):
+        raise StreamFormatError(message)
     return arr
 
 
 def _frame_from_json(obj) -> np.ndarray:
+    """Frame rows (3, 3) from a JSON object with 3-vectors u, v and w."""
+    if not isinstance(obj, dict):
+        raise StreamFormatError("frame must be a JSON object with keys u, v and w")
     try:
-        return np.array([_vec3(obj["u"], "frame.u"), _vec3(obj["v"], "frame.v"),
-                         _vec3(obj["w"], "frame.w")])
+        return np.array([_floats(obj[key], (3,), f"frame.{key} must be a 3-vector of numbers")
+                         for key in "uvw"])
     except KeyError as exc:
         raise StreamFormatError(f"frame object is missing key {exc}") from exc
 
 
-def read_stream_file(path: str) -> dict:
-    """Parse a stream file (JSON object or CSV of x,y,z lines)."""
+def _frame_to_json(rows) -> dict:
+    return dict(zip("uvw", np.asarray(rows, dtype=float).tolist()))
+
+
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+            return f.read()
     except OSError as exc:
         raise StreamFormatError(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StreamFormatError(f"{path}: invalid JSON ({exc})", line_no=exc.lineno) from exc
+
+
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StreamFormatError(f"{path}: invalid JSON ({exc})", line_no=exc.lineno) from exc
+
+
+def read_stream_file(path: str) -> dict:
+    """Parse a stream file (JSON object or CSV of x,y,z lines)."""
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        doc = _parse_json(text, path)
         if "points" not in doc:
             raise StreamFormatError(f"{path}: missing required key 'points'")
-        points = np.asarray(doc["points"], dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise StreamFormatError(f"{path}: 'points' must be an array of 3-vectors")
+        points = _floats(doc["points"], (-1, 3),
+                         f"{path}: 'points' must be an array of 3-vectors of numbers")
         out = {"points": points}
-        if "initial_frame" in doc and doc["initial_frame"] is not None:
+        if doc.get("initial_frame") is not None:
             out["initial_frame"] = _frame_from_json(doc["initial_frame"])
-        if "reference_tangents" in doc and doc["reference_tangents"] is not None:
-            refs = np.asarray(doc["reference_tangents"], dtype=float)
-            if refs.shape != points.shape:
-                raise StreamFormatError(f"{path}: one reference tangent per point required")
-            out["reference_tangents"] = refs
-        if "params" in doc and doc["params"] is not None:
-            params = np.asarray(doc["params"], dtype=float)
-            if params.shape != (points.shape[0],):
-                raise StreamFormatError(f"{path}: one parameter per point required")
-            out["params"] = params
+        if doc.get("reference_tangents") is not None:
+            out["reference_tangents"] = _floats(
+                doc["reference_tangents"], points.shape,
+                f"{path}: one reference tangent per point required, a 3-vector of numbers")
+        if doc.get("params") is not None:
+            out["params"] = _floats(doc["params"], (len(points),),
+                                    f"{path}: one parameter per point required, a number")
         return out
     # CSV: one x,y,z triple per line, '#' comments allowed.
     points = []
@@ -189,17 +205,13 @@ def read_stream_file(path: str) -> dict:
 def write_stream_file(path: str, points: np.ndarray, initial_frame: np.ndarray | None = None,
                       reference_tangents: np.ndarray | None = None,
                       params: np.ndarray | None = None) -> None:
-    doc: dict = {"points": [[float(x) for x in p] for p in np.asarray(points, dtype=float)]}
+    doc: dict = {"points": np.asarray(points, dtype=float).tolist()}
     if initial_frame is not None:
-        doc["initial_frame"] = {
-            "u": [float(x) for x in initial_frame[0]],
-            "v": [float(x) for x in initial_frame[1]],
-            "w": [float(x) for x in initial_frame[2]],
-        }
+        doc["initial_frame"] = _frame_to_json(initial_frame)
     if reference_tangents is not None:
-        doc["reference_tangents"] = [[float(x) for x in t] for t in reference_tangents]
+        doc["reference_tangents"] = np.asarray(reference_tangents, dtype=float).tolist()
     if params is not None:
-        doc["params"] = [float(u) for u in params]
+        doc["params"] = np.asarray(params, dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
@@ -215,12 +227,8 @@ def spline_to_dict(path_obj: SplinePath) -> dict:
                          "W_a": w_a, "W_b": w_b, "mu": mu, "phi2": phi2, "theta1": theta1})
     return {
         "version": "1",
-        "knots": [float(u) for u in path_obj.knots],
-        "initial_frame": {
-            "u": [float(x) for x in path_obj.frames[0][0]],
-            "v": [float(x) for x in path_obj.frames[0][1]],
-            "w": [float(x) for x in path_obj.frames[0][2]],
-        },
+        "knots": path_obj.knots.tolist(),
+        "initial_frame": _frame_to_json(path_obj.frames[0]),
         "segments": segments,
     }
 
@@ -241,12 +249,7 @@ def _stacked(values: list, field: str, shape: tuple) -> np.ndarray:
         arr = None
     if arr is None or arr.shape != (len(values),) + shape:
         for k, value in enumerate(values):
-            try:
-                got = np.asarray(value, dtype=float).shape
-            except (TypeError, ValueError) as exc:
-                raise StreamFormatError(f"segment {k}: {field} is not numeric ({exc})") from exc
-            if got != shape:
-                raise StreamFormatError(f"segment {k}: {field} must have shape {shape}, got {got}")
+            _floats(value, shape, f"segment {k}: {field} must be numbers of shape {shape}")
         raise StreamFormatError(f"{field} entries cannot be stacked")
     finite = np.isfinite(arr.reshape(len(values), -1)).all(axis=1)
     if not finite.all():
@@ -266,11 +269,8 @@ def spline_from_dict(doc: dict) -> SplinePath:
         if doc.get("version") != "1":
             raise StreamFormatError(f"unsupported spline file version {doc.get('version')!r}")
         seg_docs = doc["segments"]
-        try:
-            knots = np.asarray(doc["knots"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise StreamFormatError(f"knots are not numeric ({exc})") from exc
-        if knots.ndim != 1 or len(seg_docs) != knots.size - 1 or not len(seg_docs):
+        knots = _floats(doc["knots"], (-1,), "knots are not numeric, or not one flat list")
+        if len(seg_docs) != knots.size - 1 or not len(seg_docs):
             raise StreamFormatError("segment count must match the knot vector")
         if not np.all(np.isfinite(knots)) or not np.all(np.diff(knots) > 0.0):
             raise StreamFormatError("knots must be finite and strictly increasing")
@@ -292,13 +292,7 @@ def spline_from_dict(doc: dict) -> SplinePath:
 
 
 def read_spline_file(path: str) -> SplinePath:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise StreamFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StreamFormatError(f"{path}: invalid JSON ({exc})", line_no=exc.lineno) from exc
+    doc = _parse_json(_read_text(path), path)
     if not isinstance(doc, dict):
         raise StreamFormatError(f"{path}: expected a JSON object")
     return spline_from_dict(doc)
@@ -437,8 +431,7 @@ def _cmd_interpolate(args) -> int:
     knots = doc.get("params") if args.mode == "uniform" else None
 
     if args.frame is not None:
-        with open(args.frame, "r", encoding="utf-8") as f:
-            frame = _frame_from_json(json.load(f))
+        frame = _frame_from_json(_parse_json(_read_text(args.frame), args.frame))
     elif "initial_frame" in doc:
         frame = doc["initial_frame"]
     else:

@@ -22,7 +22,7 @@ from . import _bernstein as bern
 from .errors import ValidationError
 from .hermite import scaled_displacement_components
 from .ph import PHQuintic
-from .quat import _vcross, unit
+from .quat import _vcross, angles_between, unit
 from .rrmf import RationalFrame
 
 
@@ -75,7 +75,7 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
     sc, dsc = sp.tolist(), npoly.polyder(sp).tolist()
 
     t0_tan = unit(npoly.polyval(0.0, hp))
-    if abs(float(f2_0 @ t0_tan)) > 1e-6:
+    if not abs(float(f2_0 @ t0_tan)) <= 1e-6:
         raise ValidationError("initial normal is not orthogonal to the start tangent")
     f2_0 = unit(f2_0 - float(f2_0 @ t0_tan) * t0_tan)
 
@@ -168,9 +168,9 @@ def reflect_rmf(points, hodographs, initial_normals,
     theta = theta_0 + cumsum(delta).  Only cos and sin of theta are used,
     so the field n may jump between samples.
 
-    A start normal more than 1e-6 off orthogonal to its start tangent
-    raises ``ValidationError``; it is projected onto the normal plane
-    otherwise, as in ``integrate_rmf``.
+    A start normal more than 1e-6 off orthogonal to its start tangent, or
+    not finite, raises ``ValidationError``; it is projected onto the normal
+    plane otherwise, as in ``integrate_rmf``.
     """
     ts, point_basis, hodograph_basis = _reflect_bases(n_samples)
     initial_normals = np.asarray(initial_normals, dtype=float).reshape(-1, 3)
@@ -186,7 +186,7 @@ def reflect_rmf(points, hodographs, initial_normals,
 
         r0 = initial_normals[block]
         lean = np.sum(r0 * t[:, 0], axis=-1, keepdims=True)
-        if np.any(np.abs(lean) > 1e-6):
+        if not (np.abs(lean) <= 1e-6).all():
             raise ValidationError("initial normal is not orthogonal to the start tangent")
         r0 = r0 - lean * t[:, 0]
         r0 = r0 / np.linalg.norm(r0, axis=-1, keepdims=True)
@@ -208,10 +208,9 @@ def reflect_rmf(points, hodographs, initial_normals,
 
 
 def max_unit_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest angle between corresponding unit rows of a and b (..., N, 3),
-    computed from their chord length: one value per leading index."""
-    chord = np.linalg.norm(a - b, axis=-1)
-    return np.max(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)), axis=-1)
+    """Largest ``quat.angles_between`` of corresponding unit rows of a and b
+    (..., N, 3): one value per leading index."""
+    return np.max(angles_between(a, b), axis=-1)
 
 
 def compare_frames(rational: RationalFrame, trace: NumericFrameTrace) -> float:

@@ -67,11 +67,13 @@ def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``angle_between`` of corresponding unit rows of a and b (..., 3),
     which broadcast against each other, by the same formula."""
     chord = np.linalg.norm(a - b, axis=-1)
+    near = chord <= 1.0
+    angles = 2.0 * np.arcsin(0.5 * np.minimum(chord, 1.0))
+    if near.all():  # the usual case, angles up to 60 degrees: one branch
+        return angles
     anti = np.linalg.norm(a + b, axis=-1)
     # np.where evaluates both branches; the clamps keep the unused one finite.
-    return np.where(chord <= 1.0,
-                    2.0 * np.arcsin(0.5 * np.minimum(chord, 1.0)),
-                    math.pi - 2.0 * np.arcsin(0.5 * np.minimum(anti, 2.0)))
+    return np.where(near, angles, math.pi - 2.0 * np.arcsin(0.5 * np.minimum(anti, 2.0)))
 
 
 def perpendicular_unit(v: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from . import _bernstein as bern
 from ._bernstein import decasteljau, derivative
 from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
 from .ph import PHQuintic, PreImage, hodograph_from_preimage, parametric_speed
-from .quat import (Quaternion, angle_between, bisector, cross3, neg_cross, perpendicular_unit, star,
-                   unit)
+from .quat import (Quaternion, angle_between, bisector, cross3, neg_cross, perpendicular_unit,
+                   require_finite, star, unit)
 
 
 # --- quaternion operators -------------------------------------------------
@@ -361,8 +361,11 @@ def construct_from_spherical(
 
     The axis is the first spherical point, which makes the phase arguments
     canonical ellipse phases.  The result satisfies the rational-RMF
-    identity by construction and reproduces (s0, s2, s4) exactly.
+    identity by construction and reproduces (s0, s2, s4) exactly.  A
+    spherical point that is not finite raises ``ValidationError``.
     """
+    for name, s in (("s0", s0), ("s2", s2), ("s4", s4)):
+        require_finite(s, f"spherical point {name} is not finite")
     s0 = unit(s0)
     s2 = unit(s2)
     s4 = unit(s4)
@@ -397,6 +400,7 @@ def theta1_for_s1(
     admissibility_tol: float = 1e-9,
 ) -> float:
     """Inner phase that places the first inner spherical point at s1."""
+    require_finite(s1, "spherical point s1 is not finite")
     base = construct_from_spherical(s0, s2, s4, len0, len4, 0.0,
                                     admissibility_tol=admissibility_tol)
     a1_hat = base.a1  # theta1 = 0 representative

@@ -371,7 +371,8 @@ class SplinePath:
     frame ``frame_axes`` (S, 3, 3), the first row the generator axis, and
     its frame polynomials ``a`` and ``b`` (S, 3); ``mu``, ``phi2``,
     ``theta1`` and ``diagnostics`` hold the solve's values.  They are kept
-    as read-only copies, every axis is checked to be a unit vector, and one
+    as read-only copies, every axis is checked to be a unit vector and every
+    generator not to vanish (a speed with no positive coefficient), and one
     call each derives ``hodographs`` (S, 5, 3), ``control_points``
     (S, 6, 3) and ``speeds`` (S, 5) (``ph.curves``) and ``frame_bezier``
     (S, 5, 4), the Bezier coefficients of the frame quaternions
@@ -415,6 +416,9 @@ class SplinePath:
         rows = arrays["generators"]
         arrays["hodographs"], arrays["control_points"], arrays["speeds"] = ph.curves(
             arrays["r0"], rows, axis)
+        vanishing = ~(arrays["speeds"] > 0.0).any(axis=1)
+        if vanishing.any():
+            raise ValidationError(f"segment {int(np.argmax(vanishing))}: generator vanishes")
         arrays["frame_bezier"] = rrmf.frame_beziers(ph.power_rows(rows), arrays["a"],
                                                     arrays["b"], axis)
         # The end frame at t = 1, where de Casteljau gives the last coefficient.

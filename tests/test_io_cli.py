@@ -100,6 +100,19 @@ MALFORMED_STREAMS = [
     ("frame 2-vector",
      '{"points": %s, "initial_frame": {%s, "w": [0, 1]}}' % (TWO_POINTS, FRAME_UV),
      r"frame\.w must be a 3-vector"),
+    ("ragged points", '{"points": [[0, 0, 0], [1, 1]]}', "'points' must be an array of 3-vectors"),
+    ("points an object", '{"points": {"p0": [0, 0, 0], "p1": [1, 2, 3]}}',
+     "'points' must be an array of 3-vectors"),
+    ("ragged reference tangents",
+     '{"points": %s, "reference_tangents": [[1, 0, 0], [0, 1]]}' % TWO_POINTS,
+     "one reference tangent per point required"),
+    ("non-numeric params", '{"points": [[0, 0, 0], [1, 2, 3], [2, 0, 1]], "params": ["x", 1, 2]}',
+     "one parameter per point required"),
+    ("non-numeric frame",
+     '{"points": %s, "initial_frame": {"u": [1, 0, 0], "v": ["a", 1, 0], "w": [0, 0, 1]}}'
+     % TWO_POINTS, r"frame\.v must be a 3-vector"),
+    ("frame a list", '{"points": %s, "initial_frame": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
+     % TWO_POINTS, "frame must be a JSON object"),
 ]
 
 
@@ -239,7 +252,7 @@ class TestInterpolateCommand:
         assert not out.exists()
 
     def test_missing_frame_file_exit_code(self, tmp_path, capsys):
-        # open() of --frame raises OSError itself, not StreamFormatError.
+        # A --frame file that cannot be read is an I/O error naming the file.
         src = tmp_path / "g1.csv"
         src.write_text(GENERIC1)
         out = tmp_path / "g1_spline.json"
@@ -247,6 +260,22 @@ class TestInterpolateCommand:
                    "--out", str(out)])
         assert rc == EXIT_IO
         assert "none.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"u": [1, 0, 0]', "invalid JSON"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "frame must be a JSON object"),
+    ], ids=["invalid JSON", "list"])
+    def test_malformed_frame_file_exit_code(self, tmp_path, capsys, text, message):
+        src = tmp_path / "g1.csv"
+        src.write_text(GENERIC1)
+        ff = tmp_path / "frame.json"
+        ff.write_text(text)
+        out = tmp_path / "g1_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--frame", str(ff), "--out", str(out)])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_degenerate_reference_tangent_exit_code(self, tmp_path, capsys):
@@ -457,6 +486,20 @@ class TestMalformedSplineFiles:
             read_spline_file(str(bad))
         assert main(["eval", "--in", str(bad), "--samples", "4",
                      "--out", str(tmp_path / "out.csv")]) == EXIT_VALIDATION
+
+    def test_vanishing_generator_rejected_with_segment(self, tmp_path, helix_spline, capsys):
+        doc = json.loads(helix_spline.read_text())
+        doc["segments"][3].update(A0=[0.0] * 4, A1=[0.0] * 4, A2=[0.0] * 4)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="segment 3: generator vanishes"):
+            read_spline_file(str(bad))
+        out, report = tmp_path / "out.csv", tmp_path / "report.json"
+        assert main(["eval", "--in", str(bad), "--samples", "4", "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert main(["validate", "--in", str(bad), "--report", str(report)]) == EXIT_VALIDATION
+        assert "segment 3: generator vanishes" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
 
 
 class TestValidateCommand:

@@ -135,6 +135,12 @@ class TestIntegrateRMF:
         assert np.max(np.linalg.norm(trace.f2 - J, axis=1)) <= 1e-12
         assert np.max(np.linalg.norm(trace.f1 - I, axis=1)) <= 1e-12
 
+    def test_nan_start_normal_rejected(self):
+        one = Quaternion(1.0, np.zeros(3))
+        q = curve_from_preimage(np.zeros(3), PreImage(one, one, one, I))
+        with pytest.raises(ValidationError, match="initial normal is not orthogonal"):
+            oracle.integrate_rmf(q, np.array([I, [math.nan, 1.0, 0.0], K]), n_samples=100)
+
     def test_orthonormal_samples(self):
         rng = np.random.RandomState(40)
         d = data.random_hermite_data(rng)
@@ -251,6 +257,13 @@ class TestReflectRMF:
         t0 = unit(q.h[0])
         with pytest.raises(ValidationError):
             oracle.reflect_rmf(*data.curve_rows([q]), [unit(K + 1e-3 * t0)], n_samples=100)
+
+    def test_nan_start_normal_rejected(self):
+        q = curve_from_preimage(np.zeros(3), planar_preimage())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="initial normal is not orthogonal"):
+                oracle.reflect_rmf(*data.curve_rows([q]), [[0.0, math.nan, 1.0]], n_samples=100)
 
     def test_validate_runs_no_ode_solve(self, monkeypatch):
         calls = []

@@ -298,6 +298,20 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             construct_from_spherical(s0, unit(np.array([0.4, 0.7, 0.3])), s4, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["s0", "s2", "s4"])
+    def test_non_finite_point_rejected(self, name):
+        points = dict(zip(("s0", "s1", "s2", "s4"), worked_spherical()))
+        points[name] = np.array([math.nan, 0.0, 1.0])
+        with pytest.raises(ValidationError, match=f"spherical point {name} is not finite"):
+            construct_from_spherical(points["s0"], points["s2"], points["s4"], 1.0, 1.0, 0.0,
+                                     admissibility_tol=1e-3)
+
+    def test_non_finite_s1_rejected(self):
+        s0, _, s2, s4 = worked_spherical()
+        with pytest.raises(ValidationError, match="spherical point s1 is not finite"):
+            theta1_for_s1(s0, s2, s4, 1.0, 1.0, np.array([0.0, math.inf, 1.0]),
+                          admissibility_tol=1e-3)
+
     def test_antipodal_outer_rejected(self):
         with pytest.raises(DegenerateInputError):
             construct_from_spherical(I, np.array([0.0, 1.0, 0.0]), -I, 1.0, 1.0, 0.0)
