@@ -276,7 +276,13 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
     """Plain bisection; keeps halving past the width tolerance while the
     function residual stays above ``F_TARGET``, up to ``MAX_BISECTIONS``.
     Roots sitting where the displacement direction turns steeply (its
-    magnitude nearly vanishing) need the extra digits."""
+    magnitude nearly vanishing) need the extra digits.
+
+    The library's one bisection, with four callers: ``_solve_generator``'s
+    free angle, the critical angle of ``spline._feasible_arcs``, the arc
+    ends of ``spline.generate_end_tangent`` (on a +1/-1 predicate) and the
+    critical points of ``spherical.is_degenerate``.  The last three pass
+    ``tol=0.0``, which halves down to adjacent floats or an exact zero."""
     iters = 0
     f_mid = f_lo
     while iters < MAX_BISECTIONS:

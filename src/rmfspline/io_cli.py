@@ -118,12 +118,21 @@ def sample_curve(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # --- stream and spline files -------------------------------------------------
 
+def _numbers(value) -> np.ndarray:
+    """A value read from a file as a float array; JSON strings and booleans,
+    which numpy would convert, raise ``ValueError`` as non-numbers do."""
+    arr = np.array(value)
+    if arr.dtype.kind in "Ub":
+        raise ValueError("strings and booleans are not numbers")
+    return arr.astype(float, copy=False)
+
+
 def _floats(value, shape: tuple, message: str) -> np.ndarray:
     """A value read from a file as a float array of ``shape``, where -1
     stands for any length; a value that is ragged, not numeric or of
     another shape raises ``StreamFormatError(message)``."""
     try:
-        arr = np.array(value, dtype=float)
+        arr = _numbers(value)
     except (TypeError, ValueError):
         raise StreamFormatError(message) from None
     if arr.ndim != len(shape) or any(m not in (-1, n) for n, m in zip(arr.shape, shape)):
@@ -244,7 +253,7 @@ def _stacked(values: list, field: str, shape: tuple) -> np.ndarray:
     shape and finite values; a bad entry raises ``StreamFormatError`` naming
     the field and the first segment that has it."""
     try:
-        arr = np.array(values, dtype=float)
+        arr = _numbers(values)
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.shape != (len(values),) + shape:

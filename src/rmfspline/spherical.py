@@ -6,9 +6,10 @@ the unit sphere.  Those spherical points, the ellipse on which the middle
 hodograph control points of an admissible curve lie, and the inner phases
 and lengths on it pin the whole configuration, so an admissible generator
 can be built from spherical data (``construct_from_spherical``).  Alongside
-sit the tangent indicatrix, the degeneracy test with the root isolation it
-uses, the linear rational reparametrization, and the two quaternion
-operators that the construction needs beyond ``quat``.
+sit the tangent indicatrix, the degeneracy test (the speed quartic's
+minimum, found on pieces where its derivative is monotone), the linear
+rational reparametrization, and the two quaternion operators that the
+construction needs beyond ``quat``.
 
 ``build`` runs none of this: its local solve takes the free angle from a
 closed form (``hermite``).  The module keeps the geometry that the tests
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bernstein as bern
-from ._bernstein import decasteljau, derivative
 from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
+from .hermite import _bisect
 from .ph import PHQuintic, PreImage, hodograph_from_preimage, parametric_speed
 from .quat import (Quaternion, angle_between, bisector, cross3, neg_cross, perpendicular_unit,
                    require_finite, star, unit)
@@ -46,12 +47,10 @@ def quat_sqrt(v: np.ndarray, i: np.ndarray, alpha: float = 0.0) -> Quaternion:
     i = unit(i)
     root = math.sqrt(nv)
     if float(unit(v) @ i) > -1.0 + 1e-12:
-        base = Quaternion.pure(root * bisector(i, v))
-    else:
-        d1 = perpendicular_unit(v)
-        d2 = cross3(unit(v), d1)
-        return Quaternion.pure(root * (d1 * math.cos(alpha) + d2 * math.sin(alpha)))
-    return base * Quaternion.versor(i, alpha)
+        return Quaternion.pure(root * bisector(i, v)) * Quaternion.versor(i, alpha)
+    d1 = perpendicular_unit(v)
+    d2 = cross3(unit(v), d1)
+    return Quaternion.pure(root * (d1 * math.cos(alpha) + d2 * math.sin(alpha)))
 
 
 def boxop(a: Quaternion, b: Quaternion) -> np.ndarray:
@@ -60,123 +59,63 @@ def boxop(a: Quaternion, b: Quaternion) -> np.ndarray:
     return 0.5 * s.v
 
 
-# --- real roots of a Bernstein polynomial on [0, 1] -----------------------
-
-def _subdivide(coeffs: np.ndarray, t: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    n = coeffs.shape[0] - 1
-    left = np.empty_like(coeffs)
-    right = np.empty_like(coeffs)
-    b = coeffs.copy()
-    left[0] = b[0]
-    right[n] = b[n]
-    for r in range(1, n + 1):
-        b = (1.0 - t) * b[:-1] + t * b[1:]
-        left[r] = b[0]
-        right[n - r] = b[-1]
-    return left, right
-
-
-def _sign_variations(coeffs: np.ndarray, tol: float) -> int:
-    signs = [s for s in np.sign(np.where(np.abs(coeffs) <= tol, 0.0, coeffs)) if s != 0.0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def roots_unit_interval(coeffs: np.ndarray) -> list[float]:
-    """Real roots in [0, 1] by sign-variation subdivision with bisection polish.
-
-    Suitable for the low degrees used here; even-multiplicity touches are
-    found via the vanishing of subdivided control polygons.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    zero = 1e-13 * (float(np.max(np.abs(coeffs))) or 1.0)
-    found: list[float] = []
-
-    def recurse(c: np.ndarray, a: float, b: float, depth: int) -> None:
-        if np.all(np.abs(c) <= zero):
-            # Identically-zero stretch: record the midpoint once.
-            found.append(0.5 * (a + b))
-            return
-        var = _sign_variations(c, zero)
-        if var == 0:
-            if abs(c[0]) <= zero:
-                found.append(a)
-            if abs(c[-1]) <= zero:
-                found.append(b)
-            return
-        if b - a < 1e-14 or depth > 60:
-            found.append(0.5 * (a + b))
-            return
-        if var == 1 and np.sign(c[0]) * np.sign(c[-1]) < 0:
-            lo, hi = a, b
-            flo = decasteljau(coeffs, lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = decasteljau(coeffs, mid)
-                if fm == 0.0 or hi - lo < 1e-16:
-                    break
-                if np.sign(fm) == np.sign(flo):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            found.append(0.5 * (lo + hi))
-            return
-        left, right = _subdivide(c)
-        mid = 0.5 * (a + b)
-        recurse(left, a, mid, depth + 1)
-        recurse(right, mid, b, depth + 1)
-
-    recurse(coeffs, 0.0, 1.0, 0)
-    found.sort()
-    dedup: list[float] = []
-    for r in found:
-        if not dedup or abs(r - dedup[-1]) > 1e-10:
-            dedup.append(r)
-    return dedup
-
-
-def minimum_unit_interval(coeffs: np.ndarray) -> tuple[float, float]:
-    """(min value, argmin) of a Bernstein polynomial over [0, 1].
-
-    Critical points come from the derivative's roots isolated by
-    subdivision, so no complex arithmetic is involved.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    candidates = [0.0, 1.0]
-    if coeffs.shape[0] > 1:
-        candidates.extend(roots_unit_interval(derivative(coeffs)))
-    values = [float(decasteljau(coeffs, t)) for t in candidates]
-    k = int(np.argmin(values))
-    return values[k], candidates[k]
-
-
 # --- the hodograph on the sphere ------------------------------------------
 
 DEGENERACY_TOL = 1e-12
 
 
+def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a t^2 + b t + c.  The root of larger magnitude comes
+    from q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, where the two terms never
+    cancel, and the other from the product of the roots, c / a."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
 def is_degenerate(p: PreImage) -> tuple[bool, float | None]:
     """Whether the generator vanishes somewhere on [0, 1], with a witness root.
 
-    Classified by the sign of the minimum of the quartic speed polynomial,
-    located by subdivision root isolation of its derivative.
+    Classified by the sign of the minimum of the quartic speed sigma, taken
+    over the ends and the critical points.  The real roots of the quadratic
+    sigma'' cut [0, 1] into pieces on which sigma' is monotone, so each
+    piece holds at most one sign change of sigma', which ``_bisect`` pins
+    down to adjacent floats.
     """
     sigma = parametric_speed(p)
+    slope_coeffs = bern.derivative(sigma)
+    c0, c1, c2 = bern.derivative(slope_coeffs)
+    # sigma'' = c0 (1 - t)^2 + 2 c1 t (1 - t) + c2 t^2 in the power basis
+    inner = _quadratic_roots(c0 - 2.0 * c1 + c2, 2.0 * (c1 - c0), c0)
+    knots = [0.0, *sorted(t for t in inner if 0.0 < t < 1.0), 1.0]
+
+    def slope(t: float) -> float:
+        return float(bern.decasteljau(slope_coeffs, t))
+
+    candidates = list(knots)
+    for lo, hi in zip(knots, knots[1:]):
+        s_lo, s_hi = slope(lo), slope(hi)
+        if s_lo < 0.0 < s_hi or s_hi < 0.0 < s_lo:
+            candidates.append(_bisect(slope, lo, hi, s_lo, tol=0.0)[0])
+    values = [float(bern.decasteljau(sigma, t)) for t in candidates]
+    k = int(np.argmin(values))
     scale = float(np.max(np.abs(sigma))) or 1.0
-    vmin, tmin = minimum_unit_interval(sigma)
-    if vmin <= DEGENERACY_TOL * scale:
-        return True, tmin
+    if values[k] <= DEGENERACY_TOL * scale:
+        return True, candidates[k]
     return False, None
 
 
 def spherical_control_points(q: PHQuintic) -> np.ndarray:
     """Normalized hodograph control points, shape (5, 3)."""
     norms = np.linalg.norm(q.h, axis=1)
-    scale = float(norms.max()) or 1.0
-    for k, n in enumerate(norms):
-        if n <= 1e-12 * scale:
-            raise DegenerateInputError(
-                f"hodograph control point {k} vanishes; spherical point undefined"
-            )
+    vanishing = np.flatnonzero(norms <= 1e-12 * (float(norms.max()) or 1.0))
+    if vanishing.size:
+        raise DegenerateInputError(
+            f"hodograph control point {vanishing[0]} vanishes; spherical point undefined")
     return q.h / norms[:, None]
 
 
@@ -214,8 +153,8 @@ def reparam_scaled_preimage(p: PreImage, mu: float, lam: float) -> PreImage:
     The tangent image on the sphere is unchanged; parameters correspond
     through the linear rational map ``reparam_map``.
     """
-    if mu <= 0 or lam <= 0:
-        raise ValidationError("scaling factors must be positive")
+    if not (0.0 < mu < math.inf and 0.0 < lam < math.inf):  # False for NaN too
+        raise ValidationError("scaling factors must be positive and finite")
     return PreImage(mu * p.a0, (mu * lam) * p.a1, (mu * lam * lam) * p.a2, p.axis)
 
 
@@ -306,8 +245,10 @@ def inner_lengths(
     generator axis; theta1 is then the canonical phase of the first inner
     ellipse and the second one is shifted by ``shift_angle``.
     """
-    if len0 <= 0 or len4 <= 0:
-        raise ValidationError("outer control lengths must be positive")
+    if not (0.0 < len0 < math.inf and 0.0 < len4 < math.inf):
+        raise ValidationError("outer control lengths must be positive and finite")
+    if not all(math.isfinite(a) for a in (gamma, phi2, theta1)):
+        raise ValidationError("angles gamma, phi2 and theta1 must be finite")
     sg2 = math.sin(0.5 * gamma)
     l2 = math.sqrt(len0 * len4) * _axis_ratio(sg2, phi2)
     # angular distance from either outer spherical point to the middle one
@@ -330,9 +271,6 @@ class AdmissibilityReport:
 
     def ok(self, tol: float = 1e-9) -> bool:
         return max(self.middle, self.first, self.third) <= tol
-
-    def residuals(self) -> np.ndarray:
-        return np.array([self.middle, self.first, self.third])
 
 
 def check_admissible_configuration(
@@ -362,7 +300,8 @@ def construct_from_spherical(
     The axis is the first spherical point, which makes the phase arguments
     canonical ellipse phases.  The result satisfies the rational-RMF
     identity by construction and reproduces (s0, s2, s4) exactly.  A
-    spherical point that is not finite raises ``ValidationError``.
+    spherical point or inner phase that is not finite, or an outer length
+    that is not positive and finite, raises ``ValidationError``.
     """
     for name, s in (("s0", s0), ("s2", s2), ("s4", s4)):
         require_finite(s, f"spherical point {name} is not finite")
@@ -371,8 +310,10 @@ def construct_from_spherical(
     s4 = unit(s4)
     if np.linalg.norm(cross3(s0, s4)) <= 1e-12:
         raise DegenerateInputError("outer spherical points must not be parallel")
-    if len0 <= 0 or len4 <= 0:
-        raise ValidationError("outer control lengths must be positive")
+    if not (0.0 < len0 < math.inf and 0.0 < len4 < math.inf):
+        raise ValidationError("outer control lengths must be positive and finite")
+    if not math.isfinite(theta1):
+        raise ValidationError("inner phase theta1 is not finite")
     if abs(float(s2 @ s0 - s2 @ s4)) > admissibility_tol:
         raise ValidationError(
             "middle spherical point is not equidistant from the outer ones"
@@ -401,9 +342,8 @@ def theta1_for_s1(
 ) -> float:
     """Inner phase that places the first inner spherical point at s1."""
     require_finite(s1, "spherical point s1 is not finite")
-    base = construct_from_spherical(s0, s2, s4, len0, len4, 0.0,
+    base = construct_from_spherical(s0, s2, s4, len0, len4, 0.0,  # the theta1 = 0 representative
                                     admissibility_tol=admissibility_tol)
-    a1_hat = base.a1  # theta1 = 0 representative
-    p_axis = star(base.a0, a1_hat, base.axis)
-    q_axis = boxop(base.a0, a1_hat)
+    p_axis = star(base.a0, base.a1, base.axis)
+    q_axis = boxop(base.a0, base.a1)
     return skew_phase(p_axis, q_axis, unit(s1))

@@ -322,16 +322,10 @@ def generate_end_tangent(
         # forth over a few floats, and a segment whose gamma ends up within
         # about 1e-6 of CRITICAL_GAMMA can turn an ulp of its end tangent
         # into a change of 1e-4 in its curve, so the ends stay where the
-        # predicate itself flips.
-        lo, hi = psi - 1e-13, psi + 1e-13
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                return mid
-            if feasible(mid) == lo_state:
-                lo = mid
-            else:
-                hi = mid
+        # predicate itself flips.  An arc end is at least TURN_FLOOR, so
+        # adjacent floats take at most about 40 halvings, not MAX_BISECTIONS.
+        return hermite._bisect(lambda x: 1.0 if feasible(x) else -1.0, psi - 1e-13,
+                               psi + 1e-13, 1.0 if lo_state else -1.0, tol=0.0)[0]
 
     # point(psi) = cos_tau du + cos(psi) radial + sin(psi) du x radial, so
     # the circle's radius is |radial|, which keeps the digits of a small tau

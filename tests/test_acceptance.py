@@ -203,9 +203,11 @@ def test_c06_rotation_minimality(random_solutions, experiment_paths):
         _, reflected = oracle.reflect_rmf(*data.curve_rows([sol.segment for sol in segments]),
                                           [sol.frame.frame_matrix(0.0)[1] for sol in segments],
                                           n_samples=1000)
-        for sol, normals in zip(segments, reflected):
-            trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
-                                         n_samples=1000)
+        # one stacked RK45 solve for every segment, each at its own tolerance
+        traces = data.integrate_rmf_reference([sol.segment for sol in segments],
+                                              [sol.frame.frame_matrix(0.0) for sol in segments],
+                                              1000)
+        for sol, normals, trace in zip(segments, reflected, traces):
             assert oracle.compare_frames(sol.frame, trace) <= 1e-6
             # the double-reflection oracle of validate_spline agrees with RK45
             assert oracle.max_unit_angle(normals, trace.f2) <= 1e-9

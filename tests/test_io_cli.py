@@ -113,6 +113,13 @@ MALFORMED_STREAMS = [
      % TWO_POINTS, r"frame\.v must be a 3-vector"),
     ("frame a list", '{"points": %s, "initial_frame": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
      % TWO_POINTS, "frame must be a JSON object"),
+    ("points as numeral strings", '{"points": [["0", "0", "0"], ["1", "2", "3"]]}',
+     "'points' must be an array of 3-vectors"),
+    ("boolean params", '{"points": %s, "params": [false, true]}' % TWO_POINTS,
+     "one parameter per point required"),
+    ("frame of numeral strings",
+     '{"points": %s, "initial_frame": {%s, "w": ["0", "0", "1"]}}' % (TWO_POINTS, FRAME_UV),
+     r"frame\.w must be a 3-vector"),
 ]
 
 
@@ -454,6 +461,10 @@ MALFORMED = [
     ("W_a with two entries", _set(3, "W_a", [1.0, 0.0]), "segment 3: W_a"),
     ("W_b of strings", _set(0, "W_b", ["x", "y", "z"]), "segment 0: W_b"),
     ("mu a string", _set(4, "mu", "abc"), "segment 4: mu"),
+    ("mu a numeral string", _set(4, "mu", "1.5"), "segment 4: mu"),
+    ("r0 of numeral strings", _set(1, "r0", ["0", "0", "0"]), "segment 1: r0"),
+    ("knots of booleans", lambda doc: doc.update(knots=[False] + [True] * (len(doc["knots"]) - 1)),
+     "knots are not numeric"),
     ("knots of strings", lambda doc: doc.update(knots=["a"] * len(doc["knots"])),
      "knots are not numeric"),
     ("one segment short", lambda doc: doc["segments"].pop(),

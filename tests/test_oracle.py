@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
-from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
 import conftest as data
@@ -32,42 +31,6 @@ def planar_preimage() -> PreImage:
         Quaternion(0.9, [0.0, 0.0, 0.7]),
         I,
     )
-
-
-def integrate_rmf_reference(q, initial_frame, n_samples):
-    """Reference: ``integrate_rmf`` with its right-hand side written through
-    ``npoly.polyval``, as before it went scalar."""
-    f2_0 = np.asarray(initial_frame, dtype=float)[1]
-    hp = bern.to_power(q.h)
-    dhp = npoly.polyder(hp)
-    sp = bern.to_power(q.sigma)
-    dsp = npoly.polyder(sp)
-    t0_tan = unit(npoly.polyval(0.0, hp))
-    f2_0 = unit(f2_0 - float(f2_0 @ t0_tan) * t0_tan)
-
-    def rhs(t, y):
-        h = npoly.polyval(t, hp)
-        dh = npoly.polyval(t, dhp)
-        s = npoly.polyval(t, sp)
-        ds = npoly.polyval(t, dsp)
-        that = h / s
-        dthat = (dh * s - h * ds) / (s * s)
-        return -(y @ dthat) * that
-
-    sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=1e-10, atol=1e-12,
-                    dense_output=True)
-    ts = np.linspace(0.0, 1.0, n_samples + 1)
-    raw = sol.sol(ts).T
-    hvals = npoly.polyval(ts, hp).T
-    f1 = hvals / npoly.polyval(ts, sp)[:, None]
-    leak = np.abs(np.sum(raw * f1, axis=1))
-    drift = np.abs(np.linalg.norm(raw, axis=1) - 1.0)
-    f2 = raw - np.sum(raw * f1, axis=1)[:, None] * f1
-    f2 /= np.linalg.norm(f2, axis=1)[:, None]
-    stats = {"nfev": int(sol.nfev), "n_steps": int(sol.t.size),
-             "max_norm_drift": float(drift.max()), "max_tangent_leak": float(leak.max())}
-    stats["estimated_error"] = max(stats["max_norm_drift"], stats["max_tangent_leak"])
-    return oracle.NumericFrameTrace(ts=ts, f1=f1, f2=f2, f3=np.cross(f1, f2), stats=stats)
 
 
 def bitwise_oracle_segments():
@@ -97,10 +60,19 @@ class TestIntegrateRMF:
     def test_bit_identical_to_polyval_reference(self, n_samples):
         for q, frame0 in bitwise_oracle_segments():
             got = oracle.integrate_rmf(q, frame0, n_samples=n_samples)
-            ref = integrate_rmf_reference(q, frame0, n_samples)
+            ref = data.integrate_rmf_reference([q], [frame0], n_samples)[0]
             for name in ("ts", "f1", "f2", "f3"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             assert got.stats == ref.stats
+
+    def test_stacked_reference_agrees_with_one_segment_solves(self):
+        cases = bitwise_oracle_segments()
+        stacked = data.integrate_rmf_reference([q for q, _ in cases],
+                                               [frame0 for _, frame0 in cases], 200)
+        for (q, frame0), trace in zip(cases, stacked):
+            alone = oracle.integrate_rmf(q, frame0, n_samples=200)
+            assert np.array_equal(trace.f1, alone.f1)
+            assert oracle.max_unit_angle(trace.f2, alone.f2) <= 1e-9
 
     def test_one_solve_per_call(self, monkeypatch):
         calls = []

@@ -217,6 +217,12 @@ class TestReparameterization:
         assert np.max(np.linalg.norm(
             ind_s.evaluate(ts) - ind.evaluate(reparam_map(lam, ts)), axis=1)) <= 1e-12
 
+    @pytest.mark.parametrize("mu,lam", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                        (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)])
+    def test_bad_factor_rejected(self, worked_preimage, mu, lam):
+        with pytest.raises(ValidationError, match="scaling factors"):
+            reparam_scaled_preimage(worked_preimage, mu, lam)
+
     def test_scaled_inner_lengths(self, worked_preimage):
         lam = 0.33 ** 0.25
         scaled = reparam_scaled_preimage(worked_preimage, 1.0, lam)
@@ -269,6 +275,18 @@ class TestDegeneracy:
         p = PreImage(one, -one, one, I)
         flag, root = is_degenerate(p)
         assert flag and root == pytest.approx(0.5, abs=1e-9)
+
+    def test_double_root_detected(self):
+        # A quadratic generator with a double root at t0 is (t - t0)^2 times a
+        # fixed quaternion, so the speed has a fourfold root there.
+        rng = np.random.RandomState(15)
+        for _ in range(50):
+            q = data.random_quaternion(rng)
+            t0 = rng.uniform(0.02, 0.98)
+            p = PreImage((t0 * t0) * q, (t0 * (t0 - 1.0)) * q, ((t0 - 1.0) ** 2) * q,
+                         data.random_unit(rng))
+            flag, root = is_degenerate(p)
+            assert flag and root == pytest.approx(t0, abs=1e-4)
 
     def test_against_dense_sampling(self):
         rng = np.random.RandomState(14)

@@ -233,6 +233,16 @@ class TestInnerLengths:
             predicted = inner_lengths(len0, len4, gamma, phi2, theta1)
             assert np.allclose(np.linalg.norm(h[1:4], axis=1), predicted, atol=1e-10)
 
+    @pytest.mark.parametrize("index,bad", [(0, math.nan), (1, math.inf), (0, 0.0), (1, -1.0),
+                                           (2, math.nan), (3, math.inf), (4, math.nan)],
+                             ids=["len0-nan", "len4-inf", "len0-zero", "len4-negative",
+                                  "gamma-nan", "phi2-inf", "theta1-nan"])
+    def test_bad_argument_rejected(self, index, bad):
+        args = [1.0, 1.0, math.pi / 3, 0.5, 0.3]
+        args[index] = bad
+        with pytest.raises(ValidationError):
+            inner_lengths(*args)
+
 
 class TestAdmissibility:
     def test_worked_configuration(self):
@@ -311,6 +321,20 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="spherical point s1 is not finite"):
             theta1_for_s1(s0, s2, s4, 1.0, 1.0, np.array([0.0, math.inf, 1.0]),
                           admissibility_tol=1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["len0", "len4", "theta1"])
+    def test_non_finite_scalar_rejected(self, name, bad):
+        s0, _, s2, s4 = worked_spherical()
+        scalars = {"len0": 1.0, "len4": 1.0, "theta1": 0.0, name: bad}
+        with pytest.raises(ValidationError):
+            construct_from_spherical(s0, s2, s4, **scalars, admissibility_tol=1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_bad_length_rejected_by_theta1_for_s1(self, bad):
+        s0, s1, s2, s4 = worked_spherical()
+        with pytest.raises(ValidationError, match="outer control lengths"):
+            theta1_for_s1(s0, s2, s4, 1.0, bad, s1, admissibility_tol=1e-3)
 
     def test_antipodal_outer_rejected(self):
         with pytest.raises(DegenerateInputError):
