@@ -32,7 +32,7 @@ def tolerances() -> dict:
     """The pinned validation bounds."""
     return {
         "ph_identity": 1e-10,
-        "class_one": 1e-10,
+        "class_one": rrmf.CLASS_ONE_REL_TOL,
         "rotation_rate": 1e-8,
         "frame_vs_ode": 1e-6,
         "tangential_velocity": 1e-4,
@@ -119,12 +119,12 @@ def sample_curve(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # --- stream and spline files -------------------------------------------------
 
 def _numbers(value) -> np.ndarray:
-    """A value read from a file as a float array; JSON strings and booleans,
-    which numpy would convert, raise ``ValueError`` as non-numbers do."""
-    arr = np.array(value)
-    if arr.dtype.kind in "Ub":
-        raise ValueError("strings and booleans are not numbers")
-    return arr.astype(float, copy=False)
+    """A value read from a file as a float array; ``_parse_json`` reads every
+    JSON number as a float, so any other leaf raises ``ValueError``."""
+    arr = np.array(value, dtype=object)
+    if not set(map(type, arr.flat)) <= {float}:
+        raise ValueError("every entry must be a number")
+    return arr.astype(float)
 
 
 def _floats(value, shape: tuple, message: str) -> np.ndarray:
@@ -164,8 +164,10 @@ def _read_text(path: str) -> str:
 
 
 def _parse_json(text: str, path: str):
+    """The JSON document in text, every number read as a float: an integer
+    beyond float range reads as inf, like the literal 1e400."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise StreamFormatError(f"{path}: invalid JSON ({exc})", line_no=exc.lineno) from exc
 

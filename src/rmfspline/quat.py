@@ -10,6 +10,9 @@ forms on Python floats (``dots``, ``cross_list``, ``product_vector``,
 ``unit_list``, ``bisector_list``, and ``frame_rows_list``, the one-sample
 case of ``frame_rows``) carry ``build``'s sequential chain, where numpy's
 cost per call on 3- and 4-element arrays outweighs the arithmetic.
+Outside it, only ``ph.hodographs`` (whose sandwiches share u . i and u x i)
+and ``rrmf._end_quaternion`` (once per segment of ``build``'s float chain)
+write a quaternion product out by components, where that is cheaper.
 
 The three round alike.  Dot products are numpy's: ``@`` in the value
 object, ``np.vecdot`` elsewhere, which rounds each one exactly as 1-D ``@``
@@ -260,6 +263,11 @@ def vmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bw, bu = b[..., :1], b[..., 1:]
     return np.concatenate([aw * bw - np.vecdot(au, bu)[..., None],
                            aw * bu + bw * au + _vcross(au, bu)], axis=-1)
+
+
+def vpure(v: np.ndarray) -> np.ndarray:
+    """Quaternion rows (..., 4) with scalar part 0.0 of pure vectors (..., 3)."""
+    return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
 def vpoly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ import numpy as np
 from . import _bernstein as bern
 from .errors import FrameConstructionError, ValidationError
 from .ph import PreImage
-from .quat import (_CONJ, _vcross, cross_list, dots, frame_rows, orthonormal_completion,
-                   product_vector, sandwich_list, unit_list, vgram, vpoly_mul)
+from .quat import (_CONJ, _vcross, dots, frame_rows, orthonormal_completion, product_vector,
+                   sandwich_list, unit_list, vgram, vmul, vpoly_mul, vpure)
 
-CLASS_ONE_REL_TOL = 1e-9
+CLASS_ONE_REL_TOL = 1e-10  # the class-I bound of ``is_class_I`` and of ``validate_spline``
 FRAME_REL_TOL = 1e-6  # the bound on both relative residuals of a frame: class-I and polynomial
 
 
@@ -36,22 +36,16 @@ def class_one_residuals(rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray,
     the largest |A_k|^2, for generators with Bezier coefficient rows
     (..., 3, 4) and axes (..., 3).
 
-    ``is_class_I`` is its one-row call.  The arithmetic is that of
-    ``sandwich`` and of the products A2 i A0*, zero terms included, so the
-    values match the quaternion form of the identity bit for bit.
+    ``is_class_I`` is its one-row call.  A1 i A1* is ``sandwich``'s
+    arithmetic and A2 i A0* two ``vmul`` products, so the values match the
+    quaternion form of the identity bit for bit.
     """
     w, v = rows[..., 0], rows[..., 1:]
-    i = axis[..., None, :]
-    vv, vi = np.vecdot(v, v), np.vecdot(v, i)
-    vxi = _vcross(v[..., 1:, :], i)
-    w1, w2 = w[..., 1, None], w[..., 2, None]
-    lhs = ((w1 * w1 - vv[..., 1, None]) * axis + 2.0 * vi[..., 1, None] * v[..., 1, :]
-           + 2.0 * w1 * vxi[..., 0, :])
-    # A2 i = (pw, pv), then its product with A0* = (w0, b).
-    pw = w2 * 0.0 - vi[..., 2, None]
-    pv = w2 * axis + 0.0 * v[..., 2, :] + vxi[..., 1, :]
-    b = -v[..., 0, :]
-    d = lhs - (pw * b + w[..., 0, None] * pv + _vcross(pv, b))
+    vv = np.vecdot(v, v)
+    w1, v1 = w[..., 1, None], v[..., 1, :]
+    lhs = ((w1 * w1 - vv[..., 1, None]) * axis + 2.0 * np.vecdot(v1, axis)[..., None] * v1
+           + 2.0 * w1 * _vcross(v1, axis))
+    d = lhs - vmul(vmul(rows[..., 2, :], vpure(axis)), rows[..., 0, :] * _CONJ)[..., 1:]
     residual = np.sqrt(np.vecdot(d, d))
     scale = np.maximum(np.max(w * w + vv, axis=-1), 1e-300)
     return residual, residual / scale
@@ -76,19 +70,10 @@ _DERIVATIVE_FACTORS = np.array([[1.0], [2.0]])
 
 def _rotation_rates(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Power coefficients (..., 4), ascending, of scal(A' i A*) for generator
-    power coefficients (..., 3, 4) and axes (..., 3), summed from the scalar
-    parts of the row products of A' i and A* in ``vpoly_mul``'s order."""
-    # x = A' (0, i) as ``vmul`` forms it, zero terms included.
-    dc = power[..., 1:, :] * _DERIVATIVE_FACTORS
-    w, u, i = dc[..., :1], dc[..., 1:], axis[..., None, :]
-    xw = w * 0.0 - np.vecdot(u, i)[..., None]
-    xu = w * i + 0.0 * u + _vcross(u, i)
-    y = power * _CONJ
-    terms = xw * y[..., None, :, 0] - np.vecdot(xu[..., :, None, :], y[..., None, :, 1:])
-    out = np.zeros(terms.shape[:-2] + (4,))
-    out[..., :3] += terms[..., 0, :]
-    out[..., 1:] += terms[..., 1, :]
-    return out
+    power coefficients (..., 3, 4) and axes (..., 3): the scalar parts of
+    ``vpoly_mul(vmul(A', (0, i)), A*)``."""
+    x = vmul(power[..., 1:, :] * _DERIVATIVE_FACTORS, vpure(axis)[..., None, :])
+    return vpoly_mul(x, power * _CONJ)[..., 0]
 
 
 def _speed_powers(power: np.ndarray) -> np.ndarray:
@@ -106,12 +91,11 @@ def _speed_and_rates(power: list, axis: list) -> tuple[list, list]:
     on Python floats: power coefficients as [w, x, y, z] rows and the axis
     as lists of floats."""
     (w0, *v0), (w1, *v1), (w2, *v2) = power
-    # A' = C1 + 2 C2 t; x = A' (0, i) as ``vmul`` forms it, zero terms included.
+    # A' = C1 + 2 C2 t; x = A' (0, i) as ``vmul`` forms it.
     dc = [[c * 1.0 for c in power[1]], [c * 2.0 for c in power[2]]]
     g00, g01, g02, g11, g12, g22, *ui = dots([v0, v0, v0, v1, v1, v2, dc[0][1:], dc[1][1:]],
                                              [v0, v1, v2, v1, v2, v2, axis, axis])
-    xs = [(w * 0.0 - d, [(w * i + 0.0 * c) + x for i, c, x in zip(axis, u, cross_list(u, axis))])
-          for (w, *u), d in zip(dc, ui)]
+    xs = [(w * 0.0 - d, product_vector(w, u, 0.0, axis)) for (w, *u), d in zip(dc, ui)]
     y = [[pw * 1.0, p1 * -1.0, p2 * -1.0, p3 * -1.0] for pw, p1, p2, p3 in power]  # A*
     xy = dots([xu for _, xu in xs for _ in y], [yc[1:] for _ in xs for yc in y])
     t = [[xw * yc[0] - xy[3 * m + c] for c, yc in enumerate(y)] for m, (xw, _) in enumerate(xs)]
@@ -272,7 +256,8 @@ def _end_quaternion(power: list, a: list, b: list, axis: list) -> list[float]:
     and b, and the axis.
 
     The products and sums of ``vpoly_mul`` and the last row of
-    ``from_power`` are repeated on Python floats, each in numpy's order.
+    ``from_power`` are repeated on Python floats, each in numpy's order, and
+    written out: ``product_vector`` would add about 6 us to each segment.
     """
     w = [[aj, bj * axis[0], bj * axis[1], bj * axis[2]] for aj, bj in zip(a, b)]
     pw_dots = dots([p[1:] for p in power for _ in w], [wj[1:] for _ in power for wj in w])

@@ -161,6 +161,20 @@ def walk_streams(seed: int, count: int) -> list:
     return streams
 
 
+def near_line_streams(noise: float, count: int = 30) -> list:
+    """The first ``count`` seeded near-line streams of one noise level: 12
+    points at x = 0, ..., 11 with Gaussian noise of scale ``noise`` on y and
+    z, drawn from ``np.random.default_rng(7)``, and the default frame of the
+    first ``minaj2_tangents`` tangent."""
+    rng = np.random.default_rng(7)
+    streams = []
+    for _ in range(count):
+        pts = np.column_stack([np.arange(12.0), noise * rng.normal(size=(12, 2))])
+        refs = minaj2_tangents(pts, chord_knots(pts))
+        streams.append(PointStream(points=pts, initial_frame=default_initial_frame(refs[0])))
+    return streams
+
+
 def path_from_solutions(knots, solutions) -> SplinePath:
     """The path whose rows are those of ``HermiteSolution`` objects."""
     return SplinePath(knots=knots, r0=[s.segment.r0 for s in solutions],

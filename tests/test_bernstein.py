@@ -161,3 +161,8 @@ def test_product_rows_bitwise_with_one_row_calls():
     a, b = rng.standard_normal((7, 5)), rng.standard_normal((7, 4))
     stacked = bern.product(a, b)
     assert all(stacked[k].tobytes() == bern.product(a[k], b[k]).tobytes() for k in range(7))
+
+
+def test_convolve_rejects_factors_beyond_eleven_terms():
+    with pytest.raises(ValueError, match="at most 11 terms"):
+        bern.convolve(np.ones(12), np.ones(12))

@@ -98,6 +98,11 @@ class TestValidation:
             with pytest.raises(ValidationError, match="start tangent must be a unit vector"):
                 HermiteData(*args)
 
+    def test_vanishing_displacement_rejected(self):
+        d = data_with(0.3 * math.pi, 0.2)
+        with pytest.raises(ValidationError, match="displacement must not vanish"):
+            HermiteData(d.p_start, d.p_start.copy(), d.u, d.v, d.w, d.u_end)
+
 
 class TestDisplacement:
     def test_closed_form_matches_quaternion_route(self):

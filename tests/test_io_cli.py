@@ -120,6 +120,15 @@ MALFORMED_STREAMS = [
     ("frame of numeral strings",
      '{"points": %s, "initial_frame": {%s, "w": ["0", "0", "1"]}}' % (TWO_POINTS, FRAME_UV),
      r"frame\.w must be a 3-vector"),
+    ("boolean among points", '{"points": [[0, 0, 0], [1, 2, true], [3, 1, 2]]}',
+     "'points' must be an array of 3-vectors"),
+    ("null in points", '{"points": [[0, 0, null], [1, 2, 3]]}',
+     "'points' must be an array of 3-vectors"),
+    ("boolean among params", '{"points": [[0, 0, 0], [1, 2, 3], [2, 0, 1]], "params": [0, true, 2]}',
+     "one parameter per point required"),
+    ("numeral string beside a huge integer",
+     '{"points": %s, "params": ["1.5", %d]}' % (TWO_POINTS, 10**30),
+     "one parameter per point required"),
 ]
 
 
@@ -244,6 +253,17 @@ class TestInterpolateCommand:
         rc = main(["interpolate", "--in", str(src), "--mode", mode, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "a stream needs at least two 3D points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_beyond_float_range_exit_code(self, tmp_path, capsys):
+        # It reads as inf, as the literal 1e400 does, not as an OverflowError.
+        src = tmp_path / "huge_int.json"
+        src.write_text('{"points": [[0, 0, 0], [1, 2, %d], [3, 1, 2]]}' % 10**400)
+        assert read_stream_file(str(src))["points"][1, 2] == math.inf
+        out = tmp_path / "huge_int_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--mode", "chord", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "stream point 1 is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_huge_coordinate_exit_code(self, tmp_path, capsys):
@@ -471,6 +491,11 @@ MALFORMED = [
      "segment count must match the knot vector"),
     ("mu missing", lambda doc: doc["segments"][1].pop("mu"),
      r"malformed spline file: KeyError\('mu'\)"),
+    ("mu a boolean among numbers", _set(4, "mu", True), "segment 4: mu"),
+    ("mu an integer beyond float range", _set(4, "mu", 10**400), "segment 4: mu is not finite"),
+    ("W_a of a numeral string and a huge integer", _set(3, "W_a", ["1.5", 10**30, 0.0]),
+     "segment 3: W_a"),
+    ("r0 with a null", _set(1, "r0", [0.0, None, 0.0]), "segment 1: r0"),
 ]
 
 

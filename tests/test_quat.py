@@ -405,3 +405,14 @@ class TestComponentKernels:
             ref = (2.0 * math.asin(0.5 * chord) if chord <= 1.0 else
                    math.pi - 2.0 * math.asin(0.5 * min(float(np.linalg.norm(ua + ub)), 2.0)))
             assert angle_between(ua, ub) == ref
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("v", [[1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0])
+    def test_vector_part_of_another_shape_rejected(self, v):
+        with pytest.raises(ValidationError, match="vector part must have shape"):
+            Quaternion(1.0, v)
+
+    def test_unit_of_zero_vector_rejected(self):
+        with pytest.raises(DegenerateInputError, match="cannot normalize a zero vector"):
+            unit(np.zeros(3))

@@ -35,6 +35,7 @@ from rmfspline.spherical import (
     inner_lengths,
     reparam_map,
     shift_angle,
+    skew_phase,
     spherical_control_points,
     tangent_indicatrix,
     theta1_for_s1,
@@ -620,3 +621,32 @@ def test_stacked_kernels_match_one_row_calls(batch):
         assert residual[k] == check.residual
         assert class_one[k] == check.rel_residual == data.class_one_residual_looped(p)
         assert rotation_rate[k] == han08_residual(p, frame) == data.han08_residual_looped(p, frame)
+
+
+class TestDegenerateGenerators:
+    ZERO = Quaternion(0.0, np.zeros(3))
+
+    def test_zero_generator_has_no_frame(self):
+        with pytest.raises(FrameConstructionError, match="zero generator"):
+            compute_rational_frame(PreImage(self.ZERO, self.ZERO, self.ZERO, I))
+
+    def test_frame_quaternion_vanishing_at_the_start_rejected(self):
+        # A0 = A1 = 0 is class I and has frame polynomials, but the frame
+        # quaternion A0 (a0 + b0 i) at t = 0 vanishes, so no normal can be
+        # matched there.
+        p = PreImage(self.ZERO, self.ZERO, Quaternion(0.3, [0.5, -0.2, 0.7]), I)
+        with pytest.raises(FrameConstructionError,
+                           match="frame quaternion vanishes at the start point"):
+            compute_rational_frame(p, initial_frame=np.eye(3))
+
+    def test_vanishing_hodograph_control_point_rejected(self):
+        # h0 = A0 i A0* vanishes with A0.
+        p = PreImage(self.ZERO, Quaternion(0.2, [0.1, 0.4, -0.3]),
+                     Quaternion(0.3, [0.5, -0.2, 0.7]), I)
+        with pytest.raises(DegenerateInputError, match="hodograph control point 0 vanishes"):
+            spherical_control_points(curve_from_preimage(np.zeros(3), p))
+
+    def test_direction_orthogonal_to_the_ellipse_plane_rejected(self):
+        p_axis, q_axis = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+        with pytest.raises(DegenerateInputError, match="orthogonal to the ellipse plane"):
+            skew_phase(p_axis, q_axis, np.array([0.0, 0.0, 2.0]))
