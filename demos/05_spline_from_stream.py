@@ -2,22 +2,16 @@
 
 Reference tangents come from the local finite-difference rules, the end
 tangents from the constrained circle optimization, and the frame is chained
-segment to segment.  Writes a CSV sampling for external plotting.
+segment to segment.  No start frame is given, so ``build`` starts along the
+first reference tangent with the normal leaning toward +z.  Writes a CSV
+sampling for external plotting.
 
 Run:  python3 demos/05_spline_from_stream.py
 """
 
 import numpy as np
 
-from rmfspline.spline import (
-    PointStream,
-    build,
-    chord_knots,
-    continuity_report,
-    default_initial_frame,
-    interpolation_residual,
-    minaj2_tangents,
-)
+from rmfspline.spline import PointStream, build, continuity_report, interpolation_residual
 
 points = np.array([
     [0.0, 0.0, 0.0],
@@ -28,11 +22,8 @@ points = np.array([
     [2.0, 0.0, 7.0],
 ])
 
-knots = chord_knots(points)
-refs = minaj2_tangents(points, knots)
-frame0 = default_initial_frame(refs[0])
-stream = PointStream(points=points, initial_frame=frame0)
-path = build(stream, mode="chord")
+path = build(PointStream(points=points), mode="chord")
+knots = path.knots
 
 print(f"built {path.n_segments} segments over chord parameter [0, {knots[-1]:.4f}]")
 print("per-segment summary:")

@@ -13,25 +13,12 @@ import math
 import numpy as np
 
 from rmfspline.errors import SplineBuildError
-from rmfspline.spline import (
-    PointStream,
-    build,
-    chord_knots,
-    continuity_report,
-    default_initial_frame,
-    minaj2_tangents,
-)
-
-
-def stream_for(points: np.ndarray) -> PointStream:
-    refs = minaj2_tangents(points, chord_knots(points))
-    return PointStream(points=points, initial_frame=default_initial_frame(refs[0]))
-
+from rmfspline.spline import PointStream, build, continuity_report
 
 sharp = np.array([[0.0, 0.0, 0.0], [-5.0, 5.0, 2.0], [2.0, 2.0, 0.0]])
 print("attempting the sharp-turn stream", sharp.tolist())
 try:
-    build(stream_for(sharp), mode="chord")
+    build(PointStream(points=sharp), mode="chord")
 except SplineBuildError as exc:
     print(f"  build failed at segment {exc.segment_index}:")
     print(f"    turning angle tau    = {exc.tau / math.pi:.3f} pi  (bound: 0.800 pi)")
@@ -42,7 +29,7 @@ repaired = np.array([[0.0, 0.0, 0.0], [-5.0, 5.0, 2.0], [-4.0, 6.0, -2.0],
                      [2.0, 2.0, 0.0]])
 print()
 print("inserting (-4, 6, -2) between the last two points and retrying")
-path = build(stream_for(repaired), mode="chord")
+path = build(PointStream(points=repaired), mode="chord")
 rep = continuity_report(path)
 print(f"  success: {path.n_segments} segments, "
       f"tangent continuity {rep['max_tangent_angle']:.1e} rad, "

@@ -34,6 +34,7 @@ def tolerances() -> dict:
         "ph_identity": 1e-10,
         "class_one": rrmf.CLASS_ONE_REL_TOL,
         "rotation_rate": 1e-8,
+        "frame_orthonormality": 1e-9,
         "frame_vs_ode": 1e-6,
         "tangential_velocity": 1e-4,
         "g1_continuity": 1e-9,
@@ -407,7 +408,7 @@ def validate_spline(path_obj: SplinePath) -> dict:
         record("ph_identity", k, ph_identity[k], tol["ph_identity"])
         record("class_one_residual", k, class_one[k], tol["class_one"])
         record("rotation_rate_identity", k, rotation_rate[k], tol["rotation_rate"])
-        record("frame_orthonormality", k, ortho[k], 1e-9)
+        record("frame_orthonormality", k, ortho[k], tol["frame_orthonormality"])
         record("frame_vs_transport", k, vs_transport[k], tol["frame_vs_ode"])
         record("tangential_angular_velocity", k, spin[k], tol["tangential_velocity"])
 
@@ -436,22 +437,14 @@ def _cmd_sample(args) -> int:
 def _cmd_interpolate(args) -> int:
     doc = read_stream_file(args.infile)
     points = doc["points"]
-    # Checked before the default frame is derived from them.
+    # Checked first, so that a bad point is reported before a bad --frame file.
     spline._require_stream_points(points)
-    refs = doc.get("reference_tangents")
-    knots = doc.get("params") if args.mode == "uniform" else None
-
+    frame = doc.get("initial_frame")
     if args.frame is not None:
         frame = _frame_from_json(_parse_json(_read_text(args.frame), args.frame))
-    elif "initial_frame" in doc:
-        frame = doc["initial_frame"]
-    else:
-        # The start tangent is the first reference tangent that build uses.
-        _, build_refs = spline.knots_and_tangents(points, args.mode, refs, knots)
-        frame = default_initial_frame(build_refs[0])
-
-    stream = PointStream(points=points, initial_frame=frame)
-    path_obj = build(stream, mode=args.mode, reference_tangents=refs, knots=knots)
+    knots = doc.get("params") if args.mode == "uniform" else None
+    path_obj = build(PointStream(points=points, initial_frame=frame), mode=args.mode,
+                     reference_tangents=doc.get("reference_tangents"), knots=knots)
     write_spline_file(args.out, path_obj)
 
     print(f"built {path_obj.n_segments} segments over [{path_obj.knots[0]:g}, "

@@ -102,6 +102,7 @@ def orthonormal_completion(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # The input checks of every entry point test ``not (err <= tol)``, so that
 # NaN fails; a message's ``{}`` becomes the index of the first bad row.
 UNIT_TOL = 1e-10  # on the norms of axes, versors and start tangents
+NORMAL_LEAN_TOL = 1e-6  # on |n . t| of a prescribed start normal n and its tangent t
 
 
 def require_finite(rows: np.ndarray, message: str) -> None:

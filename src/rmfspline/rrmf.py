@@ -18,8 +18,8 @@ import numpy as np
 from . import _bernstein as bern
 from .errors import FrameConstructionError, ValidationError
 from .ph import PreImage
-from .quat import (_CONJ, _vcross, dots, frame_rows, orthonormal_completion, product_vector,
-                   sandwich_list, unit_list, vgram, vmul, vpoly_mul, vpure)
+from .quat import (_CONJ, NORMAL_LEAN_TOL, _vcross, dots, frame_rows, orthonormal_completion,
+                   product_vector, sandwich_list, unit_list, vgram, vmul, vpoly_mul, vpure)
 
 CLASS_ONE_REL_TOL = 1e-10  # the class-I bound of ``is_class_I`` and of ``validate_spline``
 FRAME_REL_TOL = 1e-6  # the bound on both relative residuals of a frame: class-I and polynomial
@@ -317,7 +317,7 @@ def _rmf_polynomials(power: list, axis: list, axes: list,
     e2, e3, f1 = ([x / nsq for x in sandwich_list(b0w, b0v, e, vv, d)]
                   for e, d in ((axes[1], v1), (axes[2], v2), (axes[0], v0)))
     t_f1, t_e3, t_e2 = dots([target] * 3, [f1, e3, e2])
-    if not abs(t_f1) <= 1e-6:
+    if not abs(t_f1) <= NORMAL_LEAN_TOL:
         raise ValidationError("prescribed normal is not orthogonal to the start tangent")
     phi = 0.5 * math.atan2(t_e3, t_e2)
     ca, sa = math.cos(phi), math.sin(phi)

@@ -24,7 +24,7 @@ import bisect
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,10 +103,10 @@ def _orthonormalized(frame) -> list:
 
 @dataclass(frozen=True)
 class PointStream:
-    """Ordered interpolation points plus the frame at the first of them."""
+    """Ordered interpolation points plus, if given, the frame at the first."""
 
     points: np.ndarray
-    initial_frame: np.ndarray
+    initial_frame: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -117,13 +117,14 @@ class PointStream:
         if np.any(steps <= 1e-14):
             k = int(np.argmax(steps <= 1e-14))
             raise ValidationError(f"consecutive stream points {k} and {k + 1} coincide")
-        frame = np.asarray(self.initial_frame, dtype=float)
-        if frame.shape != (3, 3):
-            raise ValidationError("initial frame must be three row vectors")
-        require_finite(frame, "initial frame row {} is not finite")
-        require_frame(frame, "initial frame", 1e-8)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "initial_frame", np.array(_orthonormalized(frame.tolist())))
+        if self.initial_frame is not None:
+            frame = np.asarray(self.initial_frame, dtype=float)
+            if frame.shape != (3, 3):
+                raise ValidationError("initial frame must be three row vectors")
+            require_finite(frame, "initial frame row {} is not finite")
+            require_frame(frame, "initial frame", 1e-8)
+            object.__setattr__(self, "initial_frame", np.array(_orthonormalized(frame.tolist())))
 
     @property
     def n_segments(self) -> int:
@@ -526,8 +527,8 @@ class SplinePath:
 
 def knots_and_tangents(points: np.ndarray, mode: str, reference_tangents: np.ndarray | None,
                        knots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The knots and unit reference tangents of ``build``'s arguments: those
-    given, checked, or the knots of ``mode`` and the local rules' tangents."""
+    """The knots and unit reference tangents of ``build``'s arguments, given or
+    by ``mode`` and the local rules; a frameless stream starts along the first."""
     if points.shape[0] < 2:
         raise ValidationError("a stream needs at least two 3D points")
     n = points.shape[0] - 1
@@ -583,6 +584,8 @@ def build(
     """
     points = stream.points
     knots, refs = knots_and_tangents(points, mode, reference_tangents, knots)
+    if stream.initial_frame is None:
+        stream = replace(stream, initial_frame=default_initial_frame(refs[0]))
 
     # Pass 1 runs on Python floats.
     pts, refs = points.tolist(), refs.tolist()

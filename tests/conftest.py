@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +21,22 @@ from rmfspline.oracle import NumericFrameTrace
 from rmfspline.ph import PreImage
 from rmfspline.quat import Quaternion, bisector, neg_cross, norm3, sandwich, unit
 from rmfspline.rrmf import _rotation_rates, _speed_powers
-from rmfspline.spline import (
-    PointStream,
-    SplinePath,
-    build,
-    chord_knots,
-    default_initial_frame,
-    minaj2_tangents,
-)
+from rmfspline.spline import PointStream, SplinePath, build, default_initial_frame
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench_workloads():
+    """``bench/workloads.py``, loaded from its file and not modified."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_bench_workloads()
 
 # The worked configuration used throughout: quoted to four decimals.
 EX_A0 = [0.0, 1.0, 0.0, 0.0]
@@ -122,25 +134,14 @@ def experiment_paths():
         ("generic2", np.array([[0, 0, 0], [5, 5, 10], [8, 11, 9], [5, 14, 3],
                                [2, 20, 7]], dtype=float)),
     ]:
-        refs = minaj2_tangents(pts, chord_knots(pts))
-        stream = PointStream(points=pts, initial_frame=default_initial_frame(refs[0]))
-        paths[name] = build(stream, mode="chord")
+        paths[name] = build(PointStream(points=pts), mode="chord")
     return paths
 
 
 def rigid_torus_path(seed: int, spans: int = 100):
     """The benchmark's reload spline: the sampled torus under the seeded
     rigid motion of ``bench/workloads.py``, built with chord knots."""
-    rng = np.random.default_rng(seed)
-    _, pts, tans = sample_curve("torus", spans)
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    shift = rng.normal(scale=10.0, size=3)
-    stream = PointStream(points=pts @ q.T + shift,
-                         initial_frame=default_initial_frame(q @ tans[0]))
-    return build(stream, mode="chord")
+    return workloads.ReloadQuery._build(seed, spans)
 
 
 @pytest.fixture(scope="session")
@@ -152,26 +153,19 @@ def torus_path():
 def walk_streams(seed: int, count: int) -> list:
     """The first ``count`` seeded 8-point Gaussian walks of
     ``bench/workloads.py``."""
-    rng = np.random.default_rng(seed)
-    streams = []
-    for _ in range(count):
-        pts = np.cumsum(rng.normal(size=(8, 3)), axis=0)
-        refs = minaj2_tangents(pts, chord_knots(pts))
-        streams.append(PointStream(points=pts, initial_frame=default_initial_frame(refs[0])))
-    return streams
+    return list(itertools.islice(workloads.walk_streams(seed), count))
 
 
 def near_line_streams(noise: float, count: int = 30) -> list:
     """The first ``count`` seeded near-line streams of one noise level: 12
     points at x = 0, ..., 11 with Gaussian noise of scale ``noise`` on y and
-    z, drawn from ``np.random.default_rng(7)``, and the default frame of the
-    first ``minaj2_tangents`` tangent."""
+    z, drawn from ``np.random.default_rng(7)``, without a frame, so that
+    ``build`` starts from its default."""
     rng = np.random.default_rng(7)
     streams = []
     for _ in range(count):
         pts = np.column_stack([np.arange(12.0), noise * rng.normal(size=(12, 2))])
-        refs = minaj2_tangents(pts, chord_knots(pts))
-        streams.append(PointStream(points=pts, initial_frame=default_initial_frame(refs[0])))
+        streams.append(PointStream(points=pts))
     return streams
 
 

@@ -4,30 +4,18 @@
 with ``bench/reference.json`` and counts a run whose deviation exceeds the
 stored tolerance as incorrect.  This test runs the same comparison, so a
 change that moves those outputs fails here and not only in the benchmark.
-``bench/workloads.py`` is loaded from its file and not modified.
+``bench/workloads.py`` is loaded from its file, by ``conftest``, and not
+modified.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+import conftest as data
 
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up by name.
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-WORKLOADS = _workloads()
-STORED = json.loads((BENCH_DIR / "reference.json").read_text())
+WORKLOADS = data.workloads
+STORED = json.loads((data.BENCH_DIR / "reference.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))

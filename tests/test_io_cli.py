@@ -33,7 +33,8 @@ from rmfspline.io_cli import (
 from rmfspline.errors import StreamFormatError, ValidationError
 from rmfspline.quat import angle_between
 from rmfspline.rrmf import frame_from_coefficients
-from rmfspline.spline import PointStream, build, default_initial_frame, minaj2_tangents
+from rmfspline.spline import (PointStream, build, chord_knots, default_initial_frame,
+                              minaj2_tangents)
 
 BAD = "0,0,0\n-5,5,2\n2,2,0\n"
 FIXED = "0,0,0\n-5,5,2\n-4,6,-2\n2,2,0\n"
@@ -315,6 +316,28 @@ class TestInterpolateCommand:
         assert rc == EXIT_INFEASIBLE
         assert "reference tangent at point 0 degenerates to zero" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_frameless_two_point_stream_exit_code(self, tmp_path, capsys):
+        # The default frame starts along the chord, which leaves no
+        # admissible end tangent: such a stream needs --frame.
+        src = tmp_path / "two.json"
+        src.write_text('{"points": [[0, 0, 0], [1, 2, 3]]}')
+        out = tmp_path / "two_spline.json"
+        rc = main(["interpolate", "--in", str(src), "--out", str(out)])
+        assert rc == EXIT_INFEASIBLE
+        assert "chord is aligned with the start tangent" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frameless_csv_stream_is_the_default_frame_build(self, tmp_path):
+        src = tmp_path / "g1.csv"
+        src.write_text(GENERIC1)
+        out = tmp_path / "g1_spline.json"
+        assert main(["interpolate", "--in", str(src), "--out", str(out)]) == EXIT_OK
+        points = read_stream_file(str(src))["points"]
+        u0 = minaj2_tangents(points, chord_knots(points))[0]
+        want = tmp_path / "want.json"
+        write_spline_file(str(want), build(PointStream(points, default_initial_frame(u0))))
+        assert out.read_bytes() == want.read_bytes()
 
     def test_explicit_frame_file(self, tmp_path):
         src = tmp_path / "g1.csv"

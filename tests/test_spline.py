@@ -53,8 +53,8 @@ GENERIC2 = np.array([[0, 0, 0], [5, 5, 10], [8, 11, 9], [5, 14, 3], [2, 20, 7]],
 
 
 def stream_for(points: np.ndarray) -> PointStream:
-    refs = minaj2_tangents(points, chord_knots(points))
-    return PointStream(points=points, initial_frame=default_initial_frame(refs[0]))
+    """The stream of points without a frame: ``build`` starts from its default."""
+    return PointStream(points=points)
 
 
 class TestKnots:
@@ -641,7 +641,8 @@ class TestTwoPassBuild:
         assert {"small-angle", "full-range"} <= branches
 
     def test_class_one_failure_beats_a_later_turn_error(self, monkeypatch):
-        stream = stream_for(BAD_STREAM)
+        refs = minaj2_tangents(BAD_STREAM, chord_knots(BAD_STREAM))
+        stream = PointStream(points=BAD_STREAM, initial_frame=default_initial_frame(refs[0]))
         with pytest.raises(SplineBuildError) as err:
             build(stream, mode="chord")
         assert err.value.segment_index == 1
@@ -714,6 +715,86 @@ class TestRejectedStreams:
     def test_build_rejects_arguments(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
             build(stream_for(GENERIC1), **kwargs)
+
+
+# The fields of a built ``SplinePath`` that its rows and frames fix.
+PATH_FIELDS = ("knots", "r0", "generators", "frame_axes", "a", "b", "mu", "phi2", "theta1",
+               "frames")
+
+
+def assert_same_outcome(got, want) -> None:
+    """Two ``_build_outcome`` results agree bit for bit: the path's fields
+    and diagnostics, or the error's fields."""
+    (path, exc), (ref, ref_exc) = got, want
+    if ref_exc is not None:
+        assert exc is not None
+        assert (exc.segment_index, type(exc.cause), str(exc)) \
+            == (ref_exc.segment_index, type(ref_exc.cause), str(ref_exc))
+        assert (_bits(exc.tau), _bits(exc.gap)) == (_bits(ref_exc.tau), _bits(ref_exc.gap))
+        return
+    assert exc is None
+    for name in PATH_FIELDS:
+        assert getattr(path, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert [[(k, _bits(v)) for k, v in d.items()] for d in path.diagnostics] \
+        == [[(k, _bits(v)) for k, v in d.items()] for d in ref.diagnostics]
+
+
+class TestFramelessStream:
+    """A stream without a frame starts from ``default_initial_frame`` of the
+    first reference tangent that ``build`` uses."""
+
+    @pytest.mark.parametrize("points", [GENERIC1, GENERIC2, BAD_STREAM, FIXED_STREAM,
+                                        *(s.points for s in data.walk_streams(2, 12))],
+                             ids=["generic1", "generic2", "bad", "fixed",
+                                  *(f"walk-{k}" for k in range(12))])
+    def test_chord_build_is_the_explicit_default_frame_build(self, points):
+        stream = PointStream(points=points)
+        assert stream.initial_frame is None
+        refs = minaj2_tangents(points, chord_knots(points))
+        want = _build_outcome(build, PointStream(points, default_initial_frame(refs[0])))
+        assert_same_outcome(_build_outcome(build, stream), want)
+        assert stream.initial_frame is None
+
+    def test_walks_cover_built_and_failed_streams(self):
+        outcomes = [_build_outcome(build, PointStream(s.points))[1] is None
+                    for s in data.walk_streams(2, 12)]
+        assert True in outcomes and False in outcomes
+
+    def test_uniform_mode_starts_on_the_first_given_tangent(self):
+        # Given tangents of several lengths, the first one tilted off the
+        # curve so that the local rules' tangent would give another frame.
+        params, pts, tans = sample_curve("spiral", 8)
+        refs = tans * np.linspace(0.5, 3.0, len(tans))[:, None]
+        refs[0] += [0.1, -0.2, 0.05]
+        knots = params ** 1.5
+        u0 = spline._unit_reference_tangents(refs, len(pts))[0]
+        assert angle_between(u0, minaj2_tangents(pts, knots)[0]) > 0.05
+        kwargs = {"mode": "uniform", "reference_tangents": refs, "knots": knots}
+        got = _build_outcome(build, PointStream(pts), **kwargs)
+        want = _build_outcome(build, PointStream(pts, default_initial_frame(u0)), **kwargs)
+        assert got[1] is None
+        assert_same_outcome(got, want)
+        assert angle_between(got[0].frames[0][0], u0) <= 1e-15
+
+    @pytest.mark.parametrize("row, message", [
+        ([8.0, math.nan, 5.0], "stream point 3 is not finite"),
+        ([8.0, math.inf, 5.0], "stream point 3 is not finite"),
+        ([8.0, 1e200, 5.0], "stream point 3 has a coordinate beyond"),
+        (GENERIC1[2], "consecutive stream points 2 and 3 coincide"),
+    ], ids=["nan", "inf", "huge", "coincident"])
+    def test_points_rejected_as_with_a_frame(self, row, message):
+        with pytest.raises(ValidationError, match=message):
+            PointStream(points=_with_row(GENERIC1, 3, row))
+        with pytest.raises(ValidationError, match=message):
+            PointStream(points=_with_row(GENERIC1, 3, row), initial_frame=FRAME)
+
+    def test_two_point_stream_starts_along_its_chord(self):
+        # The default frame's tangent is the chord, which leaves no
+        # admissible end tangent: the straight segment is not built.
+        with pytest.raises(SplineBuildError) as err:
+            build(PointStream(points=np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])))
+        assert isinstance(err.value.cause, DegenerateInputError)
+        assert "chord is aligned with the start tangent" in str(err.value)
 
 
 class TestNonFiniteInput:
