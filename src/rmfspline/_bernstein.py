@@ -1,8 +1,9 @@
 """Bernstein-basis helpers on [0, 1].
 
-All polynomial data in the package is stored in the Bernstein basis;
-power-basis conversions are internal tools (conditioning) and are never
-serialized.
+Curves, hodographs, speeds, generators and frame quaternions are held in
+the Bernstein basis.  The frame polynomials a and b are the exception: they
+are ascending power coefficients, in ``SplinePath`` and in spline files
+(``W_a``, ``W_b``).  ``to_power`` and ``from_power`` convert between the two.
 """
 
 from __future__ import annotations
@@ -89,59 +90,27 @@ def _conversion_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return comb, signed
 
 
-@functools.lru_cache(maxsize=16)
-def _convolution_terms(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index tables (m + n - 1, n), m >= n, of the factors of each
-    term of a full convolution: output k sums a[i] b[k - i] over ascending i,
-    and the slots left over point at a zero appended to each factor (index m
-    of a, index n of b)."""
-    k = np.arange(m + n - 1)[:, None]
-    i = np.maximum(k - n + 1, 0) + np.arange(n)
-    used = (i < m) & (i <= k)
-    ia, ib = np.where(used, i, m), np.where(used, k - i, n)
-    ia.flags.writeable = ib.flags.writeable = False
-    return ia, ib
-
-
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.convolve`` of coefficient rows a (..., m) and b (..., n), whose
-    leading axes broadcast, with every value rounded as ``np.convolve``
-    rounds it, for factors of at most 11 coefficients.
-
-    numpy sums each output where the shorter factor overlaps the longer one
-    completely from zero in ascending order, and each partial overlap at
-    the two ends by its dot-product kernel, the one ``np.vecdot`` runs
-    (which may fuse the multiply-adds).  Here every output is one
-    ``np.vecdot`` over its terms, padded with trailing zero terms, which
-    leave a dot unchanged, and the complete overlaps are then summed again
-    in numpy's order.
-    """
+    """Products of polynomials with coefficient rows a (..., m) and b
+    (..., n), whose leading axes broadcast; returns (..., m + n - 1).  Each
+    coefficient sums its terms a_i b_j from zero in increasing i, as
+    ``quat.vpoly_mul`` sums quaternion terms, so every row equals the
+    one-row call bit for bit."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.shape[-1] > a.shape[-1]:
-        a, b = b, a
     m, n = a.shape[-1], b.shape[-1]
-    if n > 11:
-        raise ValueError("convolve repeats numpy's arithmetic for factors of at most 11 terms")
-    ia, ib = _convolution_terms(m, n)
-    # The dot kernel rounds differently on strided rows, so the gathered
-    # terms are made contiguous.
-    x = np.ascontiguousarray(np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)[..., ia])
-    y = np.ascontiguousarray(np.concatenate([b, np.zeros(b.shape[:-1] + (1,))], axis=-1)[..., ib])
-    out = np.vecdot(x, y)
-    full = slice(n - 1, m)
-    terms = x[..., full, :] * y[..., full, :]
-    total = np.zeros(terms.shape[:-1])
-    for j in range(n):
-        total += terms[..., j]
-    out[..., full] = total
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + n - 1,))
+    for i in range(m):
+        out[..., i:i + n] += a[..., i, None] * b
     return out
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bernstein coefficients of the products of scalar polynomials with
     coefficient rows a (..., m + 1) and b (..., n + 1), which broadcast in
-    their leading axes; each row equals the one-row product bit for bit."""
+    their leading axes: the binomially scaled rows multiplied by
+    ``convolve``, then divided by C(m + n, k).  Each row equals the one-row
+    product bit for bit."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m = a.shape[-1] - 1

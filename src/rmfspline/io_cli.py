@@ -321,9 +321,9 @@ _INTERIOR_SAMPLES = np.linspace(0.05, 0.95, 19)
 _FRAME_SAMPLES.flags.writeable = False
 _TRANSPORT_SAMPLES.flags.writeable = False
 _INTERIOR_SAMPLES.flags.writeable = False
-# Segments per array pass of the identity checks.  The largest temporaries
-# are the convolution terms of ``ph_identity_residuals``, 4 x 9 rows per
-# segment; chunks of this size keep them at ``rrmf._STACKED_ROWS`` rows.
+# Segments per array pass of the identity checks.  The widest array of a
+# pass is the product of ``ph_identity_residuals``, 4 x 9 coefficients per
+# segment; chunks of this size keep it at ``rrmf._STACKED_ROWS`` values.
 _IDENTITY_CHUNK = _STACKED_ROWS // 36
 
 

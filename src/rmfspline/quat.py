@@ -275,7 +275,7 @@ def vpoly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products of quaternion polynomials given as ascending coefficient
     rows (..., m, 4) and (..., n, 4), whose leading axes broadcast; returns
     (..., m + n - 1, 4).  Each coefficient sums its terms a_i b_j from zero
-    in increasing i."""
+    in increasing i, as ``_bernstein.convolve`` sums scalar terms."""
     m, n = a.shape[-2], b.shape[-2]
     prod = vmul(a[..., :, None, :], b[..., None, :, :])
     out = np.zeros(prod.shape[:-3] + (m + n - 1, 4))

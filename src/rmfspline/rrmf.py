@@ -357,13 +357,12 @@ def rotation_rate_residuals(power: np.ndarray, axis: np.ndarray, a: np.ndarray,
     wnorm = squares[..., 0, :] + squares[..., 1, :]
     da = np.stack([a[..., 1], 2.0 * a[..., 2]], axis=-1)
     db = np.stack([b[..., 1], 2.0 * b[..., 2]], axis=-1)
-    # np.convolve(da, b) - np.convolve(a, db); both sum in the longer factor.
+    # The Wronskian b da - a db, both products in one call.
     terms = bern.convolve(np.stack([b, a], axis=-2), np.stack([da, db], axis=-2))
     wron = terms[..., 0, :] - terms[..., 1, :]
     q = _speed_powers(power)
     lhs = bern.convolve(_rotation_rates(power, axis), wnorm)
-    padded = np.concatenate([wron, np.zeros(wron.shape[:-1] + (1,))], axis=-1)
-    rhs = bern.convolve(padded, q)[..., : lhs.shape[-1]]
+    rhs = bern.convolve(wron, q)
     scale = np.maximum(np.max(np.abs(q), axis=-1) * np.max(np.abs(wnorm), axis=-1), 1e-300)
     return np.minimum(np.max(np.abs(lhs - rhs), axis=-1),
                       np.max(np.abs(lhs + rhs), axis=-1)) / scale
@@ -374,7 +373,7 @@ def han08_residual(p: PreImage, frame: RationalFrame) -> float:
 
     Orientation-agnostic: the smaller residual over the two Wronskian sign
     conventions is reported, so the value measures whether the frame
-    polynomial matches the generator's spin rate at all.  The convolutions
-    are ``np.convolve``'s, by ``_bernstein.convolve``.
+    polynomial matches the generator's spin rate at all.  The polynomial
+    products are ``_bernstein.convolve``'s.
     """
     return float(rotation_rate_residuals(p.power_coeffs(), p.axis, frame.a, frame.b))

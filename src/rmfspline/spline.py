@@ -366,8 +366,9 @@ class SplinePath:
     frame ``frame_axes`` (S, 3, 3), the first row the generator axis, and
     its frame polynomials ``a`` and ``b`` (S, 3); ``mu``, ``phi2``,
     ``theta1`` and ``diagnostics`` hold the solve's values.  They are kept
-    as read-only copies, every axis is checked to be a unit vector and every
-    generator not to vanish (a speed with no positive coefficient), and one
+    as read-only copies, every axis is checked to be a unit vector, every
+    generator not to vanish (a speed with no positive coefficient) and every
+    pair of frame polynomials not to vanish (a and b all zero), and one
     call each derives ``hodographs`` (S, 5, 3), ``control_points``
     (S, 6, 3) and ``speeds`` (S, 5) (``ph.curves``) and ``frame_bezier``
     (S, 5, 4), the Bezier coefficients of the frame quaternions
@@ -414,6 +415,9 @@ class SplinePath:
         vanishing = ~(arrays["speeds"] > 0.0).any(axis=1)
         if vanishing.any():
             raise ValidationError(f"segment {int(np.argmax(vanishing))}: generator vanishes")
+        vanishing = ~((arrays["a"] != 0.0) | (arrays["b"] != 0.0)).any(axis=1)
+        if vanishing.any():
+            raise ValidationError(f"segment {int(np.argmax(vanishing))}: frame polynomials vanish")
         arrays["frame_bezier"] = rrmf.frame_beziers(ph.power_rows(rows), arrays["a"],
                                                     arrays["b"], axis)
         # The end frame at t = 1, where de Casteljau gives the last coefficient.

@@ -252,15 +252,30 @@ def walk_paths(seed: int, count: int) -> list:
 
 
 # The per-segment identity checks as ``validate_spline`` ran them before the
-# stacked kernels, with ``np.convolve``: references for bit-for-bit tests.
+# stacked kernels, with every polynomial product a Python double loop:
+# references for bit-for-bit tests.
+
+def convolve_looped(a, b) -> np.ndarray:
+    """Reference: the coefficients of the product of the polynomials with
+    coefficients a and b, one Python float at a time, each summed from 0.0
+    over increasing index of a."""
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        s = 0.0
+        for i in range(max(0, k - len(b) + 1), min(len(a), k + 1)):
+            s += a[i] * b[k - i]
+        out.append(s)
+    return np.array(out)
+
 
 def bernstein_product_by_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reference: ``_bernstein.product`` of two scalar polynomials by
-    ``np.convolve``."""
+    ``convolve_looped``."""
     m, n = len(a) - 1, len(b) - 1
     cm, cn, cmn = (np.array([math.comb(k, i) for i in range(k + 1)], dtype=float)
                    for k in (m, n, m + n))
-    return np.convolve(cm * a, cn * b) / cmn
+    return convolve_looped(cm * a, cn * b) / cmn
 
 
 def ph_identity_residual_looped(q) -> float:
@@ -280,12 +295,12 @@ def class_one_residual_looped(p: PreImage) -> float:
 
 def han08_residual_looped(p: PreImage, frame) -> float:
     a, b = frame.a, frame.b
-    wnorm = np.convolve(a, a) + np.convolve(b, b)
+    wnorm = convolve_looped(a, a) + convolve_looped(b, b)
     da = np.array([a[1], 2.0 * a[2]])
     db = np.array([b[1], 2.0 * b[2]])
-    wron = np.convolve(da, b) - np.convolve(a, db)
+    wron = convolve_looped(b, da) - convolve_looped(a, db)
     q = _speed_powers(p.power_coeffs())
-    lhs = np.convolve(_rotation_rates(p.power_coeffs(), p.axis), wnorm)
-    rhs = np.convolve(np.pad(wron, (0, 1)), q)[: lhs.size]
+    lhs = convolve_looped(_rotation_rates(p.power_coeffs(), p.axis), wnorm)
+    rhs = convolve_looped(wron, q)
     scale = max(float(np.max(np.abs(q)) * np.max(np.abs(wnorm))), 1e-300)
     return min(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))) / scale

@@ -1,10 +1,12 @@
 """Bernstein helpers: products and basis conversions on coefficient arrays."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import conftest as data
 from rmfspline import _bernstein as bern
 
 
@@ -138,20 +140,22 @@ def test_product_bitwise_with_binomial_rows():
         m, n = rng.randint(0, 7, size=2)
         a = rng.randn(m + 1) * 10.0 ** rng.uniform(-8, 8)
         b = rng.randn(n + 1) * 10.0 ** rng.uniform(-8, 8)
-        ref = np.convolve(binomials(m) * a, binomials(n) * b) / binomials(m + n)
+        ref = data.convolve_looped(binomials(m) * a, binomials(n) * b) / binomials(m + n)
         assert bern.product(a, b).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("m, n", [(5, 5), (4, 5), (5, 4), (3, 3), (2, 3), (3, 2), (9, 1), (1, 1),
                                   (11, 11)])
 def test_convolve_bitwise_with_numpy(m, n):
-    """``convolve`` rounds as ``np.convolve`` does, on stacks of rows too;
-    numpy sums the ends of a convolution through its dot kernel, which may
-    fuse multiply-adds, and the middle in plain order."""
+    """``convolve`` rounds as the per-coefficient double loop of
+    ``conftest.convolve_looped`` does, on stacks of rows too: each
+    coefficient summed from zero over increasing index of the first factor,
+    with no fused multiply-add (``np.convolve``, which this once matched,
+    sums the ends of a convolution through the BLAS dot)."""
     rng = np.random.default_rng(10 * m + n)
     a = rng.standard_normal((40, m)) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
     b = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
-    ref = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+    ref = np.array([data.convolve_looped(x, y) for x, y in zip(a, b)])
     assert bern.convolve(a, b).tobytes() == ref.tobytes()
     assert all(bern.convolve(x, y).tobytes() == z.tobytes() for x, y, z in zip(a, b, ref))
 
@@ -163,6 +167,46 @@ def test_product_rows_bitwise_with_one_row_calls():
     assert all(stacked[k].tobytes() == bern.product(a[k], b[k]).tobytes() for k in range(7))
 
 
-def test_convolve_rejects_factors_beyond_eleven_terms():
-    with pytest.raises(ValueError, match="at most 11 terms"):
-        bern.convolve(np.ones(12), np.ones(12))
+def exact_terms(a: list, b: list) -> tuple[list, list]:
+    """Reference: the product coefficients of the polynomials with
+    ``Fraction`` coefficients a and b, exact, and for each the sum of the
+    absolute values of its terms."""
+    exact, size = [], []
+    for k in range(len(a) + len(b) - 1):
+        terms = [a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(len(a), k + 1))]
+        exact.append(sum(terms))
+        size.append(sum(abs(t) for t in terms))
+    return exact, size
+
+
+@pytest.mark.parametrize("m, n", [(12, 12), (16, 3), (2, 13), (5, 5), (1, 9)])
+def test_convolve_and_product_within_rounding_of_exact_sums(m, n):
+    """Every coefficient k of ``convolve`` and ``product``, on stacks whose
+    leading axes broadcast, is within p eps S_k of the exact value.  S_k is
+    the sum of the |a_i b_(k-i)| that coefficient k sums, and p is their
+    number: each term is rounded once as a product and at most p - 1 times
+    as a partial sum, and d roundings move a term by less than d eps / 2 of
+    it.  ``product`` rounds each term three more times, in the two binomial
+    scalings and the division by C(m + n - 2, k), so its bound is
+    (p + 2) eps S_k, with S_k over the exactly scaled terms divided by that
+    binomial."""
+    rng = np.random.default_rng(100 * m + n)
+    a = rng.standard_normal((3, 1, m)) * 10.0 ** rng.uniform(-8, 8, size=(3, 1, m))
+    b = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-8, 8, size=(4, n))
+    a[0, 0, 1:] = -a[0, 0, :-1]   # cancelling neighbours
+    conv, prod = bern.convolve(a, b), bern.product(a, b)
+    assert conv.shape == prod.shape == (3, 4, m + n - 1)
+    cm, cn, cmn = ([math.comb(k, i) for i in range(k + 1)] for k in (m - 1, n - 1, m + n - 2))
+    eps = Fraction(np.finfo(float).eps)
+    for r in range(3):
+        for c in range(4):
+            x, y = [Fraction(v) for v in a[r, 0].tolist()], [Fraction(v) for v in b[c].tolist()]
+            exact, size = exact_terms(x, y)
+            for k, (got, want, s) in enumerate(zip(conv[r, c].tolist(), exact, size)):
+                p = min(k + 1, m, n, m + n - 1 - k)
+                assert abs(Fraction(got) - want) <= p * eps * s, (r, c, k)
+            exact, size = exact_terms([v * f for v, f in zip(x, cm)],
+                                      [v * f for v, f in zip(y, cn)])
+            for k, (got, want, s) in enumerate(zip(prod[r, c].tolist(), exact, size)):
+                p = min(k + 1, m, n, m + n - 1 - k)
+                assert abs(Fraction(got) - want / cmn[k]) <= (p + 2) * eps * s / cmn[k], (r, c, k)

@@ -560,6 +560,22 @@ class TestMalformedSplineFiles:
         assert "segment 3: generator vanishes" in capsys.readouterr().err
         assert not out.exists() and not report.exists()
 
+    def test_vanishing_frame_polynomials_rejected_with_segment(self, tmp_path, helix_spline,
+                                                               capsys):
+        doc = json.loads(helix_spline.read_text())
+        doc["segments"][3].update(W_a=[0.0] * 3, W_b=[0.0] * 3)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="segment 3: frame polynomials vanish"):
+            read_spline_file(str(bad))
+        out, report = tmp_path / "out.csv", tmp_path / "report.json"
+        assert main(["eval", "--in", str(bad), "--samples", "100", "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert main(["validate", "--in", str(bad), "--report", str(report)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("segment 3: frame polynomials vanish") == 2
+        assert not out.exists() and not report.exists()
+
 
 class TestValidateCommand:
     def test_fresh_spline_passes(self, tmp_path, helix_spline):
@@ -606,7 +622,7 @@ def continuity_report_looped(path) -> dict:
 
 def validate_spline_looped(path_obj) -> dict:
     """Reference: ``validate_spline`` with every check run one segment at a
-    time: the identities by their ``np.convolve`` bodies, the frame checks
+    time: the identities by their per-coefficient loops, the frame checks
     through ``RationalFrame.frame``."""
     tol = io_cli.tolerances()
     checks = []

@@ -1,6 +1,7 @@
 """Quaternion algebra: products, rotations, the vector operators, square roots."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from rmfspline.quat import (
     angle_between,
     bisector,
     cross3,
+    cross_list,
+    dots,
     neg_cross,
     rotate,
     sandwich,
@@ -21,6 +24,8 @@ from rmfspline.quat import (
     frame_rows,
     frame_rows_list,
     norm3,
+    product_vector,
+    sandwich_list,
     unit,
     vgram,
     vmul,
@@ -405,6 +410,73 @@ class TestComponentKernels:
             ref = (2.0 * math.asin(0.5 * chord) if chord <= 1.0 else
                    math.pi - 2.0 * math.asin(0.5 * min(float(np.linalg.norm(ua + ub)), 2.0)))
             assert angle_between(ua, ub) == ref
+
+
+def exact_inputs(seed: int, n: int) -> tuple[list, list]:
+    """n scalars and n triples of 3-vectors of floats, every number a
+    Gaussian scaled by 10^-8 to 10^8; in every fourth triple the second
+    vector is nearly three times the first, so that cross products cancel."""
+    rng = np.random.default_rng(seed)
+    ws = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    vs = rng.standard_normal((n, 3, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 3, 3))
+    vs[::4, 1] = 3.0 * vs[::4, 0] + 1e-12 * vs[::4, 2]
+    return ws.tolist(), vs.tolist()
+
+
+def assert_within(got: float, terms: list, n: int) -> None:
+    """|got - sum(terms)| <= n eps sum |terms|, in exact arithmetic."""
+    bound = n * Fraction(np.finfo(float).eps) * sum(abs(t) for t in terms)
+    assert abs(Fraction(got) - sum(terms)) <= bound, (got, float(sum(terms)))
+
+
+class TestExactOracle:
+    """``build``'s float kernels against exact rational arithmetic.
+
+    A result whose exact value is a sum of products T_j of the inputs, and
+    which the kernel forms by n rounded operations, is within
+    n eps sum |T_j| of that value: each rounding moves a partial result by
+    at most eps / 2 of it, a partial result is at most the sum of the |T_j|
+    beneath it (to first order), and no T_j passes more than n roundings.
+    n is 5 for a dot product (3 products, 2 sums; a fused multiply-add in
+    the BLAS dot only drops roundings), 3 for a component of ``cross_list``,
+    7 for one of ``product_vector`` and 12 for one of ``sandwich_list``,
+    whose u . u and u . e are given floats.  Doubling is exact but counted.
+    """
+
+    def test_dots(self):
+        vs = exact_inputs(71, 500)[1]
+        xs, ys = [v[0] for v in vs], [v[1] for v in vs]
+        for x, y, xy, xx in zip(xs, ys, dots(xs, ys), dots(xs)):
+            x, y = [Fraction(c) for c in x], [Fraction(c) for c in y]
+            assert_within(xy, [p * q for p, q in zip(x, y)], 5)
+            assert_within(xx, [p * p for p in x], 5)
+
+    def test_cross_list(self):
+        for a, b, _ in exact_inputs(72, 500)[1]:
+            got = cross_list(a, b)
+            a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+            for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+                assert_within(got[c], [a[i] * b[j], -a[j] * b[i]], 3)
+
+    def test_product_vector(self):
+        ws, vs = exact_inputs(73, 500)
+        for w1, w2, (a, b, _) in zip(ws, ws[1:] + ws[:1], vs):
+            got = product_vector(w1, a, w2, b)
+            w1, w2 = Fraction(w1), Fraction(w2)
+            a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+            for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+                assert_within(got[c], [w1 * b[c], w2 * a[c], a[i] * b[j], -a[j] * b[i]], 7)
+
+    def test_sandwich_list(self):
+        ws, vs = exact_inputs(74, 500)
+        for w, (u, e, _) in zip(ws, vs):
+            uu, ue = dots([u, u], [u, e])
+            got = sandwich_list(w, u, e, uu, ue)
+            w, uu, ue = Fraction(w), Fraction(uu), Fraction(ue)
+            u, e = [Fraction(c) for c in u], [Fraction(c) for c in e]
+            for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+                assert_within(got[c], [w * w * e[c], -uu * e[c], 2 * ue * u[c],
+                                       2 * w * u[i] * e[j], -2 * w * u[j] * e[i]], 12)
 
 
 class TestInputChecks:

@@ -595,7 +595,7 @@ class TestFrameSolveKernels:
 def test_stacked_kernels_match_one_row_calls(batch):
     """Every row of the stacked assembly and identity kernels equals the
     one-generator call, and the identities equal their per-segment bodies
-    of ``np.convolve``, bit for bit."""
+    of Python double loops, bit for bit."""
     preimages = list(random_preimages(80 + batch, batch))
     rng = np.random.default_rng(batch)
     rows = np.array([p.coeffs_wxyz for p in preimages])

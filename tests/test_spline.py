@@ -1084,6 +1084,16 @@ class TestPackedPath:
         assert np.array_equal(reversed_path.control_points, path.control_points[::-1])
         assert np.array_equal(reversed_path.frame_bezier, path.frame_bezier[::-1])
 
+    def test_vanishing_frame_polynomials_rejected(self, generic1_path):
+        # Without a and b the frame quaternion is zero, and its frame rows
+        # would be 0 / 0; one nonzero coefficient of either keeps the segment.
+        a, b = np.array(generic1_path.a), np.array(generic1_path.b)
+        a[1] = b[1] = [0.0, -0.0, 0.0]
+        with pytest.raises(ValidationError, match="segment 1: frame polynomials vanish"):
+            dataclasses.replace(generic1_path, a=a, b=b)
+        a[1, 0] = 1.0
+        assert dataclasses.replace(generic1_path, a=a, b=b).a[1].tolist() == [1.0, -0.0, 0.0]
+
     def test_segment_objects_are_frozen(self, generic1_path):
         with pytest.raises(dataclasses.FrozenInstanceError):
             generic1_path.segments[0].mu = 1.0

@@ -1,5 +1,5 @@
 """One SHA-256 over everything ``spline.build`` returns on the benchmark inputs,
-and one over what the ``reload-query`` spline gives after a save and load.
+and two over what the ``reload-query`` spline gives after a save and load.
 
 Run from anywhere:
 
@@ -21,7 +21,10 @@ The second digest covers the seed-1 ``reload-query`` torus, saved, loaded,
 saved and loaded again as the benchmark does: every value of
 ``io_cli.validate_spline`` and the points and frames of ``eval_many`` at the
 benchmark's batch parameters.  A change that claims unchanged load, eval
-and validate prints the same digest as its parent commit.
+and validate prints the same digest as its parent commit.  The third digest
+leaves the ``validate_spline`` values out and covers the loaded path's
+arrays (``LOADED``) and the same ``eval_many`` output, so that a change
+confined to ``validate`` can show that load and eval did not move.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from rmfspline.errors import SplineBuildError  # noqa: E402
 SEEDS = (1, 2)
 DIAGNOSTICS = ("gamma", "branch", "iterations", "f_residual", "s_residual", "mu",
                "endpoint_residual")
+LOADED = ("knots", "r0", "generators", "frame_axes", "a", "b", "mu", "phi2", "theta1",
+          "hodographs", "control_points", "speeds", "frame_bezier", "frames")
 
 
 def streams(seed: int):
@@ -71,23 +76,28 @@ def update(h, stream) -> tuple[int, int]:
     return path.n_segments, 0
 
 
-def reload_digest(seed: int = 1) -> str:
+def reload_digests(seed: int = 1) -> tuple[str, str]:
     """SHA-256 of the validation values and batch evaluations of the
-    ``reload-query`` spline of ``seed``."""
+    ``reload-query`` spline of ``seed``, and SHA-256 of its loaded arrays and
+    the same batch evaluations."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "reload.json")
         io_cli.write_spline_file(out, workloads.ReloadQuery._build(seed, workloads.RELOAD_SPANS))
         io_cli.write_spline_file(out, io_cli.read_spline_file(out))
         path = io_cli.read_spline_file(out)
     report = io_cli.validate_spline(path)
-    h = hashlib.sha256(np.array([c["value"] for c in report["checks"]]).tobytes())
+    full = hashlib.sha256(np.array([c["value"] for c in report["checks"]]).tobytes())
+    loaded = hashlib.sha256()
+    for name in LOADED:
+        loaded.update(getattr(path, name).tobytes())
     rng = np.random.default_rng(seed)
     for _ in range(workloads.ReloadQuery.inputs):
         pts, frames = path.eval_many(
             rng.uniform(path.knots[0], path.knots[-1], workloads.BATCH_POINTS))
-        h.update(pts.tobytes())
-        h.update(frames.tobytes())
-    return h.hexdigest()
+        for h in (full, loaded):
+            h.update(pts.tobytes())
+            h.update(frames.tobytes())
+    return full.hexdigest(), loaded.hexdigest()
 
 
 def main() -> int:
@@ -101,7 +111,9 @@ def main() -> int:
             builds += 1
     print(f"{builds} builds, {failed} SplineBuildError, {segments} segments")
     print(f"sha256 {h.hexdigest()}")
-    print(f"reload-query seed 1: sha256 {reload_digest()}")
+    full, loaded = reload_digests()
+    print(f"reload-query seed 1: sha256 {full}")
+    print(f"reload-query seed 1, load and eval only: sha256 {loaded}")
     return 0
 
 
