@@ -18,7 +18,7 @@ import numpy as np
 from . import _bernstein as bern
 from . import oracle, ph, rrmf, spline
 from .errors import GeometryError, SplineBuildError, StreamFormatError, ValidationError
-from .quat import angle_between, frame_rows, unit
+from .quat import angle_between, frame_rows, unit, vdot
 from .rrmf import _STACKED_ROWS
 from .spline import PointStream, SplinePath, build, default_initial_frame
 
@@ -332,10 +332,10 @@ def _orthonormality(frames: np.ndarray) -> np.ndarray:
     the N samples: the pairwise products and the first row's length."""
     f1, f2, f3 = frames[..., 0, :], frames[..., 1, :], frames[..., 2, :]
     return np.max(np.maximum.reduce([
-        np.abs(np.sum(f1 * f2, axis=-1)),
-        np.abs(np.sum(f2 * f3, axis=-1)),
-        np.abs(np.sum(f3 * f1, axis=-1)),
-        np.abs(np.linalg.norm(f1, axis=-1) - 1.0),
+        np.abs(vdot(f1, f2)),
+        np.abs(vdot(f2, f3)),
+        np.abs(vdot(f3, f1)),
+        np.abs(np.sqrt(vdot(f1, f1)) - 1.0),
     ]), axis=-1)
 
 
@@ -352,8 +352,18 @@ def validate_spline(path_obj: SplinePath) -> dict:
     angular-velocity samples, and only the normal at the transport samples.
     ``frame_vs_transport`` is the largest angle between each segment's
     rational normal and the double-reflection RMF (``oracle.reflect_rmf``,
-    one call per block) at the 501 ``_TRANSPORT_SAMPLES``.  Every
-    value equals the one-segment check's bit for bit.
+    one call per block) at the 501 ``_TRANSPORT_SAMPLES``.
+    ``position_continuity`` is the largest gap between a segment's end and
+    the next segment's ``r0``, relative to the segment's chord, held to
+    the ``interpolation`` bound.
+
+    The identity and position values equal the one-segment checks' bit for
+    bit.  The frame checks and the tangent and frame continuity angles read
+    stacked frame rows (one Bernstein basis product, one sandwich for all
+    three axes), which round differently in the last bits from
+    ``RationalFrame.frame``: their values move by up to about 1e-15, and
+    the finite-difference spin, which divides by its 2e-5 step, by up to
+    about 1e-10.
     """
     tol = tolerances()
     checks: list[dict] = []
@@ -413,6 +423,7 @@ def validate_spline(path_obj: SplinePath) -> dict:
         record("tangential_angular_velocity", k, spin[k], tol["tangential_velocity"])
 
     rep = spline.continuity_report(path_obj)
+    record("position_continuity", None, rep["max_position_gap"], tol["interpolation"])
     record("g1_continuity", None, rep["max_tangent_angle"], tol["g1_continuity"])
     record("frame_continuity", None, rep["max_frame_angle"], tol["frame_continuity"])
 

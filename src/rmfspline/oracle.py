@@ -2,8 +2,9 @@
 
 Two frame oracles carry the start normal along the exact polynomial curve
 without touching the rational frame: ``reflect_rmf``, the double-reflection
-method vectorized over samples and segments, which ``validate_spline``
-runs, and ``integrate_rmf``, an adaptive RK45 solve of the minimal-rotation
+method vectorized over samples and segments, its steps' rotations composed
+as a running product of complex numbers, which ``validate_spline`` runs,
+and ``integrate_rmf``, an adaptive RK45 solve of the minimal-rotation
 ODE, kept as the slow reference that the tests compare both against.
 Sweep utilities validate the displacement-direction coverage claims by
 dense sampling.
@@ -22,7 +23,7 @@ from . import _bernstein as bern
 from .errors import ValidationError
 from .hermite import scaled_displacement_components
 from .ph import PHQuintic
-from .quat import NORMAL_LEAN_TOL, _vcross, angles_between, unit
+from .quat import NORMAL_LEAN_TOL, _vcross, angles_between, unit, vdot
 from .rrmf import RationalFrame
 
 
@@ -120,16 +121,25 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
     return NumericFrameTrace(ts=ts, f1=f1, f2=f2, f3=f3, stats=stats)
 
 
-# Segments per block of ``reflect_rmf``.  Its dozen (block, samples, 3)
-# temporaries grow with the block, its speed does not beyond a few
-# segments: on 100 segments at 501 samples it takes about 21 ms for
-# blocks of 4 to 16.
-_REFLECT_BLOCK = 4
+# Segments per block of ``reflect_rmf``.  Its temporaries, a few dozen
+# (block, samples) arrays, grow with the block; its speed does not beyond
+# about 6 segments.  On a 2-core Xeon VM, the 100-segment benchmark torus at
+# 501 samples, in ``validate_spline``'s calls of 6 segments, took 8.5 to
+# 9.5 ms for blocks of 6, 8 and 16, and 11 to 15 ms for blocks of 4, which
+# split each call 4 + 2.
+_REFLECT_BLOCK = 8
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of 3-vectors stored coordinate first, (3, ...), summed
+    left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _reflect(v: np.ndarray, vv: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows of u reflected in the planes normal to the rows of v (vv = v.v)."""
-    return u - (2.0 / vv) * np.sum(v * u, axis=-1, keepdims=True) * v
+    """u reflected in the planes normal to v (vv = v . v), all 3-vectors
+    stored coordinate first."""
+    return u - ((2.0 / vv) * _dot(v, u)) * v
 
 
 @functools.lru_cache(maxsize=4)
@@ -161,14 +171,19 @@ def reflect_rmf(points, hodographs, initial_normals,
 
     The recurrence is not stepped sample by sample.  Any unit normal field
     n_i orthogonal to t_i (here t_i x e, e the coordinate axis least
-    aligned with t_i) goes through each step's two reflections at once,
-    giving m_i; delta_i is the signed angle from n_{i+1} to m_i about
-    t_{i+1}.  Each step's pair of reflections is a rotation that maps t_i
-    to t_{i+1}, so it maps the normal at angle theta from n_i to the normal
-    at angle theta + delta_i from n_{i+1}.  The normals are therefore
-    r_i = cos(theta_i) n_i + sin(theta_i) (t_i x n_i) with
-    theta = theta_0 + cumsum(delta).  Only cos and sin of theta are used,
-    so the field n may jump between samples.
+    aligned with t_i, the first on ties) goes through each step's two
+    reflections at once, giving m_i.  Each step's pair of reflections is a
+    rotation that maps t_i to t_{i+1}, so it maps the normal
+    Re(z) n_i + Im(z) b_i, with b_i = t_i x n_i and |z| = 1, to
+    Re(z z_i) n_{i+1} + Im(z z_i) b_{i+1}, where z_i is the complex number
+    (m_i . n_{i+1}) + i (m_i . b_{i+1}), of length 1 up to rounding.  The
+    normals are therefore Re(Z_i) n_i + Im(Z_i) b_i with
+    Z = cumprod(z_0, z_1, ...), z_0 the start normal's (n_0, b_0)
+    components, and Z normalized once at the end; no angle is formed, and
+    the field n may jump between samples.  Scaling each factor to length 1
+    instead would bias the product's length by about 1e-16 per step.  The
+    arithmetic runs on one contiguous (segment, sample) array per
+    coordinate.
 
     A start normal more than ``quat.NORMAL_LEAN_TOL`` off orthogonal to its
     start tangent, or not finite, raises ``ValidationError``; it is projected
@@ -179,33 +194,43 @@ def reflect_rmf(points, hodographs, initial_normals,
     normals = np.empty((len(points), ts.size, 3))
     for lo in range(0, len(points), _REFLECT_BLOCK):
         block = slice(lo, lo + _REFLECT_BLOCK)
-        # Axes (segment, sample, xyz).  Points are relative to each start
+        # Axes (xyz, segment, sample).  Points are relative to each start
         # point, so that the chords between samples lose no digits to the
         # segment's offset.
-        x = point_basis @ (points[block] - points[block, :1])
-        h = hodograph_basis @ hodographs[block]
-        t = h / np.linalg.norm(h, axis=-1, keepdims=True)
+        x = np.moveaxis(point_basis @ (points[block] - points[block, :1]), -1, 0).copy()
+        h = np.moveaxis(hodograph_basis @ hodographs[block], -1, 0).copy()
+        t = h / np.sqrt(_dot(h, h))
 
-        r0 = initial_normals[block]
-        lean = np.sum(r0 * t[:, 0], axis=-1, keepdims=True)
+        r0 = initial_normals[block].T
+        lean = _dot(r0, t[..., 0])
         if not (np.abs(lean) <= NORMAL_LEAN_TOL).all():
             raise ValidationError("initial normal is not orthogonal to the start tangent")
-        r0 = r0 - lean * t[:, 0]
-        r0 = r0 / np.linalg.norm(r0, axis=-1, keepdims=True)
+        r0 = r0 - lean * t[..., 0]
+        r0 = r0 / np.sqrt(_dot(r0, r0))
 
-        n = _vcross(t, np.eye(3)[np.argmin(np.abs(t), axis=-1)])
-        n /= np.linalg.norm(n, axis=-1, keepdims=True)
-        tn = _vcross(t, n)
+        # n = t x e for the axis e of the smallest |t_c|: (0, t_z, -t_y),
+        # (-t_z, 0, t_x) or (t_y, -t_x, 0).
+        a_x, a_y, a_z = np.abs(t)
+        on_x = (a_x <= a_y) & (a_x <= a_z)
+        on_y = a_y <= a_z
+        zero = np.zeros_like(a_x)
+        n = np.where(on_x, [zero, t[2], -t[1]],
+                     np.where(on_y, [-t[2], zero, t[0]], [t[1], -t[0], zero]))
+        n /= np.sqrt(_dot(n, n))
+        b = np.array([t[1] * n[2] - t[2] * n[1], t[2] * n[0] - t[0] * n[2],
+                      t[0] * n[1] - t[1] * n[0]])
 
-        v1 = x[:, 1:] - x[:, :-1]
-        vv1 = np.sum(v1 * v1, axis=-1, keepdims=True)
-        v2 = t[:, 1:] - _reflect(v1, vv1, t[:, :-1])
-        m = _reflect(v2, np.sum(v2 * v2, axis=-1, keepdims=True),
-                     _reflect(v1, vv1, n[:, :-1]))
-        delta = np.arctan2(np.sum(m * tn[:, 1:], axis=-1), np.sum(m * n[:, 1:], axis=-1))
-        theta0 = np.arctan2(np.sum(r0 * tn[:, 0], axis=-1), np.sum(r0 * n[:, 0], axis=-1))
-        theta = np.cumsum(np.concatenate([theta0[:, None], delta], axis=1), axis=1)[..., None]
-        normals[block] = np.cos(theta) * n + np.sin(theta) * tn
+        v1 = np.diff(x, axis=-1)
+        vv1 = _dot(v1, v1)
+        v2 = t[..., 1:] - _reflect(v1, vv1, t[..., :-1])
+        m = _reflect(v2, _dot(v2, v2), _reflect(v1, vv1, n[..., :-1]))
+
+        z = np.empty(a_x.shape, dtype=complex)
+        z.real[:, 0], z.imag[:, 0] = _dot(r0, n[..., 0]), _dot(r0, b[..., 0])
+        z.real[:, 1:], z.imag[:, 1:] = _dot(m, n[..., 1:]), _dot(m, b[..., 1:])
+        np.cumprod(z, axis=-1, out=z)
+        z *= 1.0 / np.abs(z)
+        normals[block] = np.moveaxis(z.real * n + z.imag * b, 0, -1)
     return ts, normals
 
 
@@ -292,7 +317,7 @@ def velocity_from_frames(frames: np.ndarray) -> np.ndarray:
     for m in range(3):
         fdot = (fp[..., m, :] - fm[..., m, :]) / (2.0 * VELOCITY_STEP)
         omega += 0.5 * _vcross(f0[..., m, :], fdot)
-    return np.abs(np.sum(omega * f0[..., 0, :], axis=-1))
+    return np.abs(vdot(omega, f0[..., 0, :]))
 
 
 def tangential_angular_velocity(frame: RationalFrame, ts: np.ndarray) -> np.ndarray:

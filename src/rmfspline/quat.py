@@ -17,7 +17,9 @@ write a quaternion product out by components, where that is cheaper.
 The three round alike.  Dot products are numpy's: ``@`` in the value
 object, ``np.vecdot`` elsewhere, which rounds each one exactly as 1-D ``@``
 does on contiguous vectors (the BLAS dot may fuse multiply-adds there, and
-sums strided vectors another way).  Cross products repeat ``np.cross``'s
+sums strided vectors another way).  The exceptions are the sums of squares
+and the dot products of the frame checks (``vdot``, ``vnorm_sq``), which add
+left to right as ``np.sum`` does.  Cross products repeat ``np.cross``'s
 arithmetic, and products and sums keep one order, zero terms included, so a
 kernel row or a float result equals the value-object result bit for bit,
 whatever the batch around it.  All operations are side-effect free.
@@ -68,13 +70,17 @@ def angle_from_squares(chord_sq: float, anti_sq: float) -> float:
 
 def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``angle_between`` of corresponding unit rows of a and b (..., 3),
-    which broadcast against each other, by the same formula."""
-    chord = np.linalg.norm(a - b, axis=-1)
+    which broadcast against each other, by the same formula.  The norms
+    |a - b| and |a + b| sum their squares left to right, as
+    ``np.linalg.norm`` does over a length-3 axis, bit for bit."""
+    d = a - b
+    chord = np.sqrt(vdot(d, d))
     near = chord <= 1.0
     angles = 2.0 * np.arcsin(0.5 * np.minimum(chord, 1.0))
     if near.all():  # the usual case, angles up to 60 degrees: one branch
         return angles
-    anti = np.linalg.norm(a + b, axis=-1)
+    s = a + b
+    anti = np.sqrt(vdot(s, s))
     # np.where evaluates both branches; the clamps keep the unused one finite.
     return np.where(near, angles, math.pi - 2.0 * np.arcsin(0.5 * np.minimum(anti, 2.0)))
 
@@ -238,8 +244,21 @@ def neg_cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 # The wxyz-array kernel.
 
+def vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of 3-vector rows (..., 3), which broadcast, added left to
+    right: bit for bit ``np.sum(a * b, axis=-1)``, with no fused
+    multiply-add."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def vnorm_sq(a: np.ndarray) -> np.ndarray:
-    return np.sum(a * a, axis=-1)
+    """Sums of squares over the last axis of a (..., m), for any m, added
+    left to right; ``np.sum`` adds rows shorter than eight in that order,
+    so the bits are its own there."""
+    total = np.zeros(a.shape[:-1])
+    for k in range(a.shape[-1]):
+        total = total + a[..., k] * a[..., k]
+    return total
 
 
 def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,12 +314,13 @@ def vsandwich(q: np.ndarray, e: np.ndarray) -> np.ndarray:
     """q e q* for quaternion rows q (..., 4) and pure vectors e (..., 3),
     which broadcast; scales by |q|^2 for non-unit q.
 
-    |u|^2 is summed by ``np.sum``, not by ``@`` as in ``sandwich``: the
+    |u|^2 is summed left to right, not by ``@`` as in ``sandwich``: the
     frames that ``build`` chains from segment to segment come from here.
+    u . e stays one ``np.vecdot``, whose BLAS dot may fuse multiply-adds.
     """
     w, u = q[..., :1], q[..., 1:]
     e = np.asarray(e, dtype=float)
-    return ((w * w - np.sum(u * u, axis=-1, keepdims=True)) * e
+    return ((w * w - vdot(u, u)[..., None]) * e
             + 2.0 * np.vecdot(u, e)[..., None] * u
             + 2.0 * w * _vcross(u, e))
 

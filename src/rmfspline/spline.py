@@ -664,16 +664,27 @@ def _segment_error(k: int, exc: GeometryError, points: np.ndarray,
 
 
 def continuity_report(path: SplinePath) -> dict:
-    """Max tangent and frame mismatches across the interior knots.
+    """Max position, tangent and frame mismatches across the interior knots.
 
     Every segment's end frame and the next one's start frame come from two
     stacked evaluations, at t = 1 and t = 0, where a Bezier polynomial takes
     its last and its first coefficient (de Casteljau's value, bit for bit).
+    The position gap at a knot is the distance from a segment's last
+    control point to the next segment's ``r0``, relative to the segment's
+    chord; a gap of zero reads zero whatever the chord.
     """
     ends = frame_rows(path.frame_bezier[:-1, -1], path.frame_axes[:-1])
     starts = frame_rows(path.frame_bezier[1:, 0], path.frame_axes[1:])
     angles = angles_between(ends, starts)
-    return {"max_tangent_angle": float(np.max(angles[:, 0], initial=0.0)),
+    last = path.control_points[:-1, -1]
+    # A length too large to square reads inf, and a zero chord under a gap
+    # gives inf: the ratio is then inf or NaN, which fails the check.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gaps = np.linalg.norm(last - path.r0[1:], axis=-1)
+        chords = np.linalg.norm(last - path.control_points[:-1, 0], axis=-1)
+        rel_gaps = np.divide(gaps, chords, out=np.zeros_like(gaps), where=gaps > 0.0)
+    return {"max_position_gap": float(np.max(rel_gaps, initial=0.0)),
+            "max_tangent_angle": float(np.max(angles[:, 0], initial=0.0)),
             "max_frame_angle": float(np.max(angles, initial=0.0))}
 
 

@@ -327,3 +327,51 @@ def minaj2_tangents(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     raw_n = 2.0 * (points[n] - points[n - 1]) / h[n - 1] - refs[n - 1]
     refs[n] = ref_unit(raw_n, n)
     return refs
+
+
+# The frame checks' sums over a length-3 axis in their ``np.sum`` and
+# ``np.linalg.norm`` forms (``quat.vnorm_sq``, ``quat.vsandwich``,
+# ``quat.angles_between``, ``io_cli._orthonormality`` and
+# ``oracle.velocity_from_frames``), which the library writes as explicit
+# sums.
+
+def vnorm_sq(a: np.ndarray) -> np.ndarray:
+    return np.sum(a * a, axis=-1)
+
+
+def vsandwich(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    w, u = q[..., :1], q[..., 1:]
+    e = np.asarray(e, dtype=float)
+    return ((w * w - np.sum(u * u, axis=-1, keepdims=True)) * e
+            + 2.0 * np.vecdot(u, e)[..., None] * u
+            + 2.0 * w * np.cross(u, e))
+
+
+def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    chord = np.linalg.norm(a - b, axis=-1)
+    near = chord <= 1.0
+    angles = 2.0 * np.arcsin(0.5 * np.minimum(chord, 1.0))
+    if near.all():
+        return angles
+    anti = np.linalg.norm(a + b, axis=-1)
+    return np.where(near, angles, math.pi - 2.0 * np.arcsin(0.5 * np.minimum(anti, 2.0)))
+
+
+def orthonormality(frames: np.ndarray) -> np.ndarray:
+    f1, f2, f3 = frames[..., 0, :], frames[..., 1, :], frames[..., 2, :]
+    return np.max(np.maximum.reduce([
+        np.abs(np.sum(f1 * f2, axis=-1)),
+        np.abs(np.sum(f2 * f3, axis=-1)),
+        np.abs(np.sum(f3 * f1, axis=-1)),
+        np.abs(np.linalg.norm(f1, axis=-1) - 1.0),
+    ]), axis=-1)
+
+
+def velocity_from_frames(frames: np.ndarray, step: float) -> np.ndarray:
+    n = frames.shape[-3] // 3
+    fm, fp, f0 = frames[..., :n, :, :], frames[..., n:2 * n, :, :], frames[..., 2 * n:, :, :]
+    omega = np.zeros(f0.shape[:-2] + (3,))
+    for m in range(3):
+        fdot = (fp[..., m, :] - fm[..., m, :]) / (2.0 * step)
+        omega += 0.5 * np.cross(f0[..., m, :], fdot)
+    return np.abs(np.sum(omega * f0[..., 0, :], axis=-1))

@@ -600,6 +600,21 @@ class TestValidateCommand:
         failing = {c["name"] for c in rep["checks"] if not c["pass"]}
         assert "class_one_residual" in failing
 
+    def test_moved_segment_start_fails_position_continuity(self, tmp_path):
+        stream = tmp_path / "torus.json"
+        saved = tmp_path / "torus_spline.json"
+        assert main(["sample", "--curve", "torus", "--n", "20", "--out", str(stream)]) == 0
+        assert main(["interpolate", "--in", str(stream), "--out", str(saved)]) == 0
+        assert validate_spline(read_spline_file(str(saved)))["pass"]
+        doc = json.loads(saved.read_text())
+        doc["segments"][7]["r0"][1] += 1e-3
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(doc))
+        report = validate_spline(read_spline_file(str(moved)))
+        failing = [c for c in report["checks"] if not c["pass"]]
+        assert [(c["name"], c["segment"]) for c in failing] == [("position_continuity", None)]
+        assert failing[0]["value"] > 1e-4
+
     def test_validate_spline_reports_every_segment(self, tmp_path, helix_spline):
         path = read_spline_file(str(helix_spline))
         report = validate_spline(path)
@@ -609,15 +624,21 @@ class TestValidateCommand:
 
 def continuity_report_looped(path) -> dict:
     """Reference: ``continuity_report`` one interior knot at a time, from
-    ``RationalFrame.frame_matrix``."""
+    the segments' control points and ``RationalFrame.frame_matrix``."""
+    position_gap = 0.0
     g1 = 0.0
     frame_gap = 0.0
     for k in range(len(path.segments) - 1):
+        r, r_next = path.segments[k].segment.r, path.segments[k + 1].segment.r
+        gap = math.sqrt(sum(x * x for x in r[-1] - r_next[0]))
+        if gap > 0.0:
+            position_gap = max(position_gap, gap / math.sqrt(sum(x * x for x in r[-1] - r[0])))
         end = path.segments[k].frame.frame_matrix(1.0)
         start = path.segments[k + 1].frame.frame_matrix(0.0)
         g1 = max(g1, angle_between(end[0], start[0]))
         frame_gap = max(frame_gap, *(angle_between(end[m], start[m]) for m in range(3)))
-    return {"max_tangent_angle": g1, "max_frame_angle": frame_gap}
+    return {"max_position_gap": position_gap, "max_tangent_angle": g1,
+            "max_frame_angle": frame_gap}
 
 
 def validate_spline_looped(path_obj) -> dict:
@@ -658,6 +679,7 @@ def validate_spline_looped(path_obj) -> dict:
                    sol.frame, io_cli._INTERIOR_SAMPLES))),
                tol["tangential_velocity"])
     rep = continuity_report_looped(path_obj)
+    record("position_continuity", None, rep["max_position_gap"], tol["interpolation"])
     record("g1_continuity", None, rep["max_tangent_angle"], tol["g1_continuity"])
     record("frame_continuity", None, rep["max_frame_angle"], tol["frame_continuity"])
     return {"pass": all(c["pass"] for c in checks), "checks": checks}

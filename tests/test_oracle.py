@@ -188,6 +188,18 @@ class TestReflectRMF:
             ref = reflect_rmf_looped(q, f0[1], 300)
             assert oracle.max_unit_angle(got, ref) <= 1e-12
 
+    def test_rotation_products_do_not_drift(self):
+        # The normals come from a running product of complex numbers, one
+        # factor per step; over 20000 steps their rounding must neither turn
+        # the normals away from the stepped recurrence nor stretch them.
+        sol = solve(data.random_hermite_data(np.random.RandomState(61)))
+        normal0 = sol.frame.frame_matrix(0.0)[1]
+        _, normals = oracle.reflect_rmf(*data.curve_rows([sol.segment]), [normal0],
+                                        n_samples=20000)
+        ref = reflect_rmf_looped(sol.segment, normal0, 20000)
+        assert oracle.max_unit_angle(normals[0], ref) <= 1e-11
+        assert np.max(np.abs(np.linalg.norm(normals[0], axis=1) - 1.0)) <= 1e-12
+
     def test_blocks_do_not_change_values(self):
         # more segments than one block: each segment's normals equal a call
         # with that segment alone

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quaternion_reference as reference
+from rmfspline import io_cli, oracle
 from rmfspline.errors import DegenerateInputError, ValidationError
 from rmfspline.quat import (
     Quaternion,
     angle_between,
+    angles_between,
     bisector,
     cross3,
     cross_list,
@@ -27,6 +30,7 @@ from rmfspline.quat import (
     product_vector,
     sandwich_list,
     unit,
+    vdot,
     vgram,
     vmul,
     vnorm_sq,
@@ -351,6 +355,78 @@ class TestArrayKernel:
         for k in range(30):
             for m in range(3):
                 assert np.array_equal(rows[k, m], vsandwich(q[k], axes[m]) / vnorm_sq(q[k]))
+
+
+def wide_rows(rng: np.random.Generator, shape: tuple, decades: float = 150.0) -> np.ndarray:
+    """Gaussian rows (..., m) scaled by 10^-decades to 10^decades each."""
+    return (rng.standard_normal(shape)
+            * 10.0 ** rng.uniform(-decades, decades, size=shape[:-1] + (1,)))
+
+
+class TestLeftToRightSums:
+    """The explicit left-to-right sums over a length-3 axis equal the
+    ``np.sum`` and ``np.linalg.norm`` forms of ``quaternion_reference``
+    bit for bit, on broadcast shapes and magnitudes from 1e-150 to 1e150."""
+
+    def test_vnorm_sq(self):
+        rng = np.random.default_rng(20)
+        for m in range(8):
+            for shape in ((500, m), (4, 1, 30, m), (m,)):
+                a = wide_rows(rng, shape)
+                assert np.asarray(vnorm_sq(a)).tobytes() == np.asarray(reference.vnorm_sq(a)).tobytes()
+        # np.sum adds longer rows pairwise; the values still agree.
+        a = wide_rows(rng, (200, 19), decades=3.0)
+        assert np.allclose(vnorm_sq(a), reference.vnorm_sq(a), rtol=1e-14, atol=0.0)
+
+    def test_vdot(self):
+        rng = np.random.default_rng(25)
+        a, b = wide_rows(rng, (6, 50, 3)), wide_rows(rng, (6, 1, 3))
+        for x, y in ((a, b), (a, a), (a[0], b[0, 0]), (a[:, None], a[:3])):
+            assert vdot(x, y).tobytes() == np.sum(x * y, axis=-1).tobytes()
+
+    def test_vsandwich_and_frame_rows(self):
+        rng = np.random.default_rng(21)
+        q = wide_rows(rng, (5, 40, 4))
+        axes = wide_rows(rng, (5, 1, 3, 3), decades=0.0)
+        normal_axes = axes[..., 1:2, :]   # the normal-only rows of validate
+        for e in (axes, normal_axes, axes[0, 0, 2]):
+            got = vsandwich(q[..., None, :], e)
+            assert got.tobytes() == reference.vsandwich(q[..., None, :], e).tobytes()
+            assert (frame_rows(q, e).tobytes()
+                    == (reference.vsandwich(q[..., None, :], e)
+                        / reference.vnorm_sq(q)[..., None, None]).tobytes())
+        assert vsandwich(q[0, 0], axes[0, 0, 0]).tobytes() \
+            == reference.vsandwich(q[0, 0], axes[0, 0, 0]).tobytes()
+
+    def test_angles_between(self):
+        rng = np.random.default_rng(22)
+        a = wide_rows(rng, (300, 3), decades=0.0)
+        a /= np.linalg.norm(a, axis=-1, keepdims=True)
+        near_antipodal = -a + 1e-9 * rng.standard_normal(a.shape)
+        near_antipodal /= np.linalg.norm(near_antipodal, axis=-1, keepdims=True)
+        b = wide_rows(rng, (300, 3), decades=0.0)
+        b /= np.linalg.norm(b, axis=-1, keepdims=True)
+        wide = wide_rows(rng, (300, 3))
+        for x, y in ((a, near_antipodal), (a, b), (a[:, None], b[None, :50]),
+                     (a[:, None, :], near_antipodal[:7]), (wide, a), (wide, -wide),
+                     (a, a[0])):
+            assert angles_between(x, y).tobytes() == reference.angles_between(x, y).tobytes()
+
+    def test_orthonormality(self):
+        rng = np.random.default_rng(23)
+        for shape in ((6, 101, 3, 3), (101, 3, 3), (2, 3, 4, 3, 3)):
+            frames = wide_rows(rng, shape)
+            assert io_cli._orthonormality(frames).tobytes() \
+                == reference.orthonormality(frames).tobytes()
+
+    def test_velocity_from_frames(self):
+        # 1e-90 to 1e90: the differences divided by the step and crossed
+        # with the frame rows stay finite.
+        rng = np.random.default_rng(24)
+        for shape in ((6, 57, 3, 3), (57, 3, 3), (2, 3, 12, 3, 3)):
+            frames = wide_rows(rng, shape, decades=90.0)
+            assert oracle.velocity_from_frames(frames).tobytes() \
+                == reference.velocity_from_frames(frames, oracle.VELOCITY_STEP).tobytes()
 
 
 def test_angle_between_accuracy():
