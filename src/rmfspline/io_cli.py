@@ -224,9 +224,15 @@ def write_stream_file(path: str, points: np.ndarray, initial_frame: np.ndarray |
         doc["reference_tangents"] = np.asarray(reference_tangents, dtype=float).tolist()
     if params is not None:
         doc["params"] = np.asarray(params, dtype=float).tolist()
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Write doc as JSON with one-space indents and a final newline, in one
+    write: ``json.dump`` would write each token separately."""
+    text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+        f.write(text)
 
 
 def spline_to_dict(path_obj: SplinePath) -> dict:
@@ -246,9 +252,7 @@ def spline_to_dict(path_obj: SplinePath) -> dict:
 
 
 def write_spline_file(path: str, path_obj: SplinePath) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(spline_to_dict(path_obj), f, indent=1)
-        f.write("\n")
+    _write_json(path, spline_to_dict(path_obj))
 
 
 def _stacked(values: list, field: str, shape: tuple) -> np.ndarray:
@@ -318,13 +322,53 @@ def read_spline_file(path: str) -> SplinePath:
 _FRAME_SAMPLES = np.linspace(0.0, 1.0, 101)
 _TRANSPORT_SAMPLES = np.linspace(0.0, 1.0, 501)
 _INTERIOR_SAMPLES = np.linspace(0.05, 0.95, 19)
+# The degree-8 Bernstein bases of the frame-row polynomials
+# (``rrmf.frame_row_beziers``) at the orthonormality and angular-velocity
+# samples, which read every frame row, and at the transport samples, which
+# read the normal's columns and |q|^2 (``_NORMAL_COLUMNS``).
+_CHECK_BASIS = bern.decasteljau(np.eye(9), np.concatenate([
+    _FRAME_SAMPLES, oracle.velocity_samples(_INTERIOR_SAMPLES)]))
+_TRANSPORT_BASIS = bern.decasteljau(np.eye(9), _TRANSPORT_SAMPLES)
+_NORMAL_COLUMNS = [3, 4, 5, 9]
 _FRAME_SAMPLES.flags.writeable = False
 _TRANSPORT_SAMPLES.flags.writeable = False
 _INTERIOR_SAMPLES.flags.writeable = False
+_CHECK_BASIS.flags.writeable = False
+_TRANSPORT_BASIS.flags.writeable = False
 # Segments per array pass of the identity checks.  The widest array of a
 # pass is the product of ``ph_identity_residuals``, 4 x 9 coefficients per
 # segment; chunks of this size keep it at ``rrmf._STACKED_ROWS`` values.
 _IDENTITY_CHUNK = _STACKED_ROWS // 36
+# Segments per pass of the frame checks (``_frame_checks``): two blocks of
+# ``oracle.reflect_rmf``.  On the 100-segment benchmark torus, with one
+# BLAS thread, blocks of 8 took about a quarter longer than blocks of 16,
+# 24 or 32, and the traced peak of ``validate_spline`` read 1.4, 1.6, 1.7
+# and 2.1 MB for blocks of 8, 16, 24 and 32.
+_FRAME_BLOCK = 2 * oracle._REFLECT_BLOCK
+
+
+def _bezier_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Values (S, N, K) at N samples of polynomials with Bezier coefficients
+    (S, 9, K), from their Bernstein basis (N, 9) there, by one matmul."""
+    s, d, k = coeffs.shape
+    return (basis @ coeffs.swapaxes(0, 1).reshape(d, s * k)).reshape(-1, s, k).swapaxes(0, 1)
+
+
+def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray) -> tuple:
+    """``frame_orthonormality``, ``frame_vs_transport`` and
+    ``tangential_angular_velocity`` of one block of segments, whose
+    double-reflection RMF starts from the normals ``starts``.  Its arrays
+    are freed on return, and ``reflect_rmf`` runs first, so that its
+    temporaries do not coincide with the frame rows."""
+    _, reflected = oracle.reflect_rmf(path_obj.control_points[block], path_obj.hodographs[block],
+                                      starts, _TRANSPORT_SAMPLES.size - 1)
+    coeffs = rrmf.frame_row_beziers(path_obj.frame_bezier[block], path_obj.frame_axes[block])
+    rows = _bezier_values(_TRANSPORT_BASIS, coeffs[..., _NORMAL_COLUMNS])
+    vs_transport = oracle.max_unit_angle(rows[..., :3] / rows[..., 3:], reflected)
+    rows = _bezier_values(_CHECK_BASIS, coeffs)
+    frames = (rows[..., :9] / rows[..., 9:]).reshape(rows.shape[:-1] + (3, 3))
+    return (_orthonormality(frames[:, :_FRAME_SAMPLES.size]), vs_transport,
+            np.max(oracle.velocity_from_frames(frames[:, _FRAME_SAMPLES.size:]), axis=-1))
 
 
 def _orthonormality(frames: np.ndarray) -> np.ndarray:
@@ -345,25 +389,26 @@ def validate_spline(path_obj: SplinePath) -> dict:
     The curve and frame-polynomial identities (``ph.ph_identity_residuals``,
     ``rrmf.class_one_residuals``, ``rrmf.rotation_rate_residuals``) are
     checked in one array pass each over chunks of ``_IDENTITY_CHUNK``
-    segments, so that memory stays bounded.  The frame checks run
-    on blocks of segments, each block one stacked evaluation of its frame
-    quaternions (``SplinePath.frame_bezier``) at every sample of every frame
-    check; all three frame rows are formed at the orthonormality and
-    angular-velocity samples, and only the normal at the transport samples.
-    ``frame_vs_transport`` is the largest angle between each segment's
-    rational normal and the double-reflection RMF (``oracle.reflect_rmf``,
-    one call per block) at the 501 ``_TRANSPORT_SAMPLES``.
+    segments, so that memory stays bounded.  The frame checks run on blocks
+    of ``_FRAME_BLOCK`` segments.  Each block forms the degree-8 Bezier
+    coefficients of its frame rows and of |q|^2
+    (``rrmf.frame_row_beziers``), then evaluates them by one matmul with a
+    cached Bernstein basis: every row at the orthonormality and
+    angular-velocity samples, and only the normal at the 501
+    ``_TRANSPORT_SAMPLES``.  ``frame_vs_transport`` is the largest angle
+    there between each segment's rational normal and the double-reflection
+    RMF (``oracle.reflect_rmf``, one call per block), started from the
+    normal that ``quat.frame_rows`` gives at t = 0.
     ``position_continuity`` is the largest gap between a segment's end and
     the next segment's ``r0``, relative to the segment's chord, held to
     the ``interpolation`` bound.
 
     The identity and position values equal the one-segment checks' bit for
-    bit.  The frame checks and the tangent and frame continuity angles read
-    stacked frame rows (one Bernstein basis product, one sandwich for all
-    three axes), which round differently in the last bits from
-    ``RationalFrame.frame``: their values move by up to about 1e-15, and
-    the finite-difference spin, which divides by its 2e-5 step, by up to
-    about 1e-10.
+    bit.  The frame checks read the frame-row polynomials, and the tangent
+    and frame continuity angles stacked frame rows (``frame_rows``), which
+    round differently in the last bits from ``RationalFrame.frame``: their
+    values move by up to about 1e-15, and the finite-difference spin, which
+    divides by its 2e-5 step, by up to about 1e-10.
     """
     tol = tolerances()
     checks: list[dict] = []
@@ -391,28 +436,11 @@ def validate_spline(path_obj: SplinePath) -> dict:
     # The transport starts from each segment's normal at t = 0, where a
     # Bezier polynomial takes its first coefficient.
     starts = frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes[:, 1:2])[:, 0]
-    # One parameter row for all frame checks.
-    params = np.concatenate([_FRAME_SAMPLES, _TRANSPORT_SAMPLES,
-                             oracle.velocity_samples(_INTERIOR_SAMPLES)])
-    # Bernstein basis of the frame quaternions at the parameters: a block's
-    # samples are then one matmul, as in ``oracle.reflect_rmf``.
-    basis = bern.decasteljau(np.eye(5), params)
-    transport = slice(_FRAME_SAMPLES.size, _FRAME_SAMPLES.size + _TRANSPORT_SAMPLES.size)
     ortho, vs_transport, spin = np.empty((3, n))
-    per_block = max(1, _STACKED_ROWS // params.size)
-    for lo in range(0, n, per_block):
-        block = slice(lo, lo + per_block)
-        quats = basis @ path_obj.frame_bezier[block]
-        axes = path_obj.frame_axes[block, None]
-        frames = frame_rows(np.concatenate([quats[:, :transport.start],
-                                            quats[:, transport.stop:]], axis=1), axes)
-        normals = frame_rows(quats[:, transport], axes[..., 1:2, :])[..., 0, :]
-        ortho[block] = _orthonormality(frames[:, :transport.start])
-        _, reflected = oracle.reflect_rmf(path_obj.control_points[block],
-                                          path_obj.hodographs[block], starts[block],
-                                          _TRANSPORT_SAMPLES.size - 1)
-        vs_transport[block] = oracle.max_unit_angle(normals, reflected)
-        spin[block] = np.max(oracle.velocity_from_frames(frames[:, transport.start:]), axis=-1)
+    for lo in range(0, n, _FRAME_BLOCK):
+        block = slice(lo, lo + _FRAME_BLOCK)
+        ortho[block], vs_transport[block], spin[block] = _frame_checks(path_obj, block,
+                                                                       starts[block])
 
     for k in range(n):
         record("ph_identity", k, ph_identity[k], tol["ph_identity"])

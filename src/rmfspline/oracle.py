@@ -124,9 +124,9 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
 # Segments per block of ``reflect_rmf``.  Its temporaries, a few dozen
 # (block, samples) arrays, grow with the block; its speed does not beyond
 # about 6 segments.  On a 2-core Xeon VM, the 100-segment benchmark torus at
-# 501 samples, in ``validate_spline``'s calls of 6 segments, took 8.5 to
-# 9.5 ms for blocks of 6, 8 and 16, and 11 to 15 ms for blocks of 4, which
-# split each call 4 + 2.
+# 501 samples, in calls of 6 segments, took 8.5 to 9.5 ms for blocks of 6,
+# 8 and 16, and 11 to 15 ms for blocks of 4, which split each call 4 + 2.
+# ``validate_spline`` calls it on two blocks at a time (``_FRAME_BLOCK``).
 _REFLECT_BLOCK = 8
 
 

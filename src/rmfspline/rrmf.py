@@ -235,6 +235,38 @@ def frame_beziers(power: np.ndarray, a: np.ndarray, b: np.ndarray,
     return bern.from_power(vpoly_mul(power, w).swapaxes(0, -2)).swapaxes(0, -2)
 
 
+# The component pairs w w, x x, y y, z z, w x, w y, w z, x y, x z, y z of a
+# quaternion (w, x, y, z), whose products make q e q* and |q|^2.
+_PAIR_FIRST = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2])
+_PAIR_SECOND = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+
+
+def frame_row_beziers(frame_bezier: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Degree-8 Bezier coefficients (..., 9, 10) of the frame rows of frame
+    quaternions q with Bezier coefficients (..., 5, 4) and axis rows e_m
+    (..., 3, 3): columns 3 m to 3 m + 2 hold q e_m q*, whose ratio to the
+    last column, |q|^2, is row m of ``frame_rows``.
+
+    The ten component pairs go through one stacked ``_bernstein.product``;
+    q e q* = R e, where R is the rotation matrix of the pairs' quadratic
+    forms.  A sample is then one matmul with the degree-8 Bernstein basis,
+    within rounding of ``frame_rows`` there, not bit for bit.
+    """
+    comps = np.moveaxis(frame_bezier, -1, -2)
+    ww, xx, yy, zz, wx, wy, wz, xy, xz, yz = np.moveaxis(
+        bern.product(comps[..., _PAIR_FIRST, :], comps[..., _PAIR_SECOND, :]), -2, 0)
+    rot = ((ww + xx - yy - zz, 2.0 * (xy - wz), 2.0 * (xz + wy)),
+           (2.0 * (xy + wz), ww - xx + yy - zz, 2.0 * (yz - wx)),
+           (2.0 * (xz - wy), 2.0 * (yz + wx), ww - xx - yy + zz))
+    e = axes[..., None, :, :]
+    out = np.empty(ww.shape + (10,))
+    for c, (r0, r1, r2) in enumerate(rot):
+        out[..., c:9:3] = (r0[..., None] * e[..., 0] + r1[..., None] * e[..., 1]
+                           + r2[..., None] * e[..., 2])
+    out[..., 9] = ww + xx + yy + zz
+    return out
+
+
 def frame_from_coefficients(
     p: PreImage, a: np.ndarray, b: np.ndarray, axes: np.ndarray
 ) -> RationalFrame:

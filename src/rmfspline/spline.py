@@ -57,6 +57,21 @@ MIDPOINT_HINT = "insert a middle point between the offending stream points"
 # spiral and walk streams overflow from 4.5e61, streams on the corners of a
 # cube from 1e61 (with reference tangents given, from 4e149); none at 1e60.
 MAX_COORDINATE = 1e60
+# The largest speed or frame quaternion coefficient of a loaded spline.  Its
+# square, 2^1000, leaves a factor 2^24 of the float range to the sums of
+# binomially scaled squares that ``eval`` and ``validate`` form: with one
+# segment of a 20-span torus scaled up, squares within a factor 63 of the
+# range overflowed there.  At this bound no scaled end segment of a helix,
+# that torus or four walks raised a RuntimeWarning.
+MAX_SQUARABLE = 2.0 ** 500
+
+
+def _require_within(values: np.ndarray, bound: float, message: str) -> None:
+    """Raise ``ValidationError(message)`` naming the first segment of values
+    (S, ...) with an entry that is NaN or above bound in magnitude."""
+    if not np.abs(values).max() <= bound:
+        ok = (np.abs(values) <= bound).reshape(len(values), -1).all(axis=1)
+        raise ValidationError(message.format(int(np.argmin(ok))))
 
 
 def _require_stream_points(points: np.ndarray) -> None:
@@ -367,8 +382,10 @@ class SplinePath:
     its frame polynomials ``a`` and ``b`` (S, 3); ``mu``, ``phi2``,
     ``theta1`` and ``diagnostics`` hold the solve's values.  They are kept
     as read-only copies, every axis is checked to be a unit vector, every
-    generator not to vanish (a speed with no positive coefficient) and every
-    pair of frame polynomials not to vanish (a and b all zero), and one
+    start point to stay within ``MAX_COORDINATE``, every generator not to
+    vanish (a speed with no positive coefficient) and every pair of frame
+    polynomials not to vanish (a and b all zero), and every speed and frame
+    quaternion coefficient to stay within ``MAX_SQUARABLE``, and one
     call each derives ``hodographs`` (S, 5, 3), ``control_points``
     (S, 6, 3) and ``speeds`` (S, 5) (``ph.curves``) and ``frame_bezier``
     (S, 5, 4), the Bezier coefficients of the frame quaternions
@@ -409,17 +426,24 @@ class SplinePath:
         axis = arrays["frame_axes"][:, 0]
         require_unit(np.sqrt(np.vecdot(axis, axis)),
                      "segment {}: pre-image axis must be a unit vector")
+        _require_within(arrays["r0"], MAX_COORDINATE,
+                        f"segment {{}}: r0 has a coordinate beyond {MAX_COORDINATE:g}")
         rows = arrays["generators"]
-        arrays["hodographs"], arrays["control_points"], arrays["speeds"] = ph.curves(
-            arrays["r0"], rows, axis)
+        # An overflow here leaves inf or NaN, which the checks below reject.
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays["hodographs"], arrays["control_points"], arrays["speeds"] = ph.curves(
+                arrays["r0"], rows, axis)
+            arrays["frame_bezier"] = rrmf.frame_beziers(ph.power_rows(rows), arrays["a"],
+                                                        arrays["b"], axis)
+        _require_within(arrays["speeds"], MAX_SQUARABLE, "segment {}: speed too large to square")
         vanishing = ~(arrays["speeds"] > 0.0).any(axis=1)
         if vanishing.any():
             raise ValidationError(f"segment {int(np.argmax(vanishing))}: generator vanishes")
         vanishing = ~((arrays["a"] != 0.0) | (arrays["b"] != 0.0)).any(axis=1)
         if vanishing.any():
             raise ValidationError(f"segment {int(np.argmax(vanishing))}: frame polynomials vanish")
-        arrays["frame_bezier"] = rrmf.frame_beziers(ph.power_rows(rows), arrays["a"],
-                                                    arrays["b"], axis)
+        _require_within(arrays["frame_bezier"], MAX_SQUARABLE,
+                        "segment {}: frame quaternion too large to square")
         # The end frame at t = 1, where de Casteljau gives the last coefficient.
         end = frame_rows(arrays["frame_bezier"][-1, -1], arrays["frame_axes"][-1])
         arrays["frames"] = np.concatenate([arrays["frame_axes"] * [[1.0], [-1.0], [-1.0]],

@@ -563,6 +563,23 @@ class TestBisectionFunction:
             assert (np.float64(float(unit_displacement_b(gamma, phi)) - db).tobytes()
                     == np.float64(ref).tobytes())
 
+    def test_complex_abs_is_numpy_hypot_bitwise(self):
+        # The bisection takes hypot as complex abs, which calls the C hypot
+        # that np.hypot calls; math.hypot rounds differently.
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3.3e-320, 2.2250738585072014e-308,
+                   1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300]
+        rng = np.random.default_rng(82)
+        xs = (rng.standard_normal(4000) * 10.0 ** rng.uniform(-300.0, 300.0, 4000)).tolist()
+        pairs = [(x, y) for x in special for y in special] + list(zip(xs, reversed(xs)))
+        pairs += [(x, y * 1e-3) for x, y in zip(xs, xs[1:])]
+        for x, y in pairs:
+            assert np.float64(abs(complex(x, y))).tobytes() == np.hypot(x, y).tobytes(), (x, y)
+
+    def test_two_thirds_threshold_is_the_unit_displacement(self):
+        for gamma in np.random.default_rng(83).uniform(1e-8, CRITICAL_GAMMA, 2000).tolist():
+            want = unit_displacement_b(gamma, TWO_THIRDS)
+            assert np.float64(hermite._two_thirds_b(gamma)).tobytes() == np.float64(want).tobytes()
+
     def test_solve_residual_is_the_reference_function(self):
         # ``f_residual`` is |f| at the chosen root, so it shows the function
         # the bisection ran: the angle of the displacement from the bisector

@@ -1,9 +1,11 @@
 """CLI subcommands, file formats, round trips, exit codes."""
 
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ import pytest
 
 import conftest as data
 import rmfspline
-from rmfspline import io_cli, oracle, rrmf
+from rmfspline import io_cli, oracle
 from rmfspline.io_cli import (
     CURVES,
     EXIT_INFEASIBLE,
@@ -33,8 +35,8 @@ from rmfspline.io_cli import (
 from rmfspline.errors import StreamFormatError, ValidationError
 from rmfspline.quat import angle_between
 from rmfspline.rrmf import frame_from_coefficients
-from rmfspline.spline import (PointStream, build, chord_knots, default_initial_frame,
-                              minaj2_tangents)
+from rmfspline.spline import (MAX_COORDINATE, PointStream, build, chord_knots,
+                              default_initial_frame, minaj2_tangents)
 
 BAD = "0,0,0\n-5,5,2\n2,2,0\n"
 FIXED = "0,0,0\n-5,5,2\n-4,6,-2\n2,2,0\n"
@@ -451,6 +453,27 @@ class TestSplineFiles:
         assert first.read_bytes() == second.read_bytes()
         assert np.array_equal(loaded.frames, built.frames)
 
+    def test_written_bytes_are_json_dump_bytes(self, tmp_path, torus_path):
+        # Both writers make their text in one json.dumps call: the bytes are
+        # those of json.dump's token-by-token writes.
+        def dumped(doc) -> bytes:
+            buf = io.StringIO()
+            json.dump(doc, buf, indent=1)
+            buf.write("\n")
+            return buf.getvalue().encode("utf-8")
+
+        spline_file = tmp_path / "spline.json"
+        write_spline_file(str(spline_file), torus_path)
+        assert spline_file.read_bytes() == dumped(io_cli.spline_to_dict(torus_path))
+        params, pts, tans = sample_curve("spiral", 30)
+        frame = default_initial_frame(tans[0])
+        stream_file = tmp_path / "stream.json"
+        write_stream_file(str(stream_file), pts, initial_frame=frame, reference_tangents=tans,
+                          params=params)
+        assert stream_file.read_bytes() == dumped({
+            "points": pts.tolist(), "initial_frame": dict(zip("uvw", frame.tolist())),
+            "reference_tangents": tans.tolist(), "params": params.tolist()})
+
     def test_empty_file_is_schema_error(self, tmp_path):
         f = tmp_path / "empty.json"
         f.write_text("")
@@ -576,6 +599,45 @@ class TestMalformedSplineFiles:
         assert err.count("segment 3: frame polynomials vanish") == 2
         assert not out.exists() and not report.exists()
 
+    @pytest.mark.parametrize("fields, factor, message", [
+        (("r0",), 1e200, "r0 has a coordinate beyond 1e\\+60"),
+        (("A0", "A1", "A2"), 1e160, "speed too large to square"),
+        (("A0", "A1", "A2"), 1e100, "speed too large to square"),
+        (("W_a", "W_b"), 1e200, "frame quaternion too large to square"),
+    ], ids=["r0", "generator-1e160", "generator-1e100", "frame-polynomials"])
+    def test_huge_fields_rejected_with_segment(self, tmp_path, helix_spline, capsys, fields,
+                                               factor, message):
+        doc = json.loads(helix_spline.read_text())
+        for key in fields:
+            doc["segments"][3][key] = [factor * x for x in doc["segments"][3][key]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out, report = tmp_path / "out.csv", tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"segment 3: {message}"):
+                read_spline_file(str(bad))
+            assert main(["eval", "--in", str(bad), "--samples", "100", "--out", str(out)]) \
+                == EXIT_VALIDATION
+            assert main(["validate", "--in", str(bad), "--report", str(report)]) \
+                == EXIT_VALIDATION
+        assert len(re.findall(f"segment 3: {message}", capsys.readouterr().err)) == 2
+        assert not out.exists() and not report.exists()
+
+    def test_spline_at_the_coordinate_bound_round_trips(self, tmp_path):
+        _, pts, tans = sample_curve("torus", 20)
+        pts = pts * (MAX_COORDINATE / np.max(np.abs(pts)))
+        path = build(PointStream(pts, default_initial_frame(tans[0])))
+        saved = tmp_path / "huge.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_spline_file(str(saved), path)
+            loaded = read_spline_file(str(saved))
+            assert validate_spline(loaded)["pass"]
+            us = np.linspace(path.knots[0], path.knots[-1], 41)
+            for got, want in zip(loaded.eval_many(us), path.eval_many(us)):
+                assert got.tobytes() == want.tobytes()
+
 
 class TestValidateCommand:
     def test_fresh_spline_passes(self, tmp_path, helix_spline):
@@ -686,11 +748,12 @@ def validate_spline_looped(path_obj) -> dict:
 
 
 # Largest change of a frame check's value from the per-segment reference.
-# The stacked frame rows (frame quaternions from a Bernstein basis product,
-# and one sandwich for all three axes) round differently from
-# ``RationalFrame.frame`` in the last bits, and the angular velocity divides
-# differences of such rows by its 2e-5 step.  Every other check must be
-# bit-identical.
+# The frame checks read the degree-8 frame-row polynomials
+# (``rrmf.frame_row_beziers``, evaluated by a Bernstein basis product), and
+# the continuity angles stacked frame rows (one sandwich for all three
+# axes); both round differently from ``RationalFrame.frame`` in the last
+# bits, and the angular velocity divides differences of such rows by its
+# 2e-5 step.  Every other check must be bit-identical.
 FRAME_CHECK_DELTA = {
     "frame_orthonormality": 1e-15,
     "frame_vs_transport": 1e-15,
@@ -714,11 +777,8 @@ def assert_matches_reference(report: dict, reference: dict) -> None:
 
 
 def blocked_segments() -> int:
-    """Segments per stacked block of ``validate_spline`` at its default
-    sample counts: 101 orthonormality, 501 transport and 3 x 19 velocity
-    samples each."""
-    samples = (io_cli._FRAME_SAMPLES.size + 501 + 3 * io_cli._INTERIOR_SAMPLES.size)
-    return rrmf._STACKED_ROWS // samples
+    """Segments per block of ``validate_spline``'s frame checks."""
+    return io_cli._FRAME_BLOCK
 
 
 class TestValidateBlocks:
