@@ -3,7 +3,7 @@
 Two frame oracles carry the start normal along the exact polynomial curve
 without touching the rational frame: ``reflect_rmf``, the double-reflection
 method vectorized over samples and segments, its steps' rotations composed
-as a running product of complex numbers, which ``validate_spline`` runs,
+as a running product of complex numbers, which ``checks.validate_spline`` runs,
 and ``integrate_rmf``, an adaptive RK45 solve of the minimal-rotation
 ODE, kept as the slow reference that the tests compare both against.
 Sweep utilities validate the displacement-direction coverage claims by
@@ -126,7 +126,7 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
 # about 6 segments.  On a 2-core Xeon VM, the 100-segment benchmark torus at
 # 501 samples, in calls of 6 segments, took 8.5 to 9.5 ms for blocks of 6,
 # 8 and 16, and 11 to 15 ms for blocks of 4, which split each call 4 + 2.
-# ``validate_spline`` calls it on two blocks at a time (``_FRAME_BLOCK``).
+# ``checks.validate_spline`` calls it on two blocks at a time (``_FRAME_BLOCK``).
 _REFLECT_BLOCK = 8
 
 
@@ -222,8 +222,11 @@ def reflect_rmf(points, hodographs, initial_normals,
 
         v1 = np.diff(x, axis=-1)
         vv1 = _dot(v1, v1)
-        v2 = t[..., 1:] - _reflect(v1, vv1, t[..., :-1])
-        m = _reflect(v2, _dot(v2, v2), _reflect(v1, vv1, n[..., :-1]))
+        # A segment smaller than the rounding of its position has chords of
+        # zero: its normals read NaN, which fails the check that reads them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v2 = t[..., 1:] - _reflect(v1, vv1, t[..., :-1])
+            m = _reflect(v2, _dot(v2, v2), _reflect(v1, vv1, n[..., :-1]))
 
         z = np.empty(a_x.shape, dtype=complex)
         z.real[:, 0], z.imag[:, 0] = _dot(r0, n[..., 0]), _dot(r0, b[..., 0])
@@ -295,7 +298,7 @@ def sweep_S(gamma: float, grid_size: int = 10000) -> SweepReport:
 
 
 # Step of the centered frame differences of ``tangential_angular_velocity``
-# and ``validate_spline``.
+# and ``checks.validate_spline``.
 VELOCITY_STEP = 1e-5
 
 

@@ -21,7 +21,7 @@ from .ph import PreImage
 from .quat import (_CONJ, NORMAL_LEAN_TOL, _vcross, dots, frame_rows, orthonormal_completion,
                    product_vector, sandwich_list, unit_list, vgram, vmul, vpoly_mul, vpure)
 
-CLASS_ONE_REL_TOL = 1e-10  # the class-I bound of ``is_class_I`` and of ``validate_spline``
+CLASS_ONE_REL_TOL = 1e-10  # the class-I bound of ``is_class_I`` and of ``checks.tolerances``
 FRAME_REL_TOL = 1e-6  # the bound on both relative residuals of a frame: class-I and polynomial
 
 
@@ -218,8 +218,8 @@ class RationalFrame:
 
 
 # Rows per stacked frame evaluation.  ``SplinePath.eval_many`` evaluates its
-# parameters in chunks of this many, and ``validate_spline`` takes as many
-# segments at a time as fit with all their samples, so that the temporaries
+# parameters in chunks of this many, and ``checks.validate_spline`` checks
+# the identities of as many segments at a time as fit, so that the temporaries
 # of one pass stay at a few MB whatever the spline's size or the batch's.
 _STACKED_ROWS = 4096
 

@@ -390,7 +390,7 @@ class SplinePath:
     (S, 6, 3) and ``speeds`` (S, 5) (``ph.curves``) and ``frame_bezier``
     (S, 5, 4), the Bezier coefficients of the frame quaternions
     (``rrmf.frame_beziers``).  ``eval_many``, ``continuity_report`` and
-    ``validate_spline`` evaluate all segments from these arrays at once.
+    ``checks.validate_spline`` evaluate all segments from these arrays at once.
     ``eval`` is the one-point path, on Python floats, bit for bit as
     ``eval_many``; it reads list copies of the arrays that its first call
     makes, as ``segments`` cuts segment objects from the rows on its first

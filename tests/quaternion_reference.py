@@ -331,7 +331,7 @@ def minaj2_tangents(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
 # The frame checks' sums over a length-3 axis in their ``np.sum`` and
 # ``np.linalg.norm`` forms (``quat.vnorm_sq``, ``quat.vsandwich``,
-# ``quat.angles_between``, ``io_cli._orthonormality`` and
+# ``quat.angles_between``, ``checks._orthonormality`` and
 # ``oracle.velocity_from_frames``), which the library writes as explicit
 # sums.
 

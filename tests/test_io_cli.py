@@ -1,6 +1,5 @@
 """CLI subcommands, file formats, round trips, exit codes."""
 
-import dataclasses
 import io
 import json
 import math
@@ -8,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +15,8 @@ import pytest
 
 import conftest as data
 import rmfspline
-from rmfspline import io_cli, oracle
+from rmfspline import io_cli
+from rmfspline.checks import validate_spline
 from rmfspline.io_cli import (
     CURVES,
     EXIT_INFEASIBLE,
@@ -28,13 +27,11 @@ from rmfspline.io_cli import (
     read_spline_file,
     read_stream_file,
     sample_curve,
-    validate_spline,
     write_spline_file,
     write_stream_file,
 )
 from rmfspline.errors import StreamFormatError, ValidationError
 from rmfspline.quat import angle_between
-from rmfspline.rrmf import frame_from_coefficients
 from rmfspline.spline import (MAX_COORDINATE, PointStream, build, chord_knots,
                               default_initial_frame, minaj2_tangents)
 
@@ -682,173 +679,6 @@ class TestValidateCommand:
         report = validate_spline(path)
         per_segment = [c for c in report["checks"] if c["name"] == "ph_identity"]
         assert len(per_segment) == path.n_segments
-
-
-def continuity_report_looped(path) -> dict:
-    """Reference: ``continuity_report`` one interior knot at a time, from
-    the segments' control points and ``RationalFrame.frame_matrix``."""
-    position_gap = 0.0
-    g1 = 0.0
-    frame_gap = 0.0
-    for k in range(len(path.segments) - 1):
-        r, r_next = path.segments[k].segment.r, path.segments[k + 1].segment.r
-        gap = math.sqrt(sum(x * x for x in r[-1] - r_next[0]))
-        if gap > 0.0:
-            position_gap = max(position_gap, gap / math.sqrt(sum(x * x for x in r[-1] - r[0])))
-        end = path.segments[k].frame.frame_matrix(1.0)
-        start = path.segments[k + 1].frame.frame_matrix(0.0)
-        g1 = max(g1, angle_between(end[0], start[0]))
-        frame_gap = max(frame_gap, *(angle_between(end[m], start[m]) for m in range(3)))
-    return {"max_position_gap": position_gap, "max_tangent_angle": g1,
-            "max_frame_angle": frame_gap}
-
-
-def validate_spline_looped(path_obj) -> dict:
-    """Reference: ``validate_spline`` with every check run one segment at a
-    time: the identities by their per-coefficient loops, the frame checks
-    through ``RationalFrame.frame``."""
-    tol = io_cli.tolerances()
-    checks = []
-
-    def record(name, segment, value, bound):
-        checks.append({"name": name, "segment": segment, "value": float(value),
-                       "tolerance": float(bound), "pass": bool(value <= bound)})
-
-    segments = path_obj.segments
-    ts, normals = oracle.reflect_rmf(*data.curve_rows([sol.segment for sol in segments]),
-                                     [sol.frame.frame_matrix(0.0)[1] for sol in segments],
-                                     500)
-    for k, sol in enumerate(segments):
-        pre = sol.segment.preimage
-        record("ph_identity", k, data.ph_identity_residual_looped(sol.segment),
-               tol["ph_identity"])
-        record("class_one_residual", k, data.class_one_residual_looped(pre), tol["class_one"])
-        record("rotation_rate_identity", k, data.han08_residual_looped(pre, sol.frame),
-               tol["rotation_rate"])
-        f1, f2, f3 = sol.frame.frame(io_cli._FRAME_SAMPLES)
-        ortho = max(
-            float(np.max(np.abs(np.sum(f1 * f2, axis=1)))),
-            float(np.max(np.abs(np.sum(f2 * f3, axis=1)))),
-            float(np.max(np.abs(np.sum(f3 * f1, axis=1)))),
-            float(np.max(np.abs(np.linalg.norm(f1, axis=1) - 1.0))),
-        )
-        record("frame_orthonormality", k, ortho, 1e-9)
-        record("frame_vs_transport", k,
-               oracle.max_unit_angle(sol.frame.frame(ts)[1], normals[k]),
-               tol["frame_vs_ode"])
-        record("tangential_angular_velocity", k,
-               float(np.max(oracle.tangential_angular_velocity(
-                   sol.frame, io_cli._INTERIOR_SAMPLES))),
-               tol["tangential_velocity"])
-    rep = continuity_report_looped(path_obj)
-    record("position_continuity", None, rep["max_position_gap"], tol["interpolation"])
-    record("g1_continuity", None, rep["max_tangent_angle"], tol["g1_continuity"])
-    record("frame_continuity", None, rep["max_frame_angle"], tol["frame_continuity"])
-    return {"pass": all(c["pass"] for c in checks), "checks": checks}
-
-
-# Largest change of a frame check's value from the per-segment reference.
-# The frame checks read the degree-8 frame-row polynomials
-# (``rrmf.frame_row_beziers``, evaluated by a Bernstein basis product), and
-# the continuity angles stacked frame rows (one sandwich for all three
-# axes); both round differently from ``RationalFrame.frame`` in the last
-# bits, and the angular velocity divides differences of such rows by its
-# 2e-5 step.  Every other check must be bit-identical.
-FRAME_CHECK_DELTA = {
-    "frame_orthonormality": 1e-15,
-    "frame_vs_transport": 1e-15,
-    "tangential_angular_velocity": 1e-10,
-    "g1_continuity": 1e-15,
-    "frame_continuity": 1e-15,
-}
-
-
-def assert_matches_reference(report: dict, reference: dict) -> None:
-    assert [(c["name"], c["segment"]) for c in report["checks"]] \
-        == [(c["name"], c["segment"]) for c in reference["checks"]]
-    for got, ref in zip(report["checks"], reference["checks"]):
-        assert got["pass"] == ref["pass"] and got["tolerance"] == ref["tolerance"], got
-        delta = FRAME_CHECK_DELTA.get(got["name"])
-        if delta is None:
-            assert got["value"] == ref["value"], got
-        else:
-            assert abs(got["value"] - ref["value"]) <= delta, (got, ref["value"])
-    assert report["pass"] == reference["pass"]
-
-
-def blocked_segments() -> int:
-    """Segments per block of ``validate_spline``'s frame checks."""
-    return io_cli._FRAME_BLOCK
-
-
-class TestValidateBlocks:
-    def test_torus_matches_per_segment_reference(self, torus_path):
-        assert torus_path.n_segments % blocked_segments() != 0
-        assert_matches_reference(validate_spline(torus_path),
-                                 validate_spline_looped(torus_path))
-
-    def test_experiments_match_per_segment_reference(self, experiment_paths):
-        for path in experiment_paths.values():
-            assert_matches_reference(validate_spline(path), validate_spline_looped(path))
-
-    def test_walks_match_per_segment_reference(self):
-        paths = data.walk_paths(1, 30)
-        assert len(paths) >= 20
-        for path in paths:
-            assert_matches_reference(validate_spline(path), validate_spline_looped(path))
-
-    def test_corrupted_segment_opening_second_block(self):
-        block = blocked_segments()
-        n = 2 * block + 3
-        _, pts, tans = sample_curve("helix", n)
-        path = build(PointStream(pts, default_initial_frame(tans[0])))
-        sol = path.segments[block]
-        spun = frame_from_coefficients(sol.segment.preimage, [1.0, 0.0, 0.0],
-                                       [0.0, 0.0, 0.0], sol.frame.axes)
-        segments = list(path.segments)
-        segments[block] = dataclasses.replace(sol, frame=spun)
-        path = data.path_from_solutions(path.knots, segments)
-        report = validate_spline(path)
-        assert_matches_reference(report, validate_spline_looped(path))
-        failing = {(c["name"], c["segment"]) for c in report["checks"] if not c["pass"]}
-        assert ("frame_vs_transport", block) in failing
-        assert {segment for _, segment in failing} == {block, None}
-
-    @pytest.mark.parametrize("row, value", [
-        (1, [1e-3, 1.0, 0.0]),      # f1 . f2
-        (2, [0.0, 1e-3, 1.0]),      # f2 . f3
-        (0, [1.0, 0.0, 1e-3]),      # f3 . f1
-        (0, [1.0 + 1e-3, 0.0, 0.0]),  # |f1| - 1
-    ])
-    def test_orthonormality_reads_every_term(self, row, value):
-        frames = np.tile(np.eye(3), (2, 4, 1, 1))  # two segments of four samples
-        frames[1, 2, row] = value
-        ortho = io_cli._orthonormality(frames)
-        assert ortho[0] == 0.0 and ortho[1] == pytest.approx(1e-3, rel=1e-9)
-
-    def test_traced_memory_bounded(self, torus_path):
-        validate_spline(torus_path)
-        tracemalloc.start()
-        try:
-            validate_spline(torus_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6
-
-    def test_traced_memory_bounded_on_long_splines(self):
-        # The double-reflection normals are computed one block at a time, so
-        # the peak does not grow with the number of segments.
-        _, pts, tans = sample_curve("helix", 800)
-        path = build(PointStream(pts, default_initial_frame(tans[0])))
-        validate_spline(data.path_from_solutions(path.knots[:3], path.segments[:2]))
-        tracemalloc.start()
-        try:
-            validate_spline(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6
 
 
 CLI_RUN = """

@@ -16,7 +16,7 @@ from rmfspline.errors import (
     NoSolutionError,
     SplineBuildError,
 )
-from rmfspline.io_cli import validate_spline
+from rmfspline.checks import validate_spline
 from rmfspline.spline import build
 
 # The outcomes by the cause's type and the start of its message.

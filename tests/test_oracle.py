@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 import conftest as data
 from rmfspline import _bernstein as bern
 from rmfspline import io_cli, oracle, spline
+from rmfspline.checks import validate_spline
 from rmfspline.errors import ValidationError
 from rmfspline.hermite import scaled_displacement_components, solve
 from rmfspline.ph import PreImage, curve_from_preimage
@@ -259,7 +260,7 @@ class TestReflectRMF:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
         _, pts, tans = io_cli.sample_curve("helix", 4)
         path = spline.build(spline.PointStream(pts, spline.default_initial_frame(tans[0])))
-        report = io_cli.validate_spline(path)
+        report = validate_spline(path)
         assert report["pass"]
         assert calls == []
 
@@ -271,7 +272,7 @@ class TestReflectRMF:
                                        [0.0, 0.0, 0.0], sol.frame.axes)
         segments = path.segments[:3] + (dataclasses.replace(sol, frame=spun),) + path.segments[4:]
         path = data.path_from_solutions(path.knots, segments)
-        report = io_cli.validate_spline(path)
+        report = validate_spline(path)
         checks = {(c["name"], c["segment"]): c for c in report["checks"]}
         bad = checks[("frame_vs_transport", 3)]
         assert not bad["pass"] and not report["pass"]

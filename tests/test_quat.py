@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quaternion_reference as reference
-from rmfspline import io_cli, oracle
+from rmfspline import checks, oracle
 from rmfspline.errors import DegenerateInputError, ValidationError
 from rmfspline.quat import (
     Quaternion,
@@ -416,7 +416,7 @@ class TestLeftToRightSums:
         rng = np.random.default_rng(23)
         for shape in ((6, 101, 3, 3), (101, 3, 3), (2, 3, 4, 3, 3)):
             frames = wide_rows(rng, shape)
-            assert io_cli._orthonormality(frames).tobytes() \
+            assert checks._orthonormality(frames).tobytes() \
                 == reference.orthonormality(frames).tobytes()
 
     def test_velocity_from_frames(self):

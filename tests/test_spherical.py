@@ -10,7 +10,8 @@ import pytest
 import rmfspline
 from rmfspline import spherical
 
-RUNTIME = ("quat", "ph", "rrmf", "_bernstein", "hermite", "spline", "oracle", "io_cli")
+RUNTIME = ("quat", "ph", "rrmf", "_bernstein", "hermite", "spline", "oracle", "checks",
+           "io_cli")
 
 EXPORTS = [
     "DegenerateCurveError", "DegenerateInputError", "FrameConstructionError", "GeometryError",

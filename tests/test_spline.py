@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import conftest as data
 from rmfspline import hermite, rrmf, spline
+from rmfspline.checks import validate_spline
 from rmfspline.errors import (
     DegenerateInputError,
     FrameConstructionError,
@@ -23,7 +24,7 @@ from rmfspline.errors import (
     ValidationError,
 )
 from rmfspline.hermite import CRITICAL_GAMMA, TWO_THIRDS, _two_thirds_b, unit_displacement_b
-from rmfspline.io_cli import read_spline_file, sample_curve, validate_spline, write_spline_file
+from rmfspline.io_cli import read_spline_file, sample_curve, write_spline_file
 from rmfspline.hermite import HermiteData
 from rmfspline.quat import angle_between, angles_between, cross3, frame_rows, norm3, unit
 from rmfspline.rrmf import is_class_I

@@ -19,7 +19,7 @@ where it has none) of its cause.  A change that claims a bit-identical
 
 The second digest covers the seed-1 ``reload-query`` torus, saved, loaded,
 saved and loaded again as the benchmark does: every value of
-``io_cli.validate_spline`` and the points and frames of ``eval_many`` at the
+``checks.validate_spline`` and the points and frames of ``eval_many`` at the
 benchmark's batch parameters.  A change that claims unchanged load, eval
 and validate prints the same digest as its parent commit.  The third digest
 leaves the ``validate_spline`` values out and covers the loaded path's
@@ -42,7 +42,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from rmfspline import io_cli, spline  # noqa: E402
+from rmfspline import checks, io_cli, spline  # noqa: E402
 from rmfspline.errors import SplineBuildError  # noqa: E402
 
 SEEDS = (1, 2)
@@ -85,7 +85,7 @@ def reload_digests(seed: int = 1) -> tuple[str, str]:
         io_cli.write_spline_file(out, workloads.ReloadQuery._build(seed, workloads.RELOAD_SPANS))
         io_cli.write_spline_file(out, io_cli.read_spline_file(out))
         path = io_cli.read_spline_file(out)
-    report = io_cli.validate_spline(path)
+    report = checks.validate_spline(path)
     full = hashlib.sha256(np.array([c["value"] for c in report["checks"]]).tobytes())
     loaded = hashlib.sha256()
     for name in LOADED:
