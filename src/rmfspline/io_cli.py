@@ -209,35 +209,83 @@ def write_stream_file(path: str, points: np.ndarray, initial_frame: np.ndarray |
         doc["reference_tangents"] = np.asarray(reference_tangents, dtype=float).tolist()
     if params is not None:
         doc["params"] = np.asarray(params, dtype=float).tolist()
-    _write_json(path, doc)
+    _write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
-def _write_json(path: str, doc: dict) -> None:
-    """Write doc as JSON with one-space indents and a final newline, in one
-    write: ``json.dump`` would write each token separately."""
-    text = json.dumps(doc, indent=1) + "\n"
+def _write_text(path: str, text: str) -> None:
+    """Write text in one write: ``json.dump`` would write each token
+    separately."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 
 
+# The fields of a segment in a spline file, in file order: a key and the
+# length of its list of numbers, None for one number, or the fields of an
+# object.  Read in this order, they hold the segment's row of each array
+# ``_SEGMENT_ARRAYS`` of the path, one after the other.
+_SEGMENT_FIELDS = (("r0", 3), ("A0", 4), ("A1", 4), ("A2", 4),
+                   ("axes", (("i", 3), ("j", 3), ("k", 3))),
+                   ("W_a", 3), ("W_b", 3), ("mu", None), ("phi2", None), ("theta1", None))
+_SEGMENT_ARRAYS = ("r0", "generators", "frame_axes", "a", "b", "mu", "phi2", "theta1")
+_FRAME_FIELDS = (("u", 3), ("v", 3), ("w", 3))
+
+
+def _template(fields, depth: int) -> str:
+    """The text that ``json.dumps(..., indent=1)`` writes at depth for a
+    value laid out as fields (as in ``_SEGMENT_FIELDS``), with ``%r`` for
+    each number."""
+    if fields is None:
+        return "%r"
+    if isinstance(fields, int):
+        items, brackets = ["%r"] * fields, "[]"
+    else:
+        items, brackets = [f'"{key}": {_template(value, depth + 1)}' for key, value in fields], "{}"
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
+
+
+def _filled(fields, values):
+    """The value laid out as fields, its numbers taken in turn from the
+    iterator values."""
+    if fields is None:
+        return next(values)
+    if isinstance(fields, int):
+        return [next(values) for _ in range(fields)]
+    return {key: _filled(value, values) for key, value in fields}
+
+
+_FRAME_TEMPLATE = _template(_FRAME_FIELDS, 1)
+_SEGMENT_TEMPLATE = _template(_SEGMENT_FIELDS, 2)
+
+
+def _file_values(path_obj: SplinePath) -> list:
+    """Every number of the path's spline file, in file order: the knots,
+    the start frame, then each segment's fields."""
+    rows = [getattr(path_obj, name).reshape(path_obj.n_segments, -1) for name in _SEGMENT_ARRAYS]
+    return np.concatenate([path_obj.knots, path_obj.frames[0].ravel(),
+                           np.concatenate(rows, axis=1).ravel()]).tolist()
+
+
 def spline_to_dict(path_obj: SplinePath) -> dict:
-    segments = []
-    for r0, (a0, a1, a2), (i, j, k), w_a, w_b, mu, phi2, theta1 in zip(
-            *(getattr(path_obj, name).tolist() for name in (
-                "r0", "generators", "frame_axes", "a", "b", "mu", "phi2", "theta1"))):
-        segments.append({"r0": r0, "A0": a0, "A1": a1, "A2": a2,
-                         "axes": {"i": i, "j": j, "k": k},
-                         "W_a": w_a, "W_b": w_b, "mu": mu, "phi2": phi2, "theta1": theta1})
+    """The path's spline document, laid out by the tables of the writer."""
+    values = iter(_file_values(path_obj))
     return {
         "version": "1",
-        "knots": path_obj.knots.tolist(),
-        "initial_frame": _frame_to_json(path_obj.frames[0]),
-        "segments": segments,
+        "knots": _filled(len(path_obj.knots), values),
+        "initial_frame": _filled(_FRAME_FIELDS, values),
+        "segments": [_filled(_SEGMENT_FIELDS, values) for _ in range(path_obj.n_segments)],
     }
 
 
 def write_spline_file(path: str, path_obj: SplinePath) -> None:
-    _write_json(path, spline_to_dict(path_obj))
+    """Write the path's spline file by one ``%`` format of the values: the
+    bytes of ``json.dump(spline_to_dict(path_obj), f, indent=1)`` and a
+    newline, because ``%r`` writes a float as ``json`` writes every finite
+    float, and a ``SplinePath`` holds no other."""
+    segments = ",\n  ".join([_SEGMENT_TEMPLATE] * path_obj.n_segments)
+    template = (f'{{\n "version": "1",\n "knots": {_template(len(path_obj.knots), 1)},\n'
+                f' "initial_frame": {_FRAME_TEMPLATE},\n "segments": [\n  {segments}\n ]\n}}\n')
+    _write_text(path, template % tuple(_file_values(path_obj)))
 
 
 def _stacked(values: list, field: str, shape: tuple) -> np.ndarray:
@@ -353,8 +401,7 @@ def _cmd_eval(args) -> int:
     for u, p, fr in zip(us, pts, frames):
         cells = [u, *p, *fr[0], *fr[1], *fr[2]]
         lines.append(",".join(_fmt(c) for c in cells))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(us)} samples to {args.out}")
     return EXIT_OK
 
@@ -362,10 +409,13 @@ def _cmd_eval(args) -> int:
 def _cmd_validate(args) -> int:
     path_obj = read_spline_file(args.infile)
     report = validate_spline(path_obj)
-    text = json.dumps(report, indent=1)
+    # JSON has no NaN or infinity: a check value that is not finite is null.
+    for check in report["checks"]:
+        if not math.isfinite(check["value"]):
+            check["value"] = None
+    text = json.dumps(report, indent=1, allow_nan=False)
     if args.report is not None:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text + "\n")
+        _write_text(args.report, text + "\n")
     print(text)
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 

@@ -381,12 +381,14 @@ class SplinePath:
     frame ``frame_axes`` (S, 3, 3), the first row the generator axis, and
     its frame polynomials ``a`` and ``b`` (S, 3); ``mu``, ``phi2``,
     ``theta1`` and ``diagnostics`` hold the solve's values.  They are kept
-    as read-only copies, every axis is checked to be a unit vector, every
-    start point to stay within ``MAX_COORDINATE``, every generator not to
-    vanish (a speed with no positive coefficient) and every pair of frame
-    polynomials not to vanish (a and b all zero), and every speed and frame
-    quaternion coefficient to stay within ``MAX_SQUARABLE``, and one
-    call each derives ``hodographs`` (S, 5, 3), ``control_points``
+    as read-only copies, the knots are checked to be one more than the
+    segments, finite and strictly increasing, ``mu``, ``phi2``, ``theta1``
+    and the frame's second and third rows to be finite, every axis to be a
+    unit vector, every start point to stay within ``MAX_COORDINATE``, every
+    generator not to vanish (a speed with no positive coefficient) and every
+    pair of frame polynomials not to vanish (a and b all zero), and every
+    speed and frame quaternion coefficient to stay within ``MAX_SQUARABLE``,
+    so that every field is finite, and one call each derives ``hodographs`` (S, 5, 3), ``control_points``
     (S, 6, 3) and ``speeds`` (S, 5) (``ph.curves``) and ``frame_bezier``
     (S, 5, 4), the Bezier coefficients of the frame quaternions
     (``rrmf.frame_beziers``).  ``eval_many``, ``continuity_report`` and
@@ -423,6 +425,19 @@ class SplinePath:
         arrays = {name: np.array(getattr(self, name), dtype=float)
                   for name in ("knots", "r0", "generators", "frame_axes", "a", "b", "mu", "phi2",
                                "theta1")}
+        knots = arrays["knots"]
+        if knots.shape != (len(arrays["r0"]) + 1,):
+            raise ValidationError("segment count must match the knot vector")
+        finite = np.isfinite(knots)
+        increasing = finite[:-1] & finite[1:] & (knots[1:] > knots[:-1])
+        if not increasing.all():
+            raise ValidationError(f"segment {int(np.argmin(increasing))}: knots must be finite "
+                                  "and strictly increasing")
+        # The checks below reject the other fields' non-finite values.
+        for name, values in (("mu", arrays["mu"]), ("phi2", arrays["phi2"]),
+                             ("theta1", arrays["theta1"]),
+                             ("frame_axes", arrays["frame_axes"][:, 1:])):
+            require_finite(values.reshape(len(values), -1), f"segment {{}}: {name} is not finite")
         axis = arrays["frame_axes"][:, 0]
         require_unit(np.sqrt(np.vecdot(axis, axis)),
                      "segment {}: pre-image axis must be a unit vector")

@@ -193,9 +193,14 @@ class TestValidateBlocks:
         assert peak <= 3e6
 
 
-def test_far_segment_fails_without_runtime_warning(tmp_path):
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_far_segment_fails_without_runtime_warning(tmp_path, capsys):
     # Scaled by 1e58, segment 3's control points round to one point: its
     # chords are zero, and validate reports the segment failed, not a warning.
+    # The report is JSON, with null for the two values that are not finite.
     stream, saved = tmp_path / "torus.json", tmp_path / "torus_spline.json"
     assert main(["sample", "--curve", "torus", "--n", "20", "--out", str(stream)]) == 0
     assert main(["interpolate", "--in", str(stream), "--out", str(saved)]) == 0
@@ -203,13 +208,17 @@ def test_far_segment_fails_without_runtime_warning(tmp_path):
     doc["segments"][3]["r0"] = [1e58 * x for x in doc["segments"][3]["r0"]]
     far, report = tmp_path / "far.json", tmp_path / "report.json"
     far.write_text(json.dumps(doc))
+    capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["validate", "--in", str(far), "--report", str(report)]) == EXIT_VALIDATION
-    failing = [c for c in json.loads(report.read_text())["checks"] if not c["pass"]]
+    doc = json.loads(report.read_text(), parse_constant=_no_constant)
+    assert json.loads(capsys.readouterr().out, parse_constant=_no_constant) == doc
+    failing = [c for c in doc["checks"] if not c["pass"]]
     assert [(c["name"], c["segment"]) for c in failing] \
         == [("frame_vs_transport", 3), ("position_continuity", None)]
-    assert not math.isfinite(failing[0]["value"]) and failing[1]["value"] == math.inf
+    assert failing[0]["value"] is None and failing[1]["value"] is None
+    assert not doc["pass"]
 
 
 IMPORT_CHECKS = """

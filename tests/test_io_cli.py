@@ -1,5 +1,6 @@
 """CLI subcommands, file formats, round trips, exit codes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -425,6 +426,33 @@ class TestEvalCommand:
             assert np.max(np.abs(f @ f.T - np.eye(3))) <= 1e-9
 
 
+def _reloaded_walk(torus_path, tmp_path):
+    saved = tmp_path / "walk_spline.json"
+    write_spline_file(str(saved), data.walk_paths(1, 5)[0])
+    return read_spline_file(str(saved))
+
+
+# Floats whose shortest repr is short, subnormal, signed or in exponent form.
+REPR_EDGE_CASES = [-0.0, 5e-324, 1e-07, 1e16, 1e22, 2.0]
+
+
+def _repr_edge_cases(torus_path, tmp_path):
+    values = np.resize(REPR_EDGE_CASES, torus_path.n_segments)
+    r0 = torus_path.r0.copy()
+    r0[1] = [MAX_COORDINATE, -np.nextafter(MAX_COORDINATE, 0.0), 5e-324]
+    return dataclasses.replace(torus_path, r0=r0, mu=values, phi2=-values, theta1=values[::-1])
+
+
+# The paths whose spline files are compared with json.dump's bytes.
+BYTE_TEST_PATHS = {
+    "torus": lambda torus_path, tmp_path: torus_path,
+    "one-segment": lambda torus_path, tmp_path: build(PointStream(
+        points=[[0, 0, 0], [-5, 5, 2]], initial_frame=default_initial_frame([0.0, 1.0, 0.0]))),
+    "reloaded-walk": _reloaded_walk,
+    "repr-edge-cases": _repr_edge_cases,
+}
+
+
 class TestSplineFiles:
     def test_reload_reproduces_evaluations_exactly(self, tmp_path):
         params, pts, tans = sample_curve("torus", 7)
@@ -450,18 +478,21 @@ class TestSplineFiles:
         assert first.read_bytes() == second.read_bytes()
         assert np.array_equal(loaded.frames, built.frames)
 
-    def test_written_bytes_are_json_dump_bytes(self, tmp_path, torus_path):
-        # Both writers make their text in one json.dumps call: the bytes are
-        # those of json.dump's token-by-token writes.
+    @pytest.mark.parametrize("case", list(BYTE_TEST_PATHS))
+    def test_written_bytes_are_json_dump_bytes(self, tmp_path, torus_path, case):
+        # The spline writer formats a template, the stream writer makes its
+        # text in one json.dumps call: the bytes are those of json.dump's
+        # token-by-token writes.
         def dumped(doc) -> bytes:
             buf = io.StringIO()
             json.dump(doc, buf, indent=1)
             buf.write("\n")
             return buf.getvalue().encode("utf-8")
 
+        path = BYTE_TEST_PATHS[case](torus_path, tmp_path)
         spline_file = tmp_path / "spline.json"
-        write_spline_file(str(spline_file), torus_path)
-        assert spline_file.read_bytes() == dumped(io_cli.spline_to_dict(torus_path))
+        write_spline_file(str(spline_file), path)
+        assert spline_file.read_bytes() == dumped(io_cli.spline_to_dict(path))
         params, pts, tans = sample_curve("spiral", 30)
         frame = default_initial_frame(tans[0])
         stream_file = tmp_path / "stream.json"

@@ -836,6 +836,25 @@ class TestNonFiniteInput:
                            match="segment 1: pre-image axis must be a unit vector"):
             dataclasses.replace(generic1_path, frame_axes=axes)
 
+    @pytest.mark.parametrize("field, index, bad", [
+        pytest.param(field, index, bad, id=f"{field}-{bad}")
+        for field, index in [("knots", 3), ("mu", 2), ("phi2", 2), ("theta1", 2),
+                             ("frame_axes", (2, 1, 0))]
+        for bad in (math.nan, math.inf)] + [pytest.param("knots", 3, 0.0, id="knots-decreasing")])
+    def test_non_finite_field_or_knot_order_rejected_by_segment(self, generic1_path, field, index,
+                                                                bad):
+        # Knot 3 ends segment 2, the first segment that it makes bad.
+        values = np.array(getattr(generic1_path, field))
+        values[index] = bad
+        message = ("segment 2: knots must be finite and strictly increasing" if field == "knots"
+                   else f"segment 2: {field} is not finite")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dataclasses.replace(generic1_path, **{field: values})
+
+    def test_knot_count_must_match_segments(self, generic1_path):
+        with pytest.raises(ValidationError, match="^segment count must match the knot vector$"):
+            dataclasses.replace(generic1_path, knots=generic1_path.knots[:-1])
+
     def test_reference_tangents_normalized_row_by_row(self, monkeypatch):
         # build hands generate_end_tangent rows of refs / np.linalg.norm(refs, axis=1).
         params, pts, tans = sample_curve("helix", 8)
