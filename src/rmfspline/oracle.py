@@ -5,7 +5,10 @@ without touching the rational frame: ``reflect_rmf``, the double-reflection
 method vectorized over samples and segments, its steps' rotations composed
 as a running product of complex numbers, which ``checks.validate_spline`` runs,
 and ``integrate_rmf``, an adaptive RK45 solve of the minimal-rotation
-ODE, kept as the slow reference that the tests compare both against.
+ODE, kept as the slow reference that the tests compare both against.  Its
+solver, ``_rk45``, repeats the RK45 of scipy 1.17.1 step for step in numpy,
+so the package needs numpy alone; ``tests/test_oracle.py`` pins it to
+``scipy.integrate.solve_ivp``, bit for bit.
 Sweep utilities validate the displacement-direction coverage claims by
 dense sampling.
 """
@@ -51,6 +54,101 @@ def _horner(c: list, t: float) -> float:
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 
+# The Dormand-Prince 5(4) pair (J. R. Dormand and P. J. Prince, J. Comput.
+# Appl. Math. 6, 1980) with Shampine's quartic dense output, written as the
+# arrays of ``scipy.integrate.RK45`` are, so that they hold the same floats.
+_RK45_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK45_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_RK45_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK45_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(fun, y0: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Samples (n, ts.size) at the increasing ``ts`` in [0, 1] of the solution
+    of y' = fun(t, y), y(0) = y0, with the number of ``fun`` calls and of
+    solution points (the accepted steps plus one).
+
+    This is ``scipy.integrate.solve_ivp(fun, (0, 1), y0, method="RK45",
+    rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True).sol(ts)`` of scipy
+    1.17.1, with its ``nfev`` and ``t.size``, computed through the same
+    numpy calls in the same order, so that the bits agree: the initial step
+    of ``select_initial_step``, the stages of ``rk_step``, the RMS error
+    norm, the step control (safety 0.9, factors 0.2 to 10, no growth after a
+    rejection, a minimum step of 10 ulps of t), and each step's quartic
+    interpolant ``K.T @ P`` on the samples up to and including its end.  A
+    step below the minimum raises ``ValidationError`` with scipy's message.
+    """
+    nfev = 2
+    f = fun(0.0, y0)
+    scale = ODE_ATOL + np.abs(y0) * ODE_RTOL
+    d0, d1 = _rms(y0 / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
+    d2 = _rms((fun(h0, y0 + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = min(100 * h0, max(1e-6, h0 * 1e-3), 1.0)
+    else:
+        h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** 0.2, 1.0)
+
+    K = np.empty((7, y0.size))
+    t, y = 0.0, y0
+    parts, done, n_points = [], 0, 1
+    while t < 1.0:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ValidationError("frame transport integration failed: Required step "
+                                      "size is less than spacing between numbers.")
+            t_new = min(t + h_abs, 1.0)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _RK45_C[s] * h, y + np.dot(K[:s].T, _RK45_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _RK45_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
+            scale = ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_RTOL
+            error_norm = _rms(np.dot(K.T, _RK45_E) * h / scale)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+
+        end = np.searchsorted(ts, t_new, side="right")
+        if end > done:
+            p = np.cumprod(np.tile((ts[done:end] - t) / h, (4, 1)), axis=0)
+            parts.append(h * np.dot(K.T.dot(_RK45_P), p) + y[:, None])
+            done = end
+        t, y, f = t_new, y_new, f_new
+        n_points += 1
+    return np.hstack(parts), nfev, n_points
+
+
+def _check_sample_count(n_samples) -> None:
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+        raise ValidationError(f"n_samples must be an int of at least 1, not {n_samples!r}")
+
 
 def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
                   n_samples: int = 1000) -> NumericFrameTrace:
@@ -60,8 +158,13 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
     ``ODE_RTOL`` and ``ODE_ATOL`` and dense output, then projects each
     sample back onto the exact normal plane.  The stats report the largest
     norm drift and tangent leak of the raw samples before projection;
-    ``estimated_error`` is the larger of the two.
+    ``estimated_error`` is the larger of the two.  ``n_samples`` must be an
+    int of at least 1.
 
+    The solve is ``_rk45``, numpy's repetition of scipy 1.17.1's RK45 step
+    for step, so the package runs without scipy;
+    ``tests/test_oracle.py::TestIntegrateRMF::test_bit_identical_to_polyval_reference``
+    pins its samples and stats to ``scipy.integrate.solve_ivp``, bit for bit.
     The right-hand side evaluates the power-basis coefficients as Python
     floats by Horner's rule in ``numpy.polyval``'s order; only the 3-vector
     dot product stays numpy ``@``.  The integrator therefore sees the values
@@ -69,6 +172,7 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
     The benchmark's build set-ups run this in ``check_built``; ``polyval``
     made them 23 to 28 % slower (README, ``oracle`` row).
     """
+    _check_sample_count(n_samples)
     initial_frame = np.asarray(initial_frame, dtype=float)
     f2_0 = initial_frame[1]
     hp = bern.to_power(q.h)          # hodograph, power basis, (5, 3)
@@ -93,15 +197,9 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
         a = -(y @ dthat)
         return np.array([a * (hj / s) for hj in h])
 
-    from scipy.integrate import solve_ivp  # here: it slows every CLI start
-
-    sol = solve_ivp(rhs, (0.0, 1.0), f2_0, method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL,
-                    dense_output=True)
-    if not sol.success:
-        raise ValidationError(f"frame transport integration failed: {sol.message}")
-
     ts = np.linspace(0.0, 1.0, n_samples + 1)
-    raw = sol.sol(ts).T
+    raw, nfev, n_steps = _rk45(rhs, f2_0, ts)
+    raw = raw.T
     hvals = npoly.polyval(ts, hp).T
     svals = npoly.polyval(ts, sp)
     f1 = hvals / svals[:, None]
@@ -112,8 +210,8 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
     f3 = np.cross(f1, f2)
 
     stats = {
-        "nfev": int(sol.nfev),
-        "n_steps": int(sol.t.size),
+        "nfev": nfev,
+        "n_steps": n_steps,
         "max_norm_drift": float(drift.max()),
         "max_tangent_leak": float(leak.max()),
     }
@@ -187,8 +285,10 @@ def reflect_rmf(points, hodographs, initial_normals,
 
     A start normal more than ``quat.NORMAL_LEAN_TOL`` off orthogonal to its
     start tangent, or not finite, raises ``ValidationError``; it is projected
-    onto the normal plane otherwise, as in ``integrate_rmf``.
+    onto the normal plane otherwise, as in ``integrate_rmf``.  So does an
+    ``n_samples`` that is not an int of at least 1.
     """
+    _check_sample_count(n_samples)
     ts, point_basis, hodograph_basis = _reflect_bases(n_samples)
     initial_normals = np.asarray(initial_normals, dtype=float).reshape(-1, 3)
     normals = np.empty((len(points), ts.size, 3))

@@ -32,3 +32,28 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# Every scipy import fails once sys.modules["scipy"] is None, as it would
+# with scipy not installed.
+NO_SCIPY_RUN = """
+import runpy, sys
+sys.modules["scipy"] = None
+for demo in sys.argv[1:]:
+    runpy.run_path(demo, run_name="__main__")
+print(sorted(m for m, module in sys.modules.items() if m.startswith("scipy") and module))
+"""
+
+
+def test_oracle_demos_run_without_scipy(tmp_path):
+    # Demos 03 and 04 run the RK45 oracle, which needs numpy alone.
+    demos = [str(d) for d in DEMOS if d.stem.startswith(("03_", "04_"))]
+    assert len(demos) == 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", NO_SCIPY_RUN, *demos],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -720,17 +720,22 @@ for argv in (["sample", "--curve", "helix", "--n", "4", "--out", "s.csv"],
              ["eval", "--in", "p.json", "--samples", "5", "--out", "e.csv"],
              ["validate", "--in", "p.json", "--report", "r.json"]):
     assert main(argv) == 0, argv
+from rmfspline import oracle
+from rmfspline.io_cli import read_spline_file
+sol = read_spline_file("p.json").segments[0]
+oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0), n_samples=50)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_cli_leaves_scipy_integrate_unimported(tmp_path):
-    # Only the RK45 reference oracle needs scipy.integrate, and no command
-    # runs it; a fresh interpreter shows what a command-line start imports.
+    # The package needs numpy alone: neither a command nor the RK45 oracle
+    # imports any part of scipy.  A fresh interpreter shows what a
+    # command-line start and one oracle call import.
     env = dict(os.environ)
     package_root = str(Path(rmfspline.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", CLI_RUN], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "scipy.integrate" not in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy.integrate import solve_ivp
 
 import conftest as data
@@ -77,12 +76,13 @@ class TestIntegrateRMF:
 
     def test_one_solve_per_call(self, monkeypatch):
         calls = []
+        rk45 = oracle._rk45
 
-        def counting_solve_ivp(*args, **kwargs):
+        def counting_rk45(*args):
             calls.append(1)
-            return solve_ivp(*args, **kwargs)
+            return rk45(*args)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(oracle, "_rk45", counting_rk45)
         sol = solve(data.random_hermite_data(np.random.RandomState(45)))
         trace = oracle.integrate_rmf(sol.segment, sol.frame.frame_matrix(0.0),
                                      n_samples=100)
@@ -156,6 +156,57 @@ class TestIntegrateRMF:
                                      n_samples=100)
         assert trace.stats["nfev"] > 0
         assert "estimated_error" in trace.stats
+
+
+def rk45_problems():
+    """(name, right-hand side, start value) off the oracle: a smooth
+    rotation, a switch at which the step control rejects steps, a field of
+    zero, and two solutions that end at t = 0.5 with a too small step."""
+    return [
+        ("rotation", lambda t, y: np.array([y[1], -y[0], t * y[2]]), np.array([1.0, 0.0, 0.5])),
+        ("switch", lambda t, y: np.array([1.0 if t < 0.3 else -1.0, y[0]]), np.array([0.0, 1.0])),
+        ("zero", lambda t, y: np.zeros(3), np.array([0.0, 1.0, -2.0])),
+        ("blow-up", lambda t, y: y * y, np.array([2.0])),
+        ("cusp", lambda t, y: np.array([-0.5 * np.sign(0.5 - t) / np.sqrt(abs(0.5 - t) + 1e-300)]),
+         np.array([1.0])),
+    ]
+
+
+class TestRK45:
+    @pytest.mark.parametrize("name, fun, y0", rk45_problems(), ids=[p[0] for p in rk45_problems()])
+    def test_repeats_scipy_rk45(self, name, fun, y0):
+        # The samples, evaluation and point counts, or the failure message, of
+        # solve_ivp's RK45 at the oracle's tolerances, bit for bit.
+        ts = np.linspace(0.0, 1.0, 37)
+        sol = solve_ivp(fun, (0.0, 1.0), y0, method="RK45", rtol=oracle.ODE_RTOL,
+                        atol=oracle.ODE_ATOL, dense_output=True)
+        if not sol.success:
+            with pytest.raises(ValidationError) as excinfo:
+                oracle._rk45(fun, y0, ts)
+            assert str(excinfo.value) == f"frame transport integration failed: {sol.message}"
+            return
+        raw, nfev, n_points = oracle._rk45(fun, y0, ts)
+        assert raw.tobytes() == sol.sol(ts).tobytes()
+        assert (nfev, n_points) == (sol.nfev, sol.t.size)
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("n_samples", [-1, 0, 2.5, True, 500.0, "500", None])
+    def test_not_a_positive_int_rejected(self, n_samples):
+        sol = solve(data.random_hermite_data(np.random.RandomState(45)))
+        frame0 = sol.frame.frame_matrix(0.0)
+        with pytest.raises(ValidationError, match="n_samples"):
+            oracle.integrate_rmf(sol.segment, frame0, n_samples=n_samples)
+        with pytest.raises(ValidationError, match="n_samples"):
+            oracle.reflect_rmf(*data.curve_rows([sol.segment]), [frame0[1]], n_samples)
+
+    def test_one_sample_interval(self):
+        sol = solve(data.random_hermite_data(np.random.RandomState(45)))
+        frame0 = sol.frame.frame_matrix(0.0)
+        trace = oracle.integrate_rmf(sol.segment, frame0, n_samples=1)
+        ts, normals = oracle.reflect_rmf(*data.curve_rows([sol.segment]), [frame0[1]], 1)
+        assert np.array_equal(trace.ts, [0.0, 1.0]) and np.array_equal(ts, [0.0, 1.0])
+        assert trace.f2.shape == (2, 3) and normals.shape == (1, 2, 3)
 
 
 def reflect_rmf_looped(q, normal0, n_samples):
@@ -252,12 +303,13 @@ class TestReflectRMF:
 
     def test_validate_runs_no_ode_solve(self, monkeypatch):
         calls = []
+        rk45 = oracle._rk45
 
-        def counting_solve_ivp(*args, **kwargs):
+        def counting_rk45(*args):
             calls.append(1)
-            return solve_ivp(*args, **kwargs)
+            return rk45(*args)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(oracle, "_rk45", counting_rk45)
         _, pts, tans = io_cli.sample_curve("helix", 4)
         path = spline.build(spline.PointStream(pts, spline.default_initial_frame(tans[0])))
         report = validate_spline(path)
