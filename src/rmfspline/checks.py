@@ -39,53 +39,65 @@ def tolerances() -> dict:
 _FRAME_SAMPLES = np.linspace(0.0, 1.0, 101)
 _TRANSPORT_SAMPLES = np.linspace(0.0, 1.0, 501)
 _INTERIOR_SAMPLES = np.linspace(0.05, 0.95, 19)
-# The degree-8 Bernstein bases of the frame-row polynomials
-# (``rrmf.frame_row_beziers``) at the orthonormality and angular-velocity
-# samples, which read every frame row, and at the transport samples, which
-# read the normal's columns and |q|^2 (``_NORMAL_COLUMNS``).
+# The transposed degree-8 Bernstein bases (9, samples) of the frame-row
+# polynomials (``rrmf.frame_row_beziers``) at the orthonormality and
+# angular-velocity samples, which read every frame row, and at the
+# transport samples, which read the normal's columns and |q|^2
+# (``_NORMAL_COLUMNS``).
 _CHECK_BASIS = bern.decasteljau(np.eye(9), np.concatenate([
-    _FRAME_SAMPLES, oracle.velocity_samples(_INTERIOR_SAMPLES)]))
-_TRANSPORT_BASIS = bern.decasteljau(np.eye(9), _TRANSPORT_SAMPLES)
+    _FRAME_SAMPLES, oracle.velocity_samples(_INTERIOR_SAMPLES)])).T.copy()
+_TRANSPORT_BASIS = bern.decasteljau(np.eye(9), _TRANSPORT_SAMPLES).T.copy()
 _NORMAL_COLUMNS = [3, 4, 5, 9]
 _FRAME_SAMPLES.flags.writeable = False
 _TRANSPORT_SAMPLES.flags.writeable = False
 _INTERIOR_SAMPLES.flags.writeable = False
 _CHECK_BASIS.flags.writeable = False
 _TRANSPORT_BASIS.flags.writeable = False
-# Segments per array pass of the identity checks.  The widest array of a
+# Segments per array pass of the identity checks, whose chunks also form
+# the frame-row polynomials of the frame checks.  The widest array of a
 # pass is the product of ``ph_identity_residuals``, 4 x 9 coefficients per
 # segment; chunks of this size keep it at ``rrmf._STACKED_ROWS`` values.
 _IDENTITY_CHUNK = _STACKED_ROWS // 36
-# Segments per pass of the frame checks (``_frame_checks``): two blocks of
-# ``oracle.reflect_rmf``.  On the 100-segment benchmark torus, with one
-# BLAS thread, blocks of 8 took about a quarter longer than blocks of 16,
-# 24 or 32, and the traced peak of ``validate_spline`` read 1.4, 1.6, 1.7
-# and 2.1 MB for blocks of 8, 16, 24 and 32.
-_FRAME_BLOCK = 2 * oracle._REFLECT_BLOCK
 
 
-def _bezier_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Values (S, N, K) at N samples of polynomials with Bezier coefficients
-    (S, 9, K), from their Bernstein basis (N, 9) there, by one matmul."""
-    s, d, k = coeffs.shape
-    return (basis @ coeffs.swapaxes(0, 1).reshape(d, s * k)).reshape(-1, s, k).swapaxes(0, 1)
-
-
-def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray) -> tuple:
+def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray,
+                  coeffs: np.ndarray) -> tuple:
     """``frame_orthonormality``, ``frame_vs_transport`` and
     ``tangential_angular_velocity`` of one block of segments, whose
-    double-reflection RMF starts from the normals ``starts``.  Its arrays
-    are freed on return, and ``reflect_rmf`` runs first, so that its
-    temporaries do not coincide with the frame rows."""
-    _, reflected = oracle.reflect_rmf(path_obj.control_points[block], path_obj.hodographs[block],
-                                      starts, _TRANSPORT_SAMPLES.size - 1)
-    coeffs = rrmf.frame_row_beziers(path_obj.frame_bezier[block], path_obj.frame_axes[block])
-    rows = _bezier_values(_TRANSPORT_BASIS, coeffs[..., _NORMAL_COLUMNS])
-    vs_transport = oracle.max_unit_angle(rows[..., :3] / rows[..., 3:], reflected)
-    rows = _bezier_values(_CHECK_BASIS, coeffs)
-    frames = (rows[..., :9] / rows[..., 9:]).reshape(rows.shape[:-1] + (3, 3))
+    double-reflection RMF starts from the normals ``starts`` and whose
+    frame-row polynomials have the Bezier coefficients ``coeffs``
+    (``rrmf.frame_row_beziers``).  Every array is held coordinate first,
+    (component, segment, sample); the transport arrays are freed before
+    the frame rows are formed, which keeps the traced peak down."""
+    reflected = oracle._reflected_normals(path_obj.control_points[block],
+                                          path_obj.hodographs[block], starts,
+                                          _TRANSPORT_SAMPLES.size - 1)
+    rows = oracle._coordinate_first(coeffs[..., _NORMAL_COLUMNS], _TRANSPORT_BASIS)
+    vs_transport = _max_angles(rows[:3] / rows[3], reflected)
+    del reflected, rows
+    # The orthonormality and angular-velocity helpers, which
+    # ``oracle.tangential_angular_velocity`` shares, take frame rows
+    # (segment, sample, 3, 3).
+    rows = oracle._coordinate_first(coeffs, _CHECK_BASIS)
+    frames = np.moveaxis(rows[:9] / rows[9], 0, -1).reshape(rows.shape[1:] + (3, 3))
     return (_orthonormality(frames[:, :_FRAME_SAMPLES.size]), vs_transport,
             np.max(oracle.velocity_from_frames(frames[:, _FRAME_SAMPLES.size:]), axis=-1))
+
+
+def _max_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``oracle.max_unit_angle`` of unit vectors a and b (3, S, N), held
+    coordinate first: one value per segment.  Up to 60 degrees the angle is
+    monotone in the chord |a - b|, so it is taken of the largest chord
+    alone; a segment beyond (or not finite) takes ``max_unit_angle``'s
+    |a + b| branch, sample by sample."""
+    d = a - b
+    chord = np.sqrt(np.max(oracle._dot(d, d), axis=-1))
+    angles = 2.0 * np.arcsin(0.5 * np.minimum(chord, 1.0))
+    far = ~(chord <= 1.0)
+    if far.any():
+        angles[far] = oracle.max_unit_angle(np.moveaxis(a[:, far], 0, -1),
+                                            np.moveaxis(b[:, far], 0, -1))
+    return angles
 
 
 def _orthonormality(frames: np.ndarray) -> np.ndarray:
@@ -106,16 +118,18 @@ def validate_spline(path_obj: SplinePath) -> dict:
     The curve and frame-polynomial identities (``ph.ph_identity_residuals``,
     ``rrmf.class_one_residuals``, ``rrmf.rotation_rate_residuals``) are
     checked in one array pass each over chunks of ``_IDENTITY_CHUNK``
-    segments, so that memory stays bounded.  The frame checks run on blocks
-    of ``_FRAME_BLOCK`` segments.  Each block forms the degree-8 Bezier
-    coefficients of its frame rows and of |q|^2
-    (``rrmf.frame_row_beziers``), then evaluates them by one matmul with a
-    cached Bernstein basis: every row at the orthonormality and
-    angular-velocity samples, and only the normal at the 501
-    ``_TRANSPORT_SAMPLES``.  ``frame_vs_transport`` is the largest angle
-    there between each segment's rational normal and the double-reflection
-    RMF (``oracle.reflect_rmf``, one call per block), started from the
-    normal that ``quat.frame_rows`` gives at t = 0.
+    segments, so that memory stays bounded.  Each chunk also forms the
+    degree-8 Bezier coefficients of its frame rows and of |q|^2
+    (``rrmf.frame_row_beziers``), and runs the frame checks on blocks of
+    ``oracle._REFLECT_BLOCK`` segments.  A block is held coordinate first,
+    (component, segment, sample), and each of its arrays of values comes
+    from one matmul with a cached, transposed Bernstein basis: every frame
+    row at the orthonormality and angular-velocity samples, and only the
+    normal at the 501 ``_TRANSPORT_SAMPLES``.  ``frame_vs_transport`` is
+    the largest angle there between each segment's rational normal and the
+    double-reflection RMF, which the block kernel of ``oracle.reflect_rmf``
+    gives in the same layout, started from the normal that
+    ``quat.frame_rows`` gives at t = 0.
     ``position_continuity`` is the largest gap between a segment's end and
     the next segment's ``r0``, relative to the segment's chord, held to
     the ``interpolation`` bound.
@@ -140,7 +154,10 @@ def validate_spline(path_obj: SplinePath) -> dict:
         })
 
     n = path_obj.n_segments
-    ph_identity, class_one, rotation_rate = np.empty((3, n))
+    # The transport starts from each segment's normal at t = 0, where a
+    # Bezier polynomial takes its first coefficient.
+    starts = frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes[:, 1:2])[:, 0]
+    ph_identity, class_one, rotation_rate, ortho, vs_transport, spin = np.empty((6, n))
     for lo in range(0, n, _IDENTITY_CHUNK):
         chunk = slice(lo, lo + _IDENTITY_CHUNK)
         rows, axis = path_obj.generators[chunk], path_obj.frame_axes[chunk, 0]
@@ -149,15 +166,11 @@ def validate_spline(path_obj: SplinePath) -> dict:
         class_one[chunk] = rrmf.class_one_residuals(rows, axis)[1]
         rotation_rate[chunk] = rrmf.rotation_rate_residuals(
             ph.power_rows(rows), axis, path_obj.a[chunk], path_obj.b[chunk])
-
-    # The transport starts from each segment's normal at t = 0, where a
-    # Bezier polynomial takes its first coefficient.
-    starts = frame_rows(path_obj.frame_bezier[:, 0], path_obj.frame_axes[:, 1:2])[:, 0]
-    ortho, vs_transport, spin = np.empty((3, n))
-    for lo in range(0, n, _FRAME_BLOCK):
-        block = slice(lo, lo + _FRAME_BLOCK)
-        ortho[block], vs_transport[block], spin[block] = _frame_checks(path_obj, block,
-                                                                       starts[block])
+        coeffs = rrmf.frame_row_beziers(path_obj.frame_bezier[chunk], path_obj.frame_axes[chunk])
+        for at in range(0, len(coeffs), oracle._REFLECT_BLOCK):
+            block = slice(lo + at, lo + at + oracle._REFLECT_BLOCK)
+            ortho[block], vs_transport[block], spin[block] = _frame_checks(
+                path_obj, block, starts[block], coeffs[at:at + oracle._REFLECT_BLOCK])
 
     for k in range(n):
         record("ph_identity", k, ph_identity[k], tol["ph_identity"])

@@ -219,36 +219,121 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
     return NumericFrameTrace(ts=ts, f1=f1, f2=f2, f3=f3, stats=stats)
 
 
-# Segments per block of ``reflect_rmf``.  Its temporaries, a few dozen
-# (block, samples) arrays, grow with the block; its speed does not beyond
-# about 6 segments.  On a 2-core Xeon VM, the 100-segment benchmark torus at
-# 501 samples, in calls of 6 segments, took 8.5 to 9.5 ms for blocks of 6,
-# 8 and 16, and 11 to 15 ms for blocks of 4, which split each call 4 + 2.
-# ``checks.validate_spline`` calls it on two blocks at a time (``_FRAME_BLOCK``).
+# Segments per block of ``reflect_rmf`` and of ``checks.validate_spline``'s
+# frame checks.  A block's temporaries, about a dozen (3, block, samples)
+# arrays, grow with the block; its speed hardly does.  On a 2-core Xeon VM,
+# ``validate_spline`` on the 100-segment benchmark torus took 10.9 to
+# 11.9 ms for blocks of 4, 8 and 16 (best of 7 x 10), and its traced peak
+# read 0.49, 0.89 and 1.69 MB.
 _REFLECT_BLOCK = 8
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of 3-vectors stored coordinate first, (3, ...), summed
-    left to right."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _reflect(v: np.ndarray, vv: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u reflected in the planes normal to v (vv = v . v), all 3-vectors
-    stored coordinate first."""
-    return u - ((2.0 / vv) * _dot(v, u)) * v
+def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Dot products of 3-vectors stored coordinate first, (3, ...), in one
+    ``np.einsum`` pass, which adds them left to right, as ``quat.vdot``
+    does, where the coordinate axis is not the contiguous one."""
+    return np.einsum("i...,i...->...", a, b, out=out)
 
 
 @functools.lru_cache(maxsize=4)
 def _reflect_bases(n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only sample parameters and the point and hodograph Bernstein
-    bases there, (samples, degree + 1), for one matmul per block."""
+    """Read-only sample parameters, and the transposed Bernstein bases
+    (degree + 1, samples) of the chords between consecutive samples of a
+    quintic and of its hodograph at the samples, for one matmul per block
+    with coordinate-first control points."""
     ts = np.linspace(0.0, 1.0, n_samples + 1)
-    bases = (ts, bern.decasteljau(np.eye(6), ts), bern.decasteljau(np.eye(5), ts))
+    point_basis = bern.decasteljau(np.eye(6), ts)
+    bases = (ts, (point_basis[1:] - point_basis[:-1]).T.copy(),
+             bern.decasteljau(np.eye(5), ts).T.copy())
     for arr in bases:
         arr.flags.writeable = False
     return bases
+
+
+def _coordinate_first(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Values (K, S, N) of polynomials with coefficients (S, d, K) from their
+    transposed basis (d, N), by one matmul."""
+    s, d, k = coeffs.shape
+    return (coeffs.transpose(2, 0, 1).reshape(k * s, d) @ basis).reshape(k, s, -1)
+
+
+def _normal_field(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals n and b = t x n (3, ...) to unit tangents t (3, ...),
+    coordinate first: the branch-free orthonormal basis of Duff et al.,
+    "Building an Orthonormal Basis, Revisited" (JCGT 6(1), 2017).  It is
+    continuous except where t_z changes sign (-0.0 counts as negative)."""
+    tx, ty, tz = t
+    sign = np.copysign(1.0, tz)
+    a = -1.0 / (sign + tz)
+    c = tx * ty * a
+    n = np.empty_like(t)
+    b = np.empty_like(t)
+    np.multiply(sign, tx * tx * a, out=n[0])
+    n[0] += 1.0
+    np.multiply(sign, c, out=n[1])
+    np.multiply(-sign, tx, out=n[2])
+    b[0] = c
+    np.multiply(ty * ty, a, out=b[1])
+    b[1] += sign
+    np.negative(ty, out=b[2])
+    return n, b
+
+
+def _reflected_normals(points: np.ndarray, hodographs: np.ndarray, starts: np.ndarray,
+                       n_samples: int) -> np.ndarray:
+    """The double-reflection normals (3, S, n_samples + 1) of one block of S
+    segments (``reflect_rmf``), coordinate first."""
+    _, chord_basis, hodograph_basis = _reflect_bases(n_samples)
+    # Points are relative to each start point, so that the chords between
+    # samples lose no digits to the segment's offset.
+    v1 = _coordinate_first(points - points[:, :1], chord_basis)
+    t = _coordinate_first(hodographs, hodograph_basis)
+    t /= np.sqrt(_dot(t, t))
+
+    # The start normals are S rows, whose sums ``quat.vdot`` adds in one
+    # order whatever their layout.
+    t0 = t[..., 0].T
+    lean = vdot(starts, t0)
+    if not (np.abs(lean) <= NORMAL_LEAN_TOL).all():
+        raise ValidationError("initial normal is not orthogonal to the start tangent")
+    r0 = starts - lean[:, None] * t0
+    r0 /= np.sqrt(vdot(r0, r0))[:, None]
+
+    n, b = _normal_field(t)
+
+    # Each step reflects t_i and n_i in the plane normal to the chord v1,
+    # u - c1 (v1 . u) v1 with c1 = 2 / (v1 . v1), then the reflected n_i
+    # in the plane normal to v2 = t_{i+1} - (the reflected t_i).  The
+    # products go in place, to spare the allocator; t_{i+1} - (t_i - x) is
+    # t_{i+1} + (x - t_i) bit for bit.  A segment smaller than the rounding
+    # of its position has chords of zero: its normals read NaN, which fails
+    # the check that reads them.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = 2.0 / _dot(v1, v1)
+        s = _dot(v1, t[..., :-1])
+        s *= c1
+        v2 = s * v1
+        v2 -= t[..., :-1]
+        v2 += t[..., 1:]
+        s = _dot(v1, n[..., :-1])
+        s *= c1
+        m = s * v1
+        np.subtract(n[..., :-1], m, out=m)
+        s = _dot(v2, m)
+        s *= 2.0 / _dot(v2, v2)
+        np.multiply(s, v2, out=v1)
+        m -= v1
+
+    z = np.empty(t.shape[1:], dtype=complex)
+    z.real[:, 0], z.imag[:, 0] = vdot(r0, n[..., 0].T), vdot(r0, b[..., 0].T)
+    _dot(m, n[..., 1:], out=z.real[:, 1:])
+    _dot(m, b[..., 1:], out=z.imag[:, 1:])
+    np.cumprod(z, axis=-1, out=z)
+    z *= 1.0 / np.abs(z)
+    n *= z.real
+    b *= z.imag
+    n += b
+    return n
 
 
 def reflect_rmf(points, hodographs, initial_normals,
@@ -268,8 +353,9 @@ def reflect_rmf(points, hodographs, initial_normals,
     result is independent of the rational frame.
 
     The recurrence is not stepped sample by sample.  Any unit normal field
-    n_i orthogonal to t_i (here t_i x e, e the coordinate axis least
-    aligned with t_i, the first on ties) goes through each step's two
+    n_i orthogonal to t_i (here the branch-free orthonormal basis of Duff
+    et al., "Building an Orthonormal Basis, Revisited", JCGT 6(1), 2017,
+    which jumps where t_z changes sign) goes through each step's two
     reflections at once, giving m_i.  Each step's pair of reflections is a
     rotation that maps t_i to t_{i+1}, so it maps the normal
     Re(z) n_i + Im(z) b_i, with b_i = t_i x n_i and |z| = 1, to
@@ -279,9 +365,14 @@ def reflect_rmf(points, hodographs, initial_normals,
     Z = cumprod(z_0, z_1, ...), z_0 the start normal's (n_0, b_0)
     components, and Z normalized once at the end; no angle is formed, and
     the field n may jump between samples.  Scaling each factor to length 1
-    instead would bias the product's length by about 1e-16 per step.  The
-    arithmetic runs on one contiguous (segment, sample) array per
-    coordinate.
+    instead would bias the product's length by about 1e-16 per step.
+
+    The segments go in blocks of ``_REFLECT_BLOCK``, each held coordinate
+    first, (3, segment, sample): the chords and tangents come from one
+    matmul each with cached, transposed Bernstein bases (the chords' is the
+    difference of consecutive samples' point basis), and every dot product
+    is one ``np.einsum`` pass.  ``checks.validate_spline`` runs the same
+    block kernel and compares its normals in that layout.
 
     A start normal more than ``quat.NORMAL_LEAN_TOL`` off orthogonal to its
     start tangent, or not finite, raises ``ValidationError``; it is projected
@@ -289,51 +380,15 @@ def reflect_rmf(points, hodographs, initial_normals,
     ``n_samples`` that is not an int of at least 1.
     """
     _check_sample_count(n_samples)
-    ts, point_basis, hodograph_basis = _reflect_bases(n_samples)
+    ts = _reflect_bases(n_samples)[0]
+    points = np.asarray(points, dtype=float)
+    hodographs = np.asarray(hodographs, dtype=float)
     initial_normals = np.asarray(initial_normals, dtype=float).reshape(-1, 3)
     normals = np.empty((len(points), ts.size, 3))
     for lo in range(0, len(points), _REFLECT_BLOCK):
         block = slice(lo, lo + _REFLECT_BLOCK)
-        # Axes (xyz, segment, sample).  Points are relative to each start
-        # point, so that the chords between samples lose no digits to the
-        # segment's offset.
-        x = np.moveaxis(point_basis @ (points[block] - points[block, :1]), -1, 0).copy()
-        h = np.moveaxis(hodograph_basis @ hodographs[block], -1, 0).copy()
-        t = h / np.sqrt(_dot(h, h))
-
-        r0 = initial_normals[block].T
-        lean = _dot(r0, t[..., 0])
-        if not (np.abs(lean) <= NORMAL_LEAN_TOL).all():
-            raise ValidationError("initial normal is not orthogonal to the start tangent")
-        r0 = r0 - lean * t[..., 0]
-        r0 = r0 / np.sqrt(_dot(r0, r0))
-
-        # n = t x e for the axis e of the smallest |t_c|: (0, t_z, -t_y),
-        # (-t_z, 0, t_x) or (t_y, -t_x, 0).
-        a_x, a_y, a_z = np.abs(t)
-        on_x = (a_x <= a_y) & (a_x <= a_z)
-        on_y = a_y <= a_z
-        zero = np.zeros_like(a_x)
-        n = np.where(on_x, [zero, t[2], -t[1]],
-                     np.where(on_y, [-t[2], zero, t[0]], [t[1], -t[0], zero]))
-        n /= np.sqrt(_dot(n, n))
-        b = np.array([t[1] * n[2] - t[2] * n[1], t[2] * n[0] - t[0] * n[2],
-                      t[0] * n[1] - t[1] * n[0]])
-
-        v1 = np.diff(x, axis=-1)
-        vv1 = _dot(v1, v1)
-        # A segment smaller than the rounding of its position has chords of
-        # zero: its normals read NaN, which fails the check that reads them.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v2 = t[..., 1:] - _reflect(v1, vv1, t[..., :-1])
-            m = _reflect(v2, _dot(v2, v2), _reflect(v1, vv1, n[..., :-1]))
-
-        z = np.empty(a_x.shape, dtype=complex)
-        z.real[:, 0], z.imag[:, 0] = _dot(r0, n[..., 0]), _dot(r0, b[..., 0])
-        z.real[:, 1:], z.imag[:, 1:] = _dot(m, n[..., 1:]), _dot(m, b[..., 1:])
-        np.cumprod(z, axis=-1, out=z)
-        z *= 1.0 / np.abs(z)
-        normals[block] = np.moveaxis(z.real * n + z.imag * b, 0, -1)
+        normals[block] = np.moveaxis(_reflected_normals(
+            points[block], hodographs[block], initial_normals[block], n_samples), 0, -1)
     return ts, normals
 
 

@@ -120,7 +120,7 @@ def assert_matches_reference(report: dict, reference: dict) -> None:
 
 def blocked_segments() -> int:
     """Segments per block of ``validate_spline``'s frame checks."""
-    return spline_checks._FRAME_BLOCK
+    return oracle._REFLECT_BLOCK
 
 
 class TestValidateBlocks:
@@ -139,22 +139,31 @@ class TestValidateBlocks:
         for path in paths:
             assert_matches_reference(validate_spline(path), validate_spline_looped(path))
 
-    def test_corrupted_segment_opening_second_block(self):
+    # Where the spun segment sits among 2 blocks + 3 segments: opening the
+    # second block, closing it, and last in the partial block after it.
+    @pytest.mark.parametrize("position", ["first-in-block", "last-in-block",
+                                          "last-partial-block"])
+    def test_corrupted_segment_in_block(self, position):
         block = blocked_segments()
         n = 2 * block + 3
+        spun_at = {"first-in-block": block, "last-in-block": 2 * block - 1,
+                   "last-partial-block": n - 1}[position]
         _, pts, tans = sample_curve("helix", n)
         path = build(PointStream(pts, default_initial_frame(tans[0])))
-        sol = path.segments[block]
+        sol = path.segments[spun_at]
         spun = frame_from_coefficients(sol.segment.preimage, [1.0, 0.0, 0.0],
                                        [0.0, 0.0, 0.0], sol.frame.axes)
         segments = list(path.segments)
-        segments[block] = dataclasses.replace(sol, frame=spun)
+        segments[spun_at] = dataclasses.replace(sol, frame=spun)
         path = data.path_from_solutions(path.knots, segments)
         report = validate_spline(path)
         assert_matches_reference(report, validate_spline_looped(path))
         failing = {(c["name"], c["segment"]) for c in report["checks"] if not c["pass"]}
-        assert ("frame_vs_transport", block) in failing
-        assert {segment for _, segment in failing} == {block, None}
+        assert ("frame_vs_transport", spun_at) in failing
+        # The spun frame ends off the next segment's start frame; the last
+        # segment has no next one.
+        knots = {None} if spun_at < n - 1 else set()
+        assert {segment for _, segment in failing} == {spun_at} | knots
 
     @pytest.mark.parametrize("row, value", [
         (1, [1e-3, 1.0, 0.0]),      # f1 . f2

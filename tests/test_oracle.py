@@ -240,6 +240,53 @@ class TestReflectRMF:
             ref = reflect_rmf_looped(q, f0[1], 300)
             assert oracle.max_unit_angle(got, ref) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["crosses-tz-zero", "through-plus-and-minus-z",
+                                      "planar-xy-plus-zero", "planar-xy-minus-zero"])
+    def test_matches_looped_recurrence_where_field_switches(self, case):
+        # The reference normal field of ``reflect_rmf`` jumps where t_z
+        # changes sign; the normals it carries must not.
+        if case == "crosses-tz-zero":  # t_z runs from 0.88 to -0.91
+            pre = PreImage(Quaternion(1.0, [0.2, -0.6, 0.1]), Quaternion(0.9, [0.3, 0.1, 0.4]),
+                           Quaternion(1.1, [-0.2, 0.7, 0.2]), I)
+        elif case == "through-plus-and-minus-z":
+            # A i A* is 2k for A = 1 - j and -2k for A = 1 + j: the tangent
+            # starts along +z, is +x at t = 1/2 and ends along -z.
+            pre = PreImage(Quaternion(1.0, [0.0, -1.0, 0.0]), Quaternion(1.0, np.zeros(3)),
+                           Quaternion(1.0, [0.0, 1.0, 0.0]), I)
+        else:
+            pre = planar_preimage()
+        q = curve_from_preimage(np.zeros(3), pre)
+        points, hodographs = data.curve_rows([q])
+        if case.startswith("planar"):
+            points[..., 2] = hodographs[..., 2] = 0.0 if case.endswith("plus-zero") else -0.0
+        ts = np.linspace(0.0, 1.0, 301)
+        tz = q.hodograph(ts)[:, 2] / np.linalg.norm(q.hodograph(ts), axis=1)
+        if case == "crosses-tz-zero":
+            assert tz[0] > 0.8 and tz[-1] < -0.8
+        elif case == "through-plus-and-minus-z":
+            assert tz[0] == 1.0 and tz[150] == 0.0 and tz[-1] == -1.0
+        normal0 = unit(np.cross(unit(q.h[0]), unit(np.array([1.0, 2.0, 3.0]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, normals = oracle.reflect_rmf(points, hodographs, [normal0], n_samples=300)
+        ref = reflect_rmf_looped(q, normal0, 300)
+        assert oracle.max_unit_angle(normals[0], ref) <= 1e-12
+
+    def test_normal_field_at_the_switch(self):
+        # Each pair (n, b) is orthonormal to t with b = t x n, on both sides
+        # of the switch and at +-z; t_z = -0.0 takes the negative side.
+        t = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.6, -0.8, 1e-300],
+                      [0.6, -0.8, -1e-300], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                      [0.0, 0.6, -0.8]]).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n, b = oracle._normal_field(t)
+        for tc, nc, bc in zip(t.T, n.T, b.T):
+            frame = np.array([tc, nc, bc])
+            assert np.max(np.abs(frame @ frame.T - np.eye(3))) <= 1e-15
+            assert np.max(np.abs(np.cross(tc, nc) - bc)) <= 1e-15
+        assert np.array_equal(n[:, 0], -n[:, 1]) and np.array_equal(n[:, 0], [0.0, 0.0, -1.0])
+
     def test_rotation_products_do_not_drift(self):
         # The normals come from a running product of complex numbers, one
         # factor per step; over 20000 steps their rounding must neither turn
@@ -268,10 +315,13 @@ class TestReflectRMF:
         bases = oracle._reflect_bases(123)
         assert all(x is y for x, y in zip(oracle._reflect_bases(123), bases))
         assert not any(arr.flags.writeable for arr in bases)
-        ts, point_basis, hodograph_basis = bases
+        ts, chord_basis, hodograph_basis = bases
         assert np.array_equal(ts, np.linspace(0.0, 1.0, 124))
-        assert np.array_equal(point_basis, bern.decasteljau(np.eye(6), ts))
-        assert np.array_equal(hodograph_basis, bern.decasteljau(np.eye(5), ts))
+        # transposed, (degree + 1, samples): the chords' basis is the
+        # difference of consecutive samples' point basis
+        point_basis = bern.decasteljau(np.eye(6), ts)
+        assert np.array_equal(chord_basis, (point_basis[1:] - point_basis[:-1]).T)
+        assert np.array_equal(hodograph_basis, bern.decasteljau(np.eye(5), ts).T)
 
     def test_straight_segment_keeps_normal(self):
         one = Quaternion(1.0, np.zeros(3))

@@ -1,28 +1,34 @@
-"""Paired benchmark runs of this checkout against a parent commit, written to
-``BENCH_<pr>.json`` at the repository root.
+"""Benchmark runs of this checkout, paired against a parent commit when one is
+given, written to ``BENCH_<pr>.json`` at the repository root.
 
 Run from anywhere:
 
-    python3 tools/bench_record.py --pr 31 --parent HEAD --pairs 10 --seconds 30
+    python3 tools/bench_record.py --pr 32 --parent HEAD --pairs 10 --seconds 30
+    python3 tools/bench_record.py --pr 0 --pairs 1 --seconds 1
 
-The parent side is ``git archive <parent>`` unpacked into a temporary
-directory, so it holds that commit's files and nothing else; the change side
-is this checkout's working tree.  For every workload of ``bench/run.py`` at
-seeds 1 and 2, each of the ``--pairs`` pairs runs
+The change side is this checkout's working tree.  With ``--parent``, the
+parent side is ``git archive <parent>`` unpacked into a temporary directory,
+so it holds that commit's files and nothing else; without it, only this
+checkout runs.  For every workload of ``bench/run.py`` at seeds 1 and 2,
+each of the ``--pairs`` rounds runs
 ``bench/run.py --workload W --seed N --seconds S --trace 0`` once on each
-side, and the side that runs first alternates from pair to pair.  Nothing
+side, and the side that runs first alternates from round to round.  Nothing
 under ``bench/`` is edited; the runs' own output files go to each tree's
 ``bench/out/``.
 
 For each workload, seed and end-to-end metric of ``BENCHMARK.json`` the file
-holds both sides' values, medians and quartiles, the median change in per
-cent, the pairs the change wins (better in the metric's direction), the
-metric's bound and the parent's IQR as a share of its median.  A metric
-whose parent IQR exceeds its bound is marked ``"resolved": false``: its
-runs spread too widely to tell a change of that size.  It also holds each
-run's ``correct`` and ``failed``, the four lines that ``tools/build_digest.py``
-prints on each side, and an environment line: Python, numpy and scipy
-versions, ``nproc``, the CPU model and the OpenBLAS core type.
+holds each side's values, median and quartiles; with a parent, also the
+median change in per cent, the pairs the change wins (better in the
+metric's direction), the metric's bound and the parent's IQR as a share of
+its median.  A metric whose parent IQR exceeds its bound is marked
+``"resolved": false``: its runs spread too widely to tell a change of that
+size.  The ``detail`` lines that each run prints (per-stage times such as
+``validate_ms_per_seg``, as ``bench/run.py`` rounds them) are kept the same
+way, with their unit, per-side medians and quartiles and the median change.
+The file also holds each run's ``correct`` and ``failed``, the four lines
+that ``tools/build_digest.py`` prints on each side, and an environment
+line: Python, numpy and scipy versions, ``nproc``, the CPU model and the
+OpenBLAS core type.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ def environment() -> dict:
 
 
 def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The last-line JSON object of one ``bench/run.py`` run in ``tree``, or
+    """The last-line JSON object of one ``bench/run.py`` run in ``tree``,
+    with its ``detail`` lines as ``"details"``, {name: [value, unit]}; or
     ``{"error": ...}`` when the run fails."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -77,7 +84,11 @@ def bench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr[-500:]}"}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    # "detail <name> <value> <unit> n=<count>"
+    result["details"] = {name: [float(value), unit] for kind, name, value, unit, _ in
+                         (line.split() for line in lines if line.startswith("detail "))}
+    return result
 
 
 def digest_lines(tree: str) -> list[str]:
@@ -91,28 +102,39 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def compare(metric: dict, parent_runs: list[dict], change_runs: list[dict]) -> dict:
-    """Both sides' values of one end-to-end metric over the pairs in which
-    both runs succeeded, with the change's wins and the parent's spread."""
-    name, lower = metric["name"], metric["better"] == "lower"
-    pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-             for p, c in zip(parent_runs, change_runs) if "error" not in p and "error" not in c]
-    parent = summary([p for p, _ in pairs])
-    change = summary([c for _, c in pairs])
-    out = {"better": metric["better"], "bound": metric["bound"], "parent": parent,
-           "change": change, "pairs": len(pairs),
-           "wins": sum(c < p if lower else c > p for p, c in pairs)}
-    if pairs and parent["median"]:
-        out["change_pct"] = 100.0 * (change["median"] / parent["median"] - 1.0)
-        out["parent_iqr_rel"] = (parent["q3"] - parent["q1"]) / abs(parent["median"])
-        out["resolved"] = out["parent_iqr_rel"] <= metric["bound"]
+def paired(runs: dict, read) -> dict:
+    """Each side's values that ``read`` takes off its runs, over the rounds
+    in which every side's run succeeded and has the value."""
+    rounds = [[None if "error" in r else read(r) for r in group]
+              for group in zip(*runs.values())]
+    rounds = [values for values in rounds if None not in values]
+    return {side: [values[i] for values in rounds] for i, side in enumerate(runs)}
+
+
+def compare(values: dict, better: str | None = None, bound: float | None = None) -> dict:
+    """Each side's summary of one metric's paired values; with a parent
+    side, the median change, and given the metric's direction and bound,
+    the change's wins and the parent's spread against the bound."""
+    out = {side: summary(v) for side, v in values.items()}
+    out["pairs"] = len(values["change"])
+    parent = values.get("parent")
+    if not parent or not out["parent"]["median"]:
+        return out
+    p = out["parent"]
+    out["change_pct"] = 100.0 * (out["change"]["median"] / p["median"] - 1.0)
+    if better is not None:
+        lower = better == "lower"
+        out["wins"] = sum(c < q if lower else c > q for q, c in zip(parent, values["change"]))
+        out["parent_iqr_rel"] = (p["q3"] - p["q1"]) / abs(p["median"])
+        out["resolved"] = out["parent_iqr_rel"] <= bound
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--parent", help="git revision of the parent side; "
+                                         "without it, this checkout runs alone")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
@@ -123,7 +145,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         metrics = json.load(f)["end_to_end"]
-    parent_rev = git("rev-parse", args.parent)
+    parent_rev = git("rev-parse", args.parent) if args.parent else None
     record = {
         "pr": args.pr, "parent": parent_rev,
         "change": git("rev-parse", "HEAD") + (" + working tree" if git("status", "--porcelain")
@@ -132,51 +154,76 @@ def main(argv=None) -> int:
         "environment": environment(),
     }
     with tempfile.TemporaryDirectory() as tmp:
-        archive = os.path.join(tmp, "parent.tar")
-        parent_tree = os.path.join(tmp, "parent")
-        os.mkdir(parent_tree)
-        git("archive", "--output", archive, parent_rev)
-        subprocess.run(["tar", "-x", "-f", archive, "-C", parent_tree], check=True)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"change": ROOT}
+        if parent_rev:
+            archive = os.path.join(tmp, "parent.tar")
+            trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+            os.mkdir(trees["parent"])
+            git("archive", "--output", archive, parent_rev)
+            subprocess.run(["tar", "-x", "-f", archive, "-C", trees["parent"]], check=True)
 
-        runs = {(w, s): {"parent": [], "change": []} for w in WORKLOADS for s in SEEDS}
+        runs = {(w, s): {side: [] for side in trees} for w in WORKLOADS for s in SEEDS}
         for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for (workload, seed), sides in runs.items():
                 for side in order:
                     result = bench_run(trees[side], workload, seed, args.seconds)
                     sides[side].append(result)
                     value = result.get("error") or result["metrics"]["peak_rss_mb"]["value"]
-                    print(f"pair {i + 1}/{args.pairs} {workload} seed {seed} {side}: "
+                    print(f"round {i + 1}/{args.pairs} {workload} seed {seed} {side}: "
                           f"peak_rss_mb {value}", file=sys.stderr)
         digests = {side: digest_lines(tree) for side, tree in trees.items()}
 
-    record["digests"] = dict(digests, equal=digests["parent"] == digests["change"])
-    record["workloads"] = {
-        workload: {str(seed): {
-            "correct": {side: [r.get("correct") for r in runs[workload, seed][side]]
-                        for side in trees},
-            "failed": {side: [r.get("failed") for r in runs[workload, seed][side]]
-                       for side in trees},
-            "errors": {side: [r["error"] for r in runs[workload, seed][side] if "error" in r]
-                       for side in trees},
-            "metrics": {m["name"]: compare(m, runs[workload, seed]["parent"],
-                                           runs[workload, seed]["change"]) for m in metrics},
-        } for seed in SEEDS} for workload in WORKLOADS}
+    record["digests"] = dict(digests)
+    if parent_rev:
+        record["digests"]["equal"] = digests["parent"] == digests["change"]
+
+    # Some detail lines repeat an end-to-end metric; those are kept once.
+    names = {m["name"] for m in metrics}
+
+    def entry(sides: dict) -> dict:
+        ok = [r for side_runs in sides.values() for r in side_runs if "error" not in r]
+        details = ok[0]["details"] if ok else {}
+        return {
+            "correct": {side: [r.get("correct") for r in rs] for side, rs in sides.items()},
+            "failed": {side: [r.get("failed") for r in rs] for side, rs in sides.items()},
+            "errors": {side: [r["error"] for r in rs if "error" in r]
+                       for side, rs in sides.items()},
+            "metrics": {m["name"]: dict(
+                compare(paired(sides, lambda r, n=m["name"]: r["metrics"][n]["value"]),
+                        m["better"], m["bound"]), better=m["better"], bound=m["bound"])
+                for m in metrics},
+            "details": {name: dict(compare(paired(
+                sides, lambda r, n=name: r["details"].get(n, [None])[0])), unit=unit)
+                for name, (_, unit) in details.items() if name not in names},
+        }
+
+    record["workloads"] = {workload: {str(seed): entry(runs[workload, seed]) for seed in SEEDS}
+                           for workload in WORKLOADS}
 
     out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8", newline="\n") as f:
         json.dump(record, f, indent=1)
         f.write("\n")
     for workload, seeds in record["workloads"].items():
-        for seed, entry in seeds.items():
-            for name, m in entry["metrics"].items():
-                if m["pairs"]:
-                    print(f"{workload:<15} seed {seed} {name:<15} parent {m['parent']['median']:10.5g}"
-                          f"  change {m['change']['median']:10.5g}  {m.get('change_pct', 0.0):+7.1f} %"
-                          f"  wins {m['wins']}/{m['pairs']}"
-                          f"{'' if m.get('resolved', True) else '  (unresolved)'}")
-    print(f"digests {'equal' if record['digests']['equal'] else 'DIFFER'}; wrote {out}")
+        for seed, result in seeds.items():
+            for name, m in {**result["metrics"], **result["details"]}.items():
+                if not m["pairs"]:
+                    continue
+                line = f"{workload:<15} seed {seed} {name:<24}"
+                if "parent" in m:
+                    line += f" parent {m['parent']['median']:10.5g}"
+                line += f"  change {m['change']['median']:10.5g}"
+                if "change_pct" in m:
+                    line += f"  {m['change_pct']:+7.1f} %"
+                if "wins" in m:
+                    line += f"  wins {m['wins']}/{m['pairs']}"
+                    line += "" if m["resolved"] else "  (unresolved)"
+                print(line)
+    if parent_rev:
+        print(f"digests {'equal' if record['digests']['equal'] else 'DIFFER'}; wrote {out}")
+    else:
+        print(f"wrote {out}")
     return 0
 
 
