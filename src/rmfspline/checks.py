@@ -56,8 +56,10 @@ _TRANSPORT_BASIS.flags.writeable = False
 # Segments per array pass of the identity checks, whose chunks also form
 # the frame-row polynomials of the frame checks.  The widest array of a
 # pass is the product of ``ph_identity_residuals``, 4 x 9 coefficients per
-# segment; chunks of this size keep it at ``rrmf._STACKED_ROWS`` values.
-_IDENTITY_CHUNK = _STACKED_ROWS // 36
+# segment; chunks of this size keep it within ``rrmf._STACKED_ROWS``
+# values.  A chunk is a whole number of frame-check blocks
+# (``oracle._REFLECT_BLOCK``), so that only the path's last block is short.
+_IDENTITY_CHUNK = _STACKED_ROWS // 36 // oracle._REFLECT_BLOCK * oracle._REFLECT_BLOCK
 
 
 def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray,
@@ -73,7 +75,8 @@ def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray,
                                           path_obj.hodographs[block], starts,
                                           _TRANSPORT_SAMPLES.size - 1)
     rows = oracle._coordinate_first(coeffs[..., _NORMAL_COLUMNS], _TRANSPORT_BASIS)
-    vs_transport = _max_angles(rows[:3] / rows[3], reflected)
+    vs_transport = oracle.max_unit_angle(np.moveaxis(rows[:3] / rows[3], 0, -1),
+                                         np.moveaxis(reflected, 0, -1))
     del reflected, rows
     # The orthonormality and angular-velocity helpers, which
     # ``oracle.tangential_angular_velocity`` shares, take frame rows
@@ -82,22 +85,6 @@ def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray,
     frames = np.moveaxis(rows[:9] / rows[9], 0, -1).reshape(rows.shape[1:] + (3, 3))
     return (_orthonormality(frames[:, :_FRAME_SAMPLES.size]), vs_transport,
             np.max(oracle.velocity_from_frames(frames[:, _FRAME_SAMPLES.size:]), axis=-1))
-
-
-def _max_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``oracle.max_unit_angle`` of unit vectors a and b (3, S, N), held
-    coordinate first: one value per segment.  Up to 60 degrees the angle is
-    monotone in the chord |a - b|, so it is taken of the largest chord
-    alone; a segment beyond (or not finite) takes ``max_unit_angle``'s
-    |a + b| branch, sample by sample."""
-    d = a - b
-    chord = np.sqrt(np.max(oracle._dot(d, d), axis=-1))
-    angles = 2.0 * np.arcsin(0.5 * np.minimum(chord, 1.0))
-    far = ~(chord <= 1.0)
-    if far.any():
-        angles[far] = oracle.max_unit_angle(np.moveaxis(a[:, far], 0, -1),
-                                            np.moveaxis(b[:, far], 0, -1))
-    return angles
 
 
 def _orthonormality(frames: np.ndarray) -> np.ndarray:
@@ -126,10 +113,11 @@ def validate_spline(path_obj: SplinePath) -> dict:
     from one matmul with a cached, transposed Bernstein basis: every frame
     row at the orthonormality and angular-velocity samples, and only the
     normal at the 501 ``_TRANSPORT_SAMPLES``.  ``frame_vs_transport`` is
-    the largest angle there between each segment's rational normal and the
-    double-reflection RMF, which the block kernel of ``oracle.reflect_rmf``
-    gives in the same layout, started from the normal that
-    ``quat.frame_rows`` gives at t = 0.
+    the largest angle there (``oracle.max_unit_angle``, which reads the
+    block through ``np.moveaxis`` views) between each segment's rational
+    normal and the double-reflection RMF, which the block kernel of
+    ``oracle.reflect_rmf`` gives in the same layout, started from the
+    normal that ``quat.frame_rows`` gives at t = 0.
     ``position_continuity`` is the largest gap between a segment's end and
     the next segment's ``r0``, relative to the segment's chord, held to
     the ``interpolation`` bound.
@@ -168,9 +156,10 @@ def validate_spline(path_obj: SplinePath) -> dict:
             ph.power_rows(rows), axis, path_obj.a[chunk], path_obj.b[chunk])
         coeffs = rrmf.frame_row_beziers(path_obj.frame_bezier[chunk], path_obj.frame_axes[chunk])
         for at in range(0, len(coeffs), oracle._REFLECT_BLOCK):
-            block = slice(lo + at, lo + at + oracle._REFLECT_BLOCK)
+            part = coeffs[at:at + oracle._REFLECT_BLOCK]
+            block = slice(lo + at, lo + at + len(part))
             ortho[block], vs_transport[block], spin[block] = _frame_checks(
-                path_obj, block, starts[block], coeffs[at:at + oracle._REFLECT_BLOCK])
+                path_obj, block, starts[block], part)
 
     for k in range(n):
         record("ph_identity", k, ph_identity[k], tol["ph_identity"])

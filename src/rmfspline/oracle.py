@@ -394,7 +394,14 @@ def reflect_rmf(points, hodographs, initial_normals,
 
 def max_unit_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Largest ``quat.angles_between`` of corresponding unit rows of a and b
-    (..., N, 3): one value per leading index."""
+    (..., N, 3): one value per leading index.  Up to 60 degrees the angle is
+    2 arcsin(|a - b| / 2), monotone in the chord |a - b|, so it is taken of
+    the largest chord alone, one arcsin per leading index.  If any chord is
+    longer, or not finite, every angle is taken sample by sample."""
+    d = a - b
+    chord = np.sqrt(np.max(vdot(d, d), axis=-1))
+    if (chord <= 1.0).all():
+        return 2.0 * np.arcsin(0.5 * chord)
     return np.max(angles_between(a, b), axis=-1)
 
 

@@ -140,14 +140,16 @@ class TestValidateBlocks:
             assert_matches_reference(validate_spline(path), validate_spline_looped(path))
 
     # Where the spun segment sits among 2 blocks + 3 segments: opening the
-    # second block, closing it, and last in the partial block after it.
+    # second block, closing it, and last in the partial block after it; and,
+    # in a path of one identity chunk, a block and 3 segments, second in the
+    # second chunk.
     @pytest.mark.parametrize("position", ["first-in-block", "last-in-block",
-                                          "last-partial-block"])
+                                          "last-partial-block", "after-chunk-boundary"])
     def test_corrupted_segment_in_block(self, position):
-        block = blocked_segments()
-        n = 2 * block + 3
+        block, chunk = blocked_segments(), spline_checks._IDENTITY_CHUNK
+        n = chunk + block + 3 if position == "after-chunk-boundary" else 2 * block + 3
         spun_at = {"first-in-block": block, "last-in-block": 2 * block - 1,
-                   "last-partial-block": n - 1}[position]
+                   "last-partial-block": n - 1, "after-chunk-boundary": chunk + 1}[position]
         _, pts, tans = sample_curve("helix", n)
         path = build(PointStream(pts, default_initial_frame(tans[0])))
         sol = path.segments[spun_at]
@@ -164,6 +166,21 @@ class TestValidateBlocks:
         # segment has no next one.
         knots = {None} if spun_at < n - 1 else set()
         assert {segment for _, segment in failing} == {spun_at} | knots
+
+    def test_far_segment_after_chunk_boundary(self):
+        # The far segment of ``test_far_segment_fails_without_runtime_warning``,
+        # second in the second identity chunk: its normals read NaN, which
+        # fails its own check and no other segment's.
+        chunk = spline_checks._IDENTITY_CHUNK
+        far_at = chunk + 1
+        _, pts, tans = sample_curve("helix", chunk + blocked_segments() + 3)
+        doc = io_cli.spline_to_dict(build(PointStream(pts, default_initial_frame(tans[0]))))
+        doc["segments"][far_at]["r0"] = [1e58 * x for x in doc["segments"][far_at]["r0"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_spline(io_cli.spline_from_dict(doc))
+        failing = [(c["name"], c["segment"]) for c in report["checks"] if not c["pass"]]
+        assert failing == [("frame_vs_transport", far_at), ("position_continuity", None)]
 
     @pytest.mark.parametrize("row, value", [
         (1, [1e-3, 1.0, 0.0]),      # f1 . f2
