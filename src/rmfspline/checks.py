@@ -69,20 +69,23 @@ def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray,
     double-reflection RMF starts from the normals ``starts`` and whose
     frame-row polynomials have the Bezier coefficients ``coeffs``
     (``rrmf.frame_row_beziers``).  Every array is held coordinate first,
-    (component, segment, sample); the transport arrays are freed before
-    the frame rows are formed, which keeps the traced peak down."""
+    (component, segment, sample), in the thread's block arrays
+    (``oracle._block_array``): the frame-row values at the transport
+    samples, then at the other samples, share one, and the ratios over
+    |q|^2 are taken in place."""
     reflected = oracle._reflected_normals(path_obj.control_points[block],
                                           path_obj.hodographs[block], starts,
                                           _TRANSPORT_SAMPLES.size - 1)
-    rows = oracle._coordinate_first(coeffs[..., _NORMAL_COLUMNS], _TRANSPORT_BASIS)
-    vs_transport = oracle.max_unit_angle(np.moveaxis(rows[:3] / rows[3], 0, -1),
+    rows = oracle._coordinate_first(coeffs[..., _NORMAL_COLUMNS], _TRANSPORT_BASIS, "rows")
+    rows[:3] /= rows[3]
+    vs_transport = oracle.max_unit_angle(np.moveaxis(rows[:3], 0, -1),
                                          np.moveaxis(reflected, 0, -1))
-    del reflected, rows
     # The orthonormality and angular-velocity helpers, which
     # ``oracle.tangential_angular_velocity`` shares, take frame rows
     # (segment, sample, 3, 3).
-    rows = oracle._coordinate_first(coeffs, _CHECK_BASIS)
-    frames = np.moveaxis(rows[:9] / rows[9], 0, -1).reshape(rows.shape[1:] + (3, 3))
+    rows = oracle._coordinate_first(coeffs, _CHECK_BASIS, "rows")
+    rows[:9] /= rows[9]
+    frames = np.moveaxis(rows[:9], 0, -1).reshape(rows.shape[1:] + (3, 3))
     return (_orthonormality(frames[:, :_FRAME_SAMPLES.size]), vs_transport,
             np.max(oracle.velocity_from_frames(frames[:, _FRAME_SAMPLES.size:]), axis=-1))
 

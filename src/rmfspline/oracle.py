@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,12 +221,40 @@ def integrate_rmf(q: PHQuintic, initial_frame: np.ndarray,
 
 
 # Segments per block of ``reflect_rmf`` and of ``checks.validate_spline``'s
-# frame checks.  A block's temporaries, about a dozen (3, block, samples)
-# arrays, grow with the block; its speed hardly does.  On a 2-core Xeon VM,
-# ``validate_spline`` on the 100-segment benchmark torus took 10.9 to
-# 11.9 ms for blocks of 4, 8 and 16 (best of 7 x 10), and its traced peak
-# read 0.49, 0.89 and 1.69 MB.
+# frame checks.  A block's (component, segment, sample) arrays are the
+# thread's workspace (``_block_array``), so the block sets its size: at the
+# 501 transport samples of ``validate``, blocks of 4, 8 and 16 segments keep
+# 0.38, 0.77 and 1.54 MB, and the first ``validate_spline`` call of a thread
+# on the 100-segment benchmark torus peaks at 0.62, 1.05 and 2.01 MB traced.
 _REFLECT_BLOCK = 8
+
+# Each thread's block arrays: one flat buffer per name and dtype, kept for
+# the thread's life and grown to its largest request, if that takes at most
+# ``_WORKSPACE_BYTES``; a larger request gets a fresh array, not kept.  The
+# bound holds a block of 8 segments at up to 1300 samples (the largest
+# buffer, the frame-row values of ``checks._frame_checks``, takes 4 x 8 x 501
+# floats, 128256 bytes, in ``validate``), and caps what a thread keeps at
+# 256 KiB for each of the 8 names.
+_workspace = threading.local()
+_WORKSPACE_BYTES = 1 << 18
+
+
+def _block_array(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized, C-contiguous array of ``shape``: the prefix of this
+    thread's flat buffer ``name``, reshaped, so its layout is a fresh
+    array's, which ``np.einsum``'s order of summation follows.  Every block
+    and every call of the thread reuses the buffer: arrays freed after each
+    block let the allocator return their pages to the system, and the next
+    block faulted them in again, some 1500 pages per ``validate_spline``
+    call on the 100-segment benchmark torus.  The array is valid until the
+    thread's next request of ``name``."""
+    size = math.prod(shape)
+    flat = getattr(_workspace, name, None)
+    if flat is None or flat.size < size:
+        flat = np.empty(size, dtype)
+        if flat.nbytes <= _WORKSPACE_BYTES:
+            setattr(_workspace, name, flat)
+    return flat[:size].reshape(shape)
 
 
 def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -250,24 +279,27 @@ def _reflect_bases(n_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bases
 
 
-def _coordinate_first(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _coordinate_first(coeffs: np.ndarray, basis: np.ndarray, name: str) -> np.ndarray:
     """Values (K, S, N) of polynomials with coefficients (S, d, K) from their
-    transposed basis (d, N), by one matmul."""
+    transposed basis (d, N), by one matmul into the block array ``name``."""
     s, d, k = coeffs.shape
-    return (coeffs.transpose(2, 0, 1).reshape(k * s, d) @ basis).reshape(k, s, -1)
+    out = _block_array(name, (k * s, basis.shape[1]))
+    np.matmul(coeffs.transpose(2, 0, 1).reshape(k * s, d), basis, out=out)
+    return out.reshape(k, s, -1)
 
 
 def _normal_field(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit normals n and b = t x n (3, ...) to unit tangents t (3, ...),
-    coordinate first: the branch-free orthonormal basis of Duff et al.,
-    "Building an Orthonormal Basis, Revisited" (JCGT 6(1), 2017).  It is
-    continuous except where t_z changes sign (-0.0 counts as negative)."""
+    coordinate first, as block arrays: the branch-free orthonormal basis of
+    Duff et al., "Building an Orthonormal Basis, Revisited" (JCGT 6(1),
+    2017).  It is continuous except where t_z changes sign (-0.0 counts as
+    negative)."""
     tx, ty, tz = t
     sign = np.copysign(1.0, tz)
     a = -1.0 / (sign + tz)
     c = tx * ty * a
-    n = np.empty_like(t)
-    b = np.empty_like(t)
+    n = _block_array("normal", t.shape)
+    b = _block_array("binormal", t.shape)
     np.multiply(sign, tx * tx * a, out=n[0])
     n[0] += 1.0
     np.multiply(sign, c, out=n[1])
@@ -282,12 +314,13 @@ def _normal_field(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reflected_normals(points: np.ndarray, hodographs: np.ndarray, starts: np.ndarray,
                        n_samples: int) -> np.ndarray:
     """The double-reflection normals (3, S, n_samples + 1) of one block of S
-    segments (``reflect_rmf``), coordinate first."""
+    segments (``reflect_rmf``), coordinate first, in the block array
+    ``"normal"``."""
     _, chord_basis, hodograph_basis = _reflect_bases(n_samples)
     # Points are relative to each start point, so that the chords between
     # samples lose no digits to the segment's offset.
-    v1 = _coordinate_first(points - points[:, :1], chord_basis)
-    t = _coordinate_first(hodographs, hodograph_basis)
+    v1 = _coordinate_first(points - points[:, :1], chord_basis, "chord")
+    t = _coordinate_first(hodographs, hodograph_basis, "tangent")
     t /= np.sqrt(_dot(t, t))
 
     # The start normals are S rows, whose sums ``quat.vdot`` adds in one
@@ -312,19 +345,19 @@ def _reflected_normals(points: np.ndarray, hodographs: np.ndarray, starts: np.nd
         c1 = 2.0 / _dot(v1, v1)
         s = _dot(v1, t[..., :-1])
         s *= c1
-        v2 = s * v1
+        v2 = np.multiply(s, v1, out=_block_array("second", v1.shape))
         v2 -= t[..., :-1]
         v2 += t[..., 1:]
         s = _dot(v1, n[..., :-1])
         s *= c1
-        m = s * v1
+        m = np.multiply(s, v1, out=_block_array("reflected", v1.shape))
         np.subtract(n[..., :-1], m, out=m)
         s = _dot(v2, m)
         s *= 2.0 / _dot(v2, v2)
         np.multiply(s, v2, out=v1)
         m -= v1
 
-    z = np.empty(t.shape[1:], dtype=complex)
+    z = _block_array("rotation", t.shape[1:], complex)
     z.real[:, 0], z.imag[:, 0] = vdot(r0, n[..., 0].T), vdot(r0, b[..., 0].T)
     _dot(m, n[..., 1:], out=z.real[:, 1:])
     _dot(m, b[..., 1:], out=z.imag[:, 1:])
@@ -371,8 +404,11 @@ def reflect_rmf(points, hodographs, initial_normals,
     first, (3, segment, sample): the chords and tangents come from one
     matmul each with cached, transposed Bernstein bases (the chords' is the
     difference of consecutive samples' point basis), and every dot product
-    is one ``np.einsum`` pass.  ``checks.validate_spline`` runs the same
-    block kernel and compares its normals in that layout.
+    is one ``np.einsum`` pass.  The block's arrays of that shape are the
+    calling thread's workspace (``_block_array``), reused by every block
+    and every call; the returned normals are a fresh array.
+    ``checks.validate_spline`` runs the same block kernel and compares its
+    normals in that layout.
 
     A start normal more than ``quat.NORMAL_LEAN_TOL`` off orthogonal to its
     start tangent, or not finite, raises ``ValidationError``; it is projected

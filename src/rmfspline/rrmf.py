@@ -217,10 +217,9 @@ class RationalFrame:
         return np.array(self.frame(float(t)))
 
 
-# Rows per stacked frame evaluation.  ``SplinePath.eval_many`` evaluates its
-# parameters in chunks of this many, and ``checks.validate_spline`` checks
-# the identities of as many segments at a time as fit, so that the temporaries
-# of one pass stay at a few MB whatever the spline's size or the batch's.
+# Values per array pass of ``checks.validate_spline``'s identity checks,
+# which take as many segments at a time as fit, so that the temporaries of
+# one pass stay at a few MB whatever the spline's size.
 _STACKED_ROWS = 4096
 
 

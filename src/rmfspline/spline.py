@@ -44,7 +44,7 @@ from .ph import PHQuintic, PreImage
 from .quat import (Quaternion, angle_between, angles_between, bisector_list, cross3, cross_list,
                    dots, frame_rows, frame_rows_list, norm3, require_finite, require_frame,
                    require_unit, unit, unit_list)
-from .rrmf import _STACKED_ROWS, RationalFrame
+from .rrmf import RationalFrame
 
 MAX_TURN = 0.8 * math.pi
 # The guards of the end-tangent set: a turning angle (or |u_i x u|, its
@@ -64,6 +64,10 @@ MAX_COORDINATE = 1e60
 # range overflowed there.  At this bound no scaled end segment of a helix,
 # that torus or four walks raised a RuntimeWarning.
 MAX_SQUARABLE = 2.0 ** 500
+# Parameters per chunk of ``SplinePath.eval_many``.  Its largest arrays are
+# the gathered frame quaternion coefficients (chunk, 5, 4) and control
+# points (chunk, 6, 3): 80 KB and 72 KB at 512 rows.
+_EVAL_CHUNK = 512
 
 
 def _require_within(values: np.ndarray, bound: float, message: str) -> None:
@@ -552,16 +556,19 @@ class SplinePath:
         Each parameter's segment rows are gathered from the packed arrays,
         and one de Casteljau pass over the control points and one over the
         frame quaternions, with the frame rows built from it, evaluate all
-        of them; chunks of ``rrmf._STACKED_ROWS`` parameters bound the
-        memory of a large batch.  Points equal ``PHQuintic.point`` and
-        frames equal ``RationalFrame.frame`` bit for bit, and each row
-        equals the one-point ``eval`` bit for bit.
+        of them, in chunks of ``_EVAL_CHUNK`` parameters.  A chunk's arrays
+        stay below glibc's 128 KiB mmap threshold, so they come from the
+        heap and reuse its pages, chunk after chunk and call after call; an
+        array above it is mapped and unmapped, its pages faulted in anew.
+        Points equal ``PHQuintic.point`` and frames equal
+        ``RationalFrame.frame`` bit for bit, and each row equals the
+        one-point ``eval`` bit for bit.
         """
         ks, ts = self.locate(us)
         pts = np.empty((ks.size, 3))
         frames = np.empty((ks.size, 3, 3))
-        for lo in range(0, ks.size, _STACKED_ROWS):
-            k, t = ks[lo:lo + _STACKED_ROWS], ts[lo:lo + _STACKED_ROWS]
+        for lo in range(0, ks.size, _EVAL_CHUNK):
+            k, t = ks[lo:lo + _EVAL_CHUNK], ts[lo:lo + _EVAL_CHUNK]
             pts[lo:lo + k.size] = bern.decasteljau_stacked(self.control_points[k], t)
             frames[lo:lo + k.size] = frame_rows(
                 bern.decasteljau_stacked(self.frame_bezier[k], t), self.frame_axes[k])

@@ -5,7 +5,11 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+import os
+import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +17,11 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
+import rmfspline
 from rmfspline import _bernstein as bern
 from rmfspline.errors import SplineBuildError
 from rmfspline.hermite import HermiteData
-from rmfspline.io_cli import sample_curve
+from rmfspline.io_cli import sample_curve, write_spline_file
 from rmfspline.oracle import NumericFrameTrace
 from rmfspline.ph import PreImage
 from rmfspline.quat import Quaternion, bisector, neg_cross, norm3, sandwich, unit
@@ -148,6 +153,69 @@ def rigid_torus_path(seed: int, spans: int = 100):
 def torus_path():
     """The seed-1 100-segment reload spline of the benchmark."""
     return rigid_torus_path(1)
+
+
+# Minor page faults per call of ``eval_many`` at 1000 parameters or of
+# ``validate_spline``, in a fresh interpreter: 10 rounds, after one warm-up,
+# of the two calls in turn, as in a ``reload-query`` benchmark op, with the
+# faults of the named call alone counted.  argv holds the spline file and
+# the call's name.
+_FAULTS_SCRIPT = """
+import resource, sys
+import numpy as np
+from rmfspline import checks, io_cli
+path = io_cli.read_spline_file(sys.argv[1])
+us = np.random.default_rng(1).uniform(path.knots[0], path.knots[-1], 1000)
+calls = {"eval_many": lambda: path.eval_many(us),
+         "validate": lambda: checks.validate_spline(path)}
+faults = 0
+for round in range(11):
+    for name, call in calls.items():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        if round and name == sys.argv[2]:
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / 10)
+"""
+
+
+def minor_faults_per_call(path: SplinePath, call: str, tmp_path: Path) -> float:
+    """Minor page faults per ``call`` ("eval_many" or "validate") on the
+    saved and reloaded ``path``, run in turn with the other call in a fresh
+    interpreter, so that what the test process ran before, and its heap, do
+    not count.  The allocator runs
+    with its default settings: no ``MALLOC_*`` variable or glibc tunable
+    is passed on.  Linux only; the test skips elsewhere."""
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux") or not hasattr(resource, "RUSAGE_SELF"):
+        pytest.skip("minor page faults are counted on Linux")
+    spline_file = tmp_path / "faults_spline.json"
+    write_spline_file(str(spline_file), path)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    package_root = str(Path(rmfspline.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, str(spline_file), call],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return float(proc.stdout)
+
+
+def traced_peak_in_fresh_thread(fn) -> int:
+    """The tracemalloc peak, in bytes, of ``fn()`` run in a new thread.  The
+    thread starts without block arrays (``oracle._block_array``), so the
+    ones that ``fn`` allocates count in the peak."""
+    done = []
+    thread = threading.Thread(target=lambda: done.append(fn()))
+    tracemalloc.start()
+    try:
+        thread.start()
+        thread.join(timeout=120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive() and done
+    return peak
 
 
 def walk_streams(seed: int, count: int) -> list:

@@ -8,7 +8,7 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
+import threading
 import warnings
 from pathlib import Path
 
@@ -196,13 +196,7 @@ class TestValidateBlocks:
 
     def test_traced_memory_bounded(self, torus_path):
         validate_spline(torus_path)
-        tracemalloc.start()
-        try:
-            validate_spline(torus_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6
+        assert data.traced_peak_in_fresh_thread(lambda: validate_spline(torus_path)) <= 3e6
 
     def test_traced_memory_bounded_on_long_splines(self):
         # The double-reflection normals are computed one block at a time, so
@@ -210,13 +204,54 @@ class TestValidateBlocks:
         _, pts, tans = sample_curve("helix", 800)
         path = build(PointStream(pts, default_initial_frame(tans[0])))
         validate_spline(data.path_from_solutions(path.knots[:3], path.segments[:2]))
-        tracemalloc.start()
+        assert data.traced_peak_in_fresh_thread(lambda: validate_spline(path)) <= 3e6
+
+    def test_no_page_faults_per_call(self, torus_path, tmp_path):
+        # The block arrays are reused, so a call after the first touches few
+        # new pages; with fresh arrays for each block a call faulted some 1500.
+        assert data.minor_faults_per_call(torus_path, "validate", tmp_path) < 50
+
+    def test_workspace_reuse_keeps_values(self, torus_path, monkeypatch):
+        # 250 segments make three identity chunks, the last ending in a
+        # partial block.  Run after the workspace held other shapes, the
+        # values equal those of a fresh array for every block array, filled
+        # with NaN, bit for bit.
+        path = data.rigid_torus_path(1, 250)
+        chunk, block = spline_checks._IDENTITY_CHUNK, blocked_segments()
+        assert 2 * chunk < path.n_segments < 3 * chunk and path.n_segments % block != 0
+        validate_spline(torus_path)
+        oracle.reflect_rmf(*data.curve_rows([sol.segment for sol in path.segments[:3]]),
+                           [sol.frame.frame_matrix(0.0)[1] for sol in path.segments[:3]], 300)
+        report = validate_spline(path)
+        monkeypatch.setattr(oracle, "_block_array",
+                            lambda name, shape, dtype=float: np.full(shape, np.nan, dtype))
+        assert report == validate_spline(path)
+
+    def test_threads_keep_their_own_workspace(self, torus_path):
+        # Two paths validated at once in two threads give their serial
+        # reports; a shared workspace would mix their blocks.
+        paths = [torus_path, data.rigid_torus_path(2, 60)]
+        serial = [validate_spline(p) for p in paths]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            validate_spline(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            for _ in range(3):
+                barrier = threading.Barrier(len(paths))
+                reports = [None] * len(paths)
+
+                def run(i):
+                    barrier.wait(timeout=60)
+                    reports[i] = validate_spline(paths[i])
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(paths))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert reports == serial
         finally:
-            tracemalloc.stop()
-        assert peak <= 3e6
+            sys.setswitchinterval(interval)
 
 
 def _no_constant(name):

@@ -311,6 +311,18 @@ class TestReflectRMF:
                                           [sol.frame.frame_matrix(0.0)[1]], 100)
             assert np.array_equal(got, alone[0])
 
+    def test_result_does_not_alias_the_workspace(self):
+        # The block arrays are reused by the next call; a returned array is
+        # not one of them, so another call on other segments leaves it as it was.
+        rng = np.random.RandomState(48)
+        sols = [solve(data.random_hermite_data(rng)) for _ in range(3)]
+        starts = [s.frame.frame_matrix(0.0)[1] for s in sols]
+        _, first = oracle.reflect_rmf(*data.curve_rows([sols[0].segment]), starts[:1], 100)
+        kept = first.copy()
+        _, second = oracle.reflect_rmf(*data.curve_rows([s.segment for s in sols[1:]]),
+                                       starts[1:], 100)
+        assert np.array_equal(first, kept) and not np.array_equal(first[0], second[0])
+
     def test_bases_built_once_per_sample_count(self):
         bases = oracle._reflect_bases(123)
         assert all(x is y for x, y in zip(oracle._reflect_bases(123), bases))

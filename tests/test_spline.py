@@ -1056,13 +1056,19 @@ class TestPackedPath:
         # one full chunk and a short one; rows do not depend on their chunk
         path = torus_path
         us = np.random.RandomState(44).uniform(path.knots[0], path.knots[-1],
-                                               rrmf._STACKED_ROWS + 7)
+                                               spline._EVAL_CHUNK + 7)
         pts, frames = path.eval_many(us)
         ref_pts, ref_frames = eval_many_looped(path, us)
         assert np.array_equal(pts, ref_pts)
         assert np.max(np.abs(frames - ref_frames)) <= 1e-15
         tail_pts, tail_frames = path.eval_many(us[-9:])
         assert np.array_equal(pts[-9:], tail_pts) and np.array_equal(frames[-9:], tail_frames)
+
+    def test_batch_eval_no_page_faults_per_call(self, torus_path, tmp_path):
+        # A chunk's arrays stay below the allocator's mmap threshold, so a
+        # call after the first reuses heap pages; in chunks of 4096 rows a
+        # call of 1000 parameters faulted over a hundred.
+        assert data.minor_faults_per_call(torus_path, "eval_many", tmp_path) < 50
 
     def test_packed_arrays_match_segments(self, path, tmp_path):
         f = tmp_path / "spline.json"
