@@ -169,25 +169,25 @@ us = np.random.default_rng(1).uniform(path.knots[0], path.knots[-1], 1000)
 calls = {"eval_many": lambda: path.eval_many(us),
          "validate": lambda: checks.validate_spline(path)}
 faults = 0
-for round in range(11):
+for i in range(11):
     for name, call in calls.items():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         call()
-        if round and name == sys.argv[2]:
+        if i and name == sys.argv[2]:
             faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(faults / 10)
 """
 
 
 def minor_faults_per_call(path: SplinePath, call: str, tmp_path: Path) -> float:
-    """Minor page faults per ``call`` ("eval_many" or "validate") on the
-    saved and reloaded ``path``, run in turn with the other call in a fresh
-    interpreter, so that what the test process ran before, and its heap, do
-    not count.  The allocator runs
-    with its default settings: no ``MALLOC_*`` variable or glibc tunable
-    is passed on.  Linux only; the test skips elsewhere."""
-    resource = pytest.importorskip("resource")
-    if not sys.platform.startswith("linux") or not hasattr(resource, "RUSAGE_SELF"):
+    """Minor page faults per ``call`` ("eval_many" or "validate") on
+    ``path``, saved and loaded again in a fresh interpreter that runs the
+    two calls in turn, so that what the test process ran before, and its
+    heap, do not count.  The allocator keeps its default settings: no
+    ``MALLOC_*`` variable or glibc tunable is passed on.  Linux only; the
+    test skips elsewhere."""
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
         pytest.skip("minor page faults are counted on Linux")
     spline_file = tmp_path / "faults_spline.json"
     write_spline_file(str(spline_file), path)

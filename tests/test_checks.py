@@ -228,9 +228,10 @@ class TestValidateBlocks:
         assert report == validate_spline(path)
 
     def test_threads_keep_their_own_workspace(self, torus_path):
-        # Two paths validated at once in two threads give their serial
-        # reports; a shared workspace would mix their blocks.
-        paths = [torus_path, data.rigid_torus_path(2, 60)]
+        # Two paths validated at once in four threads, more than the cores
+        # of a small runner, give their serial reports; a shared workspace
+        # would mix their blocks.
+        paths = [torus_path, data.rigid_torus_path(2, 60)] * 2
         serial = [validate_spline(p) for p in paths]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
