@@ -14,7 +14,6 @@ import numpy as np
 from . import _bernstein as bern
 from . import oracle, ph, rrmf, spline
 from .quat import frame_rows, vdot
-from .rrmf import _STACKED_ROWS
 from .spline import SplinePath
 
 
@@ -54,12 +53,12 @@ _INTERIOR_SAMPLES.flags.writeable = False
 _CHECK_BASIS.flags.writeable = False
 _TRANSPORT_BASIS.flags.writeable = False
 # Segments per array pass of the identity checks, whose chunks also form
-# the frame-row polynomials of the frame checks.  The widest array of a
-# pass is the product of ``ph_identity_residuals``, 4 x 9 coefficients per
-# segment; chunks of this size keep it within ``rrmf._STACKED_ROWS``
-# values.  A chunk is a whole number of frame-check blocks
-# (``oracle._REFLECT_BLOCK``), so that only the path's last block is short.
-_IDENTITY_CHUNK = _STACKED_ROWS // 36 // oracle._REFLECT_BLOCK * oracle._REFLECT_BLOCK
+# the frame-row polynomials of the frame checks: 112, so that the widest
+# array of a pass, the product of ``ph_identity_residuals`` with 4 x 9
+# coefficients per segment, stays near 4000 values, and a chunk holds a
+# whole number of frame-check blocks (``oracle._REFLECT_BLOCK``), so that
+# only the path's last block is short.
+_IDENTITY_CHUNK = 112
 
 
 def _frame_checks(path_obj: SplinePath, block: slice, starts: np.ndarray,

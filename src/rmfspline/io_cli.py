@@ -104,6 +104,20 @@ def sample_curve(name: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # --- stream and spline files -------------------------------------------------
 
+# The fields of a segment in a spline file, in file order: a key and the
+# length of its list of numbers, None for one number, or the fields of an
+# object, which share one layout.  Read in this order, they hold the
+# segment's row of each array of the path in ``_SEGMENT_ARRAYS``, a name and
+# the shape of one segment's row, one after the other.  Every field is
+# required.
+_SEGMENT_FIELDS = (("r0", 3), ("A0", 4), ("A1", 4), ("A2", 4),
+                   ("axes", (("i", 3), ("j", 3), ("k", 3))),
+                   ("W_a", 3), ("W_b", 3), ("mu", None), ("phi2", None), ("theta1", None))
+_SEGMENT_ARRAYS = (("r0", (3,)), ("generators", (3, 4)), ("frame_axes", (3, 3)), ("a", (3,)),
+                   ("b", (3,)), ("mu", ()), ("phi2", ()), ("theta1", ()))
+_FRAME_FIELDS = (("u", 3), ("v", 3), ("w", 3))
+
+
 def _numbers(value) -> np.ndarray:
     """A value read from a file as a float array; ``_parse_json`` reads every
     JSON number as a float, so any other leaf raises ``ValueError``."""
@@ -131,14 +145,14 @@ def _frame_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise StreamFormatError("frame must be a JSON object with keys u, v and w")
     try:
-        return np.array([_floats(obj[key], (3,), f"frame.{key} must be a 3-vector of numbers")
-                         for key in "uvw"])
+        return np.array([_floats(obj[key], (n,), f"frame.{key} must be a {n}-vector of numbers")
+                         for key, n in _FRAME_FIELDS])
     except KeyError as exc:
         raise StreamFormatError(f"frame object is missing key {exc}") from exc
 
 
 def _frame_to_json(rows) -> dict:
-    return dict(zip("uvw", np.asarray(rows, dtype=float).tolist()))
+    return _filled(_FRAME_FIELDS, iter(np.asarray(rows, dtype=float).ravel().tolist()))
 
 
 def _read_text(path: str) -> str:
@@ -219,17 +233,6 @@ def _write_text(path: str, text: str) -> None:
         f.write(text)
 
 
-# The fields of a segment in a spline file, in file order: a key and the
-# length of its list of numbers, None for one number, or the fields of an
-# object.  Read in this order, they hold the segment's row of each array
-# ``_SEGMENT_ARRAYS`` of the path, one after the other.
-_SEGMENT_FIELDS = (("r0", 3), ("A0", 4), ("A1", 4), ("A2", 4),
-                   ("axes", (("i", 3), ("j", 3), ("k", 3))),
-                   ("W_a", 3), ("W_b", 3), ("mu", None), ("phi2", None), ("theta1", None))
-_SEGMENT_ARRAYS = ("r0", "generators", "frame_axes", "a", "b", "mu", "phi2", "theta1")
-_FRAME_FIELDS = (("u", 3), ("v", 3), ("w", 3))
-
-
 def _template(fields, depth: int) -> str:
     """The text that ``json.dumps(..., indent=1)`` writes at depth for a
     value laid out as fields (as in ``_SEGMENT_FIELDS``), with ``%r`` for
@@ -261,7 +264,8 @@ _SEGMENT_TEMPLATE = _template(_SEGMENT_FIELDS, 2)
 def _file_values(path_obj: SplinePath) -> list:
     """Every number of the path's spline file, in file order: the knots,
     the start frame, then each segment's fields."""
-    rows = [getattr(path_obj, name).reshape(path_obj.n_segments, -1) for name in _SEGMENT_ARRAYS]
+    rows = [getattr(path_obj, name).reshape(path_obj.n_segments, -1)
+            for name, _ in _SEGMENT_ARRAYS]
     return np.concatenate([path_obj.knots, path_obj.frames[0].ravel(),
                            np.concatenate(rows, axis=1).ravel()]).tolist()
 
@@ -306,13 +310,30 @@ def _stacked(values: list, field: str, shape: tuple) -> np.ndarray:
     return arr
 
 
+def _column(seg_docs: list, key: str, fields) -> np.ndarray:
+    """The field key, laid out as fields, of every segment as one float array
+    (S, numbers), checked by ``_stacked``; an object's values are read in
+    the order of its fields."""
+    values = [seg[key] for seg in seg_docs]
+    if fields is None:
+        shape = ()
+    elif isinstance(fields, int):
+        shape = (fields,)
+    else:
+        values = [[value[sub] for sub, _ in fields] for value in values]
+        shape = (len(fields), fields[0][1])
+    return _stacked(values, key, shape).reshape(len(values), -1)
+
+
 def spline_from_dict(doc: dict) -> SplinePath:
     """Rebuild a spline from a version "1" spline document.
 
-    Every field is stacked over the segments and checked: shapes, finite
-    values, and strictly increasing knots; a malformed document raises
-    ``StreamFormatError`` naming the field and the segment.  The stacked
-    fields then make the ``SplinePath``, as ``build``'s rows do.
+    Each field of ``_SEGMENT_FIELDS`` is stacked over the segments and
+    checked: shapes, finite values, and strictly increasing knots; a
+    malformed document raises ``StreamFormatError`` naming the field and
+    the segment.  The fields' numbers, in file order, then fill the arrays
+    of ``_SEGMENT_ARRAYS``, which make the ``SplinePath`` as ``build``'s
+    rows do.
     """
     try:
         if doc.get("version") != "1":
@@ -323,21 +344,17 @@ def spline_from_dict(doc: dict) -> SplinePath:
             raise StreamFormatError("segment count must match the knot vector")
         if not np.all(np.isfinite(knots)) or not np.all(np.diff(knots) > 0.0):
             raise StreamFormatError("knots must be finite and strictly increasing")
-        r0 = _stacked([seg["r0"] for seg in seg_docs], "r0", (3,))
-        rows = np.stack([_stacked([seg[key] for seg in seg_docs], key, (4,))
-                         for key in ("A0", "A1", "A2")], axis=1)
-        axes = _stacked([[seg["axes"]["i"], seg["axes"]["j"], seg["axes"]["k"]]
-                         for seg in seg_docs], "axes", (3, 3))
-        w_a = _stacked([seg["W_a"] for seg in seg_docs], "W_a", (3,))
-        w_b = _stacked([seg["W_b"] for seg in seg_docs], "W_b", (3,))
-        mu = _stacked([seg["mu"] for seg in seg_docs], "mu", ())
-        phi2 = _stacked([seg["phi2"] for seg in seg_docs], "phi2", ())
-        theta1 = _stacked([seg.get("theta1", 0.0) for seg in seg_docs], "theta1", ())
+        values = np.concatenate([_column(seg_docs, key, fields) for key, fields in _SEGMENT_FIELDS],
+                                axis=1)
     except (KeyError, TypeError, IndexError) as exc:
         raise StreamFormatError(f"malformed spline file: {exc!r}") from exc
 
-    return SplinePath(knots=knots, r0=r0, generators=rows, frame_axes=axes, a=w_a, b=w_b, mu=mu,
-                      phi2=phi2, theta1=theta1, diagnostics=[{} for _ in seg_docs])
+    arrays, at = {}, 0
+    for name, shape in _SEGMENT_ARRAYS:
+        size = math.prod(shape)
+        arrays[name] = values[:, at:at + size].reshape((-1,) + shape)
+        at += size
+    return SplinePath(knots=knots, **arrays, diagnostics=[{} for _ in seg_docs])
 
 
 def read_spline_file(path: str) -> SplinePath:

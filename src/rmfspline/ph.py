@@ -40,14 +40,8 @@ class PreImage:
         return rows
 
     def power_coeffs(self) -> np.ndarray:
-        """Power-basis coefficients [C0, C1, C2] as wxyz rows (3, 4); cached, read-only."""
-        return self._power
-
-    @functools.cached_property
-    def _power(self) -> np.ndarray:
-        power = power_rows(self.coeffs_wxyz)
-        power.flags.writeable = False
-        return power
+        """Power-basis coefficients [C0, C1, C2] as wxyz rows (3, 4)."""
+        return power_rows(self.coeffs_wxyz)
 
     def evaluate(self, t: float) -> Quaternion:
         u = 1.0 - t

@@ -152,13 +152,6 @@ class Quaternion:
             raise ValidationError(f"vector part must have shape (3,), got {self.v.shape}")
 
     @classmethod
-    def _of(cls, w: float, v: np.ndarray) -> "Quaternion":
-        """Unchecked constructor: w a float, v a float array of shape (3,)."""
-        q = object.__new__(cls)
-        q.w, q.v = w, v
-        return q
-
-    @classmethod
     def pure(cls, v) -> "Quaternion":
         return cls(0.0, v)
 
@@ -178,7 +171,7 @@ class Quaternion:
         return np.array([self.w, self.v[0], self.v[1], self.v[2]])
 
     def conj(self) -> "Quaternion":
-        return Quaternion._of(self.w, -self.v)
+        return Quaternion(self.w, -self.v)
 
     def norm(self) -> float:
         return math.sqrt(self.w * self.w + float(self.v @ self.v))
@@ -188,23 +181,22 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion._of(
+            return Quaternion(
                 self.w * other.w - float(self.v @ other.v),
                 np.array(product_vector(self.w, self.v.tolist(), other.w, other.v.tolist())),
             )
         return Quaternion(self.w * other, self.v * other)
 
-    def __rmul__(self, other) -> "Quaternion":
-        return Quaternion(self.w * other, self.v * other)
+    __rmul__ = __mul__
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(self.w + other.w, self.v + other.v)
+        return Quaternion(self.w + other.w, self.v + other.v)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion._of(self.w - other.w, self.v - other.v)
+        return Quaternion(self.w - other.w, self.v - other.v)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion._of(-self.w, -self.v)
+        return Quaternion(-self.w, -self.v)
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w:.6g}, [{self.v[0]:.6g}, {self.v[1]:.6g}, {self.v[2]:.6g}])"

@@ -217,12 +217,6 @@ class RationalFrame:
         return np.array(self.frame(float(t)))
 
 
-# Values per array pass of ``checks.validate_spline``'s identity checks,
-# which take as many segments at a time as fit, so that the temporaries of
-# one pass stay at a few MB whatever the spline's size.
-_STACKED_ROWS = 4096
-
-
 def frame_beziers(power: np.ndarray, a: np.ndarray, b: np.ndarray,
                   axis: np.ndarray) -> np.ndarray:
     """Bezier coefficients (..., 5, 4) of the frame quaternions A (a + b i)

@@ -543,6 +543,23 @@ def _set(seg: int, key: str, value):
     return corrupt
 
 
+def _drop(path: str):
+    """Delete the key at path, such as "axes.i", from segment 1."""
+    *within, key = path.split(".")
+
+    def corrupt(doc):
+        obj = doc["segments"][1]
+        for name in within:
+            obj = obj[name]
+        obj.pop(key)
+    return corrupt
+
+
+# Every key of a segment, each of them required.
+SEGMENT_KEYS = ["r0", "A0", "A1", "A2", "axes", "axes.i", "axes.j", "axes.k", "W_a", "W_b", "mu",
+                "phi2", "theta1"]
+
+
 def _reverse_knots(doc):
     doc["knots"] = doc["knots"][::-1]
 
@@ -563,8 +580,8 @@ MALFORMED = [
      "knots are not numeric"),
     ("one segment short", lambda doc: doc["segments"].pop(),
      "segment count must match the knot vector"),
-    ("mu missing", lambda doc: doc["segments"][1].pop("mu"),
-     r"malformed spline file: KeyError\('mu'\)"),
+    *[(f"{path} missing", _drop(path),
+       rf"malformed spline file: KeyError\('{path.split('.')[-1]}'\)") for path in SEGMENT_KEYS],
     ("mu a boolean among numbers", _set(4, "mu", True), "segment 4: mu"),
     ("mu an integer beyond float range", _set(4, "mu", 10**400), "segment 4: mu is not finite"),
     ("W_a of a numeral string and a huge integer", _set(3, "W_a", ["1.5", 10**30, 0.0]),

@@ -83,6 +83,15 @@ class TestProduct:
         assert abs(lhs.w - rhs.w) <= 1e-12 * scale
         assert np.max(np.abs(lhs.v - rhs.v)) <= 1e-12 * scale
 
+    @given(quaternions, finite)
+    @settings(max_examples=100)
+    def test_scalar_product_either_side(self, q, s):
+        for scalar in (2.0, s):
+            left, right = q * scalar, scalar * q
+            assert isinstance(left, Quaternion) and isinstance(right, Quaternion)
+            assert left.as_wxyz().tobytes() == right.as_wxyz().tobytes()
+            assert left.as_wxyz().tobytes() == (q.as_wxyz() * scalar).tobytes()
+
     @given(quaternions, quaternions)
     @settings(max_examples=100)
     def test_conjugation_reverses(self, a, b):
