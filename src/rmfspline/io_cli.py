@@ -320,7 +320,7 @@ def _column(seg_docs: list, key: str, fields) -> np.ndarray:
     elif isinstance(fields, int):
         shape = (fields,)
     else:
-        values = [[value[sub] for sub, _ in fields] for value in values]
+        values = list(zip(*[[value[sub] for value in values] for sub, _ in fields]))
         shape = (len(fields), fields[0][1])
     return _stacked(values, key, shape).reshape(len(values), -1)
 
