@@ -180,16 +180,16 @@ def analyze(d: HermiteData) -> DisplacementAnalysis:
 # Python floats (see the float forms in ``quat``): 3-vectors are lists of
 # floats, quaternions [w, x, y, z] lists or a scalar part and a 3-vector.
 
-def _analysis(u: list, u_end: list) -> tuple:
+def _analysis(u: list, u_end: list, *rows: list) -> tuple:
     """The geometry of start and end tangents u and u_end: gamma, u, the
     unit bisector b, the normal n = -(u x u_end) / |u x u_end| and
-    q1 = u + u_end."""
-    c = cross_list(u, u_end)
-    chord_sq, anti_sq, uu, ee, cc = dots([[x - y for x, y in zip(u, u_end)],
-                                          [x + y for x, y in zip(u, u_end)], u, u_end, c])
+    q1 = u + u_end; then x . x of each further 3-vector x of rows, taken in
+    the same ``dots`` call."""
+    c, q1 = cross_list(u, u_end), [x + y for x, y in zip(u, u_end)]
+    chord_sq, anti_sq, uu, ee, cc, *squares = dots(
+        [[x - y for x, y in zip(u, u_end)], q1, u, u_end, c, *rows])
     gamma = angle_from_squares(chord_sq, anti_sq)
-    return (gamma, u, bisector_list(u, u_end, uu, ee), neg_cross_list(c, cc),
-            [x + y for x, y in zip(u, u_end)])
+    return (gamma, u, bisector_list(u, u_end, uu, ee), neg_cross_list(c, cc), q1, *squares)
 
 
 def _units(geometry: tuple, phi2: float) -> tuple:
@@ -358,9 +358,9 @@ def _solve_generator(u: list, v: list, w: list, u_end: list,
     and displacement dp.  Returns the algebra axes (u, -v, -w), the
     generator's Bezier coefficients as [w, x, y, z] rows, mu, phi2, theta1
     and the diagnostics."""
-    geometry = _analysis(u, u_end)
+    *geometry, dpdp = _analysis(u, u_end, dp)
     gamma, _, b, n, q1 = geometry
-    dnorm = math.sqrt(dots([dp])[0])
+    dnorm = math.sqrt(dpdp)
     du = [x / dnorm for x in dp]
     cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)  # once for every f
     # The chord against the attainable ends at phi2 = 0 and pi: the bisector

@@ -23,6 +23,13 @@ from .quat import (_CONJ, NORMAL_LEAN_TOL, _vcross, dots, frame_rows, orthonorma
 
 CLASS_ONE_REL_TOL = 1e-10  # the class-I bound of ``is_class_I`` and of ``checks.tolerances``
 FRAME_REL_TOL = 1e-6  # the bound on both relative residuals of a frame: class-I and polynomial
+# The largest speed or frame quaternion coefficient of a loaded spline.  Its
+# square, 2^1000, leaves a factor 2^24 of the float range to the sums of
+# binomially scaled squares that ``eval`` and ``validate`` form: with one
+# segment of a 20-span torus scaled up, squares within a factor 63 of the
+# range overflowed there.  At this bound no scaled end segment of a helix,
+# that torus or four walks raised a RuntimeWarning.
+MAX_SQUARABLE = 2.0 ** 500
 
 
 class ClassICheck(NamedTuple):
@@ -91,14 +98,15 @@ def _speed_and_rates(power: list, axis: list) -> tuple[list, list]:
     on Python floats: power coefficients as [w, x, y, z] rows and the axis
     as lists of floats."""
     (w0, *v0), (w1, *v1), (w2, *v2) = power
-    # A' = C1 + 2 C2 t; x = A' (0, i) as ``vmul`` forms it.
+    # A' = C1 + 2 C2 t; x = A' (0, i) as ``vmul`` forms it (its vector parts need no dot).
     dc = [[c * 1.0 for c in power[1]], [c * 2.0 for c in power[2]]]
-    g00, g01, g02, g11, g12, g22, *ui = dots([v0, v0, v0, v1, v1, v2, dc[0][1:], dc[1][1:]],
-                                             [v0, v1, v2, v1, v2, v2, axis, axis])
-    xs = [(w * 0.0 - d, product_vector(w, u, 0.0, axis)) for (w, *u), d in zip(dc, ui)]
+    xv = [product_vector(w, u, 0.0, axis) for w, *u in dc]
     y = [[pw * 1.0, p1 * -1.0, p2 * -1.0, p3 * -1.0] for pw, p1, p2, p3 in power]  # A*
-    xy = dots([xu for _, xu in xs for _ in y], [yc[1:] for _ in xs for yc in y])
-    t = [[xw * yc[0] - xy[3 * m + c] for c, yc in enumerate(y)] for m, (xw, _) in enumerate(xs)]
+    g00, g01, g02, g11, g12, g22, ui0, ui1, *xy = dots(
+        [v0, v0, v0, v1, v1, v2, dc[0][1:], dc[1][1:], *(xu for xu in xv for _ in y)],
+        [v0, v1, v2, v1, v2, v2, axis, axis, *(yc[1:] for _ in xv for yc in y)])
+    xw = [dc[0][0] * 0.0 - ui0, dc[1][0] * 0.0 - ui1]
+    t = [[w * yc[0] - xy[3 * m + c] for c, yc in enumerate(y)] for m, w in enumerate(xw)]
     speed = [(w0 * w0 + g00) * 1.0, (w0 * w1 + g01) * 2.0,
              (w0 * w2 + g02) * 2.0 + (w1 * w1 + g11), (w1 * w2 + g12) * 2.0,
              (w2 * w2 + g22) * 1.0]
@@ -127,14 +135,20 @@ _COMPANION.flags.writeable = False
 
 def _quartic_roots(q: list) -> np.ndarray:
     """``np.roots(q[::-1])`` of ascending coefficients q (5 floats) with
-    q[4] != 0: the eigenvalues of the companion matrix ``np.roots`` builds,
-    without its checks.  A zero constant term, whose root ``np.roots``
-    splits off, goes through ``np.roots``."""
+    q[4] != 0: ``np.linalg.eigvals`` of its companion matrix, bit for bit,
+    by the gufunc that it wraps; a non-finite row or a NaN (non-converged)
+    root raises ``FrameConstructionError``.  A zero constant term, whose
+    root ``np.roots`` splits off, goes through ``np.roots``."""
     if q[0] == 0.0:
         return np.roots(q[::-1])
     companion = _COMPANION.copy()
-    companion[0] = [-x / q[4] for x in q[3::-1]]
-    return np.linalg.eigvals(companion)
+    companion[0] = row = [-x / q[4] for x in q[3::-1]]
+    if all(map(math.isfinite, row)):
+        w = np.linalg._umath_linalg.eigvals(companion, signature="d->D")
+        roots = w.tolist()
+        if not any(z != z for z in roots):  # no NaN
+            return w if any(z.imag for z in roots) else w.real
+    raise FrameConstructionError("the speed polynomial has no finite companion roots")
 
 
 def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]:
@@ -149,8 +163,15 @@ def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]
     ascending power coefficients and the residual relative to the speed
     coefficient scale.
     """
+    _require_squarable(p)
     a, b, resid = _factor_speed(*_speed_and_rates(p.power_coeffs().tolist(), p.axis.tolist()))
     return np.array(a), np.array(b), resid
+
+
+def _require_squarable(p: PreImage) -> None:
+    """Raise unless each generator coefficient keeps |A_k|^2 within ``MAX_SQUARABLE``."""
+    if not np.abs(p.coeffs_wxyz).max() <= 0.5 * math.sqrt(MAX_SQUARABLE):
+        raise FrameConstructionError("generator too large to square")
 
 
 def _factor_speed(q: list, rates: list) -> tuple[list, list, float]:
@@ -303,7 +324,7 @@ def _end_quaternion(power: list, a: list, b: list, axis: list) -> list[float]:
 def _require_class_one(rel: float) -> None:
     """Raise ``FrameConstructionError`` when a generator's relative class-I
     residual is above ``FRAME_REL_TOL``."""
-    if rel > FRAME_REL_TOL:
+    if not rel <= FRAME_REL_TOL:
         raise FrameConstructionError(
             f"generator does not admit a rational RMF (relative residual {rel:.3e})",
             residual=rel,
@@ -323,7 +344,7 @@ def _rmf_polynomials(power: list, axis: list, axes: list,
     the first power coefficient, and its frame vectors are B0 e B0* / |B0|^2.
     """
     a, b, resid = _factor_speed(*_speed_and_rates(power, axis))
-    if resid > FRAME_REL_TOL:
+    if not resid <= FRAME_REL_TOL:
         raise FrameConstructionError(
             f"no frame polynomial matched the rotation rate (relative residual {resid:.3e})",
             residual=resid,
@@ -332,10 +353,10 @@ def _rmf_polynomials(power: list, axis: list, axes: list,
         return a, b
     (a0w, *a0v), bw = power[0], a[0]
     bv = [b[0] * x for x in axes[0]]
-    nn, a0b = dots([normal, a0v], [normal, bv])
-    target = unit_list(normal, nn)
-    b0w, b0v = a0w * bw - a0b, product_vector(a0w, a0v, bw, bv)
-    vv, v1, v2, v0 = dots([b0v] * 4, [b0v, axes[1], axes[2], axes[0]])
+    b0v = product_vector(a0w, a0v, bw, bv)
+    nn, a0b, vv, v1, v2, v0 = dots([normal, a0v, *[b0v] * 4],
+                                   [normal, bv, b0v, axes[1], axes[2], axes[0]])
+    target, b0w = unit_list(normal, nn), a0w * bw - a0b
     nsq = b0w * b0w + vv
     if nsq <= 1e-28:
         raise FrameConstructionError("frame quaternion vanishes at the start point")
@@ -355,12 +376,13 @@ def compute_rational_frame(
     axes: np.ndarray | None = None,
 ) -> RationalFrame:
     """Rotation-minimizing rational frame of an admissible generator:
-    ``_require_class_one``, ``_rmf_polynomials`` and
-    ``frame_from_coefficients``.
+    ``_require_squarable``, ``_require_class_one``, ``_rmf_polynomials``
+    and ``frame_from_coefficients``.
 
     The free rotation about the axis is fixed so that the second frame
     vector at t=0 matches initial_frame[1] (when a frame is prescribed).
     """
+    _require_squarable(p)
     _require_class_one(is_class_I(p).rel_residual)
     if axes is None:
         j, k = orthonormal_completion(p.axis)

@@ -41,10 +41,10 @@ from .errors import (
 )
 from .hermite import CRITICAL_GAMMA, HermiteSolution, _two_thirds_b
 from .ph import PHQuintic, PreImage
-from .quat import (Quaternion, angle_between, angles_between, bisector_list, cross3, cross_list,
-                   dots, frame_rows, frame_rows_list, norm3, require_finite, require_frame,
-                   require_unit, unit, unit_list)
-from .rrmf import RationalFrame
+from .quat import (Quaternion, angle_between, angle_from_squares, angles_between, bisector_list,
+                   cross3, cross_list, dots, frame_rows, frame_rows_list, norm3, require_finite,
+                   require_frame, require_unit, unit, unit_list)
+from .rrmf import MAX_SQUARABLE, RationalFrame
 
 MAX_TURN = 0.8 * math.pi
 # The guards of the end-tangent set: a turning angle (or |u_i x u|, its
@@ -57,13 +57,6 @@ MIDPOINT_HINT = "insert a middle point between the offending stream points"
 # spiral and walk streams overflow from 4.5e61, streams on the corners of a
 # cube from 1e61 (with reference tangents given, from 4e149); none at 1e60.
 MAX_COORDINATE = 1e60
-# The largest speed or frame quaternion coefficient of a loaded spline.  Its
-# square, 2^1000, leaves a factor 2^24 of the float range to the sums of
-# binomially scaled squares that ``eval`` and ``validate`` form: with one
-# segment of a 20-span torus scaled up, squares within a factor 63 of the
-# range overflowed there.  At this bound no scaled end segment of a helix,
-# that torus or four walks raised a RuntimeWarning.
-MAX_SQUARABLE = 2.0 ** 500
 # Parameters per chunk of ``SplinePath.eval_many``.  Its largest arrays are
 # the gathered frame quaternion coefficients (chunk, 5, 4) and control
 # points (chunk, 6, 3): 80 KB and 72 KB at 512 rows.
@@ -221,19 +214,17 @@ def default_initial_frame(u0: np.ndarray) -> np.ndarray:
     return np.array([u, v, cross3(u, v)])
 
 
-def _admissible(u_i, u, du) -> bool:
-    """Membership in the feasible end-tangent set for the local problem, of
-    3-vectors of floats."""
+def _admissible(u_i, u, du) -> float:
+    """Membership of u in the feasible end-tangent set for the local problem,
+    of 3-vectors of floats: u . u (positive) where u is a member, else 0.0."""
     c = cross_list(u_i, u)
-    cc, ii, uu = dots([c, u_i, u])
-    if math.sqrt(cc) <= TURN_FLOOR:
-        return False
-    gamma = angle_between(u_i, u)
-    if gamma >= TURN_CEILING:
-        return False
-    if gamma > CRITICAL_GAMMA:
-        return True
-    return dots([bisector_list(u_i, u, ii, uu)], [du])[0] - _two_thirds_b(gamma) > 0.0
+    cc, ii, uu, chord_sq, anti_sq = dots([c, u_i, u, [x - y for x, y in zip(u_i, u)],
+                                          [x + y for x, y in zip(u_i, u)]])
+    gamma = angle_from_squares(chord_sq, anti_sq)
+    if math.sqrt(cc) <= TURN_FLOOR or gamma >= TURN_CEILING:
+        return 0.0
+    return uu if gamma > CRITICAL_GAMMA or (
+        dots([bisector_list(u_i, u, ii, uu)], [du])[0] > _two_thirds_b(gamma)) else 0.0
 
 
 def _feasible_arcs(tau: float) -> list[tuple[float, float]]:
@@ -298,8 +289,13 @@ def generate_end_tangent(
     closed-form value.  No arc holds psi*, so the objective peaks at an arc
     end: the candidates are a small margin inside each arc's ends, and the
     midpoints if the objective is constant.  ``_admissible`` checks every
-    candidate, so it alone decides the tangent.  It runs on Python floats.
-    """
+    candidate, so it alone decides the tangent.  ``_end_tangent``, which
+    ``build`` calls, returns it as a list; it runs on Python floats."""
+    return np.array(_end_tangent(u_i, delta_p, u_ref))
+
+
+def _end_tangent(u_i, delta_p, u_ref) -> list[float]:
+    """``generate_end_tangent`` as a list of floats."""
     ii, dd, rr = dots([u_i, delta_p, u_ref])
     u_i, du, u_ref = unit_list(u_i, ii), unit_list(delta_p, dd), unit_list(u_ref, rr)
     cos_tau = max(-1.0, min(1.0, dots([u_i], [du])[0]))
@@ -322,19 +318,16 @@ def generate_end_tangent(
         c, s = math.cos(psi), math.sin(psi)
         return [cos_tau * x + sin_tau * (c * y + s * z) for x, y, z in zip(du, e1, e2)]
 
-    def feasible(psi: float) -> bool:
+    def feasible(psi: float) -> float:
         return _admissible(u_i, point(psi), du)
-
-    def unit_point(psi: float) -> np.ndarray:
-        u = point(psi)
-        return np.array(unit_list(u, dots([u])[0]))
 
     g1, g2, radial_sq = dots([u_ref, u_ref, radial], [e1, e2, radial])
     degenerate_objective = math.hypot(g1, g2) <= 1e-13
     if not degenerate_objective:
-        psi_star = math.atan2(g2, g1)
-        if feasible(psi_star):
-            return unit_point(psi_star)
+        u = point(math.atan2(g2, g1))
+        uu = _admissible(u_i, u, du)
+        if uu:
+            return unit_list(u, uu)
 
     def pin(psi: float, lo_state: bool) -> float:
         # Bisection down to adjacent floats within 1e-13 of a closed-form
@@ -372,7 +365,8 @@ def generate_end_tangent(
         )
     # The first of equal alignments wins, as with ``max``.
     alignment = dots([point(c) for c in candidates], [u_ref] * len(candidates))
-    return unit_point(candidates[max(range(len(candidates)), key=alignment.__getitem__)])
+    u = point(candidates[max(range(len(candidates)), key=alignment.__getitem__)])
+    return unit_list(u, dots([u])[0])
 
 
 @dataclass(frozen=True)
@@ -464,9 +458,9 @@ class SplinePath:
         _require_within(arrays["frame_bezier"], MAX_SQUARABLE,
                         "segment {}: frame quaternion too large to square")
         # The end frame at t = 1, where de Casteljau gives the last coefficient.
-        end = frame_rows(arrays["frame_bezier"][-1, -1], arrays["frame_axes"][-1])
+        end = frame_rows_list(arrays["frame_bezier"][-1, -1].tolist(), arrays["frame_axes"][-1])
         arrays["frames"] = np.concatenate([arrays["frame_axes"] * [[1.0], [-1.0], [-1.0]],
-                                           [_orthonormalized(end.tolist())]])
+                                           [_orthonormalized((end[:3], end[3:6]))]])
         for name, packed in arrays.items():
             packed.flags.writeable = False
             object.__setattr__(self, name, packed)
@@ -617,12 +611,12 @@ def build(
     in two passes, with ``hermite.solve``'s arithmetic:
 
     1. Segment after segment, since each start frame is the previous end
-       frame: the end tangent (``generate_end_tangent``), the local solve up
-       to the generator (``hermite._solve_generator``), the frame
-       polynomials in the start frame's gauge (``rrmf._rmf_polynomials``)
-       and the frame at t = 1 (``rrmf._end_quaternion``), orthonormalized.
-       This chain runs on Python floats (the one-segment forms of
-       ``quat``), bit for bit as on ``Quaternion`` objects and arrays.
+       frame: the end tangent (``_end_tangent``), the local solve up to the
+       generator (``hermite._solve_generator``), the frame polynomials in
+       the start frame's gauge (``rrmf._rmf_polynomials``) and, but for the
+       last segment, the orthonormalized frame at t = 1 (``_end_quaternion``).
+       This chain runs on Python floats (the one-segment forms of ``quat``),
+       bit for bit as on ``Quaternion`` objects and arrays.
     2. Over all segments at once: the class-I check of every generator
        (``rrmf.class_one_residuals``), the ``SplinePath`` of the rows, and
        the endpoint residuals.
@@ -646,7 +640,7 @@ def build(
         frame = frames[k]
         dp = [y - x for x, y in zip(pts[k], pts[k + 1])]
         try:
-            u_end = generate_end_tangent(frame[0], dp, refs[k + 1]).tolist()
+            u_end = _end_tangent(frame[0], dp, refs[k + 1])
             seg_axes, gen_rows, mu, phi2, theta1, diagnostics = hermite._solve_generator(
                 frame[0], frame[1], frame[2], u_end, dp)
             rows.append(gen_rows)
@@ -662,8 +656,10 @@ def build(
         a_rows.append(a)
         b_rows.append(b)
         solved.append((mu, phi2, theta1, diagnostics))
-        end = frame_rows_list(rrmf._end_quaternion(power, a, b, seg_axes[0]), np.array(seg_axes))
-        frames.append(_orthonormalized((end[:3], end[3:6])))
+        if k + 1 < stream.n_segments:  # the path forms the last end frame
+            end = frame_rows_list(rrmf._end_quaternion(power, a, b, seg_axes[0]),
+                                  np.array(seg_axes))
+            frames.append(_orthonormalized((end[:3], end[3:6])))
 
     # Pass 1 may have stopped before its first generator.
     rows = np.array(rows).reshape(-1, 3, 4)

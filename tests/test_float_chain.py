@@ -3,11 +3,13 @@
 bit: the local solve, the frame polynomials and their gauge, the end-tangent
 predicate, the end frame and the reference tangents."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import conftest as data
 import quaternion_reference as ref
 from rmfspline import hermite, quat, rrmf, spline
 from rmfspline.errors import GeometryError, NoSolutionError, VanishingDisplacementError
@@ -264,7 +266,8 @@ def test_admissible_matches_reference_on_tau_psi_grid():
         for psi in psis:
             u = point(psi)
             want = ref.admissible(np.array(u_i), np.array(u), np.array(du))
-            assert spline._admissible(u_i, u, du) == want
+            # A member reads u . u, which generate_end_tangent reuses; others 0.0.
+            assert spline._admissible(u_i, u, du) == (quat.dots([u])[0] if want else 0.0)
             flags.add(want)
             checked += 1
         states += len(flags)
@@ -304,3 +307,26 @@ def test_vector_helpers_match_reference():
         assert _bits(quat.angle_between(ua, ub)) == _bits(ref.angle_between(ua, ub))
         assert _bits(quat.angle_between(ua, -ua)) == _bits(ref.angle_between(ua, -ua))
         assert quat.cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+def test_round_trip_budget_of_build(monkeypatch):
+    """Each step of ``build``'s chain takes its dot products in one ``dots``
+    call: at most 26 per segment on the seed-1 ``analytic-dense`` streams
+    (31 before the steps were merged), and the speed quartics go to the
+    eigenvalue gufunc, never through ``np.linalg.eigvals``.  Counted, not
+    timed, so that the gain holds on any machine."""
+    streams = list(itertools.islice(data.workloads.analytic_streams(1),
+                                    data.workloads.AnalyticDense.inputs))
+    calls = []
+    quat_dots = quat.dots
+    for module in (quat, spline, hermite, rrmf):
+        monkeypatch.setattr(module, "dots",
+                            lambda *args: calls.append(None) or quat_dots(*args))
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    segments = sum(spline.build(stream).n_segments for stream in streams)
+    assert segments == 900
+    assert len(calls) <= 26 * segments

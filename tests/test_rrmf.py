@@ -1,6 +1,8 @@
 """Admissible-generator analysis and the rational rotation-minimizing frame."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rmfspline import oracle, ph, rrmf
 from rmfspline.errors import (
     DegenerateInputError,
     FrameConstructionError,
+    SplineBuildError,
     ValidationError,
 )
 from rmfspline.ph import (
@@ -41,6 +44,7 @@ from rmfspline.spherical import (
     tangent_indicatrix,
     theta1_for_s1,
 )
+from rmfspline.spline import build
 
 I = np.array([1.0, 0.0, 0.0])
 
@@ -683,3 +687,81 @@ class TestDegenerateGenerators:
         p_axis, q_axis = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
         with pytest.raises(DegenerateInputError, match="orthogonal to the ellipse plane"):
             skew_phase(p_axis, q_axis, np.array([0.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e200])
+    def test_generator_too_large_to_square_rejected(self, worked_preimage, scale):
+        # From 1e155 the frame read a = [inf, 0, 0]; at 1e150 the class-I
+        # check overflowed (a RuntimeWarning) before it raised.
+        p = PreImage(*(Quaternion.from_wxyz(r * scale) for r in worked_preimage.coeffs_wxyz),
+                     worked_preimage.axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (compute_rational_frame, solve_frame_polynomials):
+                with pytest.raises(FrameConstructionError, match="too large to square"):
+                    solve(p)
+
+    def test_nan_residuals_fail_the_frame_bounds(self, worked_preimage, monkeypatch):
+        with pytest.raises(FrameConstructionError, match="relative residual nan"):
+            rrmf._require_class_one(math.nan)
+        power, axis = worked_preimage.power_coeffs().tolist(), worked_preimage.axis.tolist()
+        a, b, _ = rrmf._factor_speed(*rrmf._speed_and_rates(power, axis))
+        monkeypatch.setattr(rrmf, "_factor_speed", lambda q, rates: (a, b, math.nan))
+        with pytest.raises(FrameConstructionError, match="relative residual nan"):
+            rrmf._rmf_polynomials(power, axis, np.eye(3).tolist(), None)
+
+
+def _companion(q: list) -> np.ndarray:
+    """The companion matrix that ``np.roots(q[::-1])`` builds."""
+    m = np.diag(np.ones(3), -1)
+    m[0] = [-x / q[4] for x in q[3::-1]]
+    return m
+
+
+class TestQuarticRoots:
+    """``rrmf._quartic_roots`` is ``np.linalg.eigvals`` of the companion
+    matrix without its wrapper: the same bits and dtype, and
+    ``FrameConstructionError`` where the wrapper raises ``LinAlgError``."""
+
+    @pytest.fixture(scope="class")
+    def speed_quartics(self):
+        """Every speed quartic that ``build`` factors on the seed-1
+        ``analytic-dense`` streams and ``random-walk`` walks."""
+        seen = []
+        roots = rrmf._quartic_roots
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rrmf, "_quartic_roots", lambda q: seen.append(list(q)) or roots(q))
+            streams = [*itertools.islice(data.workloads.analytic_streams(1),
+                                         data.workloads.AnalyticDense.inputs),
+                       *data.walk_streams(1, data.workloads.RandomWalk.inputs)]
+            for stream in streams:
+                try:
+                    build(stream)
+                except SplineBuildError:
+                    pass
+        return seen
+
+    def test_bitwise_with_eigvals_on_benchmark_quartics(self, speed_quartics):
+        assert len(speed_quartics) > 1500
+        for q in speed_quartics:
+            got, want = rrmf._quartic_roots(q), np.linalg.eigvals(_companion(q))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_all_real_roots_give_floats(self):
+        q = [24.0, -50.0, 35.0, -10.0, 1.0]  # (t - 1) (t - 2) (t - 3) (t - 4)
+        got, want = rrmf._quartic_roots(q), np.linalg.eigvals(_companion(q))
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.allclose(np.sort(got), [1.0, 2.0, 3.0, 4.0])
+
+    def test_non_finite_speed_raises_frame_error(self):
+        with pytest.raises(FrameConstructionError, match="no finite companion roots"):
+            rrmf._factor_speed([math.nan, 1.0, 2.0, 3.0, 4.0], [0.0] * 4)
+        with pytest.raises(FrameConstructionError, match="no finite companion roots"):
+            rrmf._quartic_roots([1.0, math.inf, 2.0, 3.0, 4.0])
+
+    def test_unconverged_roots_raise_frame_error(self, monkeypatch):
+        # LAPACK reports a failure to converge as NaN eigenvalues.
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvals",
+                            lambda m, signature: np.full(4, complex(math.nan, math.nan)))
+        with pytest.raises(FrameConstructionError, match="no finite companion roots"):
+            rrmf._quartic_roots([1.0, 0.5, 2.0, 3.0, 4.0])

@@ -272,7 +272,7 @@ def _reference_end_tangent(u_i, delta_p, u_ref, grid=720):
         return cos_tau * du + sin_tau * (math.cos(psi) * e1 + math.sin(psi) * e2)
 
     def feasible(psi):
-        return spline._admissible(u_i, point(psi), du)
+        return spline._admissible(u_i, point(psi), du) > 0.0
 
     g1 = float(u_ref @ e1)
     g2 = float(u_ref @ e2)
@@ -385,7 +385,7 @@ class TestEndTangentScan:
                 near_ends += 4
             for psi in psis:
                 point = cos_tau * du + math.sin(tau) * (math.cos(psi) * e1 + math.sin(psi) * e2)
-                assert _admissible(u, point, du) == _gamma_admissible(tau, psi)
+                assert (_admissible(u, point, du) > 0.0) == _gamma_admissible(tau, psi)
         assert near_ends >= 8 * len(taus)
 
     def test_agrees_with_scalar_scan_reference(self, monkeypatch):
@@ -856,12 +856,13 @@ class TestNonFiniteInput:
             dataclasses.replace(generic1_path, knots=generic1_path.knots[:-1])
 
     def test_reference_tangents_normalized_row_by_row(self, monkeypatch):
-        # build hands generate_end_tangent rows of refs / np.linalg.norm(refs, axis=1).
+        # build hands _end_tangent, generate_end_tangent's list form, rows of
+        # refs / np.linalg.norm(refs, axis=1).
         params, pts, tans = sample_curve("helix", 8)
         refs = tans * np.linspace(0.5, 3.0, len(tans))[:, None]
         seen = []
-        original = spline.generate_end_tangent
-        monkeypatch.setattr(spline, "generate_end_tangent",
+        original = spline._end_tangent
+        monkeypatch.setattr(spline, "_end_tangent",
                             lambda u_i, dp, u_ref: seen.append(u_ref) or original(u_i, dp, u_ref))
         build(PointStream(points=pts, initial_frame=default_initial_frame(tans[0])),
               reference_tangents=refs, knots=params)
