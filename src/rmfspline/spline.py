@@ -290,12 +290,14 @@ def generate_end_tangent(
     end: the candidates are a small margin inside each arc's ends, and the
     midpoints if the objective is constant.  ``_admissible`` checks every
     candidate, so it alone decides the tangent.  ``_end_tangent``, which
-    ``build`` calls, returns it as a list; it runs on Python floats."""
-    return np.array(_end_tangent(u_i, delta_p, u_ref))
+    ``build`` calls, returns it as a list, with the unit chord that
+    ``build`` hands on to the local solve; it runs on Python floats."""
+    return np.array(_end_tangent(u_i, delta_p, u_ref)[0])
 
 
-def _end_tangent(u_i, delta_p, u_ref) -> list[float]:
-    """``generate_end_tangent`` as a list of floats."""
+def _end_tangent(u_i, delta_p, u_ref) -> tuple[list[float], list[float], float]:
+    """``generate_end_tangent`` as a list of floats, then the unit chord
+    delta_p / |delta_p| and delta_p . delta_p that it forms on the way."""
     ii, dd, rr = dots([u_i, delta_p, u_ref])
     u_i, du, u_ref = unit_list(u_i, ii), unit_list(delta_p, dd), unit_list(u_ref, rr)
     cos_tau = max(-1.0, min(1.0, dots([u_i], [du])[0]))
@@ -327,7 +329,7 @@ def _end_tangent(u_i, delta_p, u_ref) -> list[float]:
         u = point(math.atan2(g2, g1))
         uu = _admissible(u_i, u, du)
         if uu:
-            return unit_list(u, uu)
+            return unit_list(u, uu), du, dd
 
     def pin(psi: float, lo_state: bool) -> float:
         # Bisection down to adjacent floats within 1e-13 of a closed-form
@@ -366,7 +368,7 @@ def _end_tangent(u_i, delta_p, u_ref) -> list[float]:
     # The first of equal alignments wins, as with ``max``.
     alignment = dots([point(c) for c in candidates], [u_ref] * len(candidates))
     u = point(candidates[max(range(len(candidates)), key=alignment.__getitem__)])
-    return unit_list(u, dots([u])[0])
+    return unit_list(u, dots([u])[0]), du, dd
 
 
 @dataclass(frozen=True)
@@ -640,9 +642,9 @@ def build(
         frame = frames[k]
         dp = [y - x for x, y in zip(pts[k], pts[k + 1])]
         try:
-            u_end = _end_tangent(frame[0], dp, refs[k + 1])
+            u_end, du, dd = _end_tangent(frame[0], dp, refs[k + 1])
             seg_axes, gen_rows, mu, phi2, theta1, diagnostics = hermite._solve_generator(
-                frame[0], frame[1], frame[2], u_end, dp)
+                frame[0], frame[1], frame[2], u_end, dp, (du, dd))
             rows.append(gen_rows)
             axes.append(seg_axes)
             # ``ph.power_rows`` of the generator.

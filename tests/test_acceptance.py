@@ -17,7 +17,7 @@ import conftest as data
 from rmfspline import oracle
 from rmfspline.errors import SplineBuildError
 from rmfspline.hermite import scaled_displacement_components, solve
-from rmfspline.io_cli import sample_curve
+from rmfspline.io_cli import CURVES, sample_curve
 from rmfspline.ph import (
     curve_from_preimage,
     hodograph_from_preimage,
@@ -289,3 +289,59 @@ def test_c10_reference_tangent_rules():
         pts = np.outer(np.arange(7.0) * 0.8, e)
         refs = minaj2_tangents(pts, chord_knots(pts))
         assert np.max(np.linalg.norm(refs - e, axis=1)) <= 1e-12
+
+
+# C11: the largest distance from the spline to the curve at 64, 128 and 256
+# spans, and its value at 256 spans when the order was pinned.
+ORDER_SPANS = (64, 128, 256)
+ORDER_AT_256 = {("exact", "helix"): 3.89e-8, ("exact", "torus"): 2.86e-6,
+                ("exact", "spiral"): 1.76e-6, ("chord", "helix"): 9.61e-6,
+                ("chord", "torus"): 5.95e-6, ("chord", "spiral"): 4.08e-6}
+FIRST_ORDER_START = "a frameless stream's start reference tangent is only first order"
+UNSCALED_UNIFORM = "uniform mode's reference tangents do not scale with the stream"
+
+
+def curve_deviation(path, params: np.ndarray, curve: str, per_span: int = 16) -> float:
+    """Largest distance from ``per_span`` spline samples per span to the
+    curve: each sample starts at the curve parameter at the same fraction
+    of its span and takes 8 Newton steps on (C(s) - P) . C'(s) = 0."""
+    fn, dfn, _ = CURVES[curve]
+    t = (np.arange(per_span) + 0.5) / per_span
+    knots = path.knots
+    points, _ = path.eval_many((knots[:-1, None] + t * np.diff(knots)[:, None]).ravel())
+    s = (params[:-1, None] + t * np.diff(params)[:, None]).ravel()
+    for _ in range(8):
+        off, d1 = fn(s) - points, dfn(s)
+        d2 = (dfn(s + 1e-6) - dfn(s - 1e-6)) / 2e-6
+        s = s - np.sum(off * d1, axis=1) / (np.sum(d1 * d1, axis=1) + np.sum(off * d2, axis=1))
+    return float(np.max(np.linalg.norm(fn(s) - points, axis=1)))
+
+
+def order_path(mode: str, curve: str, spans: int):
+    """The spline of ``curve`` at ``spans`` spans and the curve parameters
+    of its points.  "exact" builds on the exact tangents and parameters,
+    "chord" and "uniform" on those knots and their reference tangents, all
+    three from the exact start frame; "frameless" is chord mode without a
+    start frame."""
+    params, points, tangents = sample_curve(curve, spans)
+    stream = PointStream(points=points, initial_frame=default_initial_frame(tangents[0]))
+    if mode == "exact":
+        return build(stream, reference_tangents=tangents, knots=params), params
+    if mode == "frameless":
+        return build(PointStream(points=points), mode="chord"), params
+    return build(stream, mode=mode), params
+
+
+@pytest.mark.parametrize("mode, curve", [*ORDER_AT_256] + [
+    pytest.param(mode, curve,
+                 marks=pytest.mark.xfail(raises=AssertionError, strict=True, reason=reason))
+    for mode, reason in (("frameless", FIRST_ORDER_START), ("uniform", UNSCALED_UNIFORM))
+    for curve in ("helix", "torus", "spiral")])
+def test_c11_approximation_order(mode, curve):
+    with criterion(f"C11 third-order convergence to the curve, {mode} {curve}"):
+        deviations = [curve_deviation(*order_path(mode, curve, spans), curve)
+                      for spans in ORDER_SPANS]
+        ratios = [coarse / fine for coarse, fine in zip(deviations, deviations[1:])]
+        assert min(ratios) >= (15.0 if (mode, curve) == ("exact", "helix") else 7.5), ratios
+        if (mode, curve) in ORDER_AT_256:
+            assert deviations[-1] == pytest.approx(ORDER_AT_256[mode, curve], rel=0.1)

@@ -9,7 +9,7 @@ import pytest
 
 import conftest as data
 import quaternion_reference as ref
-from rmfspline import hermite, oracle
+from rmfspline import hermite, oracle, spline
 from rmfspline.errors import GeometryError, NoSolutionError, ValidationError
 from rmfspline.hermite import (
     CRITICAL_GAMMA,
@@ -625,3 +625,118 @@ class TestBisectionFunction:
             sol = solve(HermiteData(*case))
             assert sol.diagnostics["branch"] == "small-angle"
             assert sol.diagnostics["s_residual"] <= 1e-10
+
+
+def solve_function(gamma: float, frac: float):
+    """The function ``solve`` bisects at turning angle gamma for a chord
+    ``frac`` of the way along the attainable arc from the bisector, its
+    bracket end hi and its value at 0.  A chord on the other side of the
+    bisector gives the same function (the mirrored half)."""
+    cg2, sg2 = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+    hi = math.pi if gamma > CRITICAL_GAMMA + hermite.GAMMA_WINDOW else TWO_THIRDS
+    ib, in_ = hermite._half_angle_components(cg2, sg2, hi)
+    target = frac * math.atan2(in_, ib)
+
+    def f(phi: float) -> float:
+        ib, in_ = hermite._half_angle_components(cg2, sg2, phi)
+        return math.atan2(in_, ib) - target
+
+    return f, hi, -target
+
+
+def displacement_angles(gamma: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """atan2(i_n, i_b) of ``_half_angle_components`` on a (gamma, phi) grid,
+    in array arithmetic."""
+    cg2, sg2 = np.cos(0.5 * gamma)[:, None], np.sin(0.5 * gamma)[:, None]
+    cp, sp = np.cos(phi), np.sin(phi)
+    q2n = sp * sg2
+    q2norm = np.sqrt(np.maximum(1.0 - (sp * cg2) ** 2, 0.0))
+    half_sum_sq = 1.0 + cp * cg2
+    smb = (cg2 + cp) / half_sum_sq + cp / q2norm
+    smn = q2n / half_sum_sq + q2n / q2norm
+    smnorm = np.hypot(smb, smn)
+    q3mag = np.sqrt(q2norm) * np.sqrt(2.0 * half_sum_sq)
+    return np.arctan2(q2n + q3mag * smn / smnorm, 2.0 * cg2 + cp + q3mag * smb / smnorm)
+
+
+class TestGuardedBracket:
+    """``_bisect`` given f at hi: an Illinois pass certifies the sign of f
+    outside a guard band about the root, and the halvings skip those
+    midpoints without changing one bit."""
+
+    def test_skips_keep_every_halving_bitwise(self):
+        gammas = np.geomspace(1e-8, math.pi - 1e-6, 130).tolist()
+        gammas += [CRITICAL_GAMMA + sign * offset for sign in (-1.0, 1.0)
+                   for offset in np.geomspace(1e-9, 1e-3, 10).tolist()]
+        fracs = np.geomspace(1e-6, 0.5, 36).tolist() + (1.0 - np.geomspace(0.5, 1e-3, 36)).tolist()
+        cases = plain_evals = guarded_evals = 0
+        for gamma in gammas:
+            if math.cos(0.5 * gamma) == 1.0:
+                continue  # solve raises there before any bisection
+            guard = hermite._NOISE_GUARD * max(1.0, 1.0 / gamma)  # as _solve_generator
+            for frac in fracs:
+                f, hi, f0 = solve_function(gamma, frac)
+                calls = []
+
+                def counted(phi, f=f):
+                    calls.append(phi)
+                    return f(phi)
+
+                plain = hermite._bisect(counted, 0.0, hi, f0, hermite.SOLVE_TOL)
+                plain_evals += len(calls)
+                calls.clear()
+                guarded = hermite._bisect(counted, 0.0, hi, f0, hermite.SOLVE_TOL, f(hi), guard)
+                guarded_evals += len(calls)
+                assert np.float64(guarded[0]).tobytes() == np.float64(plain[0]).tobytes(), \
+                    (gamma, frac)
+                assert guarded[1] == plain[1], (gamma, frac)
+                cases += 1
+        assert cases >= 10_000
+        assert guarded_evals <= 0.7 * plain_evals
+
+    def test_no_skip_without_a_rising_bracket(self):
+        # Without f_hi, or with f_hi <= 0 or nan, every midpoint is evaluated.
+        f, hi, f0 = solve_function(0.3, 0.5)
+        plain = []
+        want = hermite._bisect(lambda phi: plain.append(phi) or f(phi), 0.0, hi, f0,
+                               hermite.SOLVE_TOL)
+        for f_hi in (-1.0, 0.0, math.nan):
+            calls = []
+            got = hermite._bisect(lambda phi: calls.append(phi) or f(phi), 0.0, hi, f0,
+                                  hermite.SOLVE_TOL, f_hi, 1e-13)
+            assert got == want
+            assert calls == plain
+
+    def test_solve_function_rises_on_its_bracket(self):
+        # The certified skips rest on f rising through one root: on
+        # (0, 2 pi/3) at and below the critical angle, on (0, pi) above it.
+        window = np.geomspace(1e-9, 1e-3, 100)
+        gammas = np.concatenate([np.geomspace(3e-8, math.pi - 1e-6, 801),
+                                 CRITICAL_GAMMA - window, CRITICAL_GAMMA + window])
+        above = gammas > CRITICAL_GAMMA + hermite.GAMMA_WINDOW
+        fracs = np.linspace(0.0, 1.0, 8001)[1:-1]
+        for rows, hi in ((gammas[~above], TWO_THIRDS), (gammas[above], math.pi)):
+            for chunk in np.array_split(rows, 10):
+                angles = displacement_angles(chunk, fracs * hi)
+                assert (np.diff(angles, axis=1) > 0.0).all()
+        # The array form is the closed form the solve evaluates.
+        for gamma, phi in [(1e-6, 0.3), (0.3, 1.9), (CRITICAL_GAMMA, 2.0), (2.5, 3.0)]:
+            ib, in_ = hermite._half_angle_components(math.cos(0.5 * gamma),
+                                                     math.sin(0.5 * gamma), phi)
+            assert displacement_angles(np.array([gamma]), np.array([phi]))[0, 0] \
+                == pytest.approx(math.atan2(in_, ib), abs=1e-12)
+
+    def test_evaluation_budget_of_build(self, monkeypatch):
+        """At most 24 closed-form evaluations per segment on the seed-1
+        ``analytic-dense`` streams, 45 before the halvings skipped certified
+        midpoints.  Counted, not timed, so that the gain holds on any
+        machine."""
+        streams = list(itertools.islice(data.workloads.analytic_streams(1),
+                                        data.workloads.AnalyticDense.inputs))
+        calls = []
+        components = hermite._half_angle_components
+        monkeypatch.setattr(hermite, "_half_angle_components",
+                            lambda *args: calls.append(None) or components(*args))
+        segments = sum(spline.build(stream).n_segments for stream in streams)
+        assert segments == 900
+        assert len(calls) <= 24 * segments
