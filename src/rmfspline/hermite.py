@@ -127,13 +127,15 @@ def scaled_displacement_components(gamma, phi2):
     gamma and free angle phi2.
 
     Scalars give floats.  Arrays broadcast against each other, and each
-    entry is the scalar call, bit for bit, nan included.  An infinite
-    gamma or phi2 gives nan.
+    entry is the scalar call, bit for bit, nan included.  A gamma or phi2
+    that is not finite gives nan.
     """
     # type() first: np.ndim takes some 2 us, and np.vectorize passes floats.
     if type(gamma) is float and type(phi2) is float or np.ndim(gamma) == np.ndim(phi2) == 0:
-        if math.isinf(gamma) or math.isinf(phi2):
-            return math.nan, math.nan  # where math.cos and math.sin raise
+        # inf, where math.cos and math.sin raise, and nan, before a comparison
+        # raises the invalid flag that np.vectorize reports (see below).
+        if not (math.isfinite(gamma) and math.isfinite(phi2)):
+            return math.nan, math.nan
         return _half_angle_components(math.cos(0.5 * gamma), math.sin(0.5 * gamma), phi2)
     return _components_many(gamma, phi2)
 
@@ -414,8 +416,10 @@ def solve(d: HermiteData) -> HermiteSolution:
     and the frame follow from its generator by ``curve_from_preimage`` and
     ``compute_rational_frame``.
     """
+    dp = d.delta_p.tolist()
+    dpdp, = dots([dp])
     axes, rows, mu, phi2, theta1, diagnostics = _solve_generator(
-        d.u.tolist(), d.v.tolist(), d.w.tolist(), d.u_end.tolist(), d.delta_p.tolist())
+        d.u.tolist(), d.v.tolist(), d.w.tolist(), d.u_end.tolist(), (unit_list(dp, dpdp), dpdp))
     pre = PreImage(*(Quaternion.from_wxyz(row) for row in rows), d.u)
     segment = curve_from_preimage(d.p_start, pre)
     frame = compute_rational_frame(pre, initial_frame=np.array([d.u, d.v, d.w]),
@@ -428,18 +432,15 @@ def solve(d: HermiteData) -> HermiteSolution:
     )
 
 
-def _solve_generator(u: list, v: list, w: list, u_end: list, dp: list,
-                     chord: tuple[list, float] | None = None
+def _solve_generator(u: list, v: list, w: list, u_end: list, chord: tuple[list, float]
                      ) -> tuple[list, list, float, float, float, dict]:
     """``solve`` up to the generator, on data that meet ``HermiteData``'s
     checks, as lists of floats: start frame rows u, v, w, end tangent u_end
-    and displacement dp, and (dp / |dp|, dp . dp) as ``chord`` where the
-    caller has formed them (``spline._end_tangent`` does).  Returns the
-    algebra axes (u, -v, -w), the generator's Bezier coefficients as
-    [w, x, y, z] rows, mu, phi2, theta1 and the diagnostics."""
-    if chord is None:
-        dpdp, = dots([dp])
-        chord = unit_list(dp, dpdp), dpdp
+    and, as ``chord``, (dp / |dp|, dp . dp) of the displacement dp, which
+    ``solve`` and ``spline._end_tangent`` form by ``dots`` and
+    ``unit_list``.  Returns the algebra axes (u, -v, -w), the generator's
+    Bezier coefficients as [w, x, y, z] rows, mu, phi2, theta1 and the
+    diagnostics."""
     du, dpdp = chord
     geometry = _analysis(u, u_end)
     gamma, _, b, n, q1 = geometry

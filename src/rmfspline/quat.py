@@ -86,16 +86,16 @@ def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def perpendicular_unit(v: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to v.
+    """Deterministic unit vector orthogonal to v: row 1 of ``perpendicular_rows``."""
+    return np.array(perpendicular_rows(v)[1])
 
-    Gram-Schmidt against the standard basis vector least aligned with v, so
-    repeated calls always reproduce the same completion.
-    """
-    v = unit(v)
-    k = int(np.argmin(np.abs(v)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    return unit(e - (e @ v) * v)
+
+def perpendicular_rows(v) -> list:
+    """``orthonormal_rows`` of v and the basis vector at the smallest entry of v / |v|."""
+    v = np.asarray(v, dtype=float).tolist()
+    e = [0.0, 0.0, 0.0]
+    e[int(np.argmin(np.abs(unit_list(v, dots([v])[0]))))] = 1.0
+    return orthonormal_rows(v, e)
 
 
 def orthonormal_completion(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,6 +396,21 @@ def neg_cross_list(c, cc: float) -> list[float]:
     if n <= 1e-14:
         raise DegenerateInputError("normalized cross product undefined for parallel vectors")
     return [-x / n for x in c]
+
+
+def orthonormal_rows(f0, f1) -> list:
+    """One Gram-Schmidt step: u = f0 / |f0|, the unit part v of f1 orthogonal to u, u x v."""
+    u, r, rr = rejection(f0, f1)
+    v = unit_list(r, rr)
+    return [u, v, cross_list(u, v)]
+
+
+def rejection(f0, f1) -> tuple[list, list, float]:
+    """u = f0 / |f0|, r = f1 - (f1 . u) u and r . r, of 3-vectors of floats."""
+    u = unit_list(f0, dots([f0])[0])
+    d, = dots([f1], [u])
+    r = [x - d * y for x, y in zip(f1, u)]
+    return u, r, dots([r])[0]
 
 
 def unit_list(v, vv: float) -> list[float]:

@@ -27,7 +27,7 @@ from . import _bernstein as bern
 from .errors import DegenerateCurveError, DegenerateInputError, ValidationError
 from .hermite import _bisect
 from .ph import PHQuintic, PreImage, hodograph_from_preimage, parametric_speed
-from .quat import (Quaternion, angle_between, bisector, cross3, neg_cross, perpendicular_unit,
+from .quat import (Quaternion, angle_between, bisector, cross3, neg_cross, perpendicular_rows,
                    require_finite, star, unit)
 
 
@@ -48,8 +48,7 @@ def quat_sqrt(v: np.ndarray, i: np.ndarray, alpha: float = 0.0) -> Quaternion:
     root = math.sqrt(nv)
     if float(unit(v) @ i) > -1.0 + 1e-12:
         return Quaternion.pure(root * bisector(i, v)) * Quaternion.versor(i, alpha)
-    d1 = perpendicular_unit(v)
-    d2 = cross3(unit(v), d1)
+    _, d1, d2 = map(np.array, perpendicular_rows(v))
     return Quaternion.pure(root * (d1 * math.cos(alpha) + d2 * math.sin(alpha)))
 
 

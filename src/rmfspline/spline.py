@@ -24,6 +24,7 @@ import bisect
 import functools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,8 +43,8 @@ from .errors import (
 from .hermite import CRITICAL_GAMMA, HermiteSolution, _two_thirds_b
 from .ph import PHQuintic, PreImage
 from .quat import (Quaternion, angle_between, angle_from_squares, angles_between, bisector_list,
-                   cross3, cross_list, dots, frame_rows, frame_rows_list, norm3, require_finite,
-                   require_frame, require_unit, unit, unit_list)
+                   cross_list, dots, frame_rows, frame_rows_list, norm3, orthonormal_rows,
+                   rejection, require_finite, require_frame, require_unit, unit, unit_list)
 from .rrmf import MAX_SQUARABLE, RationalFrame
 
 MAX_TURN = 0.8 * math.pi
@@ -101,18 +102,6 @@ def _unit_reference_tangents(refs: np.ndarray, n_points: int) -> np.ndarray:
     return scaled / norms[:, None]
 
 
-def _orthonormalized(frame) -> list:
-    """Rows u = f0 / |f0|, v, the unit part of f1 orthogonal to u, and
-    u x v, from the first two rows f0 and f1 of frame (sequences of
-    floats), as lists of floats."""
-    f0, f1 = frame[0], frame[1]
-    u = unit_list(f0, dots([f0])[0])
-    d, = dots([f1], [u])
-    v = [x - d * y for x, y in zip(f1, u)]
-    v = unit_list(v, dots([v])[0])
-    return [u, v, cross_list(u, v)]
-
-
 @dataclass(frozen=True)
 class PointStream:
     """Ordered interpolation points plus, if given, the frame at the first."""
@@ -136,7 +125,7 @@ class PointStream:
                 raise ValidationError("initial frame must be three row vectors")
             require_finite(frame, "initial frame row {} is not finite")
             require_frame(frame, "initial frame", 1e-8)
-            object.__setattr__(self, "initial_frame", np.array(_orthonormalized(frame.tolist())))
+            object.__setattr__(self, "initial_frame", np.array(orthonormal_rows(*frame[:2])))
 
     @property
     def n_segments(self) -> int:
@@ -144,8 +133,10 @@ class PointStream:
 
 
 def chord_knots(points: np.ndarray) -> np.ndarray:
-    """Global chord-length parameterization starting at zero."""
+    """Global chord-length parameterization of points (N, 3) starting at zero."""
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValidationError(f"chord knots need points of shape (N, 3), got {points.shape}")
     steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     if np.any(steps <= 1e-14):
         raise ValidationError("consecutive points must be distinct")
@@ -181,7 +172,7 @@ def minaj2_tangents(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     n = points.shape[0] - 1
     if n < 2:
         raise ValidationError("reference-tangent rules need at least three points")
-    h = np.diff(np.asarray(knots, dtype=float)).tolist()
+    h = _knot_steps(knots, n + 1).tolist()
     p = points.tolist()
     h0, h1 = h[0], h[1]
     refs = [_ref_unit([((y - x) * (h1 + h0) ** 2 + (y - z) * h0 ** 2) / (h0 * h1 * (h1 + h0))
@@ -194,6 +185,18 @@ def minaj2_tangents(points: np.ndarray, knots: np.ndarray) -> np.ndarray:
     return np.array(refs)
 
 
+def _knot_steps(knots, n_points: int) -> np.ndarray:
+    """The steps between consecutive knots (n_points - 1,); raises
+    ``ValidationError`` unless the knots are finite and strictly increasing,
+    one per point."""
+    knots = np.asarray(knots, dtype=float)
+    if knots.shape == (n_points,) and np.isfinite(knots).all():
+        h = np.diff(knots)
+        if (h > 0.0).all():
+            return h
+    raise ValidationError("knots must be finite and strictly increasing, one per point")
+
+
 def _ref_unit(raw: list, index: int) -> list[float]:
     norm = math.sqrt(dots([raw])[0])
     if norm <= 1e-12:
@@ -204,14 +207,11 @@ def _ref_unit(raw: list, index: int) -> list[float]:
 def default_initial_frame(u0: np.ndarray) -> np.ndarray:
     """Deterministic frame completion: the normal leans toward global +z,
     falling back to +y when the tangent is (anti)parallel to z."""
-    u = unit(u0)
-    z = np.array([0.0, 0.0, 1.0])
-    v = z - float(z @ u) * u
-    if np.linalg.norm(v) <= 1e-8:
-        y = np.array([0.0, 1.0, 0.0])
-        v = y - float(y @ u) * u
-    v = unit(v)
-    return np.array([u, v, cross3(u, v)])
+    u0 = np.asarray(u0, dtype=float).tolist()
+    lean = [0.0, 0.0, 1.0]
+    if math.sqrt(rejection(u0, lean)[2]) <= 1e-8:
+        lean = [0.0, 1.0, 0.0]
+    return np.array(orthonormal_rows(u0, lean))
 
 
 def _admissible(u_i, u, du) -> float:
@@ -462,7 +462,7 @@ class SplinePath:
         # The end frame at t = 1, where de Casteljau gives the last coefficient.
         end = frame_rows_list(arrays["frame_bezier"][-1, -1].tolist(), arrays["frame_axes"][-1])
         arrays["frames"] = np.concatenate([arrays["frame_axes"] * [[1.0], [-1.0], [-1.0]],
-                                           [_orthonormalized((end[:3], end[3:6]))]])
+                                           [orthonormal_rows(end[:3], end[3:6])]])
         for name, packed in arrays.items():
             packed.flags.writeable = False
             object.__setattr__(self, name, packed)
@@ -490,11 +490,23 @@ class SplinePath:
         return len(self.r0)
 
     def locate(self, us) -> tuple[np.ndarray, np.ndarray]:
-        """Segment indices and local parameters of global parameters.
+        """Segment indices and local parameters (N,) of global parameters us:
+        a 1-D integer or float array, or a sequence of parameters that
+        ``eval`` takes; anything else raises ``ValidationError``.
 
         Values less than 1e-9 x span outside the knot range are clamped to
         the end knots; values further out, and NaN, are rejected.
         """
+        if isinstance(us, np.ndarray):
+            if us.ndim != 1 or us.dtype.kind not in "iuf":
+                raise ValidationError("parameters must be a 1-D sequence of real numbers, "
+                                      f"got an array of shape {us.shape} and dtype {us.dtype}")
+        elif not isinstance(us, Sequence) or isinstance(us, str):
+            raise ValidationError(f"parameters must be a 1-D sequence of real numbers, got {us!r}")
+        else:
+            for k, u in enumerate(us):
+                if not _is_parameter(u):
+                    raise ValidationError(f"parameter {k} is not a real number: {u!r}")
         us = np.asarray(us, dtype=float)
         knots = self.knots
         span = knots[-1] - knots[0]
@@ -528,8 +540,7 @@ class SplinePath:
         ``ValidationError``.
         """
         if type(u) is not float:
-            if not (isinstance(u, numbers.Real) and not isinstance(u, bool)
-                    or isinstance(u, np.ndarray) and u.shape == () and u.dtype.kind in "iuf"):
+            if not _is_parameter(u):
                 raise ValidationError(f"eval takes one real parameter, got {u!r}")
             u = float(u)
         knots, points, quats = self._lists
@@ -571,6 +582,13 @@ class SplinePath:
         return pts, frames
 
 
+def _is_parameter(u) -> bool:
+    """Whether u is one global parameter: a Python or numpy real scalar
+    other than a bool, or a 0-d integer or float array."""
+    return (isinstance(u, numbers.Real) and not isinstance(u, bool)
+            or isinstance(u, np.ndarray) and u.shape == () and u.dtype.kind in "iuf")
+
+
 def knots_and_tangents(points: np.ndarray, mode: str, reference_tangents: np.ndarray | None,
                        knots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The knots and unit reference tangents of ``build``'s arguments, given or
@@ -580,9 +598,7 @@ def knots_and_tangents(points: np.ndarray, mode: str, reference_tangents: np.nda
     n = points.shape[0] - 1
     if knots is not None:
         knots = np.asarray(knots, dtype=float)
-        if (knots.shape != (n + 1,) or not np.all(np.isfinite(knots))
-                or np.any(np.diff(knots) <= 0.0)):
-            raise ValidationError("knots must be finite and strictly increasing, one per point")
+        _knot_steps(knots, n + 1)
     elif mode == "chord":
         knots = chord_knots(points)
     elif mode == "uniform":
@@ -644,7 +660,7 @@ def build(
         try:
             u_end, du, dd = _end_tangent(frame[0], dp, refs[k + 1])
             seg_axes, gen_rows, mu, phi2, theta1, diagnostics = hermite._solve_generator(
-                frame[0], frame[1], frame[2], u_end, dp, (du, dd))
+                frame[0], frame[1], frame[2], u_end, (du, dd))
             rows.append(gen_rows)
             axes.append(seg_axes)
             # ``ph.power_rows`` of the generator.
@@ -661,7 +677,7 @@ def build(
         if k + 1 < stream.n_segments:  # the path forms the last end frame
             end = frame_rows_list(rrmf._end_quaternion(power, a, b, seg_axes[0]),
                                   np.array(seg_axes))
-            frames.append(_orthonormalized((end[:3], end[3:6])))
+            frames.append(orthonormal_rows(end[:3], end[3:6]))
 
     # Pass 1 may have stopped before its first generator.
     rows = np.array(rows).reshape(-1, 3, 4)

@@ -4,8 +4,13 @@
 The library computes these steps on Python floats (``hermite._analysis``,
 ``hermite._units``, ``hermite._solve_generator``, ``rrmf._speed_and_rates``,
 ``rrmf._factor_speed``, ``rrmf._rmf_polynomials``, ``spline._admissible``,
-``spline._orthonormalized`` and ``spline.minaj2_tangents``); the tests in
+``quat.orthonormal_rows`` and ``spline.minaj2_tangents``); the tests in
 ``test_float_chain.py`` hold each of them to its form here, bit for bit.
+The frame completions that ``quat.orthonormal_rows`` now carries
+(``spline.default_initial_frame``, ``quat.perpendicular_unit``,
+``quat.orthonormal_completion`` and the anti-parallel branch of
+``spherical.quat_sqrt``) are kept here in their array form, and
+``test_quat.py`` holds them to it.
 The vector helpers are kept here as well, in their array form, so that the
 reference does not lean on the library's float versions.
 """
@@ -301,6 +306,39 @@ def orthonormalized(frame: np.ndarray) -> np.ndarray:
     u = unit(frame[0])
     v = unit(frame[1] - float(frame[1] @ u) * u)
     return np.array([u, v, cross3(u, v)])
+
+
+def default_initial_frame(u0: np.ndarray) -> np.ndarray:
+    u = unit(u0)
+    z = np.array([0.0, 0.0, 1.0])
+    v = z - float(z @ u) * u
+    if np.linalg.norm(v) <= 1e-8:
+        y = np.array([0.0, 1.0, 0.0])
+        v = y - float(y @ u) * u
+    v = unit(v)
+    return np.array([u, v, cross3(u, v)])
+
+
+def perpendicular_unit(v: np.ndarray) -> np.ndarray:
+    v = unit(v)
+    k = int(np.argmin(np.abs(v)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    return unit(e - (e @ v) * v)
+
+
+def orthonormal_completion(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    i = unit(i)
+    j = perpendicular_unit(i)
+    return j, cross3(i, j)
+
+
+def quat_sqrt_antiparallel(v: np.ndarray, alpha: float) -> Quaternion:
+    """``spherical.quat_sqrt`` of v anti-parallel to its axis."""
+    root = math.sqrt(float(np.linalg.norm(v)))
+    d1 = perpendicular_unit(v)
+    d2 = cross3(unit(v), d1)
+    return Quaternion.pure(root * (d1 * math.cos(alpha) + d2 * math.sin(alpha)))
 
 
 def minaj2_tangents(points: np.ndarray, knots: np.ndarray) -> np.ndarray:

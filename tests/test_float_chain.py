@@ -69,9 +69,11 @@ BRANCH_CASES = branch_cases()
 
 
 def _solve_both(u, v, w, u_end, dp):
+    dpdp, = quat.dots([dp.tolist()])
+    chord = quat.unit_list(dp.tolist(), dpdp), dpdp  # as hermite.solve forms it
     outcomes = []
     for solve in (lambda: hermite._solve_generator(u.tolist(), v.tolist(), w.tolist(),
-                                                   u_end.tolist(), dp.tolist()),
+                                                   u_end.tolist(), chord),
                   lambda: ref.solve_generator(u, v, w, u_end, dp)):
         try:
             outcomes.append((solve(), None))
@@ -280,7 +282,7 @@ def test_orthonormalized_matches_reference():
     for _ in range(500):
         frame = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
         frame += rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-16, -8)
-        got = spline._orthonormalized(frame.tolist())
+        got = quat.orthonormal_rows(*frame.tolist()[:2])
         assert np.array(got).tobytes() == ref.orthonormalized(frame).tobytes()
 
 

@@ -275,6 +275,25 @@ class TestScalarBranch:
         for values in (ib, inn, ub):
             assert np.array_equal(np.isnan(values), [False, True, True, True, True])
 
+    def test_nan_arrays_are_nan_without_warning(self):
+        # A nan angle gives nan before any comparison, as inf does; each
+        # entry is still the scalar call, bit for bit.
+        gammas = np.tile([0.1, math.nan, 1.0, 0.1, math.nan], 12)
+        phis = np.tile([0.1, 0.1, math.nan, math.pi, math.nan], 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ib, inn = scaled_displacement_components(gammas, phis)
+            ub = unit_displacement_b(gammas, phis)
+            assert np.isnan(scaled_displacement_components(np.array([0.1, math.nan]), 0.1)[0][1])
+            assert np.isnan(unit_displacement_b(np.array([0.1, math.nan]), 0.1)[1])
+            for k, (gamma, phi) in enumerate(zip(gammas.tolist(), phis.tolist())):
+                scalar = [*scaled_displacement_components(gamma, phi),
+                          unit_displacement_b(gamma, phi)]
+                assert np.array(scalar).tobytes() == np.array([ib[k], inn[k], ub[k]]).tobytes()
+        nan = np.isnan(gammas) | np.isnan(phis)
+        for values in (ib, inn, ub):
+            assert np.array_equal(np.isnan(values), nan)
+
 
 class TestSufficientCondition:
     def test_bisector_chord_always_passes(self):

@@ -27,6 +27,9 @@ from rmfspline.quat import (
     frame_rows,
     frame_rows_list,
     norm3,
+    orthonormal_completion,
+    orthonormal_rows,
+    perpendicular_unit,
     product_vector,
     sandwich_list,
     unit,
@@ -253,6 +256,55 @@ class TestQuatSqrt:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInputError):
             quat_sqrt(np.zeros(3), I)
+
+
+def completion_vectors(seed: int, n: int) -> np.ndarray:
+    """Gaussian 3-vectors scaled by 10^-6 to 10^6, the six signed basis
+    vectors, and vectors whose two smallest entries are adjacent floats,
+    which dividing by |v| can round to a tie."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1))
+    v[:6] = np.concatenate([np.eye(3), -np.eye(3)])
+    ties = v[6:n // 5]
+    ties[:, 1] = np.nextafter(ties[:, 0], np.inf * ties[:, 0])
+    ties[:, 2] = np.abs(ties[:, 2]) + 2.0 * np.abs(ties[:, 1])
+    for row in ties:
+        rng.shuffle(row)
+    return v
+
+
+class TestCompletions:
+    """Every frame completion is one ``orthonormal_rows`` call, bit for bit
+    as its array form in ``quaternion_reference``; ``test_spline.py`` pins
+    ``default_initial_frame`` the same way."""
+
+    def test_orthonormal_rows(self):
+        rows = orthonormal_rows([0.0, 0.0, 2.0], [1.0, 5.0, 3.0])
+        assert rows == [[0.0, 0.0, 1.0], [1.0 / math.sqrt(26.0), 5.0 / math.sqrt(26.0), 0.0],
+                        cross_list(rows[0], rows[1])]
+        with pytest.raises(DegenerateInputError):
+            orthonormal_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
+
+    def test_perpendicular_unit_matches_reference(self):
+        for v in completion_vectors(71, 30_000):
+            assert perpendicular_unit(v).tobytes() == reference.perpendicular_unit(v).tobytes()
+
+    def test_orthonormal_completion_matches_reference(self):
+        for v in completion_vectors(72, 15_000):
+            got, want = orthonormal_completion(v), reference.orthonormal_completion(v)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_antiparallel_quat_sqrt_matches_reference(self):
+        rng = np.random.default_rng(73)
+        vs = completion_vectors(74, 20_000)
+        for v, scale, alpha in zip(vs, 10.0 ** rng.uniform(-3.0, 3.0, len(vs)),
+                                   rng.uniform(-4.0, 4.0, len(vs)).tolist()):
+            got = quat_sqrt(v, -scale * v, alpha).as_wxyz()
+            assert got.tobytes() == reference.quat_sqrt_antiparallel(v, alpha).as_wxyz().tobytes()
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            perpendicular_unit(np.zeros(3))
 
 
 class TestVectorized:

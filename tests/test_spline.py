@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest as data
-from rmfspline import hermite, rrmf, spline
+import quaternion_reference as reference
+from rmfspline import hermite, quat, rrmf, spline
 from rmfspline.checks import validate_spline
 from rmfspline.errors import (
     DegenerateInputError,
@@ -79,6 +80,13 @@ class TestKnots:
         with pytest.raises(ValidationError):
             chord_knots(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("points", [np.arange(3.0), np.zeros((3, 2)), np.zeros((2, 3, 3)),
+                                        [[0.0, 1.0, 2.0, 3.0]]],
+                             ids=["1-d", "2-columns", "3-d", "4-columns"])
+    def test_points_must_be_n_by_3(self, points):
+        with pytest.raises(ValidationError, match=r"shape \(N, 3\)"):
+            chord_knots(points)
+
 
 @pytest.mark.parametrize("mode", ["chord", "uniform"])
 def test_knots_and_tangents_need_two_points(mode):
@@ -115,6 +123,22 @@ class TestMinAJ2:
         with pytest.raises(ValidationError):
             minaj2_tangents(pts, chord_knots(pts))
 
+    @pytest.mark.parametrize("knots", [
+        [0.0, 1.0, 1.0, 2.0, 3.0], [0.0, math.nan, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0, 0.0],
+        [0.0, 1.0, 2.0, 3.0, math.inf], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+        [[0.0, 1.0, 2.0, 3.0, 4.0]],
+    ], ids=["repeated", "nan", "decreasing", "inf", "short", "long", "2-d"])
+    def test_knot_rule(self, knots):
+        # The rule of the knots that build takes, and its message.
+        pts = GENERIC1[:5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: minaj2_tangents(pts, knots),
+                         lambda: spline.knots_and_tangents(pts, "chord", None, knots)):
+                with pytest.raises(ValidationError, match="knots must be finite and strictly "
+                                                          "increasing, one per point"):
+                    call()
+
     def test_exact_on_cubic_data(self):
         # The interior rule reproduces tangent directions of a cubic path
         # sampled at its own parameter values.
@@ -148,6 +172,27 @@ class TestDefaultFrame:
     def test_fallback_for_vertical_tangent(self):
         f = default_initial_frame(np.array([0.0, 0.0, 1.0]))
         assert abs(f[1] @ np.array([0.0, 1.0, 0.0])) > 0.99
+
+    def test_matches_reference(self):
+        # Gaussian tangents scaled by 10^-6 to 10^6, +-z, and tangents whose
+        # +z residual is 1e-8 to a relative 1e-6 either way, so that both
+        # sides of the fallback are taken: bit for bit as the array form.
+        rng = np.random.default_rng(75)
+        n = 30_000
+        tangents = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1))
+        tangents[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1e-6], [0.0, 0.0, -1e6]]
+        eps = 1e-8 * (1.0 + rng.uniform(-1e-6, 1e-6, 10_000))
+        theta = rng.uniform(0.0, 2.0 * math.pi, eps.size)
+        band = np.stack([eps * np.cos(theta), eps * np.sin(theta),
+                         rng.choice([-1.0, 1.0], eps.size)], axis=1)
+        band *= 10.0 ** rng.uniform(-6.0, 6.0, (eps.size, 1))
+        fallbacks = 0
+        for u0 in np.concatenate([tangents, band]):
+            want = reference.default_initial_frame(u0)
+            assert default_initial_frame(u0).tobytes() == want.tobytes()
+            fallbacks += want.tobytes() == np.array(
+                quat.orthonormal_rows(u0.tolist(), [0.0, 1.0, 0.0])).tobytes()
+        assert 2000 < fallbacks < 8000
 
 
 def admissible_rows(u_i, us, du):
@@ -563,7 +608,7 @@ def sequential_reference(stream: PointStream, mode: str = "chord", reference_tan
                 tau=tau_val if tau_val is not None else tau, gap=gap,
                 hint=spline.MIDPOINT_HINT) from exc
         segments.append(sol)
-        frame = spline._orthonormalized(frame_rows(sol.frame.b_bezier[-1], sol.frame.axes))
+        frame = quat.orthonormal_rows(*frame_rows(sol.frame.b_bezier[-1], sol.frame.axes)[:2])
         prev_du = du
     return data.path_from_solutions(knots, segments), segments
 
@@ -1229,6 +1274,34 @@ def test_eval_takes_one_real_parameter(generic1_path, u):
     with pytest.raises(ValidationError, match="one real parameter") as err:
         generic1_path.eval(u)
     assert repr(u) in str(err.value)
+
+
+@pytest.mark.parametrize("us, named", [
+    (0.5, "0.5"), (np.float64(0.5), "0.5"), (np.array(0.5), "shape ()"), ("0.5", "'0.5'"),
+    (None, "None"), ([True], "parameter 0 is not a real number: True"),
+    ([0.5, np.True_], "parameter 1 is not a real number: "), (np.array([True]), "dtype bool"),
+    ([1.0 + 0.0j], "parameter 0 is not a real number: (1+0j)"),
+    (np.array([1.0 + 0.0j]), "dtype complex128"),
+    ([[0.5, 1.0]], "parameter 0 is not a real number: [0.5, 1.0]"),
+    (np.array([[0.5, 1.0]]), "shape (1, 2)"), ([0.5, "1.0"], "parameter 1 is not a real number"),
+], ids=["float", "float64", "0d-float", "string", "none", "bool", "numpy-bool", "bool-array",
+        "complex", "complex-array", "nested", "2d-array", "string-entry"])
+def test_eval_many_takes_a_1d_sequence_of_real_parameters(generic1_path, us, named):
+    # The rule of ``eval``, entry by entry, which ``locate`` applies for both.
+    for call in (generic1_path.eval_many, generic1_path.locate):
+        with pytest.raises(ValidationError, match="real number") as err:
+            call(us)
+        assert named in str(err.value)
+
+
+@pytest.mark.parametrize("us", [[3, np.int64(1), np.float32(2.5), np.array(2.5),
+                                 fractions.Fraction(5, 2)],
+                                (3, 1, 2.5, 2.5, 2.5), np.array([3, 1, 2, 2, 2]), range(1, 4)],
+                         ids=["list", "tuple", "int-array", "range"])
+def test_eval_many_accepts_real_sequences(generic1_path, us):
+    want = np.array([float(u) for u in us])
+    for got, expected in zip(generic1_path.eval_many(us), generic1_path.eval_many(want)):
+        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("u", [3, np.int64(3), np.float32(2.5), np.float64(2.5), np.array(2.5),
