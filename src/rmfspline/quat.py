@@ -91,7 +91,7 @@ def perpendicular_unit(v: np.ndarray) -> np.ndarray:
 
 
 def perpendicular_rows(v) -> list:
-    """``orthonormal_rows`` of v and the basis vector at the smallest entry of v / |v|."""
+    """``orthonormal_rows`` of v and the basis vector at the least |entry| of v / |v|."""
     v = np.asarray(v, dtype=float).tolist()
     e = [0.0, 0.0, 0.0]
     e[int(np.argmin(np.abs(unit_list(v, dots([v])[0]))))] = 1.0
