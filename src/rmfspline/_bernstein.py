@@ -51,19 +51,53 @@ def decasteljau_stacked(coeffs: np.ndarray, t) -> np.ndarray:
     return b[..., 0, :]
 
 
-# The one-polynomial case of ``decasteljau_stacked`` on Python floats, kept
-# beside it because the two must round alike: s * x + t * y is its
-# st * b, then += tt * b', and one point costs no numpy call.
-def decasteljau_list(coeffs: list, t: float, dim: int) -> list:
-    """Evaluate one Bernstein polynomial at a float t; coeffs holds its n+1
-    coefficients of ``dim`` floats each, flattened into one list.  Returns
-    ``dim`` floats, equal to ``decasteljau_stacked``'s bit for bit."""
+# The one-polynomial cases of ``decasteljau_stacked`` that ``SplinePath.eval``
+# takes on Python floats, unrolled, kept beside it because they must round
+# alike: each step s * x + t * y is its st * b, then += tt * b'.  They take
+# the coefficients coordinate by coordinate, as the rows of the transposed
+# (n+1, d) array, which unpack without slicing.
+def decasteljau5(rows: list, t: float) -> list:
+    """Evaluate one degree-5 Bernstein polynomial at a float t; rows holds
+    the 6 coefficients of each of its d coordinates as lists of floats.
+    Returns d floats, equal to ``decasteljau_stacked``'s bit for bit."""
     s = 1.0 - t
-    b = list(coeffs)
-    for end in range(len(b) - dim, 0, -dim):
-        for i in range(end):
-            b[i] = s * b[i] + t * b[i + dim]
-    return b[:dim]
+    out = []
+    for b0, b1, b2, b3, b4, b5 in rows:
+        b0 = s * b0 + t * b1
+        b1 = s * b1 + t * b2
+        b2 = s * b2 + t * b3
+        b3 = s * b3 + t * b4
+        b4 = s * b4 + t * b5
+        b0 = s * b0 + t * b1
+        b1 = s * b1 + t * b2
+        b2 = s * b2 + t * b3
+        b3 = s * b3 + t * b4
+        b0 = s * b0 + t * b1
+        b1 = s * b1 + t * b2
+        b2 = s * b2 + t * b3
+        b0 = s * b0 + t * b1
+        b1 = s * b1 + t * b2
+        out.append(s * b0 + t * b1)
+    return out
+
+
+def decasteljau4(rows: list, t: float) -> list:
+    """``decasteljau5`` of a degree-4 polynomial: rows holds the 5
+    coefficients of each coordinate."""
+    s = 1.0 - t
+    out = []
+    for b0, b1, b2, b3, b4 in rows:
+        b0 = s * b0 + t * b1
+        b1 = s * b1 + t * b2
+        b2 = s * b2 + t * b3
+        b3 = s * b3 + t * b4
+        b0 = s * b0 + t * b1
+        b1 = s * b1 + t * b2
+        b2 = s * b2 + t * b3
+        b0 = s * b0 + t * b1
+        b1 = s * b1 + t * b2
+        out.append(s * b0 + t * b1)
+    return out
 
 
 def derivative(coeffs: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import NoSolutionError, ValidationError, VanishingDisplacementError
 from .ph import PHQuintic, PreImage, curve_from_preimage
-from .quat import (UNIT_TOL, Quaternion, angle_from_squares, bisector_list, cross3, cross_list,
-                   dots, neg_cross_list, norm3, product_vector, require_finite, require_frame,
-                   require_unit, sandwich_list, unit, unit_list)
+from .quat import (MAX_COORDINATE, UNIT_TOL, Quaternion, angle_from_squares, bisector_list,
+                   cross3, cross_list, dots, neg_cross_list, norm3, product_vector,
+                   require_finite, require_frame, require_unit, sandwich_list, unit, unit_list)
 from .rrmf import RationalFrame, compute_rational_frame
 
 CRITICAL_GAMMA = 0.4 * math.pi
@@ -60,6 +60,9 @@ class HermiteData:
         for name in ("p_start", "p_end", "u", "v", "w", "u_end"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
             require_finite(getattr(self, name), f"{name} is not finite")
+        for name in ("p_start", "p_end"):
+            if not (np.abs(getattr(self, name)) <= MAX_COORDINATE).all():
+                raise ValidationError(f"{name} has a coordinate beyond {MAX_COORDINATE:g}")
         require_frame(np.array([self.u, self.v, self.w]), "frame", FRAME_TOL)
         require_unit(norm3(self.u), "start tangent must be a unit vector")
         require_unit(norm3(self.u_end), "end tangent must be a unit vector", FRAME_TOL)

@@ -10,12 +10,22 @@ tangent indicatrix, the degeneracy test and the reparametrization are in
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _bernstein as bern
+from .errors import FrameConstructionError
 from .quat import _CONJ, Quaternion, _vcross, norm3, require_unit, vgram, vmul
+
+# The largest speed or frame quaternion coefficient of a loaded spline.  Its
+# square, 2^1000, leaves a factor 2^24 of the float range to the sums of
+# binomially scaled squares that ``eval`` and ``validate`` form: with one
+# segment of a 20-span torus scaled up, squares within a factor 63 of the
+# range overflowed there.  At this bound no scaled end segment of a helix,
+# that torus or four walks raised a RuntimeWarning.
+MAX_SQUARABLE = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,14 @@ def curves(r0: np.ndarray, rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarr
     return h, r, speeds(rows)
 
 
+def _require_squarable(p: PreImage) -> None:
+    """Raise ``FrameConstructionError`` unless each generator coefficient
+    keeps |A_k|^2 within ``MAX_SQUARABLE``, before a one-generator call
+    (``curve_from_preimage``, ``rrmf.is_class_I``) can overflow."""
+    if not np.abs(p.coeffs_wxyz).max() <= 0.5 * math.sqrt(MAX_SQUARABLE):
+        raise FrameConstructionError("generator too large to square")
+
+
 def hodograph_from_preimage(p: PreImage) -> np.ndarray:
     """Degree-4 hodograph control points, shape (5, 3)."""
     return hodographs(p.coeffs_wxyz, p.axis)
@@ -134,7 +152,9 @@ class PHQuintic:
 
 
 def curve_from_preimage(r0: np.ndarray, p: PreImage) -> PHQuintic:
-    """Integrate the hodograph into the degree-5 control polygon."""
+    """Integrate the hodograph into the degree-5 control polygon of a
+    generator that ``_require_squarable`` admits."""
+    _require_squarable(p)
     r0 = np.asarray(r0, dtype=float)
     h, r, sigma = curves(r0, p.coeffs_wxyz, p.axis)
     return PHQuintic(r0=r0, preimage=p, h=h, r=r, sigma=sigma)

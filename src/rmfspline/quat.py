@@ -109,6 +109,12 @@ def orthonormal_completion(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # NaN fails; a message's ``{}`` becomes the index of the first bad row.
 UNIT_TOL = 1e-10  # on the norms of axes, versors and start tangents
 NORMAL_LEAN_TOL = 1e-6  # on |n . t| of a prescribed start normal n and its tangent t
+# The largest point coordinate magnitude accepted, in stream points and in
+# Hermite data.  The interior tangent rule takes fifth powers of chords: in
+# build and validate, helix, torus, spiral and walk streams overflow from
+# 4.5e61, streams on the corners of a cube from 1e61 (with reference
+# tangents given, from 4e149); none at 1e60.
+MAX_COORDINATE = 1e60
 
 
 def require_finite(rows: np.ndarray, message: str) -> None:
@@ -331,17 +337,18 @@ def frame_rows(q: np.ndarray, axes: np.ndarray) -> np.ndarray:
 # ``np.vecdot`` call, since its BLAS dot may fuse multiply-adds, which
 # Python floats cannot repeat; the sums of squares are ``np.sum``'s, added
 # left to right.
-def frame_rows_list(q: list, axes: np.ndarray) -> list:
+def frame_rows_list(q: list, axes: np.ndarray, axis_rows: list) -> list:
     """The nine entries, row by row, of the frame rows of one frame
     quaternion sample q = [w, x, y, z] (floats) with axis rows ``axes``
-    (3, 3); equal to ``frame_rows``'s bit for bit."""
+    (3, 3), which ``axis_rows`` holds as lists of floats; equal to
+    ``frame_rows``'s bit for bit."""
     w, x, y, z = q
     dots = np.vecdot(axes, np.array(q[1:])).tolist()
     a = w * w - (x * x + y * y + z * z)
     nsq = w * w + x * x + y * y + z * z
     ww = 2.0 * w
     out = []
-    for (e0, e1, e2), d in zip(axes.tolist(), dots):
+    for (e0, e1, e2), d in zip(axis_rows, dots):
         dd = 2.0 * d
         out += [(a * e0 + dd * x + ww * (y * e2 - z * e1)) / nsq,
                 (a * e1 + dd * y + ww * (z * e0 - x * e2)) / nsq,

@@ -17,19 +17,12 @@ import numpy as np
 
 from . import _bernstein as bern
 from .errors import FrameConstructionError, ValidationError
-from .ph import PreImage
+from .ph import PreImage, _require_squarable
 from .quat import (_CONJ, NORMAL_LEAN_TOL, _vcross, dots, frame_rows, orthonormal_completion,
                    product_vector, sandwich_list, unit_list, vgram, vmul, vpoly_mul, vpure)
 
 CLASS_ONE_REL_TOL = 1e-10  # the class-I bound of ``is_class_I`` and of ``checks.tolerances``
 FRAME_REL_TOL = 1e-6  # the bound on both relative residuals of a frame: class-I and polynomial
-# The largest speed or frame quaternion coefficient of a loaded spline.  Its
-# square, 2^1000, leaves a factor 2^24 of the float range to the sums of
-# binomially scaled squares that ``eval`` and ``validate`` form: with one
-# segment of a 20-span torus scaled up, squares within a factor 63 of the
-# range overflowed there.  At this bound no scaled end segment of a helix,
-# that torus or four walks raised a RuntimeWarning.
-MAX_SQUARABLE = 2.0 ** 500
 
 
 class ClassICheck(NamedTuple):
@@ -60,7 +53,8 @@ def class_one_residuals(rows: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray,
 
 def is_class_I(p: PreImage) -> ClassICheck:
     """Test the middle-coefficient identity that admits a rational RMF:
-    the one-row ``class_one_residuals``."""
+    the one-row ``class_one_residuals``, after ``ph._require_squarable``."""
+    _require_squarable(p)
     residual, rel = class_one_residuals(p.coeffs_wxyz, p.axis)
     return ClassICheck(bool(rel <= CLASS_ONE_REL_TOL), float(residual), float(rel))
 
@@ -166,12 +160,6 @@ def solve_frame_polynomials(p: PreImage) -> tuple[np.ndarray, np.ndarray, float]
     _require_squarable(p)
     a, b, resid = _factor_speed(*_speed_and_rates(p.power_coeffs().tolist(), p.axis.tolist()))
     return np.array(a), np.array(b), resid
-
-
-def _require_squarable(p: PreImage) -> None:
-    """Raise unless each generator coefficient keeps |A_k|^2 within ``MAX_SQUARABLE``."""
-    if not np.abs(p.coeffs_wxyz).max() <= 0.5 * math.sqrt(MAX_SQUARABLE):
-        raise FrameConstructionError("generator too large to square")
 
 
 def _factor_speed(q: list, rates: list) -> tuple[list, list, float]:
@@ -376,13 +364,13 @@ def compute_rational_frame(
     axes: np.ndarray | None = None,
 ) -> RationalFrame:
     """Rotation-minimizing rational frame of an admissible generator:
-    ``_require_squarable``, ``_require_class_one``, ``_rmf_polynomials``
-    and ``frame_from_coefficients``.
+    ``is_class_I`` (whose ``ph._require_squarable`` comes first),
+    ``_require_class_one``, ``_rmf_polynomials`` and
+    ``frame_from_coefficients``.
 
     The free rotation about the axis is fixed so that the second frame
     vector at t=0 matches initial_frame[1] (when a frame is prescribed).
     """
-    _require_squarable(p)
     _require_class_one(is_class_I(p).rel_residual)
     if axes is None:
         j, k = orthonormal_completion(p.axis)

@@ -41,11 +41,12 @@ from .errors import (
     ValidationError,
 )
 from .hermite import CRITICAL_GAMMA, HermiteSolution, _two_thirds_b
-from .ph import PHQuintic, PreImage
-from .quat import (Quaternion, angle_between, angle_from_squares, angles_between, bisector_list,
-                   cross_list, dots, frame_rows, frame_rows_list, norm3, orthonormal_rows,
-                   rejection, require_finite, require_frame, require_unit, unit, unit_list)
-from .rrmf import MAX_SQUARABLE, RationalFrame
+from .ph import MAX_SQUARABLE, PHQuintic, PreImage
+from .quat import (MAX_COORDINATE, Quaternion, angle_between, angle_from_squares, angles_between,
+                   bisector_list, cross_list, dots, frame_rows, frame_rows_list, norm3,
+                   orthonormal_rows, rejection, require_finite, require_frame, require_unit, unit,
+                   unit_list)
+from .rrmf import RationalFrame
 
 MAX_TURN = 0.8 * math.pi
 # The guards of the end-tangent set: a turning angle (or |u_i x u|, its
@@ -53,11 +54,6 @@ MAX_TURN = 0.8 * math.pi
 TURN_FLOOR = 1e-9
 TURN_CEILING = math.pi - TURN_FLOOR
 MIDPOINT_HINT = "insert a middle point between the offending stream points"
-# The largest stream coordinate magnitude accepted.  The interior tangent
-# rule takes fifth powers of chords: in build and validate, helix, torus,
-# spiral and walk streams overflow from 4.5e61, streams on the corners of a
-# cube from 1e61 (with reference tangents given, from 4e149); none at 1e60.
-MAX_COORDINATE = 1e60
 # Parameters per chunk of ``SplinePath.eval_many``.  Its largest arrays are
 # the gathered frame quaternion coefficients (chunk, 5, 4) and control
 # points (chunk, 6, 3): 80 KB and 72 KB at 512 rows.
@@ -460,7 +456,9 @@ class SplinePath:
         _require_within(arrays["frame_bezier"], MAX_SQUARABLE,
                         "segment {}: frame quaternion too large to square")
         # The end frame at t = 1, where de Casteljau gives the last coefficient.
-        end = frame_rows_list(arrays["frame_bezier"][-1, -1].tolist(), arrays["frame_axes"][-1])
+        last_axes = arrays["frame_axes"][-1]
+        end = frame_rows_list(arrays["frame_bezier"][-1, -1].tolist(), last_axes,
+                              last_axes.tolist())
         arrays["frames"] = np.concatenate([arrays["frame_axes"] * [[1.0], [-1.0], [-1.0]],
                                            [orthonormal_rows(end[:3], end[3:6])]])
         for name, packed in arrays.items():
@@ -519,31 +517,33 @@ class SplinePath:
         return k, t
 
     @functools.cached_property
-    def _lists(self) -> tuple[list, list, list]:
+    def _lists(self) -> tuple[list, list, list, list]:
         """``knots`` as a list of floats, and each segment's control points
-        and frame coefficients as one flat list of floats, for ``eval``;
-        made by its first call."""
-        return (self.knots.tolist(),
-                self.control_points.reshape(self.n_segments, -1).tolist(),
-                self.frame_bezier.reshape(self.n_segments, -1).tolist())
+        and frame quaternion coefficients, coordinate by coordinate, and its
+        axis rows, as lists of floats, for ``eval``; made by its first call."""
+        return (self.knots.tolist(), self.control_points.swapaxes(1, 2).tolist(),
+                self.frame_bezier.swapaxes(1, 2).tolist(), self.frame_axes.tolist())
 
     def eval(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Point (3,) and frame rows (f1, f2, f3) (3, 3) at one global
         parameter u: a Python or numpy real scalar other than a bool, or a
         0-d integer or float array; anything else raises ``ValidationError``.
 
-        ``locate``, de Casteljau and ``frame_rows`` of ``eval_many`` on
-        Python floats (``bisect``, ``_bernstein.decasteljau_list`` and
-        ``quat.frame_rows_list``), which spares some forty numpy calls on
-        one-element arrays.  The result equals row 0 of ``eval_many([u])``
-        bit for bit, and an out-of-range or non-finite u raises the same
-        ``ValidationError``.
+        ``locate``, de Casteljau and ``frame_rows`` of ``eval_many`` as one
+        straight run of float arithmetic: ``bisect`` on the knots, the
+        unrolled ``_bernstein.decasteljau5`` and ``decasteljau4`` on the
+        segment's coefficients and ``quat.frame_rows_list``, whose dot
+        products are its one numpy call.  The coefficients and axis rows
+        come from lists that the first call makes (``_lists``), so ``build``
+        and loading a spline file pay nothing for them.  The result equals
+        row 0 of ``eval_many([u])`` bit for bit, and an out-of-range or
+        non-finite u raises the same ``ValidationError``.
         """
         if type(u) is not float:
             if not _is_parameter(u):
                 raise ValidationError(f"eval takes one real parameter, got {u!r}")
             u = float(u)
-        knots, points, quats = self._lists
+        knots, points, quats, axes = self._lists
         lo, hi = knots[0], knots[-1]
         span = hi - lo
         if not lo - 1e-9 * span <= u <= hi + 1e-9 * span:
@@ -554,8 +554,8 @@ class SplinePath:
         u = u if u < hi else hi
         k = min(bisect.bisect_right(knots, u) - 1, len(points) - 1)
         t = (u - knots[k]) / (knots[k + 1] - knots[k])
-        rows = frame_rows_list(bern.decasteljau_list(quats[k], t, 4), self.frame_axes[k])
-        return np.array(bern.decasteljau_list(points[k], t, 3)), np.array(rows).reshape(3, 3)
+        rows = frame_rows_list(bern.decasteljau4(quats[k], t), self.frame_axes[k], axes[k])
+        return np.array(bern.decasteljau5(points[k], t)), np.array(rows).reshape(3, 3)
 
     def eval_many(self, us) -> tuple[np.ndarray, np.ndarray]:
         """Points (N, 3) and frame rows (N, 3, 3) at N global parameters.
@@ -676,7 +676,7 @@ def build(
         solved.append((mu, phi2, theta1, diagnostics))
         if k + 1 < stream.n_segments:  # the path forms the last end frame
             end = frame_rows_list(rrmf._end_quaternion(power, a, b, seg_axes[0]),
-                                  np.array(seg_axes))
+                                  np.array(seg_axes), seg_axes)
             frames.append(orthonormal_rows(end[:3], end[3:6]))
 
     # Pass 1 may have stopped before its first generator.

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as data
 from rmfspline import _bernstein as bern
@@ -81,17 +83,23 @@ def test_decasteljau_matches_copy_then_loop():
 
 
 
-def test_decasteljau_list_bitwise_with_stacked():
-    rng = np.random.RandomState(55)
-    ts = [0.0, 1.0, -0.0, 0.5, 1e-300] + rng.uniform(size=40).tolist()
-    for degree in range(1, 7):
-        for dim in (1, 3, 4):
-            c = rng.randn(degree + 1, dim) * 10.0 ** rng.uniform(-6, 6)
-            flat = c.ravel().tolist()
-            for t in ts:
-                want = bern.decasteljau_stacked(c, t)
-                assert np.array(bern.decasteljau_list(flat, t, dim)).tobytes() == want.tobytes()
-            assert flat == c.ravel().tolist()   # the coefficients are left alone
+# t at the ends, at 1 - ulp and at the smallest subnormal, where s = 1 - t
+# rounds to 1, besides any t in [0, 1].
+_EDGE_TS = (0.0, 1.0, 1.0 - 2.0 ** -53, 5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree=st.sampled_from([4, 5]), dim=st.integers(1, 4), exponent=st.integers(-12, 60),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.floats(min_value=0.0, max_value=1.0))
+def test_unrolled_decasteljau_bitwise_with_stacked(degree, dim, exponent, seed, t):
+    form = {4: bern.decasteljau4, 5: bern.decasteljau5}[degree]
+    c = np.random.default_rng(seed).standard_normal((degree + 1, dim)) * 10.0 ** exponent
+    rows = c.T.tolist()
+    for tt in (*_EDGE_TS, t):
+        want = bern.decasteljau_stacked(c, tt)
+        assert np.array(form(rows, tt)).tobytes() == want.tobytes()
+    assert rows == c.T.tolist()   # the coefficients are left alone
+
 
 def to_power_looped(coeffs: np.ndarray) -> np.ndarray:
     """Reference: the double loop ``to_power`` replaced."""

@@ -21,7 +21,8 @@ from rmfspline.hermite import (
     unit_displacement_b,
 )
 from rmfspline.ph import PreImage, curve_from_preimage
-from rmfspline.quat import Quaternion, angle_between, bisector, neg_cross, norm3, star, unit
+from rmfspline.quat import (MAX_COORDINATE, Quaternion, angle_between, bisector, neg_cross, norm3,
+                            star, unit)
 from rmfspline.rrmf import is_class_I
 
 TWO_THIRDS = 2.0 * math.pi / 3.0
@@ -97,6 +98,29 @@ class TestValidation:
         else:
             with pytest.raises(ValidationError, match="start tangent must be a unit vector"):
                 HermiteData(*args)
+
+    @pytest.mark.parametrize("name", ["p_start", "p_end"])
+    def test_coordinate_beyond_the_stream_bound_rejected_by_name(self, name):
+        # With the chord 1e300 long along the bisector at gamma = 0.5, solve
+        # warned "overflow encountered in matmul" in norm3 and raised nothing.
+        d = data_with(0.5, 0.0)
+        far = 1e300 * bisector(d.u, d.u_end)
+        ends = {"p_start": (-far, np.zeros(3)), "p_end": (np.zeros(3), far)}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{name} has a coordinate beyond 1e\\+60$"):
+                solve(HermiteData(*ends, d.u, d.v, d.w, d.u_end))
+
+    def test_coordinates_at_the_stream_bound_accepted(self):
+        d = data_with(0.5, 0.0)
+        b = bisector(d.u, d.u_end)
+        edge = b * (MAX_COORDINATE / np.max(np.abs(b)))
+        assert np.max(np.abs(edge)) == MAX_COORDINATE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            HermiteData(np.zeros(3), edge, d.u, d.v, d.w, d.u_end)
+            with pytest.raises(ValidationError, match="p_end has a coordinate beyond"):
+                HermiteData(np.zeros(3), np.nextafter(edge, 2.0 * edge), d.u, d.v, d.w, d.u_end)
 
     def test_vanishing_displacement_rejected(self):
         d = data_with(0.3 * math.pi, 0.2)

@@ -1,6 +1,7 @@
 """Quintic PH machinery: hodograph, control points, speed, indicatrix, frames."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.integrate import quad
 
 import conftest as data
 from rmfspline import _bernstein as bern
-from rmfspline.errors import DegenerateCurveError, DegenerateInputError, ValidationError
+from rmfspline.errors import (DegenerateCurveError, DegenerateInputError, FrameConstructionError,
+                              ValidationError)
 from rmfspline.ph import (
     PreImage,
     curve_from_preimage,
@@ -94,6 +96,16 @@ class TestCurve:
             p = data.random_preimage(rng)
             q = curve_from_preimage(rng.randn(3), p)
             assert ph_identity_residual(q) <= 1e-10
+
+    def test_generator_too_large_to_square_rejected(self):
+        # With these rows curve_from_preimage warned "overflow encountered in
+        # multiply"; it now raises what rrmf.compute_rational_frame raises.
+        rows = np.random.default_rng(5).standard_normal((3, 4)) * 1e160
+        p = PreImage(*(Quaternion.from_wxyz(r) for r in rows), I)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameConstructionError, match="generator too large to square"):
+                curve_from_preimage(np.zeros(3), p)
 
 
 class TestParametricSpeed:

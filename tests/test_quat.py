@@ -354,7 +354,7 @@ class TestVectorized:
         axes[::3] = rng.randn(134, 3, 3)                               # any rows
         batch = frame_rows(q, axes)
         for row, ax, want in zip(q, axes, batch):
-            got = np.array(frame_rows_list(row.tolist(), ax)).reshape(3, 3)
+            got = np.array(frame_rows_list(row.tolist(), ax, ax.tolist())).reshape(3, 3)
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == (vsandwich(row[None, :], ax) / vnorm_sq(row)).tobytes()
 

@@ -700,6 +700,15 @@ class TestDegenerateGenerators:
                 with pytest.raises(FrameConstructionError, match="too large to square"):
                     solve(p)
 
+    def test_class_one_check_rejects_a_generator_too_large_to_square(self):
+        # With these rows is_class_I warned "overflow encountered in vecdot".
+        rows = np.random.default_rng(5).standard_normal((3, 4)) * 1e160
+        p = PreImage(*(Quaternion.from_wxyz(r) for r in rows), np.array([1.0, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FrameConstructionError, match="generator too large to square"):
+                is_class_I(p)
+
     def test_nan_residuals_fail_the_frame_bounds(self, worked_preimage, monkeypatch):
         with pytest.raises(FrameConstructionError, match="relative residual nan"):
             rrmf._require_class_one(math.nan)

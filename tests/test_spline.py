@@ -1204,6 +1204,14 @@ def reloaded_torus_path(torus_path, tmp_path_factory):
     return read_spline_file(str(f))
 
 
+@pytest.fixture(scope="module")
+def reloaded_torus250_path(tmp_path_factory):
+    """The 250-segment reload spline, saved and loaded."""
+    f = tmp_path_factory.mktemp("scalar-eval") / "torus250.json"
+    write_spline_file(str(f), data.rigid_torus_path(1, 250))
+    return read_spline_file(str(f))
+
+
 def assert_eval_is_row_of_eval_many(path, u):
     """``eval(u)`` and row 0 of ``eval_many([u])`` are the same bytes, signed
     zeros included."""
@@ -1223,11 +1231,13 @@ class TestScalarEval:
     """The one-point ``eval`` runs on Python floats and must equal
     ``eval_many`` bit for bit."""
 
-    @pytest.fixture(params=["generic1", "torus", "torus-reloaded", "one-segment"])
+    @pytest.fixture(params=["generic1", "torus", "torus-reloaded", "torus250-reloaded",
+                            "one-segment"])
     def path(self, request):
         return request.getfixturevalue({"generic1": "generic1_path",
                                         "torus": "torus_path",
                                         "torus-reloaded": "reloaded_torus_path",
+                                        "torus250-reloaded": "reloaded_torus250_path",
                                         "one-segment": "one_segment_path"}[request.param])
 
     def test_bit_identical_to_eval_many(self, path):
